@@ -44,7 +44,7 @@ emb = encode(params.text_encoder, dataset.text_features).values
 gaps = np.linalg.norm(emb[:, None, :] - emb[None, :, :], axis=-1)
 radius = float(np.percentile(gaps[gaps > 0], 10))
 cfg = ClusterConfig(neighborhood_radius=radius, reduced_dim=3,
-                    min_cluster_size=5, seed=1)
+                    min_cluster_size=5)
 assignment = cluster_pipeline(emb, cfg)
 print(f"radius {radius:.3f} -> {assignment.k} clusters, "
       f"{assignment.n_outliers} outliers reassigned")

@@ -13,9 +13,8 @@ from .clustering import (OUTLIER, ClusterAssignment, ClusterConfig,
                          PseudoLabels, build_pseudo_labels,
                          cluster_pipeline, density_cluster,
                          reassign_outliers, reduce_dimensionality)
-from .core import (Axis, ProbabilityMatrix, VectorBatch,
-                   cosine_similarity_matrix, cross_entropy,
-                   log_softmax_with_temperature, softmax_with_temperature)
+from .core import (Axis, VectorBatch, cosine_similarity_matrix,
+                   softmax_with_temperature)
 from .encoders import (ClassificationHead, LinearEncoder, ModelParams,
                        classify, encode, init_heads, init_params)
 from .ensemble import (EnsembleSpec, GridSearchConfig, Member, SearchResult,
@@ -36,18 +35,16 @@ from .losses import (BatchLabels, LossBreakdown, LossConfig, PairBatch,
                      supervised_contrastive_loss, targets_from_teacher_sims,
                      teacher_soft_targets, total_loss)
 from .tensorfile import load_tensor, save_tensor
-from .training import (AudioCaptionPair, AugmentationConfig, OptimizerState,
-                       PairedDataset, ScheduleConfig, StageConfig,
-                       StepRecord, adamw_step, augment_caption,
+from .training import (AugmentationConfig, OptimizerState, PairedDataset,
+                       ScheduleConfig, StageConfig, StepRecord, adamw_step,
                        expand_with_mixes, init_optimizer, lr_at_step,
-                       make_batches, mix_pairs, run_stage)
+                       make_batches, run_stage)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis", "ProbabilityMatrix", "VectorBatch",
-    "cosine_similarity_matrix", "softmax_with_temperature",
-    "log_softmax_with_temperature", "cross_entropy",
+    "Axis", "VectorBatch", "cosine_similarity_matrix",
+    "softmax_with_temperature",
     "LinearEncoder", "ClassificationHead", "ModelParams",
     "init_params", "init_heads", "encode", "classify",
     "LossConfig", "LossBreakdown", "TeacherTargets", "PairBatch",
@@ -57,9 +54,8 @@ __all__ = [
     "loss_and_gradients", "total_loss", "student_similarity",
     "OptimizerState", "init_optimizer", "adamw_step",
     "ScheduleConfig", "lr_at_step", "StageConfig", "StepRecord",
-    "AugmentationConfig", "augment_caption", "AudioCaptionPair",
-    "mix_pairs", "expand_with_mixes", "PairedDataset", "make_batches",
-    "run_stage",
+    "AugmentationConfig", "expand_with_mixes", "PairedDataset",
+    "make_batches", "run_stage",
     "OUTLIER", "ClusterConfig", "ClusterAssignment", "PseudoLabels",
     "reduce_dimensionality", "density_cluster", "reassign_outliers",
     "build_pseudo_labels", "cluster_pipeline",

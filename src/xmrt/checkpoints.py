@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import os
 
-from .encoders import ClassificationHead, LinearEncoder, ModelParams
-from .errors import DataError
+from .encoders import _params_from_tensors
+from .errors import ContractError, DataError
 from .tensorfile import load_tensor, save_tensor
 
 META_FILE = "meta.json"
@@ -56,29 +56,12 @@ def load_checkpoint(directory):
         if not os.path.exists(path):
             raise DataError(f"{directory}: missing tensor file {name}.xmrt")
         tensors[name] = load_tensor(path)
-
-    def need(name):
-        if name not in tensors:
-            raise DataError(f"{directory}: checkpoint lacks tensor {name}")
-        return tensors[name]
-
-    audio_enc = LinearEncoder(weight=need("audio_encoder.weight"),
-                              bias=need("audio_encoder.bias"),
-                              modality="audio")
-    text_enc = LinearEncoder(weight=need("text_encoder.weight"),
-                             bias=need("text_encoder.bias"),
-                             modality="text")
-    audio_head = text_head = None
-    if meta.get("has_heads"):
-        audio_head = ClassificationHead(
-            w1=need("audio_head.w1"), b1=need("audio_head.b1"),
-            w2=need("audio_head.w2"), b2=need("audio_head.b2"))
-        text_head = ClassificationHead(
-            w1=need("text_head.w1"), b1=need("text_head.b1"),
-            w2=need("text_head.w2"), b2=need("text_head.b2"))
-    return ModelParams(audio_encoder=audio_enc, text_encoder=text_enc,
-                       audio_head=audio_head, text_head=text_head,
-                       rng_seed=int(meta.get("rng_seed", 0)))
+    try:
+        return _params_from_tensors(tensors, bool(meta.get("has_heads")),
+                                    int(meta.get("rng_seed", 0)))
+    except ContractError as exc:
+        # Tensors that disagree with meta.json or each other are bad data.
+        raise DataError(f"{directory}: {exc}") from None
 
 
 def read_checkpoint_extra(directory):

@@ -26,16 +26,11 @@ OUTLIER = -1
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs for the reduction and density steps.
-
-    The pipeline itself is deterministic; seed is carried so runs that
-    branch on it downstream stay reproducible from the config alone.
-    """
+    """Knobs for the reduction and density steps (which draw nothing random)."""
 
     neighborhood_radius: float
     reduced_dim: int = 5
     min_cluster_size: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.reduced_dim < 1:

@@ -36,8 +36,7 @@ _SCHEMA = {
         "refinetune": {"epochs": None, "batch_size": None, "labels": None,
                        "init_from": None},
     },
-    "augmentation": {"word_edit_probability": None, "synonym_table": None,
-                     "mix_count": None, "rng_seed": None},
+    "augmentation": {"mix_count": None, "rng_seed": None},
     "clustering": {"reduced_dim": None, "min_cluster_size": None,
                    "neighborhood_radius": None, "checkpoint": None,
                    "split": None},
@@ -138,9 +137,6 @@ class RunConfig:
     def augmentation_config(self):
         sec = self.section("augmentation")
         return AugmentationConfig(
-            word_edit_probability=float(
-                sec.get("word_edit_probability", 0.8)),
-            synonym_table=dict(sec.get("synonym_table", {})),
             mix_count=int(sec.get("mix_count", 0)),
             rng_seed=int(sec.get("rng_seed", self.seed)))
 
@@ -153,8 +149,7 @@ class RunConfig:
         return ClusterConfig(
             neighborhood_radius=float(sec["neighborhood_radius"]),
             reduced_dim=int(sec.get("reduced_dim", 5)),
-            min_cluster_size=int(sec.get("min_cluster_size", 5)),
-            seed=self.seed)
+            min_cluster_size=int(sec.get("min_cluster_size", 5)))
 
     def grid_config(self):
         sec = self.section("ensemble")

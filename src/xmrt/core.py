@@ -1,23 +1,19 @@
 """Dense-matrix primitives the rest of the engine builds on.
 
-Cosine similarity between embedding batches, temperature softmax, and
-cross-entropy over probability matrices.  Everything is float64 and pure:
-no function here mutates its inputs.
+Cosine similarity between embedding batches and the temperature softmax
+forward that every loss shares.  Everything is float64 and pure: no
+function here mutates its inputs.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-
-# Floor applied to probabilities inside log() in the probability-space
-# cross-entropy; tau=0.05 routinely produces values below double rounding.
-LOG_EPS = 1e-12
 
 
 class Axis(enum.Enum):
@@ -77,34 +73,6 @@ def _coerce_batch(batch, name):
     return VectorBatch(as_matrix(batch, name))
 
 
-@dataclass(frozen=True)
-class ProbabilityMatrix:
-    """A matrix whose rows or columns are probability distributions."""
-
-    values: np.ndarray
-    axis: Axis
-
-    def __post_init__(self):
-        arr = as_matrix(self.values, "probability matrix")
-        object.__setattr__(self, "values", arr)
-        if not isinstance(self.axis, Axis):
-            raise ContractError(f"axis must be an Axis, got {self.axis!r}")
-        if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
-            raise DataError("probability entries must lie in [0, 1]")
-        sums = arr.sum(axis=self.axis.np_axis)
-        if np.max(np.abs(sums - 1.0)) > 1e-6:
-            raise DataError(
-                f"distributions along {self.axis.value} must sum to 1 "
-                f"(worst deviation {np.max(np.abs(sums - 1.0)):.3e})")
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def n_distributions(self):
-        return self.shape[0] if self.axis is Axis.ROWS else self.shape[1]
-
-
 def cosine_similarity_matrix(audio_emb, text_emb):
     """Pairwise cosine similarities, audio rows by caption columns.
 
@@ -129,45 +97,22 @@ def cosine_similarity_matrix(audio_emb, text_emb):
     return np.clip(a_hat @ c_hat.T, -1.0, 1.0)
 
 
+def _softmax_forward(z, axis):
+    """(log q, q) of softmax(z) along `axis` from one max-shift and one exp.
+
+    The single softmax forward of the package: the contrastive,
+    distillation and classification losses and their gradients all read
+    their probabilities and log-probabilities from here.
+    """
+    np_axis = axis.np_axis
+    shifted = z - z.max(axis=np_axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=np_axis, keepdims=True)
+    return shifted - np.log(s), e / s
+
+
 def softmax_with_temperature(logits, tau, axis):
     """Temperature softmax along the chosen axis, max-shifted for stability."""
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
-    z = as_matrix(logits, "logits") / tau
-    np_axis = axis.np_axis
-    z = z - z.max(axis=np_axis, keepdims=True)
-    e = np.exp(z)
-    return ProbabilityMatrix(e / e.sum(axis=np_axis, keepdims=True), axis)
-
-
-def log_softmax_with_temperature(logits, tau, axis):
-    """Log of the temperature softmax, computed without underflow."""
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
-    z = as_matrix(logits, "logits") / tau
-    np_axis = axis.np_axis
-    z = z - z.max(axis=np_axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=np_axis, keepdims=True))
-
-
-def cross_entropy(targets, predictions):
-    """Mean cross-entropy between matched probability matrices.
-
-    Averages -sum(p * log q) over the distributions (rows or columns per
-    the shared axis).  Natural logarithm; predictions are floored at
-    LOG_EPS so a zero never reaches log().
-    """
-    if not isinstance(targets, ProbabilityMatrix) or not isinstance(
-            predictions, ProbabilityMatrix):
-        raise ContractError("cross_entropy expects two ProbabilityMatrix")
-    if targets.shape != predictions.shape:
-        raise ContractError(
-            f"shape mismatch: targets {targets.shape} vs "
-            f"predictions {predictions.shape}")
-    if targets.axis is not predictions.axis:
-        raise ContractError(
-            f"axis mismatch: targets {targets.axis.value} vs "
-            f"predictions {predictions.axis.value}")
-    q = np.clip(predictions.values, LOG_EPS, 1.0)
-    total = -(targets.values * np.log(q)).sum()
-    return float(total / targets.n_distributions())
+    return _softmax_forward(as_matrix(logits, "logits") / tau, axis)[1]

@@ -13,11 +13,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import VectorBatch, _coerce_batch, as_matrix
+from .core import VectorBatch, _coerce_batch
 from .errors import ConfigError, ContractError, DataError
 
 MODALITIES = ("audio", "text")
 HEAD_WIDTH_FACTOR = 3
+_ENCODER_TENSORS = tuple(f"{m}_encoder.{p}" for m in MODALITIES
+                         for p in ("weight", "bias"))
+_HEAD_TENSORS = tuple(f"{m}_head.{p}" for m in MODALITIES
+                      for p in ("w1", "b1", "w2", "b2"))
 
 
 def _check_finite(name, *arrays):
@@ -134,48 +138,62 @@ class ModelParams:
 
     def named_tensors(self):
         """Ordered name -> array view of every parameter."""
-        tensors = {
-            "audio_encoder.weight": self.audio_encoder.weight,
-            "audio_encoder.bias": self.audio_encoder.bias,
-            "text_encoder.weight": self.text_encoder.weight,
-            "text_encoder.bias": self.text_encoder.bias,
-        }
+        names = _ENCODER_TENSORS
+        arrays = [self.audio_encoder.weight, self.audio_encoder.bias,
+                  self.text_encoder.weight, self.text_encoder.bias]
         if self.has_heads:
-            for prefix, head in (("audio_head", self.audio_head),
-                                 ("text_head", self.text_head)):
-                tensors[f"{prefix}.w1"] = head.w1
-                tensors[f"{prefix}.b1"] = head.b1
-                tensors[f"{prefix}.w2"] = head.w2
-                tensors[f"{prefix}.b2"] = head.b2
-        return tensors
+            names += _HEAD_TENSORS
+            for head in (self.audio_head, self.text_head):
+                arrays += [head.w1, head.b1, head.w2, head.b2]
+        return dict(zip(names, arrays))
 
     def with_tensors(self, tensors):
         """Rebuild ModelParams from a name -> array mapping."""
-        expected = set(self.named_tensors())
-        if set(tensors) != expected:
-            missing = expected.symmetric_difference(tensors)
-            raise ContractError(f"tensor names do not match: {sorted(missing)}")
-        audio_enc = LinearEncoder(tensors["audio_encoder.weight"],
-                                  tensors["audio_encoder.bias"], "audio")
-        text_enc = LinearEncoder(tensors["text_encoder.weight"],
-                                 tensors["text_encoder.bias"], "text")
-        heads = {}
-        if self.has_heads:
-            for prefix in ("audio_head", "text_head"):
-                heads[prefix] = ClassificationHead(
-                    tensors[f"{prefix}.w1"], tensors[f"{prefix}.b1"],
-                    tensors[f"{prefix}.w2"], tensors[f"{prefix}.b2"])
-        return ModelParams(audio_enc, text_enc,
-                           heads.get("audio_head"), heads.get("text_head"),
-                           rng_seed=self.rng_seed)
+        return _params_from_tensors(tensors, self.has_heads, self.rng_seed)
 
     def with_heads(self, audio_head, text_head):
         return replace(self, audio_head=audio_head, text_head=text_head)
 
 
+def _params_from_tensors(tensors, has_heads, rng_seed):
+    """The one constructor from named tensors back to ModelParams.
+
+    The names must be exactly the encoder tensors, plus the head tensors
+    when has_heads; otherwise ContractError names every tensor that is
+    missing or unexpected.
+    """
+    expected = set(_ENCODER_TENSORS + (_HEAD_TENSORS if has_heads else ()))
+    if set(tensors) != expected:
+        mismatch = expected.symmetric_difference(tensors)
+        raise ContractError(f"tensor names do not match: {sorted(mismatch)}")
+    audio_enc, text_enc = (
+        LinearEncoder(tensors[f"{m}_encoder.weight"],
+                      tensors[f"{m}_encoder.bias"], m) for m in MODALITIES)
+    audio_head = text_head = None
+    if has_heads:
+        audio_head, text_head = (
+            ClassificationHead(tensors[f"{m}_head.w1"], tensors[f"{m}_head.b1"],
+                               tensors[f"{m}_head.w2"], tensors[f"{m}_head.b2"])
+            for m in MODALITIES)
+    return ModelParams(audio_enc, text_enc, audio_head, text_head,
+                       rng_seed=rng_seed)
+
+
 def _uniform_fanin(rng, shape, fan_in):
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
+
+
+def _draw_heads(rng, d_emb, n_clusters):
+    """Audio head then text head from rng: w1 before w2, biases zero."""
+    hidden = HEAD_WIDTH_FACTOR * d_emb
+    heads = []
+    for _ in MODALITIES:
+        w1 = _uniform_fanin(rng, (hidden, d_emb), d_emb)
+        w2 = _uniform_fanin(rng, (n_clusters, hidden), hidden)
+        heads.append(ClassificationHead(w1, np.zeros(hidden),
+                                        w2, np.zeros(n_clusters)))
+    return tuple(heads)
 
 
 def init_heads(d_emb, n_clusters, seed=0):
@@ -188,15 +206,7 @@ def init_heads(d_emb, n_clusters, seed=0):
         raise ConfigError(f"d_emb must be >= 2, got {d_emb}")
     if n_clusters < 1:
         raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
-    rng = np.random.default_rng(seed)
-    hidden = HEAD_WIDTH_FACTOR * d_emb
-    heads = []
-    for _ in range(2):
-        w1 = _uniform_fanin(rng, (hidden, d_emb), d_emb)
-        w2 = _uniform_fanin(rng, (n_clusters, hidden), hidden)
-        heads.append(ClassificationHead(w1, np.zeros(hidden),
-                                        w2, np.zeros(n_clusters)))
-    return heads[0], heads[1]
+    return _draw_heads(np.random.default_rng(seed), d_emb, n_clusters)
 
 
 def init_params(d_in_audio, d_in_text, d_emb, n_clusters=None, seed=0):
@@ -219,14 +229,7 @@ def init_params(d_in_audio, d_in_text, d_emb, n_clusters=None, seed=0):
                              np.zeros(d_emb), "text")
     audio_head = text_head = None
     if n_clusters is not None:
-        hidden = HEAD_WIDTH_FACTOR * d_emb
-        heads = []
-        for _ in range(2):
-            w1 = _uniform_fanin(rng, (hidden, d_emb), d_emb)
-            w2 = _uniform_fanin(rng, (n_clusters, hidden), hidden)
-            heads.append(ClassificationHead(w1, np.zeros(hidden),
-                                            w2, np.zeros(n_clusters)))
-        audio_head, text_head = heads
+        audio_head, text_head = _draw_heads(rng, d_emb, n_clusters)
     return ModelParams(audio_enc, text_enc, audio_head, text_head,
                        rng_seed=seed)
 

@@ -391,6 +391,22 @@ def _grid_keys(matrices):
     return systems, models
 
 
+def _strategy_axes(matrices, strategy):
+    """(outer, inner, key) for a (system, model) matrix grid.
+
+    Stage 1 combines the inner tags within each outer group, stage 2 the
+    outer groups; key(outer, inner) is the (system, model) matrix key.
+    system-first groups by model, model-first by system.
+    """
+    if strategy not in STRATEGIES:
+        raise ConfigError(
+            f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    systems, models = _grid_keys(matrices)
+    if strategy == "system-first":
+        return models, systems, lambda o, i: (i, o)
+    return systems, models, lambda o, i: (o, i)
+
+
 def apply_strategy(matrices, strategy, stage1_weights, stage2_weights):
     """Two-stage hierarchical fusion over a (system, model) matrix grid.
 
@@ -399,16 +415,7 @@ def apply_strategy(matrices, strategy, stage1_weights, stage2_weights):
     (stage2_weights[model]).  model-first is the transpose.  The result
     equals a flat fusion with product weights.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(
-            f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    systems, models = _grid_keys(matrices)
-    if strategy == "system-first":
-        outer, inner = models, systems
-        key = lambda o, i: (i, o)
-    else:
-        outer, inner = systems, models
-        key = lambda o, i: (o, i)
+    outer, inner, key = _strategy_axes(matrices, strategy)
     _check_group_weights("stage 2", stage2_weights, outer)
     result = None
     for o in outer:
@@ -437,14 +444,7 @@ def hierarchical_grid_search(matrices, relevance, cfg=None, *,
     member weights are the stage products.
     """
     cfg = cfg if cfg is not None else GridSearchConfig()
-    if strategy not in STRATEGIES:
-        raise ConfigError(
-            f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    systems, models = _grid_keys(matrices)
-    outer, inner = ((models, systems) if strategy == "system-first"
-                    else (systems, models))
-    key = ((lambda o, i: (i, o)) if strategy == "system-first"
-           else (lambda o, i: (o, i)))
+    outer, inner, key = _strategy_axes(matrices, strategy)
 
     stage1 = {}
     fused_groups = []
@@ -464,14 +464,13 @@ def hierarchical_grid_search(matrices, relevance, cfg=None, *,
               for o, m in zip(outer, outer_result.spec.members)}
     evaluated += outer_result.points_evaluated
 
-    members = []
-    for s in systems:
-        for m in models:
-            o, i = (m, s) if strategy == "system-first" else (s, m)
-            members.append(Member(system=s, model=m,
-                                  weight=stage2[o] * stage1[o][i]))
-    spec = EnsembleSpec(members=tuple(members), strategy=strategy)
-    flat = fuse([matrices[(s, m)] for s in systems for m in models], spec)
+    weights = {key(o, i): stage2[o] * stage1[o][i]
+               for o in outer for i in inner}
+    systems, models = _grid_keys(matrices)
+    tags = [(s, m) for s in systems for m in models]
+    spec = EnsembleSpec(tuple(Member(s, m, weights[(s, m)]) for s, m in tags),
+                        strategy=strategy)
+    flat = fuse([matrices[tag] for tag in tags], spec)
     achieved = evaluate(flat, relevance, mode).map_at_16
     return SearchResult(spec=spec, map_at_16=achieved,
                         points_evaluated=evaluated)

@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Axis, ProbabilityMatrix, as_matrix,
-                   log_softmax_with_temperature, softmax_with_temperature)
-from .encoders import ModelParams, classify
+from .core import Axis, _softmax_forward, as_matrix, softmax_with_temperature
 from .errors import ConfigError, ContractError, DataError
 
 
@@ -58,19 +55,19 @@ class LossBreakdown:
 class TeacherTargets:
     """Soft correspondence targets from an averaged teacher ensemble."""
 
-    p_hat_audio: ProbabilityMatrix     # distributions over audios (columns)
-    p_hat_text: ProbabilityMatrix      # distributions over captions (rows)
-    m: int = 1                         # number of teachers averaged
+    p_hat_audio: np.ndarray    # distributions over audios (columns sum to 1)
+    p_hat_text: np.ndarray     # distributions over captions (rows sum to 1)
+    m: int = 1                 # number of teachers averaged
 
     def __post_init__(self):
-        if self.p_hat_audio.axis is not Axis.COLUMNS:
-            raise ContractError("p_hat_audio must normalize over columns")
-        if self.p_hat_text.axis is not Axis.ROWS:
-            raise ContractError("p_hat_text must normalize over rows")
-        if self.p_hat_audio.shape != self.p_hat_text.shape:
+        p_a = as_matrix(self.p_hat_audio, "p_hat_audio")
+        p_c = as_matrix(self.p_hat_text, "p_hat_text")
+        if p_a.shape != p_c.shape:
             raise ContractError("teacher target shapes disagree")
         if self.m < 1:
             raise ContractError(f"teacher count must be >= 1, got {self.m}")
+        object.__setattr__(self, "p_hat_audio", p_a)
+        object.__setattr__(self, "p_hat_text", p_c)
 
     @property
     def shape(self):
@@ -113,12 +110,21 @@ class BatchLabels:
         object.__setattr__(self, "text", t)
 
 
-def _mean_ce_from_logits(target_probs, scaled_logits, axis):
-    """Mean cross-entropy of soft targets against softmax(scaled_logits)."""
-    logq = scaled_logits - scaled_logits.max(axis=axis.np_axis, keepdims=True)
-    logq = logq - np.log(np.exp(logq).sum(axis=axis.np_axis, keepdims=True))
-    n_dist = target_probs.shape[0] if axis is Axis.ROWS else target_probs.shape[1]
-    return float(-(target_probs * logq).sum() / n_dist)
+def _bidirectional_ce(p_audio, p_text, logq_audio, logq_text):
+    """Column (over audios) plus row (over captions) mean cross-entropy.
+
+    Each direction is -sum(p * log q) divided by its number of
+    distributions: columns for the audio direction, rows for the caption
+    direction.
+    """
+    n_rows, n_cols = logq_audio.shape
+    return (float(-(p_audio * logq_audio).sum() / n_cols)
+            + float(-(p_text * logq_text).sum() / n_rows))
+
+
+def _label_ce(logq, labels):
+    """Mean cross-entropy of row log-probabilities against integer labels."""
+    return float(-logq[np.arange(logq.shape[0]), labels].mean())
 
 
 def supervised_contrastive_loss(sim, cfg):
@@ -135,8 +141,8 @@ def supervised_contrastive_loss(sim, cfg):
             f"supervised loss needs a square matrix, got {s.shape}")
     eye = np.eye(n)
     z = s / cfg.tau
-    return (_mean_ce_from_logits(eye, z, Axis.COLUMNS)
-            + _mean_ce_from_logits(eye, z, Axis.ROWS))
+    return _bidirectional_ce(eye, eye, _softmax_forward(z, Axis.COLUMNS)[0],
+                             _softmax_forward(z, Axis.ROWS)[0])
 
 
 def ensemble_average(similarities):
@@ -184,8 +190,9 @@ def distillation_loss(targets, sim, cfg):
         raise ContractError(
             f"student shape {s.shape} != teacher target shape {targets.shape}")
     z = s / cfg.tau
-    return (_mean_ce_from_logits(targets.p_hat_audio.values, z, Axis.COLUMNS)
-            + _mean_ce_from_logits(targets.p_hat_text.values, z, Axis.ROWS))
+    return _bidirectional_ce(targets.p_hat_audio, targets.p_hat_text,
+                             _softmax_forward(z, Axis.COLUMNS)[0],
+                             _softmax_forward(z, Axis.ROWS)[0])
 
 
 def classification_loss(logits, labels):
@@ -199,8 +206,7 @@ def classification_loss(logits, labels):
     if lab.size and (lab.min() < 0 or lab.max() >= k):
         bad = lab[(lab < 0) | (lab >= k)][0]
         raise DataError(f"label {bad} outside [0, {k})")
-    logq = log_softmax_with_temperature(z, 1.0, Axis.ROWS)
-    return float(-logq[np.arange(z.shape[0]), lab].mean())
+    return _label_ce(_softmax_forward(z, Axis.ROWS)[0], lab)
 
 
 def combined_loss(l_sup, l_dist, l_cls_audio, l_cls_text, cfg):
@@ -244,12 +250,6 @@ def student_similarity(params, batch):
     return _forward_embeddings(params, batch)[-1]
 
 
-def _softmax_2d(z, axis):
-    shifted = z - z.max(axis=axis.np_axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis.np_axis, keepdims=True)
-
-
 def _unit_norm_backward(grad_unit, unit, norm):
     # d/d(raw) of f(raw/||raw||): project out the radial component.
     radial = (grad_unit * unit).sum(axis=1, keepdims=True)
@@ -261,8 +261,8 @@ def _head_forward_backward(head, raw_emb, labels, n):
     pre = raw_emb @ head.w1.T + head.b1
     hidden = np.maximum(pre, 0.0)
     logits = hidden @ head.w2.T + head.b2
-    loss = classification_loss(logits, labels)
-    probs = _softmax_2d(logits, Axis.ROWS)
+    logq, probs = _softmax_forward(logits, Axis.ROWS)
+    loss = _label_ce(logq, labels)
     probs[np.arange(n), labels] -= 1.0
     d_logits = probs / n
     d_w2 = d_logits.T @ hidden
@@ -303,10 +303,10 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
     z = sim / cfg.tau
     eye = np.eye(n)
 
-    q_rows = _softmax_2d(z, Axis.ROWS)        # captions given each audio
-    q_cols = _softmax_2d(z, Axis.COLUMNS)     # audios given each caption
-    l_sup = (_mean_ce_from_logits(eye, z, Axis.COLUMNS)
-             + _mean_ce_from_logits(eye, z, Axis.ROWS))
+    # One forward per direction serves both loss terms and the gradient.
+    logq_rows, q_rows = _softmax_forward(z, Axis.ROWS)     # captions | audio
+    logq_cols, q_cols = _softmax_forward(z, Axis.COLUMNS)  # audios | caption
+    l_sup = _bidirectional_ce(eye, eye, logq_cols, logq_rows)
     grad_sim = (q_rows - eye) + (q_cols - eye)
 
     l_dist = 0.0
@@ -315,10 +315,9 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
             raise ContractError(
                 f"teacher target shape {targets.shape} does not match "
                 f"batch similarity {sim.shape}")
-        p_hat_a = targets.p_hat_audio.values
-        p_hat_c = targets.p_hat_text.values
-        l_dist = (_mean_ce_from_logits(p_hat_a, z, Axis.COLUMNS)
-                  + _mean_ce_from_logits(p_hat_c, z, Axis.ROWS))
+        p_hat_a = targets.p_hat_audio
+        p_hat_c = targets.p_hat_text
+        l_dist = _bidirectional_ce(p_hat_a, p_hat_c, logq_cols, logq_rows)
         grad_sim = grad_sim + cfg.lambda1 * ((q_rows - p_hat_c)
                                              + (q_cols - p_hat_a))
     grad_sim = grad_sim / (n * cfg.tau)

@@ -1,21 +1,21 @@
-"""Three-stage training loop: optimizer, schedule, batching, augmentation.
+"""Three-stage training loop: optimizer, schedule, batching, pair mixing.
 
 The optimizer is AdamW with decoupled weight decay operating on flat
 name-to-array dicts, so the same step function serves encoders and heads
 alike.  The learning-rate schedule is a linear warmup into a cosine decay
-between a peak and a floor.  Batch order, caption word edits, and pair
-mixing all draw from explicitly seeded generators, which makes every
-stage bit-reproducible.
+between a peak and a floor.  Batch order and synthetic pair mixing both
+draw from explicitly seeded generators, which makes every stage
+bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import as_matrix
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError
 from .losses import (BatchLabels, LossConfig, PairBatch, loss_and_gradients,
                      student_similarity, targets_from_teacher_sims)
 
@@ -129,84 +129,14 @@ def lr_at_step(schedule, step):
 
 @dataclass(frozen=True)
 class AugmentationConfig:
-    """Caption word edits and synthetic pair mixing.
+    """Synthetic pair mixing: mix_count averaged pairs join the training set."""
 
-    word_edit_probability gates whether a caption gets one word edited;
-    synonym_table maps a word to its replacement candidates; mix_count
-    synthetic averaged pairs are appended to the stage's training set.
-    """
-
-    word_edit_probability: float = 0.8
-    synonym_table: dict = field(default_factory=dict)
     mix_count: int = 0
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.word_edit_probability <= 1.0:
-            raise ConfigError("word_edit_probability must be in [0, 1]")
         if self.mix_count < 0:
             raise ConfigError("mix_count must be >= 0")
-        table = {str(w): tuple(str(s) for s in alts)
-                 for w, alts in dict(self.synonym_table).items()}
-        object.__setattr__(self, "synonym_table", table)
-
-
-def augment_caption(tokens, cfg, rng):
-    """Maybe delete or synonym-replace exactly one word.
-
-    With probability word_edit_probability one uniformly chosen word is
-    edited, a fair coin picking deletion or replacement; replacement is
-    skipped when the chosen word has no synonym entry, and deletion is
-    skipped when it would empty the caption.  Draw order is fixed (gate,
-    word index, coin, synonym index) so a shared generator stays aligned
-    across captions.
-    """
-    words = list(tokens)
-    if not words:
-        raise DataError("cannot augment an empty caption")
-    gate = rng.uniform()
-    if gate >= cfg.word_edit_probability:
-        return words
-    idx = int(rng.integers(0, len(words)))
-    delete = int(rng.integers(0, 2)) == 0
-    if delete:
-        if len(words) > 1:
-            del words[idx]
-        return words
-    options = cfg.synonym_table.get(words[idx], ())
-    if not options:
-        return words
-    words[idx] = options[int(rng.integers(0, len(options)))]
-    return words
-
-
-@dataclass(frozen=True)
-class AudioCaptionPair:
-    """One audio clip with one caption, as features plus text."""
-
-    audio: np.ndarray
-    text: np.ndarray
-    caption: str = ""
-    synthetic: bool = False
-
-
-def mix_pairs(pair_a, pair_b, rng=None):
-    """Average two pairs into a synthetic example, captions joined by 'and'.
-
-    The mixing weights are fixed at 0.5/0.5; rng is accepted for
-    interface stability but unused.
-    """
-    a = np.asarray(pair_a.audio, dtype=np.float64)
-    b = np.asarray(pair_b.audio, dtype=np.float64)
-    ta = np.asarray(pair_a.text, dtype=np.float64)
-    tb = np.asarray(pair_b.text, dtype=np.float64)
-    if a.shape != b.shape or ta.shape != tb.shape:
-        raise ContractError("mixed pairs must share feature shapes")
-    return AudioCaptionPair(
-        audio=0.5 * a + 0.5 * b,
-        text=0.5 * ta + 0.5 * tb,
-        caption=f"{pair_a.caption} and {pair_b.caption}",
-        synthetic=True)
 
 
 @dataclass(frozen=True)
@@ -289,7 +219,8 @@ class StageConfig:
     """One training stage: which loss paths run and for how long.
 
     Stage roles: pretrain is contrastive-only, finetune adds teacher
-    distillation and augmentation, refinetune adds the cluster heads.
+    distillation and synthetic pair mixing, refinetune adds the cluster
+    heads.
     The flags are validated against the stage name so a misconfigured
     run fails immediately instead of training the wrong objective.
     """
@@ -350,8 +281,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     rows (required iff the stage uses cluster heads; the row's label
     serves both modalities since rows are matched pairs).  `augmentation`
     configures synthetic pair mixing (accepted iff the stage's
-    augmentation flag is on; word edits operate on caption text and have
-    no feature-space effect here).
+    augmentation flag is on).
     """
     base = loss_cfg if loss_cfg is not None else LossConfig()
     cfg = _effective_loss_config(stage, base)

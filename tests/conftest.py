@@ -1,34 +1,9 @@
-"""Shared test helpers: scripted RNG and small batch builders."""
+"""Shared test helpers: small batch and parameter builders."""
 
 import numpy as np
 import pytest
 
 from xmrt import PairBatch, init_params
-
-
-class ScriptedRng:
-    """Generator stand-in that replays queued draws.
-
-    Lets a test force a specific augmentation branch without hunting
-    for a seed: uniform() pops from one queue, integers() from another.
-    """
-
-    def __init__(self, uniforms=(), ints=()):
-        self._uniforms = list(uniforms)
-        self._ints = list(ints)
-
-    def uniform(self):
-        return self._uniforms.pop(0)
-
-    def integers(self, low, high):
-        value = self._ints.pop(0)
-        assert low <= value < high, f"scripted draw {value} outside [{low}, {high})"
-        return value
-
-
-@pytest.fixture
-def scripted_rng():
-    return ScriptedRng
 
 
 def random_batch(n, d_audio, d_text, seed):

@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line surface."""
 
+import importlib
 import json
 import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -65,14 +67,39 @@ def test_module_error_returns_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _console_script_target(name):
+    """The `name = "module:attr"` entry of pyproject's [project.scripts]."""
+    with open(os.path.join(REPO_ROOT, "pyproject.toml"),
+              encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh]
+    for line in lines[lines.index("[project.scripts]") + 1:]:
+        if line.startswith("["):
+            break
+        key, _, value = line.partition("=")
+        if key.strip() == name:
+            return value.strip().strip('"').split(":")
+    raise AssertionError(f"no console script {name!r} in pyproject.toml")
+
+
 def test_console_script_entry_point(tmp_path):
+    # The installed `xmrt` script calls the declared target; running that
+    # module from the source tree exercises the same code without an install.
+    module, attr = _console_script_target("xmrt")
+    assert getattr(importlib.import_module(module), attr) is main
+    src = os.path.join(REPO_ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", module]
     out = os.path.join(str(tmp_path), "corpus")
     done = subprocess.run(
-        ["xmrt", "gen-fixtures", "--out", out, "--seed", "1"],
-        capture_output=True, text=True)
+        command + ["gen-fixtures", "--out", out, "--seed", "1"],
+        capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert os.path.exists(os.path.join(out, "manifest.tsv"))
-    usage = subprocess.run(["xmrt"], capture_output=True, text=True)
+    usage = subprocess.run(command, capture_output=True, text=True, env=env)
     assert usage.returncode == 2
 
 

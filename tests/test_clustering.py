@@ -255,7 +255,7 @@ class TestClusterPipeline:
     def test_deterministic(self):
         points, _ = _blobs([(0, 0), (10, 0)], per_blob=20, sigma=0.2, seed=8)
         cfg = ClusterConfig(neighborhood_radius=1.0, reduced_dim=2,
-                            min_cluster_size=5, seed=3)
+                            min_cluster_size=5)
         a = cluster_pipeline(points, cfg)
         b = cluster_pipeline(points.copy(), cfg)
         np.testing.assert_array_equal(a.labels, b.labels)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from xmrt import (Axis, ConfigError, ContractError, DataError,
-                  cosine_similarity_matrix, cross_entropy,
-                  log_softmax_with_temperature, softmax_with_temperature)
-from xmrt.core import LOG_EPS, ProbabilityMatrix, VectorBatch, as_matrix
+from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
+                  TeacherTargets, classification_loss,
+                  cosine_similarity_matrix, distillation_loss,
+                  softmax_with_temperature)
+from xmrt.core import VectorBatch, _softmax_forward, as_matrix
 
 
 class TestAsMatrix:
@@ -76,14 +77,14 @@ class TestSoftmax:
     def test_tau_one_hand_case(self):
         p = softmax_with_temperature([[1.0, 0.0]], 1.0, Axis.ROWS)
         np.testing.assert_allclose(
-            p.values, [[0.73105858, 0.26894142]], atol=1e-8)
+            p, [[0.73105858, 0.26894142]], atol=1e-8)
 
     def test_low_temperature_sharpens(self):
         # tau=0.05 turns a 1-vs-0 margin into odds e^20
         p = softmax_with_temperature([[1.0, 0.0]], 0.05, Axis.ROWS)
         expected_small = 1.0 / (1.0 + math.exp(20.0))
-        np.testing.assert_allclose(p.values[0, 1], expected_small, rtol=1e-9)
-        np.testing.assert_allclose(p.values[0, 0], 1.0 - expected_small,
+        np.testing.assert_allclose(p[0, 1], expected_small, rtol=1e-9)
+        np.testing.assert_allclose(p[0, 0], 1.0 - expected_small,
                                    rtol=1e-12)
 
     def test_rows_and_columns_normalize_their_own_axis(self):
@@ -91,13 +92,13 @@ class TestSoftmax:
         z = rng.standard_normal((4, 6))
         rows = softmax_with_temperature(z, 0.5, Axis.ROWS)
         cols = softmax_with_temperature(z, 0.5, Axis.COLUMNS)
-        np.testing.assert_allclose(rows.values.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(cols.values.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(cols.sum(axis=0), 1.0, atol=1e-12)
 
     def test_shift_invariance(self):
         z = np.array([[1.0, 2.0, 3.0]])
-        a = softmax_with_temperature(z, 0.3, Axis.ROWS).values
-        b = softmax_with_temperature(z + 100.0, 0.3, Axis.ROWS).values
+        a = softmax_with_temperature(z, 0.3, Axis.ROWS)
+        b = softmax_with_temperature(z + 100.0, 0.3, Axis.ROWS)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_nonpositive_tau_rejected(self):
@@ -108,8 +109,9 @@ class TestSoftmax:
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((5, 5))
-        logp = log_softmax_with_temperature(z, 0.05, Axis.COLUMNS)
-        p = softmax_with_temperature(z, 0.05, Axis.COLUMNS).values
+        logp, q = _softmax_forward(z / 0.05, Axis.COLUMNS)
+        p = softmax_with_temperature(z, 0.05, Axis.COLUMNS)
+        assert np.array_equal(q, p)
         # compare where p is large enough for log() to be well conditioned
         mask = p > 1e-300
         np.testing.assert_allclose(np.exp(logp)[mask], p[mask], rtol=1e-12)
@@ -117,63 +119,29 @@ class TestSoftmax:
             np.exp(logp).sum(axis=0), 1.0, atol=1e-12)
 
 
-class TestProbabilityMatrix:
-    def test_accepts_valid_rows(self):
-        pm = ProbabilityMatrix(np.array([[0.25, 0.75]]), Axis.ROWS)
-        assert pm.n_distributions() == 1
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(DataError, match="sum to 1"):
-            ProbabilityMatrix(np.array([[0.5, 0.6]]), Axis.ROWS)
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(DataError):
-            ProbabilityMatrix(np.array([[-0.2, 1.2]]), Axis.ROWS)
-
-    def test_axis_must_be_enum(self):
-        with pytest.raises(ContractError):
-            ProbabilityMatrix(np.array([[1.0]]), "rows")
-
-
 class TestCrossEntropy:
+    """The package's one cross-entropy, seen through the loss views."""
+
     def test_one_hot_vs_uniform_is_log4(self):
-        p = ProbabilityMatrix(np.array([[1.0, 0, 0, 0]]), Axis.ROWS)
-        q = ProbabilityMatrix(np.full((1, 4), 0.25), Axis.ROWS)
-        np.testing.assert_allclose(cross_entropy(p, q), math.log(4.0),
-                                   atol=1e-12)
+        loss = classification_loss(np.zeros((1, 4)), np.array([0]))
+        np.testing.assert_allclose(loss, math.log(4.0), atol=1e-12)
 
     def test_uniform_self_entropy_is_log2(self):
-        u = ProbabilityMatrix(np.full((1, 2), 0.5), Axis.ROWS)
-        np.testing.assert_allclose(cross_entropy(u, u), math.log(2.0),
-                                   atol=1e-12)
+        # uniform targets against a uniform student: ln 2 per direction
+        u = np.full((2, 2), 0.5)
+        loss = distillation_loss(TeacherTargets(u, u), np.zeros((2, 2)),
+                                 LossConfig(tau=1.0))
+        np.testing.assert_allclose(loss, 2.0 * math.log(2.0), atol=1e-12)
 
     def test_mean_over_columns(self):
-        # two column distributions, one-hot targets: mean of the two CEs
-        t = ProbabilityMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                              Axis.COLUMNS)
-        q = ProbabilityMatrix(np.array([[0.5, 0.25], [0.5, 0.75]]),
-                              Axis.COLUMNS)
-        expected = 0.5 * (-math.log(0.5) - math.log(0.75))
-        np.testing.assert_allclose(cross_entropy(t, q), expected, atol=1e-12)
-
-    def test_zero_prediction_is_floored(self):
-        t = ProbabilityMatrix(np.array([[1.0, 0.0]]), Axis.ROWS)
-        q = ProbabilityMatrix(np.array([[0.0, 1.0]]), Axis.ROWS)
-        np.testing.assert_allclose(cross_entropy(t, q), -math.log(LOG_EPS),
-                                   atol=1e-9)
+        # 2x3 uniform student: each of the 3 column distributions costs
+        # ln 2 and each of the 2 row distributions ln 3, so the total is
+        # ln 6 only if each direction averages over its own distributions
+        targets = TeacherTargets(np.full((2, 3), 0.5), np.full((2, 3), 1 / 3))
+        loss = distillation_loss(targets, np.zeros((2, 3)),
+                                 LossConfig(tau=1.0))
+        np.testing.assert_allclose(loss, math.log(6.0), atol=1e-12)
 
     def test_shape_mismatch(self):
-        a = ProbabilityMatrix(np.full((1, 2), 0.5), Axis.ROWS)
-        b = ProbabilityMatrix(np.full((1, 3), 1 / 3), Axis.ROWS)
         with pytest.raises(ContractError, match="shape"):
-            cross_entropy(a, b)
-
-    def test_axis_mismatch(self):
-        a = ProbabilityMatrix(np.full((2, 2), 0.5), Axis.ROWS)
-        b = ProbabilityMatrix(np.full((2, 2), 0.5), Axis.COLUMNS)
-        with pytest.raises(ContractError, match="axis"):
-            cross_entropy(a, b)
-
-    def test_requires_probability_matrices(self):
-        with pytest.raises(ContractError):
-            cross_entropy(np.full((1, 2), 0.5), np.full((1, 2), 0.5))
+            TeacherTargets(np.full((1, 2), 0.5), np.full((1, 3), 1 / 3))

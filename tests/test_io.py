@@ -653,6 +653,31 @@ def test_checkpoint_errors(tmp_path):
         load_checkpoint(bad)
 
 
+def _rewrite_meta(directory, **changes):
+    meta_path = os.path.join(directory, META_FILE)
+    with open(meta_path, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    meta.update(changes)
+    with open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh)
+
+
+def test_checkpoint_tensor_set_must_match_has_heads(tmp_path):
+    # meta claims heads but lists only the encoder tensors
+    plain = os.path.join(str(tmp_path), "plain")
+    save_checkpoint(plain, init_params(6, 5, 4, seed=0))
+    _rewrite_meta(plain, has_heads=True, n_clusters=3)
+    with pytest.raises(DataError, match="audio_head.w1"):
+        load_checkpoint(plain)
+
+    # meta denies heads but lists head tensors that are on disk
+    headed = os.path.join(str(tmp_path), "headed")
+    save_checkpoint(headed, init_params(6, 5, 4, n_clusters=3, seed=0))
+    _rewrite_meta(headed, has_heads=False, n_clusters=None)
+    with pytest.raises(DataError, match="text_head.b2"):
+        load_checkpoint(headed)
+
+
 # -------------------------------------------------------------------- config
 
 
@@ -744,12 +769,22 @@ def test_config_section_builders(tmp_path):
     assert refine.use_clusters and not refine.use_distillation
     cluster = cfg.cluster_config()
     assert cluster.neighborhood_radius == 1.5
-    assert cluster.seed == 5
     grid = cfg.grid_config()
     assert grid.step == 0.05
     assert grid.max_grid_points == 200_000
     aug = cfg.augmentation_config()
     assert aug.rng_seed == 5
+
+
+def test_config_rejects_removed_augmentation_keys(tmp_path):
+    # caption word edits were removed; stale configs must fail loudly
+    for key, value in (("word_edit_probability", 0.8),
+                       ("synonym_table", {"dog": ["hound"]})):
+        path = _write_config(tmp_path, {"augmentation": {key: value}},
+                             name=f"{key}.json")
+        with pytest.raises(ConfigError,
+                           match=rf"unknown config key augmentation\.'{key}'"):
+            load_config(path)
 
 
 def test_config_cluster_radius_required(tmp_path):

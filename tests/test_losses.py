@@ -11,7 +11,7 @@ from xmrt import (Axis, BatchLabels, ConfigError, ContractError, DataError,
                   loss_and_gradients, softmax_with_temperature,
                   student_similarity, supervised_contrastive_loss,
                   targets_from_teacher_sims, teacher_soft_targets, total_loss)
-from xmrt.core import ProbabilityMatrix
+from xmrt.encoders import classify, encode
 from xmrt.losses import TeacherTargets, ensemble_average
 
 from conftest import random_batch
@@ -60,8 +60,8 @@ class TestSupervisedLoss:
         rng = np.random.default_rng(5)
         sim = rng.uniform(-1.0, 1.0, size=(6, 6))
         cfg = LossConfig(tau=0.3)
-        q_rows = softmax_with_temperature(sim, cfg.tau, Axis.ROWS).values
-        q_cols = softmax_with_temperature(sim, cfg.tau, Axis.COLUMNS).values
+        q_rows = softmax_with_temperature(sim, cfg.tau, Axis.ROWS)
+        q_cols = softmax_with_temperature(sim, cfg.tau, Axis.COLUMNS)
         idx = np.arange(6)
         manual = (-np.log(q_rows[idx, idx]).mean()
                   - np.log(q_cols[idx, idx]).mean())
@@ -102,21 +102,26 @@ class TestEnsembleAverage:
 class TestTeacherTargets:
     def test_identity_softens_to_near_one_hot(self):
         targets = teacher_soft_targets(np.eye(2), LossConfig(tau=0.05))
-        np.testing.assert_allclose(targets.p_hat_audio.values, np.eye(2),
+        np.testing.assert_allclose(targets.p_hat_audio, np.eye(2),
                                    atol=1e-8)
-        np.testing.assert_allclose(targets.p_hat_text.values, np.eye(2),
+        np.testing.assert_allclose(targets.p_hat_text, np.eye(2),
                                    atol=1e-8)
 
     def test_row_direction_hand_case(self):
         avg = np.array([[1.0, 0.0], [0.0, 1.0]])
         targets = teacher_soft_targets(avg, LossConfig(tau=1.0))
-        np.testing.assert_allclose(targets.p_hat_text.values[0],
+        np.testing.assert_allclose(targets.p_hat_text[0],
                                    [0.7311, 0.2689], atol=1e-4)
 
     def test_axes_are_fixed(self):
-        targets = teacher_soft_targets(np.eye(3), LossConfig())
-        assert targets.p_hat_audio.axis is Axis.COLUMNS
-        assert targets.p_hat_text.axis is Axis.ROWS
+        # audio targets normalize over columns, caption targets over rows
+        avg = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 4))
+        targets = teacher_soft_targets(avg, LossConfig(tau=0.5))
+        np.testing.assert_allclose(targets.p_hat_audio.sum(axis=0), 1.0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(targets.p_hat_text.sum(axis=1), 1.0,
+                                   atol=1e-12)
+        assert not np.allclose(targets.p_hat_audio.sum(axis=1), 1.0)
 
     def test_from_sims_counts_teachers(self):
         sims = [np.eye(2), np.eye(2), np.eye(2)]
@@ -136,9 +141,7 @@ class TestDistillationLoss:
         # exactly one-hot targets reduce distillation to the supervised
         # case, so an identity student costs only the e^-20 tail
         cfg = LossConfig(tau=0.05)
-        targets = TeacherTargets(
-            ProbabilityMatrix(np.eye(2), Axis.COLUMNS),
-            ProbabilityMatrix(np.eye(2), Axis.ROWS))
+        targets = TeacherTargets(np.eye(2), np.eye(2))
         loss = distillation_loss(targets, np.eye(2), cfg)
         assert 0.0 < loss <= 1e-8
         sup = supervised_contrastive_loss(np.eye(2), cfg)
@@ -150,8 +153,8 @@ class TestDistillationLoss:
         sim = rng.uniform(-1.0, 1.0, size=(5, 5))
         cfg = LossConfig(tau=0.5)
         targets = teacher_soft_targets(sim, cfg)
-        pa = targets.p_hat_audio.values
-        pc = targets.p_hat_text.values
+        pa = targets.p_hat_audio
+        pc = targets.p_hat_text
         entropy = (-(pa * np.log(pa)).sum(axis=0).mean()
                    - (pc * np.log(pc)).sum(axis=1).mean())
         loss = distillation_loss(targets, sim, cfg)
@@ -287,18 +290,21 @@ class TestGradients:
             [student_similarity(init_params(6, 5, 4, seed=9), batch)], cfg)
         labels = BatchLabels(np.array([0, 1, 2, 0]), np.array([1, 0, 2, 2]))
         breakdown, _ = loss_and_gradients(params, batch, cfg, targets, labels)
+        # the standalone losses are views of the same softmax forward, so
+        # every term must agree to the last bit
         sim = student_similarity(params, batch)
-        np.testing.assert_allclose(
-            breakdown.l_sup, supervised_contrastive_loss(sim, cfg),
-            rtol=1e-12)
-        np.testing.assert_allclose(
-            breakdown.l_dist, distillation_loss(targets, sim, cfg),
-            rtol=1e-12)
+        assert breakdown.l_sup == supervised_contrastive_loss(sim, cfg)
+        assert breakdown.l_dist == distillation_loss(targets, sim, cfg)
+        raw_a = encode(params.audio_encoder, batch.audio_features)
+        raw_c = encode(params.text_encoder, batch.text_features)
+        assert breakdown.l_cls_audio == classification_loss(
+            classify(params.audio_head, raw_a), labels.audio)
+        assert breakdown.l_cls_text == classification_loss(
+            classify(params.text_head, raw_c), labels.text)
         expected_total = (breakdown.l_sup + cfg.lambda1 * breakdown.l_dist
                           + cfg.lambda2 * (breakdown.l_cls_audio
                                            + breakdown.l_cls_text))
-        np.testing.assert_allclose(breakdown.total, expected_total,
-                                   rtol=1e-12)
+        assert breakdown.total == expected_total
 
     def test_gradient_keys_follow_named_tensors(self):
         params = init_params(6, 5, 4, n_clusters=3, seed=0)

@@ -1,20 +1,16 @@
-"""Tests for the optimizer, schedule, batching, augmentation, and stages."""
+"""Tests for the optimizer, schedule, batching, pair mixing, and stages."""
 
 import math
 
 import numpy as np
 import pytest
 
-from xmrt import (AudioCaptionPair, AugmentationConfig, BatchLabels,
-                  ConfigError, ContractError, DataError, LossConfig,
-                  PairedDataset, ScheduleConfig, StageConfig, adamw_step,
-                  augment_caption, expand_with_mixes, init_heads,
+from xmrt import (AugmentationConfig, BatchLabels, ConfigError,
+                  ContractError, LossConfig, PairedDataset, ScheduleConfig,
+                  StageConfig, adamw_step, expand_with_mixes, init_heads,
                   init_optimizer, init_params, lr_at_step, make_batches,
-                  mix_pairs, run_stage, student_similarity,
-                  targets_from_teacher_sims)
+                  run_stage, student_similarity, targets_from_teacher_sims)
 from xmrt.losses import PairBatch, distillation_loss
-
-from conftest import ScriptedRng
 
 
 def _scalar_tensors(value):
@@ -179,89 +175,31 @@ class TestMakeBatches:
             make_batches(3, 4, seed=0, epoch=0)
 
 
-class TestAugmentCaption:
-    def test_probability_zero_is_identity(self):
-        cfg = AugmentationConfig(word_edit_probability=0.0)
-        rng = ScriptedRng(uniforms=[0.99])
-        words = ["rain", "falls", "softly"]
-        assert augment_caption(words, cfg, rng) == words
-
-    def test_forced_deletion_drops_one_word(self):
-        cfg = AugmentationConfig(word_edit_probability=1.0)
-        rng = ScriptedRng(uniforms=[0.5], ints=[2, 0])  # word 2, coin=delete
-        out = augment_caption(["a", "dog", "barks", "loudly", "now"],
-                              cfg, rng)
-        assert out == ["a", "dog", "loudly", "now"]
-        assert len(out) == 4
-
-    def test_forced_replacement_uses_synonym_table(self):
-        cfg = AugmentationConfig(
-            word_edit_probability=1.0,
-            synonym_table={"dog": ("hound", "pup")})
-        rng = ScriptedRng(uniforms=[0.0], ints=[1, 1, 1])  # replace word 1
-        out = augment_caption(["the", "dog", "barks"], cfg, rng)
-        assert out == ["the", "pup", "barks"]
-
-    def test_replacement_without_synonym_is_skipped(self):
-        cfg = AugmentationConfig(word_edit_probability=1.0, synonym_table={})
-        rng = ScriptedRng(uniforms=[0.0], ints=[0, 1])
-        words = ["thunder", "rolls"]
-        assert augment_caption(words, cfg, rng) == words
-
-    def test_single_word_caption_survives_deletion(self):
-        cfg = AugmentationConfig(word_edit_probability=1.0)
-        rng = ScriptedRng(uniforms=[0.0], ints=[0, 0])
-        assert augment_caption(["solo"], cfg, rng) == ["solo"]
-
-    def test_empty_caption_rejected(self):
-        with pytest.raises(DataError, match="empty"):
-            augment_caption([], AugmentationConfig(), ScriptedRng())
-
-    def test_deterministic_with_seeded_generator(self):
-        cfg = AugmentationConfig(word_edit_probability=0.8,
-                                 synonym_table={"rain": ("drizzle",)})
-        words = ["rain", "falls", "on", "the", "roof"]
-        outs = [augment_caption(words, cfg, np.random.default_rng(42))
-                for _ in range(2)]
-        assert outs[0] == outs[1]
-
-    def test_input_list_is_not_mutated(self):
-        cfg = AugmentationConfig(word_edit_probability=1.0)
-        words = ["a", "b", "c"]
-        augment_caption(words, cfg, ScriptedRng(uniforms=[0.0], ints=[0, 0]))
-        assert words == ["a", "b", "c"]
-
-
 class TestMixPairs:
+    """Pair mixing as expand_with_mixes performs it: 0.5/0.5 averages."""
+
     def test_identical_inputs_are_a_fixed_point(self):
-        pair = AudioCaptionPair(np.array([1.0, 2.0]), np.array([3.0]),
-                                caption="wind")
-        mixed = mix_pairs(pair, pair)
-        np.testing.assert_array_equal(mixed.audio, pair.audio)
-        np.testing.assert_array_equal(mixed.text, pair.text)
+        row_a, row_t = [1.0, 2.0], [3.0]
+        dataset = PairedDataset(np.array([row_a, row_a]),
+                                np.array([row_t, row_t]))
+        mixed = expand_with_mixes(dataset, 1, rng_seed=0)
+        np.testing.assert_array_equal(mixed.audio_features[2], row_a)
+        np.testing.assert_array_equal(mixed.text_features[2], row_t)
 
     def test_feature_arithmetic(self):
-        a = AudioCaptionPair(np.array([0.0, 2.0]), np.array([0.0]))
-        b = AudioCaptionPair(np.array([2.0, 0.0]), np.array([4.0]))
-        mixed = mix_pairs(a, b)
-        np.testing.assert_array_equal(mixed.audio, [1.0, 1.0])
-        np.testing.assert_array_equal(mixed.text, [2.0])
-
-    def test_captions_join_with_and(self):
-        a = AudioCaptionPair(np.zeros(2), np.zeros(2), caption="dog barks")
-        b = AudioCaptionPair(np.zeros(2), np.zeros(2), caption="rain falls")
-        assert mix_pairs(a, b).caption == "dog barks and rain falls"
+        dataset = PairedDataset(np.array([[0.0, 2.0], [2.0, 0.0]]),
+                                np.array([[0.0], [4.0]]))
+        mixed = expand_with_mixes(dataset, 1, rng_seed=0)
+        np.testing.assert_array_equal(mixed.audio_features[2], [1.0, 1.0])
+        np.testing.assert_array_equal(mixed.text_features[2], [2.0])
 
     def test_result_is_marked_synthetic(self):
-        a = AudioCaptionPair(np.zeros(2), np.zeros(2))
-        assert mix_pairs(a, a).synthetic
-        assert not a.synthetic
-
-    def test_width_mismatch(self):
-        a = AudioCaptionPair(np.zeros(2), np.zeros(2))
-        b = AudioCaptionPair(np.zeros(3), np.zeros(2))
-        with pytest.raises(ContractError, match="shapes"):
-            mix_pairs(a, b)
+        # synthetic rows carry mix ids; the source rows keep their own
+        dataset = PairedDataset(np.eye(2), np.eye(2), audio_ids=("a0", "a1"),
+                                caption_ids=("c0", "c1"))
+        mixed = expand_with_mixes(dataset, 2, rng_seed=0)
+        assert mixed.audio_ids == ("a0", "a1", "mix0000", "mix0001")
+        assert mixed.caption_ids == ("c0", "c1", "mix0000", "mix0001")
 
 
 class TestExpandWithMixes:
@@ -447,8 +385,8 @@ class TestRunStage:
                           dataset.text_features[first_idx])
         targets = targets_from_teacher_sims(
             [student_similarity(params, batch)], cfg)
-        pa = targets.p_hat_audio.values
-        pc = targets.p_hat_text.values
+        pa = targets.p_hat_audio
+        pc = targets.p_hat_text
         entropy = (-(pa * np.log(pa)).sum(axis=0).mean()
                    - (pc * np.log(pc)).sum(axis=1).mean())
         assert abs(log[0].l_dist - entropy) < 1e-6
