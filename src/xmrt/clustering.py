@@ -22,6 +22,7 @@ from .core import as_matrix
 from .errors import ConfigError, ContractError, DataError
 
 OUTLIER = -1
+_NEIGHBORHOOD_BLOCK_BYTES = 32 << 20    # per row block of differences
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,13 @@ def density_cluster(points, cfg):
         raise DataError(
             f"{n} points cannot meet min_cluster_size "
             f"{cfg.min_cluster_size}")
-    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-    within = d2 <= cfg.neighborhood_radius ** 2
+    # Row blocks bound the n x rows x r difference array; each distance
+    # is reduced exactly as over the whole array, so labels do not move.
+    within = np.empty((n, n), dtype=bool)
+    rows = max(1, _NEIGHBORHOOD_BLOCK_BYTES // max(1, x.nbytes))
+    for i in range(0, n, rows):
+        d2 = ((x[i:i + rows, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        within[i:i + rows] = d2 <= cfg.neighborhood_radius ** 2
     is_core = within.sum(axis=1) >= cfg.min_cluster_size
     labels = np.full(n, OUTLIER, dtype=np.int64)
     next_label = 0

@@ -16,7 +16,6 @@ match finite differences to full precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,12 +144,62 @@ def supervised_contrastive_loss(sim, cfg):
                              _softmax_forward(z, Axis.ROWS)[0])
 
 
+def _fsum_columns(stack):
+    """Correctly rounded sums down the columns of a finite (m, N) stack, m > 1.
+
+    Every element equals math.fsum of its column, bit for bit.  This is
+    CPython's fsum (Shewchuk's partials plus a half-even fix-up) run on
+    all N columns at once.  Partials live in a fixed (m, N) array:
+    input k sweeps slots 0..k-1 with an exact two-sum, leaving each
+    slot's rounding error behind, and lands in slot k.  fsum drops zero
+    partials; here they stay in place, which changes nothing because
+    adding a zero is exact in both phases.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        partials = np.empty_like(stack)
+        for k, x in enumerate(stack):
+            for j in range(k):
+                y = partials[j]
+                hi = x + y
+                y_part = hi - x
+                partials[j] = (x - (hi - y_part)) + (y - y_part)
+                x = hi
+            partials[k] = x
+        # Add the partials from the top down; each column stops at its
+        # first inexact addition, keeping that error in lo and the next
+        # nonzero partial under it in below.
+        hi = partials[-1]
+        lo = np.zeros_like(hi)
+        below = np.zeros_like(hi)
+        summing = np.ones(hi.shape, dtype=bool)
+        for y in partials[-2::-1]:
+            total = hi + y
+            err = y - (total - hi)
+            hi = np.where(summing, total, hi)
+            below = np.where(~summing & (below == 0), y, below)
+            stop = summing & (err != 0)
+            lo = np.where(stop, err, lo)
+            summing &= ~stop
+        # Half-even across partials: when lo is exactly half an ulp of hi
+        # (hi + 2*lo is exact) and the partials below push the same way,
+        # the true sum lies past the halfway point, so step to hi + 2*lo.
+        twice = 2.0 * lo
+        bumped = hi + twice
+        same_way = ((lo > 0) & (below > 0)) | ((lo < 0) & (below < 0))
+        sums = np.where(same_way & (bumped - hi == twice), bumped, hi)
+    if not np.isfinite(sums).all():
+        raise OverflowError("intermediate overflow in fsum")
+    return sums
+
+
 def ensemble_average(similarities):
     """Elementwise mean of teacher similarity matrices.
 
-    Each element is summed with correct rounding (math.fsum), so the
-    result is exactly invariant to the order the teachers are listed in;
-    a single teacher comes back unchanged.
+    Each element is summed with correct rounding, bit for bit what
+    math.fsum gives, with all elements summed at once.  The result is
+    therefore exactly invariant to the order the teachers are listed in;
+    a single teacher comes back unchanged.  A sum that overflows raises
+    OverflowError, as math.fsum does.
     """
     if len(similarities) == 0:
         raise ContractError("need at least one similarity matrix")
@@ -162,9 +211,7 @@ def ensemble_average(similarities):
                 f"similarity {i} has shape {mat.shape}, expected {shape}")
     if len(mats) == 1:
         return mats[0].copy()
-    stacked = np.stack(mats).reshape(len(mats), -1)
-    sums = np.array([math.fsum(stacked[:, j])
-                     for j in range(stacked.shape[1])])
+    sums = _fsum_columns(np.stack(mats).reshape(len(mats), -1))
     return (sums / len(mats)).reshape(shape)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_matrix
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DataError
 from .losses import (BatchLabels, LossConfig, PairBatch, loss_and_gradients,
                      student_similarity, targets_from_teacher_sims)
 
@@ -281,7 +281,8 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     rows (required iff the stage uses cluster heads; the row's label
     serves both modalities since rows are matched pairs).  `augmentation`
     configures synthetic pair mixing (accepted iff the stage's
-    augmentation flag is on).
+    augmentation flag is on).  A step that leaves non-finite parameters
+    raises DataError naming the stage, step, epoch, lr and loss terms.
     """
     base = loss_cfg if loss_cfg is not None else LossConfig()
     cfg = _effective_loss_config(stage, base)
@@ -351,7 +352,14 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
             breakdown, grads = loss_and_gradients(
                 params, batch, cfg, targets=targets, labels=labels)
             tensors = adamw_step(state, tensors, grads, lr)
-            params = params.with_tensors(tensors)
+            try:
+                params = params.with_tensors(tensors)
+            except DataError as exc:
+                terms = ", ".join(f"{name}={value:.6g}"
+                                  for name, value in vars(breakdown).items())
+                raise DataError(
+                    f"stage {stage.name} diverged at step {step} (epoch "
+                    f"{epoch}, lr {lr:.6g}; {terms}): {exc}") from exc
             records.append(StepRecord(
                 step=step, epoch=epoch, lr=lr, l_sup=breakdown.l_sup,
                 l_dist=breakdown.l_dist, l_cls_audio=breakdown.l_cls_audio,

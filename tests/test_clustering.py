@@ -7,6 +7,7 @@ from xmrt import (ClusterAssignment, ClusterConfig, ConfigError,
                   ContractError, DataError, OUTLIER, build_pseudo_labels,
                   cluster_pipeline, density_cluster, reassign_outliers,
                   reduce_dimensionality)
+from xmrt import clustering
 
 
 def _blobs(centers, per_blob=30, sigma=0.1, seed=0, dim=2):
@@ -130,6 +131,26 @@ class TestDensityCluster:
         assert assignment.k == 0
         assert assignment.n_outliers == 5
         assert assignment.probabilities.shape == (5, 0)
+
+    @pytest.mark.parametrize("dim", [5, 9])   # numpy sums r >= 8 pairwise
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_row_blocks_give_the_same_result(self, monkeypatch, dim, rows):
+        points, _ = _blobs([(0, 0), (3, 0), (0, 3)], per_blob=16,
+                           sigma=0.6, dim=dim)
+        points = np.vstack([points, [[9.0] * dim, [-9.0] * dim]])
+        cfg = ClusterConfig(neighborhood_radius=0.6 * dim ** 0.5,
+                            reduced_dim=dim, min_cluster_size=4)
+        whole = density_cluster(points, cfg)
+        # 50 points: 7-row blocks end on a partial block of one row.
+        monkeypatch.setattr(clustering, "_NEIGHBORHOOD_BLOCK_BYTES",
+                            rows * points.nbytes)
+        blocked = density_cluster(points, cfg)
+        assert whole.k >= 2 and whole.n_outliers >= 2
+        assert blocked.k == whole.k
+        assert blocked.labels.tobytes() == whole.labels.tobytes()
+        assert blocked.centroids.tobytes() == whole.centroids.tobytes()
+        assert (blocked.probabilities.tobytes()
+                == whole.probabilities.tobytes())
 
     def test_too_few_points_rejected(self):
         cfg = ClusterConfig(neighborhood_radius=1.0, min_cluster_size=5)

@@ -99,6 +99,77 @@ class TestEnsembleAverage:
             ensemble_average([np.ones((2, 2)), np.ones((3, 3))])
 
 
+def _fsum_average(mats):
+    """Per-element math.fsum reference for ensemble_average."""
+    stack = np.stack(mats).reshape(len(mats), -1)
+    sums = np.array([math.fsum(column) for column in stack.T])
+    return (sums / len(mats)).reshape(mats[0].shape)
+
+
+def _half_way_ties(rng, m):
+    # b + ulp/2 is a tie; the smaller terms decide which way it rounds.
+    b = rng.uniform(1.0, 2.0, (6, 7))
+    ulp = np.spacing(b)
+    extra = [rng.choice([-1.0, 1.0], b.shape) * ulp / 2.0 ** k
+             for k in range(2, m)]
+    return [b, ulp / 2.0] + extra
+
+
+def _exact_cancellation(rng, m):
+    big = 1e16 * rng.standard_normal((6, 7))
+    return ([big] + [rng.standard_normal((6, 7)) for _ in range(m - 2)]
+            + [-big])
+
+
+def _wide_exponents(rng, m):
+    return [rng.standard_normal((6, 7)) * 2.0 ** rng.integers(-60, 61, (6, 7))
+            for _ in range(m)]
+
+
+def _negative_zeros(rng, m):
+    return [np.full((6, 7), -0.0) for _ in range(m)]
+
+
+_FSUM_CASES = [_half_way_ties, _exact_cancellation, _wide_exponents,
+               _negative_zeros]
+
+
+class TestEnsembleAverageMatchesFsum:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("case", _FSUM_CASES, ids=lambda f: f.__name__)
+    def test_bits_equal_fsum(self, case, m):
+        mats = case(np.random.default_rng(m), m)
+        assert ensemble_average(mats).tobytes() == \
+            _fsum_average(mats).tobytes()
+
+    def test_cases_defeat_plain_and_sorted_sums(self):
+        # The pinned cases tell a correctly rounded sum from a plain one
+        # and from one taken after sorting along the teacher axis.
+        def differs(case, total):
+            mats = case(np.random.default_rng(3), 3)
+            return ((total(np.stack(mats)) / 3).tobytes()
+                    != _fsum_average(mats).tobytes())
+
+        def plain(stack):
+            return stack.sum(axis=0)
+
+        def sorted_sum(stack):
+            return np.sort(stack, axis=0).sum(axis=0)
+
+        assert differs(_half_way_ties, plain)
+        assert differs(_exact_cancellation, plain)
+        assert differs(_exact_cancellation, sorted_sum)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_like_fsum(self):
+        mats = [np.full((2, 2), v) for v in (1e308, 1e308, -1e308)]
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308, -1e308])
+        with pytest.raises(OverflowError, match="overflow"):
+            ensemble_average(mats)
+
+
 class TestTeacherTargets:
     def test_identity_softens_to_near_one_hot(self):
         targets = teacher_soft_targets(np.eye(2), LossConfig(tau=0.05))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from xmrt import (AugmentationConfig, BatchLabels, ConfigError,
-                  ContractError, LossConfig, PairedDataset, ScheduleConfig,
-                  StageConfig, adamw_step, expand_with_mixes, init_heads,
-                  init_optimizer, init_params, lr_at_step, make_batches,
-                  run_stage, student_similarity, targets_from_teacher_sims)
+                  ContractError, DataError, LossConfig, PairedDataset,
+                  ScheduleConfig, StageConfig, adamw_step, expand_with_mixes,
+                  init_heads, init_optimizer, init_params, lr_at_step,
+                  make_batches, run_stage, student_similarity,
+                  targets_from_teacher_sims)
 from xmrt.losses import PairBatch, distillation_loss
 
 
@@ -362,6 +363,24 @@ class TestRunStage:
             run_stage(StageConfig("pretrain", epochs=1, batch_size=8),
                       params, _toy_dataset(),
                       pseudo_labels=np.zeros(32, dtype=int))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergence_names_stage_step_and_loss_terms(self):
+        # Warmup reaches lr 2.5e307 at step 1, which overflows AdamW.
+        params = init_params(8, 6, 4, seed=0)
+        stage = StageConfig("finetune", epochs=2, batch_size=8,
+                            use_distillation=True)
+        with pytest.raises(DataError,
+                           match="stage finetune diverged at step 1 ") as err:
+            run_stage(stage, params, _toy_dataset(),
+                      teachers=[init_params(8, 6, 4, seed=9)],
+                      peak_lr=1e308, warmup_fraction=0.5)
+        message = str(err.value)
+        for part in ("epoch 0", "lr 2.5e+307", "l_sup=", "l_dist=",
+                     "l_cls_audio=0", "l_cls_text=0", "total=",
+                     "non-finite parameters"):
+            assert part in message
+        assert isinstance(err.value.__cause__, DataError)
 
     def test_augmentation_config_rejected_when_flag_off(self):
         params = init_params(8, 6, 4, seed=0)
