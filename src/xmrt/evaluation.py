@@ -6,10 +6,17 @@ scored column by column.  Relevance arrives as data, one ordered id list
 per query whose first entry is the query's own paired item; "multiple"
 mode scores against the full list, "single" mode against that first
 entry only.
+
+Ranking is descending score with ties broken by ascending gallery index,
+the order a stable sort of the negated scores gives.  `evaluate` never
+sorts the gallery: the 1-based rank of relevant item g is
+#{score > s_g} + #{score == s_g and index < g} + 1, which is that same
+order, and AP@k and R@k follow from the ranks of the relevant items.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +26,12 @@ from .errors import ConfigError, ContractError, DataError
 
 MODES = ("multiple", "single")
 METRIC_KEYS = ("map_at_10", "map_at_16", "r_at_1", "r_at_5", "r_at_10")
+_AP_CUTOFFS = (10, 16)
+_RECALL_CUTOFFS = (1, 5, 10)
+# Bounds a block of queries: their score rows copied out of s.T (8 bytes
+# per gallery item) plus their (queries x relevant ids x gallery) boolean
+# comparisons, so a long relevance list cannot force a big allocation.
+_RANK_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -115,12 +128,61 @@ def recall_at_k(ranking, relevant, k):
     return len(rel & top) / len(rel)
 
 
+def _query_blocks(widths, n_gallery):
+    """(start, stop) runs of consecutive queries within _RANK_BLOCK_BYTES,
+    one query at least."""
+    cost = np.cumsum(n_gallery * (8 + widths))
+    start = 0
+    while start < len(widths):
+        spent = cost[start - 1] if start else 0
+        end = int(np.searchsorted(cost, spent + _RANK_BLOCK_BYTES, "right"))
+        end = max(end, start + 1)
+        yield start, end
+        start = end
+
+
+def _relevant_ranks(scores, ids):
+    """Sorted 1-based ranks of the gallery ids ids[b] in score row b.
+
+    rank = #{score > s_g} + #{score == s_g and index < g} + 1, the
+    position `rank_gallery` gives item g.  The index term is computed
+    only in rows where a relevant score equals another gallery score.
+    """
+    target = np.take_along_axis(scores, ids, axis=1)[:, :, None]
+    ranks = np.count_nonzero(scores[:, None, :] > target, axis=2) + 1
+    equal = scores[:, None, :] == target
+    rows = np.flatnonzero((np.count_nonzero(equal, axis=2) > 1).any(axis=1))
+    if rows.size:
+        lower = np.arange(scores.shape[1]) < ids[rows, :, None]
+        ranks[rows] += np.count_nonzero(equal[rows] & lower, axis=2)
+    ranks.sort(axis=1)
+    return ranks
+
+
+def _query_metrics(ranks, n_relevant):
+    """Per-query METRIC_KEYS from sorted ranks, in the float operation
+    order of average_precision_at_k and recall_at_k."""
+    out = np.empty((len(ranks), len(METRIC_KEYS)))
+    for col, k in enumerate(_AP_CUTOFFS):
+        total = np.zeros(len(ranks))
+        for hits in range(1, min(n_relevant, k) + 1):
+            rank = ranks[:, hits - 1]
+            total = total + np.where(rank <= k, hits / rank, 0.0)
+        out[:, col] = total / min(n_relevant, k)
+    for col, k in enumerate(_RECALL_CUTOFFS, start=len(_AP_CUTOFFS)):
+        out[:, col] = np.count_nonzero(ranks <= k, axis=1) / n_relevant
+    return out
+
+
 def evaluate(sim, relevance, mode="multiple"):
     """Score a similarity matrix column-by-column against relevance data.
 
     Column q of `sim` holds caption q's scores over the audio gallery.
     "multiple" mode uses each query's full relevant list; "single" mode
-    keeps only the first (paired) id.
+    keeps only the first (paired) id.  The report equals, bit for bit,
+    ranking each column with `rank_gallery`, scoring it with
+    `average_precision_at_k` and `recall_at_k`, and summing over the
+    queries in order.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -133,17 +195,24 @@ def evaluate(sim, relevance, mode="multiple"):
         raise ContractError(
             f"relevance names gallery id {relevance.max_id()} but the "
             f"gallery holds {n_gallery} items")
-    ap10 = ap16 = r1 = r5 = r10 = 0.0
-    for q in range(n_queries):
-        ids = relevance.entries[q]
-        rel = ids[:1] if mode == "single" else ids
-        ranking = rank_gallery(s[:, q])
-        ap10 += average_precision_at_k(ranking, rel, 10)
-        ap16 += average_precision_at_k(ranking, rel, 16)
-        r1 += recall_at_k(ranking, rel, 1)
-        r5 += recall_at_k(ranking, rel, 5)
-        r10 += recall_at_k(ranking, rel, 10)
-    n = n_queries
-    return MetricsReport(map_at_10=ap10 / n, map_at_16=ap16 / n,
-                         r_at_1=r1 / n, r_at_5=r5 / n, r_at_10=r10 / n,
-                         query_count=n)
+    entries = relevance.entries
+    if mode == "single":
+        entries = [ids[:1] for ids in entries]
+    widths = np.fromiter(map(len, entries), np.intp, n_queries)
+    flat = np.fromiter(itertools.chain.from_iterable(entries), np.intp,
+                       int(widths.sum()))
+    starts = np.cumsum(widths) - widths
+    per_query = np.empty((n_queries, len(METRIC_KEYS)))
+    for q0, q1 in _query_blocks(widths, n_gallery):
+        # distinct widths; np.unique's first call would keep ~0.5 MB
+        # allocated for the life of the process
+        for width in np.flatnonzero(np.bincount(widths[q0:q1])).tolist():
+            queries = q0 + np.flatnonzero(widths[q0:q1] == width)
+            ids = flat[starts[queries, None] + np.arange(width)]
+            # the queries' columns, copied as rows: a block of s.T only
+            per_query[queries] = _query_metrics(
+                _relevant_ranks(s.T[queries], ids), width)
+    # Sequential sums in query order (np.sum's pairwise order moves bits).
+    sums = np.cumsum(per_query, axis=0)[-1]
+    means = {key: float(v) / n_queries for key, v in zip(METRIC_KEYS, sums)}
+    return MetricsReport(**means, query_count=n_queries)

@@ -70,19 +70,23 @@ def adamw_step(state, tensors, grads, lr):
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     out = {}
-    for name, theta in tensors.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ContractError(
-                f"gradient for {name} has shape {g.shape}, "
-                f"parameter has {theta.shape}")
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = (state.beta2 * state.v[name]
-                         + (1.0 - state.beta2) * g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        out[name] = (theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-                     - lr * state.weight_decay * theta)
+    # A divergent step overflows here; run_stage reports the non-finite
+    # parameters it leaves, so numpy's warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, theta in tensors.items():
+            g = grads[name]
+            if g.shape != theta.shape:
+                raise ContractError(
+                    f"gradient for {name} has shape {g.shape}, "
+                    f"parameter has {theta.shape}")
+            state.m[name] = (state.beta1 * state.m[name]
+                             + (1.0 - state.beta1) * g)
+            state.v[name] = (state.beta2 * state.v[name]
+                             + (1.0 - state.beta2) * g * g)
+            m_hat = state.m[name] / bc1
+            v_hat = state.v[name] / bc2
+            out[name] = (theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+                         - lr * state.weight_decay * theta)
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from xmrt import (ConfigError, ContractError, DataError, MetricsReport,
                   RelevanceMap, average_precision_at_k, evaluate,
                   rank_gallery, recall_at_k)
+from xmrt import evaluation
 
 
 def _oracle_ranking(scores):
@@ -201,6 +202,96 @@ class TestEvaluate:
         rel = RelevanceMap(((0,),))
         with pytest.raises(ConfigError, match="mode"):
             evaluate(np.eye(1), rel, mode="both")
+
+
+def _loop_report(sim, entries, mode):
+    """The per-query loop `evaluate` reproduces bit for bit: a stable
+    sort per query, then the public metric helpers, summed in query
+    order."""
+    sums = [0.0] * 5
+    for q in range(sim.shape[1]):
+        rel = entries[q][:1] if mode == "single" else entries[q]
+        ranking = rank_gallery(sim[:, q])
+        values = (average_precision_at_k(ranking, rel, 10),
+                  average_precision_at_k(ranking, rel, 16),
+                  recall_at_k(ranking, rel, 1),
+                  recall_at_k(ranking, rel, 5),
+                  recall_at_k(ranking, rel, 10))
+        for i, value in enumerate(values):
+            sums[i] += value
+    report = {key: total / sim.shape[1]
+              for key, total in zip(evaluation.METRIC_KEYS, sums)}
+    report["query_count"] = sim.shape[1]
+    return report
+
+
+def _entries(rng, n_gallery, widths):
+    return [tuple(int(i) for i in rng.choice(n_gallery, w, replace=False))
+            for w in widths]
+
+
+def _bits_case(name):
+    """(sim, entries) for each named case of TestEvaluateBitsEqualLoop."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "random":
+        sim = rng.standard_normal((50, 40))
+    elif name == "tie_heavy":
+        sim = np.round(rng.standard_normal((50, 40)), 1)
+    elif name == "all_equal":
+        sim = np.full((30, 12), 0.25)
+    elif name == "long_lists":
+        sim = np.round(rng.standard_normal((60, 15)), 1)
+        return sim, _entries(rng, 60, rng.integers(17, 40, 15))
+    elif name == "small_gallery":
+        sim = np.round(rng.standard_normal((7, 20)), 1)
+    elif name == "one_item_gallery":
+        sim = rng.standard_normal((1, 5))
+    elif name == "uneven_widths":
+        sim = np.round(rng.standard_normal((300, 30)), 1)
+        return sim, _entries(rng, 300, [1] * 12 + [200] + [1] * 17)
+    n_gallery, n_queries = sim.shape
+    widths = rng.integers(1, min(5, n_gallery) + 1, n_queries)
+    return sim, _entries(rng, n_gallery, widths)
+
+
+class TestEvaluateBitsEqualLoop:
+    """`evaluate` ranks only the relevant items; its report must equal
+    the sorting loop's exactly, not within a tolerance."""
+
+    CASES = ("random", "tie_heavy", "all_equal", "long_lists",
+             "small_gallery", "one_item_gallery", "uneven_widths")
+
+    @pytest.mark.parametrize("mode", ["multiple", "single"])
+    @pytest.mark.parametrize("name", CASES)
+    def test_report_equals_sorting_loop(self, name, mode):
+        sim, entries = _bits_case(name)
+        report = evaluate(sim, RelevanceMap(tuple(entries)), mode)
+        assert report.as_dict() == _loop_report(sim, entries, mode)
+
+    @pytest.mark.parametrize("mode", ["multiple", "single"])
+    @pytest.mark.parametrize("block_bytes", [1, 2500, 9000])
+    def test_query_blocks_ending_partway(self, monkeypatch, block_bytes,
+                                         mode):
+        # 1 byte forces one query per block; the others end blocks in
+        # the middle of runs of equal width and leave a short last block
+        monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", block_bytes)
+        for name in ("tie_heavy", "uneven_widths", "long_lists"):
+            sim, entries = _bits_case(name)
+            report = evaluate(sim, RelevanceMap(tuple(entries)), mode)
+            assert report.as_dict() == _loop_report(sim, entries, mode), name
+
+    def test_queries_are_summed_in_order(self):
+        # a case where numpy's pairwise np.sum gives other bits than the
+        # sequential sum, so only the loop's order passes
+        rng = np.random.default_rng(0)
+        sim = rng.standard_normal((30, 40))
+        entries = _entries(rng, 30, rng.integers(1, 6, 40))
+        aps = [average_precision_at_k(rank_gallery(sim[:, q]), entries[q], 10)
+               for q in range(40)]
+        expected = _loop_report(sim, entries, "multiple")
+        assert np.sum(aps) / 40 != expected["map_at_10"]
+        report = evaluate(sim, RelevanceMap(tuple(entries)))
+        assert report.as_dict() == expected
 
 
 class TestRelevanceMap:

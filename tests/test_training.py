@@ -364,7 +364,7 @@ class TestRunStage:
                       params, _toy_dataset(),
                       pseudo_labels=np.zeros(32, dtype=int))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_divergence_names_stage_step_and_loss_terms(self):
         # Warmup reaches lr 2.5e307 at step 1, which overflows AdamW.
         params = init_params(8, 6, 4, seed=0)
