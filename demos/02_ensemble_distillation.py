@@ -64,8 +64,7 @@ student, _ = run_stage(StageConfig("pretrain", epochs=2, batch_size=16),
 warm = map_at_16(test_similarity(student))
 print(f"\nstudent after warmup: test mAP@16 {warm:.4f}")
 
-stage = StageConfig("finetune", epochs=12, batch_size=16,
-                    use_distillation=True, use_augmentation=True)
+stage = StageConfig("finetune", epochs=12, batch_size=16)
 student, log = run_stage(stage, student, train.dataset, teachers=teachers,
                          loss_cfg=LossConfig(tau=0.05, lambda1=1.0),
                          peak_lr=0.05, floor_lr=1e-4, seed=9)

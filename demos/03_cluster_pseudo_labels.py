@@ -63,8 +63,7 @@ assert np.array_equal(pseudo.audio_labels, assignment.labels)
 # 5. refinetune: attach classification heads and train with the
 #    auxiliary term on top of the contrastive one
 params = params.with_heads(*init_heads(params.d_emb, assignment.k, seed=1))
-stage = StageConfig("refinetune", epochs=8, batch_size=12,
-                    use_clusters=True)
+stage = StageConfig("refinetune", epochs=8, batch_size=12)
 params, log = run_stage(stage, params, dataset,
                         pseudo_labels=assignment.labels, peak_lr=0.01,
                         floor_lr=1e-4, seed=1)

@@ -129,10 +129,7 @@ class RunConfig:
         return StageConfig(
             name=name,
             epochs=int(sec.get("epochs", 20)),
-            batch_size=int(sec.get("batch_size", DEFAULT_BATCH_SIZE)),
-            use_augmentation=(name == "finetune"),
-            use_distillation=(name == "finetune"),
-            use_clusters=(name == "refinetune"))
+            batch_size=int(sec.get("batch_size", DEFAULT_BATCH_SIZE)))
 
     def augmentation_config(self):
         sec = self.section("augmentation")

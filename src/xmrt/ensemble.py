@@ -25,6 +25,8 @@ TABLE_SYSTEMS = (2, 3, 4, 5)
 TABLE_MODELS = ("passt", "eat", "beats")
 WEIGHT_SUM_TOL = 1e-6
 REFINE_STEP = 0.0025
+MAX_REFINE_SWEEPS = 100
+MAX_MEMBERS = 12
 
 
 @dataclass(frozen=True)
@@ -214,8 +216,6 @@ class GridSearchConfig:
     """Simplex discretization and budget for the weight search."""
 
     step: float = 0.01
-    objective: str = "map_at_16"
-    max_members: int = 12
     max_grid_points: int = 200_000
 
     def __post_init__(self):
@@ -225,11 +225,6 @@ class GridSearchConfig:
         if abs(divisions * self.step - 1.0) > 1e-9:
             raise ConfigError(
                 f"step {self.step} does not divide 1 exactly")
-        if self.objective != "map_at_16":
-            raise ConfigError(
-                f"objective is fixed to map_at_16, got {self.objective!r}")
-        if self.max_members < 2:
-            raise ConfigError("max_members must be >= 2")
         if self.max_grid_points < 1:
             raise ConfigError("max_grid_points must be >= 1")
 
@@ -285,9 +280,8 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
     n = len(matrices)
     if n < 2:
         raise ContractError(f"grid search needs >= 2 members, got {n}")
-    if n > cfg.max_members:
-        raise ConfigError(
-            f"{n} members exceeds max_members {cfg.max_members}")
+    if n > MAX_MEMBERS:
+        raise ConfigError(f"{n} members exceeds the limit of {MAX_MEMBERS}")
     size = _grid_size(cfg.divisions, n)
     if size > cfg.max_grid_points:
         raise ConfigError(
@@ -334,12 +328,11 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
                         points_evaluated=evaluated)
 
 
-def _refine_units(stack, units, units_total, best_value, relevance, mode,
-                  max_sweeps=100):
+def _refine_units(stack, units, units_total, best_value, relevance, mode):
     """Greedy first-improvement mass transfers in fine-grid units."""
     n = len(units)
     evaluated = 0
-    for _ in range(max_sweeps):
+    for _ in range(MAX_REFINE_SWEEPS):
         improved = False
         for i in range(n):
             for j in range(n):

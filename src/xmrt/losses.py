@@ -56,15 +56,12 @@ class TeacherTargets:
 
     p_hat_audio: np.ndarray    # distributions over audios (columns sum to 1)
     p_hat_text: np.ndarray     # distributions over captions (rows sum to 1)
-    m: int = 1                 # number of teachers averaged
 
     def __post_init__(self):
         p_a = as_matrix(self.p_hat_audio, "p_hat_audio")
         p_c = as_matrix(self.p_hat_text, "p_hat_text")
         if p_a.shape != p_c.shape:
             raise ContractError("teacher target shapes disagree")
-        if self.m < 1:
-            raise ContractError(f"teacher count must be >= 1, got {self.m}")
         object.__setattr__(self, "p_hat_audio", p_a)
         object.__setattr__(self, "p_hat_text", p_c)
 
@@ -215,19 +212,17 @@ def ensemble_average(similarities):
     return (sums / len(mats)).reshape(shape)
 
 
-def teacher_soft_targets(avg_sim, cfg, m=1):
+def teacher_soft_targets(avg_sim, cfg):
     """Temperature-softmax the averaged teacher similarities, both directions."""
     s = as_matrix(avg_sim, "averaged similarity")
     return TeacherTargets(
         p_hat_audio=softmax_with_temperature(s, cfg.tau, Axis.COLUMNS),
-        p_hat_text=softmax_with_temperature(s, cfg.tau, Axis.ROWS),
-        m=m)
+        p_hat_text=softmax_with_temperature(s, cfg.tau, Axis.ROWS))
 
 
 def targets_from_teacher_sims(similarities, cfg):
     """Average a list of teacher similarity matrices and soften them."""
-    return teacher_soft_targets(ensemble_average(similarities), cfg,
-                                m=len(similarities))
+    return teacher_soft_targets(ensemble_average(similarities), cfg)
 
 
 def distillation_loss(targets, sim, cfg):
@@ -326,23 +321,17 @@ def _head_forward_backward(head, raw_emb, labels, n):
 def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
     """Total loss and its exact gradient for every parameter.
 
-    The distillation path runs iff cfg.lambda1 > 0 (teacher `targets`
-    required then, and rejected otherwise); likewise the classification
-    path with cfg.lambda2 and `labels`.  Teacher targets are constants:
-    no gradient flows into them.
+    The distillation term runs iff teacher `targets` are given, and the
+    classification term iff cluster `labels` are given (which needs
+    classification heads).  cfg.lambda1 and cfg.lambda2 only weight the
+    terms: a term with weight 0 is still computed and reported, but adds
+    nothing to the total or the gradient.  Teacher targets are
+    constants: no gradient flows into them.
     """
-    distill = cfg.lambda1 > 0
-    cluster = cfg.lambda2 > 0
-    if distill and targets is None:
-        raise ConfigError("lambda1 > 0 requires teacher targets")
-    if not distill and targets is not None:
-        raise ConfigError("teacher targets supplied but lambda1 == 0")
-    if cluster and labels is None:
-        raise ConfigError("lambda2 > 0 requires cluster labels")
-    if not cluster and labels is not None:
-        raise ConfigError("cluster labels supplied but lambda2 == 0")
+    distill = targets is not None
+    cluster = labels is not None
     if cluster and not params.has_heads:
-        raise ConfigError("lambda2 > 0 requires classification heads")
+        raise ConfigError("cluster labels require classification heads")
 
     n = len(batch)
     raw_a, raw_c, norm_a, norm_c, unit_a, unit_c, sim = _forward_embeddings(

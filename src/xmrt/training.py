@@ -1,5 +1,9 @@
 """Three-stage training loop: optimizer, schedule, batching, pair mixing.
 
+A stage's name alone picks its loss terms: pretrain is contrastive only,
+finetune adds distillation from frozen teachers, refinetune adds cluster
+classification.  The LossConfig weights only scale those terms.
+
 The optimizer is AdamW with decoupled weight decay operating on flat
 name-to-array dicts, so the same step function serves encoders and heads
 alike.  The learning-rate schedule is a linear warmup into a cosine decay
@@ -10,6 +14,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,14 +202,14 @@ def expand_with_mixes(dataset, mix_count, rng_seed):
                      if dataset.caption_ids else ()))
 
 
-def make_batches(dataset, batch_size, seed, epoch):
-    """Shuffled index batches for one epoch; a short final batch is dropped.
+def make_batches(n_items, batch_size, seed, epoch):
+    """Shuffled index batches over n_items for one epoch; a short final
+    batch is dropped.
 
-    `dataset` may be anything with a length, or a plain item count.  The
-    shuffle generator is seeded from (seed, epoch) so epochs differ but
+    The shuffle generator is seeded from (seed, epoch) so epochs differ but
     reruns do not.
     """
-    n_items = dataset if isinstance(dataset, int) else len(dataset)
+    n_items = operator.index(n_items)
     if batch_size < 2:
         raise ConfigError(
             f"contrastive batches need >= 2 items, got {batch_size}")
@@ -220,21 +225,19 @@ def make_batches(dataset, batch_size, seed, epoch):
 
 @dataclass(frozen=True)
 class StageConfig:
-    """One training stage: which loss paths run and for how long.
+    """One training stage: its name picks the objective, epochs and batch
+    size set its length.
 
-    Stage roles: pretrain is contrastive-only, finetune adds teacher
-    distillation and synthetic pair mixing, refinetune adds the cluster
-    heads.
-    The flags are validated against the stage name so a misconfigured
-    run fails immediately instead of training the wrong objective.
+    pretrain is contrastive only, finetune adds teacher distillation (and
+    synthetic pair mixing when an AugmentationConfig is given), refinetune
+    adds the cluster classification heads.  run_stage checks that the
+    inputs match the name, so a misconfigured run fails immediately
+    instead of training the wrong objective.
     """
 
     name: str
     epochs: int = 20
     batch_size: int = 16
-    use_augmentation: bool = False
-    use_distillation: bool = False
-    use_clusters: bool = False
 
     def __post_init__(self):
         if self.name not in STAGES:
@@ -244,13 +247,6 @@ class StageConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
-        if self.name == "pretrain" and self.use_distillation:
-            raise ConfigError("pretrain must not use distillation")
-        if self.use_clusters and self.name != "refinetune":
-            raise ConfigError("cluster heads only run in refinetune")
-        if self.use_clusters and self.use_augmentation:
-            # Synthetic averaged rows carry no curated cluster label.
-            raise ConfigError("augmentation cannot run in the cluster stage")
 
 
 @dataclass(frozen=True)
@@ -267,44 +263,42 @@ class StepRecord:
     total: float
 
 
-def _effective_loss_config(stage, base):
-    lam1 = base.lambda1 if stage.use_distillation else 0.0
-    lam2 = base.lambda2 if stage.use_clusters else 0.0
-    return LossConfig(tau=base.tau, lambda1=lam1, lambda2=lam2)
-
-
 def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
               loss_cfg=None, peak_lr=2e-5, floor_lr=1e-7,
               warmup_fraction=0.1, weight_decay=0.01, augmentation=None,
               seed=0):
     """Train one stage to completion; returns (params, records).
 
-    `teachers` is a sequence of frozen ModelParams whose averaged
-    similarities provide distillation targets (required iff the stage
-    distills).  `pseudo_labels` is an int array aligned with the dataset
-    rows (required iff the stage uses cluster heads; the row's label
-    serves both modalities since rows are matched pairs).  `augmentation`
-    configures synthetic pair mixing (accepted iff the stage's
-    augmentation flag is on).  A step that leaves non-finite parameters
-    raises DataError naming the stage, step, epoch, lr and loss terms.
+    The stage name picks the loss terms.  finetune distills from
+    `teachers`, a sequence of frozen ModelParams whose averaged
+    similarities give the targets (required there, rejected elsewhere).
+    refinetune classifies `pseudo_labels`, an int array aligned with the
+    dataset rows (required there along with classification heads,
+    rejected elsewhere; the row's label serves both modalities since
+    rows are matched pairs).  `loss_cfg` only weights the terms, so a
+    weight of 0 turns its term off.  `augmentation` mixes synthetic pairs
+    into the dataset and is accepted only in finetune.  A step that
+    leaves non-finite parameters raises DataError naming the stage,
+    step, epoch, lr and loss terms.
     """
-    base = loss_cfg if loss_cfg is not None else LossConfig()
-    cfg = _effective_loss_config(stage, base)
-    if stage.use_distillation and not teachers:
+    cfg = loss_cfg if loss_cfg is not None else LossConfig()
+    distills = stage.name == "finetune"
+    clusters = stage.name == "refinetune"
+    if distills and not teachers:
         raise ConfigError(f"stage {stage.name} needs teacher models")
-    if teachers and not stage.use_distillation:
+    if teachers and not distills:
         raise ConfigError(f"stage {stage.name} does not accept teachers")
-    if stage.use_clusters:
+    if clusters:
         if pseudo_labels is None:
             raise ConfigError(f"stage {stage.name} needs pseudo labels")
         if not params.has_heads:
             raise ConfigError("refinetune requires classification heads")
     elif pseudo_labels is not None:
         raise ConfigError(f"stage {stage.name} does not accept labels")
-    if augmentation is not None and not stage.use_augmentation:
+    if augmentation is not None and stage.name != "finetune":
+        # Synthetic averaged rows carry no curated cluster label.
         raise ConfigError(
-            f"stage {stage.name} has augmentation off but a config was "
-            f"given")
+            f"stage {stage.name} does not accept an augmentation config")
 
     labels_all = None
     if pseudo_labels is not None:
@@ -313,10 +307,9 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
             raise ContractError(
                 f"{labels_all.shape} labels for {len(dataset)} items")
 
-    if stage.use_augmentation:
-        aug = augmentation if augmentation is not None else \
-            AugmentationConfig()
-        dataset = expand_with_mixes(dataset, aug.mix_count, aug.rng_seed)
+    if augmentation is not None:
+        dataset = expand_with_mixes(dataset, augmentation.mix_count,
+                                    augmentation.rng_seed)
 
     if stage.epochs == 0:
         return params, []
@@ -343,12 +336,12 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                 text_features=dataset.text_features[batch_idx])
 
             targets = None
-            if stage.use_distillation:
+            if distills:
                 sims = [student_similarity(t, batch) for t in teachers]
                 targets = targets_from_teacher_sims(sims, cfg)
 
             labels = None
-            if stage.use_clusters:
+            if clusters:
                 lab = labels_all[batch_idx]
                 labels = BatchLabels(audio=lab, text=lab)
 

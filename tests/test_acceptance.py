@@ -205,8 +205,7 @@ def test_04_distillation_pipeline_integrity(corpus_64):
         teachers.append(t)
 
     student = init_params(12, 10, 6, seed=7)
-    stage = StageConfig("finetune", epochs=2, batch_size=8,
-                        use_distillation=True, use_augmentation=True)
+    stage = StageConfig("finetune", epochs=2, batch_size=8)
     tuned, log = run_stage(stage, student, train, teachers=teachers,
                            peak_lr=0.01, seed=7)
     steps = (len(train) // 8) * 2

@@ -323,6 +323,20 @@ def test_pipeline_end_to_end(tmp_path, capsys):
         assert fh.read() == text
 
 
+def test_zero_loss_weights_are_valid(tmp_path, capsys):
+    # a weight of 0 turns its term off; the stage still runs
+    payload = _read_json(_pipeline_config(tmp_path))
+    payload["loss"] = {"lambda1": 0}
+    no_distill = _write_config(tmp_path, payload, name="no_distill.json")
+    payload["loss"] = {"lambda2": 0}
+    no_cls = _write_config(tmp_path, payload, name="no_cls.json")
+    assert main(["pretrain", "--config", no_distill]) == 0
+    assert main(["finetune", "--config", no_distill]) == 0
+    assert main(["cluster", "--config", no_cls]) == 0
+    assert main(["refinetune", "--config", no_cls]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_pretrain_rerun_is_bit_identical(tmp_path):
     cfg1 = _pipeline_config(tmp_path, out_dir="run1")
     cfg2 = _pipeline_config(tmp_path, out_dir="run2")

@@ -12,6 +12,7 @@ from xmrt import (
     ConfigError,
     ContractError,
     DataError,
+    StageConfig,
     TensorFileError,
     generate_fixtures,
     init_params,
@@ -761,12 +762,9 @@ def test_config_section_builders(tmp_path):
     assert sched["peak_lr"] == 0.01
     assert sched["floor_lr"] == 1e-7
     stage = cfg.stage_config("finetune")
-    assert stage.epochs == 2
-    assert stage.batch_size == 4
-    assert stage.use_distillation and stage.use_augmentation
-    assert not stage.use_clusters
-    refine = cfg.stage_config("refinetune")
-    assert refine.use_clusters and not refine.use_distillation
+    assert stage == StageConfig("finetune", epochs=2, batch_size=4)
+    assert cfg.stage_config("refinetune") == StageConfig(
+        "refinetune", epochs=20, batch_size=16)
     cluster = cfg.cluster_config()
     assert cluster.neighborhood_radius == 1.5
     grid = cfg.grid_config()

@@ -195,9 +195,12 @@ class TestTeacherTargets:
         assert not np.allclose(targets.p_hat_audio.sum(axis=1), 1.0)
 
     def test_from_sims_counts_teachers(self):
-        sims = [np.eye(2), np.eye(2), np.eye(2)]
+        # the sum of three teachers is divided by three before softening
+        sims = [3.0 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]
         targets = targets_from_teacher_sims(sims, LossConfig())
-        assert targets.m == 3
+        expected = teacher_soft_targets(np.eye(2), LossConfig())
+        assert targets.p_hat_audio.tobytes() == expected.p_hat_audio.tobytes()
+        assert targets.p_hat_text.tobytes() == expected.p_hat_text.tobytes()
 
 
 class TestDistillationLoss:
@@ -395,29 +398,61 @@ class TestGradients:
         assert not grads["text_head.b2"].any()
 
 
+def _assert_same_bits(grads_a, grads_b):
+    assert list(grads_a) == list(grads_b)
+    for name in grads_a:
+        assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+
+
 class TestPathGating:
-    def test_targets_required_iff_lambda1_positive(self):
+    # A term runs iff its input is given, whatever its weight; the weight
+    # only scales it, so weight 0 reports the term but changes nothing.
+    def test_distillation_runs_iff_targets_given(self):
         params = init_params(6, 5, 4, seed=0)
         batch = random_batch(4, 6, 5, seed=0)
-        with pytest.raises(ConfigError, match="teacher"):
-            loss_and_gradients(params, batch, LossConfig(lambda2=0.0))
         targets = targets_from_teacher_sims(
-            [student_similarity(params, batch)], LossConfig())
-        with pytest.raises(ConfigError, match="lambda1"):
-            loss_and_gradients(params, batch,
-                               LossConfig(lambda1=0.0, lambda2=0.0),
-                               targets=targets)
+            [student_similarity(init_params(6, 5, 4, seed=9), batch)],
+            LossConfig())
+        plain, plain_grads = loss_and_gradients(params, batch,
+                                                LossConfig(lambda1=0.0))
+        for lambda1 in (0.0, 1.0):
+            cfg = LossConfig(lambda1=lambda1)
+            off, off_grads = loss_and_gradients(params, batch, cfg)
+            assert off == plain and off.l_dist == 0.0
+            _assert_same_bits(off_grads, plain_grads)
+            on, on_grads = loss_and_gradients(params, batch, cfg,
+                                              targets=targets)
+            assert on.l_dist > 0.0
+            assert on.total == on.l_sup + lambda1 * on.l_dist
+            assert (on.total > plain.total) == (lambda1 > 0)
+        zero, zero_grads = loss_and_gradients(
+            params, batch, LossConfig(lambda1=0.0), targets=targets)
+        assert zero.total == plain.total
+        for name, grad in plain_grads.items():
+            np.testing.assert_array_equal(zero_grads[name], grad)
 
-    def test_labels_required_iff_lambda2_positive(self):
+    def test_classification_runs_iff_labels_given(self):
         params = init_params(6, 5, 4, n_clusters=3, seed=0)
         batch = random_batch(4, 6, 5, seed=0)
-        with pytest.raises(ConfigError, match="labels"):
-            loss_and_gradients(params, batch, LossConfig(lambda1=0.0))
-        labels = BatchLabels(np.zeros(4, dtype=int), np.zeros(4, dtype=int))
-        with pytest.raises(ConfigError, match="lambda2"):
-            loss_and_gradients(params, batch,
-                               LossConfig(lambda1=0.0, lambda2=0.0),
-                               labels=labels)
+        labels = BatchLabels(np.array([0, 1, 2, 0]), np.array([1, 0, 2, 2]))
+        plain, plain_grads = loss_and_gradients(params, batch,
+                                                LossConfig(lambda2=0.0))
+        for lambda2 in (0.0, 0.05):
+            cfg = LossConfig(lambda2=lambda2)
+            off, off_grads = loss_and_gradients(params, batch, cfg)
+            assert off == plain and off.l_cls_audio == 0.0
+            _assert_same_bits(off_grads, plain_grads)
+            on, on_grads = loss_and_gradients(params, batch, cfg,
+                                              labels=labels)
+            assert on.l_cls_audio > 0.0 and on.l_cls_text > 0.0
+            assert on.total == on.l_sup + lambda2 * (on.l_cls_audio
+                                                     + on.l_cls_text)
+            assert on_grads["audio_head.w2"].any() == (lambda2 > 0)
+        zero, zero_grads = loss_and_gradients(
+            params, batch, LossConfig(lambda2=0.0), labels=labels)
+        assert zero.total == plain.total
+        for name, grad in plain_grads.items():
+            np.testing.assert_array_equal(zero_grads[name], grad)
 
     def test_cluster_path_needs_heads(self):
         params = init_params(6, 5, 4, seed=0)  # no heads

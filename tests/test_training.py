@@ -1,5 +1,6 @@
 """Tests for the optimizer, schedule, batching, pair mixing, and stages."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -162,10 +163,12 @@ class TestMakeBatches:
         b = np.concatenate(make_batches(40, 8, seed=0, epoch=1))
         assert not np.array_equal(a, b)
 
-    def test_accepts_sized_datasets(self):
+    def test_takes_an_item_count_only(self):
+        assert len(make_batches(np.int64(9), 4, seed=0, epoch=0)) == 2
         dataset = PairedDataset(np.ones((9, 2)), np.ones((9, 3)))
-        batches = make_batches(dataset, 4, seed=0, epoch=0)
-        assert len(batches) == 2
+        for not_a_count in (dataset, 9.0):
+            with pytest.raises(TypeError):
+                make_batches(not_a_count, 4, seed=0, epoch=0)
 
     def test_batch_size_floor(self):
         with pytest.raises(ConfigError, match=">= 2"):
@@ -251,18 +254,28 @@ class TestStageConfig:
         with pytest.raises(ConfigError, match="unknown stage"):
             StageConfig("warmup")
 
+    # The name is the only switch: the rules below follow from it alone.
     def test_pretrain_cannot_distill(self):
-        with pytest.raises(ConfigError, match="distillation"):
-            StageConfig("pretrain", use_distillation=True)
+        # no field can switch a term on; that run_stage rejects a
+        # pretrain's teachers is test_teachers_rejected_when_distillation_off
+        assert ([f.name for f in dataclasses.fields(StageConfig)]
+                == ["name", "epochs", "batch_size"])
 
     def test_clusters_only_in_refinetune(self):
-        with pytest.raises(ConfigError, match="refinetune"):
-            StageConfig("finetune", use_clusters=True)
+        params = init_params(8, 6, 4, n_clusters=2, seed=0)
+        with pytest.raises(ConfigError, match="finetune does not accept "
+                                              "labels"):
+            run_stage(StageConfig("finetune", epochs=1, batch_size=8),
+                      params, _toy_dataset(), teachers=[params],
+                      pseudo_labels=np.zeros(32, dtype=int))
 
     def test_clusters_exclude_augmentation(self):
+        params = init_params(8, 6, 4, n_clusters=2, seed=0)
         with pytest.raises(ConfigError, match="augmentation"):
-            StageConfig("refinetune", use_clusters=True,
-                        use_augmentation=True)
+            run_stage(StageConfig("refinetune", epochs=1, batch_size=8),
+                      params, _toy_dataset(),
+                      pseudo_labels=np.zeros(32, dtype=int),
+                      augmentation=AugmentationConfig())
 
     def test_zero_epochs_allowed(self):
         assert StageConfig("pretrain", epochs=0).epochs == 0
@@ -335,8 +348,7 @@ class TestRunStage:
 
     def test_distillation_stage_needs_teachers(self):
         params = init_params(8, 6, 4, seed=0)
-        stage = StageConfig("finetune", epochs=1, batch_size=8,
-                            use_distillation=True)
+        stage = StageConfig("finetune", epochs=1, batch_size=8)
         with pytest.raises(ConfigError, match="teacher"):
             run_stage(stage, params, _toy_dataset())
 
@@ -348,8 +360,7 @@ class TestRunStage:
                       params, _toy_dataset(), teachers=[teacher])
 
     def test_cluster_stage_needs_labels_and_heads(self):
-        stage = StageConfig("refinetune", epochs=1, batch_size=8,
-                            use_clusters=True)
+        stage = StageConfig("refinetune", epochs=1, batch_size=8)
         headless = init_params(8, 6, 4, seed=0)
         with pytest.raises(ConfigError, match="labels"):
             run_stage(stage, headless, _toy_dataset())
@@ -368,8 +379,7 @@ class TestRunStage:
     def test_divergence_names_stage_step_and_loss_terms(self):
         # Warmup reaches lr 2.5e307 at step 1, which overflows AdamW.
         params = init_params(8, 6, 4, seed=0)
-        stage = StageConfig("finetune", epochs=2, batch_size=8,
-                            use_distillation=True)
+        stage = StageConfig("finetune", epochs=2, batch_size=8)
         with pytest.raises(DataError,
                            match="stage finetune diverged at step 1 ") as err:
             run_stage(stage, params, _toy_dataset(),
@@ -394,8 +404,7 @@ class TestRunStage:
         # recorded distillation loss is the targets' own entropy
         params = init_params(8, 6, 4, seed=2)
         dataset = _toy_dataset(32)
-        stage = StageConfig("finetune", epochs=1, batch_size=8,
-                            use_distillation=True)
+        stage = StageConfig("finetune", epochs=1, batch_size=8)
         cfg = LossConfig(lambda2=0.0)
         _, log = run_stage(stage, params, dataset, teachers=[params],
                            loss_cfg=cfg, peak_lr=1e-3, seed=3)
@@ -413,8 +422,7 @@ class TestRunStage:
     def test_finetune_with_mixes_grows_the_epoch(self):
         params = init_params(8, 6, 4, seed=0)
         teacher = init_params(8, 6, 4, seed=9)
-        stage = StageConfig("finetune", epochs=1, batch_size=8,
-                            use_augmentation=True, use_distillation=True)
+        stage = StageConfig("finetune", epochs=1, batch_size=8)
         aug = AugmentationConfig(mix_count=8, rng_seed=1)
         _, log = run_stage(stage, params, _toy_dataset(32),
                            teachers=[teacher], augmentation=aug,
@@ -424,9 +432,37 @@ class TestRunStage:
     def test_refinetune_trains_heads(self):
         params = init_params(8, 6, 4, n_clusters=3, seed=0)
         labels = np.random.default_rng(0).integers(0, 3, size=32)
-        stage = StageConfig("refinetune", epochs=2, batch_size=8,
-                            use_clusters=True)
+        stage = StageConfig("refinetune", epochs=2, batch_size=8)
         out, log = run_stage(stage, params, _toy_dataset(32),
                              pseudo_labels=labels, peak_lr=1e-3)
         assert any(r.l_cls_audio > 0 for r in log)
         assert not np.array_equal(out.audio_head.w2, params.audio_head.w2)
+
+    @staticmethod
+    def _param_bytes(params):
+        return {name: t.tobytes() for name, t in params.named_tensors().items()}
+
+    def test_finetune_with_zero_lambda1_trains_as_pretrain(self):
+        params = init_params(8, 6, 4, seed=0)
+        teacher = init_params(8, 6, 4, seed=9)
+        kwargs = dict(peak_lr=1e-2, seed=4)
+        tuned, log = run_stage(StageConfig("finetune", epochs=2, batch_size=8),
+                               params, _toy_dataset(), teachers=[teacher],
+                               loss_cfg=LossConfig(lambda1=0.0), **kwargs)
+        plain, _ = run_stage(StageConfig("pretrain", epochs=2, batch_size=8),
+                             params, _toy_dataset(), **kwargs)
+        assert all(r.l_dist > 0 for r in log)   # reported, weighted by 0
+        assert self._param_bytes(tuned) == self._param_bytes(plain)
+
+    def test_refinetune_with_zero_lambda2_trains_as_pretrain(self):
+        params = init_params(8, 6, 4, n_clusters=3, seed=0)
+        labels = np.random.default_rng(0).integers(0, 3, size=32)
+        kwargs = dict(peak_lr=1e-2, seed=4)
+        tuned, log = run_stage(
+            StageConfig("refinetune", epochs=2, batch_size=8), params,
+            _toy_dataset(), pseudo_labels=labels,
+            loss_cfg=LossConfig(lambda2=0.0), **kwargs)
+        plain, _ = run_stage(StageConfig("pretrain", epochs=2, batch_size=8),
+                             params, _toy_dataset(), **kwargs)
+        assert all(r.l_cls_audio > 0 for r in log)
+        assert self._param_bytes(tuned) == self._param_bytes(plain)
