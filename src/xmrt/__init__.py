@@ -18,10 +18,9 @@ from .core import (Axis, VectorBatch, cosine_similarity_matrix,
 from .encoders import (ClassificationHead, LinearEncoder, ModelParams,
                        classify, encode, init_heads, init_params)
 from .ensemble import (EnsembleSpec, GridSearchConfig, Member, SearchResult,
-                       WeightTable, apply_strategy, bundled_weight_table,
-                       fuse, grid_search, hierarchical_grid_search,
-                       load_coefficients, read_weight_table,
-                       write_weight_table)
+                       WeightTable, bundled_weight_table, fuse, grid_search,
+                       hierarchical_grid_search, load_coefficients,
+                       read_weight_table, write_weight_table)
 from .errors import (ConfigError, ContractError, DataError, TensorFileError,
                      XmrtError)
 from .evaluation import (MetricsReport, RelevanceMap,
@@ -63,7 +62,7 @@ __all__ = [
     "average_precision_at_k", "recall_at_k", "evaluate",
     "Member", "EnsembleSpec", "WeightTable", "GridSearchConfig",
     "SearchResult", "fuse", "load_coefficients", "grid_search",
-    "apply_strategy", "hierarchical_grid_search", "bundled_weight_table",
+    "hierarchical_grid_search", "bundled_weight_table",
     "read_weight_table", "write_weight_table",
     "save_tensor", "load_tensor", "generate_fixtures",
     "XmrtError", "ConfigError", "ContractError", "DataError",

@@ -65,9 +65,35 @@ class EnsembleSpec:
                 f"member weights sum to {total}, expected 1")
         object.__setattr__(self, "members", members)
 
-    @property
-    def weights(self):
-        return np.array([m.weight for m in self.members])
+
+def _check_matrices(matrices):
+    mats = [as_matrix(m, f"matrix {i}") for i, m in enumerate(matrices)]
+    shape = mats[0].shape
+    for i, m in enumerate(mats[1:], start=1):
+        if m.shape != shape:
+            raise ContractError(
+                f"matrix {i} has shape {m.shape}, expected {shape}")
+    return mats
+
+
+def _weighted_sum(mats, weights):
+    """Sequential sum of w * m over the nonzero weights, in place.
+
+    The bits are those of `out + w * m` term by term, and one-hot weights
+    return the chosen member exactly.  Both `fuse` and the weight search
+    fuse through this, so a search score replays exactly.
+    """
+    out = tmp = None
+    for m, w in zip(mats, weights):
+        if w == 0.0:
+            continue
+        if out is None:
+            out = w * m
+            tmp = np.empty_like(out)
+        else:
+            np.multiply(w, m, out=tmp)
+            out += tmp
+    return out
 
 
 def fuse(matrices, spec):
@@ -79,19 +105,8 @@ def fuse(matrices, spec):
     if len(matrices) != len(spec.members):
         raise ContractError(
             f"{len(matrices)} matrices for {len(spec.members)} members")
-    mats = [as_matrix(m, f"matrix {i}") for i, m in enumerate(matrices)]
-    shape = mats[0].shape
-    for i, m in enumerate(mats[1:], start=1):
-        if m.shape != shape:
-            raise ContractError(
-                f"matrix {i} has shape {m.shape}, expected {shape}")
-    out = None
-    for m, member in zip(mats, spec.members):
-        if member.weight == 0.0:
-            continue
-        term = member.weight * m
-        out = term if out is None else out + term
-    return out
+    return _weighted_sum(_check_matrices(matrices),
+                         [m.weight for m in spec.members])
 
 
 @dataclass(frozen=True)
@@ -257,11 +272,6 @@ class SearchResult:
     points_evaluated: int
 
 
-def _objective(stack, weights, relevance, mode):
-    fused = np.tensordot(weights, stack, axes=1)
-    return evaluate(fused, relevance, mode).map_at_16
-
-
 def _default_tags(n):
     return tuple((i, f"m{i}") for i in range(n))
 
@@ -290,21 +300,16 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
     tags = _default_tags(n) if tags is None else tuple(tags)
     if len(tags) != n:
         raise ContractError(f"{len(tags)} tags for {n} matrices")
-    mats = [as_matrix(m, f"matrix {i}") for i, m in enumerate(matrices)]
-    shape = mats[0].shape
-    for i, m in enumerate(mats[1:], start=1):
-        if m.shape != shape:
-            raise ContractError(
-                f"matrix {i} has shape {m.shape}, expected {shape}")
-    stack = np.stack(mats)
+    mats = _check_matrices(matrices)
     divisions = cfg.divisions
 
     best_counts = None
     best_value = -1.0
     evaluated = 0
     for counts in _compositions(divisions, n):
-        weights = np.array(counts) / divisions
-        value = _objective(stack, weights, relevance, mode)
+        weights = [c / divisions for c in counts]
+        value = evaluate(_weighted_sum(mats, weights), relevance,
+                         mode).map_at_16
         evaluated += 1
         if value > best_value:
             best_value = value
@@ -315,7 +320,7 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
         units_total = divisions * refine_units
         units = [c * refine_units for c in best_counts]
         best_value, units, extra = _refine_units(
-            stack, units, units_total, best_value, relevance, mode)
+            mats, units, units_total, best_value, relevance, mode)
         evaluated += extra
         weights = tuple(u / units_total for u in units)
     else:
@@ -328,7 +333,7 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
                         points_evaluated=evaluated)
 
 
-def _refine_units(stack, units, units_total, best_value, relevance, mode):
+def _refine_units(mats, units, units_total, best_value, relevance, mode):
     """Greedy first-improvement mass transfers in fine-grid units."""
     n = len(units)
     evaluated = 0
@@ -344,8 +349,9 @@ def _refine_units(stack, units, units_total, best_value, relevance, mode):
                     trial = list(units)
                     trial[i] -= shift
                     trial[j] += shift
-                    weights = np.array(trial) / units_total
-                    value = _objective(stack, weights, relevance, mode)
+                    weights = [u / units_total for u in trial]
+                    value = evaluate(_weighted_sum(mats, weights),
+                                     relevance, mode).map_at_16
                     evaluated += 1
                     if value > best_value:
                         best_value = value
@@ -359,19 +365,6 @@ def _refine_units(stack, units, units_total, best_value, relevance, mode):
         if not improved:
             return best_value, units, evaluated
     return best_value, units, evaluated
-
-
-def _check_group_weights(name, weights, keys):
-    if set(weights) != set(keys):
-        raise ContractError(
-            f"{name} weights keyed {sorted(map(str, weights))}, "
-            f"expected {sorted(map(str, keys))}")
-    for key, w in weights.items():
-        if w < 0:
-            raise ContractError(f"{name} weight for {key} is negative")
-    total = math.fsum(weights.values())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ContractError(f"{name} weights sum to {total}, expected 1")
 
 
 def _grid_keys(matrices):
@@ -398,32 +391,6 @@ def _strategy_axes(matrices, strategy):
     if strategy == "system-first":
         return models, systems, lambda o, i: (i, o)
     return systems, models, lambda o, i: (o, i)
-
-
-def apply_strategy(matrices, strategy, stage1_weights, stage2_weights):
-    """Two-stage hierarchical fusion over a (system, model) matrix grid.
-
-    system-first: stage 1 combines across systems within each model
-    (stage1_weights[model][system]), stage 2 across models
-    (stage2_weights[model]).  model-first is the transpose.  The result
-    equals a flat fusion with product weights.
-    """
-    outer, inner, key = _strategy_axes(matrices, strategy)
-    _check_group_weights("stage 2", stage2_weights, outer)
-    result = None
-    for o in outer:
-        if o not in stage1_weights:
-            raise ContractError(f"stage 1 weights missing group {o!r}")
-        _check_group_weights(f"stage 1 group {o!r}", stage1_weights[o], inner)
-        for i in inner:
-            w = stage2_weights[o] * stage1_weights[o][i]
-            if w == 0.0:
-                continue
-            term = w * as_matrix(matrices[key(o, i)], f"matrix {key(o, i)}")
-            result = term if result is None else result + term
-    if result is None:
-        raise ContractError("all effective weights are zero")
-    return result
 
 
 def hierarchical_grid_search(matrices, relevance, cfg=None, *,

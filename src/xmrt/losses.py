@@ -276,11 +276,17 @@ def _forward_embeddings(params, batch):
         raise ContractError(
             f"text feature width {batch.text_features.shape[1]} does not "
             f"match encoder input {enc_c.d_in}")
-    raw_a = batch.audio_features @ enc_a.weight.T + enc_a.bias
-    raw_c = batch.text_features @ enc_c.weight.T + enc_c.bias
-    norm_a = np.linalg.norm(raw_a, axis=1, keepdims=True)
-    norm_c = np.linalg.norm(raw_c, axis=1, keepdims=True)
-    if np.any(norm_a == 0.0) or np.any(norm_c == 0.0):
+    # Huge weights overflow here; the norm check below reports it, so
+    # numpy's warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_a = batch.audio_features @ enc_a.weight.T + enc_a.bias
+        raw_c = batch.text_features @ enc_c.weight.T + enc_c.bias
+        norm_a = np.linalg.norm(raw_a, axis=1, keepdims=True)
+        norm_c = np.linalg.norm(raw_c, axis=1, keepdims=True)
+    # Norms are >= 0 or nan, and nan fails `< inf` too.
+    if not (norm_a.max() < np.inf and norm_c.max() < np.inf):
+        raise DataError("an embedding norm overflowed to a non-finite value")
+    if norm_a.min() == 0.0 or norm_c.min() == 0.0:
         raise DataError("an embedding collapsed to zero norm")
     unit_a = raw_a / norm_a
     unit_c = raw_c / norm_c

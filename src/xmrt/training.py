@@ -277,9 +277,9 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     rejected elsewhere; the row's label serves both modalities since
     rows are matched pairs).  `loss_cfg` only weights the terms, so a
     weight of 0 turns its term off.  `augmentation` mixes synthetic pairs
-    into the dataset and is accepted only in finetune.  A step that
-    leaves non-finite parameters raises DataError naming the stage,
-    step, epoch, lr and loss terms.
+    into the dataset and is accepted only in finetune.  A step whose
+    teacher targets, loss or parameters are not finite raises DataError
+    naming the stage, step, epoch and lr, and the loss terms once known.
     """
     cfg = loss_cfg if loss_cfg is not None else LossConfig()
     distills = stage.name == "finetune"
@@ -306,6 +306,10 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
         if labels_all.shape != (len(dataset),):
             raise ContractError(
                 f"{labels_all.shape} labels for {len(dataset)} items")
+        k = params.n_clusters
+        if labels_all.size and (labels_all.min() < 0
+                                or labels_all.max() >= k):
+            raise DataError(f"cluster label outside [0, {k})")
 
     if augmentation is not None:
         dataset = expand_with_mixes(dataset, augmentation.mix_count,
@@ -335,28 +339,29 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                 audio_features=dataset.audio_features[batch_idx],
                 text_features=dataset.text_features[batch_idx])
 
-            targets = None
-            if distills:
-                sims = [student_similarity(t, batch) for t in teachers]
-                targets = targets_from_teacher_sims(sims, cfg)
-
             labels = None
             if clusters:
                 lab = labels_all[batch_idx]
                 labels = BatchLabels(audio=lab, text=lab)
 
             lr = lr_at_step(schedule, step)
-            breakdown, grads = loss_and_gradients(
-                params, batch, cfg, targets=targets, labels=labels)
-            tensors = adamw_step(state, tensors, grads, lr)
+            breakdown = None
             try:
+                targets = None
+                if distills:
+                    sims = [student_similarity(t, batch) for t in teachers]
+                    targets = targets_from_teacher_sims(sims, cfg)
+                breakdown, grads = loss_and_gradients(
+                    params, batch, cfg, targets=targets, labels=labels)
+                tensors = adamw_step(state, tensors, grads, lr)
                 params = params.with_tensors(tensors)
             except DataError as exc:
-                terms = ", ".join(f"{name}={value:.6g}"
-                                  for name, value in vars(breakdown).items())
+                terms = "" if breakdown is None else "; " + ", ".join(
+                    f"{name}={value:.6g}"
+                    for name, value in vars(breakdown).items())
                 raise DataError(
                     f"stage {stage.name} diverged at step {step} (epoch "
-                    f"{epoch}, lr {lr:.6g}; {terms}): {exc}") from exc
+                    f"{epoch}, lr {lr:.6g}{terms}): {exc}") from exc
             records.append(StepRecord(
                 step=step, epoch=epoch, lr=lr, l_sup=breakdown.l_sup,
                 l_dist=breakdown.l_dist, l_cls_audio=breakdown.l_cls_audio,

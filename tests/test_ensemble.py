@@ -7,8 +7,8 @@ import pytest
 
 from xmrt import (ConfigError, ContractError, DataError, EnsembleSpec,
                   GridSearchConfig, Member, RelevanceMap, WeightTable,
-                  apply_strategy, bundled_weight_table, evaluate, fuse,
-                  grid_search, hierarchical_grid_search, load_coefficients,
+                  bundled_weight_table, evaluate, fuse, grid_search,
+                  hierarchical_grid_search, load_coefficients,
                   read_weight_table, write_weight_table)
 from xmrt.ensemble import _compositions, _grid_size
 
@@ -35,10 +35,6 @@ class TestEnsembleSpec:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError, match="strategy"):
             _spec([1.0], strategy="middle-out")
-
-    def test_weights_property(self):
-        np.testing.assert_array_equal(_spec([0.25, 0.75]).weights,
-                                      [0.25, 0.75])
 
 
 class TestFuse:
@@ -224,14 +220,36 @@ class TestGridSearch:
         assert fine[1] == result.map_at_16
         assert abs(coarse_w0 - fine[0]) <= 0.01 + 1e-12
 
-    def test_objective_matches_independent_reevaluation(self):
-        rng = np.random.default_rng(4)
-        mats = [rng.standard_normal((12, 12)) for _ in range(3)]
-        rel = self._relevance(12)
-        cfg = GridSearchConfig(step=0.1)
-        result = grid_search(mats, rel, cfg)
-        refused = fuse(mats, result.spec)
-        assert evaluate(refused, rel).map_at_16 == result.map_at_16
+    @staticmethod
+    def _tie_heavy(seed):
+        # scores rounded to 0.1 tie often, so any fusion whose last bits
+        # differ from fuse's reorders items and shifts mAP@16
+        rng = np.random.default_rng(seed)
+        mats = [np.round(rng.standard_normal((60, 80)), 1) for _ in range(3)]
+        rel = RelevanceMap(tuple(
+            tuple(rng.choice(60, size=rng.integers(1, 4), replace=False))
+            for _ in range(80)))
+        mats.append(np.round(rng.standard_normal((60, 80)), 1))
+        return mats, rel
+
+    @pytest.mark.parametrize("seed", [1, 2, 6, 12, 27, 36])
+    @pytest.mark.parametrize(
+        "search", ["flat", "refine", "system-first", "model-first"])
+    def test_objective_matches_independent_reevaluation(self, search, seed):
+        mats, rel = self._tie_heavy(seed)
+        cfg = GridSearchConfig(step=0.05)
+        if search in ("flat", "refine"):
+            ordered = mats[:3]
+            result = grid_search(ordered, rel, cfg, refine=search == "refine")
+        else:
+            grid = dict(zip([(2, "passt"), (2, "eat"), (3, "passt"),
+                             (3, "eat")], mats))
+            result = hierarchical_grid_search(grid, rel, cfg,
+                                              strategy=search)
+            ordered = [grid[(m.system, m.model)]
+                       for m in result.spec.members]
+        replay = evaluate(fuse(ordered, result.spec), rel, "multiple")
+        assert replay.map_at_16 == result.map_at_16
 
     def test_points_evaluated_counts_the_whole_simplex(self):
         rng = np.random.default_rng(5)
@@ -271,72 +289,6 @@ class TestGridSearch:
     def test_step_must_divide_one(self):
         with pytest.raises(ConfigError, match="divide"):
             GridSearchConfig(step=0.03)
-
-
-class TestApplyStrategy:
-    def _grid(self, seed=0, n=6, systems=(2, 3), models=("passt", "eat")):
-        rng = np.random.default_rng(seed)
-        return {(s, m): rng.standard_normal((n, n))
-                for s in systems for m in models}
-
-    def test_single_group_both_stages_is_identity(self):
-        m = np.random.default_rng(1).standard_normal((4, 4))
-        out = apply_strategy({(2, "passt"): m}, "system-first",
-                             {"passt": {2: 1.0}}, {"passt": 1.0})
-        np.testing.assert_array_equal(out, m)
-
-    def test_product_weights(self):
-        # group weight 0.5 times within weights (0.4, 0.6) acts like
-        # flat weights (0.2, 0.3) on those two members
-        mats = self._grid(seed=2)
-        stage1 = {"passt": {2: 0.4, 3: 0.6}, "eat": {2: 0.5, 3: 0.5}}
-        stage2 = {"passt": 0.5, "eat": 0.5}
-        out = apply_strategy(mats, "system-first", stage1, stage2)
-        flat = (0.2 * mats[(2, "passt")] + 0.3 * mats[(3, "passt")]
-                + 0.25 * mats[(2, "eat")] + 0.25 * mats[(3, "eat")])
-        np.testing.assert_allclose(out, flat, atol=1e-12)
-
-    def test_system_first_equals_model_first_with_same_flat_weights(self):
-        mats = self._grid(seed=3)
-        # flat weights w[(s, m)] with independent structure so both
-        # orderings can express them exactly
-        sys_w = {2: 0.3, 3: 0.7}
-        mod_w = {"passt": 0.6, "eat": 0.4}
-        out_sys = apply_strategy(
-            mats, "system-first",
-            {m: dict(sys_w) for m in ("passt", "eat")}, mod_w)
-        out_mod = apply_strategy(
-            mats, "model-first",
-            {s: dict(mod_w) for s in (2, 3)}, sys_w)
-        np.testing.assert_allclose(out_sys, out_mod, atol=1e-12)
-
-    def test_missing_group_weights(self):
-        mats = self._grid(seed=4)
-        with pytest.raises(ContractError, match="missing group"):
-            apply_strategy(mats, "system-first",
-                           {"passt": {2: 0.5, 3: 0.5}},
-                           {"passt": 0.5, "eat": 0.5})
-
-    def test_stage_weights_must_sum_to_one(self):
-        mats = self._grid(seed=5)
-        stage1 = {"passt": {2: 0.5, 3: 0.5}, "eat": {2: 0.5, 3: 0.5}}
-        with pytest.raises(ContractError, match="sum"):
-            apply_strategy(mats, "system-first", stage1,
-                           {"passt": 0.9, "eat": 0.9})
-
-    def test_incomplete_matrix_grid(self):
-        mats = self._grid(seed=6)
-        del mats[(3, "eat")]
-        with pytest.raises(ContractError, match="grid"):
-            apply_strategy(mats, "system-first",
-                           {"passt": {2: 0.5, 3: 0.5},
-                            "eat": {2: 0.5, 3: 0.5}},
-                           {"passt": 0.5, "eat": 0.5})
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ConfigError, match="strategy"):
-            apply_strategy(self._grid(), "flat",
-                           {"passt": {2: 1.0}}, {"passt": 1.0})
 
 
 class TestHierarchicalGridSearch:
@@ -383,3 +335,15 @@ class TestHierarchicalGridSearch:
                    for m in result.spec.members}
         assert result.map_at_16 == 1.0
         assert weights[(2, "passt")] == 1.0
+
+    def test_incomplete_matrix_grid(self):
+        mats, rel = self._instance(seed=6)
+        del mats[(3, "eat")]
+        with pytest.raises(ContractError, match="grid"):
+            hierarchical_grid_search(mats, rel, GridSearchConfig(step=0.5))
+
+    def test_unknown_strategy(self):
+        mats, rel = self._instance()
+        with pytest.raises(ConfigError, match="strategy"):
+            hierarchical_grid_search(mats, rel, GridSearchConfig(step=0.5),
+                                     strategy="flat")

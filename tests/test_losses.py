@@ -293,6 +293,17 @@ class TestStudentSimilarity:
         with pytest.raises(ContractError, match="width"):
             student_similarity(params, random_batch(4, 7, 5, seed=0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_norm_embedding_rejected(self):
+        # biases start at zero, so a zero feature row embeds to zero
+        params = init_params(6, 5, 4, seed=0)
+        batch = random_batch(4, 6, 5, seed=3)
+        audio = batch.audio_features.copy()
+        audio[2] = 0.0
+        with pytest.raises(DataError, match="zero norm"):
+            student_similarity(params, PairBatch(
+                audio_features=audio, text_features=batch.text_features))
+
 
 def _fd_gradient(params, batch, cfg, targets, labels, name, h=1e-5):
     """Central finite differences of the total loss for one tensor."""

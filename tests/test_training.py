@@ -1,18 +1,16 @@
 """Tests for the optimizer, schedule, batching, pair mixing, and stages."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
-from xmrt import (AugmentationConfig, BatchLabels, ConfigError,
-                  ContractError, DataError, LossConfig, PairedDataset,
-                  ScheduleConfig, StageConfig, adamw_step, expand_with_mixes,
-                  init_heads, init_optimizer, init_params, lr_at_step,
-                  make_batches, run_stage, student_similarity,
+from xmrt import (AugmentationConfig, ConfigError, ContractError, DataError,
+                  LossConfig, PairedDataset, ScheduleConfig, StageConfig,
+                  adamw_step, expand_with_mixes, init_optimizer, init_params,
+                  lr_at_step, make_batches, run_stage, student_similarity,
                   targets_from_teacher_sims)
-from xmrt.losses import PairBatch, distillation_loss
+from xmrt.losses import PairBatch
 
 
 def _scalar_tensors(value):
@@ -391,6 +389,41 @@ class TestRunStage:
                      "non-finite parameters"):
             assert part in message
         assert isinstance(err.value.__cause__, DataError)
+
+    @staticmethod
+    def _scaled(params, factor):
+        return params.with_tensors(
+            {name: factor * t if name.endswith("weight") else t
+             for name, t in params.named_tensors().items()})
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_student_forward_names_the_step(self):
+        # Unit embeddings of an overflowed norm would all be 0 and train
+        # at a constant loss instead of failing.
+        params = self._scaled(init_params(8, 6, 4, seed=0), 1e160)
+        stage = StageConfig("pretrain", epochs=1, batch_size=8)
+        with pytest.raises(DataError,
+                           match="stage pretrain diverged at step 0 ") as err:
+            run_stage(stage, params, _toy_dataset())
+        assert "norm overflowed" in str(err.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_teacher_forward_names_the_step(self):
+        params = init_params(8, 6, 4, seed=0)
+        teacher = self._scaled(init_params(8, 6, 4, seed=9), 1e160)
+        stage = StageConfig("finetune", epochs=1, batch_size=8)
+        with pytest.raises(DataError,
+                           match=r"stage finetune diverged at step 0 "
+                                 r"\(epoch 0, lr 2e-05\): an embedding norm"):
+            run_stage(stage, params, _toy_dataset(), teachers=[teacher])
+
+    def test_out_of_range_label_rejected_before_training(self):
+        params = init_params(8, 6, 4, seed=0, n_clusters=3)
+        labels = np.zeros(32, dtype=int)
+        labels[5] = 3
+        with pytest.raises(DataError, match=r"^cluster label outside"):
+            run_stage(StageConfig("refinetune", epochs=1, batch_size=8),
+                      params, _toy_dataset(), pseudo_labels=labels)
 
     def test_augmentation_config_rejected_when_flag_off(self):
         params = init_params(8, 6, 4, seed=0)
