@@ -40,7 +40,7 @@ params, _ = run_stage(StageConfig("pretrain", epochs=5, batch_size=12),
 
 # 3. cluster the caption embeddings; the neighborhood radius comes from
 #    the observed distance scale, not from tuning against the truth
-emb = encode(params.text_encoder, dataset.text_features).values
+emb = encode(params.text_encoder, dataset.text_features)
 gaps = np.linalg.norm(emb[:, None, :] - emb[None, :, :], axis=-1)
 radius = float(np.percentile(gaps[gaps > 0], 10))
 cfg = ClusterConfig(neighborhood_radius=radius, reduced_dim=3,

@@ -13,8 +13,7 @@ from .clustering import (OUTLIER, ClusterAssignment, ClusterConfig,
                          PseudoLabels, build_pseudo_labels,
                          cluster_pipeline, density_cluster,
                          reassign_outliers, reduce_dimensionality)
-from .core import (Axis, VectorBatch, cosine_similarity_matrix,
-                   softmax_with_temperature)
+from .core import Axis, cosine_similarity_matrix, softmax_with_temperature
 from .encoders import (ClassificationHead, LinearEncoder, ModelParams,
                        classify, encode, init_heads, init_params)
 from .ensemble import (EnsembleSpec, GridSearchConfig, Member, SearchResult,
@@ -42,8 +41,7 @@ from .training import (AugmentationConfig, OptimizerState, PairedDataset,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis", "VectorBatch", "cosine_similarity_matrix",
-    "softmax_with_temperature",
+    "Axis", "cosine_similarity_matrix", "softmax_with_temperature",
     "LinearEncoder", "ClassificationHead", "ModelParams",
     "init_params", "init_heads", "encode", "classify",
     "LossConfig", "LossBreakdown", "TeacherTargets", "PairBatch",

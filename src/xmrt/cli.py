@@ -229,7 +229,7 @@ def cmd_cluster(args):
     split = load_paired_dataset(manifest_path, split_name)
     emb = encode(params.text_encoder, split.dataset.text_features)
     cluster_cfg = cfg.cluster_config()
-    assignment = cluster_pipeline(emb.values, cluster_cfg)
+    assignment = cluster_pipeline(emb, cluster_cfg)
 
     labels_path = os.path.join(out_dir, "labels.tsv")
     os.makedirs(out_dir, exist_ok=True)

@@ -1,15 +1,15 @@
 """Dense-matrix primitives the rest of the engine builds on.
 
 Cosine similarity between embedding batches and the temperature softmax
-forward that every loss shares.  Everything is float64 and pure: no
-function here mutates its inputs.
+forward that every loss shares.  `_unit_rows` is the one embedding
+normalizer, with the overflow and zero-norm checks: evaluation, teacher
+targets and the training forward all normalize through it.  Everything
+is float64 and pure: no function here mutates its inputs.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -37,40 +37,27 @@ def as_matrix(values, name="matrix"):
     return arr
 
 
-@dataclass(frozen=True)
-class VectorBatch:
-    """A batch of feature or embedding vectors with optional item ids."""
+def _unit_rows(raw, modality):
+    """(raw / norm, norm) with norm the (n, 1) column of row norms.
 
-    values: np.ndarray                       # (n, width) float64
-    ids: Optional[tuple] = None              # per-row item ids
-
-    def __post_init__(self):
-        arr = as_matrix(self.values, "batch values")
-        object.__setattr__(self, "values", arr)
-        if self.ids is not None:
-            ids = tuple(str(i) for i in self.ids)
-            if len(ids) != arr.shape[0]:
-                raise ContractError(
-                    f"got {len(ids)} ids for {arr.shape[0]} rows")
-            object.__setattr__(self, "ids", ids)
-
-    def __len__(self):
-        return self.values.shape[0]
-
-    @property
-    def width(self):
-        return self.values.shape[1]
-
-    def id_of(self, row):
-        if self.ids is not None:
-            return self.ids[row]
-        return f"row {row}"
-
-
-def _coerce_batch(batch, name):
-    if isinstance(batch, VectorBatch):
-        return batch
-    return VectorBatch(as_matrix(batch, name))
+    The one embedding normalizer: cosine similarity and the training
+    forward both divide by it.  A norm that overflows to inf or nan, or
+    that is zero, raises DataError naming the modality and the first bad
+    row; numpy's overflow warnings are silenced because that error
+    reports them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(raw, axis=1, keepdims=True)
+    # Norms are >= 0 or nan, and nan fails `< inf` too.
+    if not norm.max(initial=0.0) < np.inf:
+        row = np.flatnonzero(~(norm[:, 0] < np.inf))[0]
+        raise DataError("an embedding norm overflowed to a non-finite "
+                        f"value at {modality} row {row}")
+    if norm.min(initial=np.inf) == 0.0:
+        row = np.flatnonzero(norm[:, 0] == 0.0)[0]
+        raise DataError(f"an embedding collapsed to zero norm at {modality} "
+                        f"row {row}; cosine similarity is undefined")
+    return raw / norm, norm
 
 
 def cosine_similarity_matrix(audio_emb, text_emb):
@@ -78,23 +65,15 @@ def cosine_similarity_matrix(audio_emb, text_emb):
 
     Entry (i, j) is the dot product of the i-th audio embedding and the
     j-th text embedding after unit-normalizing both.  Raises DataError
-    naming the offending item if any row has zero norm.
+    naming the modality and row if any row's norm is zero or overflows.
     """
-    a = _coerce_batch(audio_emb, "audio embeddings")
-    c = _coerce_batch(text_emb, "text embeddings")
-    if a.width != c.width:
-        raise ContractError(
-            f"embedding widths differ: audio {a.width} vs text {c.width}")
-    for batch, label in ((a, "audio"), (c, "text")):
-        norms = np.linalg.norm(batch.values, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DataError(
-                f"{label} item {batch.id_of(zero[0])!r} has a zero-norm "
-                "embedding; cosine similarity is undefined")
-    a_hat = a.values / np.linalg.norm(a.values, axis=1, keepdims=True)
-    c_hat = c.values / np.linalg.norm(c.values, axis=1, keepdims=True)
-    return np.clip(a_hat @ c_hat.T, -1.0, 1.0)
+    a = as_matrix(audio_emb, "audio embeddings")
+    c = as_matrix(text_emb, "text embeddings")
+    if a.shape[1] != c.shape[1]:
+        raise ContractError(f"embedding widths differ: audio {a.shape[1]} "
+                            f"vs text {c.shape[1]}")
+    return np.clip(_unit_rows(a, "audio")[0] @ _unit_rows(c, "text")[0].T,
+                   -1.0, 1.0)
 
 
 def _softmax_forward(z, axis):

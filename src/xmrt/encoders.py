@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import VectorBatch, _coerce_batch
+from .core import as_matrix
 from .errors import ConfigError, ContractError, DataError
 
 MODALITIES = ("audio", "text")
@@ -234,23 +234,37 @@ def init_params(d_in_audio, d_in_text, d_emb, n_clusters=None, seed=0):
                        rng_seed=seed)
 
 
-def encode(encoder, feats):
-    """Row-wise affine map of a feature batch into the embedding space."""
-    batch = _coerce_batch(feats, "features")
-    if batch.width != encoder.d_in:
+def _embed(encoder, x):
+    """x @ W.T + b for a float64 feature matrix x of the encoder's width.
+
+    The one affine map: `encode` and the training forward both call it.
+    """
+    if x.shape[1] != encoder.d_in:
         raise ContractError(
             f"{encoder.modality} encoder expects width {encoder.d_in}, "
-            f"got {batch.width}")
-    return VectorBatch(batch.values @ encoder.weight.T + encoder.bias,
-                       ids=batch.ids)
+            f"got {x.shape[1]}")
+    return x @ encoder.weight.T + encoder.bias
+
+
+def encode(encoder, feats):
+    """Row-wise affine map of a feature batch into the embedding space."""
+    return _embed(encoder, as_matrix(feats, "features"))
+
+
+def _head_forward(head, emb):
+    """(pre, hidden, logits) of W2 relu(W1 e + b1) + b2 for embeddings emb.
+
+    The one head forward: `classify` and the training loss both call it.
+    """
+    if emb.shape[1] != head.d_emb:
+        raise ContractError(
+            f"classification head expects width {head.d_emb}, "
+            f"got {emb.shape[1]}")
+    pre = emb @ head.w1.T + head.b1
+    hidden = np.maximum(pre, 0.0)
+    return pre, hidden, hidden @ head.w2.T + head.b2
 
 
 def classify(head, emb):
     """Cluster logits for a batch of embeddings: W2 relu(W1 e + b1) + b2."""
-    batch = _coerce_batch(emb, "embeddings")
-    if batch.width != head.d_emb:
-        raise ContractError(
-            f"classification head expects width {head.d_emb}, "
-            f"got {batch.width}")
-    hidden = np.maximum(batch.values @ head.w1.T + head.b1, 0.0)
-    return hidden @ head.w2.T + head.b2
+    return _head_forward(head, as_matrix(emb, "embeddings"))[2]

@@ -284,7 +284,9 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
     lexicographic order and only strict improvements are kept, so ties
     resolve to the lexicographically smallest vector.  With refine=True
     a greedy pairwise mass-transfer pass at resolution 0.0025 runs from
-    the coarse optimum (first-improvement sweeps until none helps).
+    the coarse optimum (first-improvement sweeps until none helps); step
+    must then be a whole multiple of 0.0025, or ConfigError is raised
+    before any point is scored.
     """
     cfg = cfg if cfg is not None else GridSearchConfig()
     n = len(matrices)
@@ -300,6 +302,12 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
     tags = _default_tags(n) if tags is None else tuple(tags)
     if len(tags) != n:
         raise ContractError(f"{len(tags)} tags for {n} matrices")
+    refine_units = round(cfg.step / REFINE_STEP)
+    if refine and (refine_units < 1
+                   or abs(refine_units * REFINE_STEP - cfg.step) > 1e-9):
+        raise ConfigError(
+            f"refine needs a step that is a whole multiple of {REFINE_STEP}, "
+            f"got {cfg.step}")
     mats = _check_matrices(matrices)
     divisions = cfg.divisions
 
@@ -315,7 +323,6 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
             best_value = value
             best_counts = counts
 
-    refine_units = round(cfg.step / REFINE_STEP)
     if refine and refine_units > 1:
         units_total = divisions * refine_units
         units = [c * refine_units for c in best_counts]

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Axis, _softmax_forward, as_matrix, softmax_with_temperature
+from .core import (Axis, _softmax_forward, _unit_rows, as_matrix,
+                   softmax_with_temperature)
+from .encoders import _embed, _head_forward
 from .errors import ConfigError, ContractError, DataError
 
 
@@ -267,29 +269,13 @@ def combined_loss(l_sup, l_dist, l_cls_audio, l_cls_text, cfg):
 
 def _forward_embeddings(params, batch):
     """Raw and unit-normalized embeddings plus the cosine similarity."""
-    enc_a, enc_c = params.audio_encoder, params.text_encoder
-    if batch.audio_features.shape[1] != enc_a.d_in:
-        raise ContractError(
-            f"audio feature width {batch.audio_features.shape[1]} does not "
-            f"match encoder input {enc_a.d_in}")
-    if batch.text_features.shape[1] != enc_c.d_in:
-        raise ContractError(
-            f"text feature width {batch.text_features.shape[1]} does not "
-            f"match encoder input {enc_c.d_in}")
-    # Huge weights overflow here; the norm check below reports it, so
-    # numpy's warnings would only be noise.
+    # Huge weights overflow here; _unit_rows reports it, so numpy's
+    # warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        raw_a = batch.audio_features @ enc_a.weight.T + enc_a.bias
-        raw_c = batch.text_features @ enc_c.weight.T + enc_c.bias
-        norm_a = np.linalg.norm(raw_a, axis=1, keepdims=True)
-        norm_c = np.linalg.norm(raw_c, axis=1, keepdims=True)
-    # Norms are >= 0 or nan, and nan fails `< inf` too.
-    if not (norm_a.max() < np.inf and norm_c.max() < np.inf):
-        raise DataError("an embedding norm overflowed to a non-finite value")
-    if norm_a.min() == 0.0 or norm_c.min() == 0.0:
-        raise DataError("an embedding collapsed to zero norm")
-    unit_a = raw_a / norm_a
-    unit_c = raw_c / norm_c
+        raw_a = _embed(params.audio_encoder, batch.audio_features)
+        raw_c = _embed(params.text_encoder, batch.text_features)
+    unit_a, norm_a = _unit_rows(raw_a, "audio")
+    unit_c, norm_c = _unit_rows(raw_c, "text")
     return raw_a, raw_c, norm_a, norm_c, unit_a, unit_c, unit_a @ unit_c.T
 
 
@@ -306,9 +292,7 @@ def _unit_norm_backward(grad_unit, unit, norm):
 
 def _head_forward_backward(head, raw_emb, labels, n):
     """Loss, parameter grads, and embedding grad for one head (unweighted)."""
-    pre = raw_emb @ head.w1.T + head.b1
-    hidden = np.maximum(pre, 0.0)
-    logits = hidden @ head.w2.T + head.b2
+    pre, hidden, logits = _head_forward(head, raw_emb)
     logq, probs = _softmax_forward(logits, Axis.ROWS)
     loss = _label_ce(logq, labels)
     probs[np.arange(n), labels] -= 1.0

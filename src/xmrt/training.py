@@ -26,25 +26,21 @@ from .losses import (BatchLabels, LossConfig, PairBatch, loss_and_gradients,
 
 STAGES = ("pretrain", "finetune", "refinetune")
 _MIX_STREAM = 104729      # distinguishes the mixing rng from batch shuffles
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class OptimizerState:
-    """AdamW moment estimates, step counter, and update hyperparameters."""
+    """AdamW moment estimates, step counter, and weight decay."""
 
     m: dict
     v: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be nonnegative")
         if self.step < 0:
@@ -72,8 +68,8 @@ def adamw_step(state, tensors, grads, lr):
         raise ConfigError(f"learning rate must be nonnegative, got {lr}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     out = {}
     # A divergent step overflows here; run_stage reports the non-finite
     # parameters it leaves, so numpy's warnings would only be noise.
@@ -84,13 +80,13 @@ def adamw_step(state, tensors, grads, lr):
                 raise ContractError(
                     f"gradient for {name} has shape {g.shape}, "
                     f"parameter has {theta.shape}")
-            state.m[name] = (state.beta1 * state.m[name]
-                             + (1.0 - state.beta1) * g)
-            state.v[name] = (state.beta2 * state.v[name]
-                             + (1.0 - state.beta2) * g * g)
+            state.m[name] = (ADAM_BETA1 * state.m[name]
+                             + (1.0 - ADAM_BETA1) * g)
+            state.v[name] = (ADAM_BETA2 * state.v[name]
+                             + (1.0 - ADAM_BETA2) * g * g)
             m_hat = state.m[name] / bc1
             v_hat = state.v[name] / bc2
-            out[name] = (theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            out[name] = (theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                          - lr * state.weight_decay * theta)
     return out
 

@@ -249,6 +249,21 @@ def test_evaluate_without_checkpoint_returns_1(tmp_path, capsys):
     assert "no checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_evaluate_rejects_an_overflowing_embedding(tmp_path, capsys):
+    # Unit rows of an overflowed norm would all be 0, and the report would
+    # score tie order alone.
+    cfg = _identity_workspace(tmp_path)
+    ckpt = os.path.join(str(tmp_path), "ckpt")
+    params = load_checkpoint(ckpt)
+    tensors = params.named_tensors()
+    tensors["audio_encoder.weight"] = tensors["audio_encoder.weight"] * 1e160
+    save_checkpoint(ckpt, params.with_tensors(tensors))
+    assert main(["evaluate", "--config", cfg]) == 1
+    assert "norm overflowed" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(str(tmp_path), "run"))
+
+
 # ----------------------------------------------------------- full pipeline
 
 

@@ -9,7 +9,7 @@ from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
                   TeacherTargets, classification_loss,
                   cosine_similarity_matrix, distillation_loss,
                   softmax_with_temperature)
-from xmrt.core import VectorBatch, _softmax_forward, as_matrix
+from xmrt.core import _softmax_forward, as_matrix
 
 
 class TestAsMatrix:
@@ -25,16 +25,6 @@ class TestAsMatrix:
     def test_rejects_nan(self):
         with pytest.raises(DataError, match="non-finite"):
             as_matrix([[1.0, np.nan]])
-
-
-class TestVectorBatch:
-    def test_id_count_must_match_rows(self):
-        with pytest.raises(ContractError):
-            VectorBatch(np.ones((3, 2)), ids=("a", "b"))
-
-    def test_id_of_falls_back_to_row_number(self):
-        batch = VectorBatch(np.ones((2, 2)))
-        assert batch.id_of(1) == "row 1"
 
 
 class TestCosineSimilarity:
@@ -63,14 +53,24 @@ class TestCosineSimilarity:
             cosine_similarity_matrix(np.ones((2, 3)), np.ones((2, 4)))
 
     def test_zero_norm_names_the_item(self):
-        batch = VectorBatch(np.array([[1.0, 0.0], [0.0, 0.0]]),
-                            ids=("clip_a", "clip_b"))
-        with pytest.raises(DataError, match="clip_b"):
-            cosine_similarity_matrix(batch, np.ones((2, 2)))
+        with pytest.raises(DataError, match="zero norm at text row 1"):
+            cosine_similarity_matrix(np.ones((2, 2)),
+                                     np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_zero_norm_plain_array_names_the_row(self):
         with pytest.raises(DataError, match="row 0"):
             cosine_similarity_matrix(np.zeros((1, 2)), np.ones((1, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_names_the_row(self):
+        # Unit rows of an overflowed norm would all be 0, and the all-zero
+        # matrix would rank by tie order alone.
+        rng = np.random.default_rng(0)
+        audio = rng.standard_normal((4, 3))
+        audio[2:] *= 1e160
+        with pytest.raises(DataError, match="norm overflowed to a non-finite "
+                                            "value at audio row 2"):
+            cosine_similarity_matrix(audio, rng.standard_normal((5, 3)))
 
 
 class TestSoftmax:

@@ -36,14 +36,13 @@ class TestEncode:
                             rng.standard_normal(3), "audio")
         x = rng.standard_normal((4, 5))
         out = encode(enc, x)
-        np.testing.assert_allclose(out.values, x @ enc.weight.T + enc.bias,
+        np.testing.assert_allclose(out, x @ enc.weight.T + enc.bias,
                                    atol=1e-14)
 
     def test_zero_weight_gives_bias_rows(self):
         enc = LinearEncoder(np.zeros((2, 3)), np.array([1.5, -2.0]), "text")
         out = encode(enc, np.random.default_rng(1).standard_normal((5, 3)))
-        np.testing.assert_array_equal(out.values,
-                                      np.tile([1.5, -2.0], (5, 1)))
+        np.testing.assert_array_equal(out, np.tile([1.5, -2.0], (5, 1)))
 
     def test_width_mismatch(self):
         enc = LinearEncoder(np.ones((2, 3)), np.zeros(2), "audio")

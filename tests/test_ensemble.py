@@ -290,6 +290,25 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match="divide"):
             GridSearchConfig(step=0.03)
 
+    def test_refine_rejects_a_step_off_the_refine_lattice(self):
+        # 0.004 / 0.0025 = 1.6 would round to a 0.002 lattice
+        mats = [np.eye(4), np.eye(4)[::-1]]
+        cfg = GridSearchConfig(step=0.004)
+        with pytest.raises(ConfigError, match="whole multiple of 0.0025"):
+            grid_search(mats, self._relevance(4), cfg, refine=True)
+        assert grid_search(mats, self._relevance(4), cfg).points_evaluated \
+            == 251
+
+    @pytest.mark.parametrize("step", [0.01, 0.005])
+    def test_refined_weights_lie_on_the_refine_lattice(self, step):
+        rng = np.random.default_rng(6)
+        mats = [rng.standard_normal((10, 10)) for _ in range(2)]
+        result = grid_search(mats, self._relevance(10),
+                             GridSearchConfig(step=step), refine=True)
+        for member in result.spec.members:
+            units = member.weight / 0.0025
+            assert abs(units - round(units)) < 1e-9
+
 
 class TestHierarchicalGridSearch:
     def _instance(self, seed=0):
