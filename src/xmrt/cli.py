@@ -4,7 +4,10 @@ evaluation, ensembling, and reporting.
 Every subcommand reads a JSON run config (see config.py), writes its
 artifacts under the output directory, and is idempotent for a fixed
 config and seed.  Seed precedence: --seed flag, then the XMRT_SEED
-environment variable, then the config's seed entry.
+environment variable, then the config's seed entry; the resolved seed
+also seeds pair mixing unless augmentation.rng_seed is set.  Each
+config section goes straight into the engine object it configures, so
+an absent key keeps the engine's own default.
 
 Exit codes: 0 success, 1 module error (bad data, bad config values,
 failed contracts), 2 usage error (unknown flags, missing required
@@ -14,6 +17,8 @@ arguments).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -23,19 +28,20 @@ import numpy as np
 from . import fixtures
 from .checkpoints import load_checkpoint, read_checkpoint_extra, \
     save_checkpoint
-from .clustering import build_pseudo_labels, cluster_pipeline
+from .clustering import ClusterConfig, build_pseudo_labels, cluster_pipeline
 from .config import load_config
 from .core import cosine_similarity_matrix
 from .datasets import (align_relevance, load_paired_dataset, read_labels,
                        read_relevance, relevance_as_indices, write_labels)
 from .encoders import encode, init_heads, init_params
-from .ensemble import (bundled_weight_table, fuse, grid_search,
-                       hierarchical_grid_search, load_coefficients,
-                       read_weight_table)
+from .ensemble import (GridSearchConfig, bundled_weight_table, fuse,
+                       grid_search, hierarchical_grid_search,
+                       load_coefficients, read_weight_table)
 from .errors import ConfigError, DataError, XmrtError
 from .evaluation import METRIC_KEYS, evaluate
+from .losses import LossConfig
 from .tensorfile import load_tensor, save_tensor
-from .training import run_stage
+from .training import AugmentationConfig, StageConfig, run_stage
 
 CHECKPOINT_ROOT = "checkpoints"
 STAGE_ORDER = ("refinetune", "finetune", "pretrain")
@@ -58,8 +64,18 @@ def _resolve_out(args, cfg):
     if getattr(args, "out", None):
         return os.path.abspath(args.out)
     if cfg is not None and cfg.get("out_dir") is not None:
-        return cfg.resolve(str(cfg.get("out_dir")))
+        return cfg.resolve(cfg.get("out_dir"))
     raise ConfigError("no output directory: pass --out or set out_dir")
+
+
+def _from_section(cls, cfg, *keys, **given):
+    """A cls dataclass from the config section at keys.  A section key
+    naming a field overrides the value given here; a field set by
+    neither keeps cls's own default."""
+    section = cfg.get(*keys, default={})
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{**given, **{k: v for k, v in section.items()
+                               if k in names}})
 
 
 def _checkpoint_dir(out_dir, stage):
@@ -100,15 +116,8 @@ def cmd_gen_fixtures(args):
     cfg = load_config(args.config) if args.config else None
     seed = _resolve_seed(args, cfg)
     out_dir = os.path.abspath(args.out)
-    sec = cfg.section("fixtures") if cfg is not None else {}
-    manifest = fixtures.generate_fixtures(
-        out_dir,
-        n_items=int(sec.get("n_items", 256)),
-        d_latent=int(sec.get("d_latent", 8)),
-        d_audio=int(sec.get("d_audio", 32)),
-        d_text=int(sec.get("d_text", 24)),
-        noise_sigma=float(sec.get("noise_sigma", 0.05)),
-        seed=seed)
+    sec = cfg.get("fixtures", default={}) if cfg is not None else {}
+    manifest = fixtures.generate_fixtures(out_dir, seed=seed, **sec)
     print(f"wrote {len(manifest.items)} items to {out_dir} (seed {seed})")
     return 0
 
@@ -119,22 +128,19 @@ def _run_training_stage(args, stage_name):
     out_dir = _resolve_out(args, cfg)
     _, split = _load_train_split(cfg)
     dataset = split.dataset
-    stage = cfg.stage_config(stage_name)
-    sched = cfg.schedule_args()
-    loss_cfg = cfg.loss_config()
 
     teachers = None
     pseudo = None
     augmentation = None
     if stage_name == "pretrain":
-        d_emb = int(cfg.get("model", "d_emb", default=16))
+        d_emb = cfg.get("model", "d_emb", default=16)
         params = init_params(dataset.audio_features.shape[1],
                              dataset.text_features.shape[1],
                              d_emb, seed=seed)
     else:
         prev = {"finetune": "pretrain", "refinetune": "finetune"}[stage_name]
         init_from = cfg.get("stages", stage_name, "init_from")
-        init_dir = (cfg.resolve(str(init_from)) if init_from
+        init_dir = (cfg.resolve(init_from) if init_from
                     else _checkpoint_dir(out_dir, prev))
         if not os.path.exists(init_dir):
             raise ConfigError(
@@ -144,17 +150,18 @@ def _run_training_stage(args, stage_name):
 
     if stage_name == "finetune":
         teacher_dirs = cfg.get("stages", "finetune", "teachers")
-        if not teacher_dirs:
+        if not teacher_dirs or not all(isinstance(p, str)
+                                       for p in teacher_dirs):
             raise ConfigError(
                 "finetune requires stages.finetune.teachers, a list of "
                 "checkpoint directories")
-        teachers = [load_checkpoint(cfg.resolve(str(p)))
-                    for p in teacher_dirs]
-        augmentation = cfg.augmentation_config()
+        teachers = [load_checkpoint(cfg.resolve(p)) for p in teacher_dirs]
+        augmentation = _from_section(AugmentationConfig, cfg, "augmentation",
+                                     rng_seed=seed)
 
     if stage_name == "refinetune":
         labels_key = cfg.get("stages", "refinetune", "labels")
-        labels_path = (cfg.resolve(str(labels_key)) if labels_key
+        labels_path = (cfg.resolve(labels_key) if labels_key
                        else os.path.join(out_dir, "labels.tsv"))
         if not os.path.exists(labels_path):
             raise ConfigError(
@@ -169,9 +176,6 @@ def _run_training_stage(args, stage_name):
             raise DataError(
                 f"label file lacks caption {exc.args[0]!r}") from None
         k = probs.shape[1] if probs.size else int(labels.max()) + 1
-        if pseudo.max() >= k:
-            raise DataError(
-                f"label {int(pseudo.max())} exceeds cluster count {k}")
         if not params.has_heads:
             params = params.with_heads(*init_heads(params.d_emb, k,
                                                    seed=seed))
@@ -181,12 +185,12 @@ def _run_training_stage(args, stage_name):
                 f"label file has {k}")
 
     params, records = run_stage(
-        stage, params, dataset, teachers=teachers, pseudo_labels=pseudo,
-        loss_cfg=loss_cfg, peak_lr=sched["peak_lr"],
-        floor_lr=sched["floor_lr"],
-        warmup_fraction=sched["warmup_fraction"],
-        weight_decay=sched["weight_decay"], augmentation=augmentation,
-        seed=seed)
+        _from_section(StageConfig, cfg, "stages", stage_name,
+                      name=stage_name),
+        params, dataset, teachers=teachers, pseudo_labels=pseudo,
+        loss_cfg=_from_section(LossConfig, cfg, "loss"),
+        augmentation=augmentation, seed=seed,
+        **cfg.get("schedule", default={}))
 
     ckpt_dir = _checkpoint_dir(out_dir, stage_name)
     summary = _stage_summary(records)
@@ -216,19 +220,20 @@ def cmd_cluster(args):
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
     out_dir = _resolve_out(args, cfg)
+    cfg.require("clustering", "neighborhood_radius")
+    cluster_cfg = _from_section(ClusterConfig, cfg, "clustering")
     ckpt_key = cfg.get("clustering", "checkpoint")
-    ckpt_dir = (cfg.resolve(str(ckpt_key)) if ckpt_key
+    ckpt_dir = (cfg.resolve(ckpt_key) if ckpt_key
                 else _checkpoint_dir(out_dir, "finetune"))
     if not os.path.exists(ckpt_dir):
         raise ConfigError(
             f"no checkpoint at {ckpt_dir}; run finetune first or set "
             f"clustering.checkpoint")
     params = load_checkpoint(ckpt_dir)
-    split_name = str(cfg.get("clustering", "split", default="train"))
+    split_name = cfg.get("clustering", "split", default="train")
     manifest_path = cfg.resolve_input("data", "manifest")
     split = load_paired_dataset(manifest_path, split_name)
     emb = encode(params.text_encoder, split.dataset.text_features)
-    cluster_cfg = cfg.cluster_config()
     assignment = cluster_pipeline(emb, cluster_cfg)
 
     labels_path = os.path.join(out_dir, "labels.tsv")
@@ -268,7 +273,7 @@ def cmd_evaluate(args):
     out_dir = _resolve_out(args, cfg)
     ckpt_key = cfg.get("evaluate", "checkpoint")
     if ckpt_key:
-        ckpt_dir = cfg.resolve(str(ckpt_key))
+        ckpt_dir = cfg.resolve(ckpt_key)
         if not os.path.exists(ckpt_dir):
             raise ConfigError(f"no checkpoint at {ckpt_dir}")
     else:
@@ -281,8 +286,9 @@ def cmd_evaluate(args):
                 "no checkpoint found under the output directory; train "
                 "first or set evaluate.checkpoint")
     params = load_checkpoint(ckpt_dir)
-    split_name = str(cfg.get("evaluate", "split", default="test"))
-    mode = str(cfg.get("evaluate", "mode", default="multiple"))
+    split_name = cfg.get("evaluate", "split", default="test")
+    mode = cfg.get("evaluate", "mode", default=inspect.signature(
+        evaluate).parameters["mode"].default)
     manifest_path = cfg.resolve_input("data", "manifest")
     split = load_paired_dataset(manifest_path, split_name)
     sim = _similarity(params, split.gallery_features,
@@ -310,15 +316,17 @@ def _ensemble_members(cfg):
             "ensemble.matrices must list {system, model, path} entries")
     members = []
     for i, entry in enumerate(listed):
-        if not isinstance(entry, dict) or not {
-                "system", "model", "path"} <= set(entry):
+        if not (isinstance(entry, dict)
+                and {"system", "model", "path"} <= set(entry)
+                and isinstance(entry["model"], str)
+                and isinstance(entry["path"], str)):
             raise ConfigError(
-                f"ensemble.matrices[{i}] needs system, model, and path")
-        path = cfg.resolve(str(entry["path"]))
+                f"ensemble.matrices[{i}] needs system, model, and path, "
+                f"the last two strings")
+        path = cfg.resolve(entry["path"])
         if not os.path.exists(path):
             raise ConfigError(f"ensemble matrix {path} does not exist")
-        members.append((entry["system"], str(entry["model"]),
-                        load_tensor(path)))
+        members.append((entry["system"], entry["model"], load_tensor(path)))
     return members
 
 
@@ -332,24 +340,19 @@ def cmd_ensemble_search(args):
     out_dir = _resolve_out(args, cfg)
     members = _ensemble_members(cfg)
     relevance = _ensemble_relevance(cfg)
-    grid_cfg = cfg.grid_config()
-    strategy = str(cfg.get("ensemble", "strategy",
-                           default="system-first"))
-    mode = str(cfg.get("ensemble", "mode", default="multiple"))
-    refine = bool(cfg.get("ensemble", "refine", default=False))
-    hierarchical = bool(cfg.get("ensemble", "hierarchical", default=False))
-    if hierarchical:
+    grid_cfg = _from_section(GridSearchConfig, cfg, "ensemble")
+    options = {k: v for k, v in cfg.get("ensemble").items()
+               if k in ("strategy", "mode", "refine")}
+    if cfg.get("ensemble", "hierarchical"):
         matrices = {(s, m): mat for s, m, mat in members}
         if len(matrices) != len(members):
             raise ConfigError("ensemble.matrices repeats a (system, model)")
-        result = hierarchical_grid_search(
-            matrices, relevance, grid_cfg, strategy=strategy, mode=mode,
-            refine=refine)
+        result = hierarchical_grid_search(matrices, relevance, grid_cfg,
+                                          **options)
     else:
         result = grid_search(
             [mat for _, _, mat in members], relevance, grid_cfg,
-            tags=[(s, m) for s, m, _ in members], strategy=strategy,
-            mode=mode, refine=refine)
+            tags=[(s, m) for s, m, _ in members], **options)
     payload = {
         "strategy": result.spec.strategy,
         "map_at_16": result.map_at_16,
@@ -375,7 +378,7 @@ def cmd_ensemble_apply(args):
         table = read_weight_table(cfg.resolve_input("ensemble",
                                                     "weight_table"))
     specs = load_coefficients(table)
-    row = str(cfg.get("ensemble", "row", default=table.row_names[0]))
+    row = cfg.get("ensemble", "row", default=table.row_names[0])
     if row not in specs:
         raise ConfigError(
             f"row {row!r} not in weight table rows {table.row_names}")

@@ -13,6 +13,7 @@ reproducible without any stored state.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -42,6 +43,11 @@ class ClusterConfig:
             raise ConfigError(
                 f"neighborhood_radius must be positive, "
                 f"got {self.neighborhood_radius}")
+        if not math.isfinite(self.neighborhood_radius
+                             * self.neighborhood_radius):
+            raise ConfigError(
+                f"neighborhood_radius {self.neighborhood_radius} has no "
+                f"finite square")
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,11 @@ def density_cluster(points, cfg):
     within = np.empty((n, n), dtype=bool)
     rows = max(1, _NEIGHBORHOOD_BLOCK_BYTES // max(1, x.nbytes))
     for i in range(0, n, rows):
-        d2 = ((x[i:i + rows, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        with np.errstate(over="ignore"):
+            d2 = ((x[i:i + rows, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        if not np.isfinite(d2.max()):
+            raise DataError("squared distances between points overflowed; "
+                            "the points are too large to cluster")
         within[i:i + rows] = d2 <= cfg.neighborhood_radius ** 2
     is_core = within.sum(axis=1) >= cfg.min_cluster_size
     labels = np.full(n, OUTLIER, dtype=np.int64)

@@ -1,9 +1,12 @@
-"""Run configuration: a strict JSON schema resolved against the file's dir.
+"""Run configuration: a strict, typed JSON schema.
 
-Unknown keys are rejected at every level so typos fail loudly instead of
-silently falling back to defaults.  Relative paths in the config resolve
-against the config file's own directory, which keeps run directories
-relocatable.
+`load_config` checks every value once against its leaf's JSON type and
+rejects unknown keys, so typos and mistyped values (null included) fail
+with a ConfigError naming the dotted key.  A bool is never an int or a
+float; an int given for a float key loads as a float.  Absent keys keep
+the defaults of the engine object they feed; the run seed's 0 is the
+only default here.  Relative paths resolve against the config file's
+own directory, which keeps run directories relocatable.
 """
 
 from __future__ import annotations
@@ -12,45 +15,41 @@ import json
 import os
 from dataclasses import dataclass
 
-from .clustering import ClusterConfig
-from .ensemble import GridSearchConfig
 from .errors import ConfigError
-from .losses import LossConfig
-from .training import AugmentationConfig, StageConfig
 
-DEFAULT_BATCH_SIZE = 16
+_STAGE = {"epochs": int, "batch_size": int}
 
 _SCHEMA = {
-    "seed": None,
-    "out_dir": None,
-    "data": {"manifest": None, "relevance": {"train": None, "val": None,
-                                             "test": None}},
-    "model": {"d_emb": None},
-    "loss": {"tau": None, "lambda1": None, "lambda2": None},
-    "schedule": {"peak_lr": None, "floor_lr": None, "warmup_fraction": None,
-                 "weight_decay": None},
+    "seed": int,
+    "out_dir": str,
+    "data": {"manifest": str, "relevance": {"train": str, "val": str,
+                                            "test": str}},
+    "model": {"d_emb": int},
+    "loss": {"tau": float, "lambda1": float, "lambda2": float},
+    "schedule": {"peak_lr": float, "floor_lr": float,
+                 "warmup_fraction": float, "weight_decay": float},
     "stages": {
-        "pretrain": {"epochs": None, "batch_size": None},
-        "finetune": {"epochs": None, "batch_size": None, "teachers": None,
-                     "init_from": None},
-        "refinetune": {"epochs": None, "batch_size": None, "labels": None,
-                       "init_from": None},
+        "pretrain": _STAGE,
+        "finetune": {**_STAGE, "teachers": list, "init_from": str},
+        "refinetune": {**_STAGE, "labels": str, "init_from": str},
     },
-    "augmentation": {"mix_count": None, "rng_seed": None},
-    "clustering": {"reduced_dim": None, "min_cluster_size": None,
-                   "neighborhood_radius": None, "checkpoint": None,
-                   "split": None},
-    "evaluate": {"checkpoint": None, "split": None, "mode": None},
-    "ensemble": {"step": None, "max_grid_points": None, "strategy": None,
-                 "refine": None, "mode": None, "hierarchical": None,
-                 "matrices": None, "relevance": None, "weight_table": None,
-                 "row": None},
-    "fixtures": {"n_items": None, "d_latent": None, "d_audio": None,
-                 "d_text": None, "noise_sigma": None},
+    "augmentation": {"mix_count": int, "rng_seed": int},
+    "clustering": {"reduced_dim": int, "min_cluster_size": int,
+                   "neighborhood_radius": float, "checkpoint": str,
+                   "split": str},
+    "evaluate": {"checkpoint": str, "split": str, "mode": str},
+    "ensemble": {"step": float, "max_grid_points": int, "strategy": str,
+                 "refine": bool, "mode": str, "hierarchical": bool,
+                 "matrices": list, "relevance": str, "weight_table": str,
+                 "row": str},
+    "fixtures": {"n_items": int, "d_latent": int, "d_audio": int,
+                 "d_text": int, "noise_sigma": float},
 }
 
 
 def _check_keys(raw, schema, where):
+    """Reject unknown keys and mistyped values; ints for floats become
+    floats in place."""
     for key, value in raw.items():
         if key not in schema:
             raise ConfigError(
@@ -61,6 +60,12 @@ def _check_keys(raw, schema, where):
                 raise ConfigError(
                     f"config key {where}{key!r} must be an object")
             _check_keys(value, sub, f"{where}{key}.")
+        elif sub is float and type(value) is int:
+            raw[key] = float(value)
+        elif type(value) is not sub:
+            raise ConfigError(
+                f"config key {where}{key} must be {sub.__name__}, "
+                f"got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)
@@ -69,14 +74,6 @@ class RunConfig:
 
     raw: dict
     base_dir: str
-
-    def section(self, *keys):
-        node = self.raw
-        for key in keys:
-            if not isinstance(node, dict) or key not in node:
-                return {}
-            node = node[key]
-        return node
 
     def get(self, *keys, default=None):
         node = self.raw
@@ -100,7 +97,7 @@ class RunConfig:
 
     def resolve_input(self, *keys):
         """Resolve a required path key and insist the file exists."""
-        path = self.resolve(str(self.require(*keys)))
+        path = self.resolve(self.require(*keys))
         if not os.path.exists(path):
             raise ConfigError(
                 f"config key {'.'.join(keys)!r} points to a missing "
@@ -109,50 +106,7 @@ class RunConfig:
 
     @property
     def seed(self):
-        return int(self.get("seed", default=0))
-
-    def loss_config(self):
-        sec = self.section("loss")
-        return LossConfig(tau=float(sec.get("tau", 0.05)),
-                          lambda1=float(sec.get("lambda1", 1.0)),
-                          lambda2=float(sec.get("lambda2", 0.05)))
-
-    def schedule_args(self):
-        sec = self.section("schedule")
-        return {"peak_lr": float(sec.get("peak_lr", 2e-5)),
-                "floor_lr": float(sec.get("floor_lr", 1e-7)),
-                "warmup_fraction": float(sec.get("warmup_fraction", 0.1)),
-                "weight_decay": float(sec.get("weight_decay", 0.01))}
-
-    def stage_config(self, name):
-        sec = self.section("stages", name)
-        return StageConfig(
-            name=name,
-            epochs=int(sec.get("epochs", 20)),
-            batch_size=int(sec.get("batch_size", DEFAULT_BATCH_SIZE)))
-
-    def augmentation_config(self):
-        sec = self.section("augmentation")
-        return AugmentationConfig(
-            mix_count=int(sec.get("mix_count", 0)),
-            rng_seed=int(sec.get("rng_seed", self.seed)))
-
-    def cluster_config(self):
-        sec = self.section("clustering")
-        if "neighborhood_radius" not in sec:
-            raise ConfigError(
-                "config is missing required key "
-                "'clustering.neighborhood_radius'")
-        return ClusterConfig(
-            neighborhood_radius=float(sec["neighborhood_radius"]),
-            reduced_dim=int(sec.get("reduced_dim", 5)),
-            min_cluster_size=int(sec.get("min_cluster_size", 5)))
-
-    def grid_config(self):
-        sec = self.section("ensemble")
-        return GridSearchConfig(
-            step=float(sec.get("step", 0.01)),
-            max_grid_points=int(sec.get("max_grid_points", 200_000)))
+        return self.get("seed", default=0)
 
 
 def load_config(path):

@@ -15,6 +15,8 @@ from xmrt.cli import CHECKPOINT_ROOT, main
 from xmrt.datasets import (
     Manifest,
     ManifestItem,
+    load_paired_dataset,
+    write_labels,
     write_manifest,
     write_relevance,
 )
@@ -84,23 +86,34 @@ def _console_script_target(name):
     raise AssertionError(f"no console script {name!r} in pyproject.toml")
 
 
+def _run_module(module, argv):
+    src = os.path.join(REPO_ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_console_script_entry_point(tmp_path):
     # The installed `xmrt` script calls the declared target; running that
     # module from the source tree exercises the same code without an install.
     module, attr = _console_script_target("xmrt")
     assert getattr(importlib.import_module(module), attr) is main
-    src = os.path.join(REPO_ROOT, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    command = [sys.executable, "-m", module]
     out = os.path.join(str(tmp_path), "corpus")
-    done = subprocess.run(
-        command + ["gen-fixtures", "--out", out, "--seed", "1"],
-        capture_output=True, text=True, env=env)
+    done = _run_module(module, ["gen-fixtures", "--out", out, "--seed", "1"])
     assert done.returncode == 0, done.stderr
     assert os.path.exists(os.path.join(out, "manifest.tsv"))
-    usage = subprocess.run(command, capture_output=True, text=True, env=env)
-    assert usage.returncode == 2
+    assert _run_module(module, []).returncode == 2
+
+
+def test_mistyped_config_value_is_a_config_error(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "out_dir": "run", "stages": {"pretrain": {"epochs": "two"}}})
+    done = _run_module("xmrt.cli", ["pretrain", "--config", cfg])
+    assert done.returncode == 1
+    assert done.stderr.startswith(
+        'error: config key stages.pretrain.epochs must be int, got "two"')
+    assert "Traceback" not in done.stderr
 
 
 # ------------------------------------------------------------- gen-fixtures
@@ -352,19 +365,55 @@ def test_zero_loss_weights_are_valid(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_pretrain_rerun_is_bit_identical(tmp_path):
-    cfg1 = _pipeline_config(tmp_path, out_dir="run1")
-    cfg2 = _pipeline_config(tmp_path, out_dir="run2")
-    assert main(["pretrain", "--config", cfg1]) == 0
-    assert main(["pretrain", "--config", cfg2]) == 0
-    d1 = os.path.join(str(tmp_path), "run1", CHECKPOINT_ROOT, "pretrain")
-    d2 = os.path.join(str(tmp_path), "run2", CHECKPOINT_ROOT, "pretrain")
+def _assert_same_checkpoints(tmp_path, run1, run2, stage):
+    d1 = os.path.join(str(tmp_path), run1, CHECKPOINT_ROOT, stage)
+    d2 = os.path.join(str(tmp_path), run2, CHECKPOINT_ROOT, stage)
     names = sorted(os.listdir(d1))
     assert names == sorted(os.listdir(d2))
     for name in names:
         with open(os.path.join(d1, name), "rb") as f1:
             with open(os.path.join(d2, name), "rb") as f2:
                 assert f1.read() == f2.read(), name
+
+
+def test_pretrain_rerun_is_bit_identical(tmp_path):
+    cfg1 = _pipeline_config(tmp_path, out_dir="run1")
+    cfg2 = _pipeline_config(tmp_path, out_dir="run2")
+    assert main(["pretrain", "--config", cfg1]) == 0
+    assert main(["pretrain", "--config", cfg2]) == 0
+    _assert_same_checkpoints(tmp_path, "run1", "run2", "pretrain")
+
+
+def test_mixing_seed_follows_the_seed_flag(tmp_path):
+    # pair mixing draws from the resolved seed, so --seed 3 and a config
+    # seed of 3 train the same finetune
+    for out_dir, seed, flag in (("flag", 0, ["--seed", "3"]),
+                                ("conf", 3, [])):
+        payload = _read_json(_pipeline_config(tmp_path, out_dir, seed))
+        payload["augmentation"] = {"mix_count": 8}
+        cfg = _write_config(tmp_path, payload, name=f"{out_dir}.json")
+        assert main(["pretrain", "--config", cfg, *flag]) == 0
+        assert main(["finetune", "--config", cfg, *flag]) == 0
+    _assert_same_checkpoints(tmp_path, "flag", "conf", "finetune")
+
+
+def test_refinetune_rejects_a_label_outside_the_cluster_count(
+        tmp_path, capsys):
+    payload = _read_json(_pipeline_config(tmp_path))
+    payload["stages"]["refinetune"].update(
+        init_from="run/checkpoints/pretrain", labels="labels.tsv")
+    cfg = _write_config(tmp_path, payload)
+    assert main(["pretrain", "--config", cfg]) == 0
+    ids = load_paired_dataset(os.path.join(str(tmp_path), "corpus",
+                                           "manifest.tsv"),
+                              "train").dataset.caption_ids
+    labels = np.arange(len(ids)) % 2
+    labels[-1] = 2                  # k is 2: the probability rows' width
+    write_labels(os.path.join(str(tmp_path), "labels.tsv"), ids, labels,
+                 np.full((len(ids), 2), 0.5))
+    capsys.readouterr()
+    assert main(["refinetune", "--config", cfg]) == 1
+    assert "cluster label outside [0, 2)" in capsys.readouterr().err
 
 
 def test_pretrain_seed_changes_checkpoint(tmp_path):

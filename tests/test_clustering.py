@@ -291,6 +291,21 @@ class TestClusterPipeline:
         with pytest.raises(DataError, match="larger"):
             cluster_pipeline(spread, cfg)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_distances_are_named(self):
+        # the radius is not to blame when the distances themselves overflow
+        points, _ = _blobs([(0, 0), (10, 0), (5, 8.7)], seed=12)
+        cfg = ClusterConfig(neighborhood_radius=1.0, reduced_dim=2)
+        with pytest.raises(DataError, match="distances between points "
+                                            "overflowed"):
+            cluster_pipeline(points * 1e160, cfg)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius", [1e200, np.inf, np.nan])
+    def test_radius_needs_a_finite_square(self, radius):
+        with pytest.raises(ConfigError, match="no finite square"):
+            ClusterConfig(neighborhood_radius=radius, reduced_dim=2)
+
     def test_partition_is_permutation_consistent(self):
         # permuting the input rows permutes the labels as a partition:
         # same groups, possibly different ids

@@ -1,7 +1,11 @@
 """Tests for tensor containers, manifests, fixtures, checkpoints, config."""
 
+import dataclasses
+import inspect
 import json
 import os
+import re
+import typing
 import struct
 import zlib
 
@@ -9,14 +13,19 @@ import numpy as np
 import pytest
 
 from xmrt import (
+    AugmentationConfig,
+    ClusterConfig,
     ConfigError,
     ContractError,
     DataError,
+    GridSearchConfig,
+    LossConfig,
     StageConfig,
     TensorFileError,
     generate_fixtures,
     init_params,
     load_tensor,
+    run_stage,
     save_tensor,
 )
 from xmrt.checkpoints import (
@@ -25,7 +34,8 @@ from xmrt.checkpoints import (
     read_checkpoint_extra,
     save_checkpoint,
 )
-from xmrt.config import load_config
+from xmrt.cli import _from_section, main
+from xmrt.config import _SCHEMA, load_config
 from xmrt.datasets import load_paired_dataset
 from xmrt.datasets import (
     Manifest,
@@ -747,6 +757,8 @@ def test_config_resolves_relative_paths(tmp_path):
 
 
 def test_config_section_builders(tmp_path):
+    # each section goes straight into the engine object or function it
+    # configures; a key it leaves out keeps the engine's own default
     path = _write_config(tmp_path, {
         "seed": 5,
         "loss": {"tau": 0.07, "lambda1": 0.5},
@@ -756,22 +768,80 @@ def test_config_section_builders(tmp_path):
         "ensemble": {"step": 0.05},
     })
     cfg = load_config(path)
-    loss = cfg.loss_config()
+    loss = _from_section(LossConfig, cfg, "loss")
     assert (loss.tau, loss.lambda1, loss.lambda2) == (0.07, 0.5, 0.05)
-    sched = cfg.schedule_args()
-    assert sched["peak_lr"] == 0.01
-    assert sched["floor_lr"] == 1e-7
-    stage = cfg.stage_config("finetune")
+    sched = inspect.signature(run_stage).bind(None, None, None,
+                                              **cfg.get("schedule"))
+    sched.apply_defaults()
+    assert sched.arguments["peak_lr"] == 0.01
+    assert sched.arguments["floor_lr"] == 1e-7
+    stage = _from_section(StageConfig, cfg, "stages", "finetune",
+                          name="finetune")
     assert stage == StageConfig("finetune", epochs=2, batch_size=4)
-    assert cfg.stage_config("refinetune") == StageConfig(
+    assert _from_section(StageConfig, cfg, "stages", "refinetune",
+                         name="refinetune") == StageConfig(
         "refinetune", epochs=20, batch_size=16)
-    cluster = cfg.cluster_config()
+    cluster = _from_section(ClusterConfig, cfg, "clustering")
     assert cluster.neighborhood_radius == 1.5
-    grid = cfg.grid_config()
+    grid = _from_section(GridSearchConfig, cfg, "ensemble")
     assert grid.step == 0.05
     assert grid.max_grid_points == 200_000
-    aug = cfg.augmentation_config()
+    aug = _from_section(AugmentationConfig, cfg, "augmentation",
+                        rng_seed=cfg.seed)
     assert aug.rng_seed == 5
+    # a section key overrides the value given at the call site
+    cfg = load_config(_write_config(tmp_path, {
+        "augmentation": {"rng_seed": 11}}, name="aug.json"))
+    assert _from_section(AugmentationConfig, cfg, "augmentation",
+                         rng_seed=5).rng_seed == 11
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"stages": {"pretrain": {"epochs": "two"}}}, "stages.pretrain.epochs"),
+    ({"stages": {"pretrain": {"epochs": 1.9}}}, "stages.pretrain.epochs"),
+    ({"seed": True}, "seed"),
+    ({"loss": {"tau": True}}, "loss.tau"),
+    ({"ensemble": {"refine": "false"}}, "ensemble.refine"),
+    ({"stages": {"finetune": {"teachers": "t0/checkpoints/pretrain"}}},
+     "stages.finetune.teachers"),
+    ({"seed": None}, "seed"),
+    ({"schedule": {"peak_lr": None}}, "schedule.peak_lr"),
+])
+def test_config_rejects_mistyped_values(tmp_path, payload, key):
+    with pytest.raises(ConfigError,
+                       match=rf"config key {re.escape(key)} must be "):
+        load_config(_write_config(tmp_path, payload))
+
+
+def test_config_int_loads_as_float(tmp_path):
+    cfg = load_config(_write_config(tmp_path, {
+        "loss": {"tau": 1}, "schedule": {"weight_decay": 0}}))
+    assert type(cfg.get("loss", "tau")) is float
+    assert cfg.get("loss", "tau") == 1.0
+    assert type(cfg.get("schedule", "weight_decay")) is float
+
+
+def test_schema_matches_engine_signatures():
+    # A renamed dataclass field or keyword fails here, not at run time.
+    sections = [(_SCHEMA["loss"], LossConfig),
+                (_SCHEMA["augmentation"], AugmentationConfig),
+                (_SCHEMA["clustering"], ClusterConfig),
+                (_SCHEMA["ensemble"], GridSearchConfig)]
+    sections += [(_SCHEMA["stages"][name], StageConfig)
+                 for name in ("pretrain", "finetune", "refinetune")]
+    for schema, cls in sections:
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            if cls is StageConfig and field.name == "name":
+                continue    # the stage key supplies it
+            assert schema.get(field.name) is hints[field.name], (
+                cls.__name__, field.name)
+    for schema, func in ((_SCHEMA["schedule"], run_stage),
+                         (_SCHEMA["fixtures"], generate_fixtures)):
+        params = inspect.signature(func).parameters
+        for key, kind in schema.items():
+            assert params[key].kind is inspect.Parameter.KEYWORD_ONLY, key
+            assert type(params[key].default) is kind, key
 
 
 def test_config_rejects_removed_augmentation_keys(tmp_path):
@@ -785,8 +855,9 @@ def test_config_rejects_removed_augmentation_keys(tmp_path):
             load_config(path)
 
 
-def test_config_cluster_radius_required(tmp_path):
-    cfg = load_config(_write_config(tmp_path, {"clustering":
-                                               {"reduced_dim": 3}}))
-    with pytest.raises(ConfigError, match="neighborhood_radius"):
-        cfg.cluster_config()
+def test_config_cluster_radius_required(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"out_dir": "run",
+                                   "clustering": {"reduced_dim": 3}})
+    assert main(["cluster", "--config", cfg]) == 1
+    assert ("missing required key 'clustering.neighborhood_radius'"
+            in capsys.readouterr().err)
