@@ -26,12 +26,11 @@ from .evaluation import (MetricsReport, RelevanceMap,
                          average_precision_at_k, evaluate, rank_gallery,
                          recall_at_k)
 from .fixtures import generate_fixtures
-from .losses import (BatchLabels, LossBreakdown, LossConfig, PairBatch,
-                     TeacherTargets, classification_loss, combined_loss,
-                     distillation_loss, ensemble_average,
-                     loss_and_gradients, student_similarity,
-                     supervised_contrastive_loss, targets_from_teacher_sims,
-                     teacher_soft_targets, total_loss)
+from .losses import (LossBreakdown, LossConfig, TeacherTargets,
+                     classification_loss, combined_loss, distillation_loss,
+                     ensemble_average, loss_and_gradients,
+                     student_similarity, supervised_contrastive_loss,
+                     targets_from_teacher_sims, teacher_soft_targets)
 from .tensorfile import load_tensor, save_tensor
 from .training import (AugmentationConfig, OptimizerState, PairedDataset,
                        ScheduleConfig, StageConfig, StepRecord, adamw_step,
@@ -44,11 +43,11 @@ __all__ = [
     "Axis", "cosine_similarity_matrix", "softmax_with_temperature",
     "LinearEncoder", "ClassificationHead", "ModelParams",
     "init_params", "init_heads", "encode", "classify",
-    "LossConfig", "LossBreakdown", "TeacherTargets", "PairBatch",
-    "BatchLabels", "supervised_contrastive_loss", "ensemble_average",
+    "LossConfig", "LossBreakdown", "TeacherTargets",
+    "supervised_contrastive_loss", "ensemble_average",
     "teacher_soft_targets", "targets_from_teacher_sims",
     "distillation_loss", "classification_loss", "combined_loss",
-    "loss_and_gradients", "total_loss", "student_similarity",
+    "loss_and_gradients", "student_similarity",
     "OptimizerState", "init_optimizer", "adamw_step",
     "ScheduleConfig", "lr_at_step", "StageConfig", "StepRecord",
     "AugmentationConfig", "expand_with_mixes", "PairedDataset",

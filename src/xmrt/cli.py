@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -41,10 +42,9 @@ from .errors import ConfigError, DataError, XmrtError
 from .evaluation import METRIC_KEYS, evaluate
 from .losses import LossConfig
 from .tensorfile import load_tensor, save_tensor
-from .training import AugmentationConfig, StageConfig, run_stage
+from .training import STAGES, AugmentationConfig, StageConfig, run_stage
 
 CHECKPOINT_ROOT = "checkpoints"
-STAGE_ORDER = ("refinetune", "finetune", "pretrain")
 
 
 def _resolve_seed(args, cfg):
@@ -90,6 +90,8 @@ def _write_json(path, payload):
 
 
 def _stage_summary(records):
+    if not records:
+        return {"steps": 0}
     return {
         "steps": len(records),
         "first_total": records[0].total,
@@ -138,7 +140,7 @@ def _run_training_stage(args, stage_name):
                              dataset.text_features.shape[1],
                              d_emb, seed=seed)
     else:
-        prev = {"finetune": "pretrain", "refinetune": "finetune"}[stage_name]
+        prev = STAGES[STAGES.index(stage_name) - 1]
         init_from = cfg.get("stages", stage_name, "init_from")
         init_dir = (cfg.resolve(init_from) if init_from
                     else _checkpoint_dir(out_dir, prev))
@@ -198,22 +200,11 @@ def _run_training_stage(args, stage_name):
                     extra={"stage": stage_name, "seed": seed, **summary})
     _write_json(os.path.join(out_dir, "summaries", f"{stage_name}.json"),
                 {"stage": stage_name, "seed": seed, **summary})
-    print(f"{stage_name}: {summary['steps']} steps, "
-          f"loss {summary['first_total']:.4f} -> "
-          f"{summary['final_total']:.4f}, checkpoint {ckpt_dir}")
+    losses = (f"loss {summary['first_total']:.4f} -> "
+              f"{summary['final_total']:.4f}, " if records else "")
+    print(f"{stage_name}: {summary['steps']} steps, {losses}"
+          f"checkpoint {ckpt_dir}")
     return 0
-
-
-def cmd_pretrain(args):
-    return _run_training_stage(args, "pretrain")
-
-
-def cmd_finetune(args):
-    return _run_training_stage(args, "finetune")
-
-
-def cmd_refinetune(args):
-    return _run_training_stage(args, "refinetune")
 
 
 def cmd_cluster(args):
@@ -277,7 +268,7 @@ def cmd_evaluate(args):
         if not os.path.exists(ckpt_dir):
             raise ConfigError(f"no checkpoint at {ckpt_dir}")
     else:
-        for stage in STAGE_ORDER:
+        for stage in reversed(STAGES):
             ckpt_dir = _checkpoint_dir(out_dir, stage)
             if os.path.exists(ckpt_dir):
                 break
@@ -310,23 +301,30 @@ def cmd_evaluate(args):
 
 
 def _ensemble_members(cfg):
+    """The listed matrices as one {(system, model): matrix} map, in
+    listed order."""
     listed = cfg.get("ensemble", "matrices")
     if not listed:
         raise ConfigError(
             "ensemble.matrices must list {system, model, path} entries")
-    members = []
+    members = {}
     for i, entry in enumerate(listed):
         if not (isinstance(entry, dict)
                 and {"system", "model", "path"} <= set(entry)
+                and type(entry["system"]) in (int, str)
                 and isinstance(entry["model"], str)
                 and isinstance(entry["path"], str)):
             raise ConfigError(
-                f"ensemble.matrices[{i}] needs system, model, and path, "
-                f"the last two strings")
+                f"ensemble.matrices[{i}] needs system (an int or a "
+                f"string), model and path (strings)")
+        tag = (entry["system"], entry["model"])
+        if tag in members:
+            raise ConfigError(
+                f"ensemble.matrices[{i}] repeats (system, model) {tag}")
         path = cfg.resolve(entry["path"])
         if not os.path.exists(path):
             raise ConfigError(f"ensemble matrix {path} does not exist")
-        members.append((entry["system"], entry["model"], load_tensor(path)))
+        members[tag] = load_tensor(path)
     return members
 
 
@@ -344,15 +342,11 @@ def cmd_ensemble_search(args):
     options = {k: v for k, v in cfg.get("ensemble").items()
                if k in ("strategy", "mode", "refine")}
     if cfg.get("ensemble", "hierarchical"):
-        matrices = {(s, m): mat for s, m, mat in members}
-        if len(matrices) != len(members):
-            raise ConfigError("ensemble.matrices repeats a (system, model)")
-        result = hierarchical_grid_search(matrices, relevance, grid_cfg,
+        result = hierarchical_grid_search(members, relevance, grid_cfg,
                                           **options)
     else:
-        result = grid_search(
-            [mat for _, _, mat in members], relevance, grid_cfg,
-            tags=[(s, m) for s, m, _ in members], **options)
+        result = grid_search(list(members.values()), relevance, grid_cfg,
+                             tags=list(members), **options)
     payload = {
         "strategy": result.spec.strategy,
         "map_at_16": result.map_at_16,
@@ -384,16 +378,13 @@ def cmd_ensemble_apply(args):
             f"row {row!r} not in weight table rows {table.row_names}")
     spec = specs[row]
     members = _ensemble_members(cfg)
-    by_tag = {(s, m): mat for s, m, mat in members}
-    if len(by_tag) != len(members):
-        raise ConfigError("ensemble.matrices repeats a (system, model)")
     ordered = []
     for member in spec.members:
         tag = (member.system, member.model)
-        if tag not in by_tag:
+        if tag not in members:
             raise ConfigError(
                 f"ensemble.matrices lacks an entry for {tag}")
-        ordered.append(by_tag[tag])
+        ordered.append(members[tag])
     fused = fuse(ordered, spec)
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, f"fused_{row}.xmrt")
@@ -436,7 +427,7 @@ def cmd_report(args):
     if os.path.exists(search_path):
         with open(search_path, encoding="utf-8") as fh:
             emit("ensemble.", json.load(fh))
-    for stage in ("pretrain", "finetune", "refinetune"):
+    for stage in STAGES:
         ckpt = _checkpoint_dir(out_dir, stage)
         if os.path.exists(os.path.join(ckpt, "meta.json")):
             extra = read_checkpoint_extra(ckpt)
@@ -473,9 +464,9 @@ def build_parser():
 
     add("gen-fixtures", cmd_gen_fixtures, needs_config=False,
         needs_out_flag=True)
-    add("pretrain", cmd_pretrain)
-    add("finetune", cmd_finetune)
-    add("refinetune", cmd_refinetune)
+    for stage in STAGES:
+        add(stage, functools.partial(_run_training_stage,
+                                     stage_name=stage))
     add("cluster", cmd_cluster)
     add("evaluate", cmd_evaluate)
     add("ensemble-search", cmd_ensemble_search)

@@ -3,7 +3,8 @@
 `load_config` checks every value once against its leaf's JSON type and
 rejects unknown keys, so typos and mistyped values (null included) fail
 with a ConfigError naming the dotted key.  A bool is never an int or a
-float; an int given for a float key loads as a float.  Absent keys keep
+float; an int given for a float key loads as a float, and a float must
+be finite (JSON NaN and Infinity are rejected).  Absent keys keep
 the defaults of the engine object they feed; the run seed's 0 is the
 only default here.  Relative paths resolve against the config file's
 own directory, which keeps run directories relocatable.
@@ -12,6 +13,7 @@ own directory, which keeps run directories relocatable.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -66,6 +68,9 @@ def _check_keys(raw, schema, where):
             raise ConfigError(
                 f"config key {where}{key} must be {sub.__name__}, "
                 f"got {json.dumps(value)}")
+        elif sub is float and not math.isfinite(value):
+            raise ConfigError(f"config key {where}{key} must be a finite "
+                              f"float, got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)

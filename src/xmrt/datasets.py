@@ -208,7 +208,6 @@ def load_paired_dataset(manifest_path, split):
     dataset = PairedDataset(
         audio_features=np.array(audio_rows),
         text_features=np.array(text_rows),
-        audio_ids=tuple(item.audio_id for item in items),
         caption_ids=tuple(item.caption_id for item in items))
     return LoadedSplit(dataset=dataset,
                        gallery_features=np.array(gallery_rows),

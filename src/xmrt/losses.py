@@ -72,42 +72,6 @@ class TeacherTargets:
         return self.p_hat_audio.shape
 
 
-@dataclass(frozen=True)
-class PairBatch:
-    """Matched audio/text feature rows for one training batch."""
-
-    audio_features: np.ndarray      # (n, d_audio)
-    text_features: np.ndarray       # (n, d_text)
-
-    def __post_init__(self):
-        a = as_matrix(self.audio_features, "audio features")
-        t = as_matrix(self.text_features, "text features")
-        if a.shape[0] != t.shape[0]:
-            raise ContractError(
-                f"batch rows disagree: {a.shape[0]} audio vs {t.shape[0]} text")
-        object.__setattr__(self, "audio_features", a)
-        object.__setattr__(self, "text_features", t)
-
-    def __len__(self):
-        return self.audio_features.shape[0]
-
-
-@dataclass(frozen=True)
-class BatchLabels:
-    """Per-item cluster labels for the two classification heads."""
-
-    audio: np.ndarray
-    text: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.audio, dtype=np.int64)
-        t = np.asarray(self.text, dtype=np.int64)
-        if a.ndim != 1 or t.ndim != 1 or a.shape != t.shape:
-            raise ContractError("label arrays must be 1-D and equal length")
-        object.__setattr__(self, "audio", a)
-        object.__setattr__(self, "text", t)
-
-
 def _bidirectional_ce(p_audio, p_text, logq_audio, logq_text):
     """Column (over audios) plus row (over captions) mean cross-entropy.
 
@@ -311,8 +275,11 @@ def _head_forward_backward(head, raw_emb, labels, n):
 def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
     """Total loss and its exact gradient for every parameter.
 
-    The distillation term runs iff teacher `targets` are given, and the
-    classification term iff cluster `labels` are given (which needs
+    `batch` holds matched rows in `audio_features` and `text_features`
+    (a training.PairedDataset); only those and len(batch) are read.  The
+    distillation term runs iff teacher `targets` are given, and the
+    classification term iff cluster `labels` are given: a 1-D int array
+    with one label per row, which both heads classify (so it needs
     classification heads).  cfg.lambda1 and cfg.lambda2 only weight the
     terms: a term with weight 0 is still computed and reported, but adds
     nothing to the total or the gradient.  Teacher targets are
@@ -320,10 +287,18 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
     """
     distill = targets is not None
     cluster = labels is not None
-    if cluster and not params.has_heads:
-        raise ConfigError("cluster labels require classification heads")
-
     n = len(batch)
+    if cluster:
+        if not params.has_heads:
+            raise ConfigError("cluster labels require classification heads")
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (n,):
+            raise ContractError(f"need one label per row: labels of shape "
+                                f"{labels.shape} for a batch of {n}")
+        k = params.n_clusters
+        if labels.min() < 0 or labels.max() >= k:
+            raise DataError(f"cluster label outside [0, {k})")
+
     raw_a, raw_c, norm_a, norm_c, unit_a, unit_c, sim = _forward_embeddings(
         params, batch)
     z = sim / cfg.tau
@@ -357,19 +332,10 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
     l_cls_a = l_cls_c = 0.0
     grads = {}
     if cluster:
-        lab_a = np.asarray(labels.audio, dtype=np.int64)
-        lab_c = np.asarray(labels.text, dtype=np.int64)
-        if lab_a.shape[0] != n:
-            raise ContractError(
-                f"{lab_a.shape[0]} labels for a batch of {n}")
-        k = params.n_clusters
-        for lab in (lab_a, lab_c):
-            if lab.min() < 0 or lab.max() >= k:
-                raise DataError(f"cluster label outside [0, {k})")
         l_cls_a, head_grads_a, d_emb_a = _head_forward_backward(
-            params.audio_head, raw_a, lab_a, n)
+            params.audio_head, raw_a, labels, n)
         l_cls_c, head_grads_c, d_emb_c = _head_forward_backward(
-            params.text_head, raw_c, lab_c, n)
+            params.text_head, raw_c, labels, n)
         grad_raw_a = grad_raw_a + cfg.lambda2 * d_emb_a
         grad_raw_c = grad_raw_c + cfg.lambda2 * d_emb_c
         for prefix, head_grads in (("audio_head", head_grads_a),
@@ -396,7 +362,3 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
     ordered = {name: grads[name] for name in params.named_tensors()}
     return breakdown, ordered
 
-
-def total_loss(params, batch, cfg, targets=None, labels=None):
-    """Scalar total loss only; shares every check with loss_and_gradients."""
-    return loss_and_gradients(params, batch, cfg, targets, labels)[0].total

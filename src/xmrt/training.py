@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import as_matrix
 from .errors import ConfigError, ContractError, DataError
-from .losses import (BatchLabels, LossConfig, PairBatch, loss_and_gradients,
-                     student_similarity, targets_from_teacher_sims)
+from .losses import (LossConfig, loss_and_gradients, student_similarity,
+                     targets_from_teacher_sims)
 
 STAGES = ("pretrain", "finetune", "refinetune")
 _MIX_STREAM = 104729      # distinguishes the mixing rng from batch shuffles
@@ -146,11 +146,16 @@ class AugmentationConfig:
 
 @dataclass(frozen=True)
 class PairedDataset:
-    """Aligned audio/text feature matrices with optional item ids."""
+    """Matched audio/caption feature rows, one pair per row, with optional
+    caption ids.
+
+    The one matched-row type: a loaded split, a mixed training set and
+    each training batch run_stage hands to loss_and_gradients.  Features
+    must be finite 2-D arrays with equal row counts.
+    """
 
     audio_features: np.ndarray
     text_features: np.ndarray
-    audio_ids: tuple = ()
     caption_ids: tuple = ()
 
     def __post_init__(self):
@@ -161,13 +166,10 @@ class PairedDataset:
                 f"{a.shape[0]} audio rows vs {t.shape[0]} caption rows")
         object.__setattr__(self, "audio_features", a)
         object.__setattr__(self, "text_features", t)
-        object.__setattr__(self, "audio_ids", tuple(self.audio_ids))
         object.__setattr__(self, "caption_ids", tuple(self.caption_ids))
-        for name, ids in (("audio", self.audio_ids),
-                          ("caption", self.caption_ids)):
-            if ids and len(ids) != a.shape[0]:
-                raise ContractError(
-                    f"{len(ids)} {name} ids for {a.shape[0]} rows")
+        if self.caption_ids and len(self.caption_ids) != a.shape[0]:
+            raise ContractError(
+                f"{len(self.caption_ids)} caption ids for {a.shape[0]} rows")
 
     def __len__(self):
         return self.audio_features.shape[0]
@@ -189,13 +191,13 @@ def expand_with_mixes(dataset, mix_count, rng_seed):
                             + dataset.audio_features[i2])
         extra_t[j] = 0.5 * (dataset.text_features[i1]
                             + dataset.text_features[i2])
-    mix_ids = tuple(f"mix{j:04d}" for j in range(mix_count))
+    caption_ids = dataset.caption_ids
+    if caption_ids:
+        caption_ids += tuple(f"mix{j:04d}" for j in range(mix_count))
     return PairedDataset(
         audio_features=np.vstack([dataset.audio_features, extra_a]),
         text_features=np.vstack([dataset.text_features, extra_t]),
-        audio_ids=dataset.audio_ids + mix_ids if dataset.audio_ids else (),
-        caption_ids=(dataset.caption_ids + mix_ids
-                     if dataset.caption_ids else ()))
+        caption_ids=caption_ids)
 
 
 def make_batches(n_items, batch_size, seed, epoch):
@@ -265,17 +267,19 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
               seed=0):
     """Train one stage to completion; returns (params, records).
 
-    The stage name picks the loss terms.  finetune distills from
-    `teachers`, a sequence of frozen ModelParams whose averaged
-    similarities give the targets (required there, rejected elsewhere).
-    refinetune classifies `pseudo_labels`, an int array aligned with the
-    dataset rows (required there along with classification heads,
-    rejected elsewhere; the row's label serves both modalities since
-    rows are matched pairs).  `loss_cfg` only weights the terms, so a
-    weight of 0 turns its term off.  `augmentation` mixes synthetic pairs
-    into the dataset and is accepted only in finetune.  A step whose
-    teacher targets, loss or parameters are not finite raises DataError
-    naming the stage, step, epoch and lr, and the loss terms once known.
+    `dataset` is a PairedDataset; each step slices its batch rows as
+    another PairedDataset.  The stage name picks the loss terms.
+    finetune distills from `teachers`, a sequence of frozen ModelParams
+    whose averaged similarities give the targets (required there,
+    rejected elsewhere).  refinetune classifies `pseudo_labels`, a 1-D
+    int array with one label per dataset row (required there along with
+    classification heads, rejected elsewhere); a batch passes its rows'
+    labels on, and both heads classify them since rows are matched
+    pairs.  `loss_cfg` only weights the terms, so a weight of 0 turns its
+    term off.  `augmentation` mixes synthetic pairs into the dataset and
+    is accepted only in finetune.  A step whose teacher targets, loss or
+    parameters are not finite raises DataError naming the stage, step,
+    epoch and lr, and the loss terms once known.
     """
     cfg = loss_cfg if loss_cfg is not None else LossConfig()
     distills = stage.name == "finetune"
@@ -331,14 +335,9 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     for epoch in range(stage.epochs):
         for batch_idx in make_batches(len(dataset), stage.batch_size,
                                       seed, epoch):
-            batch = PairBatch(
-                audio_features=dataset.audio_features[batch_idx],
-                text_features=dataset.text_features[batch_idx])
-
-            labels = None
-            if clusters:
-                lab = labels_all[batch_idx]
-                labels = BatchLabels(audio=lab, text=lab)
+            batch = PairedDataset(dataset.audio_features[batch_idx],
+                                  dataset.text_features[batch_idx])
+            labels = labels_all[batch_idx] if clusters else None
 
             lr = lr_at_step(schedule, step)
             breakdown = None

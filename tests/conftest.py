@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from xmrt import PairBatch, init_params
+from xmrt import PairedDataset, init_params
 
 
 def random_batch(n, d_audio, d_text, seed):
     rng = np.random.default_rng(seed)
-    return PairBatch(rng.standard_normal((n, d_audio)),
-                     rng.standard_normal((n, d_text)))
+    return PairedDataset(rng.standard_normal((n, d_audio)),
+                         rng.standard_normal((n, d_text)))
 
 
 @pytest.fixture

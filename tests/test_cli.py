@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from xmrt import generate_fixtures, load_tensor, save_tensor
+from xmrt import generate_fixtures, init_params, load_tensor, save_tensor
 from xmrt.checkpoints import load_checkpoint, save_checkpoint
 from xmrt.cli import CHECKPOINT_ROOT, main
 from xmrt.datasets import (
@@ -416,6 +416,24 @@ def test_refinetune_rejects_a_label_outside_the_cluster_count(
     assert "cluster label outside [0, 2)" in capsys.readouterr().err
 
 
+def test_zero_epoch_stage_writes_the_starting_checkpoint(tmp_path, capsys):
+    payload = _read_json(_pipeline_config(tmp_path))
+    payload["stages"]["pretrain"]["epochs"] = 0
+    cfg = _write_config(tmp_path, payload)
+    assert main(["pretrain", "--config", cfg]) == 0
+    run = os.path.join(str(tmp_path), "run")
+    saved = load_checkpoint(os.path.join(run, CHECKPOINT_ROOT, "pretrain"))
+    drawn = init_params(8, 6, 6, seed=9)
+    assert list(saved.named_tensors()) == list(drawn.named_tensors())
+    for name, tensor in drawn.named_tensors().items():
+        assert saved.named_tensors()[name].tobytes() == tensor.tobytes()
+    assert _read_json(os.path.join(run, "summaries", "pretrain.json")) == {
+        "stage": "pretrain", "seed": 9, "steps": 0}
+    capsys.readouterr()
+    assert main(["report", "--config", cfg]) == 0
+    assert "stage.pretrain.steps: 0\n" in capsys.readouterr().out
+
+
 def test_pretrain_seed_changes_checkpoint(tmp_path):
     cfg1 = _pipeline_config(tmp_path, out_dir="runa", seed=9)
     cfg2 = _pipeline_config(tmp_path, out_dir="runb", seed=10)
@@ -498,6 +516,37 @@ def test_ensemble_apply_unknown_row_returns_1(tmp_path, capsys):
     save_tensor(os.path.join(str(tmp_path), "a.xmrt"), np.eye(2))
     assert main(["ensemble-apply", "--config", cfg]) == 1
     assert "not in weight table rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, options", [
+    ("ensemble-search", {}),
+    ("ensemble-search", {"hierarchical": True}),
+    ("ensemble-apply", {}),
+], ids=["flat-search", "hierarchical-search", "apply"])
+@pytest.mark.parametrize("tags", [
+    [([1], "a"), (2, "b")],
+    [(True, "a"), (2, "b")],
+    [(1, "a"), (1, "a")],
+], ids=["list-system", "bool-system", "repeated-pair"])
+def test_ensemble_member_tags_are_checked(tmp_path, capsys, command,
+                                          options, tags):
+    base = str(tmp_path)
+    entries = []
+    for i, (system, model) in enumerate(tags):
+        save_tensor(os.path.join(base, f"m{i}.xmrt"), (i + 1) * np.eye(4))
+        entries.append({"system": system, "model": model,
+                        "path": f"m{i}.xmrt"})
+    write_relevance(os.path.join(base, "rel.tsv"),
+                    [(f"q{i}", (str(i),)) for i in range(4)])
+    cfg = _write_config(tmp_path, {
+        "out_dir": "run",
+        "ensemble": {"matrices": entries, "relevance": "rel.tsv",
+                     **options},
+    })
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "ensemble.matrices[" in err
+    assert "Traceback" not in err
 
 
 def test_ensemble_search_requires_matrices(tmp_path, capsys):

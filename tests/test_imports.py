@@ -1,8 +1,11 @@
 """Every module uses each name it imports; package __init__ re-exports are
-exempt.  A plain `ast` pass, so the check needs no linter install."""
+exempt, and `xmrt.__all__` lists exactly those re-exports.  A plain `ast`
+pass, so the check needs no linter install."""
 
 import ast
 from pathlib import Path
+
+import xmrt
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED_DIRS = ("src/xmrt", "tests", "demos")
@@ -40,3 +43,15 @@ def test_no_module_imports_a_name_it_never_uses():
             if unused:
                 offenders[str(path.relative_to(ROOT))] = unused
     assert offenders == {}
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((ROOT / "src/xmrt/__init__.py").read_text(
+        encoding="utf-8"))
+    imported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                and node.module != "__future__" for a in node.names}
+    assert len(xmrt.__all__) == len(set(xmrt.__all__))
+    assert set(xmrt.__all__) == imported | {"__version__"}
+    for name in xmrt.__all__:
+        assert hasattr(xmrt, name), name

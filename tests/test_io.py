@@ -806,6 +806,10 @@ def test_config_section_builders(tmp_path):
      "stages.finetune.teachers"),
     ({"seed": None}, "seed"),
     ({"schedule": {"peak_lr": None}}, "schedule.peak_lr"),
+    ({"loss": {"tau": float("nan")}}, "loss.tau"),
+    ({"schedule": {"peak_lr": float("inf")}}, "schedule.peak_lr"),
+    ({"clustering": {"neighborhood_radius": -float("inf")}},
+     "clustering.neighborhood_radius"),
 ])
 def test_config_rejects_mistyped_values(tmp_path, payload, key):
     with pytest.raises(ConfigError,

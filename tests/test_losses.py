@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from xmrt import (Axis, BatchLabels, ConfigError, ContractError, DataError,
-                  LossConfig, PairBatch, classification_loss, combined_loss,
+from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
+                  PairedDataset, classification_loss, combined_loss,
                   cosine_similarity_matrix, distillation_loss, init_params,
                   loss_and_gradients, softmax_with_temperature,
                   student_similarity, supervised_contrastive_loss,
-                  targets_from_teacher_sims, teacher_soft_targets, total_loss)
+                  targets_from_teacher_sims, teacher_soft_targets)
 from xmrt.encoders import classify, encode
 from xmrt.losses import TeacherTargets, ensemble_average
 
@@ -307,7 +307,7 @@ class TestStudentSimilarity:
         audio = batch.audio_features.copy()
         audio[2] = 0.0
         with pytest.raises(DataError, match="zero norm"):
-            student_similarity(params, PairBatch(
+            student_similarity(params, PairedDataset(
                 audio_features=audio, text_features=batch.text_features))
 
 
@@ -324,8 +324,8 @@ def _fd_gradient(params, batch, cfg, targets, labels, name, h=1e-5):
             bumped[idx] += sign * h
             probe = dict(tensors)
             probe[name] = bumped
-            value = total_loss(params.with_tensors(probe), batch, cfg,
-                               targets, labels)
+            value = loss_and_gradients(params.with_tensors(probe), batch,
+                                       cfg, targets, labels)[0].total
             grad[idx] += sign * value
         grad[idx] /= 2.0 * h
         it.iternext()
@@ -354,7 +354,7 @@ class TestGradients:
         teacher = init_params(6, 5, 4, seed=9)
         targets = targets_from_teacher_sims(
             [student_similarity(teacher, batch)], cfg)
-        labels = BatchLabels(np.array([0, 1, 2, 0]), np.array([1, 0, 2, 2]))
+        labels = np.array([0, 1, 2, 0])
         _, grads = loss_and_gradients(params, batch, cfg, targets, labels)
         for name in params.named_tensors():
             fd = _fd_gradient(params, batch, cfg, targets, labels, name)
@@ -364,7 +364,7 @@ class TestGradients:
         # mean reduction: stacking the batch twice reproduces the gradient
         params = init_params(6, 5, 4, seed=4)
         batch = random_batch(4, 6, 5, seed=5)
-        doubled = PairBatch(
+        doubled = PairedDataset(
             np.vstack([batch.audio_features, batch.audio_features]),
             np.vstack([batch.text_features, batch.text_features]))
         cfg = LossConfig(lambda1=0.0, lambda2=0.0)
@@ -379,7 +379,7 @@ class TestGradients:
         cfg = LossConfig(tau=0.05, lambda1=1.0, lambda2=0.05)
         targets = targets_from_teacher_sims(
             [student_similarity(init_params(6, 5, 4, seed=9), batch)], cfg)
-        labels = BatchLabels(np.array([0, 1, 2, 0]), np.array([1, 0, 2, 2]))
+        labels = np.array([0, 1, 2, 0])
         breakdown, _ = loss_and_gradients(params, batch, cfg, targets, labels)
         # the standalone losses are views of the same softmax forward, so
         # every term must agree to the last bit
@@ -389,9 +389,9 @@ class TestGradients:
         raw_a = encode(params.audio_encoder, batch.audio_features)
         raw_c = encode(params.text_encoder, batch.text_features)
         assert breakdown.l_cls_audio == classification_loss(
-            classify(params.audio_head, raw_a), labels.audio)
+            classify(params.audio_head, raw_a), labels)
         assert breakdown.l_cls_text == classification_loss(
-            classify(params.text_head, raw_c), labels.text)
+            classify(params.text_head, raw_c), labels)
         expected_total = (breakdown.l_sup + cfg.lambda1 * breakdown.l_dist
                           + cfg.lambda2 * (breakdown.l_cls_audio
                                            + breakdown.l_cls_text))
@@ -451,7 +451,7 @@ class TestPathGating:
     def test_classification_runs_iff_labels_given(self):
         params = init_params(6, 5, 4, n_clusters=3, seed=0)
         batch = random_batch(4, 6, 5, seed=0)
-        labels = BatchLabels(np.array([0, 1, 2, 0]), np.array([1, 0, 2, 2]))
+        labels = np.array([0, 1, 2, 0])
         plain, plain_grads = loss_and_gradients(params, batch,
                                                 LossConfig(lambda2=0.0))
         for lambda2 in (0.0, 0.05):
@@ -474,15 +474,24 @@ class TestPathGating:
     def test_cluster_path_needs_heads(self):
         params = init_params(6, 5, 4, seed=0)  # no heads
         batch = random_batch(4, 6, 5, seed=0)
-        labels = BatchLabels(np.zeros(4, dtype=int), np.zeros(4, dtype=int))
+        labels = np.zeros(4, dtype=int)
         with pytest.raises(ConfigError, match="heads"):
             loss_and_gradients(params, batch, LossConfig(lambda1=0.0),
                                labels=labels)
 
+    @pytest.mark.parametrize("labels", [np.zeros((4, 1), dtype=int),
+                                        np.zeros(3, dtype=int)],
+                             ids=["2-D", "short"])
+    def test_labels_need_one_per_row(self, labels):
+        params = init_params(6, 5, 4, n_clusters=3, seed=0)
+        batch = random_batch(4, 6, 5, seed=0)
+        with pytest.raises(ContractError, match="one label per row"):
+            loss_and_gradients(params, batch, LossConfig(), labels=labels)
+
     def test_out_of_range_cluster_label(self):
         params = init_params(6, 5, 4, n_clusters=2, seed=0)
         batch = random_batch(4, 6, 5, seed=0)
-        labels = BatchLabels(np.array([0, 1, 2, 0]), np.zeros(4, dtype=int))
+        labels = np.array([0, 1, 2, 0])
         with pytest.raises(DataError):
             loss_and_gradients(params, batch, LossConfig(lambda1=0.0),
                                labels=labels)
