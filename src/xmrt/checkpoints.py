@@ -1,9 +1,8 @@
-"""Model checkpoints as a directory of tensor files plus a meta record.
+"""Model checkpoints, plus the one JSON reader and writer for run records.
 
-Each named parameter tensor goes to its own container file; meta.json
-records the model geometry needed to rebuild ModelParams.  Writing is
-deterministic (sorted keys, no timestamps), so identical models produce
-identical checkpoint bytes.
+A checkpoint is one container file per named parameter tensor plus a
+meta.json of the format and the tensor names; the geometry (heads, cluster
+count) is read off the tensors.  Writing is deterministic.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 
-from .encoders import _params_from_tensors
+from .encoders import _ENCODER_TENSORS, _HEAD_TENSORS, _params_from_tensors
 from .errors import ContractError, DataError
 from .tensorfile import load_tensor, save_tensor
 
@@ -19,24 +18,34 @@ META_FILE = "meta.json"
 FORMAT_VERSION = 1
 
 
-def save_checkpoint(directory, params, extra=None):
+def write_json(path, payload):
+    """Write payload to path as indented, key-sorted JSON and a newline."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path):
+    """The JSON object stored at path; anything else is a DataError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+            raise DataError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return payload
+
+
+def save_checkpoint(directory, params):
     """Write params into directory (one tensor file per parameter)."""
     os.makedirs(directory, exist_ok=True)
     tensors = params.named_tensors()
     for name, tensor in tensors.items():
         save_tensor(os.path.join(directory, f"{name}.xmrt"), tensor)
-    meta = {
-        "format": FORMAT_VERSION,
-        "tensors": sorted(tensors),
-        "has_heads": params.has_heads,
-        "n_clusters": params.n_clusters if params.has_heads else None,
-        "rng_seed": params.rng_seed,
-        "extra": dict(extra) if extra else {},
-    }
-    with open(os.path.join(directory, META_FILE), "w",
-              encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, META_FILE),
+               {"format": FORMAT_VERSION, "tensors": sorted(tensors)})
 
 
 def load_checkpoint(directory):
@@ -44,28 +53,26 @@ def load_checkpoint(directory):
     meta_path = os.path.join(directory, META_FILE)
     if not os.path.exists(meta_path):
         raise DataError(f"{directory}: not a checkpoint (no {META_FILE})")
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json(meta_path)
     if meta.get("format") != FORMAT_VERSION:
         raise DataError(
             f"{directory}: checkpoint format {meta.get('format')}, "
             f"expected {FORMAT_VERSION}")
+    names = meta.get("tensors")
+    # Checked before any file opens, so a listed name never becomes a path.
+    if not (isinstance(names, list) and all(
+            name in _ENCODER_TENSORS + _HEAD_TENSORS for name in names)):
+        raise DataError(
+            f"{meta_path}: tensors must be a list of parameter names")
     tensors = {}
-    for name in meta["tensors"]:
+    for name in names:
         path = os.path.join(directory, f"{name}.xmrt")
         if not os.path.exists(path):
             raise DataError(f"{directory}: missing tensor file {name}.xmrt")
         tensors[name] = load_tensor(path)
     try:
-        return _params_from_tensors(tensors, bool(meta.get("has_heads")),
-                                    int(meta.get("rng_seed", 0)))
+        return _params_from_tensors(
+            tensors, any(name in _HEAD_TENSORS for name in names))
     except ContractError as exc:
-        # Tensors that disagree with meta.json or each other are bad data.
+        # A partial head set, or tensors that disagree in shape, is bad data.
         raise DataError(f"{directory}: {exc}") from None
-
-
-def read_checkpoint_extra(directory):
-    """The free-form extra record stored alongside a checkpoint."""
-    with open(os.path.join(directory, META_FILE), "r",
-              encoding="utf-8") as fh:
-        return json.load(fh).get("extra", {})

@@ -27,8 +27,8 @@ import sys
 import numpy as np
 
 from . import fixtures
-from .checkpoints import load_checkpoint, read_checkpoint_extra, \
-    save_checkpoint
+from .checkpoints import (load_checkpoint, read_json, save_checkpoint,
+                          write_json)
 from .clustering import ClusterConfig, build_pseudo_labels, cluster_pipeline
 from .config import load_config
 from .core import cosine_similarity_matrix
@@ -48,16 +48,17 @@ CHECKPOINT_ROOT = "checkpoints"
 
 
 def _resolve_seed(args, cfg):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
     env = os.environ.get("XMRT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(
-                f"XMRT_SEED must be an integer, got {env!r}") from None
-    return cfg.seed if cfg is not None else 0
+    if getattr(args, "seed", None) is not None:
+        source, value = "--seed", args.seed
+    elif env is not None:
+        source, value = "XMRT_SEED", env
+    else:
+        source, value = "config key seed", cfg.seed if cfg is not None else 0
+    if not str(value).isdecimal():   # numpy seeds must be >= 0
+        raise ConfigError(
+            f"{source} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _resolve_out(args, cfg):
@@ -80,13 +81,6 @@ def _from_section(cls, cfg, *keys, **given):
 
 def _checkpoint_dir(out_dir, stage):
     return os.path.join(out_dir, CHECKPOINT_ROOT, stage)
-
-
-def _write_json(path, payload):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _stage_summary(records):
@@ -196,10 +190,9 @@ def _run_training_stage(args, stage_name):
 
     ckpt_dir = _checkpoint_dir(out_dir, stage_name)
     summary = _stage_summary(records)
-    save_checkpoint(ckpt_dir, params,
-                    extra={"stage": stage_name, "seed": seed, **summary})
-    _write_json(os.path.join(out_dir, "summaries", f"{stage_name}.json"),
-                {"stage": stage_name, "seed": seed, **summary})
+    save_checkpoint(ckpt_dir, params)
+    write_json(os.path.join(out_dir, "summaries", f"{stage_name}.json"),
+               {"stage": stage_name, "seed": seed, **summary})
     losses = (f"loss {summary['first_total']:.4f} -> "
               f"{summary['final_total']:.4f}, " if records else "")
     print(f"{stage_name}: {summary['steps']} steps, {losses}"
@@ -292,8 +285,8 @@ def cmd_evaluate(args):
     payload = {"split": split_name, "mode": mode,
                "checkpoint": os.path.basename(ckpt_dir.rstrip(os.sep)),
                **report.as_dict()}
-    _write_json(os.path.join(out_dir, f"report_{split_name}_{mode}.json"),
-                payload)
+    write_json(os.path.join(out_dir, f"report_{split_name}_{mode}.json"),
+               payload)
     for key in METRIC_KEYS:
         print(f"{key}: {getattr(report, key):.6f}")
     print(f"query_count: {report.query_count}")
@@ -354,7 +347,7 @@ def cmd_ensemble_search(args):
         "members": [{"system": m.system, "model": m.model,
                      "weight": m.weight} for m in result.spec.members],
     }
-    _write_json(os.path.join(out_dir, "ensemble_search.json"), payload)
+    write_json(os.path.join(out_dir, "ensemble_search.json"), payload)
     print(f"ensemble-search: mAP@16 {result.map_at_16:.6f} over "
           f"{result.points_evaluated} grid points")
     for m in result.spec.members:
@@ -414,25 +407,16 @@ def cmd_report(args):
     if os.path.isdir(summaries_dir):
         for name in sorted(os.listdir(summaries_dir)):
             if name.endswith(".json"):
-                with open(os.path.join(summaries_dir, name),
-                          encoding="utf-8") as fh:
-                    emit(f"stage.{name[:-5]}.", json.load(fh))
+                emit(f"stage.{name[:-5]}.",
+                     read_json(os.path.join(summaries_dir, name)))
     if os.path.isdir(out_dir):
         for name in sorted(os.listdir(out_dir)):
             if name.startswith("report_") and name.endswith(".json"):
-                with open(os.path.join(out_dir, name),
-                          encoding="utf-8") as fh:
-                    emit(f"eval.{name[7:-5]}.", json.load(fh))
+                emit(f"eval.{name[7:-5]}.",
+                     read_json(os.path.join(out_dir, name)))
     search_path = os.path.join(out_dir, "ensemble_search.json")
     if os.path.exists(search_path):
-        with open(search_path, encoding="utf-8") as fh:
-            emit("ensemble.", json.load(fh))
-    for stage in STAGES:
-        ckpt = _checkpoint_dir(out_dir, stage)
-        if os.path.exists(os.path.join(ckpt, "meta.json")):
-            extra = read_checkpoint_extra(ckpt)
-            lines.append(f"checkpoint.{stage}.steps: "
-                         f"{extra.get('steps', '?')}")
+        emit("ensemble.", read_json(search_path))
     if not lines:
         lines.append("nothing to report: no artifacts under "
                      + out_dir)

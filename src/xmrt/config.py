@@ -63,7 +63,11 @@ def _check_keys(raw, schema, where):
                     f"config key {where}{key!r} must be an object")
             _check_keys(value, sub, f"{where}{key}.")
         elif sub is float and type(value) is int:
-            raw[key] = float(value)
+            try:
+                raw[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"config key {where}{key} must be a "
+                                  f"finite float") from None
         elif type(value) is not sub:
             raise ConfigError(
                 f"config key {where}{key} must be {sub.__name__}, "
@@ -121,7 +125,7 @@ def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")

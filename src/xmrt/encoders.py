@@ -108,7 +108,6 @@ class ModelParams:
     text_encoder: LinearEncoder
     audio_head: Optional[ClassificationHead] = None
     text_head: Optional[ClassificationHead] = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.audio_encoder.d_out != self.text_encoder.d_out:
@@ -149,13 +148,13 @@ class ModelParams:
 
     def with_tensors(self, tensors):
         """Rebuild ModelParams from a name -> array mapping."""
-        return _params_from_tensors(tensors, self.has_heads, self.rng_seed)
+        return _params_from_tensors(tensors, self.has_heads)
 
     def with_heads(self, audio_head, text_head):
         return replace(self, audio_head=audio_head, text_head=text_head)
 
 
-def _params_from_tensors(tensors, has_heads, rng_seed):
+def _params_from_tensors(tensors, has_heads):
     """The one constructor from named tensors back to ModelParams.
 
     The names must be exactly the encoder tensors, plus the head tensors
@@ -175,8 +174,7 @@ def _params_from_tensors(tensors, has_heads, rng_seed):
             ClassificationHead(tensors[f"{m}_head.w1"], tensors[f"{m}_head.b1"],
                                tensors[f"{m}_head.w2"], tensors[f"{m}_head.b2"])
             for m in MODALITIES)
-    return ModelParams(audio_enc, text_enc, audio_head, text_head,
-                       rng_seed=rng_seed)
+    return ModelParams(audio_enc, text_enc, audio_head, text_head)
 
 
 def _uniform_fanin(rng, shape, fan_in):
@@ -230,8 +228,7 @@ def init_params(d_in_audio, d_in_text, d_emb, n_clusters=None, seed=0):
     audio_head = text_head = None
     if n_clusters is not None:
         audio_head, text_head = _draw_heads(rng, d_emb, n_clusters)
-    return ModelParams(audio_enc, text_enc, audio_head, text_head,
-                       rng_seed=seed)
+    return ModelParams(audio_enc, text_enc, audio_head, text_head)
 
 
 def _embed(encoder, x):

@@ -44,6 +44,12 @@ class Member:
                 f"weight {self.weight}")
 
 
+def _check_strategy(strategy):
+    if strategy not in STRATEGIES:
+        raise ConfigError(
+            f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """A full fusion recipe: tagged members whose weights sum to one."""
@@ -55,10 +61,7 @@ class EnsembleSpec:
         members = tuple(self.members)
         if not members:
             raise ContractError("an ensemble needs at least one member")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"strategy must be one of {STRATEGIES}, "
-                f"got {self.strategy!r}")
+        _check_strategy(self.strategy)
         total = math.fsum(m.weight for m in members)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ContractError(
@@ -308,6 +311,7 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
         raise ConfigError(
             f"refine needs a step that is a whole multiple of {REFINE_STEP}, "
             f"got {cfg.step}")
+    _check_strategy(strategy)
     mats = _check_matrices(matrices)
     divisions = cfg.divisions
 
@@ -391,9 +395,7 @@ def _strategy_axes(matrices, strategy):
     outer groups; key(outer, inner) is the (system, model) matrix key.
     system-first groups by model, model-first by system.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(
-            f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    _check_strategy(strategy)
     systems, models = _grid_keys(matrices)
     if strategy == "system-first":
         return models, systems, lambda o, i: (i, o)

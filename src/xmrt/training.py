@@ -140,8 +140,9 @@ class AugmentationConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.mix_count < 0:
-            raise ConfigError("mix_count must be >= 0")
+        for name in ("mix_count", "rng_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be a non-negative integer")
 
 
 @dataclass(frozen=True)

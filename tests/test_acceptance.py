@@ -398,7 +398,7 @@ def test_10_stage_determinism(corpus_64, tmp_path):
             StageConfig("pretrain", epochs=3, batch_size=8), params, train,
             peak_lr=0.01, floor_lr=1e-5, weight_decay=0.01, seed=17)
         ckpt = os.path.join(str(tmp_path), tag)
-        save_checkpoint(ckpt, params, extra={"stage": "pretrain"})
+        save_checkpoint(ckpt, params)
         report = _retrieval_report(params, corpus_64, "val")
         return ckpt, report.as_dict()
 

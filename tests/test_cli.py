@@ -277,6 +277,23 @@ def test_evaluate_rejects_an_overflowing_embedding(tmp_path, capsys):
     assert not os.path.exists(os.path.join(str(tmp_path), "run"))
 
 
+@pytest.mark.parametrize("meta", [
+    "torn", b"\xff\xfe{}", b'{"format": 1}', b"[1]"],
+    ids=["torn", "not-utf8", "keyless", "list"])
+def test_evaluate_rejects_a_malformed_meta_json(tmp_path, capsys, meta):
+    cfg = _identity_workspace(tmp_path)
+    meta_path = os.path.join(str(tmp_path), "ckpt", "meta.json")
+    if meta == "torn":
+        with open(meta_path, "rb") as fh:
+            meta = fh.read()[:40]
+    with open(meta_path, "wb") as fh:
+        fh.write(meta)
+    assert main(["evaluate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert meta_path in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------- full pipeline
 
 
@@ -346,7 +363,10 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "stage.pretrain.final_total" in text
     assert "eval.test_multiple.map_at_16" in text
-    assert "checkpoint.refinetune.steps" in text
+    assert "stage.refinetune.steps" in text
+    # a step count is reported once, from the stage summary
+    assert not any(line.startswith("checkpoint.")
+                   for line in text.splitlines())
     with open(os.path.join(run, "report.txt"), encoding="utf-8") as fh:
         assert fh.read() == text
 
@@ -432,6 +452,32 @@ def test_zero_epoch_stage_writes_the_starting_checkpoint(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--config", cfg]) == 0
     assert "stage.pretrain.steps: 0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, flag, env, config, source", [
+    ("pretrain", ["--seed", "-1"], None, {}, "--seed"),
+    ("pretrain", [], "-2", {}, "XMRT_SEED"),
+    ("pretrain", [], None, {"seed": -5}, "config key seed"),
+    ("gen-fixtures", ["--seed", "-1"], None, {}, "--seed"),
+    ("finetune", [], None, {"augmentation": {"rng_seed": -1}}, "rng_seed"),
+], ids=["flag", "env", "config", "gen-fixtures", "augmentation"])
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                           command, flag, env, config,
+                                           source):
+    monkeypatch.delenv("XMRT_SEED", raising=False)
+    payload = _read_json(_pipeline_config(tmp_path))
+    cfg = _write_config(tmp_path, {**payload, **config})
+    if command == "finetune":
+        assert main(["pretrain", "--config", cfg]) == 0
+    if env is not None:
+        monkeypatch.setenv("XMRT_SEED", env)
+    argv = (["--out", os.path.join(str(tmp_path), "fixtures")]
+            if command == "gen-fixtures" else ["--config", cfg])
+    capsys.readouterr()
+    assert main([command, *argv, *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source} must be a non-negative integer")
+    assert "Traceback" not in err
 
 
 def test_pretrain_seed_changes_checkpoint(tmp_path):
@@ -562,3 +608,15 @@ def test_report_with_no_artifacts(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"out_dir": "empty"})
     assert main(["report", "--config", cfg]) == 0
     assert "nothing to report" in capsys.readouterr().out
+
+
+def test_report_rejects_a_torn_summary(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"out_dir": "run"})
+    path = os.path.join(str(tmp_path), "run", "summaries", "pretrain.json")
+    os.makedirs(os.path.dirname(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"final_total": 0.51, "st')
+    assert main(["report", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert path in err
+    assert "Traceback" not in err

@@ -10,6 +10,7 @@ from xmrt import (ConfigError, ContractError, DataError, EnsembleSpec,
                   bundled_weight_table, evaluate, fuse, grid_search,
                   hierarchical_grid_search, load_coefficients,
                   read_weight_table, write_weight_table)
+from xmrt import ensemble
 from xmrt.ensemble import _compositions, _grid_size
 
 
@@ -298,6 +299,15 @@ class TestGridSearch:
             grid_search(mats, self._relevance(4), cfg, refine=True)
         assert grid_search(mats, self._relevance(4), cfg).points_evaluated \
             == 251
+
+    def test_strategy_is_checked_before_any_point_is_scored(
+            self, monkeypatch):
+        def score(*args, **kwargs):
+            raise AssertionError("a grid point was scored")
+        monkeypatch.setattr(ensemble, "evaluate", score)
+        mats = [np.eye(4), np.eye(4)[::-1]]
+        with pytest.raises(ConfigError, match="strategy must be one of"):
+            grid_search(mats, self._relevance(4), strategy="bogus")
 
     @pytest.mark.parametrize("step", [0.01, 0.005])
     def test_refined_weights_lie_on_the_refine_lattice(self, step):

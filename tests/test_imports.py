@@ -1,6 +1,7 @@
 """Every module uses each name it imports; package __init__ re-exports are
-exempt, and `xmrt.__all__` lists exactly those re-exports.  A plain `ast`
-pass, so the check needs no linter install."""
+exempt, and `xmrt.__all__` lists exactly those re-exports.  JSON files are
+read and written only by `checkpoints.read_json` / `write_json`.  Plain
+`ast` passes, so the checks need no linter install."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,29 @@ def test_package_exports_exactly_what_it_imports():
     assert set(xmrt.__all__) == imported | {"__version__"}
     for name in xmrt.__all__:
         assert hasattr(xmrt, name), name
+
+
+# load_config reads JSON itself so that bad JSON is a ConfigError.
+JSON_FILE_IO_ALLOWED = {"src/xmrt/checkpoints.py", "src/xmrt/config.py"}
+
+
+def _json_file_calls(source):
+    """json.load / json.dump calls; the string forms loads/dumps pass."""
+    return [f"json.{node.func.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+            and node.func.attr in ("load", "dump")]
+
+
+def test_json_files_go_through_the_one_reader_and_writer():
+    assert _json_file_calls("import json\njson.dump(x, fh)\n"
+                            "json.dumps(x)\njson.loads(s)\n") == ["json.dump"]
+    offenders = {}
+    for path in sorted((ROOT / "src/xmrt").rglob("*.py")):
+        name = str(path.relative_to(ROOT))
+        calls = _json_file_calls(path.read_text(encoding="utf-8"))
+        if calls and name not in JSON_FILE_IO_ALLOWED:
+            offenders[name] = calls
+    assert offenders == {}

@@ -31,7 +31,7 @@ from xmrt import (
 from xmrt.checkpoints import (
     META_FILE,
     load_checkpoint,
-    read_checkpoint_extra,
+    read_json,
     save_checkpoint,
 )
 from xmrt.cli import _from_section, main
@@ -587,17 +587,24 @@ def test_generate_fixtures_guards(tmp_path):
 # --------------------------------------------------------------- checkpoints
 
 
+def _assert_same_tensors(before, after):
+    assert (after.has_heads, after.n_clusters) == (before.has_heads,
+                                                   before.n_clusters)
+    before, after = before.named_tensors(), after.named_tensors()
+    assert list(before) == list(after)
+    for name in before:
+        assert before[name].tobytes() == after[name].tobytes(), name
+
+
 def test_checkpoint_round_trip_plain(tmp_path):
     params = init_params(6, 5, 4, seed=0)
     directory = os.path.join(str(tmp_path), "ckpt")
     save_checkpoint(directory, params)
     back = load_checkpoint(directory)
     assert not back.has_heads
-    before = params.named_tensors()
-    after = back.named_tensors()
-    assert sorted(before) == sorted(after)
-    for name in before:
-        assert before[name].tobytes() == after[name].tobytes(), name
+    _assert_same_tensors(params, back)
+    assert read_json(os.path.join(directory, META_FILE)) == {
+        "format": 1, "tensors": sorted(params.named_tensors())}
 
 
 def test_checkpoint_round_trip_with_heads(tmp_path):
@@ -607,31 +614,31 @@ def test_checkpoint_round_trip_with_heads(tmp_path):
     back = load_checkpoint(directory)
     assert back.has_heads
     assert back.n_clusters == 3
-    before = params.named_tensors()
-    after = back.named_tensors()
-    assert sorted(before) == sorted(after)
-    for name in before:
-        assert before[name].tobytes() == after[name].tobytes(), name
+    _assert_same_tensors(params, back)
 
 
-def test_checkpoint_extra_meta(tmp_path):
-    params = init_params(6, 5, 4, seed=0)
+@pytest.mark.parametrize("n_clusters", [None, 3])
+def test_checkpoint_loads_the_older_meta_layout(tmp_path, n_clusters):
+    # Older checkpoints also stored has_heads, n_clusters, rng_seed and a
+    # free-form run record in meta.json; the loader ignores them.
+    params = init_params(6, 5, 4, n_clusters=n_clusters, seed=2)
     directory = os.path.join(str(tmp_path), "ckpt")
-    save_checkpoint(directory, params, extra={"stage": "pretrain",
-                                              "epochs": 3})
-    assert read_checkpoint_extra(directory) == {"stage": "pretrain",
-                                                "epochs": 3}
-    plain = os.path.join(str(tmp_path), "plain")
-    save_checkpoint(plain, params)
-    assert read_checkpoint_extra(plain) == {}
+    save_checkpoint(directory, params)
+    older = {"format": 1, "tensors": sorted(params.named_tensors()),
+             "has_heads": params.has_heads, "n_clusters": n_clusters,
+             "rng_seed": 2, "extra": {"stage": "pretrain", "steps": 9}}
+    with open(os.path.join(directory, META_FILE), "w",
+              encoding="utf-8") as fh:
+        json.dump(older, fh, indent=2, sort_keys=True)
+    _assert_same_tensors(params, load_checkpoint(directory))
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
     params = init_params(6, 5, 4, n_clusters=3, seed=2)
     d1 = os.path.join(str(tmp_path), "one")
     d2 = os.path.join(str(tmp_path), "two")
-    save_checkpoint(d1, params, extra={"note": "x"})
-    save_checkpoint(d2, params, extra={"note": "x"})
+    save_checkpoint(d1, params)
+    save_checkpoint(d2, params)
     names1 = sorted(os.listdir(d1))
     assert names1 == sorted(os.listdir(d2))
     for name in names1:
@@ -673,20 +680,35 @@ def _rewrite_meta(directory, **changes):
         json.dump(meta, fh)
 
 
-def test_checkpoint_tensor_set_must_match_has_heads(tmp_path):
-    # meta claims heads but lists only the encoder tensors
-    plain = os.path.join(str(tmp_path), "plain")
-    save_checkpoint(plain, init_params(6, 5, 4, seed=0))
-    _rewrite_meta(plain, has_heads=True, n_clusters=3)
-    with pytest.raises(DataError, match="audio_head.w1"):
-        load_checkpoint(plain)
-
-    # meta denies heads but lists head tensors that are on disk
+def test_checkpoint_rejects_partial_head_set(tmp_path):
+    # Any listed head tensor means heads; every missing one is named.
     headed = os.path.join(str(tmp_path), "headed")
-    save_checkpoint(headed, init_params(6, 5, 4, n_clusters=3, seed=0))
-    _rewrite_meta(headed, has_heads=False, n_clusters=None)
-    with pytest.raises(DataError, match="text_head.b2"):
+    params = init_params(6, 5, 4, n_clusters=3, seed=0)
+    save_checkpoint(headed, params)
+    _rewrite_meta(headed, tensors=[
+        name for name in params.named_tensors()
+        if name not in ("audio_head.w1", "text_head.b2")])
+    with pytest.raises(DataError,
+                       match=r"\['audio_head\.w1', 'text_head\.b2'\]"):
         load_checkpoint(headed)
+
+
+@pytest.mark.parametrize("tensors", [
+    None, "audio_encoder.weight", ["../x"], [["audio_encoder.weight"]]],
+    ids=["null", "string", "path", "nested-list"])
+def test_checkpoint_meta_must_list_parameter_names(tmp_path, monkeypatch,
+                                                   tensors):
+    directory = os.path.join(str(tmp_path), "ckpt")
+    save_checkpoint(directory, init_params(6, 5, 4, seed=0))
+    save_tensor(os.path.join(str(tmp_path), "x.xmrt"), np.zeros(2))
+    _rewrite_meta(directory, tensors=tensors)
+
+    def no_open(path):
+        raise AssertionError(f"opened {path}")
+    monkeypatch.setattr("xmrt.checkpoints.load_tensor", no_open)
+    with pytest.raises(DataError,
+                       match="tensors must be a list of parameter names"):
+        load_checkpoint(directory)
 
 
 # -------------------------------------------------------------------- config
@@ -737,6 +759,11 @@ def test_config_file_errors(tmp_path):
         fh.write("[1, 2]")
     with pytest.raises(ConfigError, match="top level must be an object"):
         load_config(path2)
+    path3 = os.path.join(str(tmp_path), "latin1.json")
+    with open(path3, "wb") as fh:
+        fh.write(b'{"out_dir": "r\xe9sum\xe9"}')
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(path3)
 
 
 def test_config_resolves_relative_paths(tmp_path):
@@ -810,6 +837,7 @@ def test_config_section_builders(tmp_path):
     ({"schedule": {"peak_lr": float("inf")}}, "schedule.peak_lr"),
     ({"clustering": {"neighborhood_radius": -float("inf")}},
      "clustering.neighborhood_radius"),
+    ({"loss": {"tau": 10 ** 400}}, "loss.tau"),
 ])
 def test_config_rejects_mistyped_values(tmp_path, payload, key):
     with pytest.raises(ConfigError,
