@@ -37,6 +37,13 @@ def as_matrix(values, name="matrix"):
     return arr
 
 
+def _rng(seed, *stream):
+    """numpy Generator seeded from [seed, *stream]; seed must be >= 0."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng([seed, *stream])
+
+
 def _unit_rows(raw, modality):
     """(raw / norm, norm) with norm the (n, 1) column of row norms.
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import as_matrix
+from .core import _rng, as_matrix
 from .errors import ConfigError, ContractError, DataError
 
 MODALITIES = ("audio", "text")
@@ -204,7 +204,7 @@ def init_heads(d_emb, n_clusters, seed=0):
         raise ConfigError(f"d_emb must be >= 2, got {d_emb}")
     if n_clusters < 1:
         raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
-    return _draw_heads(np.random.default_rng(seed), d_emb, n_clusters)
+    return _draw_heads(_rng(seed), d_emb, n_clusters)
 
 
 def init_params(d_in_audio, d_in_text, d_emb, n_clusters=None, seed=0):
@@ -220,7 +220,7 @@ def init_params(d_in_audio, d_in_text, d_emb, n_clusters=None, seed=0):
         raise ConfigError(f"d_emb must be >= 2, got {d_emb}")
     if n_clusters is not None and n_clusters < 1:
         raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     audio_enc = LinearEncoder(_uniform_fanin(rng, (d_emb, d_in_audio), d_in_audio),
                               np.zeros(d_emb), "audio")
     text_enc = LinearEncoder(_uniform_fanin(rng, (d_emb, d_in_text), d_in_text),

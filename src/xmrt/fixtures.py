@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
+from .core import _rng
 from .datasets import Manifest, ManifestItem, write_manifest, write_relevance
 from .errors import ConfigError
 from .tensorfile import save_tensor
@@ -51,7 +50,7 @@ def generate_fixtures(out_dir, *, n_items=256, d_latent=8, d_audio=32,
     if noise_sigma < 0:
         raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     view_a = rng.standard_normal((d_audio, d_latent))
     view_b = rng.standard_normal((d_text, d_latent))
     latents = rng.standard_normal((n_items, d_latent))

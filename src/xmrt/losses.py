@@ -35,10 +35,12 @@ class LossConfig:
     lambda2: float = 0.05      # classification weight
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("loss weights must be nonnegative")
+        # nan fails every comparison, so it is rejected too.
+        if not 0 < self.tau < np.inf:
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
+        if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
+            raise ConfigError("lambda1 and lambda2 must be finite and >= 0, "
+                              f"got {self.lambda1}, {self.lambda2}")
 
 
 @dataclass(frozen=True)
@@ -107,62 +109,14 @@ def supervised_contrastive_loss(sim, cfg):
                              _softmax_forward(z, Axis.ROWS)[0])
 
 
-def _fsum_columns(stack):
-    """Correctly rounded sums down the columns of a finite (m, N) stack, m > 1.
-
-    Every element equals math.fsum of its column, bit for bit.  This is
-    CPython's fsum (Shewchuk's partials plus a half-even fix-up) run on
-    all N columns at once.  Partials live in a fixed (m, N) array:
-    input k sweeps slots 0..k-1 with an exact two-sum, leaving each
-    slot's rounding error behind, and lands in slot k.  fsum drops zero
-    partials; here they stay in place, which changes nothing because
-    adding a zero is exact in both phases.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        partials = np.empty_like(stack)
-        for k, x in enumerate(stack):
-            for j in range(k):
-                y = partials[j]
-                hi = x + y
-                y_part = hi - x
-                partials[j] = (x - (hi - y_part)) + (y - y_part)
-                x = hi
-            partials[k] = x
-        # Add the partials from the top down; each column stops at its
-        # first inexact addition, keeping that error in lo and the next
-        # nonzero partial under it in below.
-        hi = partials[-1]
-        lo = np.zeros_like(hi)
-        below = np.zeros_like(hi)
-        summing = np.ones(hi.shape, dtype=bool)
-        for y in partials[-2::-1]:
-            total = hi + y
-            err = y - (total - hi)
-            hi = np.where(summing, total, hi)
-            below = np.where(~summing & (below == 0), y, below)
-            stop = summing & (err != 0)
-            lo = np.where(stop, err, lo)
-            summing &= ~stop
-        # Half-even across partials: when lo is exactly half an ulp of hi
-        # (hi + 2*lo is exact) and the partials below push the same way,
-        # the true sum lies past the halfway point, so step to hi + 2*lo.
-        twice = 2.0 * lo
-        bumped = hi + twice
-        same_way = ((lo > 0) & (below > 0)) | ((lo < 0) & (below < 0))
-        sums = np.where(same_way & (bumped - hi == twice), bumped, hi)
-    if not np.isfinite(sums).all():
-        raise OverflowError("intermediate overflow in fsum")
-    return sums
-
-
 def ensemble_average(similarities):
     """Elementwise mean of teacher similarity matrices.
 
-    Each element is summed with correct rounding, bit for bit what
-    math.fsum gives, with all elements summed at once.  The result is
-    therefore exactly invariant to the order the teachers are listed in;
-    a single teacher comes back unchanged.  A sum that overflows raises
-    OverflowError, as math.fsum does.
+    Each element's m values are sorted (m rounds of an odd-even min/max
+    network) and summed in that order from +0.0, whose sign no tied zero
+    can change; so the mean is exactly invariant to teacher order, but
+    not correctly rounded.  A single teacher comes back unchanged; a sum
+    that overflows raises OverflowError.
     """
     if len(similarities) == 0:
         raise ContractError("need at least one similarity matrix")
@@ -172,10 +126,20 @@ def ensemble_average(similarities):
         if mat.shape != shape:
             raise ContractError(
                 f"similarity {i} has shape {mat.shape}, expected {shape}")
-    if len(mats) == 1:
+    m = len(mats)
+    if m == 1:
         return mats[0].copy()
-    sums = _fsum_columns(np.stack(mats).reshape(len(mats), -1))
-    return (sums / len(mats)).reshape(shape)
+    for r in range(m):
+        for i in range(r % 2, m - 1, 2):
+            lo, hi = mats[i], mats[i + 1]
+            mats[i], mats[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+    total = np.zeros(shape)
+    with np.errstate(over="ignore"):
+        for mat in mats:
+            total += mat
+    if not np.isfinite(total).all():
+        raise OverflowError("teacher similarity sum overflowed")
+    return total / m
 
 
 def teacher_soft_targets(avg_sim, cfg):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix
+from .core import _rng, as_matrix
 from .errors import ConfigError, ContractError, DataError
 from .losses import (LossConfig, loss_and_gradients, student_similarity,
                      targets_from_teacher_sims)
@@ -183,7 +183,7 @@ def expand_with_mixes(dataset, mix_count, rng_seed):
     n = len(dataset)
     if n < 2:
         raise ContractError("mixing needs at least 2 items")
-    rng = np.random.default_rng([rng_seed, _MIX_STREAM])
+    rng = _rng(rng_seed, _MIX_STREAM)
     extra_a = np.empty((mix_count, dataset.audio_features.shape[1]))
     extra_t = np.empty((mix_count, dataset.text_features.shape[1]))
     for j in range(mix_count):
@@ -215,7 +215,7 @@ def make_batches(n_items, batch_size, seed, epoch):
     if n_items < batch_size:
         raise ContractError(
             f"dataset of {n_items} cannot fill a batch of {batch_size}")
-    rng = np.random.default_rng([seed, epoch])
+    rng = _rng(seed, epoch)
     order = rng.permutation(n_items)
     n_full = n_items // batch_size
     return [order[i * batch_size:(i + 1) * batch_size]

@@ -8,6 +8,7 @@ import pytest
 from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
                   TeacherTargets, classification_loss,
                   cosine_similarity_matrix, distillation_loss,
+                  generate_fixtures, init_heads, init_params, make_batches,
                   softmax_with_temperature)
 from xmrt.core import _softmax_forward, as_matrix
 
@@ -25,6 +26,22 @@ class TestAsMatrix:
     def test_rejects_nan(self):
         with pytest.raises(DataError, match="non-finite"):
             as_matrix([[1.0, np.nan]])
+
+
+_SEEDED_ENTRY_POINTS = {
+    "init_params": lambda tmp, seed: init_params(4, 3, 2, seed=seed),
+    "init_heads": lambda tmp, seed: init_heads(4, 3, seed=seed),
+    "generate_fixtures": lambda tmp, seed: generate_fixtures(
+        str(tmp), n_items=8, seed=seed),
+    "make_batches": lambda tmp, seed: make_batches(8, 2, seed, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SEEDED_ENTRY_POINTS))
+def test_negative_seed_is_a_config_error(entry, tmp_path):
+    _SEEDED_ENTRY_POINTS[entry](tmp_path, 0)
+    with pytest.raises(ConfigError, match="seed"):
+        _SEEDED_ENTRY_POINTS[entry](tmp_path, -1)
 
 
 class TestCosineSimilarity:

@@ -1,5 +1,6 @@
 """Tests for the training objective and its analytic gradients."""
 
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,12 @@ class TestLossConfig:
             LossConfig(lambda1=-0.1)
         with pytest.raises(ConfigError):
             LossConfig(lambda2=-1.0)
+
+    @pytest.mark.parametrize("field", ["tau", "lambda1", "lambda2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            LossConfig(**{field: value})
 
 
 class TestSupervisedLoss:
@@ -130,44 +137,64 @@ def _negative_zeros(rng, m):
     return [np.full((6, 7), -0.0) for _ in range(m)]
 
 
-_FSUM_CASES = [_half_way_ties, _exact_cancellation, _wide_exponents,
-               _negative_zeros]
+_ADVERSARIAL_CASES = [_half_way_ties, _exact_cancellation, _wide_exponents,
+                      _negative_zeros]
 
 
-class TestEnsembleAverageMatchesFsum:
+class TestEnsembleAverageSortedSum:
+    """The sorted sequential sum: exactly order-invariant, and within the
+    recursive-summation error bound of the correctly rounded mean."""
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", range(2, 7))
-    @pytest.mark.parametrize("case", _FSUM_CASES, ids=lambda f: f.__name__)
-    def test_bits_equal_fsum(self, case, m):
+    @pytest.mark.parametrize("case", _ADVERSARIAL_CASES,
+                             ids=lambda f: f.__name__)
+    def test_every_teacher_order_gives_the_same_bytes(self, case, m):
         mats = case(np.random.default_rng(m), m)
-        assert ensemble_average(mats).tobytes() == \
-            _fsum_average(mats).tobytes()
+        base = ensemble_average(mats).tobytes()
+        for perm in itertools.permutations(range(m)):
+            assert ensemble_average([mats[i] for i in perm]).tobytes() == base
 
-    def test_cases_defeat_plain_and_sorted_sums(self):
-        # The pinned cases tell a correctly rounded sum from a plain one
-        # and from one taken after sorting along the teacher axis.
-        def differs(case, total):
-            mats = case(np.random.default_rng(3), 3)
-            return ((total(np.stack(mats)) / 3).tobytes()
-                    != _fsum_average(mats).tobytes())
-
-        def plain(stack):
-            return stack.sum(axis=0)
-
-        def sorted_sum(stack):
-            return np.sort(stack, axis=0).sum(axis=0)
-
-        assert differs(_half_way_ties, plain)
-        assert differs(_exact_cancellation, plain)
-        assert differs(_exact_cancellation, sorted_sum)
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_all_zero_result_is_positive_zero(self, m):
+        # min/max may swap tied zero signs; the sum starts from +0.0.
+        zeros = [np.full((2, 3), sign * 0.0) for sign in (-1.0, 1.0)] * m
+        for mats in (_negative_zeros(None, m), zeros[:m]):
+            out = ensemble_average(mats)
+            assert np.all(out == 0.0) and not np.signbit(out).any()
 
     @pytest.mark.filterwarnings("error")
-    def test_overflow_raises_like_fsum(self):
+    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("case", _ADVERSARIAL_CASES,
+                             ids=lambda f: f.__name__)
+    def test_within_summation_bound_of_fsum(self, case, m):
+        # Recursive summation of m terms errs by at most
+        # gamma(m-1) * sum|x|; the reference's own rounding of the sum
+        # adds u * sum|x| (gamma(m-1) + u <= gamma(m)), and each side's
+        # division by m adds half an ulp of its result.
+        mats = case(np.random.default_rng(m), m)
+        out = ensemble_average(mats)
+        ref = _fsum_average(mats)
+        u = 2.0 ** -53
+        gamma = m * u / (1.0 - m * u)
+        bound = (gamma * np.abs(np.stack(mats)).sum(axis=0) / m
+                 + np.spacing(np.maximum(np.abs(out), np.abs(ref))))
+        assert np.all(np.abs(out - ref) <= bound)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_raises(self):
+        with pytest.raises(OverflowError, match="overflow"):
+            ensemble_average([np.full((2, 2), 1e308)] * 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_cancelling_sum_past_the_float_range_stays_finite(self):
+        # Sorted, -1e308 is added first, so no partial sum overflows.
         mats = [np.full((2, 2), v) for v in (1e308, 1e308, -1e308)]
         with pytest.raises(OverflowError):
             math.fsum([1e308, 1e308, -1e308])
-        with pytest.raises(OverflowError, match="overflow"):
-            ensemble_average(mats)
+        for perm in itertools.permutations(mats):
+            np.testing.assert_array_equal(ensemble_average(list(perm)),
+                                          np.full((2, 2), 1e308 / 3))
 
 
 class TestTeacherTargets:

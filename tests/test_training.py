@@ -1,6 +1,7 @@
 """Tests for the optimizer, schedule, batching, pair mixing, and stages."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -491,6 +492,17 @@ class TestRunStage:
     @staticmethod
     def _param_bytes(params):
         return {name: t.tobytes() for name, t in params.named_tensors().items()}
+
+    def test_finetune_is_exactly_invariant_to_teacher_order(self):
+        params = init_params(8, 6, 4, seed=0)
+        teachers = [init_params(8, 6, 4, seed=s) for s in (7, 8, 9)]
+        stage = StageConfig("finetune", epochs=2, batch_size=8)
+        tuned = [self._param_bytes(run_stage(
+                     stage, params, _toy_dataset(), teachers=list(order),
+                     peak_lr=1e-2, seed=4)[0])
+                 for order in itertools.permutations(teachers)]
+        assert len(tuned) == 6
+        assert all(t == tuned[0] for t in tuned)
 
     def test_finetune_with_zero_lambda1_trains_as_pretrain(self):
         params = init_params(8, 6, 4, seed=0)
