@@ -41,10 +41,15 @@ def read_json(path):
 def save_checkpoint(directory, params):
     """Write params into directory (one tensor file per parameter)."""
     os.makedirs(directory, exist_ok=True)
+    # Old meta.json first, new one last: a write that fails partway
+    # leaves no checkpoint, never a mix of old and new tensors.
+    meta_path = os.path.join(directory, META_FILE)
+    if os.path.exists(meta_path):
+        os.remove(meta_path)
     tensors = params.named_tensors()
     for name, tensor in tensors.items():
         save_tensor(os.path.join(directory, f"{name}.xmrt"), tensor)
-    write_json(os.path.join(directory, META_FILE),
+    write_json(meta_path,
                {"format": FORMAT_VERSION, "tensors": sorted(tensors)})
 
 

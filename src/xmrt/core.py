@@ -37,6 +37,16 @@ def as_matrix(values, name="matrix"):
     return arr
 
 
+def _as_equal_shape_matrices(values, name):
+    """as_matrix of each item ("<name> <i>"); all must share one shape."""
+    mats = [as_matrix(v, f"{name} {i}") for i, v in enumerate(values)]
+    for i, mat in enumerate(mats[1:], start=1):
+        if mat.shape != mats[0].shape:
+            raise ContractError(f"{name} {i} has shape {mat.shape}, "
+                                f"expected {mats[0].shape}")
+    return mats
+
+
 def _rng(seed, *stream):
     """numpy Generator seeded from [seed, *stream]; seed must be >= 0."""
     if seed < 0:
@@ -99,6 +109,6 @@ def _softmax_forward(z, axis):
 
 def softmax_with_temperature(logits, tau, axis):
     """Temperature softmax along the chosen axis, max-shifted for stability."""
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
+    if not 0 < tau < np.inf:   # nan fails both comparisons
+        raise ConfigError(f"temperature must be finite and > 0, got {tau}")
     return _softmax_forward(as_matrix(logits, "logits") / tau, axis)[1]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix
+from .core import _as_equal_shape_matrices
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import evaluate
 
@@ -69,16 +69,6 @@ class EnsembleSpec:
         object.__setattr__(self, "members", members)
 
 
-def _check_matrices(matrices):
-    mats = [as_matrix(m, f"matrix {i}") for i, m in enumerate(matrices)]
-    shape = mats[0].shape
-    for i, m in enumerate(mats[1:], start=1):
-        if m.shape != shape:
-            raise ContractError(
-                f"matrix {i} has shape {m.shape}, expected {shape}")
-    return mats
-
-
 def _weighted_sum(mats, weights):
     """Sequential sum of w * m over the nonzero weights, in place.
 
@@ -108,7 +98,7 @@ def fuse(matrices, spec):
     if len(matrices) != len(spec.members):
         raise ContractError(
             f"{len(matrices)} matrices for {len(spec.members)} members")
-    return _weighted_sum(_check_matrices(matrices),
+    return _weighted_sum(_as_equal_shape_matrices(matrices, "matrix"),
                          [m.weight for m in spec.members])
 
 
@@ -312,7 +302,7 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
             f"refine needs a step that is a whole multiple of {REFINE_STEP}, "
             f"got {cfg.step}")
     _check_strategy(strategy)
-    mats = _check_matrices(matrices)
+    mats = _as_equal_shape_matrices(matrices, "matrix")
     divisions = cfg.divisions
 
     best_counts = None

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Axis, _softmax_forward, _unit_rows, as_matrix,
-                   softmax_with_temperature)
-from .encoders import _embed, _head_forward
+from .core import (Axis, _as_equal_shape_matrices, _softmax_forward,
+                   _unit_rows, as_matrix, softmax_with_temperature)
+from .encoders import _embed, _flat_views, _head_forward
 from .errors import ConfigError, ContractError, DataError
 
 
@@ -120,12 +120,7 @@ def ensemble_average(similarities):
     """
     if len(similarities) == 0:
         raise ContractError("need at least one similarity matrix")
-    mats = [as_matrix(s, f"similarity {i}") for i, s in enumerate(similarities)]
-    shape = mats[0].shape
-    for i, mat in enumerate(mats[1:], start=1):
-        if mat.shape != shape:
-            raise ContractError(
-                f"similarity {i} has shape {mat.shape}, expected {shape}")
+    mats = _as_equal_shape_matrices(similarities, "similarity")
     m = len(mats)
     if m == 1:
         return mats[0].copy()
@@ -133,7 +128,7 @@ def ensemble_average(similarities):
         for i in range(r % 2, m - 1, 2):
             lo, hi = mats[i], mats[i + 1]
             mats[i], mats[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
-    total = np.zeros(shape)
+    total = np.zeros(mats[0].shape)
     with np.errstate(over="ignore"):
         for mat in mats:
             total += mat
@@ -247,7 +242,8 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
     classification heads).  cfg.lambda1 and cfg.lambda2 only weight the
     terms: a term with weight 0 is still computed and reported, but adds
     nothing to the total or the gradient.  Teacher targets are
-    constants: no gradient flows into them.
+    constants: no gradient flows into them.  The gradients are views of
+    one zeroed vector, keyed in named_tensors() order; unused heads get 0.
     """
     distill = targets is not None
     cluster = labels is not None
@@ -293,8 +289,8 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
     grad_raw_a = _unit_norm_backward(grad_unit_a, unit_a, norm_a)
     grad_raw_c = _unit_norm_backward(grad_unit_c, unit_c, norm_c)
 
+    grads = _flat_views(params)
     l_cls_a = l_cls_c = 0.0
-    grads = {}
     if cluster:
         l_cls_a, head_grads_a, d_emb_a = _head_forward_backward(
             params.audio_head, raw_a, labels, n)
@@ -305,24 +301,12 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
         for prefix, head_grads in (("audio_head", head_grads_a),
                                    ("text_head", head_grads_c)):
             for name, g in head_grads.items():
-                grads[f"{prefix}.{name}"] = cfg.lambda2 * g
+                grads[f"{prefix}.{name}"][...] = cfg.lambda2 * g
 
-    grads["audio_encoder.weight"] = grad_raw_a.T @ batch.audio_features
-    grads["audio_encoder.bias"] = grad_raw_a.sum(axis=0)
-    grads["text_encoder.weight"] = grad_raw_c.T @ batch.text_features
-    grads["text_encoder.bias"] = grad_raw_c.sum(axis=0)
+    grads["audio_encoder.weight"][...] = grad_raw_a.T @ batch.audio_features
+    grads["audio_encoder.bias"][...] = grad_raw_a.sum(axis=0)
+    grads["text_encoder.weight"][...] = grad_raw_c.T @ batch.text_features
+    grads["text_encoder.bias"][...] = grad_raw_c.sum(axis=0)
 
-    if params.has_heads and not cluster:
-        # Heads exist but the path is off this step: zero gradients keep
-        # the optimizer state shapes aligned.
-        for prefix, head in (("audio_head", params.audio_head),
-                             ("text_head", params.text_head)):
-            grads[f"{prefix}.w1"] = np.zeros_like(head.w1)
-            grads[f"{prefix}.b1"] = np.zeros_like(head.b1)
-            grads[f"{prefix}.w2"] = np.zeros_like(head.w2)
-            grads[f"{prefix}.b2"] = np.zeros_like(head.b2)
-
-    breakdown = combined_loss(l_sup, l_dist, l_cls_a, l_cls_c, cfg)
-    ordered = {name: grads[name] for name in params.named_tensors()}
-    return breakdown, ordered
+    return combined_loss(l_sup, l_dist, l_cls_a, l_cls_c, cfg), grads
 

@@ -4,12 +4,12 @@ A stage's name alone picks its loss terms: pretrain is contrastive only,
 finetune adds distillation from frozen teachers, refinetune adds cluster
 classification.  The LossConfig weights only scale those terms.
 
-The optimizer is AdamW with decoupled weight decay operating on flat
-name-to-array dicts, so the same step function serves encoders and heads
-alike.  The learning-rate schedule is a linear warmup into a cosine decay
-between a peak and a floor.  Batch order and synthetic pair mixing both
-draw from explicitly seeded generators, which makes every stage
-bit-reproducible.
+The optimizer is AdamW with decoupled weight decay operating on one
+float64 vector of every parameter, so the same step function serves
+encoders and heads alike.  The learning-rate schedule is a linear warmup
+into a cosine decay between a peak and a floor.  Batch order and
+synthetic pair mixing both draw from explicitly seeded generators, which
+makes every stage bit-reproducible.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _rng, as_matrix
+from .encoders import _flat_views
 from .errors import ConfigError, ContractError, DataError
 from .losses import (LossConfig, loss_and_gradients, student_similarity,
                      targets_from_teacher_sims)
@@ -33,10 +34,10 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """AdamW moment estimates, step counter, and weight decay."""
+    """AdamW moment vectors, step counter, and weight decay."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     weight_decay: float = 0.0
 
@@ -47,48 +48,36 @@ class OptimizerState:
             raise ContractError("step must be >= 0")
 
 
-def init_optimizer(tensors, weight_decay=0.0):
-    """Zeroed moments shaped like the given name-to-array dict."""
-    return OptimizerState(
-        m={name: np.zeros_like(t) for name, t in tensors.items()},
-        v={name: np.zeros_like(t) for name, t in tensors.items()},
-        step=0, weight_decay=weight_decay)
+def init_optimizer(theta, weight_decay=0.0):
+    """Zeroed moments shaped like the parameter vector theta."""
+    return OptimizerState(m=np.zeros_like(theta), v=np.zeros_like(theta),
+                          step=0, weight_decay=weight_decay)
 
 
-def adamw_step(state, tensors, grads, lr):
-    """One decoupled-weight-decay Adam update; returns new tensors.
+def adamw_step(state, theta, grad, lr):
+    """One decoupled-weight-decay Adam update; returns the new theta.
 
     Decay is applied directly to the parameter, scaled by lr but not by
     the adaptive moments.  Bias vectors decay too; at desk scale the
     distinction is not worth a carve-out.
     """
-    if set(tensors) != set(grads):
-        raise ContractError("gradient keys do not match parameter keys")
+    if not grad.shape == theta.shape == state.m.shape:
+        raise ContractError(
+            f"gradient has shape {grad.shape}, parameters {theta.shape}, "
+            f"moments {state.m.shape}")
     if lr < 0:
         raise ConfigError(f"learning rate must be nonnegative, got {lr}")
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    out = {}
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     # A divergent step overflows here; run_stage reports the non-finite
     # parameters it leaves, so numpy's warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, theta in tensors.items():
-            g = grads[name]
-            if g.shape != theta.shape:
-                raise ContractError(
-                    f"gradient for {name} has shape {g.shape}, "
-                    f"parameter has {theta.shape}")
-            state.m[name] = (ADAM_BETA1 * state.m[name]
-                             + (1.0 - ADAM_BETA1) * g)
-            state.v[name] = (ADAM_BETA2 * state.v[name]
-                             + (1.0 - ADAM_BETA2) * g * g)
-            m_hat = state.m[name] / bc1
-            v_hat = state.v[name] / bc2
-            out[name] = (theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                         - lr * state.weight_decay * theta)
-    return out
+        state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+        state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat, v_hat = state.m / bc1, state.v / bc2
+        return (theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                - lr * state.weight_decay * theta)
 
 
 @dataclass(frozen=True)
@@ -178,6 +167,8 @@ class PairedDataset:
 
 def expand_with_mixes(dataset, mix_count, rng_seed):
     """Append mix_count synthetic averaged pairs drawn from the dataset."""
+    if mix_count < 0:
+        raise ConfigError(f"mix_count must be >= 0, got {mix_count}")
     if mix_count == 0:
         return dataset
     n = len(dataset)
@@ -209,6 +200,8 @@ def make_batches(n_items, batch_size, seed, epoch):
     reruns do not.
     """
     n_items = operator.index(n_items)
+    if epoch < 0:
+        raise ConfigError(f"epoch must be >= 0, got {epoch}")
     if batch_size < 2:
         raise ConfigError(
             f"contrastive batches need >= 2 items, got {batch_size}")
@@ -329,8 +322,9 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     schedule = ScheduleConfig(peak_lr=peak_lr, floor_lr=floor_lr,
                               total_steps=total_steps, warmup_steps=warmup)
 
-    tensors = params.named_tensors()
-    state = init_optimizer(tensors, weight_decay=weight_decay)
+    theta = np.concatenate(
+        [t.ravel() for t in params.named_tensors().values()])
+    state = init_optimizer(theta, weight_decay=weight_decay)
     records = []
     step = 0
     for epoch in range(stage.epochs):
@@ -349,8 +343,9 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                     targets = targets_from_teacher_sims(sims, cfg)
                 breakdown, grads = loss_and_gradients(
                     params, batch, cfg, targets=targets, labels=labels)
-                tensors = adamw_step(state, tensors, grads, lr)
-                params = params.with_tensors(tensors)
+                theta = adamw_step(state, theta, np.concatenate(
+                    [g.ravel() for g in grads.values()]), lr)
+                params = params.with_tensors(_flat_views(params, theta))
             except DataError as exc:
                 terms = "" if breakdown is None else "; " + ", ".join(
                     f"{name}={value:.6g}"

@@ -10,7 +10,7 @@ from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
                   cosine_similarity_matrix, distillation_loss,
                   generate_fixtures, init_heads, init_params, make_batches,
                   softmax_with_temperature)
-from xmrt.core import _softmax_forward, as_matrix
+from xmrt.core import _as_equal_shape_matrices, _softmax_forward, as_matrix
 
 
 class TestAsMatrix:
@@ -42,6 +42,18 @@ def test_negative_seed_is_a_config_error(entry, tmp_path):
     _SEEDED_ENTRY_POINTS[entry](tmp_path, 0)
     with pytest.raises(ConfigError, match="seed"):
         _SEEDED_ENTRY_POINTS[entry](tmp_path, -1)
+
+
+class TestAsEqualShapeMatrices:
+    def test_names_the_item_of_another_shape(self):
+        with pytest.raises(ContractError,
+                           match=r"m 2 has shape \(2, 1\), expected \(1, 2\)"):
+            _as_equal_shape_matrices([np.ones((1, 2))] * 2 + [np.ones((2, 1))],
+                                     "m")
+
+    def test_names_the_non_finite_item(self):
+        with pytest.raises(DataError, match="m 1 contains non-finite"):
+            _as_equal_shape_matrices([np.ones((1, 2)), [[np.inf, 0.0]]], "m")
 
 
 class TestCosineSimilarity:
@@ -118,10 +130,10 @@ class TestSoftmax:
         b = softmax_with_temperature(z + 100.0, 0.3, Axis.ROWS)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_nonpositive_tau_rejected(self):
-        for tau in (0.0, -0.1):
-            with pytest.raises(ConfigError, match="temperature"):
-                softmax_with_temperature([[1.0, 0.0]], tau, Axis.ROWS)
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        with pytest.raises(ConfigError, match="temperature must be finite"):
+            softmax_with_temperature(np.eye(2), tau, Axis.ROWS)
 
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(2)

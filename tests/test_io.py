@@ -671,6 +671,25 @@ def test_checkpoint_errors(tmp_path):
         load_checkpoint(bad)
 
 
+def test_failed_save_over_a_checkpoint_leaves_no_checkpoint(tmp_path,
+                                                            monkeypatch):
+    # A torn write must not load as a mix of old and new tensors.
+    directory = os.path.join(str(tmp_path), "ckpt")
+    save_checkpoint(directory, init_params(6, 5, 4, seed=0))
+    calls = []
+
+    def fail_second_call(path, array):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        save_tensor(path, array)
+    monkeypatch.setattr("xmrt.checkpoints.save_tensor", fail_second_call)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(directory, init_params(6, 5, 4, seed=1))
+    with pytest.raises(DataError, match="not a checkpoint"):
+        load_checkpoint(directory)
+
+
 def _rewrite_meta(directory, **changes):
     meta_path = os.path.join(directory, META_FILE)
     with open(meta_path, "r", encoding="utf-8") as fh:

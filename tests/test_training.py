@@ -9,85 +9,92 @@ import pytest
 from xmrt import (AugmentationConfig, ConfigError, ContractError, DataError,
                   LossConfig, PairedDataset, ScheduleConfig, StageConfig,
                   adamw_step, expand_with_mixes, init_optimizer, init_params,
-                  lr_at_step, make_batches, run_stage, student_similarity,
-                  targets_from_teacher_sims)
-
-
-def _scalar_tensors(value):
-    return {"theta": np.array([float(value)])}
+                  loss_and_gradients, lr_at_step, make_batches, run_stage,
+                  student_similarity, targets_from_teacher_sims)
+from xmrt.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
-        tensors = _scalar_tensors(0.7)
-        state = init_optimizer(tensors)
-        out = adamw_step(state, tensors, _scalar_tensors(0.0), lr=1e-3)
-        assert out["theta"][0] == 0.7
+        theta = np.array([0.7, -1.5, 3.0])
+        out = adamw_step(init_optimizer(theta), theta, np.zeros(3), lr=1e-3)
+        assert out.tobytes() == theta.tobytes()
 
     def test_first_step_closed_form(self):
-        # bias-corrected m_hat = v_hat = 1, so the step is -lr/(1+eps)
-        tensors = _scalar_tensors(0.0)
-        state = init_optimizer(tensors)
-        out = adamw_step(state, tensors, _scalar_tensors(1.0), lr=1e-3)
-        assert abs(out["theta"][0] - (-9.99999994e-4)) < 1e-11
+        # bias-corrected m_hat = g and v_hat = g*g, so each element steps
+        # -lr*g/(|g|+eps): lr against the gradient's sign, whatever its size
+        g = np.array([1.0, -2.0, 0.5])
+        theta = np.zeros(3)
+        out = adamw_step(init_optimizer(theta), theta, g, lr=1e-3)
+        assert abs(out[0] - (-9.99999994e-4)) < 1e-11
+        np.testing.assert_allclose(out, -1e-3 * np.sign(g), rtol=1e-7)
 
     def test_decay_only(self):
-        tensors = _scalar_tensors(1.0)
-        state = init_optimizer(tensors, weight_decay=0.01)
-        out = adamw_step(state, tensors, _scalar_tensors(0.0), lr=0.1)
-        assert out["theta"][0] == 0.999
+        theta = np.ones(3)
+        state = init_optimizer(theta, weight_decay=0.01)
+        out = adamw_step(state, theta, np.zeros(3), lr=0.1)
+        assert (out == 0.999).all()
 
     def test_decay_is_decoupled_from_moments(self):
         # same gradient, with and without decay: the difference must be
         # exactly lr*wd*theta, untouched by the adaptive scaling
-        theta, g, lr = 2.0, 0.5, 1e-2
-        plain = adamw_step(init_optimizer(_scalar_tensors(theta)),
-                           _scalar_tensors(theta), _scalar_tensors(g), lr)
-        decayed = adamw_step(
-            init_optimizer(_scalar_tensors(theta), weight_decay=0.1),
-            _scalar_tensors(theta), _scalar_tensors(g), lr)
-        np.testing.assert_allclose(
-            plain["theta"][0] - decayed["theta"][0], lr * 0.1 * theta,
-            rtol=1e-12)
+        theta, g, lr = np.array([2.0, -1.0]), np.array([0.5, 3.0]), 1e-2
+        plain = adamw_step(init_optimizer(theta), theta, g, lr)
+        decayed = adamw_step(init_optimizer(theta, weight_decay=0.1),
+                             theta, g, lr)
+        np.testing.assert_allclose(plain - decayed, lr * 0.1 * theta,
+                                   rtol=1e-12)
 
     def test_step_counter_and_moments_advance(self):
-        tensors = _scalar_tensors(0.0)
-        state = init_optimizer(tensors)
-        adamw_step(state, tensors, _scalar_tensors(1.0), lr=1e-3)
+        theta = np.zeros(2)
+        state = init_optimizer(theta)
+        adamw_step(state, theta, np.array([1.0, -2.0]), lr=1e-3)
         assert state.step == 1
-        np.testing.assert_allclose(state.m["theta"], [0.1], rtol=1e-12)
-        np.testing.assert_allclose(state.v["theta"], [0.001], rtol=1e-12)
+        np.testing.assert_allclose(state.m, [0.1, -0.2], rtol=1e-12)
+        np.testing.assert_allclose(state.v, [0.001, 0.004], rtol=1e-12)
 
     def test_descends_a_quadratic(self):
-        # minimize (theta-3)^2; gradient 2(theta-3)
-        tensors = _scalar_tensors(0.0)
-        state = init_optimizer(tensors)
+        # minimize |theta - c|^2; gradient 2(theta - c)
+        c = np.array([3.0, -1.0, 0.5])
+        theta = np.zeros(3)
+        state = init_optimizer(theta)
         for _ in range(400):
-            g = 2.0 * (tensors["theta"] - 3.0)
-            tensors = adamw_step(state, tensors, {"theta": g}, lr=0.05)
-        assert abs(tensors["theta"][0] - 3.0) < 1e-2
+            theta = adamw_step(state, theta, 2.0 * (theta - c), lr=0.05)
+        np.testing.assert_allclose(theta, c, atol=1e-2)
 
-    def test_key_mismatch(self):
-        state = init_optimizer(_scalar_tensors(0.0))
-        with pytest.raises(ContractError, match="keys"):
-            adamw_step(state, _scalar_tensors(0.0), {"other": np.zeros(1)},
-                       lr=1e-3)
+    def test_elements_update_independently(self):
+        # One vector step has the bits of separate one-element steps, so
+        # the parameter layout cannot change a result.
+        rng = np.random.default_rng(0)
+        theta = rng.standard_normal(5)
+        grads = rng.standard_normal((3, 5))
+        whole = theta
+        state = init_optimizer(whole, weight_decay=0.01)
+        for g in grads:
+            whole = adamw_step(state, whole, g, lr=0.1)
+        for i in range(5):
+            part = theta[i:i + 1]
+            state = init_optimizer(part, weight_decay=0.01)
+            for g in grads:
+                part = adamw_step(state, part, g[i:i + 1], lr=0.1)
+            assert part.tobytes() == whole[i:i + 1].tobytes()
 
     def test_shape_mismatch(self):
-        tensors = {"theta": np.zeros((2, 2))}
-        state = init_optimizer(tensors)
+        theta = np.zeros(4)
         with pytest.raises(ContractError, match="shape"):
-            adamw_step(state, tensors, {"theta": np.zeros(3)}, lr=1e-3)
+            adamw_step(init_optimizer(theta), theta, np.zeros(3), lr=1e-3)
+        with pytest.raises(ContractError, match="moments"):
+            adamw_step(init_optimizer(np.zeros(3)), theta, np.zeros(4),
+                       lr=1e-3)
 
     def test_negative_lr(self):
-        tensors = _scalar_tensors(0.0)
+        theta = np.zeros(1)
         with pytest.raises(ConfigError, match="learning rate"):
-            adamw_step(init_optimizer(tensors), tensors,
-                       _scalar_tensors(1.0), lr=-1e-3)
+            adamw_step(init_optimizer(theta), theta, np.ones(1), lr=-1e-3)
 
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(ConfigError):
-            init_optimizer(_scalar_tensors(0.0), weight_decay=-0.1)
+            init_optimizer(np.zeros(1), weight_decay=-0.1)
 
 
 class TestSchedule:
@@ -176,6 +183,10 @@ class TestMakeBatches:
         with pytest.raises(ContractError, match="cannot fill"):
             make_batches(3, 4, seed=0, epoch=0)
 
+    def test_negative_epoch_rejected(self):
+        with pytest.raises(ConfigError, match="epoch must be >= 0"):
+            make_batches(8, 2, 0, -1)
+
 
 class TestPairedDataset:
     def test_row_counts_must_match(self):
@@ -263,6 +274,10 @@ class TestExpandWithMixes:
         tiny = PairedDataset(np.ones((1, 2)), np.ones((1, 2)))
         with pytest.raises(ContractError, match="2"):
             expand_with_mixes(tiny, 1, rng_seed=0)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConfigError, match="mix_count must be >= 0"):
+            expand_with_mixes(self._dataset(), -1, 0)
 
 
 class TestStageConfig:
@@ -528,3 +543,101 @@ class TestRunStage:
                              params, _toy_dataset(), **kwargs)
         assert all(r.l_cls_audio > 0 for r in log)
         assert self._param_bytes(tuned) == self._param_bytes(plain)
+
+
+class _DictAdamW:
+    """AdamW over name -> array dicts, one tensor at a time: the optimizer
+    before the flat parameter vector, kept as the reference for its bits."""
+
+    def __init__(self, tensors, weight_decay):
+        self.m = {name: np.zeros_like(t) for name, t in tensors.items()}
+        self.v = {name: np.zeros_like(t) for name, t in tensors.items()}
+        self.step = 0
+        self.weight_decay = weight_decay
+
+    def __call__(self, tensors, grads, lr):
+        assert list(grads) == list(tensors)
+        self.step += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.step
+        bc2 = 1.0 - ADAM_BETA2 ** self.step
+        out = {}
+        for name, theta in tensors.items():
+            g = grads[name]
+            assert g.shape == theta.shape
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = (ADAM_BETA2 * self.v[name]
+                            + (1.0 - ADAM_BETA2) * g * g)
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            out[name] = (theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                         - lr * self.weight_decay * theta)
+        return out
+
+
+def _reference_stage(stage, params, dataset, teachers=(), labels=None, *,
+                     augmentation=None, peak_lr, seed, weight_decay=0.01):
+    """run_stage spelled out with the default loss weights, schedule ends
+    and warmup fraction: loss_and_gradients -> _DictAdamW -> with_tensors."""
+    cfg = LossConfig()
+    if augmentation is not None:
+        dataset = expand_with_mixes(dataset, augmentation.mix_count,
+                                    augmentation.rng_seed)
+    total = len(dataset) // stage.batch_size * stage.epochs
+    schedule = ScheduleConfig(peak_lr, 1e-7, total,
+                              min(total - 1, round(0.1 * total)))
+    tensors = params.named_tensors()
+    adamw = _DictAdamW(tensors, weight_decay)
+    step = 0
+    for epoch in range(stage.epochs):
+        for idx in make_batches(len(dataset), stage.batch_size, seed, epoch):
+            batch = PairedDataset(dataset.audio_features[idx],
+                                  dataset.text_features[idx])
+            targets = None
+            if teachers:
+                targets = targets_from_teacher_sims(
+                    [student_similarity(t, batch) for t in teachers], cfg)
+            _, grads = loss_and_gradients(
+                params, batch, cfg, targets,
+                None if labels is None else labels[idx])
+            tensors = adamw(tensors, grads, lr_at_step(schedule, step))
+            params = params.with_tensors(tensors)
+            step += 1
+    return params
+
+
+class TestRunStageMatchesDictAdamW:
+    """run_stage's one-vector AdamW gives the reference loop's exact bits."""
+
+    @staticmethod
+    def _bytes(params):
+        return {name: t.tobytes() for name, t in params.named_tensors().items()}
+
+    def _assert_same_bits(self, stage_name, params, **inputs):
+        stage = StageConfig(stage_name, epochs=2, batch_size=8)
+        trained, _ = run_stage(stage, params, _toy_dataset(),
+                               peak_lr=1e-2, seed=4, **inputs)
+        teachers = inputs.pop("teachers", ())
+        labels = inputs.pop("pseudo_labels", None)
+        reference = _reference_stage(stage, params, _toy_dataset(), teachers,
+                                     labels, peak_lr=1e-2, seed=4, **inputs)
+        assert self._bytes(trained) == self._bytes(reference)
+        assert self._bytes(trained) != self._bytes(params)
+        return trained
+
+    def test_pretrain_with_idle_heads(self):
+        # The heads get zero gradients and only weight decay moves them.
+        params = init_params(8, 6, 4, n_clusters=3, seed=0)
+        trained = self._assert_same_bits("pretrain", params)
+        assert not np.array_equal(trained.text_head.w2, params.text_head.w2)
+
+    def test_finetune_with_two_teachers_and_mixes(self):
+        self._assert_same_bits(
+            "finetune", init_params(8, 6, 4, seed=0),
+            teachers=[init_params(8, 6, 4, seed=s) for s in (7, 9)],
+            augmentation=AugmentationConfig(mix_count=8, rng_seed=1))
+
+    def test_refinetune(self):
+        labels = np.random.default_rng(0).integers(0, 3, size=32)
+        self._assert_same_bits("refinetune",
+                               init_params(8, 6, 4, n_clusters=3, seed=0),
+                               pseudo_labels=labels)
