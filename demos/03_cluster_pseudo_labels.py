@@ -56,9 +56,13 @@ majority = sum(
     for c in range(assignment.k))
 print(f"cluster purity vs planted topics: {majority / len(truth):.3f}")
 
-# 4. pseudo-labels for the audio side come from their captions' votes
-pseudo = build_pseudo_labels(assignment, np.arange(len(dataset)))
-assert np.array_equal(pseudo.audio_labels, assignment.labels)
+# 4. pseudo-labels for the audio side come from their captions' votes,
+#    and topic probabilities from their captions' mean; with one caption
+#    per clip each clip keeps its caption's label and probabilities
+audio_labels, audio_probs = build_pseudo_labels(assignment,
+                                                np.arange(len(dataset)))
+assert np.array_equal(audio_labels, assignment.labels)
+assert np.allclose(audio_probs, assignment.probabilities)
 
 # 5. refinetune: attach classification heads and train with the
 #    auxiliary term on top of the contrastive one

@@ -10,9 +10,9 @@ together.
 """
 
 from .clustering import (OUTLIER, ClusterAssignment, ClusterConfig,
-                         PseudoLabels, build_pseudo_labels,
-                         cluster_pipeline, density_cluster,
-                         reassign_outliers, reduce_dimensionality)
+                         build_pseudo_labels, cluster_pipeline,
+                         density_cluster, reassign_outliers,
+                         reduce_dimensionality)
 from .core import Axis, cosine_similarity_matrix, softmax_with_temperature
 from .encoders import (ClassificationHead, LinearEncoder, ModelParams,
                        classify, encode, init_heads, init_params)
@@ -52,7 +52,7 @@ __all__ = [
     "ScheduleConfig", "lr_at_step", "StageConfig", "StepRecord",
     "AugmentationConfig", "expand_with_mixes", "PairedDataset",
     "make_batches", "run_stage",
-    "OUTLIER", "ClusterConfig", "ClusterAssignment", "PseudoLabels",
+    "OUTLIER", "ClusterConfig", "ClusterAssignment",
     "reduce_dimensionality", "density_cluster", "reassign_outliers",
     "build_pseudo_labels", "cluster_pipeline",
     "RelevanceMap", "MetricsReport", "rank_gallery",

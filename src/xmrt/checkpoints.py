@@ -12,7 +12,7 @@ import os
 
 from .encoders import _ENCODER_TENSORS, _HEAD_TENSORS, _params_from_tensors
 from .errors import ContractError, DataError
-from .tensorfile import load_tensor, save_tensor
+from .tensorfile import atomic_open, load_tensor, save_tensor
 
 META_FILE = "meta.json"
 FORMAT_VERSION = 1
@@ -21,7 +21,7 @@ FORMAT_VERSION = 1
 def write_json(path, payload):
     """Write payload to path as indented, key-sorted JSON and a newline."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -41,7 +41,7 @@ from .ensemble import (GridSearchConfig, bundled_weight_table, fuse,
 from .errors import ConfigError, DataError, XmrtError
 from .evaluation import METRIC_KEYS, evaluate
 from .losses import LossConfig
-from .tensorfile import load_tensor, save_tensor
+from .tensorfile import atomic_open, load_tensor, save_tensor
 from .training import STAGES, AugmentationConfig, StageConfig, run_stage
 
 CHECKPOINT_ROOT = "checkpoints"
@@ -97,15 +97,22 @@ def _stage_summary(records):
     }
 
 
-def _load_train_split(cfg):
-    manifest_path = cfg.resolve_input("data", "manifest")
-    return manifest_path, load_paired_dataset(manifest_path, "train")
+def _input_path(cfg, keys, default, what, hint):
+    """The path config key keys names, which must exist, or else the
+    first existing default (a path or a list of paths).  An empty string
+    counts as unset."""
+    if cfg.get(*keys):
+        return cfg.resolve_input(*keys)
+    candidates = [default] if isinstance(default, str) else default
+    for path in candidates:
+        if os.path.exists(path):
+            return path
+    raise ConfigError(f"no {what} at {' or '.join(candidates)}; {hint} "
+                      f"or set {'.'.join(keys)}")
 
 
-def _similarity(params, gallery_features, caption_features):
-    audio_emb = encode(params.audio_encoder, gallery_features)
-    text_emb = encode(params.text_encoder, caption_features)
-    return cosine_similarity_matrix(audio_emb, text_emb)
+def _load_split(cfg, name):
+    return load_paired_dataset(cfg.resolve_input("data", "manifest"), name)
 
 
 def cmd_gen_fixtures(args):
@@ -122,8 +129,7 @@ def _run_training_stage(args, stage_name):
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
     out_dir = _resolve_out(args, cfg)
-    _, split = _load_train_split(cfg)
-    dataset = split.dataset
+    dataset = _load_split(cfg, "train").dataset
 
     teachers = None
     pseudo = None
@@ -135,14 +141,10 @@ def _run_training_stage(args, stage_name):
                              d_emb, seed=seed)
     else:
         prev = STAGES[STAGES.index(stage_name) - 1]
-        init_from = cfg.get("stages", stage_name, "init_from")
-        init_dir = (cfg.resolve(init_from) if init_from
-                    else _checkpoint_dir(out_dir, prev))
-        if not os.path.exists(init_dir):
-            raise ConfigError(
-                f"no checkpoint to start from at {init_dir}; run "
-                f"{prev} first or set stages.{stage_name}.init_from")
-        params = load_checkpoint(init_dir)
+        params = load_checkpoint(_input_path(
+            cfg, ("stages", stage_name, "init_from"),
+            _checkpoint_dir(out_dir, prev), "checkpoint to start from",
+            f"run {prev} first"))
 
     if stage_name == "finetune":
         teacher_dirs = cfg.get("stages", "finetune", "teachers")
@@ -156,14 +158,10 @@ def _run_training_stage(args, stage_name):
                                      rng_seed=seed)
 
     if stage_name == "refinetune":
-        labels_key = cfg.get("stages", "refinetune", "labels")
-        labels_path = (cfg.resolve(labels_key) if labels_key
-                       else os.path.join(out_dir, "labels.tsv"))
-        if not os.path.exists(labels_path):
-            raise ConfigError(
-                f"no label file at {labels_path}; run cluster first or "
-                f"set stages.refinetune.labels")
-        ids, labels, probs = read_labels(labels_path)
+        ids, labels, probs = read_labels(_input_path(
+            cfg, ("stages", "refinetune", "labels"),
+            os.path.join(out_dir, "labels.tsv"), "label file",
+            "run cluster first"))
         by_id = dict(zip(ids, labels))
         try:
             pseudo = np.array([by_id[c] for c in dataset.caption_ids],
@@ -206,17 +204,11 @@ def cmd_cluster(args):
     out_dir = _resolve_out(args, cfg)
     cfg.require("clustering", "neighborhood_radius")
     cluster_cfg = _from_section(ClusterConfig, cfg, "clustering")
-    ckpt_key = cfg.get("clustering", "checkpoint")
-    ckpt_dir = (cfg.resolve(ckpt_key) if ckpt_key
-                else _checkpoint_dir(out_dir, "finetune"))
-    if not os.path.exists(ckpt_dir):
-        raise ConfigError(
-            f"no checkpoint at {ckpt_dir}; run finetune first or set "
-            f"clustering.checkpoint")
-    params = load_checkpoint(ckpt_dir)
-    split_name = cfg.get("clustering", "split", default="train")
-    manifest_path = cfg.resolve_input("data", "manifest")
-    split = load_paired_dataset(manifest_path, split_name)
+    params = load_checkpoint(_input_path(
+        cfg, ("clustering", "checkpoint"),
+        _checkpoint_dir(out_dir, "finetune"), "checkpoint",
+        "run finetune first"))
+    split = _load_split(cfg, cfg.get("clustering", "split", default="train"))
     emb = encode(params.text_encoder, split.dataset.text_features)
     assignment = cluster_pipeline(emb, cluster_cfg)
 
@@ -224,14 +216,9 @@ def cmd_cluster(args):
     os.makedirs(out_dir, exist_ok=True)
     write_labels(labels_path, split.dataset.caption_ids, assignment.labels,
                  assignment.probabilities)
-
-    pseudo = build_pseudo_labels(assignment, split.caption_to_audio)
-    audio_probs = np.zeros((len(split.gallery_ids), assignment.k))
-    for cap_idx, audio_idx in enumerate(split.caption_to_audio):
-        audio_probs[audio_idx] += assignment.probabilities[cap_idx]
-    audio_probs /= audio_probs.sum(axis=1, keepdims=True)
     write_labels(os.path.join(out_dir, "audio_labels.tsv"),
-                 split.gallery_ids, pseudo.audio_labels, audio_probs)
+                 split.gallery_ids,
+                 *build_pseudo_labels(assignment, split.caption_to_audio))
     print(f"cluster: {assignment.k} clusters over "
           f"{len(assignment.labels)} captions "
           f"({assignment.n_outliers} outliers before reassignment), "
@@ -239,48 +226,28 @@ def cmd_cluster(args):
     return 0
 
 
-def _default_relevance(cfg, manifest_path, split_name):
-    key = cfg.get("data", "relevance", split_name)
-    if key is not None:
-        return cfg.resolve_input("data", "relevance", split_name)
-    path = os.path.join(os.path.dirname(manifest_path),
-                        fixtures.relevance_file(split_name))
-    if not os.path.exists(path):
-        raise ConfigError(
-            f"no relevance file for split {split_name!r}: set "
-            f"data.relevance.{split_name} or provide {path}")
-    return path
-
-
 def cmd_evaluate(args):
     cfg = load_config(args.config)
     out_dir = _resolve_out(args, cfg)
-    ckpt_key = cfg.get("evaluate", "checkpoint")
-    if ckpt_key:
-        ckpt_dir = cfg.resolve(ckpt_key)
-        if not os.path.exists(ckpt_dir):
-            raise ConfigError(f"no checkpoint at {ckpt_dir}")
-    else:
-        for stage in reversed(STAGES):
-            ckpt_dir = _checkpoint_dir(out_dir, stage)
-            if os.path.exists(ckpt_dir):
-                break
-        else:
-            raise ConfigError(
-                "no checkpoint found under the output directory; train "
-                "first or set evaluate.checkpoint")
+    ckpt_dir = _input_path(
+        cfg, ("evaluate", "checkpoint"),
+        [_checkpoint_dir(out_dir, stage) for stage in reversed(STAGES)],
+        "checkpoint", "train a stage first")
     params = load_checkpoint(ckpt_dir)
     split_name = cfg.get("evaluate", "split", default="test")
     mode = cfg.get("evaluate", "mode", default=inspect.signature(
         evaluate).parameters["mode"].default)
-    manifest_path = cfg.resolve_input("data", "manifest")
-    split = load_paired_dataset(manifest_path, split_name)
-    sim = _similarity(params, split.gallery_features,
-                      split.dataset.text_features)
-    entries = read_relevance(_default_relevance(cfg, manifest_path,
-                                                split_name))
-    relevance = align_relevance(entries, split.dataset.caption_ids,
-                                split.gallery_ids)
+    split = _load_split(cfg, split_name)
+    sim = cosine_similarity_matrix(
+        encode(params.audio_encoder, split.gallery_features),
+        encode(params.text_encoder, split.dataset.text_features))
+    manifest_dir = os.path.dirname(cfg.resolve_input("data", "manifest"))
+    relevance_path = _input_path(
+        cfg, ("data", "relevance", split_name),
+        os.path.join(manifest_dir, fixtures.relevance_file(split_name)),
+        "relevance file", "put one next to the manifest")
+    relevance = align_relevance(read_relevance(relevance_path),
+                                split.dataset.caption_ids, split.gallery_ids)
     report = evaluate(sim, relevance, mode)
     payload = {"split": split_name, "mode": mode,
                "checkpoint": os.path.basename(ckpt_dir.rstrip(os.sep)),
@@ -314,23 +281,16 @@ def _ensemble_members(cfg):
         if tag in members:
             raise ConfigError(
                 f"ensemble.matrices[{i}] repeats (system, model) {tag}")
-        path = cfg.resolve(entry["path"])
-        if not os.path.exists(path):
-            raise ConfigError(f"ensemble matrix {path} does not exist")
-        members[tag] = load_tensor(path)
+        members[tag] = load_tensor(cfg.resolve(entry["path"]))
     return members
-
-
-def _ensemble_relevance(cfg):
-    path = cfg.resolve_input("ensemble", "relevance")
-    return relevance_as_indices(read_relevance(path))
 
 
 def cmd_ensemble_search(args):
     cfg = load_config(args.config)
     out_dir = _resolve_out(args, cfg)
     members = _ensemble_members(cfg)
-    relevance = _ensemble_relevance(cfg)
+    relevance = relevance_as_indices(read_relevance(
+        cfg.resolve_input("ensemble", "relevance")))
     grid_cfg = _from_section(GridSearchConfig, cfg, "ensemble")
     options = {k: v for k, v in cfg.get("ensemble").items()
                if k in ("strategy", "mode", "refine")}
@@ -422,8 +382,7 @@ def cmd_report(args):
                      + out_dir)
     text = "\n".join(lines) + "\n"
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.txt"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "report.txt")) as fh:
         fh.write(text)
     print(text, end="")
     return 0

@@ -204,33 +204,15 @@ def reassign_outliers(assignment, points):
                              k=assignment.k, centroids=assignment.centroids)
 
 
-@dataclass(frozen=True)
-class PseudoLabels:
-    """Cluster labels for both modalities, aligned with item order."""
-
-    caption_labels: np.ndarray
-    audio_labels: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        cap = np.asarray(self.caption_labels, dtype=np.int64)
-        aud = np.asarray(self.audio_labels, dtype=np.int64)
-        for name, lab in (("caption", cap), ("audio", aud)):
-            if lab.ndim != 1:
-                raise ContractError(f"{name} labels must be 1-D")
-            if lab.size and (lab.min() < 0 or lab.max() >= self.k):
-                raise ContractError(f"{name} labels must lie in [0, k)")
-        object.__setattr__(self, "caption_labels", cap)
-        object.__setattr__(self, "audio_labels", aud)
-
-
 def build_pseudo_labels(assignment, caption_to_audio):
-    """Carry caption cluster labels over to their paired audio items.
+    """Carry caption clusters over to their paired audio items; returns
+    (audio_labels, audio_probabilities).
 
     caption_to_audio[i] is the audio index caption i describes.  With
     several captions on one audio the audio takes the majority label,
-    ties resolving to the lowest label id.  Every audio item up to the
-    largest index must receive at least one caption.
+    ties resolving to the lowest label id, and the mean of their topic
+    probabilities.  Both sums run in caption order.  Every audio item up
+    to the largest index must receive at least one caption.
     """
     pairing = np.asarray(caption_to_audio, dtype=np.int64)
     cap_labels = assignment.labels
@@ -245,14 +227,15 @@ def build_pseudo_labels(assignment, caption_to_audio):
     if pairing.min() < 0:
         raise DataError(f"caption {int((pairing < 0).argmax())} is unpaired")
     n_audio = int(pairing.max()) + 1
-    audio_labels = np.empty(n_audio, dtype=np.int64)
-    for a in range(n_audio):
-        votes = cap_labels[pairing == a]
-        if votes.size == 0:
-            raise DataError(f"audio item {a} has no paired caption")
-        audio_labels[a] = np.bincount(votes, minlength=assignment.k).argmax()
-    return PseudoLabels(caption_labels=cap_labels.copy(),
-                        audio_labels=audio_labels, k=assignment.k)
+    votes = np.zeros((n_audio, assignment.k), dtype=np.int64)
+    np.add.at(votes, (pairing, cap_labels), 1)
+    counts = votes.sum(axis=1)
+    if not counts.all():
+        raise DataError(
+            f"audio item {int(counts.argmin())} has no paired caption")
+    probs = np.zeros((n_audio, assignment.k))
+    np.add.at(probs, pairing, assignment.probabilities)
+    return votes.argmax(axis=1), probs / probs.sum(axis=1, keepdims=True)
 
 
 def cluster_pipeline(embeddings, cfg):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .evaluation import RelevanceMap
-from .tensorfile import load_tensor
+from .tensorfile import atomic_open, load_tensor
 from .training import PairedDataset
 
 SPLITS = ("train", "val", "test")
@@ -99,7 +99,7 @@ def write_manifest(path, manifest):
         lines.append("\t".join([item.audio_id, item.caption_id,
                                 item.audio_ref, item.caption_ref,
                                 item.split]))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -223,7 +223,7 @@ def write_relevance(path, entries):
         if not ids:
             raise DataError(f"query {query_id!r} has no relevant ids")
         lines.append("\t".join([str(query_id)] + [str(i) for i in ids]))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -293,7 +293,7 @@ def write_labels(path, ids, labels, probabilities):
         row = [str(item_id), str(int(lab[i]))]
         row += [repr(float(p)) for p in probs[i]]
         lines.append("\t".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

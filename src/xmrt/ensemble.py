@@ -19,6 +19,7 @@ import numpy as np
 from .core import _as_equal_shape_matrices
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import evaluate
+from .tensorfile import atomic_open
 
 STRATEGIES = ("system-first", "model-first")
 TABLE_SYSTEMS = (2, 3, 4, 5)
@@ -135,7 +136,7 @@ def write_weight_table(path, table):
     lines = ["\t".join(header)]
     for name, row in zip(table.row_names, table.values):
         lines.append("\t".join([name] + [repr(float(v)) for v in row]))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

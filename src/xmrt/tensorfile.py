@@ -12,10 +12,15 @@ Byte layout, all multi-byte fields little-endian:
 64-bit floats keep gradient-check tolerances honest downstream.  Loading
 verifies magic, version, rank, byte length, and checksum, each failure
 carrying its own stable error code.
+
+Every artifact file the package writes goes through `atomic_open`, so a
+write that fails partway leaves the old file byte-for-byte in place.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 import zlib
 
@@ -28,6 +33,21 @@ VERSION = 1
 MAX_RANK = 8
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """A file open for writing at a temp path next to path; a clean exit
+    moves it over path with os.replace, an error removes it."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_tensor(path, array):
     """Write a float array (any rank up to 8) to the container format."""
     arr = np.asarray(array, dtype=np.float64)
@@ -38,7 +58,7 @@ def save_tensor(path, array):
     payload = np.ascontiguousarray(arr).astype("<f8").tobytes()
     header = MAGIC + struct.pack("<HB", VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
         fh.write(struct.pack("<I", zlib.crc32(payload)))

@@ -14,6 +14,7 @@ makes every stage bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -42,8 +43,9 @@ class OptimizerState:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be nonnegative")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and "
+                              f"nonnegative, got {self.weight_decay}")
         if self.step < 0:
             raise ContractError("step must be >= 0")
 
@@ -65,8 +67,9 @@ def adamw_step(state, theta, grad, lr):
         raise ContractError(
             f"gradient has shape {grad.shape}, parameters {theta.shape}, "
             f"moments {state.m.shape}")
-    if lr < 0:
-        raise ConfigError(f"learning rate must be nonnegative, got {lr}")
+    if not 0 <= lr < math.inf:
+        raise ConfigError(
+            f"learning rate lr must be finite and nonnegative, got {lr}")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
@@ -90,9 +93,9 @@ class ScheduleConfig:
     warmup_steps: int
 
     def __post_init__(self):
-        if self.peak_lr < 0:
-            raise ConfigError(
-                f"peak_lr must be nonnegative, got {self.peak_lr}")
+        if not 0 <= self.peak_lr < math.inf:
+            raise ConfigError(f"peak_lr must be finite and nonnegative, "
+                              f"got {self.peak_lr}")
         if not 0 <= self.floor_lr <= self.peak_lr:
             raise ConfigError("need 0 <= floor_lr <= peak_lr")
         if self.total_steps < 1:
@@ -276,6 +279,9 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     epoch and lr, and the loss terms once known.
     """
     cfg = loss_cfg if loss_cfg is not None else LossConfig()
+    if not 0 <= warmup_fraction <= 1:
+        raise ConfigError(
+            f"warmup_fraction must lie in [0, 1], got {warmup_fraction}")
     distills = stage.name == "finetune"
     clusters = stage.name == "refinetune"
     if distills and not teachers:

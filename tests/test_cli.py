@@ -330,6 +330,65 @@ def test_pipeline_stage_order_enforced(tmp_path, capsys):
     assert "no checkpoint to start from" in capsys.readouterr().err
 
 
+# (command, dotted key, default path, whether a finetune checkpoint must
+# exist for the command to reach the key)
+INPUT_PATH_SITES = [
+    ("finetune", "stages.finetune.init_from", "run/checkpoints/pretrain",
+     False),
+    ("refinetune", "stages.refinetune.labels", "run/labels.tsv", True),
+    ("cluster", "clustering.checkpoint", "run/checkpoints/finetune", False),
+    ("evaluate", "evaluate.checkpoint", "run/checkpoints/pretrain", False),
+    ("evaluate", "data.relevance.test", "corpus/relevance_test.tsv", True),
+]
+
+
+@pytest.mark.parametrize("configured", [True, False],
+                         ids=["configured", "default"])
+@pytest.mark.parametrize("command, key, default, needs_checkpoint",
+                         INPUT_PATH_SITES,
+                         ids=[site[1] for site in INPUT_PATH_SITES])
+def test_a_missing_input_path_names_the_path_and_the_key(
+        tmp_path, capsys, command, key, default, needs_checkpoint,
+        configured):
+    cfg = _pipeline_config(tmp_path)
+    if needs_checkpoint:
+        save_checkpoint(os.path.join(str(tmp_path), "run", CHECKPOINT_ROOT,
+                                     "finetune"),
+                        init_params(8, 6, 6, seed=0))
+    if configured:
+        payload = _read_json(cfg)
+        *outer, last = key.split(".")
+        node = payload
+        for part in outer:
+            node = node.setdefault(part, {})
+        node[last] = "elsewhere/missing"
+        cfg = _write_config(tmp_path, payload)
+        missing = os.path.join(str(tmp_path), "elsewhere", "missing")
+    else:
+        missing = os.path.join(str(tmp_path), *default.split("/"))
+        if os.path.exists(missing):
+            os.remove(missing)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert missing in err
+    assert key in err
+    # A key that is already set is not suggested again.
+    assert ("or set" in err) is not configured
+
+
+def test_warmup_fraction_outside_the_unit_interval_returns_1(tmp_path,
+                                                             capsys):
+    payload = _read_json(_pipeline_config(tmp_path))
+    payload["schedule"]["warmup_fraction"] = 3.0
+    cfg = _write_config(tmp_path, payload)
+    assert main(["pretrain", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: warmup_fraction must lie in [0, 1]")
+    assert not os.path.exists(os.path.join(str(tmp_path), "run"))
+
+
 def test_pipeline_end_to_end(tmp_path, capsys):
     cfg = _pipeline_config(tmp_path)
     run = os.path.join(str(tmp_path), "run")

@@ -219,21 +219,41 @@ class TestBuildPseudoLabels:
 
     def test_one_to_one_pairing_copies_labels(self):
         assignment = self._assignment([2, 0, 1, 2])
-        out = build_pseudo_labels(assignment, [0, 1, 2, 3])
-        np.testing.assert_array_equal(out.caption_labels, [2, 0, 1, 2])
-        np.testing.assert_array_equal(out.audio_labels, [2, 0, 1, 2])
-        assert out.k == 3
+        labels, probs = build_pseudo_labels(assignment, [0, 1, 2, 3])
+        np.testing.assert_array_equal(labels, [2, 0, 1, 2])
+        np.testing.assert_array_equal(probs, assignment.probabilities)
 
     def test_majority_vote(self):
         # five captions on one audio: labels 2,2,1,0,2 vote 2
         assignment = self._assignment([2, 2, 1, 0, 2])
-        out = build_pseudo_labels(assignment, [0, 0, 0, 0, 0])
-        assert out.audio_labels.tolist() == [2]
+        labels, _ = build_pseudo_labels(assignment, [0, 0, 0, 0, 0])
+        assert labels.tolist() == [2]
 
     def test_tie_vote_takes_lowest_label(self):
         assignment = self._assignment([1, 1, 0, 0])
-        out = build_pseudo_labels(assignment, [0, 0, 0, 0])
-        assert out.audio_labels.tolist() == [0]
+        labels, _ = build_pseudo_labels(assignment, [0, 0, 0, 0])
+        assert labels.tolist() == [0]
+
+    def test_audio_probabilities_average_captions_in_caption_order(self):
+        rng = np.random.default_rng(7)
+        n_captions, n_audio, k = 60, 7, 4
+        pairing = np.concatenate([np.arange(n_audio), rng.integers(
+            0, n_audio, n_captions - n_audio)])
+        rng.shuffle(pairing)
+        raw = rng.random((n_captions, k)) + 1e-3
+        assignment = ClusterAssignment(
+            raw.argmax(axis=1), raw / raw.sum(axis=1, keepdims=True), k,
+            np.zeros((k, 2)))
+        labels, probs = build_pseudo_labels(assignment, pairing)
+        expected = np.zeros((n_audio, k))
+        votes = np.zeros((n_audio, k), dtype=np.int64)
+        for cap, audio in enumerate(pairing):
+            expected[audio] += assignment.probabilities[cap]
+            votes[audio, assignment.labels[cap]] += 1
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert probs.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(labels, votes.argmax(axis=1))
 
     def test_outliers_must_be_reassigned_first(self):
         assignment = self._assignment([0, OUTLIER, 1])

@@ -1,7 +1,9 @@
 """Every module uses each name it imports; package __init__ re-exports are
 exempt, and `xmrt.__all__` lists exactly those re-exports.  JSON files are
-read and written only by `checkpoints.read_json` / `write_json`.  Plain
-`ast` passes, so the checks need no linter install."""
+read and written only by `checkpoints.read_json` / `write_json`, files are
+opened for writing only by `tensorfile.atomic_open`, and in cli.py only
+`_input_path` and `cmd_report` ask whether a path exists.  Plain `ast`
+passes, so the checks need no linter install."""
 
 import ast
 from pathlib import Path
@@ -82,3 +84,67 @@ def test_json_files_go_through_the_one_reader_and_writer():
         if calls and name not in JSON_FILE_IO_ALLOWED:
             offenders[name] = calls
     assert offenders == {}
+
+
+def _functions_around(source, matches):
+    """The outermost function around each node that matches, in source
+    order; "<module>" for a node outside every function."""
+    found = []
+
+    def visit(node, outermost):
+        for child in ast.iter_child_nodes(node):
+            if matches(child):
+                found.append(outermost or "<module>")
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, outermost or (child.name if is_def else None))
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _opens_for_writing(node):
+    """An open(...) call whose mode is not a literal read-only mode."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (k.value for k in node.keywords if k.arg == "mode"), None)
+    return mode is not None and not (
+        isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def _asks_if_a_path_exists(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "exists"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "path"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "os")
+
+
+def test_detectors_find_write_opens_and_exists_checks():
+    source = ("open(p)\nopen(p, 'rb')\n"
+              "def save(p, mode):\n"
+              "    def inner():\n        open(p, 'w')\n"
+              "    open(p, mode=mode)\n    os.path.exists(p)\n"
+              "    os.path.isdir(p)\n")
+    assert _functions_around(source, _opens_for_writing) == ["save", "save"]
+    assert _functions_around(source, _asks_if_a_path_exists) == ["save"]
+
+
+def test_files_are_written_only_through_atomic_open():
+    offenders = {}
+    for path in sorted((ROOT / "src/xmrt").rglob("*.py")):
+        name = str(path.relative_to(ROOT))
+        where = _functions_around(path.read_text(encoding="utf-8"),
+                                  _opens_for_writing)
+        if name == "src/xmrt/tensorfile.py":
+            where = [w for w in where if w != "atomic_open"]
+        if where:
+            offenders[name] = where
+    assert offenders == {}
+
+
+def test_cli_asks_if_a_path_exists_only_when_resolving_or_reporting():
+    where = _functions_around((ROOT / "src/xmrt/cli.py").read_text(
+        encoding="utf-8"), _asks_if_a_path_exists)
+    assert set(where) <= {"_input_path", "cmd_report"}

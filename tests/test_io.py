@@ -1,5 +1,6 @@
 """Tests for tensor containers, manifests, fixtures, checkpoints, config."""
 
+import builtins
 import dataclasses
 import inspect
 import json
@@ -33,7 +34,9 @@ from xmrt.checkpoints import (
     load_checkpoint,
     read_json,
     save_checkpoint,
+    write_json,
 )
+from xmrt import tensorfile
 from xmrt.cli import _from_section, main
 from xmrt.config import _SCHEMA, load_config
 from xmrt.datasets import load_paired_dataset
@@ -688,6 +691,60 @@ def test_failed_save_over_a_checkpoint_leaves_no_checkpoint(tmp_path,
         save_checkpoint(directory, init_params(6, 5, 4, seed=1))
     with pytest.raises(DataError, match="not a checkpoint"):
         load_checkpoint(directory)
+
+
+class _DiskFillsFile:
+    """A file whose second write raises, as when a disk fills mid-payload."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("failure", ["payload", "replace"])
+@pytest.mark.parametrize("kind", ["tensor", "json"])
+def test_a_failed_overwrite_leaves_the_old_file_intact(tmp_path, monkeypatch,
+                                                       kind, failure):
+    if kind == "tensor":
+        name, save, load = "t.xmrt", save_tensor, load_tensor
+        old, new = np.arange(6.0).reshape(2, 3), np.ones((40, 40))
+    else:
+        name, save, load = "r.json", write_json, read_json
+        old, new = {"steps": 3}, {"values": list(range(200))}
+    path = os.path.join(str(tmp_path), name)
+    save(path, old)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    if failure == "payload":
+        # atomic_open looks open up in its module before the builtins.
+        monkeypatch.setattr(
+            tensorfile, "open",
+            lambda *a, **k: _DiskFillsFile(builtins.open(*a, **k)),
+            raising=False)
+    else:
+        def fail_replace(src, dst):
+            raise OSError("replace failed")
+        monkeypatch.setattr(os, "replace", fail_replace)
+    with pytest.raises(OSError):
+        save(path, new)
+    monkeypatch.undo()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert (np.array_equal(load(path), old) if kind == "tensor"
+            else load(path) == old)
+    assert os.listdir(str(tmp_path)) == [name]   # the temp file is gone
 
 
 def _rewrite_meta(directory, **changes):

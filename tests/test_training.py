@@ -1,6 +1,7 @@
 """Tests for the optimizer, schedule, batching, pair mixing, and stages."""
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -405,6 +406,26 @@ class TestRunStage:
             run_stage(StageConfig("pretrain", epochs=1, batch_size=8),
                       params, _toy_dataset(),
                       pseudo_labels=np.zeros(32, dtype=int))
+
+    @pytest.mark.parametrize("name, value", [
+        ("warmup_fraction", float("nan")), ("warmup_fraction", 3.0),
+        ("warmup_fraction", -0.1), ("weight_decay", float("nan")),
+        ("weight_decay", float("inf")), ("peak_lr", float("inf")),
+        ("peak_lr", float("nan")), ("lr", float("inf")),
+        ("lr", float("nan"))])
+    def test_bad_schedule_argument_is_a_config_error_naming_it(self, name,
+                                                               value):
+        if name == "lr":
+            theta = np.zeros(2)
+            call = functools.partial(adamw_step, init_optimizer(theta),
+                                     theta, np.ones(2), value)
+        else:
+            call = functools.partial(
+                run_stage, StageConfig("pretrain", epochs=1, batch_size=8),
+                init_params(8, 6, 4, seed=0), _toy_dataset(),
+                **{name: value})
+        with pytest.raises(ConfigError, match=rf"\b{name} must"):
+            call()
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_names_stage_step_and_loss_terms(self):
