@@ -11,6 +11,7 @@ validation relevance, with an optional finer greedy refinement pass.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -168,6 +169,8 @@ def _parse_weight_table(text, source):
             raise DataError(
                 f"{source}: row {parts[0]!r} has {len(parts) - 1} entries, "
                 f"expected {len(header) - 1}")
+        if parts[0] in names:
+            raise DataError(f"{source}: row {parts[0]!r} appears twice")
         names.append(parts[0])
         try:
             rows.append([float(p) for p in parts[1:]])
@@ -266,10 +269,6 @@ class SearchResult:
     points_evaluated: int
 
 
-def _default_tags(n):
-    return tuple((i, f"m{i}") for i in range(n))
-
-
 def grid_search(matrices, relevance, cfg=None, *, tags=None,
                 strategy="system-first", mode="multiple", refine=False):
     """Exhaustive simplex search for the weights maximizing mAP@16.
@@ -293,7 +292,7 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
         raise ConfigError(
             f"grid of {size} points exceeds budget {cfg.max_grid_points}; "
             f"use a coarser step than {cfg.step}")
-    tags = _default_tags(n) if tags is None else tuple(tags)
+    tags = tuple(((i, f"m{i}") for i in range(n)) if tags is None else tags)
     if len(tags) != n:
         raise ContractError(f"{len(tags)} tags for {n} matrices")
     refine_units = round(cfg.step / REFINE_STEP)
@@ -304,93 +303,56 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
             f"got {cfg.step}")
     _check_strategy(strategy)
     mats = _as_equal_shape_matrices(matrices, "matrix")
-    divisions = cfg.divisions
 
+    def score(weights):
+        return evaluate(_weighted_sum(mats, weights), relevance,
+                        mode).map_at_16
+
+    divisions = cfg.divisions
     best_counts = None
     best_value = -1.0
-    evaluated = 0
     for counts in _compositions(divisions, n):
-        weights = [c / divisions for c in counts]
-        value = evaluate(_weighted_sum(mats, weights), relevance,
-                         mode).map_at_16
-        evaluated += 1
+        value = score([c / divisions for c in counts])
         if value > best_value:
             best_value = value
             best_counts = counts
 
+    evaluated = size
+    units, units_total = best_counts, divisions
     if refine and refine_units > 1:
         units_total = divisions * refine_units
-        units = [c * refine_units for c in best_counts]
         best_value, units, extra = _refine_units(
-            mats, units, units_total, best_value, relevance, mode)
+            score, [c * refine_units for c in units], units_total, best_value)
         evaluated += extra
-        weights = tuple(u / units_total for u in units)
-    else:
-        weights = tuple(c / divisions for c in best_counts)
 
-    members = tuple(Member(system=s, model=m, weight=w)
-                    for (s, m), w in zip(tags, weights))
+    members = tuple(Member(system=s, model=m, weight=u / units_total)
+                    for (s, m), u in zip(tags, units))
     spec = EnsembleSpec(members=members, strategy=strategy)
     return SearchResult(spec=spec, map_at_16=best_value,
                         points_evaluated=evaluated)
 
 
-def _refine_units(mats, units, units_total, best_value, relevance, mode):
-    """Greedy first-improvement mass transfers in fine-grid units."""
-    n = len(units)
+def _refine_units(score, units, units_total, best_value):
+    """Greedy first-improvement mass transfers in fine-grid units: each
+    sweep takes the first move of 1-3 units from i to j that helps."""
     evaluated = 0
     for _ in range(MAX_REFINE_SWEEPS):
-        improved = False
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for shift in range(1, 4):
-                    if units[i] < shift:
-                        break
-                    trial = list(units)
-                    trial[i] -= shift
-                    trial[j] += shift
-                    weights = [u / units_total for u in trial]
-                    value = evaluate(_weighted_sum(mats, weights),
-                                     relevance, mode).map_at_16
-                    evaluated += 1
-                    if value > best_value:
-                        best_value = value
-                        units = trial
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
+        moves = ((i, j, shift)
+                 for i, j in itertools.permutations(range(len(units)), 2)
+                 for shift in range(1, min(3, units[i]) + 1))
+        for i, j, shift in moves:
+            trial = list(units)
+            trial[i] -= shift
+            trial[j] += shift
+            value = score([u / units_total for u in trial])
+            evaluated += 1
+            if value > best_value:
+                best_value = value
+                units = trial
                 break
-        if not improved:
-            return best_value, units, evaluated
+        else:
+            break
     return best_value, units, evaluated
-
-
-def _grid_keys(matrices):
-    systems = tuple(dict.fromkeys(s for s, _ in matrices))
-    models = tuple(dict.fromkeys(m for _, m in matrices))
-    expected = {(s, m) for s in systems for m in models}
-    if set(matrices) != expected:
-        raise ContractError(
-            "matrices must cover the full system-by-model grid")
-    return systems, models
-
-
-def _strategy_axes(matrices, strategy):
-    """(outer, inner, key) for a (system, model) matrix grid.
-
-    Stage 1 combines the inner tags within each outer group, stage 2 the
-    outer groups; key(outer, inner) is the (system, model) matrix key.
-    system-first groups by model, model-first by system.
-    """
-    _check_strategy(strategy)
-    systems, models = _grid_keys(matrices)
-    if strategy == "system-first":
-        return models, systems, lambda o, i: (i, o)
-    return systems, models, lambda o, i: (o, i)
 
 
 def hierarchical_grid_search(matrices, relevance, cfg=None, *,
@@ -400,36 +362,42 @@ def hierarchical_grid_search(matrices, relevance, cfg=None, *,
 
     Stage 1 searches each within-group simplex on its own (for
     system-first, across systems inside each model); stage 2 searches
-    across the stage-1 fused group matrices.  Returns a flat spec whose
-    member weights are the stage products.
+    across the stage-1 fused group matrices.  The grid must be full and
+    at least 2 by 2.  Returns a flat spec of the stage-product weights.
     """
     cfg = cfg if cfg is not None else GridSearchConfig()
-    outer, inner, key = _strategy_axes(matrices, strategy)
+    _check_strategy(strategy)
+    systems = tuple(dict.fromkeys(s for s, _ in matrices))
+    models = tuple(dict.fromkeys(m for _, m in matrices))
+    tags = [(s, m) for s in systems for m in models]
+    if set(matrices) != set(tags):
+        raise ContractError(
+            "matrices must cover the full system-by-model grid")
+    for axis, count in (("systems", len(systems)), ("models", len(models))):
+        if count < 2:
+            raise ContractError(f"the grid needs >= 2 {axis}, got {count}")
+    by_model = [[(s, m) for s in systems] for m in models]
+    by_system = [[(s, m) for m in models] for s in systems]
+    groups = by_model if strategy == "system-first" else by_system
 
     stage1 = {}
     fused_groups = []
     evaluated = 0
-    for o in outer:
-        group = [matrices[key(o, i)] for i in inner]
-        result = grid_search(group, relevance, cfg, mode=mode, refine=refine)
-        weights = {i: m.weight
-                   for i, m in zip(inner, result.spec.members)}
-        stage1[o] = weights
-        fused_groups.append(fuse(group, result.spec))
+    for group in groups:
+        mats = [matrices[tag] for tag in group]
+        result = grid_search(mats, relevance, cfg, mode=mode, refine=refine)
+        stage1.update((tag, m.weight)
+                      for tag, m in zip(group, result.spec.members))
+        fused_groups.append(fuse(mats, result.spec))
         evaluated += result.points_evaluated
 
-    outer_result = grid_search(fused_groups, relevance, cfg, mode=mode,
-                               refine=refine)
-    stage2 = {o: m.weight
-              for o, m in zip(outer, outer_result.spec.members)}
-    evaluated += outer_result.points_evaluated
+    top = grid_search(fused_groups, relevance, cfg, mode=mode, refine=refine)
+    evaluated += top.points_evaluated
+    stage2 = {tag: m.weight for group, m in zip(groups, top.spec.members)
+              for tag in group}
 
-    weights = {key(o, i): stage2[o] * stage1[o][i]
-               for o in outer for i in inner}
-    systems, models = _grid_keys(matrices)
-    tags = [(s, m) for s in systems for m in models]
-    spec = EnsembleSpec(tuple(Member(s, m, weights[(s, m)]) for s, m in tags),
-                        strategy=strategy)
+    spec = EnsembleSpec(tuple(Member(s, m, stage2[(s, m)] * stage1[(s, m)])
+                              for s, m in tags), strategy=strategy)
     flat = fuse([matrices[tag] for tag in tags], spec)
     achieved = evaluate(flat, relevance, mode).map_at_16
     return SearchResult(spec=spec, map_at_16=achieved,

@@ -315,7 +315,12 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
         dataset = expand_with_mixes(dataset, augmentation.mix_count,
                                     augmentation.rng_seed)
 
+    theta = np.concatenate(
+        [t.ravel() for t in params.named_tensors().values()])
+    state = init_optimizer(theta, weight_decay=weight_decay)
     if stage.epochs == 0:
+        # No step runs, but peak_lr and floor_lr are checked all the same.
+        ScheduleConfig(peak_lr, floor_lr, total_steps=1, warmup_steps=0)
         return params, []
 
     steps_per_epoch = len(dataset) // stage.batch_size
@@ -328,9 +333,6 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     schedule = ScheduleConfig(peak_lr=peak_lr, floor_lr=floor_lr,
                               total_steps=total_steps, warmup_steps=warmup)
 
-    theta = np.concatenate(
-        [t.ravel() for t in params.named_tensors().values()])
-    state = init_optimizer(theta, weight_decay=weight_decay)
     records = []
     step = 0
     for epoch in range(stage.epochs):

@@ -1,5 +1,6 @@
 """Tests for similarity fusion, the weight table, and the grid search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -116,6 +117,13 @@ class TestWeightTable:
         path = tmp_path / "bad.tsv"
         path.write_text("ensemble\tsid2_passt\tsid2_eat\nE1\t1.0\n")
         with pytest.raises(DataError, match="entries"):
+            read_weight_table(path)
+
+    def test_repeated_row_rejected(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("ensemble\tsid2_passt\tsid2_eat\nE1\t1.0\t0.0\n"
+                        "E2\t0.5\t0.5\nE1\t0.0\t1.0\n")
+        with pytest.raises(DataError, match="row 'E1' appears twice"):
             read_weight_table(path)
 
 
@@ -376,3 +384,115 @@ class TestHierarchicalGridSearch:
         with pytest.raises(ConfigError, match="strategy"):
             hierarchical_grid_search(mats, rel, GridSearchConfig(step=0.5),
                                      strategy="flat")
+
+    @pytest.mark.parametrize("strategy", ["system-first", "model-first"])
+    @pytest.mark.parametrize("tags, axis", [
+        ([(2, "passt"), (2, "eat")], "systems"),
+        ([(2, "passt"), (3, "passt")], "models")])
+    def test_one_wide_grid_is_rejected_before_any_point_is_scored(
+            self, monkeypatch, strategy, tags, axis):
+        def score(*args, **kwargs):
+            raise AssertionError("a grid point was scored")
+        monkeypatch.setattr(ensemble, "evaluate", score)
+        mats = {tag: np.eye(4) for tag in tags}
+        with pytest.raises(ContractError, match=f">= 2 {axis}, got 1"):
+            hierarchical_grid_search(mats, self._instance()[1],
+                                     GridSearchConfig(step=0.5),
+                                     strategy=strategy)
+
+
+def _reference_search(mats, rel, step, refine=False):
+    """The weight search spelled out: every simplex point in lexicographic
+    order keeping strict improvements, then nested-loop first-improvement
+    sweeps moving 1-3 units of 0.0025 from member i to member j."""
+    n = len(mats)
+    divisions = round(1 / step)
+
+    def score(weights):
+        return evaluate(fuse(mats, _spec(weights)), rel).map_at_16
+
+    best_value, evaluated = -1.0, 0
+    for counts in itertools.product(range(divisions + 1), repeat=n):
+        if sum(counts) != divisions:
+            continue
+        value = score([c / divisions for c in counts])
+        evaluated += 1
+        if value > best_value:
+            best_value, best = value, counts
+    if not refine:
+        return [c / divisions for c in best], best_value, evaluated
+    units_total = round(1 / 0.0025)
+    units = [c * (units_total // divisions) for c in best]
+    for _ in range(100):
+        improved = False
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                for shift in range(1, 4):
+                    if units[i] < shift:
+                        break
+                    trial = list(units)
+                    trial[i] -= shift
+                    trial[j] += shift
+                    value = score([u / units_total for u in trial])
+                    evaluated += 1
+                    if value > best_value:
+                        best_value, units, improved = value, trial, True
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    return [u / units_total for u in units], best_value, evaluated
+
+
+class TestSearchMatchesReference:
+    """Which improving move the refinement takes, and the exact product
+    weights of both hierarchical strategies, pinned bit for bit."""
+
+    TAGS = [(2, "passt"), (2, "eat"), (3, "passt"), (3, "eat")]
+    # Stage-1 groups: system-first searches across systems per model.
+    GROUPS = {"system-first": [[(2, "passt"), (3, "passt")],
+                               [(2, "eat"), (3, "eat")]],
+              "model-first": [[(2, "passt"), (2, "eat")],
+                              [(3, "passt"), (3, "eat")]]}
+
+    @staticmethod
+    def _bits(weights, value, evaluated):
+        return [float(w).hex() for w in weights], value.hex(), evaluated
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    @pytest.mark.parametrize(
+        "search", ["flat", "refine", "system-first", "model-first"])
+    def test_result_bits_match_the_reference(self, search, seed):
+        mats, rel = TestGridSearch._tie_heavy(seed)
+        step = 0.05
+        cfg = GridSearchConfig(step=step)
+        if search in ("flat", "refine"):
+            refine = search == "refine"
+            got = grid_search(mats[:3], rel, cfg, refine=refine)
+            want = _reference_search(mats[:3], rel, step, refine)
+        else:
+            grid = dict(zip(self.TAGS, mats))
+            got = hierarchical_grid_search(grid, rel, cfg, strategy=search)
+            stage1, fused, evaluated = {}, [], 0
+            for group in self.GROUPS[search]:
+                ws, _, count = _reference_search(
+                    [grid[t] for t in group], rel, step)
+                stage1.update(zip(group, ws))
+                fused.append(fuse([grid[t] for t in group], _spec(ws)))
+                evaluated += count
+            ws, _, count = _reference_search(fused, rel, step)
+            stage2 = {t: w for group, w in zip(self.GROUPS[search], ws)
+                      for t in group}
+            product = [stage2[t] * stage1[t] for t in self.TAGS]
+            value = evaluate(fuse(mats, _spec(product)), rel).map_at_16
+            want = product, value, evaluated + count
+            assert [(m.system, m.model) for m in got.spec.members] \
+                == self.TAGS
+        assert self._bits([m.weight for m in got.spec.members],
+                          got.map_at_16, got.points_evaluated) \
+            == self._bits(*want)

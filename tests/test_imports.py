@@ -1,8 +1,10 @@
 """Every module uses each name it imports; package __init__ re-exports are
 exempt, and `xmrt.__all__` lists exactly those re-exports.  JSON files are
 read and written only by `checkpoints.read_json` / `write_json`, files are
-opened for writing only by `tensorfile.atomic_open`, and in cli.py only
-`_input_path` and `cmd_report` ask whether a path exists.  Plain `ast`
+opened for writing only by `tensorfile.atomic_open`, in cli.py only
+`_input_path` and `cmd_report` ask whether a path exists, and in
+ensemble.py `evaluate` is called once in `grid_search` (the scorer of
+every grid point) and once in `hierarchical_grid_search`.  Plain `ast`
 passes, so the checks need no linter install."""
 
 import ast
@@ -148,3 +150,18 @@ def test_cli_asks_if_a_path_exists_only_when_resolving_or_reporting():
     where = _functions_around((ROOT / "src/xmrt/cli.py").read_text(
         encoding="utf-8"), _asks_if_a_path_exists)
     assert set(where) <= {"_input_path", "cmd_report"}
+
+
+def _calls_evaluate(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "evaluate")
+
+
+def test_weight_search_scores_points_through_one_call():
+    assert _functions_around("def f():\n    def score():\n        "
+                             "evaluate(x)\nevaluate(y)\nm.evaluate(z)\n",
+                             _calls_evaluate) == ["f", "<module>"]
+    # grid_search's scorer, and the final replay of the hierarchical search
+    where = _functions_around((ROOT / "src/xmrt/ensemble.py").read_text(
+        encoding="utf-8"), _calls_evaluate)
+    assert where == ["grid_search", "hierarchical_grid_search"]

@@ -407,21 +407,24 @@ class TestRunStage:
                       params, _toy_dataset(),
                       pseudo_labels=np.zeros(32, dtype=int))
 
-    @pytest.mark.parametrize("name, value", [
-        ("warmup_fraction", float("nan")), ("warmup_fraction", 3.0),
-        ("warmup_fraction", -0.1), ("weight_decay", float("nan")),
-        ("weight_decay", float("inf")), ("peak_lr", float("inf")),
-        ("peak_lr", float("nan")), ("lr", float("inf")),
-        ("lr", float("nan"))])
+    # A stage of 0 epochs takes no step, yet rejects the same values.
+    @pytest.mark.parametrize("name, value, epochs", [
+        (name, value, epochs) for name, value in [
+            ("warmup_fraction", float("nan")), ("warmup_fraction", 3.0),
+            ("warmup_fraction", -0.1), ("weight_decay", float("nan")),
+            ("weight_decay", float("inf")), ("peak_lr", float("inf")),
+            ("peak_lr", float("nan"))] for epochs in (1, 0)] + [
+        ("lr", float("inf"), None), ("lr", float("nan"), None)])
     def test_bad_schedule_argument_is_a_config_error_naming_it(self, name,
-                                                               value):
+                                                               value, epochs):
         if name == "lr":
             theta = np.zeros(2)
             call = functools.partial(adamw_step, init_optimizer(theta),
                                      theta, np.ones(2), value)
         else:
             call = functools.partial(
-                run_stage, StageConfig("pretrain", epochs=1, batch_size=8),
+                run_stage,
+                StageConfig("pretrain", epochs=epochs, batch_size=8),
                 init_params(8, 6, 4, seed=0), _toy_dataset(),
                 **{name: value})
         with pytest.raises(ConfigError, match=rf"\b{name} must"):
