@@ -19,7 +19,8 @@ import numpy as np
 
 from .core import _as_equal_shape_matrices
 from .errors import ConfigError, ContractError, DataError
-from .evaluation import evaluate
+from .evaluation import (METRIC_KEYS, _candidates_per_block, _mean_metrics,
+                         _relevance_arrays, evaluate)
 from .tensorfile import atomic_open
 
 STRATEGIES = ("system-first", "model-first")
@@ -29,6 +30,7 @@ WEIGHT_SUM_TOL = 1e-6
 REFINE_STEP = 0.0025
 MAX_REFINE_SWEEPS = 100
 MAX_MEMBERS = 12
+_MAP_AT_16 = METRIC_KEYS.index("map_at_16")
 
 
 @dataclass(frozen=True)
@@ -71,24 +73,29 @@ class EnsembleSpec:
         object.__setattr__(self, "members", members)
 
 
-def _weighted_sum(mats, weights):
-    """Sequential sum of w * m over the nonzero weights, in place.
+def _weighted_sums_into(out, tmp, mats, weight_vectors):
+    """out[p] = sequential sum of w * m over the nonzero weights of
+    weight_vectors[p]; tmp holds each later term.
 
     The bits are those of `out + w * m` term by term, and one-hot weights
-    return the chosen member exactly.  Both `fuse` and the weight search
-    fuse through this, so a search score replays exactly.
+    return the chosen member exactly.  mats may be a generator: each
+    member is used once, for every vector, before the next is drawn.
+    Both `fuse` and the weight search fuse through this, so a search
+    score replays exactly.
     """
-    out = tmp = None
-    for m, w in zip(mats, weights):
-        if w == 0.0:
-            continue
-        if out is None:
-            out = w * m
-            tmp = np.empty_like(out)
-        else:
-            np.multiply(w, m, out=tmp)
-            out += tmp
-    return out
+    started = [False] * len(out)
+    for k, m in enumerate(mats):
+        for p, weights in enumerate(weight_vectors):
+            w = weights[k]
+            if w == 0.0:
+                continue
+            if started[p]:
+                np.multiply(w, m, out=tmp)
+                out[p] += tmp
+            else:
+                np.multiply(w, m, out=out[p])
+                started[p] = True
+        del m  # a generator draws the next member only after this one goes
 
 
 def fuse(matrices, spec):
@@ -100,8 +107,11 @@ def fuse(matrices, spec):
     if len(matrices) != len(spec.members):
         raise ContractError(
             f"{len(matrices)} matrices for {len(spec.members)} members")
-    return _weighted_sum(_as_equal_shape_matrices(matrices, "matrix"),
-                         [m.weight for m in spec.members])
+    mats = _as_equal_shape_matrices(matrices, "matrix")
+    out = np.empty((1,) + mats[0].shape)
+    _weighted_sums_into(out, np.empty_like(out[0]), mats,
+                        [[m.weight for m in spec.members]])
+    return out[0]
 
 
 @dataclass(frozen=True)
@@ -302,17 +312,15 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
             f"refine needs a step that is a whole multiple of {REFINE_STEP}, "
             f"got {cfg.step}")
     _check_strategy(strategy)
-    mats = _as_equal_shape_matrices(matrices, "matrix")
-
-    def score(weights):
-        return evaluate(_weighted_sum(mats, weights), relevance,
-                        mode).map_at_16
+    scores = _grid_scores(_as_equal_shape_matrices(matrices, "matrix"),
+                          relevance, mode)
 
     divisions = cfg.divisions
     best_counts = None
     best_value = -1.0
-    for counts in _compositions(divisions, n):
-        value = score([c / divisions for c in counts])
+    grid, weights = itertools.tee(_compositions(divisions, n))
+    for counts, value in zip(grid, scores(
+            [c / divisions for c in counts] for counts in weights)):
         if value > best_value:
             best_value = value
             best_counts = counts
@@ -322,7 +330,8 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
     if refine and refine_units > 1:
         units_total = divisions * refine_units
         best_value, units, extra = _refine_units(
-            score, [c * refine_units for c in units], units_total, best_value)
+            scores, [c * refine_units for c in units], units_total,
+            best_value)
         evaluated += extra
 
     members = tuple(Member(system=s, model=m, weight=u / units_total)
@@ -332,19 +341,26 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
                         points_evaluated=evaluated)
 
 
-def _refine_units(score, units, units_total, best_value):
+def _refine_units(scores, units, units_total, best_value):
     """Greedy first-improvement mass transfers in fine-grid units: each
-    sweep takes the first move of 1-3 units from i to j that helps."""
+    sweep takes the first move of 1-3 units from i to j that helps.
+
+    A sweep scores its moves in blocks of 1, 2, 4, ... and stops at the
+    block that holds the first improving move, so it scores fewer than
+    twice the moves up to that one; only those count."""
     evaluated = 0
     for _ in range(MAX_REFINE_SWEEPS):
-        moves = ((i, j, shift)
-                 for i, j in itertools.permutations(range(len(units)), 2)
-                 for shift in range(1, min(3, units[i]) + 1))
-        for i, j, shift in moves:
-            trial = list(units)
-            trial[i] -= shift
-            trial[j] += shift
-            value = score([u / units_total for u in trial])
+        trials = []
+        for i, j in itertools.permutations(range(len(units)), 2):
+            for shift in range(1, min(3, units[i]) + 1):
+                trials.append(list(units))
+                trials[-1][i] -= shift
+                trials[-1][j] += shift
+        weights = [[u / units_total for u in trial] for trial in trials]
+        values = itertools.chain.from_iterable(
+            scores(weights[2**k - 1:2**(k + 1) - 1])
+            for k in range(len(weights).bit_length()))
+        for trial, value in zip(trials, values):
             evaluated += 1
             if value > best_value:
                 best_value = value
@@ -353,6 +369,51 @@ def _refine_units(score, units, units_total, best_value):
         else:
             break
     return best_value, units, evaluated
+
+
+def _grid_scores(mats, relevance, mode):
+    """scores(weight_vectors): a generator of the mAP@16 of each vector,
+    each equal bit for bit to
+    `evaluate(fuse(mats, spec), relevance, mode).map_at_16`.
+
+    The relevance is checked here, before any point is scored.  Vectors
+    are scored in blocks of `evaluation._candidates_per_block`: for each
+    block of queries the members' columns are gathered one member at a
+    time and fused for every vector of the block by
+    `_weighted_sums_into`, then ranked with the kernel `evaluate` runs.
+    No whole-member copy is held, and a block is scored only when its
+    first value is asked for.
+    """
+    arrays = _relevance_arrays(relevance, mode, mats[0].shape)
+    points = _candidates_per_block(arrays)
+
+    def scores(weight_vectors):
+        vectors = iter(weight_vectors)
+        while weights := list(itertools.islice(vectors, points)):
+            overflowed = np.zeros(len(weights), bool)
+
+            def fused_rows(queries, scratch):
+                out, tmp = scratch[:-1], scratch[-1]
+                # A convex sum of finite members overflows only at the edge
+                # of the float range, and a vector's total shows it in one
+                # pass; numpy's warnings are left to the DataError.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _weighted_sums_into(out, tmp,
+                                        (m.T[queries] for m in mats), weights)
+                    totals = out.sum(axis=(1, 2))
+                for p in np.flatnonzero(~np.isfinite(totals)):
+                    overflowed[p] |= not np.isfinite(out[p]).all()
+                return out
+
+            means = _mean_metrics(fused_rows, arrays, len(weights),
+                                  len(weights) + 1)
+            # a vector that overflowed fails when its value is asked for
+            for value, bad in zip(means[:, _MAP_AT_16].tolist(), overflowed):
+                if bad:
+                    raise DataError("similarity matrix contains non-finite "
+                                    "entries")
+                yield value
+    return scores
 
 
 def hierarchical_grid_search(matrices, relevance, cfg=None, *,

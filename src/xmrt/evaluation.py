@@ -12,6 +12,8 @@ the order a stable sort of the negated scores gives.  `evaluate` never
 sorts the gallery: the 1-based rank of relevant item g is
 #{score > s_g} + #{score == s_g and index < g} + 1, which is that same
 order, and AP@k and R@k follow from the ranks of the relevant items.
+The ranking kernel takes a leading candidate axis: `evaluate` runs it on
+one matrix, the weight search on a block of fused matrices at once.
 """
 
 from __future__ import annotations
@@ -28,10 +30,14 @@ MODES = ("multiple", "single")
 METRIC_KEYS = ("map_at_10", "map_at_16", "r_at_1", "r_at_5", "r_at_10")
 _AP_CUTOFFS = (10, 16)
 _RECALL_CUTOFFS = (1, 5, 10)
-# Bounds a block of queries: their score rows copied out of s.T (8 bytes
-# per gallery item) plus their (queries x relevant ids x gallery) boolean
-# comparisons, so a long relevance list cannot force a big allocation.
+# Bounds a block of queries: the score rows their caller holds plus the
+# ranking masks (one byte per gallery item and candidate, one more for the
+# tie term), so neither a long relevance list nor a block of weight
+# vectors can force a big allocation.
 _RANK_BLOCK_BYTES = 8 << 20
+# Fused candidates are ranked as many at once as leave room for blocks of
+# this many queries.
+_QUERIES_PER_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -128,66 +134,21 @@ def recall_at_k(ranking, relevant, k):
     return len(rel & top) / len(rel)
 
 
-def _query_blocks(widths, n_gallery):
-    """(start, stop) runs of consecutive queries within _RANK_BLOCK_BYTES,
-    one query at least."""
-    cost = np.cumsum(n_gallery * (8 + widths))
-    start = 0
-    while start < len(widths):
-        spent = cost[start - 1] if start else 0
-        end = int(np.searchsorted(cost, spent + _RANK_BLOCK_BYTES, "right"))
-        end = max(end, start + 1)
-        yield start, end
-        start = end
+def _relevance_arrays(relevance, mode, shape):
+    """(n_gallery, widths, flat ids, starts) of the ids `mode` scores,
+    after checking `relevance` against a (gallery, queries) shape.
 
-
-def _relevant_ranks(scores, ids):
-    """Sorted 1-based ranks of the gallery ids ids[b] in score row b.
-
-    rank = #{score > s_g} + #{score == s_g and index < g} + 1, the
-    position `rank_gallery` gives item g.  The index term is computed
-    only in rows where a relevant score equals another gallery score.
-    """
-    target = np.take_along_axis(scores, ids, axis=1)[:, :, None]
-    ranks = np.count_nonzero(scores[:, None, :] > target, axis=2) + 1
-    equal = scores[:, None, :] == target
-    rows = np.flatnonzero((np.count_nonzero(equal, axis=2) > 1).any(axis=1))
-    if rows.size:
-        lower = np.arange(scores.shape[1]) < ids[rows, :, None]
-        ranks[rows] += np.count_nonzero(equal[rows] & lower, axis=2)
-    ranks.sort(axis=1)
-    return ranks
-
-
-def _query_metrics(ranks, n_relevant):
-    """Per-query METRIC_KEYS from sorted ranks, in the float operation
-    order of average_precision_at_k and recall_at_k."""
-    out = np.empty((len(ranks), len(METRIC_KEYS)))
-    for col, k in enumerate(_AP_CUTOFFS):
-        total = np.zeros(len(ranks))
-        for hits in range(1, min(n_relevant, k) + 1):
-            rank = ranks[:, hits - 1]
-            total = total + np.where(rank <= k, hits / rank, 0.0)
-        out[:, col] = total / min(n_relevant, k)
-    for col, k in enumerate(_RECALL_CUTOFFS, start=len(_AP_CUTOFFS)):
-        out[:, col] = np.count_nonzero(ranks <= k, axis=1) / n_relevant
-    return out
-
-
-def evaluate(sim, relevance, mode="multiple"):
-    """Score a similarity matrix column-by-column against relevance data.
-
-    Column q of `sim` holds caption q's scores over the audio gallery.
-    "multiple" mode uses each query's full relevant list; "single" mode
-    keeps only the first (paired) id.  The report equals, bit for bit,
-    ranking each column with `rank_gallery`, scoring it with
-    `average_precision_at_k` and `recall_at_k`, and summing over the
-    queries in order.
+    Query q's ids are flat[starts[q]:starts[q] + widths[q]].  `evaluate`
+    and the weight search both start here, so a bad mode, an empty matrix
+    or an id outside the gallery fails before any score is ranked.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    s = as_matrix(sim, "similarity matrix")
-    n_gallery, n_queries = s.shape
+    n_gallery, n_queries = shape
+    if n_gallery == 0 or n_queries == 0:
+        raise ContractError(
+            f"a similarity matrix needs gallery rows and query columns, "
+            f"got shape {tuple(shape)}")
     if len(relevance) != n_queries:
         raise ContractError(
             f"{len(relevance)} relevance entries for {n_queries} queries")
@@ -201,18 +162,130 @@ def evaluate(sim, relevance, mode="multiple"):
     widths = np.fromiter(map(len, entries), np.intp, n_queries)
     flat = np.fromiter(itertools.chain.from_iterable(entries), np.intp,
                        int(widths.sum()))
-    starts = np.cumsum(widths) - widths
-    per_query = np.empty((n_queries, len(METRIC_KEYS)))
-    for q0, q1 in _query_blocks(widths, n_gallery):
-        # distinct widths; np.unique's first call would keep ~0.5 MB
-        # allocated for the life of the process
-        for width in np.flatnonzero(np.bincount(widths[q0:q1])).tolist():
-            queries = q0 + np.flatnonzero(widths[q0:q1] == width)
-            ids = flat[starts[queries, None] + np.arange(width)]
-            # the queries' columns, copied as rows: a block of s.T only
-            per_query[queries] = _query_metrics(
-                _relevant_ranks(s.T[queries], ids), width)
+    return n_gallery, widths, flat, np.cumsum(widths) - widths
+
+
+def _count_true(mask):
+    """True entries along the last axis; uint8 sums run several times
+    faster than numpy's bool count."""
+    wide = mask.shape[-1] >= 1 << 16
+    return mask.view(np.uint8).sum(axis=-1,
+                                   dtype=np.intp if wide else np.uint16)
+
+
+def _relevant_ranks(scores, ids):
+    """Sorted 1-based ranks of the gallery ids ids[b] in score rows
+    scores[p, b] of each candidate p: (P, b, G) and (b, w) give (P, b, w).
+
+    rank = #{score > s_g} + #{score == s_g and index < g} + 1, the
+    position `rank_gallery` gives item g.  One id at a time through one
+    reused (P, b, G) mask; the index term is counted only when a
+    relevant score equals another gallery score, through one (b, G)
+    mask more.
+    """
+    n_rows, width = ids.shape
+    ranks = np.empty(scores.shape[:-1] + (width,), np.intp)
+    mask = np.empty(scores.shape, bool)
+    rows = np.arange(n_rows)
+    for k in range(width):
+        target = scores[:, rows, ids[:, k]][:, :, None]
+        np.greater(scores, target, out=mask)
+        ranks[..., k] = _count_true(mask) + 1
+        np.equal(scores, target, out=mask)
+        if (_count_true(mask) > 1).any():
+            mask &= np.arange(scores.shape[-1]) < ids[:, k, None]
+            ranks[..., k] += _count_true(mask)
+    ranks.sort(axis=-1)
+    return ranks
+
+
+def _query_metrics(ranks, n_relevant):
+    """Per-query METRIC_KEYS from sorted ranks (..., w), in the float
+    operation order of average_precision_at_k and recall_at_k."""
+    out = np.empty(ranks.shape[:-1] + (len(METRIC_KEYS),))
+    for col, k in enumerate(_AP_CUTOFFS):
+        total = np.zeros(ranks.shape[:-1])
+        for hits in range(1, min(n_relevant, k) + 1):
+            rank = ranks[..., hits - 1]
+            total = total + np.where(rank <= k, hits / rank, 0.0)
+        out[..., col] = total / min(n_relevant, k)
+    for col, k in enumerate(_RECALL_CUTOFFS, start=len(_AP_CUTOFFS)):
+        out[..., col] = np.count_nonzero(ranks <= k, axis=-1) / n_relevant
+    return out
+
+
+def _kept_bytes(n_candidates, n_queries):
+    """Bytes of the per-query values of every candidate and their
+    running sums."""
+    return 16 * len(METRIC_KEYS) * n_candidates * n_queries
+
+
+def _queries_per_block(arrays, n_candidates, scratch_rows):
+    """Queries per block that fit _RANK_BLOCK_BYTES with the per-query
+    values of every candidate.  Per gallery item of each query a block
+    holds one gathered value, scratch_rows floats, a ranking mask byte
+    per candidate and one for the tie term."""
+    n_gallery, widths = arrays[:2]
+    n_queries = len(widths)
+    free = _RANK_BLOCK_BYTES - _kept_bytes(n_candidates, n_queries)
+    per_query = n_gallery * (8 * (1 + scratch_rows) + n_candidates + 1)
+    return min(n_queries, max(1, free // per_query))
+
+
+def _candidates_per_block(arrays):
+    """How many fused candidates, each with a scratch row of its own
+    beside one shared scratch row, fit _RANK_BLOCK_BYTES with a block of
+    _QUERIES_PER_BLOCK queries."""
+    n_gallery, widths = arrays[:2]
+    rows = n_gallery * min(len(widths), _QUERIES_PER_BLOCK)
+    free = _RANK_BLOCK_BYTES - rows * (8 * 2 + 1)
+    return max(1, free // (rows * 9 + _kept_bytes(1, len(widths))))
+
+
+def _mean_metrics(score_rows, arrays, n_candidates, scratch_rows):
+    """(P, METRIC_KEYS) means over all queries of P candidate matrices.
+
+    Queries run in width order, in blocks of `_queries_per_block`.  For
+    each block, score_rows(queries, scratch) returns the queries' (P, b,
+    G) score rows; it may hold one gathered (b, G) array at a time and
+    use scratch, (scratch_rows, b, G) floats allocated here once.  Each
+    candidate's per-query values are then summed in query order, as the
+    sorting loop does.
+    """
+    n_gallery, widths, flat, starts = arrays
+    n_queries = len(widths)
+    order = np.argsort(widths, kind="stable")
+    per_block = _queries_per_block(arrays, n_candidates, scratch_rows)
+    scratch = np.empty((scratch_rows, per_block, n_gallery))
+    per_query = np.empty((n_candidates, n_queries, len(METRIC_KEYS)))
+    for q0 in range(0, n_queries, per_block):
+        queries = order[q0:q0 + per_block]
+        scores = score_rows(queries, scratch[:, :len(queries)])
+        cuts = np.flatnonzero(np.diff(widths[queries])) + 1
+        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(queries)]):
+            block = queries[a:b]
+            width = int(widths[block[0]])
+            ids = flat[starts[block, None] + np.arange(width)]
+            per_query[:, block] = _query_metrics(
+                _relevant_ranks(scores[:, a:b], ids), width)
     # Sequential sums in query order (np.sum's pairwise order moves bits).
-    sums = np.cumsum(per_query, axis=0)[-1]
-    means = {key: float(v) / n_queries for key, v in zip(METRIC_KEYS, sums)}
-    return MetricsReport(**means, query_count=n_queries)
+    return np.cumsum(per_query, axis=1)[:, -1] / n_queries
+
+
+def evaluate(sim, relevance, mode="multiple"):
+    """Score a similarity matrix column-by-column against relevance data.
+
+    Column q of `sim` holds caption q's scores over the audio gallery.
+    "multiple" mode uses each query's full relevant list; "single" mode
+    keeps only the first (paired) id.  The report equals, bit for bit,
+    ranking each column with `rank_gallery`, scoring it with
+    `average_precision_at_k` and `recall_at_k`, and summing over the
+    queries in order.
+    """
+    s = as_matrix(sim, "similarity matrix")
+    arrays = _relevance_arrays(relevance, mode, s.shape)
+    # the queries' columns, gathered as rows: a block of s.T only
+    means = _mean_metrics(lambda queries, scratch: s.T[queries][None],
+                          arrays, 1, 0)[0]
+    return MetricsReport(**dict(zip(METRIC_KEYS, means.tolist())),
+                         query_count=s.shape[1])

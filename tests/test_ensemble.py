@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from xmrt import (ConfigError, ContractError, DataError, EnsembleSpec,
                   bundled_weight_table, evaluate, fuse, grid_search,
                   hierarchical_grid_search, load_coefficients,
                   read_weight_table, write_weight_table)
-from xmrt import ensemble
+from xmrt import ensemble, evaluation
 from xmrt.ensemble import _compositions, _grid_size
 
 
@@ -312,10 +314,76 @@ class TestGridSearch:
             self, monkeypatch):
         def score(*args, **kwargs):
             raise AssertionError("a grid point was scored")
-        monkeypatch.setattr(ensemble, "evaluate", score)
+        monkeypatch.setattr(ensemble, "_mean_metrics", score)
         mats = [np.eye(4), np.eye(4)[::-1]]
         with pytest.raises(ConfigError, match="strategy must be one of"):
             grid_search(mats, self._relevance(4), strategy="bogus")
+
+    def test_empty_members_fail_before_any_point_is_scored(
+            self, monkeypatch):
+        def score(*args, **kwargs):
+            raise AssertionError("a grid point was scored")
+        monkeypatch.setattr(ensemble, "_mean_metrics", score)
+        with pytest.raises(ContractError,
+                           match="needs gallery rows and query columns"):
+            grid_search([np.zeros((3, 0))] * 2, RelevanceMap(()))
+
+    def test_overflowing_fusion_is_a_data_error(self):
+        # 0.1, 0.5 and 0.4 of the largest float sum past it; the error
+        # names the fused matrix and no numpy warning leaks
+        top = np.full((4, 4), np.finfo(np.float64).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite"):
+                grid_search([top] * 3, self._relevance(4),
+                            GridSearchConfig(step=0.1))
+
+    def test_an_overflowing_vector_fails_only_when_its_value_is_read(self):
+        top = np.full((4, 4), np.finfo(np.float64).max)
+        scores = ensemble._grid_scores([top] * 3, self._relevance(4),
+                                       "multiple")
+        values = scores([[0.5, 0.5, 0.0], [0.1, 0.5, 0.4]])
+        assert next(values) == evaluate(top, self._relevance(4)).map_at_16
+        with pytest.raises(DataError, match="non-finite"):
+            next(values)
+
+    def test_refine_ignores_an_overflow_past_the_improving_move(self):
+        # In units of 1/400, the coarse optimum is (160, 160, 80).  Its
+        # first sweep improves first at move 9, (163, 157, 80), and scores
+        # it in the block of moves 8-15, whose move 13, (161, 160, 79),
+        # overflows in the last column: max, max and the float below max
+        # sum past max there.  No point the sequential rule scores
+        # overflows, so the search must return its result.
+        big = np.finfo(np.float64).max
+
+        def units(k, at_least):
+            v = np.full(3, -at_least / 400)
+            v[k] += 1
+            return v
+
+        # the weights lie in a box around (160, 160, 80) and (163, 157, 80)
+        # (each bound counted twice), and u0 - u1 >= 5.5 favors the latter
+        box = [units(0, 159.5), -units(0, 163.5), units(1, 156.5),
+               -units(1, 160.5), units(2, 79.5), -units(2, 80.5)]
+        favored = units(0, 5.5) - np.array([0.0, 1.0, 0.0])
+        queries = np.array(box + box + [favored])
+        mats = []
+        for k, top in enumerate([big, big, np.nextafter(big, 0)]):
+            m = np.zeros((3, len(queries) + 1))
+            m[2, :-1] = queries[:, k]
+            m[0, -1] = top
+            mats.append(m)
+        rel = RelevanceMap(((2,),) * (len(queries) + 1))
+        with pytest.raises(DataError, match="non-finite"):
+            list(ensemble._grid_scores(mats, rel, "multiple")(
+                [[161 / 400, 160 / 400, 79 / 400]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = grid_search(mats, rel, GridSearchConfig(step=0.2),
+                              refine=True)
+        assert [m.weight for m in got.spec.members] == [0.4075, 0.3925, 0.2]
+        assert (got.map_at_16, got.points_evaluated) \
+            == _reference_search(mats, rel, 0.2, refine=True)[1:]
 
     @pytest.mark.parametrize("step", [0.01, 0.005])
     def test_refined_weights_lie_on_the_refine_lattice(self, step):
@@ -393,7 +461,7 @@ class TestHierarchicalGridSearch:
             self, monkeypatch, strategy, tags, axis):
         def score(*args, **kwargs):
             raise AssertionError("a grid point was scored")
-        monkeypatch.setattr(ensemble, "evaluate", score)
+        monkeypatch.setattr(ensemble, "_mean_metrics", score)
         mats = {tag: np.eye(4) for tag in tags}
         with pytest.raises(ContractError, match=f">= 2 {axis}, got 1"):
             hierarchical_grid_search(mats, self._instance()[1],
@@ -496,3 +564,95 @@ class TestSearchMatchesReference:
         assert self._bits([m.weight for m in got.spec.members],
                           got.map_at_16, got.points_evaluated) \
             == self._bits(*want)
+
+
+def _grid(n, divisions):
+    return [[c / divisions for c in counts]
+            for counts in _compositions(divisions, n)]
+
+
+class TestBlockScoresEqualEvaluate:
+    """Every point of a scored block equals
+    `evaluate(fuse(...)).map_at_16` bit for bit, whatever the block."""
+
+    @staticmethod
+    def _assert_bits(mats, rel, mode, weights):
+        got = list(ensemble._grid_scores(mats, rel, mode)(weights))
+        want = [evaluate(fuse(mats, _spec(w)), rel, mode).map_at_16
+                for w in weights]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("mode", ["multiple", "single"])
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_tie_heavy_grid(self, seed, mode):
+        mats, rel = TestGridSearch._tie_heavy(seed)
+        self._assert_bits(mats[:3], rel, mode, _grid(3, 10))
+
+    def test_one_hot_and_zero_weight_points(self):
+        mats, rel = TestGridSearch._tie_heavy(3)
+        one_hot = np.eye(4).tolist()
+        got = list(ensemble._grid_scores(mats, rel, "multiple")(one_hot))
+        assert got == [evaluate(m, rel).map_at_16 for m in mats]
+        self._assert_bits(mats, rel, "multiple", one_hot + [
+            [0.0, 0.5, 0.0, 0.5], [0.25, 0.0, 0.75, 0.0],
+            [0.0, 0.0, 0.3, 0.7], [0.1, 0.2, 0.3, 0.4]])
+
+    @pytest.mark.parametrize("mode", ["multiple", "single"])
+    def test_members_with_both_signed_zeros(self, mode):
+        # scores in {-2..2} with zeros of both signs: fused zeros of
+        # either sign tie with each other
+        rng = np.random.default_rng(8)
+        mats = []
+        for _ in range(3):
+            m = np.round(rng.standard_normal((40, 30)))
+            m[rng.random(m.shape) < 0.3] = -0.0
+            m[rng.random(m.shape) < 0.3] = 0.0
+            signs = np.signbit(m[m == 0])
+            assert signs.any() and not signs.all()
+            mats.append(m)
+        rel = RelevanceMap(tuple(
+            tuple(rng.choice(40, size=rng.integers(1, 4), replace=False))
+            for _ in range(30)))
+        self._assert_bits(mats, rel, mode, _grid(3, 10))
+
+    @pytest.mark.parametrize("budget, points, queries", [
+        (1, 1, 1), (1 << 62, 15, 80)])
+    def test_block_budget_extremes(self, monkeypatch, budget, points,
+                                   queries):
+        # 1 byte: one point and one query per block; 2**62: the whole
+        # grid and every query in one block
+        mats, rel = TestGridSearch._tie_heavy(2)
+        cfg = GridSearchConfig(step=0.25)
+        want = grid_search(mats[:3], rel, cfg, refine=True)
+        blocks = []
+
+        def mean_metrics(score_rows, arrays, n_candidates, scratch_rows):
+            def rows(queries, scratch):
+                blocks.append((n_candidates, len(queries)))
+                return score_rows(queries, scratch)
+            return evaluation._mean_metrics(rows, arrays, n_candidates,
+                                            scratch_rows)
+
+        monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", budget)
+        monkeypatch.setattr(ensemble, "_mean_metrics", mean_metrics)
+        for mode in ("multiple", "single"):
+            self._assert_bits(mats[:3], rel, mode, _grid(3, 4))
+        assert max(blocks) == (points, queries)
+        assert grid_search(mats[:3], rel, cfg, refine=True) == want
+
+    def test_search_peak_stays_within_the_budget(self):
+        # three 2000 x 400 members are 6.4 MB each: the search gathers
+        # block columns and holds no whole-member copy
+        rng = np.random.default_rng(9)
+        mats = [np.round(rng.standard_normal((2000, 400)), 1)
+                for _ in range(3)]
+        rel = RelevanceMap(tuple(
+            tuple(rng.choice(2000, size=rng.integers(1, 6), replace=False))
+            for _ in range(400)))
+        tracemalloc.start()
+        try:
+            grid_search(mats, rel, GridSearchConfig(step=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * evaluation._RANK_BLOCK_BYTES

@@ -1,5 +1,7 @@
 """Tests for the retrieval metrics against a direct-definition oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,13 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="mode"):
             evaluate(np.eye(1), rel, mode="both")
 
+    @pytest.mark.parametrize("shape, entries", [
+        ((3, 0), ()), ((0, 3), ((0,),) * 3), ((0, 0), ())])
+    def test_empty_matrix_is_a_contract_error(self, shape, entries):
+        with pytest.raises(ContractError,
+                           match="needs gallery rows and query columns"):
+            evaluate(np.zeros(shape), RelevanceMap(entries))
+
 
 def _loop_report(sim, entries, mode):
     """The per-query loop `evaluate` reproduces bit for bit: a stable
@@ -292,6 +301,49 @@ class TestEvaluateBitsEqualLoop:
         assert np.sum(aps) / 40 != expected["map_at_10"]
         report = evaluate(sim, RelevanceMap(tuple(entries)))
         assert report.as_dict() == expected
+
+
+class TestRankingKernel:
+    """`_relevant_ranks` ranks P candidate matrices at once; evaluate is
+    its P = 1 case."""
+
+    def test_candidate_axis_ranks_each_candidate_by_the_stable_order(self):
+        rng = np.random.default_rng(3)
+        scores = np.round(rng.standard_normal((4, 6, 30)), 1)
+        scores[1] = 0.25                      # every score ties
+        zeros = np.where(rng.random((6, 30)) < 0.5, 0.0, -0.0)
+        scores[3] = np.where(rng.random((6, 30)) < 0.6, zeros, scores[3])
+        ids = np.stack([rng.choice(30, 3, replace=False) for _ in range(6)])
+        ranks = evaluation._relevant_ranks(scores, ids)
+        assert ranks.shape == (4, 6, 3)
+        for p in range(4):
+            alone = evaluation._relevant_ranks(scores[p:p + 1], ids)[0]
+            assert np.array_equal(ranks[p], alone)
+            for b in range(6):
+                order = rank_gallery(scores[p, b]).tolist()
+                assert ranks[p, b].tolist() == sorted(
+                    order.index(g) + 1 for g in ids[b])
+
+
+class TestRankBlockMemory:
+    """A block of queries, with its ranking masks, stays within
+    _RANK_BLOCK_BYTES whether or not its scores tie."""
+
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_evaluate_peak_stays_within_the_budget(self, ties):
+        rng = np.random.default_rng(4)
+        sim = rng.standard_normal((2000, 400))
+        if ties:
+            sim = np.round(sim, 1)    # every relevant score ties
+        rel = RelevanceMap(tuple(tuple(rng.choice(2000, 50, replace=False))
+                                 for _ in range(400)))
+        tracemalloc.start()
+        try:
+            evaluate(sim, rel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * evaluation._RANK_BLOCK_BYTES
 
 
 class TestRelevanceMap:

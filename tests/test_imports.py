@@ -2,10 +2,12 @@
 exempt, and `xmrt.__all__` lists exactly those re-exports.  JSON files are
 read and written only by `checkpoints.read_json` / `write_json`, files are
 opened for writing only by `tensorfile.atomic_open`, in cli.py only
-`_input_path` and `cmd_report` ask whether a path exists, and in
-ensemble.py `evaluate` is called once in `grid_search` (the scorer of
-every grid point) and once in `hierarchical_grid_search`.  Plain `ast`
-passes, so the checks need no linter install."""
+`_input_path` and `cmd_report` ask whether a path exists, every grid point
+of the weight search is scored by the block scorer `_grid_scores` (its one
+call of the ranking driver `_mean_metrics`, which `evaluate` shares), and
+ensemble.py calls `evaluate` only for the final replay of
+`hierarchical_grid_search`.  Plain `ast` passes, so the checks need no
+linter install."""
 
 import ast
 from pathlib import Path
@@ -152,16 +154,28 @@ def test_cli_asks_if_a_path_exists_only_when_resolving_or_reporting():
     assert set(where) <= {"_input_path", "cmd_report"}
 
 
-def _calls_evaluate(node):
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "evaluate")
+def _calls(name):
+    def matches(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name)
+    return matches
 
 
-def test_weight_search_scores_points_through_one_call():
+def test_weight_search_scores_points_through_the_block_scorer():
     assert _functions_around("def f():\n    def score():\n        "
                              "evaluate(x)\nevaluate(y)\nm.evaluate(z)\n",
-                             _calls_evaluate) == ["f", "<module>"]
-    # grid_search's scorer, and the final replay of the hierarchical search
-    where = _functions_around((ROOT / "src/xmrt/ensemble.py").read_text(
-        encoding="utf-8"), _calls_evaluate)
-    assert where == ["grid_search", "hierarchical_grid_search"]
+                             _calls("evaluate")) == ["f", "<module>"]
+    source = (ROOT / "src/xmrt/ensemble.py").read_text(encoding="utf-8")
+    # one ranking call scores every point, coarse and refined alike
+    assert _functions_around(source, _calls("_mean_metrics")) \
+        == ["_grid_scores"]
+    assert _functions_around(source, _calls("_grid_scores")) \
+        == ["grid_search"]
+    # the final replay of the hierarchical search
+    assert _functions_around(source, _calls("evaluate")) \
+        == ["hierarchical_grid_search"]
+    # evaluate and the search share one ranking kernel
+    source = (ROOT / "src/xmrt/evaluation.py").read_text(encoding="utf-8")
+    for kernel in ("_relevant_ranks", "_query_metrics"):
+        assert _functions_around(source, _calls(kernel)) == ["_mean_metrics"]
+    assert _functions_around(source, _calls("_mean_metrics")) == ["evaluate"]
