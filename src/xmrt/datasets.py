@@ -135,35 +135,40 @@ def read_manifest(path):
                     d_text=dims["d_text"])
 
 
-class _TensorCache:
-    """Loads each referenced tensor file once."""
-
-    def __init__(self, base_dir):
-        self.base_dir = base_dir
-        self.loaded = {}
-
-    def row(self, ref, expected_width, what):
-        path, row = parse_ref(ref)
-        full = os.path.join(self.base_dir, path)
-        if full not in self.loaded:
+def _gather_rows(base_dir, refs, width, what, tensors):
+    """The rows that refs name, in ref order, as a (len(refs), width)
+    array: each file is loaded once into `tensors`, which a split load
+    shares between its modalities, and its rows gathered by one index."""
+    paths, rows = zip(*map(parse_ref, refs))
+    paths, rows = np.array(paths, dtype=object), np.array(rows)
+    files = dict.fromkeys(paths)
+    out = np.empty((len(refs), width)) if len(files) > 1 else None
+    for path in files:
+        at = np.flatnonzero(paths == path)
+        full = os.path.join(base_dir, path)
+        if full not in tensors:
             if not os.path.exists(full):
-                raise DataError(f"{what} ref {ref!r} points to a missing "
-                                f"file {full}")
+                raise DataError(f"{what} ref {refs[at[0]]!r} points to a "
+                                f"missing file {full}")
             tensor = load_tensor(full)
             if tensor.ndim != 2:
                 raise DataError(f"{full}: expected a matrix, got rank "
                                 f"{tensor.ndim}")
-            self.loaded[full] = tensor
-        tensor = self.loaded[full]
-        if row >= tensor.shape[0]:
+            tensors[full] = tensor
+        tensor = tensors[full]
+        beyond = at[rows[at] >= tensor.shape[0]]
+        if beyond.size:
             raise DataError(
-                f"{what} ref {ref!r} asks for row {row} of "
-                f"{tensor.shape[0]}")
-        if tensor.shape[1] != expected_width:
+                f"{what} ref {refs[beyond[0]]!r} asks for row "
+                f"{rows[beyond[0]]} of {tensor.shape[0]}")
+        if tensor.shape[1] != width:
             raise DataError(
                 f"{what} file {path} has width {tensor.shape[1]}, "
-                f"manifest says {expected_width}")
-        return tensor[row]
+                f"manifest says {width}")
+        if out is None:  # one file: its gather is the split array
+            return tensor[rows]
+        out[at] = tensor[rows[at]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -183,37 +188,31 @@ class LoadedSplit:
 
 
 def load_paired_dataset(manifest_path, split):
-    """Materialize one split of a manifest into aligned feature arrays."""
+    """Materialize one split of a manifest into aligned feature arrays:
+    read each referenced tensor file once (also one that audio and caption
+    refs share) and gather its rows in split order."""
     manifest = read_manifest(manifest_path)
     items = manifest.split_items(split)
     if not items:
         raise DataError(f"{manifest_path}: split {split!r} is empty")
-    cache = _TensorCache(os.path.dirname(os.path.abspath(manifest_path)))
-    audio_rows = []
-    text_rows = []
-    gallery_ids = []
-    gallery_rows = []
+    base_dir = os.path.dirname(os.path.abspath(manifest_path))
+    tensors = {}
+    audio = _gather_rows(base_dir, [item.audio_ref for item in items],
+                         manifest.d_audio, "audio", tensors)
+    text = _gather_rows(base_dir, [item.caption_ref for item in items],
+                        manifest.d_text, "caption", tensors)
     gallery_index = {}
-    caption_to_audio = []
-    for item in items:
-        a = cache.row(item.audio_ref, manifest.d_audio, "audio")
-        t = cache.row(item.caption_ref, manifest.d_text, "caption")
-        audio_rows.append(a)
-        text_rows.append(t)
-        if item.audio_id not in gallery_index:
-            gallery_index[item.audio_id] = len(gallery_ids)
-            gallery_ids.append(item.audio_id)
-            gallery_rows.append(a)
-        caption_to_audio.append(gallery_index[item.audio_id])
+    caption_to_audio = np.array(
+        [gallery_index.setdefault(item.audio_id, len(gallery_index))
+         for item in items], dtype=np.int64)
+    # the first caption of each gallery item, in gallery order
+    first = np.unique(caption_to_audio, return_index=True)[1]
     dataset = PairedDataset(
-        audio_features=np.array(audio_rows),
-        text_features=np.array(text_rows),
+        audio_features=audio, text_features=text,
         caption_ids=tuple(item.caption_id for item in items))
-    return LoadedSplit(dataset=dataset,
-                       gallery_features=np.array(gallery_rows),
-                       gallery_ids=tuple(gallery_ids),
-                       caption_to_audio=np.array(caption_to_audio,
-                                                 dtype=np.int64))
+    return LoadedSplit(dataset=dataset, gallery_features=audio[first],
+                       gallery_ids=tuple(gallery_index),
+                       caption_to_audio=caption_to_audio)
 
 
 def write_relevance(path, entries):

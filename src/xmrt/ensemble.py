@@ -102,15 +102,18 @@ def fuse(matrices, spec):
     """Elementwise weighted sum of the member matrices.
 
     Zero-weight members are skipped entirely, so one-hot weights return
-    the selected member bit-for-bit.
+    the selected member bit-for-bit.  An overflowing sum raises DataError.
     """
     if len(matrices) != len(spec.members):
         raise ContractError(
             f"{len(matrices)} matrices for {len(spec.members)} members")
     mats = _as_equal_shape_matrices(matrices, "matrix")
     out = np.empty((1,) + mats[0].shape)
-    _weighted_sums_into(out, np.empty_like(out[0]), mats,
-                        [[m.weight for m in spec.members]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _weighted_sums_into(out, np.empty_like(out[0]), mats,
+                            [[m.weight for m in spec.members]])
+    if not np.isfinite(out).all():
+        raise DataError("fusion overflowed: weighted sum is not finite")
     return out[0]
 
 

@@ -611,6 +611,24 @@ def test_ensemble_apply_bundled_row(tmp_path):
     assert np.allclose(fused, expected, atol=1e-12)
 
 
+def test_ensemble_apply_overflow_returns_1(tmp_path, capsys):
+    base = str(tmp_path)
+    entries = []
+    for member in load_coefficients(bundled_weight_table())["E1"].members:
+        name = f"s{member.system}_{member.model}.xmrt"
+        save_tensor(os.path.join(base, name),
+                    np.full((3, 2), np.finfo(float).max))
+        entries.append({"system": member.system, "model": member.model,
+                        "path": name})
+    cfg = _write_config(tmp_path, {
+        "out_dir": "run",
+        "ensemble": {"matrices": entries, "row": "E1"},
+    })
+    assert main(["ensemble-apply", "--config", cfg]) == 1
+    assert "fusion overflowed" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(base, "run", "fused_E1.xmrt"))
+
+
 def test_ensemble_apply_unknown_row_returns_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "out_dir": "run",

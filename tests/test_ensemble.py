@@ -80,6 +80,12 @@ class TestFuse:
         with pytest.raises(ContractError, match="shape"):
             fuse([np.eye(2), np.eye(3)], _spec([0.5, 0.5]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_data_error(self):
+        big = np.full((2, 2), np.finfo(float).max)
+        with pytest.raises(DataError, match="fusion overflowed"):
+            fuse([big, big, big], _spec([0.1, 0.5, 0.4]))
+
 
 class TestWeightTable:
     def test_round_trip(self, tmp_path):

@@ -6,8 +6,9 @@ opened for writing only by `tensorfile.atomic_open`, in cli.py only
 of the weight search is scored by the block scorer `_grid_scores` (its one
 call of the ranking driver `_mean_metrics`, which `evaluate` shares), and
 ensemble.py calls `evaluate` only for the final replay of
-`hierarchical_grid_search`.  Plain `ast` passes, so the checks need no
-linter install."""
+`hierarchical_grid_search`, and datasets.py reads tensor files only in
+`_gather_rows`, the one gather of a split load.  Plain `ast` passes, so
+the checks need no linter install."""
 
 import ast
 from pathlib import Path
@@ -179,3 +180,9 @@ def test_weight_search_scores_points_through_the_block_scorer():
     for kernel in ("_relevant_ranks", "_query_metrics"):
         assert _functions_around(source, _calls(kernel)) == ["_mean_metrics"]
     assert _functions_around(source, _calls("_mean_metrics")) == ["evaluate"]
+
+
+def test_a_split_load_reads_tensors_only_in_the_gather():
+    source = (ROOT / "src/xmrt/datasets.py").read_text(encoding="utf-8")
+    assert _functions_around(source, _calls("load_tensor")) \
+        == ["_gather_rows"]

@@ -413,6 +413,116 @@ def test_load_paired_dataset_rejects_vector_file(tmp_path):
         load_paired_dataset(path, "train")
 
 
+def test_load_paired_dataset_names_a_later_out_of_range_ref(tmp_path):
+    audio = np.zeros((3, 4))
+    text = np.zeros((2, 3))
+    items = [_item(),
+             _item(audio="a1", caption="c1", aref="audio.xmrt:7",
+                   cref="text.xmrt:1"),
+             _item(audio="a2", caption="c2", aref="audio.xmrt:9",
+                   cref="text.xmrt:1")]
+    path = _write_corpus(tmp_path, audio, text, items)
+    with pytest.raises(DataError, match=re.escape(
+            "audio ref 'audio.xmrt:7' asks for row 7 of 3")):
+        load_paired_dataset(path, "train")
+
+
+def _reference_load(manifest_path, split):
+    """The row-by-row loader: one row view per ref, stacked at the end."""
+    manifest = read_manifest(manifest_path)
+    items = manifest.split_items(split)
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    loaded = {}
+
+    def row(ref):
+        path, index = parse_ref(ref)
+        full = os.path.join(base, path)
+        if full not in loaded:
+            loaded[full] = load_tensor(full)
+        return loaded[full][index]
+
+    audio, text, gallery_ids, gallery_rows, to_audio = [], [], [], [], []
+    gallery_index = {}
+    for item in items:
+        a = row(item.audio_ref)
+        audio.append(a)
+        text.append(row(item.caption_ref))
+        if item.audio_id not in gallery_index:
+            gallery_index[item.audio_id] = len(gallery_ids)
+            gallery_ids.append(item.audio_id)
+            gallery_rows.append(a)
+        to_audio.append(gallery_index[item.audio_id])
+    return {"audio_features": np.array(audio),
+            "text_features": np.array(text),
+            "gallery_features": np.array(gallery_rows),
+            "gallery_ids": tuple(gallery_ids),
+            "caption_ids": tuple(item.caption_id for item in items),
+            "caption_to_audio": np.array(to_audio, dtype=np.int64)}
+
+
+def _write_mixed_corpus(tmp_path):
+    """Two files per modality plus one file both modalities share (so
+    d_audio == d_text), rows out of order and repeated, audio shared by
+    several captions, and val rows between the train rows."""
+    base = str(tmp_path)
+    rng = np.random.default_rng(11)
+    os.makedirs(os.path.join(base, "sub"))
+    for name, n in (("a1.xmrt", 5), ("sub/a2.xmrt", 4), ("t1.xmrt", 6),
+                    ("t2.xmrt", 5), ("shared.xmrt", 6)):
+        save_tensor(os.path.join(base, name), rng.standard_normal((n, 4)))
+    audio_refs = {"u0": "a1.xmrt:3", "u1": "sub/a2.xmrt:0",
+                  "u2": "shared.xmrt:5", "u3": "a1.xmrt:0",
+                  "u4": "sub/a2.xmrt:3", "u5": "shared.xmrt:1",
+                  "u6": "a1.xmrt:3"}
+    rows = [("u2", "t2.xmrt:4", "train"), ("u0", "shared.xmrt:0", "train"),
+            ("u5", "t1.xmrt:5", "val"), ("u2", "t1.xmrt:2", "train"),
+            ("u3", "t1.xmrt:2", "train"), ("u1", "shared.xmrt:5", "val"),
+            ("u6", "t2.xmrt:0", "train"), ("u0", "t1.xmrt:0", "train"),
+            ("u4", "shared.xmrt:3", "train"), ("u5", "t2.xmrt:1", "train"),
+            ("u1", "t1.xmrt:4", "val"), ("u2", "shared.xmrt:3", "train"),
+            ("u3", "t2.xmrt:2", "test")]
+    items = tuple(
+        _item(audio=audio, caption=f"c{i}", aref=audio_refs[audio],
+              cref=cref, split=split)
+        for i, (audio, cref, split) in enumerate(rows))
+    path = os.path.join(base, "manifest.tsv")
+    write_manifest(path, Manifest(items=items, d_audio=4, d_text=4))
+    return path
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_load_paired_dataset_matches_the_row_by_row_loader(tmp_path, split):
+    path = _write_mixed_corpus(tmp_path)
+    loaded = load_paired_dataset(path, split)
+    got = {"audio_features": loaded.dataset.audio_features,
+           "text_features": loaded.dataset.text_features,
+           "gallery_features": loaded.gallery_features,
+           "gallery_ids": loaded.gallery_ids,
+           "caption_ids": loaded.dataset.caption_ids,
+           "caption_to_audio": loaded.caption_to_audio}
+    for key, expected in _reference_load(path, split).items():
+        if isinstance(expected, tuple):
+            assert got[key] == expected, key
+        else:
+            assert got[key].dtype == expected.dtype, key
+            assert got[key].shape == expected.shape, key
+            assert got[key].tobytes() == expected.tobytes(), key
+
+
+def test_load_paired_dataset_reads_each_file_once(tmp_path, monkeypatch):
+    path = _write_mixed_corpus(tmp_path)
+    calls = []
+
+    def counting_load(full):
+        calls.append(os.path.relpath(full, str(tmp_path)))
+        return load_tensor(full)
+
+    monkeypatch.setattr("xmrt.datasets.load_tensor", counting_load)
+    load_paired_dataset(path, "train")
+    assert sorted(calls) == sorted(["a1.xmrt", os.path.join("sub", "a2.xmrt"),
+                                    "t1.xmrt", "t2.xmrt", "shared.xmrt"])
+
+
 # ----------------------------------------------------------------- relevance
 
 
