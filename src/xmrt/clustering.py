@@ -14,7 +14,6 @@ reproducible without any stored state.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +127,32 @@ def _soft_probabilities(points, centroids):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _screen_bound(r, scale):
+    """Proved bound on |g - d| in _balls (derivation in CHANGES.md)."""
+    return (6 * r + 16) * 2.0 ** -53 * scale + 4 * r * math.ulp(0.0)
+
+
+def _balls(x, left, right, index, r2):
+    """Row blocks of d <= r2, d = ((x_i - x_j) ** 2).sum(), for i in index;
+    g = left_i.right_j decides where rounding cannot put it across r2."""
+    rows = max(1, _NEIGHBORHOOD_BLOCK_BYTES // max(1, x.nbytes))
+    for at in (index[i:i + rows] for i in range(0, len(index), rows)):
+        reach = math.sqrt(left[at, -2].max()) + math.sqrt(left[:, -2].max())
+        g = (left[at] @ right.T if reach < 1e153   # else it could overflow,
+             else np.full((len(at), len(x)), r2))   # and d decides all
+        tol = _screen_bound(x.shape[1], reach * reach)
+        within = g <= np.nextafter(r2 + tol, math.inf)
+        unsure = within & (g > np.nextafter(r2 - tol, -math.inf))
+        i, j = np.unravel_index(np.flatnonzero(unsure), within.shape)
+        with np.errstate(over="ignore"):
+            d = ((x[at][i] - x[j]) ** 2).sum(axis=-1)
+        if not np.isfinite(d).all():
+            raise DataError("squared distances between points overflowed; "
+                            "the points are too large to cluster")
+        within[i, j] = d <= r2
+        yield within
+
+
 def density_cluster(points, cfg):
     """Radius-density clustering; sparse points come back as OUTLIER.
 
@@ -135,7 +160,9 @@ def density_cluster(points, cfg):
     point itself included) holds at least min_cluster_size points.
     Clusters are grown breadth-first from such core points in index
     order, so ids are numbered by first appearance; boundary points join
-    the first cluster that reaches them.
+    the first cluster that reaches them.  Two screened passes of _balls
+    count the balls and grow clusters a level at a time: decisions are
+    exact, and memory is O(block rows x n) with no n x n array.
     """
     x = as_matrix(points, "points")
     n = x.shape[0]
@@ -143,35 +170,26 @@ def density_cluster(points, cfg):
         raise DataError(
             f"{n} points cannot meet min_cluster_size "
             f"{cfg.min_cluster_size}")
-    # Row blocks bound the n x rows x r difference array; each distance
-    # is reduced exactly as over the whole array, so labels do not move.
-    within = np.empty((n, n), dtype=bool)
-    rows = max(1, _NEIGHBORHOOD_BLOCK_BYTES // max(1, x.nbytes))
-    for i in range(0, n, rows):
-        with np.errstate(over="ignore"):
-            d2 = ((x[i:i + rows, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-        if not np.isfinite(d2.max()):
-            raise DataError("squared distances between points overflowed; "
-                            "the points are too large to cluster")
-        within[i:i + rows] = d2 <= cfg.neighborhood_radius ** 2
-    is_core = within.sum(axis=1) >= cfg.min_cluster_size
+    r2 = cfg.neighborhood_radius ** 2
+    with np.errstate(over="ignore"):   # inf sends _balls exact
+        sq, ones = (x * x).sum(axis=1, keepdims=True), np.ones((n, 1))
+        left, right = np.hstack([x, sq, ones]), np.hstack([-2 * x, ones, sq])
+    is_core = np.concatenate([np.count_nonzero(w, axis=1) for w in _balls(
+        x, left, right, np.arange(n), r2)]) >= cfg.min_cluster_size
     labels = np.full(n, OUTLIER, dtype=np.int64)
-    next_label = 0
-    for start in range(n):
-        if not is_core[start] or labels[start] != OUTLIER:
-            continue
-        labels[start] = next_label
-        frontier = deque([start])
-        while frontier:
-            point = frontier.popleft()
-            for neighbor in np.flatnonzero(within[point]):
-                if labels[neighbor] != OUTLIER:
-                    continue
-                labels[neighbor] = next_label
-                if is_core[neighbor]:
-                    frontier.append(neighbor)
-        next_label += 1
-    k = next_label
+    k = 0
+    while (seeds := np.flatnonzero(is_core & (labels == OUTLIER))).size:
+        # A seed reaches the same unlabelled points through core points
+        # in any visit order, so each frontier level is taken at once.
+        frontier = seeds[:1]    # its first level labels the seed itself
+        while frontier.size:
+            reached = np.zeros(n, dtype=bool)
+            for within in _balls(x, left, right, frontier, r2):
+                reached |= within.any(axis=0)
+            reached &= labels == OUTLIER
+            labels[reached] = k
+            frontier = np.flatnonzero(reached & is_core)
+        k += 1
     if k > 0:
         centroids = np.stack([x[labels == c].mean(axis=0) for c in range(k)])
     else:

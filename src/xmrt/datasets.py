@@ -287,11 +287,8 @@ def write_labels(path, ids, labels, probabilities):
     probs = np.asarray(probabilities, dtype=np.float64)
     if len(ids) != lab.shape[0] or probs.shape[0] != lab.shape[0]:
         raise ContractError("ids, labels, and probabilities disagree")
-    lines = []
-    for i, item_id in enumerate(ids):
-        row = [str(item_id), str(int(lab[i]))]
-        row += [repr(float(p)) for p in probs[i]]
-        lines.append("\t".join(row))
+    lines = ["\t".join([str(item_id), str(label), *map(repr, row)])
+             for item_id, label, row in zip(ids, lab.tolist(), probs.tolist())]
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,5 +1,9 @@
 """Tests for reduction, density clustering, and pseudo-label building."""
 
+import math
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,53 @@ def _blobs(centers, per_blob=30, sigma=0.1, seed=0, dim=2):
         points.append(c + sigma * rng.standard_normal((per_blob, dim)))
         labels.extend([label] * per_blob)
     return np.vstack(points), np.array(labels)
+
+
+def _reference_density_cluster(points, cfg):
+    """The distance-block and deque-BFS density_cluster that the screened
+    one must match bit for bit: every distance is the summed squared
+    difference, and each popped core point scans its full row."""
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    within = np.empty((n, n), dtype=bool)
+    rows = max(1, (32 << 20) // max(1, x.nbytes))
+    for i in range(0, n, rows):
+        with np.errstate(over="ignore"):
+            d2 = ((x[i:i + rows, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        assert np.isfinite(d2.max())
+        within[i:i + rows] = d2 <= cfg.neighborhood_radius ** 2
+    is_core = within.sum(axis=1) >= cfg.min_cluster_size
+    labels = np.full(n, OUTLIER, dtype=np.int64)
+    next_label = 0
+    for start in range(n):
+        if not is_core[start] or labels[start] != OUTLIER:
+            continue
+        labels[start] = next_label
+        frontier = deque([start])
+        while frontier:
+            point = frontier.popleft()
+            for neighbor in np.flatnonzero(within[point]):
+                if labels[neighbor] != OUTLIER:
+                    continue
+                labels[neighbor] = next_label
+                if is_core[neighbor]:
+                    frontier.append(neighbor)
+        next_label += 1
+    k = next_label
+    if k > 0:
+        centroids = np.stack([x[labels == c].mean(axis=0) for c in range(k)])
+    else:
+        centroids = np.zeros((0, x.shape[1]))
+    return ClusterAssignment(
+        labels=labels, k=k, centroids=centroids,
+        probabilities=clustering._soft_probabilities(x, centroids))
+
+
+def _assert_same_assignment(got, expected):
+    assert got.k == expected.k
+    assert got.labels.tobytes() == expected.labels.tobytes()
+    assert got.centroids.tobytes() == expected.centroids.tobytes()
+    assert got.probabilities.tobytes() == expected.probabilities.tobytes()
 
 
 class TestReduceDimensionality:
@@ -151,6 +202,52 @@ class TestDensityCluster:
         assert blocked.centroids.tobytes() == whole.centroids.tobytes()
         assert (blocked.probabilities.tobytes()
                 == whole.probabilities.tobytes())
+
+    @pytest.mark.parametrize("bound", ["proved", "infinite"])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("dim", range(1, 10))  # pairwise sums from 8
+    def test_screen_matches_the_reference(self, monkeypatch, bound, offset,
+                                          dim):
+        # Lattice points 0.1 apart put many pairs exactly on the radius
+        # (up to rounding); a large offset makes the GEMM form cancel.
+        if bound == "infinite":   # every entry takes the exact path
+            monkeypatch.setattr(clustering, "_screen_bound",
+                                lambda r, scale: math.inf)
+        rng = np.random.default_rng(dim)
+        points = offset + 0.1 * rng.integers(0, max(2, 7 - dim), (160, dim))
+        for squares in (1, 2, 3):
+            cfg = ClusterConfig(neighborhood_radius=0.1 * squares ** 0.5,
+                                reduced_dim=dim, min_cluster_size=4)
+            _assert_same_assignment(density_cluster(points, cfg),
+                                    _reference_density_cluster(points, cfg))
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_coordinates_with_small_differences_cluster(self):
+        # |x|^2 overflows, so the GEMM form cannot screen; the exact
+        # differences are finite and decide as the reference does
+        blobs, _ = _blobs([(0, 0), (4, 0)], per_blob=12, sigma=0.4)
+        points = 1e155 + 1e141 * blobs
+        cfg = ClusterConfig(neighborhood_radius=1e141, reduced_dim=2,
+                            min_cluster_size=4)
+        got = density_cluster(points, cfg)
+        assert got.k >= 2
+        _assert_same_assignment(got, _reference_density_cluster(points, cfg))
+
+    def test_dense_radius_stays_within_the_block_budget(self, monkeypatch):
+        # every point neighbours every other: an n x n bool matrix would
+        # be 16 MB, and a CSR neighbour list 128 MB
+        budget = 1 << 20
+        monkeypatch.setattr(clustering, "_NEIGHBORHOOD_BLOCK_BYTES", budget)
+        points = np.random.default_rng(13).random((4000, 2))
+        cfg = ClusterConfig(neighborhood_radius=2.0, reduced_dim=2)
+        tracemalloc.start()
+        try:
+            assignment = density_cluster(points, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert assignment.k == 1 and assignment.n_outliers == 0
+        assert peak <= 2 * budget
 
     def test_too_few_points_rejected(self):
         cfg = ClusterConfig(neighborhood_radius=1.0, min_cluster_size=5)

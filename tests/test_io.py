@@ -587,6 +587,22 @@ def test_labels_round_trip(tmp_path):
     assert back.tobytes() == probs.tobytes()
 
 
+def test_write_labels_matches_element_wise_formatting(tmp_path):
+    # repr of each element as a Python float, one row at a time
+    path = os.path.join(str(tmp_path), "labels.tsv")
+    probs = np.array([[5e-324, 1.0, 0.0, 0.1 + 0.2],
+                      [2.2250738585072014e-308, -0.0, 1 / 3, 1e-300],
+                      [0.12345678901234568, 2 ** -1060, 0.7, 1e16 + 2]])
+    ids, labels = ("a", 7, "c"), np.array([2, 0, 11])
+    write_labels(path, ids, labels, probs)
+    expected = "".join(
+        "\t".join([str(ids[i]), str(int(labels[i]))]
+                  + [repr(float(p)) for p in probs[i]]) + "\n"
+        for i in range(3))
+    with open(path, "rb") as fh:
+        assert fh.read() == expected.encode("utf-8")
+
+
 def test_write_labels_length_mismatch(tmp_path):
     with pytest.raises(ContractError, match="disagree"):
         write_labels(os.path.join(str(tmp_path), "l.tsv"),
