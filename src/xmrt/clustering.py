@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix
+from .core import Axis, _softmax_forward, as_matrix
 from .errors import ConfigError, ContractError, DataError
 
 OUTLIER = -1
@@ -121,10 +121,7 @@ def _soft_probabilities(points, centroids):
         return np.zeros((points.shape[0], 0))
     dists = np.linalg.norm(
         points[:, None, :] - centroids[None, :, :], axis=2)
-    scores = -dists
-    scores = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(scores)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_forward(-dists, Axis.ROWS)[1]
 
 
 def _screen_bound(r, scale):

@@ -96,9 +96,9 @@ def cosine_similarity_matrix(audio_emb, text_emb):
 def _softmax_forward(z, axis):
     """(log q, q) of softmax(z) along `axis` from one max-shift and one exp.
 
-    The single softmax forward of the package: the contrastive,
-    distillation and classification losses and their gradients all read
-    their probabilities and log-probabilities from here.
+    The single softmax forward of the package: every loss and its
+    gradient, and the soft cluster memberships, read their probabilities
+    and log-probabilities from here.
     """
     np_axis = axis.np_axis
     shifted = z - z.max(axis=np_axis, keepdims=True)

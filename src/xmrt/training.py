@@ -4,12 +4,12 @@ A stage's name alone picks its loss terms: pretrain is contrastive only,
 finetune adds distillation from frozen teachers, refinetune adds cluster
 classification.  The LossConfig weights only scale those terms.
 
-The optimizer is AdamW with decoupled weight decay operating on one
-float64 vector of every parameter, so the same step function serves
-encoders and heads alike.  The learning-rate schedule is a linear warmup
-into a cosine decay between a peak and a floor.  Batch order and
-synthetic pair mixing both draw from explicitly seeded generators, which
-makes every stage bit-reproducible.
+The optimizer is AdamW with decoupled weight decay, updating in place
+one float64 vector of every parameter that a stage's model views, so one
+step function serves encoders and heads alike.  The learning-rate
+schedule is a linear warmup into a cosine decay between a peak and a
+floor.  Batch order and synthetic pair mixing both draw from explicitly
+seeded generators, which makes every stage bit-reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _rng, as_matrix
-from .encoders import _flat_views
+from .encoders import _check_finite, _flat_views
 from .errors import ConfigError, ContractError, DataError
 from .losses import (LossConfig, loss_and_gradients, student_similarity,
                      targets_from_teacher_sims)
@@ -274,9 +274,11 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     labels on, and both heads classify them since rows are matched
     pairs.  `loss_cfg` only weights the terms, so a weight of 0 turns its
     term off.  `augmentation` mixes synthetic pairs into the dataset and
-    is accepted only in finetune.  A step whose teacher targets, loss or
-    parameters are not finite raises DataError naming the stage, step,
-    epoch and lr, and the loss terms once known.
+    is accepted only in finetune.  The stage trains views of a private
+    copy of `params` in place and never writes `params` or `teachers`.
+    A step whose teacher targets, loss or parameters are not finite
+    raises DataError naming the stage, step, epoch and lr, and the loss
+    terms once known.
     """
     cfg = loss_cfg if loss_cfg is not None else LossConfig()
     if not 0 <= warmup_fraction <= 1:
@@ -333,6 +335,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     schedule = ScheduleConfig(peak_lr=peak_lr, floor_lr=floor_lr,
                               total_steps=total_steps, warmup_steps=warmup)
 
+    params = params.with_tensors(_flat_views(params, theta))
     records = []
     step = 0
     for epoch in range(stage.epochs):
@@ -351,9 +354,9 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                     targets = targets_from_teacher_sims(sims, cfg)
                 breakdown, grads = loss_and_gradients(
                     params, batch, cfg, targets=targets, labels=labels)
-                theta = adamw_step(state, theta, np.concatenate(
-                    [g.ravel() for g in grads.values()]), lr)
-                params = params.with_tensors(_flat_views(params, theta))
+                grad = next(iter(grads.values())).base  # the whole vector
+                theta[...] = adamw_step(state, theta, grad, lr)
+                _check_finite("model", theta)
             except DataError as exc:
                 terms = "" if breakdown is None else "; " + ", ".join(
                     f"{name}={value:.6g}"

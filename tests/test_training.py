@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from xmrt import (AugmentationConfig, ConfigError, ContractError, DataError,
-                  LossConfig, PairedDataset, ScheduleConfig, StageConfig,
-                  adamw_step, expand_with_mixes, init_optimizer, init_params,
-                  loss_and_gradients, lr_at_step, make_batches, run_stage,
-                  student_similarity, targets_from_teacher_sims)
-from xmrt.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+                  LossConfig, ModelParams, PairedDataset, ScheduleConfig,
+                  StageConfig, adamw_step, expand_with_mixes, init_optimizer,
+                  init_params, loss_and_gradients, lr_at_step, make_batches,
+                  run_stage, student_similarity, targets_from_teacher_sims)
+from xmrt.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, STAGES
 
 
 class TestAdamW:
@@ -325,6 +325,18 @@ def _toy_dataset(n=32, d_audio=8, d_text=6, seed=0):
     return PairedDataset(latent @ a_mix, latent @ t_mix)
 
 
+def _stage_inputs(name):
+    """A student and the inputs its stage requires, for _toy_dataset()."""
+    if name == "refinetune":
+        labels = np.random.default_rng(0).integers(0, 3, size=32)
+        return (init_params(8, 6, 4, n_clusters=3, seed=0),
+                {"pseudo_labels": labels})
+    inputs = {}
+    if name == "finetune":
+        inputs["teachers"] = [init_params(8, 6, 4, seed=9)]
+    return init_params(8, 6, 4, seed=0), inputs
+
+
 class TestRunStage:
     def test_zero_epochs_is_identity(self):
         params = init_params(8, 6, 4, seed=0)
@@ -431,21 +443,49 @@ class TestRunStage:
             call()
 
     @pytest.mark.filterwarnings("error")
-    def test_divergence_names_stage_step_and_loss_terms(self):
+    @pytest.mark.parametrize("name", STAGES)
+    def test_divergence_names_stage_step_and_loss_terms(self, name):
         # Warmup reaches lr 2.5e307 at step 1, which overflows AdamW.
-        params = init_params(8, 6, 4, seed=0)
-        stage = StageConfig("finetune", epochs=2, batch_size=8)
+        params, inputs = _stage_inputs(name)
+        stage = StageConfig(name, epochs=2, batch_size=8)
         with pytest.raises(DataError,
-                           match="stage finetune diverged at step 1 ") as err:
-            run_stage(stage, params, _toy_dataset(),
-                      teachers=[init_params(8, 6, 4, seed=9)],
-                      peak_lr=1e308, warmup_fraction=0.5)
+                           match=f"stage {name} diverged at step 1 ") as err:
+            run_stage(stage, params, _toy_dataset(), peak_lr=1e308,
+                      warmup_fraction=0.5, **inputs)
         message = str(err.value)
         for part in ("epoch 0", "lr 2.5e+307", "l_sup=", "l_dist=",
-                     "l_cls_audio=0", "l_cls_text=0", "total=",
+                     "l_cls_audio=", "l_cls_text=", "total=",
                      "non-finite parameters"):
             assert part in message
         assert isinstance(err.value.__cause__, DataError)
+
+    @pytest.mark.parametrize("name", ["finetune", "refinetune"])
+    def test_inputs_are_neither_written_nor_aliased(self, name):
+        params, inputs = _stage_inputs(name)
+        given = [params, *inputs.get("teachers", [])]
+        before = [self._param_bytes(p) for p in given]
+        trained, _ = run_stage(StageConfig(name, epochs=2, batch_size=8),
+                               params, _toy_dataset(), peak_lr=1e-2,
+                               **inputs)
+        assert [self._param_bytes(p) for p in given] == before
+        for out in trained.named_tensors().values():
+            for p in given:
+                assert not any(np.shares_memory(out, t)
+                               for t in p.named_tensors().values())
+
+    def test_stage_builds_its_model_once(self, monkeypatch):
+        calls = []
+        rebuild = ModelParams.with_tensors
+
+        def counting(params, tensors):
+            calls.append(len(tensors))
+            return rebuild(params, tensors)
+
+        monkeypatch.setattr(ModelParams, "with_tensors", counting)
+        _, log = run_stage(StageConfig("pretrain", epochs=2, batch_size=8),
+                           init_params(8, 6, 4, seed=0), _toy_dataset())
+        assert len(log) == 8
+        assert len(calls) == 1
 
     @staticmethod
     def _scaled(params, factor):
