@@ -97,8 +97,8 @@ def _softmax_forward(z, axis):
     """(log q, q) of softmax(z) along `axis` from one max-shift and one exp.
 
     The single softmax forward of the package: every loss and its
-    gradient, and the soft cluster memberships, read their probabilities
-    and log-probabilities from here.
+    gradient read their probabilities and log-probabilities from here,
+    and the soft cluster memberships their probabilities.
     """
     np_axis = axis.np_axis
     shifted = z - z.max(axis=np_axis, keepdims=True)

@@ -242,8 +242,8 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
     classification heads).  cfg.lambda1 and cfg.lambda2 only weight the
     terms: a term with weight 0 is still computed and reported, but adds
     nothing to the total or the gradient.  Teacher targets are
-    constants: no gradient flows into them.  The gradients are views of
-    one zeroed vector, keyed in named_tensors() order; unused heads get 0.
+    constants: no gradient flows into them.  Each gradient is a view whose
+    .base is one zeroed vector, in named_tensors() order; unused heads get 0.
     """
     distill = targets is not None
     cluster = labels is not None

@@ -400,6 +400,16 @@ class TestGradients:
         for name in g1:
             np.testing.assert_allclose(g1[name], g2[name], atol=1e-12)
 
+    def test_gradients_are_views_of_one_vector(self):
+        params = init_params(6, 5, 4, n_clusters=3, seed=1)
+        batch = random_batch(4, 6, 5, seed=2)
+        _, grads = loss_and_gradients(params, batch, LossConfig(),
+                                      labels=np.array([0, 1, 2, 0]))
+        base = next(iter(grads.values())).base
+        assert all(g.base is base for g in grads.values())
+        np.testing.assert_array_equal(
+            base, np.concatenate([g.ravel() for g in grads.values()]))
+
     def test_breakdown_terms_match_standalone_ops(self):
         params = init_params(6, 5, 4, n_clusters=3, seed=1)
         batch = random_batch(4, 6, 5, seed=2)
