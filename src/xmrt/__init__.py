@@ -22,9 +22,7 @@ from .ensemble import (EnsembleSpec, GridSearchConfig, Member, SearchResult,
                        read_weight_table, write_weight_table)
 from .errors import (ConfigError, ContractError, DataError, TensorFileError,
                      XmrtError)
-from .evaluation import (MetricsReport, RelevanceMap,
-                         average_precision_at_k, evaluate, rank_gallery,
-                         recall_at_k)
+from .evaluation import MetricsReport, RelevanceMap, evaluate, rank_gallery
 from .fixtures import generate_fixtures
 from .losses import (LossBreakdown, LossConfig, TeacherTargets,
                      classification_loss, combined_loss, distillation_loss,
@@ -55,8 +53,7 @@ __all__ = [
     "OUTLIER", "ClusterConfig", "ClusterAssignment",
     "reduce_dimensionality", "density_cluster", "reassign_outliers",
     "build_pseudo_labels", "cluster_pipeline",
-    "RelevanceMap", "MetricsReport", "rank_gallery",
-    "average_precision_at_k", "recall_at_k", "evaluate",
+    "RelevanceMap", "MetricsReport", "rank_gallery", "evaluate",
     "Member", "EnsembleSpec", "WeightTable", "GridSearchConfig",
     "SearchResult", "fuse", "load_coefficients", "grid_search",
     "hierarchical_grid_search", "bundled_weight_table",

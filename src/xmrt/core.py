@@ -89,8 +89,8 @@ def cosine_similarity_matrix(audio_emb, text_emb):
     if a.shape[1] != c.shape[1]:
         raise ContractError(f"embedding widths differ: audio {a.shape[1]} "
                             f"vs text {c.shape[1]}")
-    return np.clip(_unit_rows(a, "audio")[0] @ _unit_rows(c, "text")[0].T,
-                   -1.0, 1.0)
+    sim = _unit_rows(a, "audio")[0] @ _unit_rows(c, "text")[0].T
+    return np.clip(sim, -1.0, 1.0, out=sim)
 
 
 def _softmax_forward(z, axis):

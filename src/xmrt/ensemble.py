@@ -6,6 +6,8 @@ strategies differ only in which axis is combined first; both collapse to
 a flat weighted sum with product weights.  Weights are found by
 exhaustive search over the discretized simplex, maximizing mAP@16 on
 validation relevance, with an optional finer greedy refinement pass.
+Each query ranks only the items that could move a relevant item's rank
+(`_kept_sets`), so a point costs a fraction of an `evaluate`, bit-equal.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluation
 from .core import _as_equal_shape_matrices
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import (METRIC_KEYS, _candidates_per_block, _mean_metrics,
@@ -374,41 +377,96 @@ def _refine_units(scores, units, units_total, best_value):
     return best_value, units, evaluated
 
 
+def _tie_margin(n_members, largest):
+    """A gap above which no grid point fuses two of a query's items
+    equal, when every member scores one above the other by it.
+
+    `_weighted_sums_into` adds the n products w·m in order, so with u =
+    2**-53 and γ = nu / (1 - nu) a fused value is within γ·W·largest +
+    (1 + γ)·n·2**-1075 of the exact Σ w·m (W = Σ w, largest the query's
+    largest |score|; the second term is underflowing products).  A gap d
+    in every member parts the exact values by W·d, so the fused ones
+    differ if d > 2γ·largest + (1 + γ)·n·2**-1074 / W.  Weights c / total
+    are each within a relative u of exact, so W ≥ 1 - u ≥ 1/2.  Twice
+    the bound also covers the rounding of d and of the margin itself.
+    """
+    return 4 * n_members * 2.0**-53 * largest + n_members * 2.0**-1072
+
+
+def _kept_sets(mats, arrays):
+    """(bits, columns, pads) for `evaluation._mean_metrics`: the items
+    each query ranks, one bit each, built in blocks of queries.
+
+    Item g drops if every member scores it at or below every relevant
+    id, and g follows them all or trails them by over `_tie_margin` in
+    every member.  Rounding is monotone, so g fuses at or below each
+    relevant id r at every point and never counts in r's `>` term, and
+    it cannot tie an r it precedes.  So no rank moves.  A query whose
+    scores could fuse past the float range keeps every item.
+    """
+    n_gallery, widths, flat, starts = arrays
+    bits = np.empty((len(widths), -(-n_gallery // 8)), np.uint8)
+    columns, pads = np.empty_like(widths), np.empty_like(widths)
+    per_block = max(1, evaluation._RANK_BLOCK_BYTES // (40 * n_gallery))
+    for q0 in range(0, len(widths), per_block):
+        queries = slice(q0, q0 + per_block)
+        seg = starts[queries] - starts[q0]
+        owner = np.repeat(np.arange(len(seg)), widths[queries])
+        ids = flat[starts[q0]:starts[q0] + len(owner)]
+        gap, largest = np.inf, 0.0
+        with np.errstate(over="ignore"):
+            for m in mats:
+                block = m[:, queries]
+                low = np.minimum.reduceat(block[ids, owner], seg)
+                gap = np.minimum(gap, low - block)
+                largest = np.maximum(largest, np.abs(block).max(axis=0))
+        keep = (gap < 0) | ((gap <= _tie_margin(len(mats), largest))
+                            & (np.arange(n_gallery)[:, None]
+                               <= np.maximum.reduceat(ids, seg)))
+        keep[:, largest > np.finfo(np.float64).max / 2] = True
+        pads[queries] = keep.argmin(axis=0)
+        keep[ids, owner] = False    # ranked first, not from the bits
+        bits[queries] = np.packbits(keep, axis=0).T
+        columns[queries] = np.count_nonzero(keep, axis=0) + widths[queries]
+    return bits, columns, pads
+
+
 def _grid_scores(mats, relevance, mode):
     """scores(weight_vectors): a generator of the mAP@16 of each vector,
     each equal bit for bit to
     `evaluate(fuse(mats, spec), relevance, mode).map_at_16`.
 
-    The relevance is checked here, before any point is scored.  Vectors
-    are scored in blocks of `evaluation._candidates_per_block`: for each
-    block of queries the members' columns are gathered one member at a
-    time and fused for every vector of the block by
-    `_weighted_sums_into`, then ranked with the kernel `evaluate` runs.
-    No whole-member copy is held, and a block is scored only when its
-    first value is asked for.
+    The relevance is checked and the `_kept_sets` built here, before any
+    point is scored.  Vectors are scored in blocks of
+    `evaluation._candidates_per_block`: for each block of queries the
+    members' kept values are gathered one member at a time and fused for
+    every vector of the block by `_weighted_sums_into`, then ranked with
+    the kernel `evaluate` runs.  No whole-member copy is held, and a
+    block is scored only when its first value is asked for.
     """
     arrays = _relevance_arrays(relevance, mode, mats[0].shape)
-    points = _candidates_per_block(arrays)
+    kept = _kept_sets(mats, arrays)
+    points = _candidates_per_block(kept[1])
 
     def scores(weight_vectors):
         vectors = iter(weight_vectors)
         while weights := list(itertools.islice(vectors, points)):
             overflowed = np.zeros(len(weights), bool)
 
-            def fused_rows(queries, scratch):
+            def fused_rows(queries, rows, scratch):
                 out, tmp = scratch[:-1], scratch[-1]
                 # A convex sum of finite members overflows only at the edge
                 # of the float range, and a vector's total shows it in one
                 # pass; numpy's warnings are left to the DataError.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    _weighted_sums_into(out, tmp,
-                                        (m.T[queries] for m in mats), weights)
+                    _weighted_sums_into(out, tmp, (m[rows, queries[:, None]]
+                                                   for m in mats), weights)
                     totals = out.sum(axis=(1, 2))
                 for p in np.flatnonzero(~np.isfinite(totals)):
                     overflowed[p] |= not np.isfinite(out[p]).all()
                 return out
 
-            means = _mean_metrics(fused_rows, arrays, len(weights),
+            means = _mean_metrics(fused_rows, arrays, kept, len(weights),
                                   len(weights) + 1)
             # a vector that overflowed fails when its value is asked for
             for value, bad in zip(means[:, _MAP_AT_16].tolist(), overflowed):

@@ -13,7 +13,9 @@ sorts the gallery: the 1-based rank of relevant item g is
 #{score > s_g} + #{score == s_g and index < g} + 1, which is that same
 order, and AP@k and R@k follow from the ranks of the relevant items.
 The ranking kernel takes a leading candidate axis: `evaluate` runs it on
-one matrix, the weight search on a block of fused matrices at once.
+one matrix, the weight search on a block of fused matrices at once.  Each
+column carries its gallery index for the tie term, so the search can rank
+only the items it has proved can move a rank.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ _RECALL_CUTOFFS = (1, 5, 10)
 # Bounds a block of queries: the score rows their caller holds plus the
 # ranking masks (one byte per gallery item and candidate, one more for the
 # tie term), so neither a long relevance list nor a block of weight
-# vectors can force a big allocation.
+# vectors can force a big allocation.  The search builds its kept sets in
+# blocks of the same size.
 _RANK_BLOCK_BYTES = 8 << 20
 # Fused candidates are ranked as many at once as leave room for blocks of
 # this many queries.
@@ -103,37 +106,6 @@ def rank_gallery(scores):
     return np.argsort(-s, kind="stable")
 
 
-def average_precision_at_k(ranking, relevant, k):
-    """Truncated AP: mean precision at each relevant hit in the top k.
-
-    Normalized by min(|relevant|, k) so a perfect ranking scores 1 even
-    when more relevant items exist than the cutoff can hold.
-    """
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    rel = set(int(i) for i in relevant)
-    if not rel:
-        raise DataError("relevant set is empty")
-    hits = 0
-    total = 0.0
-    for rank, item in enumerate(np.asarray(ranking)[:k], start=1):
-        if int(item) in rel:
-            hits += 1
-            total += hits / rank
-    return total / min(len(rel), k)
-
-
-def recall_at_k(ranking, relevant, k):
-    """Fraction of the relevant set found in the top k."""
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    rel = set(int(i) for i in relevant)
-    if not rel:
-        raise DataError("relevant set is empty")
-    top = set(int(i) for i in np.asarray(ranking)[:k])
-    return len(rel & top) / len(rel)
-
-
 def _relevance_arrays(relevance, mode, shape):
     """(n_gallery, widths, flat ids, starts) of the ids `mode` scores,
     after checking `relevance` against a (gallery, queries) shape.
@@ -173,15 +145,15 @@ def _count_true(mask):
                                    dtype=np.intp if wide else np.uint16)
 
 
-def _relevant_ranks(scores, ids):
-    """Sorted 1-based ranks of the gallery ids ids[b] in score rows
-    scores[p, b] of each candidate p: (P, b, G) and (b, w) give (P, b, w).
+def _relevant_ranks(scores, ids, index):
+    """Sorted 1-based ranks of the columns ids[b] in score rows
+    scores[p, b] of each candidate p: (P, b, W) and (b, w) give (P, b, w).
 
-    rank = #{score > s_g} + #{score == s_g and index < g} + 1, the
-    position `rank_gallery` gives item g.  One id at a time through one
-    reused (P, b, G) mask; the index term is counted only when a
-    relevant score equals another gallery score, through one (b, G)
-    mask more.
+    Column c of row b is gallery item index[b, c], and the rank of g is
+    #{score > s_g} + #{score == s_g and index < g} + 1, its position in
+    `rank_gallery` order.  One id at a time through one reused (P, b, W)
+    mask; the index term is counted only when a relevant score equals
+    another score, through one (b, W) mask more.
     """
     n_rows, width = ids.shape
     ranks = np.empty(scores.shape[:-1] + (width,), np.intp)
@@ -193,7 +165,7 @@ def _relevant_ranks(scores, ids):
         ranks[..., k] = _count_true(mask) + 1
         np.equal(scores, target, out=mask)
         if (_count_true(mask) > 1).any():
-            mask &= np.arange(scores.shape[-1]) < ids[:, k, None]
+            mask &= index < index[rows, ids[:, k], None]
             ranks[..., k] += _count_true(mask)
     ranks.sort(axis=-1)
     return ranks
@@ -201,7 +173,8 @@ def _relevant_ranks(scores, ids):
 
 def _query_metrics(ranks, n_relevant):
     """Per-query METRIC_KEYS from sorted ranks (..., w), in the float
-    operation order of average_precision_at_k and recall_at_k."""
+    operation order of a per-query loop: AP@k adds hits / rank over the
+    hits in the top k, then divides by min(w, k)."""
     out = np.empty(ranks.shape[:-1] + (len(METRIC_KEYS),))
     for col, k in enumerate(_AP_CUTOFFS):
         total = np.zeros(ranks.shape[:-1])
@@ -220,54 +193,87 @@ def _kept_bytes(n_candidates, n_queries):
     return 16 * len(METRIC_KEYS) * n_candidates * n_queries
 
 
-def _queries_per_block(arrays, n_candidates, scratch_rows):
-    """Queries per block that fit _RANK_BLOCK_BYTES with the per-query
-    values of every candidate.  Per gallery item of each query a block
-    holds one gathered value, scratch_rows floats, a ranking mask byte
-    per candidate and one for the tie term."""
-    n_gallery, widths = arrays[:2]
-    n_queries = len(widths)
-    free = _RANK_BLOCK_BYTES - _kept_bytes(n_candidates, n_queries)
-    per_query = n_gallery * (8 * (1 + scratch_rows) + n_candidates + 1)
-    return min(n_queries, max(1, free // per_query))
+def _kept_layout(arrays, kept, queries, width):
+    """(index, rows) of a block of queries' columns padded to width: the
+    gallery index each column ranks as (n_gallery on padding) and the
+    gallery row its scores come from (a dropped item on padding).  Each
+    query's relevant ids come first, then the items set in its bits."""
+    n_gallery, widths, flat, starts = arrays
+    bits, columns, pads = kept
+    first, slot = widths[queries, None], np.arange(width)
+    index = np.where(slot < first, flat.take(starts[queries, None] + slot,
+                                             mode="clip"), n_gallery)
+    index[(slot >= first) & (slot < columns[queries, None])] = np.nonzero(
+        np.unpackbits(bits[queries], axis=1, count=n_gallery))[1]
+    return index, np.where(index < n_gallery, index, pads[queries, None])
 
 
-def _candidates_per_block(arrays):
+def _candidates_per_block(columns):
     """How many fused candidates, each with a scratch row of its own
     beside one shared scratch row, fit _RANK_BLOCK_BYTES with a block of
-    _QUERIES_PER_BLOCK queries."""
-    n_gallery, widths = arrays[:2]
-    rows = n_gallery * min(len(widths), _QUERIES_PER_BLOCK)
+    _QUERIES_PER_BLOCK queries of the mean column count."""
+    n_queries = len(columns)
+    rows = -(-columns.sum() // n_queries) * min(n_queries,
+                                                _QUERIES_PER_BLOCK)
     free = _RANK_BLOCK_BYTES - rows * (8 * 2 + 1)
-    return max(1, free // (rows * 9 + _kept_bytes(1, len(widths))))
+    return max(1, free // (rows * 9 + _kept_bytes(1, n_queries)))
 
 
-def _mean_metrics(score_rows, arrays, n_candidates, scratch_rows):
+def _mean_metrics(score_rows, arrays, kept, n_candidates, scratch_rows):
     """(P, METRIC_KEYS) means over all queries of P candidate matrices.
 
-    Queries run in width order, in blocks of `_queries_per_block`.  For
-    each block, score_rows(queries, scratch) returns the queries' (P, b,
-    G) score rows; it may hold one gathered (b, G) array at a time and
-    use scratch, (scratch_rows, b, G) floats allocated here once.  Each
+    Each query ranks the whole gallery, or with the search's kept sets
+    (bits, columns, pads) its `_kept_layout` columns, columns[q] in all.
+    Queries run by column count, in blocks padded to their most columns
+    that fit _RANK_BLOCK_BYTES with the per-query values of every
+    candidate.  score_rows(queries, rows, scratch) returns a block's (P,
+    b, W) score rows, read from gallery rows `rows` (None: all, in
+    order); it may hold one gathered (b, W) array at a time and use
+    scratch, (scratch_rows, b, W) floats allocated here once.  Each
     candidate's per-query values are then summed in query order, as the
     sorting loop does.
     """
     n_gallery, widths, flat, starts = arrays
     n_queries = len(widths)
-    order = np.argsort(widths, kind="stable")
-    per_block = _queries_per_block(arrays, n_candidates, scratch_rows)
-    scratch = np.empty((scratch_rows, per_block, n_gallery))
+    columns, positions, layout, unpacked = (np.full(n_queries, n_gallery),
+                                            flat, 0, 0)
+    if kept is not None:     # the relevant ids are each query's first columns
+        columns, layout, unpacked = kept[1], 40, n_gallery
+        positions = np.arange(len(flat)) - np.repeat(starts, widths)
+    # Bytes per column: a gathered value, the scratch rows, a mask byte per
+    # candidate, one for the tie term, and the search layout's index, rows
+    # and their build; each query of it also unpacks its bits.
+    per_column = 8 * (1 + scratch_rows) + n_candidates + 1 + layout
+    free = _RANK_BLOCK_BYTES - _kept_bytes(n_candidates, n_queries)
+    order, blocks = np.lexsort((widths, columns)), []
+    while len(order):
+        widest = np.maximum.accumulate(
+            columns[order[:max(1, free // (per_column + unpacked))]])
+        fits = (np.arange(1, len(widest) + 1)
+                * (widest * per_column + unpacked) <= free)
+        queries, order = np.split(order, [max(1, np.count_nonzero(fits))])
+        blocks.append(queries)
+    scratch = np.empty(scratch_rows * max(
+        len(queries) * columns[queries].max() for queries in blocks))
     per_query = np.empty((n_candidates, n_queries, len(METRIC_KEYS)))
-    for q0 in range(0, n_queries, per_block):
-        queries = order[q0:q0 + per_block]
-        scores = score_rows(queries, scratch[:, :len(queries)])
+    for queries in blocks:
+        queries = queries[np.argsort(widths[queries], kind="stable")]
+        width = columns[queries].max()
+        index, rows = np.broadcast_to(np.arange(width),
+                                      (len(queries), width)), None
+        if kept is not None:
+            index, rows = _kept_layout(arrays, kept, queries, width)
+        scores = score_rows(queries, rows, scratch[
+            :scratch_rows * len(queries) * width].reshape(
+                scratch_rows, len(queries), width))
         cuts = np.flatnonzero(np.diff(widths[queries])) + 1
         for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(queries)]):
             block = queries[a:b]
-            width = int(widths[block[0]])
-            ids = flat[starts[block, None] + np.arange(width)]
+            n_relevant = int(widths[block[0]])
+            ids = positions[starts[block, None] + np.arange(n_relevant)]
             per_query[:, block] = _query_metrics(
-                _relevant_ranks(scores[:, a:b], ids), width)
+                _relevant_ranks(scores[:, a:b], ids, index[a:b]), n_relevant)
+        del scores, index, rows      # freed before the next block's
     # Sequential sums in query order (np.sum's pairwise order moves bits).
     return np.cumsum(per_query, axis=1)[:, -1] / n_queries
 
@@ -278,14 +284,13 @@ def evaluate(sim, relevance, mode="multiple"):
     Column q of `sim` holds caption q's scores over the audio gallery.
     "multiple" mode uses each query's full relevant list; "single" mode
     keeps only the first (paired) id.  The report equals, bit for bit,
-    ranking each column with `rank_gallery`, scoring it with
-    `average_precision_at_k` and `recall_at_k`, and summing over the
-    queries in order.
+    ranking each column with `rank_gallery`, scoring each query in rank
+    order, and summing over the queries in order.
     """
     s = as_matrix(sim, "similarity matrix")
     arrays = _relevance_arrays(relevance, mode, s.shape)
     # the queries' columns, gathered as rows: a block of s.T only
-    means = _mean_metrics(lambda queries, scratch: s.T[queries][None],
-                          arrays, 1, 0)[0]
+    means = _mean_metrics(lambda queries, rows, scratch: s.T[queries][None],
+                          arrays, None, 1, 0)[0]
     return MetricsReport(**dict(zip(METRIC_KEYS, means.tolist())),
                          query_count=s.shape[1])

@@ -1,6 +1,7 @@
 """Tests for the dense-matrix primitives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,20 @@ class TestCosineSimilarity:
         a = rng.standard_normal((20, 7))
         sim = cosine_similarity_matrix(a, a)
         assert sim.max() <= 1.0 and sim.min() >= -1.0
+
+    def test_holds_one_matrix(self):
+        # clipped in place: a second gallery-by-caption matrix would double
+        # the peak memory of scoring a split
+        rng = np.random.default_rng(1)
+        audio = rng.standard_normal((1000, 8))
+        text = rng.standard_normal((2000, 8))
+        tracemalloc.start()
+        try:
+            sim = cosine_similarity_matrix(audio, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * sim.nbytes
 
     def test_width_mismatch(self):
         with pytest.raises(ContractError, match="widths differ"):

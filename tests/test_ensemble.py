@@ -632,11 +632,12 @@ class TestBlockScoresEqualEvaluate:
         want = grid_search(mats[:3], rel, cfg, refine=True)
         blocks = []
 
-        def mean_metrics(score_rows, arrays, n_candidates, scratch_rows):
-            def rows(queries, scratch):
+        def mean_metrics(score_rows, arrays, kept, n_candidates,
+                         scratch_rows):
+            def rows(queries, gallery_rows, scratch):
                 blocks.append((n_candidates, len(queries)))
-                return score_rows(queries, scratch)
-            return evaluation._mean_metrics(rows, arrays, n_candidates,
+                return score_rows(queries, gallery_rows, scratch)
+            return evaluation._mean_metrics(rows, arrays, kept, n_candidates,
                                             scratch_rows)
 
         monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", budget)
@@ -658,6 +659,121 @@ class TestBlockScoresEqualEvaluate:
         tracemalloc.start()
         try:
             grid_search(mats, rel, GridSearchConfig(step=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * evaluation._RANK_BLOCK_BYTES
+
+
+class TestKeptSets:
+    """The search ranks only the items `ensemble._kept_sets` keeps; an item
+    it drops must be unable to move any relevant id's rank."""
+
+    @staticmethod
+    def _one_ulp_ties():
+        # No column of a member holds two equal scores, but in every query
+        # item 2 sits one ulp below relevant item 5 in every member, so only
+        # rounding can fuse the two equal, and then item 2 ranks ahead.
+        rng = np.random.default_rng(11)
+        mats = []
+        for _ in range(3):
+            m = rng.uniform(-1.0, 2.0, (10, 12))
+            m[5] = rng.uniform(0.5, 1.0, 12)
+            m[2] = np.nextafter(m[5], -np.inf)
+            assert all(len(set(col)) == 10 for col in m.T.tolist())
+            mats.append(m)
+        return mats, RelevanceMap(((5,),) * 12)
+
+    def test_a_rounding_tie_needs_the_margin(self, monkeypatch):
+        mats, rel = self._one_ulp_ties()
+        weights = _grid(3, 10)
+        want = [evaluate(fuse(mats, _spec(w)), rel).map_at_16.hex()
+                for w in weights]
+
+        def search_bits():
+            scores = ensemble._grid_scores(mats, rel, "multiple")(weights)
+            return [v.hex() for v in scores]
+
+        assert search_bits() == want
+        monkeypatch.setattr(ensemble, "_tie_margin", lambda *_: np.inf)
+        assert search_bits() == want
+        # with no margin item 2 drops, and the points that fuse it equal
+        # to item 5 rank item 5 first
+        monkeypatch.setattr(ensemble, "_tie_margin", lambda *_: 0.0)
+        assert search_bits() != want
+
+    @staticmethod
+    def _decoded(mats, rel):
+        """Per query: the gallery items its columns rank, and its pad."""
+        arrays = evaluation._relevance_arrays(rel, "multiple",
+                                              mats[0].shape)
+        kept = ensemble._kept_sets(mats, arrays)
+        queries = np.arange(len(rel))
+        index, rows = evaluation._kept_layout(arrays, kept, queries,
+                                              kept[1].max())
+        ranked = [set(row[row < arrays[0]].tolist()) for row in index]
+        assert [len(items) for items in ranked] == kept[1].tolist()
+        return ranked, kept[2]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_dropped_item_is_dominated_past_the_margin(self, seed):
+        mats, rel = TestGridSearch._tie_heavy(seed)
+        mats[3] = mats[3] + 1e-3 * np.random.default_rng(seed).random(
+            mats[3].shape)                     # one member without ties
+        for members in (mats[:2], mats[:3], mats):
+            ranked, pads = self._decoded(members, rel)
+            n_dropped = 0
+            for q, relevant in enumerate(rel.entries):
+                col = np.stack([m[:, q] for m in members])
+                margin = ensemble._tie_margin(len(members), np.abs(col).max())
+                assert set(relevant) <= ranked[q]
+                dropped = sorted(set(range(60)) - ranked[q])
+                if dropped:
+                    assert pads[q] in dropped
+                for g in dropped:
+                    for r in relevant:
+                        gaps = col[:, r] - col[:, g]
+                        assert gaps.min() >= 0
+                        assert g > r or gaps.min() > margin
+                n_dropped += len(dropped)
+            assert n_dropped > 0
+
+    def test_scores_that_could_overflow_keep_every_item(self):
+        # item 3 of query 1 fuses below its relevant id, and -max at the
+        # weights 0.1, 0.5 and 0.4 fuses past the float range: only a kept
+        # item 3 raises the error that `fuse` raises
+        mats = [np.eye(4) for _ in range(3)]
+        for m in mats:
+            m[3, 1] = -np.finfo(np.float64).max
+        rel = RelevanceMap(((0,), (1,), (2,), (3,)))
+        ranked, _ = self._decoded(mats, rel)
+        assert ranked[1] == set(range(4)) and ranked[0] == {0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = ensemble._grid_scores(mats, rel, "multiple")(
+                [[0.5, 0.5, 0.0], [0.1, 0.5, 0.4]])
+            assert next(values) == evaluate(
+                fuse(mats, _spec([0.5, 0.5, 0.0])), rel).map_at_16
+            with pytest.raises(DataError, match="overflowed"):
+                fuse(mats, _spec([0.1, 0.5, 0.4]))
+            with pytest.raises(DataError, match="non-finite"):
+                next(values)
+
+    def test_a_tie_heavy_refined_search_stays_within_the_budget(self):
+        # rounded scores keep most items, and refinement scores blocks of
+        # 1, 2, 4, ... moves: the kept-set build and every block together
+        # stay within the budget
+        rng = np.random.default_rng(10)
+        mats = [np.round(rng.standard_normal((2000, 400)), 1)
+                for _ in range(3)]
+        rel = RelevanceMap(tuple(
+            tuple(rng.choice(2000, size=rng.integers(1, 6), replace=False))
+            for _ in range(400)))
+        arrays = evaluation._relevance_arrays(rel, "multiple", (2000, 400))
+        assert ensemble._kept_sets(mats, arrays)[1].mean() > 1000
+        tracemalloc.start()
+        try:
+            grid_search(mats, rel, GridSearchConfig(step=0.5), refine=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

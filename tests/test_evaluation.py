@@ -6,9 +6,40 @@ import numpy as np
 import pytest
 
 from xmrt import (ConfigError, ContractError, DataError, MetricsReport,
-                  RelevanceMap, average_precision_at_k, evaluate,
-                  rank_gallery, recall_at_k)
+                  RelevanceMap, evaluate, rank_gallery)
 from xmrt import evaluation
+
+
+# The metric helpers `evaluate` reproduces bit for bit (`_loop_report`).
+def average_precision_at_k(ranking, relevant, k):
+    """Truncated AP: mean precision at each relevant hit in the top k.
+
+    Normalized by min(|relevant|, k) so a perfect ranking scores 1 even
+    when more relevant items exist than the cutoff can hold.
+    """
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
+    rel = set(int(i) for i in relevant)
+    if not rel:
+        raise DataError("relevant set is empty")
+    hits = 0
+    total = 0.0
+    for rank, item in enumerate(np.asarray(ranking)[:k], start=1):
+        if int(item) in rel:
+            hits += 1
+            total += hits / rank
+    return total / min(len(rel), k)
+
+
+def recall_at_k(ranking, relevant, k):
+    """Fraction of the relevant set found in the top k."""
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
+    rel = set(int(i) for i in relevant)
+    if not rel:
+        raise DataError("relevant set is empty")
+    top = set(int(i) for i in np.asarray(ranking)[:k])
+    return len(rel & top) / len(rel)
 
 
 def _oracle_ranking(scores):
@@ -314,15 +345,31 @@ class TestRankingKernel:
         zeros = np.where(rng.random((6, 30)) < 0.5, 0.0, -0.0)
         scores[3] = np.where(rng.random((6, 30)) < 0.6, zeros, scores[3])
         ids = np.stack([rng.choice(30, 3, replace=False) for _ in range(6)])
-        ranks = evaluation._relevant_ranks(scores, ids)
+        index = np.broadcast_to(np.arange(30), (6, 30))
+        ranks = evaluation._relevant_ranks(scores, ids, index)
         assert ranks.shape == (4, 6, 3)
         for p in range(4):
-            alone = evaluation._relevant_ranks(scores[p:p + 1], ids)[0]
+            alone = evaluation._relevant_ranks(scores[p:p + 1], ids, index)[0]
             assert np.array_equal(ranks[p], alone)
             for b in range(6):
                 order = rank_gallery(scores[p, b]).tolist()
                 assert ranks[p, b].tolist() == sorted(
                     order.index(g) + 1 for g in ids[b])
+
+    def test_ties_compare_the_gallery_index_of_each_column(self):
+        # columns shuffled per row, each tagged with its gallery index,
+        # rank as the gallery itself does
+        rng = np.random.default_rng(5)
+        scores = np.round(rng.standard_normal((3, 6, 30)), 0)
+        ids = np.stack([rng.choice(30, 3, replace=False) for _ in range(6)])
+        index = np.stack([rng.permutation(30) for _ in range(6)])
+        shuffled = np.take_along_axis(scores, index[None], axis=-1)
+        columns = np.argsort(index, axis=1)   # where each gallery item went
+        assert np.array_equal(
+            evaluation._relevant_ranks(
+                shuffled, np.take_along_axis(columns, ids, axis=1), index),
+            evaluation._relevant_ranks(
+                scores, ids, np.broadcast_to(np.arange(30), (6, 30))))
 
 
 class TestRankBlockMemory:
