@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter, methodcaller
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,11 +26,13 @@ from .training import PairedDataset
 SPLITS = ("train", "val", "test")
 MANIFEST_HEADER = ("audio_id", "caption_id", "audio_ref", "caption_ref",
                    "split")
+_MAX_ROW = np.iinfo(np.int64).max
+_RPARTITION = methodcaller("rpartition", ":")
 
 
-@dataclass(frozen=True)
-class ManifestItem:
-    """One caption row: its audio pairing, feature refs, and split."""
+class ManifestItem(NamedTuple):
+    """One caption row: its audio pairing, feature refs, and split.  The
+    `Manifest` that holds it checks it."""
 
     audio_id: str
     caption_id: str
@@ -35,45 +40,72 @@ class ManifestItem:
     caption_ref: str
     split: str
 
-    def __post_init__(self):
-        if self.split not in SPLITS:
-            raise DataError(
-                f"split must be one of {SPLITS}, got {self.split!r}")
-        for field in ("audio_ref", "caption_ref"):
-            parse_ref(getattr(self, field))
 
-
-@dataclass(frozen=True)
 class Manifest:
-    """All caption rows plus the feature widths they reference."""
+    """All caption rows plus the feature widths they reference.
 
-    items: tuple
-    d_audio: int
-    d_text: int
+    `items` are rows of MANIFEST_HEADER fields, ManifestItems or a file's
+    split lines, held as one tuple per field.  The whole manifest is
+    checked column by column, parsing each ref once: valid splits,
+    well-formed refs, unique caption ids, one ref per audio id.  Only when
+    a check fails are the rows scanned, to name the first offender in file
+    order.
+    """
 
-    def __post_init__(self):
-        items = tuple(self.items)
-        if not items:
+    def __init__(self, items, d_audio, d_text):
+        columns = tuple(zip(*items))
+        if not columns:
             raise DataError("manifest lists no items")
-        if self.d_audio < 1 or self.d_text < 1:
+        audio_ids, caption_ids, audio_refs, caption_refs, splits = columns
+        n = len(caption_ids)
+        try:
+            split_codes = np.fromiter(map(SPLITS.index, splits), np.int8, n)
+            refs = _parse_refs(audio_refs), _parse_refs(caption_refs)
+        except (ValueError, OverflowError):
+            for split, *row_refs in zip(splits, audio_refs, caption_refs):
+                if split not in SPLITS:
+                    raise DataError(f"split must be one of {SPLITS}, got "
+                                    f"{split!r}") from None
+                for ref in row_refs:
+                    parse_ref(ref)
+            raise
+        if d_audio < 1 or d_text < 1:
             raise DataError("feature dims must be >= 1")
-        seen_captions = set()
-        audio_refs = {}
-        for item in items:
-            if item.caption_id in seen_captions:
-                raise DataError(
-                    f"caption id {item.caption_id!r} appears twice")
-            seen_captions.add(item.caption_id)
-            prior = audio_refs.setdefault(item.audio_id, item.audio_ref)
-            if prior != item.audio_ref:
-                raise DataError(
-                    f"audio id {item.audio_id!r} maps to two refs")
-        object.__setattr__(self, "items", items)
+        audio_ref_of = dict(zip(audio_ids, audio_refs))
+        if (len(set(caption_ids)) < n
+                or tuple(map(audio_ref_of.get, audio_ids)) != audio_refs):
+            seen, audio_ref_of = set(), {}
+            for audio_id, caption_id, audio_ref in zip(
+                    audio_ids, caption_ids, audio_refs):
+                if caption_id in seen:
+                    raise DataError(f"caption id {caption_id!r} appears "
+                                    f"twice")
+                seen.add(caption_id)
+                if audio_ref_of.setdefault(audio_id, audio_ref) != audio_ref:
+                    raise DataError(
+                        f"audio id {audio_id!r} maps to two refs")
+        self.d_audio, self.d_text = d_audio, d_text
+        self._columns, self._split_codes, self._refs = (columns, split_codes,
+                                                        refs)
 
-    def split_items(self, split):
+    @property
+    def items(self):
+        return tuple(map(ManifestItem, *self._columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, Manifest):
+            return NotImplemented
+        return ((self._columns, self.d_audio, self.d_text)
+                == (other._columns, other.d_audio, other.d_text))
+
+    def _split_rows(self, split):
         if split not in SPLITS:
             raise ContractError(f"split must be one of {SPLITS}")
-        return [item for item in self.items if item.split == split]
+        return np.flatnonzero(self._split_codes == SPLITS.index(split))
+
+    def split_items(self, split):
+        return list(map(self.items.__getitem__,
+                        self._split_rows(split).tolist()))
 
 
 def parse_ref(ref):
@@ -85,28 +117,43 @@ def parse_ref(ref):
         row = int(row)
     except ValueError:
         raise DataError(f"bad row index in tensor ref {ref!r}") from None
-    if not path or row < 0:
+    if not path or not 0 <= row <= _MAX_ROW:
         raise DataError(f"bad tensor ref {ref!r}")
     return path, row
+
+
+def _parse_refs(refs):
+    """(files, file of each ref, row of each ref) for a column of refs,
+    each distinct file once in first-appearance order; ValueError or
+    OverflowError if a ref is not one `parse_ref` takes.  A ref without
+    a colon has an empty path.  The paths and rows are read in two
+    passes, so no per-ref tuple outlives its pass."""
+    paths = list(map(itemgetter(0), map(_RPARTITION, refs)))
+    rows = np.fromiter(map(int, map(itemgetter(2), map(_RPARTITION, refs))),
+                       np.int64, len(refs))
+    if "" in paths or rows.min() < 0:
+        raise ValueError("bad tensor ref")
+    files = tuple(dict.fromkeys(paths))
+    index = dict(zip(files, range(len(files))))
+    return (files, np.fromiter(map(index.__getitem__, paths), np.intp,
+                               len(paths)), rows)
 
 
 def write_manifest(path, manifest):
     """Write a manifest TSV with its dims pragma line."""
     lines = [f"#xmrt-manifest\td_audio={manifest.d_audio}"
              f"\td_text={manifest.d_text}",
-             "\t".join(MANIFEST_HEADER)]
-    for item in manifest.items:
-        lines.append("\t".join([item.audio_id, item.caption_id,
-                                item.audio_ref, item.caption_ref,
-                                item.split]))
+             "\t".join(MANIFEST_HEADER),
+             *map("\t".join, zip(*manifest._columns))]
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_manifest(path):
-    """Parse a manifest TSV written by write_manifest."""
+    """Parse a manifest TSV written by write_manifest: one str.split per
+    line, handed to `Manifest`, which keeps the rows as columns."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = list(filter(str.strip, fh.read().split("\n")))
     if len(lines) < 3:
         raise DataError(f"{path}: manifest needs pragma, header, and rows")
     pragma = lines[0].split("\t")
@@ -123,33 +170,31 @@ def read_manifest(path):
         raise DataError(f"{path}: pragma must set d_audio and d_text")
     if lines[1].split("\t") != list(MANIFEST_HEADER):
         raise DataError(f"{path}: bad manifest header")
-    items = []
-    for ln in lines[2:]:
-        parts = ln.split("\t")
-        if len(parts) != len(MANIFEST_HEADER):
-            raise DataError(
-                f"{path}: row has {len(parts)} columns, expected "
-                f"{len(MANIFEST_HEADER)}")
-        items.append(ManifestItem(*parts))
-    return Manifest(items=tuple(items), d_audio=dims["d_audio"],
-                    d_text=dims["d_text"])
+    rows = [ln.split("\t") for ln in lines[2:]]
+    if set(map(len, rows)) != {len(MANIFEST_HEADER)}:
+        width = next(len(r) for r in rows if len(r) != len(MANIFEST_HEADER))
+        raise DataError(f"{path}: row has {width} columns, expected "
+                        f"{len(MANIFEST_HEADER)}")
+    return Manifest(rows, dims["d_audio"], dims["d_text"])
 
 
-def _gather_rows(base_dir, refs, width, what, tensors):
-    """The rows that refs name, in ref order, as a (len(refs), width)
-    array: each file is loaded once into `tensors`, which a split load
-    shares between its modalities, and its rows gathered by one index."""
-    paths, rows = zip(*map(parse_ref, refs))
-    paths, rows = np.array(paths, dtype=object), np.array(rows)
-    files = dict.fromkeys(paths)
-    out = np.empty((len(refs), width)) if len(files) > 1 else None
-    for path in files:
-        at = np.flatnonzero(paths == path)
+def _gather_rows(base_dir, refs, parsed, split_rows, width, what, tensors):
+    """The rows that a ref column names at split_rows, in that order, as a
+    (len(split_rows), width) array: each file is loaded once into
+    `tensors`, which a split load shares between its modalities, and its
+    rows gathered by one index."""
+    files, file_of, rows = parsed
+    file_of, rows = file_of[split_rows], rows[split_rows]
+    codes, first = np.unique(file_of, return_index=True)
+    out = np.empty((len(split_rows), width)) if len(codes) > 1 else None
+    for code in codes[np.argsort(first)].tolist():  # split order
+        at = np.flatnonzero(file_of == code)
+        path = files[code]
         full = os.path.join(base_dir, path)
         if full not in tensors:
             if not os.path.exists(full):
-                raise DataError(f"{what} ref {refs[at[0]]!r} points to a "
-                                f"missing file {full}")
+                raise DataError(f"{what} ref {refs[split_rows[at[0]]]!r} "
+                                f"points to a missing file {full}")
             tensor = load_tensor(full)
             if tensor.ndim != 2:
                 raise DataError(f"{full}: expected a matrix, got rank "
@@ -159,7 +204,7 @@ def _gather_rows(base_dir, refs, width, what, tensors):
         beyond = at[rows[at] >= tensor.shape[0]]
         if beyond.size:
             raise DataError(
-                f"{what} ref {refs[beyond[0]]!r} asks for row "
+                f"{what} ref {refs[split_rows[beyond[0]]]!r} asks for row "
                 f"{rows[beyond[0]]} of {tensor.shape[0]}")
         if tensor.shape[1] != width:
             raise DataError(
@@ -192,26 +237,29 @@ def load_paired_dataset(manifest_path, split):
     read each referenced tensor file once (also one that audio and caption
     refs share) and gather its rows in split order."""
     manifest = read_manifest(manifest_path)
-    items = manifest.split_items(split)
-    if not items:
+    at = manifest._split_rows(split)
+    if not at.size:
         raise DataError(f"{manifest_path}: split {split!r} is empty")
     base_dir = os.path.dirname(os.path.abspath(manifest_path))
+    audio_ids, caption_ids, audio_refs, caption_refs, _ = manifest._columns
     tensors = {}
-    audio = _gather_rows(base_dir, [item.audio_ref for item in items],
+    audio = _gather_rows(base_dir, audio_refs, manifest._refs[0], at,
                          manifest.d_audio, "audio", tensors)
-    text = _gather_rows(base_dir, [item.caption_ref for item in items],
+    text = _gather_rows(base_dir, caption_refs, manifest._refs[1], at,
                         manifest.d_text, "caption", tensors)
-    gallery_index = {}
-    caption_to_audio = np.array(
-        [gallery_index.setdefault(item.audio_id, len(gallery_index))
-         for item in items], dtype=np.int64)
+    rows = at.tolist()
+    audio_ids = list(map(audio_ids.__getitem__, rows))
+    gallery_ids = tuple(dict.fromkeys(audio_ids))
+    gallery_index = dict(zip(gallery_ids, range(len(gallery_ids))))
+    caption_to_audio = np.fromiter(map(gallery_index.__getitem__, audio_ids),
+                                   np.int64, len(audio_ids))
     # the first caption of each gallery item, in gallery order
     first = np.unique(caption_to_audio, return_index=True)[1]
     dataset = PairedDataset(
         audio_features=audio, text_features=text,
-        caption_ids=tuple(item.caption_id for item in items))
+        caption_ids=tuple(map(caption_ids.__getitem__, rows)))
     return LoadedSplit(dataset=dataset, gallery_features=audio[first],
-                       gallery_ids=tuple(gallery_index),
+                       gallery_ids=gallery_ids,
                        caption_to_audio=caption_to_audio)
 
 
@@ -228,19 +276,25 @@ def write_relevance(path, entries):
 
 def read_relevance(path):
     """Parse a relevance file into [(query_id, (id, ...)), ...]."""
-    entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            if not ln.strip():
-                continue
-            parts = ln.rstrip("\n").split("\t")
-            if len(parts) < 2:
-                raise DataError(
-                    f"{path}: query {parts[0]!r} lists no relevant ids")
-            entries.append((parts[0], tuple(parts[1:])))
-    if not entries:
+        rows = [ln.split("\t") for ln in fh.read().split("\n")
+                if ln.strip()]
+    if not rows:
         raise DataError(f"{path}: relevance file is empty")
-    return entries
+    if min(map(len, rows)) < 2:
+        query_id = next(parts[0] for parts in rows if len(parts) < 2)
+        raise DataError(f"{path}: query {query_id!r} lists no relevant ids")
+    return [(parts[0], tuple(parts[1:])) for parts in rows]
+
+
+def _first_repeat(values):
+    """The first value that an earlier one equals, or None."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
 
 
 def align_relevance(entries, caption_ids, gallery_ids):
@@ -249,23 +303,28 @@ def align_relevance(entries, caption_ids, gallery_ids):
     Entries may cover a superset of the split's captions; every split
     caption must appear, and every referenced gallery id must exist.
     """
-    by_query = {}
-    for query_id, ids in entries:
-        if query_id in by_query:
-            raise DataError(f"query {query_id!r} listed twice")
-        by_query[query_id] = ids
-    gallery_pos = {gid: i for i, gid in enumerate(gallery_ids)}
-    rows = []
-    for cid in caption_ids:
-        if cid not in by_query:
-            raise DataError(f"caption {cid!r} missing from relevance file")
-        try:
-            rows.append(tuple(gallery_pos[a] for a in by_query[cid]))
-        except KeyError as exc:
-            raise DataError(
-                f"caption {cid!r} lists unknown gallery id {exc.args[0]!r}"
-            ) from None
-    return RelevanceMap(entries=tuple(rows))
+    query_ids, lists = tuple(zip(*entries)) or ((), ())
+    by_query = dict(zip(query_ids, lists))
+    if len(by_query) < len(query_ids):
+        raise DataError(f"query {_first_repeat(query_ids)!r} listed twice")
+    gallery_pos = dict(zip(gallery_ids, range(len(gallery_ids))))
+    try:
+        lists = list(map(by_query.__getitem__, caption_ids))
+        widths = np.fromiter(map(len, lists), np.intp, len(lists))
+        ids = np.fromiter(map(gallery_pos.__getitem__,
+                              chain.from_iterable(lists)),
+                          np.intp, int(widths.sum()))
+    except KeyError:
+        for cid in caption_ids:
+            if cid not in by_query:
+                raise DataError(
+                    f"caption {cid!r} missing from relevance file") from None
+            for gid in by_query[cid]:
+                if gid not in gallery_pos:
+                    raise DataError(f"caption {cid!r} lists unknown gallery "
+                                    f"id {gid!r}") from None
+        raise
+    return RelevanceMap._from_flat(widths, ids)
 
 
 def relevance_as_indices(entries):
@@ -320,4 +379,6 @@ def read_labels(path):
                 ) from None
     if not ids:
         raise DataError(f"{path}: label file is empty")
+    if len(set(ids)) < len(ids):
+        raise DataError(f"{path}: id {_first_repeat(ids)!r} listed twice")
     return tuple(ids), np.array(labels, dtype=np.int64), np.array(probs)

@@ -43,30 +43,63 @@ _RANK_BLOCK_BYTES = 8 << 20
 _QUERIES_PER_BLOCK = 32
 
 
-@dataclass(frozen=True)
 class RelevanceMap:
-    """Ordered relevant gallery ids per query; entry 0 is the paired item."""
+    """Ordered relevant gallery ids per query; entry 0 is the paired item.
 
-    entries: tuple
+    Held flat: query q's ids are ids[starts[q]:starts[q] + widths[q]],
+    the form the ranking kernel reads.  `entries` gives them back as one
+    tuple of ints per query.
+    """
 
-    def __post_init__(self):
-        normalized = []
-        for q, ids in enumerate(self.entries):
-            ids = tuple(int(i) for i in ids)
-            if not ids:
+    def __init__(self, entries):
+        entries = tuple(entries)
+        widths = np.fromiter(map(len, entries), np.intp, len(entries))
+        ids = np.fromiter(map(int, itertools.chain.from_iterable(entries)),
+                          np.intp, int(widths.sum()))
+        self._set(widths, ids)
+
+    @classmethod
+    def _from_flat(cls, widths, ids):
+        relevance = cls.__new__(cls)
+        relevance._set(widths, ids)
+        return relevance
+
+    def _set(self, widths, ids):
+        """Check every query at once: no empty query, no negative id, no
+        id listed twice in one query.  Only when one fails is the first
+        failing query looked at, to name it."""
+        starts = np.cumsum(widths) - widths
+        query = np.repeat(np.arange(len(widths)), widths)
+        # one sorted key per (query, id) pair; an equal neighbour is an id
+        # its query lists twice
+        span = max(len(ids), 1)
+        key = np.sort(query * span + np.unique(ids, return_inverse=True)[1])
+        bad = widths == 0
+        bad[query[ids < 0]] = True
+        bad[key[1:][key[1:] == key[:-1]] // span] = True
+        if bad.any():
+            q = int(bad.argmax())
+            listed = ids[starts[q]:starts[q] + widths[q]]
+            if not listed.size:
                 raise DataError(f"query {q} has no relevant items")
-            if any(i < 0 for i in ids):
+            if (listed < 0).any():
                 raise DataError(f"query {q} lists a negative gallery id")
-            if len(set(ids)) != len(ids):
-                raise DataError(f"query {q} lists a gallery id twice")
-            normalized.append(ids)
-        object.__setattr__(self, "entries", tuple(normalized))
+            raise DataError(f"query {q} lists a gallery id twice")
+        for array in (widths, ids, starts):
+            array.flags.writeable = False
+        self.widths, self.ids, self.starts = widths, ids, starts
+
+    @property
+    def entries(self):
+        flat = self.ids.tolist()
+        return tuple(tuple(flat[a:a + w]) for a, w in
+                     zip(self.starts.tolist(), self.widths.tolist()))
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.widths)
 
     def max_id(self):
-        return max(max(ids) for ids in self.entries)
+        return int(self.ids.max())
 
 
 @dataclass(frozen=True)
@@ -128,13 +161,11 @@ def _relevance_arrays(relevance, mode, shape):
         raise ContractError(
             f"relevance names gallery id {relevance.max_id()} but the "
             f"gallery holds {n_gallery} items")
-    entries = relevance.entries
+    widths, flat, starts = relevance.widths, relevance.ids, relevance.starts
     if mode == "single":
-        entries = [ids[:1] for ids in entries]
-    widths = np.fromiter(map(len, entries), np.intp, n_queries)
-    flat = np.fromiter(itertools.chain.from_iterable(entries), np.intp,
-                       int(widths.sum()))
-    return n_gallery, widths, flat, np.cumsum(widths) - widths
+        widths, flat = np.ones_like(widths), flat[starts]
+        starts = np.arange(n_queries)
+    return n_gallery, widths, flat, starts
 
 
 def _count_true(mask):

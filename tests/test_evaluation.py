@@ -1,5 +1,6 @@
 """Tests for the retrieval metrics against a direct-definition oracle."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -265,6 +266,15 @@ def _loop_report(sim, entries, mode):
     return report
 
 
+def _per_entry_arrays(entries, mode, shape):
+    """`_relevance_arrays` as built one entry at a time."""
+    if mode == "single":
+        entries = [ids[:1] for ids in entries]
+    widths = np.array([len(ids) for ids in entries], np.intp)
+    flat = np.array([i for ids in entries for i in ids], np.intp)
+    return shape[0], widths, flat, np.cumsum(widths) - widths
+
+
 def _entries(rng, n_gallery, widths):
     return [tuple(int(i) for i in rng.choice(n_gallery, w, replace=False))
             for w in widths]
@@ -304,9 +314,22 @@ class TestEvaluateBitsEqualLoop:
     @pytest.mark.parametrize("mode", ["multiple", "single"])
     @pytest.mark.parametrize("name", CASES)
     def test_report_equals_sorting_loop(self, name, mode):
+        # the flat RelevanceMap gives back its entries and the arrays a
+        # per-entry build gives, whether built from entries or flat
         sim, entries = _bits_case(name)
-        report = evaluate(sim, RelevanceMap(tuple(entries)), mode)
-        assert report.as_dict() == _loop_report(sim, entries, mode)
+        rel = RelevanceMap(tuple(entries))
+        widths = np.array([len(ids) for ids in entries], np.intp)
+        flat = RelevanceMap._from_flat(
+            widths, np.array([i for ids in entries for i in ids], np.intp))
+        for built in (rel, flat):
+            assert built.entries == tuple(entries)
+            got = evaluation._relevance_arrays(built, mode, sim.shape)
+            want = _per_entry_arrays(entries, mode, sim.shape)
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            report = evaluate(sim, built, mode)
+            assert report.as_dict() == _loop_report(sim, entries, mode)
 
     @pytest.mark.parametrize("mode", ["multiple", "single"])
     @pytest.mark.parametrize("block_bytes", [1, 2500, 9000])
@@ -405,6 +428,45 @@ class TestRelevanceMap:
     def test_rejects_negative_ids(self):
         with pytest.raises(DataError, match="negative"):
             RelevanceMap(((-2,),))
+
+    @pytest.mark.parametrize("entries, message", [
+        (((0,), (1, 2), (), (4, 4)), "query 2 has no relevant items"),
+        (((0,), (1, 2), (3, -1), ()), "query 2 lists a negative gallery id"),
+        (((0,), (1, 2), (3, 0, 3), (-4,)), "query 2 lists a gallery id twice"),
+        (((0,), (5, 1, 5), (-1,)), "query 1 lists a gallery id twice"),
+        (((0,), (-1, 2, 2), (1, 1)), "query 1 lists a negative gallery id"),
+    ])
+    def test_names_the_first_later_offender(self, entries, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            RelevanceMap(entries)
+
+    def test_matches_the_per_entry_check_on_random_lists(self):
+        # the first failing query, and its first failing check, as a loop
+        # over the entries finds them
+        rng = np.random.default_rng(6)
+        kinds = set()
+        for _ in range(300):
+            entries = [tuple(int(i) for i in rng.integers(-1, 8, w))
+                       for w in rng.integers(0, 5, rng.integers(1, 8))]
+            want = None
+            for q, ids in enumerate(entries):
+                if not ids:
+                    want = f"query {q} has no relevant items"
+                elif min(ids) < 0:
+                    want = f"query {q} lists a negative gallery id"
+                elif len(set(ids)) < len(ids):
+                    want = f"query {q} lists a gallery id twice"
+                if want:
+                    break
+            try:
+                rel = RelevanceMap(entries)
+                got = None
+                assert rel.entries == tuple(entries)
+            except DataError as exc:
+                got = str(exc)
+            assert got == want, entries
+            kinds.add(want and want.split(" ", 2)[2])
+        assert len(kinds) == 4
 
     def test_max_id(self):
         assert RelevanceMap(((0, 7), (3,))).max_id() == 7

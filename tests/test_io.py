@@ -36,11 +36,13 @@ from xmrt.checkpoints import (
     save_checkpoint,
     write_json,
 )
-from xmrt import tensorfile
+from xmrt import datasets, tensorfile
 from xmrt.cli import _from_section, main
 from xmrt.config import _SCHEMA, load_config
 from xmrt.datasets import load_paired_dataset
 from xmrt.datasets import (
+    MANIFEST_HEADER,
+    SPLITS,
     Manifest,
     ManifestItem,
     align_relevance,
@@ -226,9 +228,71 @@ def test_parse_ref():
         parse_ref(":3")
 
 
-def test_manifest_item_rejects_bad_split():
-    with pytest.raises(DataError, match="split must be one of"):
-        _item(split="dev")
+_GOOD_ROWS = [(f"a{i}", f"c{i}", f"audio.xmrt:{i}", f"text.xmrt:{i}", split)
+              for i, split in enumerate(("train", "val", "test", "train"))]
+
+
+def _bad_row(i, **fields):
+    """Row i of a manifest with some fields replaced."""
+    row = dict(zip(("audio", "caption", "aref", "cref", "split"),
+                   (f"a{i}", f"c{i}", f"audio.xmrt:{i}", f"text.xmrt:{i}",
+                    "val")))
+    row.update(fields)
+    return tuple(row.values())
+
+
+# Each case breaks one invariant on rows 4 and 5, never row 0; the first
+# of them must be named, as the row-by-row check named it.
+LATER_OFFENDERS = {
+    "duplicate caption id": (
+        [_bad_row(4, caption="c1"), _bad_row(5, caption="c2")],
+        "caption id 'c1' appears twice"),
+    "audio id with two refs": (
+        [_bad_row(4, audio="a2"), _bad_row(5, audio="a3")],
+        "audio id 'a2' maps to two refs"),
+    "bad split": (
+        [_bad_row(4, split="dev"), _bad_row(5, split="Test")],
+        "split must be one of ('train', 'val', 'test'), got 'dev'"),
+    "ref without a colon": (
+        [_bad_row(4, cref="text.xmrt4"), _bad_row(5, aref="audio.xmrt5")],
+        "bad tensor ref 'text.xmrt4', expected 'file:row'"),
+    "non-integer row": (
+        [_bad_row(4, aref="audio.xmrt:4x"), _bad_row(5, cref="text.xmrt:")],
+        "bad row index in tensor ref 'audio.xmrt:4x'"),
+    "negative row": (
+        [_bad_row(4, cref="text.xmrt:-4"), _bad_row(5, aref="audio.xmrt:-5")],
+        "bad tensor ref 'text.xmrt:-4'"),
+    "empty path": (
+        [_bad_row(4, aref=":4"), _bad_row(5, cref=":5")],
+        "bad tensor ref ':4'"),
+    "split before a later bad ref": (
+        [_bad_row(4, split="dev"), _bad_row(5, aref="audio.xmrt")],
+        "got 'dev'"),
+    "ref before a later duplicate caption": (
+        [_bad_row(4, caption="c0"), _bad_row(5, cref="text.xmrt:x")],
+        "bad row index in tensor ref 'text.xmrt:x'"),
+    "two refs before a later duplicate caption": (
+        [_bad_row(4, audio="a1"), _bad_row(5, caption="c0")],
+        "audio id 'a1' maps to two refs"),
+}
+
+
+@pytest.mark.parametrize("source", ["items", "file"])
+@pytest.mark.parametrize("case", sorted(LATER_OFFENDERS))
+def test_manifest_names_the_first_later_offender(tmp_path, case, source):
+    bad_rows, message = LATER_OFFENDERS[case]
+    rows = _GOOD_ROWS + bad_rows
+    with pytest.raises(DataError, match=re.escape(message)):
+        if source == "items":
+            Manifest(items=[ManifestItem(*row) for row in rows], d_audio=4,
+                     d_text=3)
+        else:
+            path = os.path.join(str(tmp_path), "manifest.tsv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(["#xmrt-manifest\td_audio=4\td_text=3",
+                                    "\t".join(MANIFEST_HEADER),
+                                    *map("\t".join, rows)]) + "\n")
+            read_manifest(path)
 
 
 def test_manifest_rejects_duplicate_caption():
@@ -302,6 +366,52 @@ def test_read_manifest_structure_errors(tmp_path):
         fh.write("a0\tc0\taudio.xmrt:0\n")
     with pytest.raises(DataError, match="columns, expected"):
         read_manifest(path)
+
+
+def _row_by_row_check(rows):
+    """The DataError message the per-item checks raised, or None: each
+    row's split and refs in file order, then unique caption ids and one
+    ref per audio id."""
+    try:
+        for row in rows:
+            if row[4] not in SPLITS:
+                return f"split must be one of {SPLITS}, got {row[4]!r}"
+            parse_ref(row[2])
+            parse_ref(row[3])
+    except DataError as exc:
+        return str(exc)
+    seen, audio_refs = set(), {}
+    for audio, caption, aref, _, _ in rows:
+        if caption in seen:
+            return f"caption id {caption!r} appears twice"
+        seen.add(caption)
+        if audio_refs.setdefault(audio, aref) != aref:
+            return f"audio id {audio!r} maps to two refs"
+    return None
+
+
+def test_manifest_check_matches_the_row_by_row_check_on_random_rows():
+    rng = np.random.default_rng(8)
+    refs = ("audio.xmrt:0", "audio.xmrt:1", "sub/t.xmrt:2", "a:b:3",
+            "audio.xmrt", "audio.xmrt:x", "audio.xmrt:-1", ":2")
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        rows = [(f"a{rng.integers(0, 4)}", f"c{rng.integers(0, 12)}",
+                 refs[min(rng.geometric(0.5) - 1, len(refs) - 1)],
+                 refs[min(rng.geometric(0.6) - 1, len(refs) - 1)],
+                 SPLITS[rng.integers(0, 3)] if rng.random() < 0.95
+                 else "dev") for _ in range(n)]
+        want = _row_by_row_check(rows)
+        try:
+            Manifest(items=[ManifestItem(*row) for row in rows], d_audio=4,
+                     d_text=3)
+            got = None
+        except DataError as exc:
+            got = str(exc)
+        assert got == want, rows
+        seen.add(want and re.sub(r"'[^']*'", "_", want))
+    assert len(seen) == 7     # each kind of fault came first somewhere
 
 
 # ------------------------------------------------------- load_paired_dataset
@@ -523,6 +633,32 @@ def test_load_paired_dataset_reads_each_file_once(tmp_path, monkeypatch):
                                     "t1.xmrt", "t2.xmrt", "shared.xmrt"])
 
 
+def test_load_paired_dataset_parses_each_ref_once(tmp_path, monkeypatch):
+    # a split load checks the whole manifest but builds no ManifestItem
+    # and parses each ref column once, never one ref at a time
+    path = _write_mixed_corpus(tmp_path)
+    manifest = read_manifest(path)
+    want = sorted(item.audio_ref for item in manifest.items) + sorted(
+        item.caption_ref for item in manifest.items)
+    parsed = []
+
+    def counting_parse(refs):
+        parsed.append(sorted(refs))
+        return parse_column(refs)
+
+    def no_row_objects(*args, **kwargs):
+        raise AssertionError("a split load built a per-row object")
+
+    parse_column = datasets._parse_refs
+    monkeypatch.setattr(datasets, "_parse_refs", counting_parse)
+    monkeypatch.setattr(datasets, "parse_ref", no_row_objects)
+    monkeypatch.setattr(datasets, "ManifestItem", no_row_objects)
+    for split in SPLITS:
+        parsed.clear()
+        load_paired_dataset(path, split)
+        assert [ref for column in parsed for ref in column] == want
+
+
 # ----------------------------------------------------------------- relevance
 
 
@@ -565,6 +701,44 @@ def test_align_relevance_errors():
         align_relevance([("c0", ("a0",))], ("c0", "c1"), ("a0",))
     with pytest.raises(DataError, match="unknown gallery id 'zz'"):
         align_relevance([("c0", ("zz",))], ("c0",), ("a0",))
+
+
+_GALLERY = ("a0", "a1", "a2", "a3")
+_CAPTIONS = ("c0", "c1", "c2", "c3", "c4")
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([("c0", ("a0",)), ("c1", ("a1",)), ("c2", ("a2",)), ("c1", ("a0",)),
+      ("c2", ("a1",))], "query 'c1' listed twice"),
+    ([("c0", ("a0",)), ("c1", ("a1",)), ("c4", ("a3",))],
+     "caption 'c2' missing from relevance file"),
+    ([("c0", ("a0",)), ("c1", ("a1",)), ("c2", ("a2", "zz")),
+      ("c3", ("yy",)), ("c4", ("a0",))],
+     "caption 'c2' lists unknown gallery id 'zz'"),
+    ([("c0", ("a0",)), ("c1", ("a1",)), ("c2", ("xx",)), ("c4", ("a0",))],
+     "caption 'c2' lists unknown gallery id 'xx'"),
+    ([("c0", ("a0",)), ("c1", ("a1",)), ("c2", ("a2", "a0", "a2")),
+      ("c3", ("a3", "a3")), ("c4", ("a0",))],
+     "query 2 lists a gallery id twice"),
+])
+def test_align_relevance_names_the_first_later_offender(entries, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        align_relevance(entries, _CAPTIONS, _GALLERY)
+
+
+def test_relevance_files_name_a_later_offender(tmp_path):
+    path = os.path.join(str(tmp_path), "rel.tsv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("q0\t0\nq1\t1\t2\nq2\nq3\n")
+    with pytest.raises(DataError, match="query 'q2' lists no relevant ids"):
+        read_relevance(path)
+    with pytest.raises(DataError, match=re.escape(
+            "query 'q2' lists a non-integer gallery index")):
+        relevance_as_indices([("q0", ("0",)), ("q1", ("1", "2")),
+                              ("q2", ("3", "x")), ("q3", ("y",))])
+    with pytest.raises(DataError, match="query 1 lists a negative"):
+        relevance_as_indices([("q0", ("0",)), ("q1", ("1", "-2")),
+                              ("q2", ("3", "3"))])
 
 
 def test_relevance_as_indices():
@@ -622,6 +796,8 @@ def test_read_labels_errors(tmp_path):
     attempt("i0\t1\t0.5\ni1\t0\n", "ragged label rows")
     attempt("i0\tx\t0.5\n", "non-numeric label row")
     attempt("\n", "label file is empty")
+    attempt("i0\t1\t0.5\ni1\t0\t0.5\ni2\t0\t0.5\ni1\t1\t0.5\ni0\t0\t0.5\n",
+            "id 'i1' listed twice")
 
 
 # ------------------------------------------------------------------ fixtures
