@@ -15,7 +15,7 @@ from .clustering import (OUTLIER, ClusterAssignment, ClusterConfig,
                          reduce_dimensionality)
 from .core import Axis, cosine_similarity_matrix, softmax_with_temperature
 from .encoders import (ClassificationHead, LinearEncoder, ModelParams,
-                       classify, encode, init_heads, init_params)
+                       encode, init_heads, init_params)
 from .ensemble import (EnsembleSpec, GridSearchConfig, Member, SearchResult,
                        WeightTable, bundled_weight_table, fuse, grid_search,
                        hierarchical_grid_search, load_coefficients,
@@ -25,10 +25,9 @@ from .errors import (ConfigError, ContractError, DataError, TensorFileError,
 from .evaluation import MetricsReport, RelevanceMap, evaluate, rank_gallery
 from .fixtures import generate_fixtures
 from .losses import (LossBreakdown, LossConfig, TeacherTargets,
-                     classification_loss, combined_loss, distillation_loss,
                      ensemble_average, loss_and_gradients,
-                     student_similarity, supervised_contrastive_loss,
-                     targets_from_teacher_sims, teacher_soft_targets)
+                     student_similarity, targets_from_teacher_sims,
+                     teacher_soft_targets)
 from .tensorfile import load_tensor, save_tensor
 from .training import (AugmentationConfig, OptimizerState, PairedDataset,
                        ScheduleConfig, StageConfig, StepRecord, adamw_step,
@@ -40,11 +39,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Axis", "cosine_similarity_matrix", "softmax_with_temperature",
     "LinearEncoder", "ClassificationHead", "ModelParams",
-    "init_params", "init_heads", "encode", "classify",
-    "LossConfig", "LossBreakdown", "TeacherTargets",
-    "supervised_contrastive_loss", "ensemble_average",
+    "init_params", "init_heads", "encode",
+    "LossConfig", "LossBreakdown", "TeacherTargets", "ensemble_average",
     "teacher_soft_targets", "targets_from_teacher_sims",
-    "distillation_loss", "classification_loss", "combined_loss",
     "loss_and_gradients", "student_similarity",
     "OptimizerState", "init_optimizer", "adamw_step",
     "ScheduleConfig", "lr_at_step", "StageConfig", "StepRecord",

@@ -12,7 +12,7 @@ import os
 
 from .encoders import _ENCODER_TENSORS, _HEAD_TENSORS, _params_from_tensors
 from .errors import ContractError, DataError
-from .tensorfile import atomic_open, load_tensor, save_tensor
+from .tensorfile import _read_text, atomic_open, load_tensor, save_tensor
 
 META_FILE = "meta.json"
 FORMAT_VERSION = 1
@@ -28,11 +28,10 @@ def write_json(path, payload):
 
 def read_json(path):
     """The JSON object stored at path; anything else is a DataError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
-            raise DataError(f"{path}: invalid JSON ({exc})") from None
+    try:
+        payload = json.loads(_read_text(path))
+    except ValueError as exc:   # JSONDecodeError
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise DataError(f"{path}: expected a JSON object")
     return payload

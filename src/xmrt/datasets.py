@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .evaluation import RelevanceMap
-from .tensorfile import atomic_open, load_tensor
+from .tensorfile import _read_text, atomic_open, load_tensor
 from .training import PairedDataset
 
 SPLITS = ("train", "val", "test")
@@ -103,10 +103,6 @@ class Manifest:
             raise ContractError(f"split must be one of {SPLITS}")
         return np.flatnonzero(self._split_codes == SPLITS.index(split))
 
-    def split_items(self, split):
-        return list(map(self.items.__getitem__,
-                        self._split_rows(split).tolist()))
-
 
 def parse_ref(ref):
     """Split a "file.xmrt:row" reference into (path, row)."""
@@ -152,8 +148,7 @@ def write_manifest(path, manifest):
 def read_manifest(path):
     """Parse a manifest TSV written by write_manifest: one str.split per
     line, handed to `Manifest`, which keeps the rows as columns."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = list(filter(str.strip, fh.read().split("\n")))
+    lines = list(filter(str.strip, _read_text(path).split("\n")))
     if len(lines) < 3:
         raise DataError(f"{path}: manifest needs pragma, header, and rows")
     pragma = lines[0].split("\t")
@@ -276,9 +271,8 @@ def write_relevance(path, entries):
 
 def read_relevance(path):
     """Parse a relevance file into [(query_id, (id, ...)), ...]."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.split("\t") for ln in fh.read().split("\n")
-                if ln.strip()]
+    rows = [ln.split("\t") for ln in _read_text(path).split("\n")
+            if ln.strip()]
     if not rows:
         raise DataError(f"{path}: relevance file is empty")
     if min(map(len, rows)) < 2:
@@ -358,25 +352,23 @@ def read_labels(path):
     labels = []
     probs = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            if not ln.strip():
-                continue
-            parts = ln.rstrip("\n").split("\t")
-            if len(parts) < 2:
-                raise DataError(f"{path}: bad label row {ln!r}")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise DataError(f"{path}: ragged label rows")
-            ids.append(parts[0])
-            try:
-                labels.append(int(parts[1]))
-                probs.append([float(p) for p in parts[2:]])
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric label row for {parts[0]!r}"
-                ) from None
+    for ln in _read_text(path).split("\n"):
+        if not ln.strip():
+            continue
+        parts = ln.split("\t")
+        if len(parts) < 2:
+            raise DataError(f"{path}: bad label row {ln!r}")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise DataError(f"{path}: ragged label rows")
+        ids.append(parts[0])
+        try:
+            labels.append(int(parts[1]))
+            probs.append([float(p) for p in parts[2:]])
+        except ValueError:
+            raise DataError(
+                f"{path}: non-numeric label row for {parts[0]!r}") from None
     if not ids:
         raise DataError(f"{path}: label file is empty")
     if len(set(ids)) < len(ids):

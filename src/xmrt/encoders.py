@@ -264,7 +264,7 @@ def encode(encoder, feats):
 def _head_forward(head, emb):
     """(pre, hidden, logits) of W2 relu(W1 e + b1) + b2 for embeddings emb.
 
-    The one head forward: `classify` and the training loss both call it.
+    The one head forward; the training loss calls it.
     """
     if emb.shape[1] != head.d_emb:
         raise ContractError(
@@ -274,7 +274,3 @@ def _head_forward(head, emb):
     hidden = np.maximum(pre, 0.0)
     return pre, hidden, hidden @ head.w2.T + head.b2
 
-
-def classify(head, emb):
-    """Cluster logits for a batch of embeddings: W2 relu(W1 e + b1) + b2."""
-    return _head_forward(head, as_matrix(emb, "embeddings"))[2]

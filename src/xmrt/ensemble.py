@@ -24,7 +24,7 @@ from .core import _as_equal_shape_matrices
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import (METRIC_KEYS, _candidates_per_block, _mean_metrics,
                          _relevance_arrays, evaluate)
-from .tensorfile import atomic_open
+from .tensorfile import _read_text, atomic_open
 
 STRATEGIES = ("system-first", "model-first")
 TABLE_SYSTEMS = (2, 3, 4, 5)
@@ -199,8 +199,7 @@ def _parse_weight_table(text, source):
 
 def read_weight_table(path):
     """Parse a tab-delimited weight table written by write_weight_table."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_weight_table(fh.read(), str(path))
+    return _parse_weight_table(_read_text(path), str(path))
 
 
 def bundled_weight_table():
@@ -247,10 +246,11 @@ class GridSearchConfig:
     max_grid_points: int = 200_000
 
     def __post_init__(self):
-        if not 0 < self.step <= 1:
-            raise ConfigError(f"step must be in (0, 1], got {self.step}")
-        divisions = round(1.0 / self.step)
-        if abs(divisions * self.step - 1.0) > 1e-9:
+        # nan fails every comparison; a subnormal step's 1/step is inf
+        if not (0 < self.step <= 1 and 1.0 / self.step < math.inf):
+            raise ConfigError(f"step must be in (0, 1] with a finite 1/step, "
+                              f"got {self.step}")
+        if abs(self.divisions * self.step - 1.0) > 1e-9:
             raise ConfigError(
                 f"step {self.step} does not divide 1 exactly")
         if self.max_grid_points < 1:

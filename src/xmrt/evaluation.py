@@ -47,8 +47,7 @@ class RelevanceMap:
     """Ordered relevant gallery ids per query; entry 0 is the paired item.
 
     Held flat: query q's ids are ids[starts[q]:starts[q] + widths[q]],
-    the form the ranking kernel reads.  `entries` gives them back as one
-    tuple of ints per query.
+    the form the ranking kernel reads.
     """
 
     def __init__(self, entries):
@@ -88,12 +87,6 @@ class RelevanceMap:
         for array in (widths, ids, starts):
             array.flags.writeable = False
         self.widths, self.ids, self.starts = widths, ids, starts
-
-    @property
-    def entries(self):
-        flat = self.ids.tolist()
-        return tuple(tuple(flat[a:a + w]) for a, w in
-                     zip(self.starts.tolist(), self.widths.tolist()))
 
     def __len__(self):
         return len(self.widths)

@@ -1,9 +1,10 @@
-"""The complete training objective and its analytic gradients.
+"""The training objective, its analytic gradients, and teacher targets.
 
-Bidirectional supervised contrastive loss over in-batch pairs, soft-target
-distillation against an averaged teacher ensemble, auxiliary cluster
-classification on both encoders, and the weighted combination of all four
-terms.  `loss_and_gradients` backpropagates the total through the cosine
+`loss_and_gradients` is the one implementation of the objective: the
+bidirectional supervised contrastive loss over in-batch pairs, plus
+lambda1 times soft-target distillation against an averaged teacher
+ensemble, plus lambda2 times cluster classification on both encoders.
+It reports each term and backpropagates the total through the cosine
 normalization, the temperature softmax, and the classification heads.
 
 Convention throughout: similarity matrices have audio items on rows and
@@ -86,29 +87,6 @@ def _bidirectional_ce(p_audio, p_text, logq_audio, logq_text):
             + float(-(p_text * logq_text).sum() / n_rows))
 
 
-def _label_ce(logq, labels):
-    """Mean cross-entropy of row log-probabilities against integer labels."""
-    return float(-logq[np.arange(logq.shape[0]), labels].mean())
-
-
-def supervised_contrastive_loss(sim, cfg):
-    """Bidirectional cross-entropy pulling diagonal pairs together.
-
-    Both retrieval directions are scored: captions given each audio (row
-    softmax) and audios given each caption (column softmax), against
-    one-hot diagonal targets.
-    """
-    s = as_matrix(sim, "similarity matrix")
-    n, m = s.shape
-    if n != m:
-        raise ContractError(
-            f"supervised loss needs a square matrix, got {s.shape}")
-    eye = np.eye(n)
-    z = s / cfg.tau
-    return _bidirectional_ce(eye, eye, _softmax_forward(z, Axis.COLUMNS)[0],
-                             _softmax_forward(z, Axis.ROWS)[0])
-
-
 def ensemble_average(similarities):
     """Elementwise mean of teacher similarity matrices.
 
@@ -150,46 +128,6 @@ def targets_from_teacher_sims(similarities, cfg):
     return teacher_soft_targets(ensemble_average(similarities), cfg)
 
 
-def distillation_loss(targets, sim, cfg):
-    """Cross-entropy of the teacher soft targets against the student."""
-    s = as_matrix(sim, "similarity matrix")
-    if s.shape != targets.shape:
-        raise ContractError(
-            f"student shape {s.shape} != teacher target shape {targets.shape}")
-    z = s / cfg.tau
-    return _bidirectional_ce(targets.p_hat_audio, targets.p_hat_text,
-                             _softmax_forward(z, Axis.COLUMNS)[0],
-                             _softmax_forward(z, Axis.ROWS)[0])
-
-
-def classification_loss(logits, labels):
-    """Mean softmax cross-entropy of cluster logits against integer labels."""
-    z = as_matrix(logits, "logits")
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.ndim != 1 or lab.shape[0] != z.shape[0]:
-        raise ContractError(
-            f"need one label per row: {lab.shape} labels for {z.shape} logits")
-    k = z.shape[1]
-    if lab.size and (lab.min() < 0 or lab.max() >= k):
-        bad = lab[(lab < 0) | (lab >= k)][0]
-        raise DataError(f"label {bad} outside [0, {k})")
-    return _label_ce(_softmax_forward(z, Axis.ROWS)[0], lab)
-
-
-def combined_loss(l_sup, l_dist, l_cls_audio, l_cls_text, cfg):
-    """Weighted total: l_sup + lambda1*l_dist + lambda2*(cls_a + cls_c)."""
-    parts = {"l_sup": l_sup, "l_dist": l_dist,
-             "l_cls_audio": l_cls_audio, "l_cls_text": l_cls_text}
-    for name, value in parts.items():
-        if value < 0:
-            raise ContractError(f"{name} must be nonnegative, got {value}")
-    total = (l_sup + cfg.lambda1 * l_dist
-             + cfg.lambda2 * (l_cls_audio + l_cls_text))
-    return LossBreakdown(l_sup=float(l_sup), l_dist=float(l_dist),
-                         l_cls_audio=float(l_cls_audio),
-                         l_cls_text=float(l_cls_text), total=float(total))
-
-
 def _forward_embeddings(params, batch):
     """Raw and unit-normalized embeddings plus the cosine similarity."""
     # Huge weights overflow here; _unit_rows reports it, so numpy's
@@ -217,8 +155,9 @@ def _head_forward_backward(head, raw_emb, labels, n):
     """Loss, parameter grads, and embedding grad for one head (unweighted)."""
     pre, hidden, logits = _head_forward(head, raw_emb)
     logq, probs = _softmax_forward(logits, Axis.ROWS)
-    loss = _label_ce(logq, labels)
-    probs[np.arange(n), labels] -= 1.0
+    rows = np.arange(n)
+    loss = float(-logq[rows, labels].mean())
+    probs[rows, labels] -= 1.0
     d_logits = probs / n
     d_w2 = d_logits.T @ hidden
     d_b2 = d_logits.sum(axis=0)
@@ -279,6 +218,9 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
         p_hat_a = targets.p_hat_audio
         p_hat_c = targets.p_hat_text
         l_dist = _bidirectional_ce(p_hat_a, p_hat_c, logq_cols, logq_rows)
+        # log q <= 0, so only a negative target entry makes a term < 0
+        if l_dist < 0:
+            raise ContractError(f"l_dist must be nonnegative, got {l_dist}")
         grad_sim = grad_sim + cfg.lambda1 * ((q_rows - p_hat_c)
                                              + (q_cols - p_hat_a))
     grad_sim = grad_sim / (n * cfg.tau)
@@ -308,5 +250,7 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
     grads["text_encoder.weight"][...] = grad_raw_c.T @ batch.text_features
     grads["text_encoder.bias"][...] = grad_raw_c.sum(axis=0)
 
-    return combined_loss(l_sup, l_dist, l_cls_a, l_cls_c, cfg), grads
+    total = l_sup + cfg.lambda1 * l_dist + cfg.lambda2 * (l_cls_a + l_cls_c)
+    return LossBreakdown(l_sup=l_sup, l_dist=l_dist, l_cls_audio=l_cls_a,
+                         l_cls_text=l_cls_c, total=total), grads
 

@@ -14,7 +14,9 @@ verifies magic, version, rank, byte length, and checksum, each failure
 carrying its own stable error code.
 
 Every artifact file the package writes goes through `atomic_open`, so a
-write that fails partway leaves the old file byte-for-byte in place.
+write that fails partway leaves the old file byte-for-byte in place; every
+data text file it reads (all but the run config) goes through `_read_text`,
+so bytes that are not UTF-8 are a DataError naming the file.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ def atomic_open(path, mode="w"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _read_text(path):
+    """The UTF-8 text of the file at path, newlines translated as by open."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def save_tensor(path, array):

@@ -364,9 +364,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                 raise DataError(
                     f"stage {stage.name} diverged at step {step} (epoch "
                     f"{epoch}, lr {lr:.6g}{terms}): {exc}") from exc
-            records.append(StepRecord(
-                step=step, epoch=epoch, lr=lr, l_sup=breakdown.l_sup,
-                l_dist=breakdown.l_dist, l_cls_audio=breakdown.l_cls_audio,
-                l_cls_text=breakdown.l_cls_text, total=breakdown.total))
+            records.append(StepRecord(step=step, epoch=epoch, lr=lr,
+                                      **vars(breakdown)))
             step += 1
     return params, records

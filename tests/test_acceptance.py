@@ -24,7 +24,6 @@ from xmrt import (
     bundled_weight_table,
     cluster_pipeline,
     cosine_similarity_matrix,
-    distillation_loss,
     encode,
     ensemble_average,
     evaluate,
@@ -37,7 +36,6 @@ from xmrt import (
     lr_at_step,
     run_stage,
     student_similarity,
-    supervised_contrastive_loss,
     targets_from_teacher_sims,
     teacher_soft_targets,
 )
@@ -50,7 +48,7 @@ from xmrt.datasets import (
 from xmrt.evaluation import METRIC_KEYS
 from xmrt.fixtures import MANIFEST_FILE, relevance_file
 
-from conftest import random_batch
+from conftest import identity_batch, random_batch
 
 
 @pytest.fixture(scope="module")
@@ -134,31 +132,41 @@ def test_01_gradient_fidelity():
 # 2. supervised and distillation losses hit their closed forms
 
 
+def _l_sup(audio_rows, text_rows, cfg):
+    return loss_and_gradients(*identity_batch(audio_rows, text_rows),
+                              cfg)[0].l_sup
+
+
 def test_02_loss_closed_forms():
+    # identity encoders: the rows are the embeddings, so every audio row
+    # (1, 0) sits at cosine 0.3 from every caption row (0.3, sqrt(0.91))
     cfg = LossConfig(tau=0.05)
-    flat_err = abs(supervised_contrastive_loss(np.full((4, 4), 0.3), cfg)
-                   - 2.0 * math.log(4.0))
+    flat_err = abs(_l_sup([[1.0, 0.0]] * 4, [[0.3, math.sqrt(0.91)]] * 4,
+                          cfg) - 2.0 * math.log(4.0))
     assert flat_err < 1e-9
 
     # an NxN identity at tau=0.05 costs exactly 2(N-1)e^-20 under the
     # same sum-over-directions convention that makes the flat case
     # 2 ln 4, so the 1e-8 ceiling pins N <= 3
-    ident = supervised_contrastive_loss(np.eye(3), cfg)
+    ident = _l_sup(np.eye(3), np.eye(3), cfg)
     assert 0.0 <= ident <= 1e-8
-    tail = supervised_contrastive_loss(np.eye(4), cfg)
+    tail = _l_sup(np.eye(4), np.eye(4), cfg)
     assert abs(tail - 2.0 * math.log1p(3.0 * math.exp(-20.0))) < 1e-15
 
     entropy_err = 0.0
+    rng = np.random.default_rng(7)
+    params, batch = identity_batch(rng.standard_normal((5, 3)),
+                                   rng.standard_normal((5, 3)))
+    sim = student_similarity(params, batch)
     for tau in (0.05, 0.5):
         tau_cfg = LossConfig(tau=tau)
-        sim = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, 5))
         targets = teacher_soft_targets(sim, tau_cfg)
         pa = targets.p_hat_audio
         pc = targets.p_hat_text
         with np.errstate(divide="ignore", invalid="ignore"):
             ha = np.where(pa > 0, -pa * np.log(pa), 0.0).sum(axis=0).mean()
             hc = np.where(pc > 0, -pc * np.log(pc), 0.0).sum(axis=1).mean()
-        loss = distillation_loss(targets, sim, tau_cfg)
+        loss = loss_and_gradients(params, batch, tau_cfg, targets)[0].l_dist
         entropy_err = max(entropy_err, abs(loss - (ha + hc)))
     assert entropy_err < 1e-6
     print(f"PASS  2/10 loss closed forms: flat-matrix error "

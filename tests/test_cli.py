@@ -555,7 +555,9 @@ def test_pretrain_seed_changes_checkpoint(tmp_path):
 # ----------------------------------------------------------------- ensemble
 
 
-def test_ensemble_search_cli(tmp_path, capsys):
+def _search_config(tmp_path, step=0.05, **sections):
+    """Two 20 x 20 members, a.xmrt ranking every query right and b.xmrt
+    wrong, their relevance rel.tsv, and a run config searching them."""
     base = str(tmp_path)
     n = 20
     a = np.eye(n)
@@ -564,17 +566,23 @@ def test_ensemble_search_cli(tmp_path, capsys):
     save_tensor(os.path.join(base, "b.xmrt"), b)
     write_relevance(os.path.join(base, "rel.tsv"),
                     [(f"q{i}", (str(i),)) for i in range(n)])
-    cfg = _write_config(tmp_path, {
+    return _write_config(tmp_path, {
         "out_dir": "run",
         "ensemble": {
-            "step": 0.05,
+            "step": step,
             "matrices": [
                 {"system": 0, "model": "a", "path": "a.xmrt"},
                 {"system": 1, "model": "b", "path": "b.xmrt"},
             ],
             "relevance": "rel.tsv",
         },
+        **sections,
     })
+
+
+def test_ensemble_search_cli(tmp_path, capsys):
+    base = str(tmp_path)
+    cfg = _search_config(tmp_path)
     assert main(["ensemble-search", "--config", cfg]) == 0
     assert "mAP@16 1.000000" in capsys.readouterr().out
     payload = _read_json(os.path.join(base, "run", "ensemble_search.json"))
@@ -669,6 +677,27 @@ def test_ensemble_member_tags_are_checked(tmp_path, capsys, command,
     assert main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert "ensemble.matrices[" in err
+    assert "Traceback" not in err
+
+
+def test_ensemble_search_subnormal_step_returns_1(tmp_path, capsys):
+    cfg = _search_config(tmp_path, step=1e-310)
+    assert main(["ensemble-search", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step must be in (0, 1]")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("ensemble-search", "rel.tsv"), ("pretrain", "manifest.tsv")])
+def test_input_that_is_not_utf8_returns_1(tmp_path, capsys, command, name):
+    cfg = _search_config(tmp_path, data={"manifest": "manifest.tsv"})
+    path = os.path.join(str(tmp_path), name)
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe")
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")
     assert "Traceback" not in err
 
 

@@ -6,12 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
-                  TeacherTargets, classification_loss,
-                  cosine_similarity_matrix, distillation_loss,
-                  generate_fixtures, init_heads, init_params, make_batches,
+from xmrt import (Axis, ClassificationHead, ConfigError, ContractError,
+                  DataError, LossConfig, TeacherTargets,
+                  cosine_similarity_matrix, generate_fixtures, init_heads,
+                  init_params, loss_and_gradients, make_batches,
                   softmax_with_temperature)
 from xmrt.core import _as_equal_shape_matrices, _softmax_forward, as_matrix
+
+from conftest import identity_batch
 
 
 class TestAsMatrix:
@@ -164,27 +166,27 @@ class TestSoftmax:
 
 
 class TestCrossEntropy:
-    """The package's one cross-entropy, seen through the loss views."""
+    """The package's one cross-entropy, seen through the objective."""
 
     def test_one_hot_vs_uniform_is_log4(self):
-        loss = classification_loss(np.zeros((1, 4)), np.array([0]))
-        np.testing.assert_allclose(loss, math.log(4.0), atol=1e-12)
+        # all-zero heads give uniform logits over 4 clusters
+        head = ClassificationHead(np.zeros((6, 2)), np.zeros(6),
+                                  np.zeros((4, 6)), np.zeros(4))
+        terms = loss_and_gradients(
+            *identity_batch(np.eye(2), np.eye(2), (head, head)),
+            LossConfig(), labels=np.array([0, 3]))[0]
+        np.testing.assert_allclose(terms.l_cls_audio, math.log(4.0),
+                                   atol=1e-12)
 
     def test_uniform_self_entropy_is_log2(self):
-        # uniform targets against a uniform student: ln 2 per direction
+        # uniform targets against a uniform student: ln 2 per direction;
+        # every audio row is orthogonal to every caption row
         u = np.full((2, 2), 0.5)
-        loss = distillation_loss(TeacherTargets(u, u), np.zeros((2, 2)),
-                                 LossConfig(tau=1.0))
-        np.testing.assert_allclose(loss, 2.0 * math.log(2.0), atol=1e-12)
-
-    def test_mean_over_columns(self):
-        # 2x3 uniform student: each of the 3 column distributions costs
-        # ln 2 and each of the 2 row distributions ln 3, so the total is
-        # ln 6 only if each direction averages over its own distributions
-        targets = TeacherTargets(np.full((2, 3), 0.5), np.full((2, 3), 1 / 3))
-        loss = distillation_loss(targets, np.zeros((2, 3)),
-                                 LossConfig(tau=1.0))
-        np.testing.assert_allclose(loss, math.log(6.0), atol=1e-12)
+        terms = loss_and_gradients(
+            *identity_batch([[1.0, 0.0]] * 2, [[0.0, 1.0]] * 2),
+            LossConfig(tau=1.0), TeacherTargets(u, u))[0]
+        np.testing.assert_allclose(terms.l_dist, 2.0 * math.log(2.0),
+                                   atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError, match="shape"):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from xmrt import (ClassificationHead, ConfigError, ContractError, DataError,
-                  LinearEncoder, ModelParams, classify, encode, init_heads,
+                  LinearEncoder, ModelParams, encode, init_heads,
                   init_params)
-from xmrt.encoders import HEAD_WIDTH_FACTOR
+from xmrt.encoders import HEAD_WIDTH_FACTOR, _head_forward
 
 
 class TestLinearEncoder:
@@ -63,7 +63,7 @@ class TestClassificationHead:
                                   np.zeros(3),
                                   np.array([[1.0, 1.0, 1.0]]),
                                   np.zeros(1))
-        logits = classify(head, np.array([[2.0]]))
+        logits = _head_forward(head, np.array([[2.0]]))[2]
         np.testing.assert_allclose(logits, [[2.0]], atol=1e-14)
 
     def test_hand_forward_pass_wide(self):
@@ -73,26 +73,26 @@ class TestClassificationHead:
         head = ClassificationHead(w1, np.zeros(6),
                                   np.array([[1.0, 1.0, 1.0, 0, 0, 0]]),
                                   np.zeros(1))
-        logits = classify(head, np.array([[2.0, 7.0]]))
+        logits = _head_forward(head, np.array([[2.0, 7.0]]))[2]
         np.testing.assert_allclose(logits, [[2.0]], atol=1e-14)
 
     def test_all_zero_weights_yield_b2(self):
         head = ClassificationHead(np.zeros((6, 2)), np.zeros(6),
                                   np.zeros((2, 6)), np.array([1.0, 2.0]))
-        logits = classify(head, np.ones((3, 2)))
+        logits = _head_forward(head, np.ones((3, 2)))[2]
         np.testing.assert_array_equal(logits, np.tile([1.0, 2.0], (3, 1)))
 
     def test_relu_blocks_negative_hidden(self):
         head = ClassificationHead(-np.ones((6, 2)), np.zeros(6),
                                   np.ones((1, 6)), np.zeros(1))
-        logits = classify(head, np.ones((1, 2)))
+        logits = _head_forward(head, np.ones((1, 2)))[2]
         assert logits[0, 0] == 0.0
 
     def test_classify_width_mismatch(self):
         head = ClassificationHead(np.zeros((6, 2)), np.zeros(6),
                                   np.zeros((2, 6)), np.zeros(2))
         with pytest.raises(ContractError, match="width"):
-            classify(head, np.ones((1, 3)))
+            _head_forward(head, np.ones((1, 3)))[2]
 
 
 class TestInitParams:

@@ -16,6 +16,8 @@ from xmrt import (ConfigError, ContractError, DataError, EnsembleSpec,
 from xmrt import ensemble, evaluation
 from xmrt.ensemble import _compositions, _grid_size
 
+from conftest import relevance_entries
+
 
 def _spec(weights, strategy="system-first"):
     members = tuple(Member(system=i, model=f"m{i}", weight=w)
@@ -306,6 +308,13 @@ class TestGridSearch:
     def test_step_must_divide_one(self):
         with pytest.raises(ConfigError, match="divide"):
             GridSearchConfig(step=0.03)
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, 1.5, math.nan,
+                                      1e-310, 5e-324])
+    def test_step_out_of_range_is_a_config_error(self, step):
+        # a subnormal step's 1/step overflows to inf
+        with pytest.raises(ConfigError, match=r"step must be in \(0, 1\]"):
+            GridSearchConfig(step=step)
 
     def test_refine_rejects_a_step_off_the_refine_lattice(self):
         # 0.004 / 0.0025 = 1.6 would round to a 0.002 lattice
@@ -723,7 +732,7 @@ class TestKeptSets:
         for members in (mats[:2], mats[:3], mats):
             ranked, pads = self._decoded(members, rel)
             n_dropped = 0
-            for q, relevant in enumerate(rel.entries):
+            for q, relevant in enumerate(relevance_entries(rel)):
                 col = np.stack([m[:, q] for m in members])
                 margin = ensemble._tie_margin(len(members), np.abs(col).max())
                 assert set(relevant) <= ranked[q]

@@ -10,6 +10,8 @@ from xmrt import (ConfigError, ContractError, DataError, MetricsReport,
                   RelevanceMap, evaluate, rank_gallery)
 from xmrt import evaluation
 
+from conftest import relevance_entries
+
 
 # The metric helpers `evaluate` reproduces bit for bit (`_loop_report`).
 def average_precision_at_k(ranking, relevant, k):
@@ -322,7 +324,7 @@ class TestEvaluateBitsEqualLoop:
         flat = RelevanceMap._from_flat(
             widths, np.array([i for ids in entries for i in ids], np.intp))
         for built in (rel, flat):
-            assert built.entries == tuple(entries)
+            assert relevance_entries(built) == tuple(entries)
             got = evaluation._relevance_arrays(built, mode, sim.shape)
             want = _per_entry_arrays(entries, mode, sim.shape)
             assert got[0] == want[0]
@@ -461,7 +463,7 @@ class TestRelevanceMap:
             try:
                 rel = RelevanceMap(entries)
                 got = None
-                assert rel.entries == tuple(entries)
+                assert relevance_entries(rel) == tuple(entries)
             except DataError as exc:
                 got = str(exc)
             assert got == want, entries

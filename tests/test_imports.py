@@ -7,8 +7,10 @@ of the weight search is scored by the block scorer `_grid_scores` (its one
 call of the ranking driver `_mean_metrics`, which `evaluate` shares), and
 ensemble.py calls `evaluate` only for the final replay of
 `hierarchical_grid_search`, and datasets.py reads tensor files only in
-`_gather_rows`, the one gather of a split load.  Plain `ast` passes, so
-the checks need no linter install."""
+`_gather_rows`, the one gather of a split load.  Every function, class
+and public method in `src/xmrt` is used by `src/`, `demos/` or
+`perfbench/`, not by tests alone.  Plain `ast` passes, so the checks need
+no linter install."""
 
 import ast
 from pathlib import Path
@@ -186,3 +188,68 @@ def test_a_split_load_reads_tensors_only_in_the_gather():
     source = (ROOT / "src/xmrt/datasets.py").read_text(encoding="utf-8")
     assert _functions_around(source, _calls("load_tensor")) \
         == ["_gather_rows"]
+
+
+# Kept although only tests and the tracer call them, each for its reason.
+TEST_ONLY_ALLOWED = {
+    "rank_gallery": "perfbench/tracing.py wraps it; the metric tests rank "
+                    "with it",
+    "write_weight_table": "it writes the table format ensemble-apply reads",
+}
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and their classes' public methods
+    as "Class.method"."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+
+
+def _references(tree):
+    """(names, attribute names) a module reads, leaving out each
+    top-level definition's references to itself.  Imports and strings
+    are not references, so a package re-export does not count."""
+    names, attrs = set(), set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id != own:
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != own:
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def test_reference_detectors():
+    tree = ast.parse("from m import g, unused\n"
+                     "__all__ = ['unused']\n"
+                     "def f():\n    return f() + g.h\n"
+                     "class C:\n    def m(self):\n        return self.k\n"
+                     "    def _p(self):\n        return C\n")
+    assert list(_definitions(tree)) == ["f", "C", "C.m"]
+    assert _references(tree) == ({"__all__", "g", "self"}, {"h", "k"})
+
+
+def test_src_defines_nothing_only_tests_use():
+    names, attrs = set(), set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            if "tests" not in path.relative_to(ROOT).parts:
+                found = _references(ast.parse(path.read_text(
+                    encoding="utf-8")))
+                names |= found[0]
+                attrs |= found[1]
+    unused = []
+    for path in sorted((ROOT / "src/xmrt").glob("*.py")):
+        for name in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            owner, _, method = name.rpartition(".")
+            # a method is reached as an attribute, anything else either way
+            used = method in attrs if owner else name in names | attrs
+            if not used and name not in TEST_ONLY_ALLOWED:
+                unused.append(f"{path.name}: {name}")
+    assert unused == []

@@ -26,6 +26,7 @@ from xmrt import (
     generate_fixtures,
     init_params,
     load_tensor,
+    read_weight_table,
     run_stage,
     save_tensor,
 )
@@ -56,6 +57,8 @@ from xmrt.datasets import (
     write_relevance,
 )
 from xmrt.fixtures import MANIFEST_FILE, relevance_file, split_sizes
+
+from conftest import relevance_entries
 
 
 # ---------------------------------------------------------------- tensorfile
@@ -323,7 +326,6 @@ def test_manifest_round_trip(tmp_path):
     write_manifest(path, manifest)
     back = read_manifest(path)
     assert back == manifest
-    assert [i.caption_id for i in back.split_items("train")] == ["c0", "c1"]
 
 
 def test_read_manifest_pragma_errors(tmp_path):
@@ -540,7 +542,7 @@ def test_load_paired_dataset_names_a_later_out_of_range_ref(tmp_path):
 def _reference_load(manifest_path, split):
     """The row-by-row loader: one row view per ref, stacked at the end."""
     manifest = read_manifest(manifest_path)
-    items = manifest.split_items(split)
+    items = [item for item in manifest.items if item.split == split]
     base = os.path.dirname(os.path.abspath(manifest_path))
     loaded = {}
 
@@ -690,7 +692,7 @@ def test_read_relevance_errors(tmp_path):
 def test_align_relevance():
     entries = [("c0", ("a1",)), ("c1", ("a0", "a1")), ("extra", ("a0",))]
     rel = align_relevance(entries, ("c0", "c1"), ("a0", "a1"))
-    assert rel.entries == ((1,), (0, 1))
+    assert relevance_entries(rel) == ((1,), (0, 1))
 
 
 def test_align_relevance_errors():
@@ -743,7 +745,7 @@ def test_relevance_files_name_a_later_offender(tmp_path):
 
 def test_relevance_as_indices():
     rel = relevance_as_indices([("q0", ("2", "0")), ("q1", ("1",))])
-    assert rel.entries == ((2, 0), (1,))
+    assert relevance_entries(rel) == ((2, 0), (1,))
     with pytest.raises(DataError, match="non-integer gallery index"):
         relevance_as_indices([("q0", ("a0",))])
 
@@ -800,6 +802,17 @@ def test_read_labels_errors(tmp_path):
             "id 'i1' listed twice")
 
 
+@pytest.mark.parametrize("reader", [read_manifest, read_relevance,
+                                    read_labels, read_weight_table],
+                         ids=lambda reader: reader.__name__)
+def test_text_readers_reject_bytes_that_are_not_utf8(tmp_path, reader):
+    path = os.path.join(str(tmp_path), "input.tsv")
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe\tx\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8")):
+        reader(path)
+
+
 # ------------------------------------------------------------------ fixtures
 
 
@@ -838,7 +851,7 @@ def test_generate_fixtures_is_loadable(tmp_path):
         entries = read_relevance(os.path.join(out, relevance_file(split)))
         rel = align_relevance(entries, loaded.dataset.caption_ids,
                               loaded.gallery_ids)
-        assert rel.entries == tuple((i,) for i in range(expect))
+        assert relevance_entries(rel) == tuple((i,) for i in range(expect))
 
 
 def test_generate_fixtures_same_seed_identical_bytes(tmp_path):

@@ -6,16 +6,29 @@ import math
 import numpy as np
 import pytest
 
-from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
-                  PairedDataset, classification_loss, combined_loss,
-                  cosine_similarity_matrix, distillation_loss, init_params,
-                  loss_and_gradients, softmax_with_temperature,
-                  student_similarity, supervised_contrastive_loss,
+from xmrt import (Axis, ClassificationHead, ConfigError, ContractError,
+                  DataError, LossConfig, PairedDataset,
+                  cosine_similarity_matrix, init_params, loss_and_gradients,
+                  softmax_with_temperature, student_similarity,
                   targets_from_teacher_sims, teacher_soft_targets)
-from xmrt.encoders import classify, encode
+from xmrt.encoders import _head_forward, encode
 from xmrt.losses import TeacherTargets, ensemble_average
 
-from conftest import random_batch
+from conftest import (distillation_ce, identity_batch, label_ce,
+                      random_batch, supervised_ce)
+
+
+def _terms(audio_rows, text_rows, cfg, targets=None, labels=None,
+           heads=(None, None)):
+    """The LossBreakdown for rows embedded by identity encoders."""
+    return loss_and_gradients(*identity_batch(audio_rows, text_rows, heads),
+                              cfg, targets, labels)[0]
+
+
+def _constant_rows(n, cosine):
+    """n audio and n caption rows whose every pair has this cosine."""
+    return (np.tile([1.0, 0.0], (n, 1)),
+            np.tile([cosine, math.sqrt(1.0 - cosine * cosine)], (n, 1)))
 
 
 class TestLossConfig:
@@ -42,37 +55,33 @@ class TestSupervisedLoss:
     def test_all_equal_matrix_is_uniform(self):
         # constant similarities soften to uniform in both directions,
         # so each direction contributes ln(4): total 2*ln(4)
-        sim = np.full((4, 4), 0.37)
-        loss = supervised_contrastive_loss(sim, LossConfig())
+        loss = _terms(*_constant_rows(4, 0.37), LossConfig()).l_sup
         assert abs(loss - 2.0 * math.log(4.0)) < 1e-9
 
     def test_identity_is_nearly_zero(self):
         # diagonal margin 1 at tau 0.05 gives odds e^20 per direction
-        loss = supervised_contrastive_loss(np.eye(2), LossConfig(tau=0.05))
+        loss = _terms(np.eye(2), np.eye(2), LossConfig(tau=0.05)).l_sup
         assert 0.0 < loss <= 1e-8
 
     def test_anti_diagonal_costs_the_margin(self):
         # each misranked pair costs log(1 + e^20), about 20 nats
-        sim = np.array([[0.0, 1.0], [1.0, 0.0]])
-        loss = supervised_contrastive_loss(sim, LossConfig(tau=0.05))
+        loss = _terms(np.eye(2), np.eye(2)[::-1], LossConfig(tau=0.05)).l_sup
         expected = 2.0 * math.log(1.0 + math.exp(20.0))
         assert abs(loss - expected) < 1e-6
         assert abs(loss - 40.0) < 1e-6
 
-    def test_requires_square(self):
-        with pytest.raises(ContractError, match="square"):
-            supervised_contrastive_loss(np.ones((3, 4)), LossConfig())
-
     def test_matches_two_manual_cross_entropies(self):
         rng = np.random.default_rng(5)
-        sim = rng.uniform(-1.0, 1.0, size=(6, 6))
+        params, batch = identity_batch(rng.standard_normal((6, 3)),
+                                       rng.standard_normal((6, 3)))
         cfg = LossConfig(tau=0.3)
+        sim = student_similarity(params, batch)
         q_rows = softmax_with_temperature(sim, cfg.tau, Axis.ROWS)
         q_cols = softmax_with_temperature(sim, cfg.tau, Axis.COLUMNS)
         idx = np.arange(6)
         manual = (-np.log(q_rows[idx, idx]).mean()
                   - np.log(q_cols[idx, idx]).mean())
-        loss = supervised_contrastive_loss(sim, cfg)
+        loss = loss_and_gradients(params, batch, cfg)[0].l_sup
         np.testing.assert_allclose(loss, manual, rtol=1e-12)
 
 
@@ -233,76 +242,95 @@ class TestTeacherTargets:
 class TestDistillationLoss:
     def test_uniform_targets_constant_student(self):
         # uniform targets against a constant student: ln(2) per direction
-        targets = teacher_soft_targets(np.zeros((2, 2)), LossConfig(tau=1.0))
-        loss = distillation_loss(targets, np.full((2, 2), 0.4),
-                                 LossConfig(tau=1.0))
+        cfg = LossConfig(tau=1.0)
+        targets = teacher_soft_targets(np.zeros((2, 2)), cfg)
+        loss = _terms(*_constant_rows(2, 0.4), cfg, targets).l_dist
         assert abs(loss - 2.0 * math.log(2.0)) < 1e-12
 
     def test_one_hot_teacher_identity_student(self):
         # exactly one-hot targets reduce distillation to the supervised
         # case, so an identity student costs only the e^-20 tail
-        cfg = LossConfig(tau=0.05)
         targets = TeacherTargets(np.eye(2), np.eye(2))
-        loss = distillation_loss(targets, np.eye(2), cfg)
-        assert 0.0 < loss <= 1e-8
-        sup = supervised_contrastive_loss(np.eye(2), cfg)
-        np.testing.assert_allclose(loss, sup, rtol=1e-12)
+        terms = _terms(np.eye(2), np.eye(2), LossConfig(tau=0.05), targets)
+        assert 0.0 < terms.l_dist <= 1e-8
+        np.testing.assert_allclose(terms.l_dist, terms.l_sup, rtol=1e-12)
 
     def test_student_equal_teacher_gives_target_entropy(self):
         # CE(p, p) = H(p); mean over each direction's distributions
         rng = np.random.default_rng(7)
-        sim = rng.uniform(-1.0, 1.0, size=(5, 5))
+        params, batch = identity_batch(rng.standard_normal((5, 3)),
+                                       rng.standard_normal((5, 3)))
         cfg = LossConfig(tau=0.5)
-        targets = teacher_soft_targets(sim, cfg)
+        targets = teacher_soft_targets(student_similarity(params, batch), cfg)
         pa = targets.p_hat_audio
         pc = targets.p_hat_text
         entropy = (-(pa * np.log(pa)).sum(axis=0).mean()
                    - (pc * np.log(pc)).sum(axis=1).mean())
-        loss = distillation_loss(targets, sim, cfg)
+        loss = loss_and_gradients(params, batch, cfg, targets)[0].l_dist
         assert abs(loss - entropy) < 1e-6
 
     def test_shape_mismatch(self):
         targets = teacher_soft_targets(np.eye(3), LossConfig())
         with pytest.raises(ContractError, match="shape"):
-            distillation_loss(targets, np.eye(2), LossConfig())
+            _terms(np.eye(2), np.eye(2), LossConfig(), targets)
+
+    def test_negative_target_entry_rejected(self):
+        # log q <= 0, so only a negative target can make the term negative
+        negative = np.full((2, 2), -0.5)
+        with pytest.raises(ContractError, match="nonnegative"):
+            _terms(np.eye(2), np.eye(2), LossConfig(),
+                   TeacherTargets(negative, negative))
+
+
+def _first_unit_head(scale, k):
+    """A head on 2-wide embeddings e whose logits are
+    (scale * relu(e[0]), 0, ..., 0) over k clusters."""
+    w1 = np.zeros((6, 2))
+    w1[0, 0] = 1.0
+    w2 = np.zeros((k, 6))
+    w2[0, 0] = scale
+    return ClassificationHead(w1, np.zeros(6), w2, np.zeros(k))
 
 
 class TestClassificationLoss:
     def test_uniform_logits_cost_log_k(self):
-        loss = classification_loss(np.zeros((5, 3)), np.array([0, 1, 2, 0, 1]))
-        assert abs(loss - math.log(3.0)) < 1e-12
+        head = _first_unit_head(0.0, 3)
+        rows = np.random.default_rng(0).standard_normal((5, 2))
+        terms = _terms(rows, rows, LossConfig(),
+                       labels=np.array([0, 1, 2, 0, 1]), heads=(head, head))
+        assert abs(terms.l_cls_audio - math.log(3.0)) < 1e-12
+        assert abs(terms.l_cls_text - math.log(3.0)) < 1e-12
 
     def test_mean_of_two_known_rows(self):
-        # row losses ln(2) and ~0 average to ln(2)/2
-        logits = np.array([[0.0, 0.0], [100.0, 0.0]])
-        loss = classification_loss(logits, np.array([0, 0]))
-        assert abs(loss - math.log(2.0) / 2.0) < 1e-15
+        # logits [0, 0] and [100, 0]: row losses ln(2) and ~0 average to
+        # ln(2)/2
+        head = _first_unit_head(100.0, 2)
+        rows = np.array([[0.0, 1.0], [1.0, 0.0]])
+        terms = _terms(rows, rows, LossConfig(), labels=np.array([0, 0]),
+                       heads=(head, head))
+        assert abs(terms.l_cls_audio - math.log(2.0) / 2.0) < 1e-15
 
     def test_perfect_prediction_is_free(self):
-        logits = np.array([[200.0, 0.0, 0.0]])
-        assert classification_loss(logits, np.array([0])) == 0.0
-
-    def test_out_of_range_label(self):
-        with pytest.raises(DataError, match="label"):
-            classification_loss(np.zeros((2, 3)), np.array([0, 3]))
-        with pytest.raises(DataError, match="label"):
-            classification_loss(np.zeros((2, 3)), np.array([-1, 0]))
-
-    def test_label_count_mismatch(self):
-        with pytest.raises(ContractError):
-            classification_loss(np.zeros((2, 3)), np.array([0]))
+        head = _first_unit_head(200.0, 3)
+        rows = np.array([[1.0, 0.0], [1.0, 0.0]])
+        terms = _terms(rows, rows, LossConfig(), labels=np.array([0, 0]),
+                       heads=(head, head))
+        assert terms.l_cls_audio == 0.0 and terms.l_cls_text == 0.0
 
 
-class TestCombinedLoss:
+class TestWeightedTotal:
     def test_weighted_sum(self):
-        cfg = LossConfig(tau=0.05, lambda1=1.0, lambda2=0.05)
-        breakdown = combined_loss(1.0, 2.0, 3.0, 4.0, cfg)
-        assert breakdown.total == 1.0 + 1.0 * 2.0 + 0.05 * (3.0 + 4.0)
-        assert breakdown.l_sup == 1.0 and breakdown.l_dist == 2.0
-
-    def test_negative_component_rejected(self):
-        with pytest.raises(ContractError, match="nonnegative"):
-            combined_loss(-0.1, 0.0, 0.0, 0.0, LossConfig())
+        params = init_params(6, 5, 4, n_clusters=3, seed=1)
+        batch = random_batch(4, 6, 5, seed=2)
+        cfg = LossConfig(tau=0.05, lambda1=0.7, lambda2=0.3)
+        targets = targets_from_teacher_sims(
+            [student_similarity(init_params(6, 5, 4, seed=9), batch)], cfg)
+        terms, _ = loss_and_gradients(params, batch, cfg, targets,
+                                      np.array([0, 1, 2, 0]))
+        assert min(terms.l_sup, terms.l_dist, terms.l_cls_audio,
+                   terms.l_cls_text) > 0.0
+        assert terms.total == (terms.l_sup + 0.7 * terms.l_dist
+                               + 0.3 * (terms.l_cls_audio + terms.l_cls_text))
 
 
 class TestStudentSimilarity:
@@ -418,17 +446,17 @@ class TestGradients:
             [student_similarity(init_params(6, 5, 4, seed=9), batch)], cfg)
         labels = np.array([0, 1, 2, 0])
         breakdown, _ = loss_and_gradients(params, batch, cfg, targets, labels)
-        # the standalone losses are views of the same softmax forward, so
+        # the references make the same operations in the same order, so
         # every term must agree to the last bit
         sim = student_similarity(params, batch)
-        assert breakdown.l_sup == supervised_contrastive_loss(sim, cfg)
-        assert breakdown.l_dist == distillation_loss(targets, sim, cfg)
+        assert breakdown.l_sup == supervised_ce(sim, cfg.tau)
+        assert breakdown.l_dist == distillation_ce(targets, sim, cfg.tau)
         raw_a = encode(params.audio_encoder, batch.audio_features)
         raw_c = encode(params.text_encoder, batch.text_features)
-        assert breakdown.l_cls_audio == classification_loss(
-            classify(params.audio_head, raw_a), labels)
-        assert breakdown.l_cls_text == classification_loss(
-            classify(params.text_head, raw_c), labels)
+        assert breakdown.l_cls_audio == label_ce(
+            _head_forward(params.audio_head, raw_a)[2], labels)
+        assert breakdown.l_cls_text == label_ce(
+            _head_forward(params.text_head, raw_c)[2], labels)
         expected_total = (breakdown.l_sup + cfg.lambda1 * breakdown.l_dist
                           + cfg.lambda2 * (breakdown.l_cls_audio
                                            + breakdown.l_cls_text))
@@ -525,10 +553,12 @@ class TestPathGating:
         with pytest.raises(ContractError, match="one label per row"):
             loss_and_gradients(params, batch, LossConfig(), labels=labels)
 
-    def test_out_of_range_cluster_label(self):
+    @pytest.mark.parametrize("labels", [np.array([0, 1, 2, 0]),
+                                        np.array([0, -1, 1, 0])],
+                             ids=["too-big", "negative"])
+    def test_out_of_range_cluster_label(self, labels):
         params = init_params(6, 5, 4, n_clusters=2, seed=0)
         batch = random_batch(4, 6, 5, seed=0)
-        labels = np.array([0, 1, 2, 0])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="label"):
             loss_and_gradients(params, batch, LossConfig(lambda1=0.0),
                                labels=labels)
