@@ -20,7 +20,7 @@ import numpy as np
 from xmrt import (EnsembleSpec, GridSearchConfig, Member, StageConfig,
                   bundled_weight_table, cosine_similarity_matrix, encode,
                   evaluate, fuse, generate_fixtures, grid_search,
-                  init_params, load_coefficients, run_stage)
+                  init_params, run_stage)
 from xmrt.datasets import (align_relevance, load_paired_dataset,
                            read_relevance)
 from xmrt.fixtures import MANIFEST_FILE, relevance_file
@@ -67,11 +67,8 @@ print(f"fused {result.map_at_16:.4f} >= best member {best_solo:.4f}")
 
 # 4. the bundled coefficient table: four ensembles over a 4-system by
 #    3-model grid, the first two combined system-first, the last two
-#    model-first
-table = bundled_weight_table()
-specs = load_coefficients(table)
-for name in table.row_names:
-    spec = specs[name]
+#    model-first; each row reads straight into a named EnsembleSpec
+for name, spec in bundled_weight_table().items():
     total = sum(m.weight for m in spec.members)
     active = sum(1 for m in spec.members if m.weight > 0)
     print(f"{name}: {spec.strategy:12s} {active:2d} active members, "

@@ -17,9 +17,9 @@ from .core import Axis, cosine_similarity_matrix, softmax_with_temperature
 from .encoders import (ClassificationHead, LinearEncoder, ModelParams,
                        encode, init_heads, init_params)
 from .ensemble import (EnsembleSpec, GridSearchConfig, Member, SearchResult,
-                       WeightTable, bundled_weight_table, fuse, grid_search,
-                       hierarchical_grid_search, load_coefficients,
-                       read_weight_table, write_weight_table)
+                       bundled_weight_table, fuse, grid_search,
+                       hierarchical_grid_search, read_weight_table,
+                       write_weight_table)
 from .errors import (ConfigError, ContractError, DataError, TensorFileError,
                      XmrtError)
 from .evaluation import MetricsReport, RelevanceMap, evaluate, rank_gallery
@@ -29,10 +29,9 @@ from .losses import (LossBreakdown, LossConfig, TeacherTargets,
                      student_similarity, targets_from_teacher_sims,
                      teacher_soft_targets)
 from .tensorfile import load_tensor, save_tensor
-from .training import (AugmentationConfig, OptimizerState, PairedDataset,
-                       ScheduleConfig, StageConfig, StepRecord, adamw_step,
-                       expand_with_mixes, init_optimizer, lr_at_step,
-                       make_batches, run_stage)
+from .training import (OptimizerState, PairedDataset, ScheduleConfig,
+                       StageConfig, StepRecord, adamw_step, expand_with_mixes,
+                       init_optimizer, lr_at_step, make_batches, run_stage)
 
 __version__ = "0.1.0"
 
@@ -45,14 +44,14 @@ __all__ = [
     "loss_and_gradients", "student_similarity",
     "OptimizerState", "init_optimizer", "adamw_step",
     "ScheduleConfig", "lr_at_step", "StageConfig", "StepRecord",
-    "AugmentationConfig", "expand_with_mixes", "PairedDataset",
+    "expand_with_mixes", "PairedDataset",
     "make_batches", "run_stage",
     "OUTLIER", "ClusterConfig", "ClusterAssignment",
     "reduce_dimensionality", "density_cluster", "reassign_outliers",
     "build_pseudo_labels", "cluster_pipeline",
     "RelevanceMap", "MetricsReport", "rank_gallery", "evaluate",
-    "Member", "EnsembleSpec", "WeightTable", "GridSearchConfig",
-    "SearchResult", "fuse", "load_coefficients", "grid_search",
+    "Member", "EnsembleSpec", "GridSearchConfig",
+    "SearchResult", "fuse", "grid_search",
     "hierarchical_grid_search", "bundled_weight_table",
     "read_weight_table", "write_weight_table",
     "save_tensor", "load_tensor", "generate_fixtures",

@@ -6,8 +6,8 @@ artifacts under the output directory, and is idempotent for a fixed
 config and seed.  Seed precedence: --seed flag, then the XMRT_SEED
 environment variable, then the config's seed entry; the resolved seed
 also seeds pair mixing unless augmentation.rng_seed is set.  Each
-config section goes straight into the engine object it configures, so
-an absent key keeps the engine's own default.
+config section goes straight into the engine object or function it
+configures, so an absent key keeps the engine's own default.
 
 Exit codes: 0 success, 1 module error (bad data, bad config values,
 failed contracts), 2 usage error (unknown flags, missing required
@@ -37,12 +37,12 @@ from .datasets import (align_relevance, load_paired_dataset, read_labels,
 from .encoders import encode, init_heads, init_params
 from .ensemble import (GridSearchConfig, bundled_weight_table, fuse,
                        grid_search, hierarchical_grid_search,
-                       load_coefficients, read_weight_table)
+                       read_weight_table)
 from .errors import ConfigError, DataError, XmrtError
 from .evaluation import METRIC_KEYS, evaluate
 from .losses import LossConfig
 from .tensorfile import atomic_open, load_tensor, save_tensor
-from .training import STAGES, AugmentationConfig, StageConfig, run_stage
+from .training import STAGES, StageConfig, expand_with_mixes, run_stage
 
 CHECKPOINT_ROOT = "checkpoints"
 
@@ -133,7 +133,6 @@ def _run_training_stage(args, stage_name):
 
     teachers = None
     pseudo = None
-    augmentation = None
     if stage_name == "pretrain":
         d_emb = cfg.get("model", "d_emb", default=16)
         params = init_params(dataset.audio_features.shape[1],
@@ -154,8 +153,8 @@ def _run_training_stage(args, stage_name):
                 "finetune requires stages.finetune.teachers, a list of "
                 "checkpoint directories")
         teachers = [load_checkpoint(cfg.resolve(p)) for p in teacher_dirs]
-        augmentation = _from_section(AugmentationConfig, cfg, "augmentation",
-                                     rng_seed=seed)
+        dataset = expand_with_mixes(dataset, **{
+            "rng_seed": seed, **cfg.get("augmentation", default={})})
 
     if stage_name == "refinetune":
         ids, labels, probs = read_labels(_input_path(
@@ -182,8 +181,7 @@ def _run_training_stage(args, stage_name):
         _from_section(StageConfig, cfg, "stages", stage_name,
                       name=stage_name),
         params, dataset, teachers=teachers, pseudo_labels=pseudo,
-        loss_cfg=_from_section(LossConfig, cfg, "loss"),
-        augmentation=augmentation, seed=seed,
+        loss_cfg=_from_section(LossConfig, cfg, "loss"), seed=seed,
         **cfg.get("schedule", default={}))
 
     ckpt_dir = _checkpoint_dir(out_dir, stage_name)
@@ -320,15 +318,14 @@ def cmd_ensemble_apply(args):
     out_dir = _resolve_out(args, cfg)
     table_key = cfg.get("ensemble", "weight_table")
     if table_key is None or table_key == "bundled":
-        table = bundled_weight_table()
+        specs = bundled_weight_table()
     else:
-        table = read_weight_table(cfg.resolve_input("ensemble",
+        specs = read_weight_table(cfg.resolve_input("ensemble",
                                                     "weight_table"))
-    specs = load_coefficients(table)
-    row = cfg.get("ensemble", "row", default=table.row_names[0])
+    row = cfg.get("ensemble", "row", default=next(iter(specs)))
     if row not in specs:
         raise ConfigError(
-            f"row {row!r} not in weight table rows {table.row_names}")
+            f"row {row!r} not in weight table rows {tuple(specs)}")
     spec = specs[row]
     members = _ensemble_members(cfg)
     ordered = []

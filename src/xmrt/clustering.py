@@ -196,26 +196,22 @@ def density_cluster(points, cfg):
                              k=k, centroids=centroids)
 
 
-def reassign_outliers(assignment, points):
+def reassign_outliers(assignment):
     """Fold every OUTLIER into its most probable cluster.
 
-    Each outlier takes the argmax of softmax(-distance to each centroid);
-    ties break toward the lowest cluster id.  Probabilities are refreshed
-    for all points and no OUTLIER labels remain.
+    Each outlier takes the argmax of its row of assignment.probabilities
+    (density_cluster's softmax of negative centroid distances); ties break
+    toward the lowest cluster id.  No OUTLIER labels remain.
     """
-    x = as_matrix(points, "points")
-    if x.shape[0] != assignment.labels.shape[0]:
-        raise ContractError(
-            f"{x.shape[0]} points for {assignment.labels.shape[0]} labels")
     if assignment.k < 1:
         raise DataError(
             "no clusters to reassign outliers into; rerun with a larger "
             "neighborhood_radius or smaller min_cluster_size")
-    probs = _soft_probabilities(x, assignment.centroids)
     labels = assignment.labels.copy()
     outliers = labels == OUTLIER
-    labels[outliers] = probs[outliers].argmax(axis=1)
-    return ClusterAssignment(labels=labels, probabilities=probs,
+    labels[outliers] = assignment.probabilities[outliers].argmax(axis=1)
+    return ClusterAssignment(labels=labels,
+                             probabilities=assignment.probabilities,
                              k=assignment.k, centroids=assignment.centroids)
 
 
@@ -261,4 +257,4 @@ def cluster_pipeline(embeddings, cfg):
         raise DataError(
             "density step found no cluster; rerun with a larger "
             "neighborhood_radius or smaller min_cluster_size")
-    return reassign_outliers(raw, reduced)
+    return reassign_outliers(raw)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .evaluation import RelevanceMap
-from .tensorfile import _read_text, atomic_open, load_tensor
+from .tensorfile import _read_text, _write_rows, load_tensor
 from .training import PairedDataset
 
 SPLITS = ("train", "val", "test")
@@ -137,12 +137,9 @@ def _parse_refs(refs):
 
 def write_manifest(path, manifest):
     """Write a manifest TSV with its dims pragma line."""
-    lines = [f"#xmrt-manifest\td_audio={manifest.d_audio}"
-             f"\td_text={manifest.d_text}",
-             "\t".join(MANIFEST_HEADER),
-             *map("\t".join, zip(*manifest._columns))]
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_rows(path, chain([("#xmrt-manifest", f"d_audio={manifest.d_audio}",
+                              f"d_text={manifest.d_text}"), MANIFEST_HEADER],
+                            zip(*manifest._columns)))
 
 
 def read_manifest(path):
@@ -260,13 +257,12 @@ def load_paired_dataset(manifest_path, split):
 
 def write_relevance(path, entries):
     """Write one line per query: query id, then its relevant gallery ids."""
-    lines = []
+    rows = []
     for query_id, ids in entries:
         if not ids:
             raise DataError(f"query {query_id!r} has no relevant ids")
-        lines.append("\t".join([str(query_id)] + [str(i) for i in ids]))
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append([str(query_id)] + [str(i) for i in ids])
+    _write_rows(path, rows)
 
 
 def read_relevance(path):
@@ -340,10 +336,9 @@ def write_labels(path, ids, labels, probabilities):
     probs = np.asarray(probabilities, dtype=np.float64)
     if len(ids) != lab.shape[0] or probs.shape[0] != lab.shape[0]:
         raise ContractError("ids, labels, and probabilities disagree")
-    lines = ["\t".join([str(item_id), str(label), *map(repr, row)])
-             for item_id, label, row in zip(ids, lab.tolist(), probs.tolist())]
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_rows(path, ([str(item_id), str(label), *map(repr, row)]
+                       for item_id, label, row in zip(ids, lab.tolist(),
+                                                      probs.tolist())))
 
 
 def read_labels(path):

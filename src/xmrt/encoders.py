@@ -195,8 +195,18 @@ def _uniform_fanin(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _draw_heads(rng, d_emb, n_clusters):
-    """Audio head then text head from rng: w1 before w2, biases zero."""
+def init_heads(d_emb, n_clusters, seed=0):
+    """Fresh classification heads (audio, text) with fan-in uniform init.
+
+    The one head constructor: heads join a model through
+    ModelParams.with_heads.  Draw order is audio head then text head,
+    w1 before w2; biases start at zero.
+    """
+    if d_emb < 2:
+        raise ConfigError(f"d_emb must be >= 2, got {d_emb}")
+    if n_clusters < 1:
+        raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
+    rng = _rng(seed)
     hidden = HEAD_WIDTH_FACTOR * d_emb
     heads = []
     for _ in MODALITIES:
@@ -207,41 +217,21 @@ def _draw_heads(rng, d_emb, n_clusters):
     return tuple(heads)
 
 
-def init_heads(d_emb, n_clusters, seed=0):
-    """Fresh classification heads (audio, text) with fan-in uniform init.
-
-    Used when heads join an already-trained model; draw order is audio
-    head then text head, w1 before w2, biases zero.
-    """
-    if d_emb < 2:
-        raise ConfigError(f"d_emb must be >= 2, got {d_emb}")
-    if n_clusters < 1:
-        raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
-    return _draw_heads(_rng(seed), d_emb, n_clusters)
-
-
-def init_params(d_in_audio, d_in_text, d_emb, n_clusters=None, seed=0):
-    """Seed-deterministic fan-in uniform init; biases start at zero.
-
-    Classification heads are created only when n_clusters is given.
-    """
+def init_params(d_in_audio, d_in_text, d_emb, seed=0):
+    """Seed-deterministic fan-in uniform encoders without heads; biases
+    start at zero."""
     for name, dim in (("d_in_audio", d_in_audio), ("d_in_text", d_in_text),
                       ("d_emb", d_emb)):
         if dim < 1:
             raise ConfigError(f"{name} must be >= 1, got {dim}")
     if d_emb < 2:
         raise ConfigError(f"d_emb must be >= 2, got {d_emb}")
-    if n_clusters is not None and n_clusters < 1:
-        raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
     rng = _rng(seed)
     audio_enc = LinearEncoder(_uniform_fanin(rng, (d_emb, d_in_audio), d_in_audio),
                               np.zeros(d_emb), "audio")
     text_enc = LinearEncoder(_uniform_fanin(rng, (d_emb, d_in_text), d_in_text),
                              np.zeros(d_emb), "text")
-    audio_head = text_head = None
-    if n_clusters is not None:
-        audio_head, text_head = _draw_heads(rng, d_emb, n_clusters)
-    return ModelParams(audio_enc, text_enc, audio_head, text_head)
+    return ModelParams(audio_enc, text_enc)
 
 
 def _embed(encoder, x):

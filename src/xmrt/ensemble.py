@@ -3,11 +3,13 @@
 An ensemble is a convex combination of member similarity matrices, each
 member tagged by (system id, audio model).  The two hierarchical
 strategies differ only in which axis is combined first; both collapse to
-a flat weighted sum with product weights.  Weights are found by
-exhaustive search over the discretized simplex, maximizing mAP@16 on
-validation relevance, with an optional finer greedy refinement pass.
-Each query ranks only the items that could move a relevant item's rank
-(`_kept_sets`), so a point costs a fraction of an `evaluate`, bit-equal.
+a flat weighted sum with product weights.  A weight table file reads
+into named EnsembleSpecs over the one published grid (systems 2-5 by
+passt/eat/beats).  Weights are found by exhaustive search over the
+discretized simplex, maximizing mAP@16 on validation relevance, with an
+optional finer greedy refinement pass.  Each query ranks only the items
+that could move a relevant item's rank (`_kept_sets`), so a point costs
+a fraction of an `evaluate`, bit-equal.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from .core import _as_equal_shape_matrices
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import (METRIC_KEYS, _candidates_per_block, _mean_metrics,
                          _relevance_arrays, evaluate)
-from .tensorfile import _read_text, atomic_open
+from .tensorfile import _read_text, _write_rows
 
 STRATEGIES = ("system-first", "model-first")
 TABLE_SYSTEMS = (2, 3, 4, 5)
 TABLE_MODELS = ("passt", "eat", "beats")
+_TABLE_TAGS = tuple((s, m) for s in TABLE_SYSTEMS for m in TABLE_MODELS)
+_TABLE_HEADER = ("ensemble", *(f"sid{s}_{m}" for s, m in _TABLE_TAGS))
 WEIGHT_SUM_TOL = 1e-6
 REFINE_STEP = 0.0025
 MAX_REFINE_SWEEPS = 100
@@ -120,122 +124,73 @@ def fuse(matrices, spec):
     return out[0]
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Named rows of per-(system, model) weights, system-major columns."""
-
-    row_names: tuple
-    systems: tuple
-    models: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        rows = tuple(self.row_names)
-        systems = tuple(self.systems)
-        models = tuple(self.models)
-        expected = (len(rows), len(systems) * len(models))
-        if vals.shape != expected:
+def write_weight_table(path, specs):
+    """Write {row name: EnsembleSpec} under the one table header; each
+    spec's members must be the table columns in order.  No strategy is
+    stored: reading gives the first half of the rows system-first."""
+    rows = [_TABLE_HEADER]
+    for name, spec in specs.items():
+        if tuple((m.system, m.model) for m in spec.members) != _TABLE_TAGS:
             raise ContractError(
-                f"table values shaped {vals.shape}, expected {expected}")
-        object.__setattr__(self, "row_names", rows)
-        object.__setattr__(self, "systems", systems)
-        object.__setattr__(self, "models", models)
-        object.__setattr__(self, "values", vals)
-
-    def column_tags(self):
-        return tuple((s, m) for s in self.systems for m in self.models)
-
-
-def write_weight_table(path, table):
-    """Write a weight table as tab-delimited text with one header row."""
-    header = ["ensemble"] + [f"sid{s}_{m}" for s, m in table.column_tags()]
-    lines = ["\t".join(header)]
-    for name, row in zip(table.row_names, table.values):
-        lines.append("\t".join([name] + [repr(float(v)) for v in row]))
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+                f"row {name!r} must weight {_TABLE_TAGS} in that order")
+        rows.append([name, *(repr(float(m.weight)) for m in spec.members)])
+    _write_rows(path, rows)
 
 
 def _parse_weight_table(text, source):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """{row name: EnsembleSpec} in file order: nonnegative weights summing
+    to 1, the first half of the rows system-first and the second half
+    model-first, as the four published ensembles were built."""
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if len(lines) < 2:
         raise DataError(f"{source}: need a header row and at least one row")
-    header = lines[0].split("\t")
-    if header[0] != "ensemble":
-        raise DataError(f"{source}: first column must be 'ensemble'")
-    tags = []
-    for col in header[1:]:
-        if not col.startswith("sid") or "_" not in col:
-            raise DataError(f"{source}: bad column label {col!r}")
-        sid, model = col[3:].split("_", 1)
-        try:
-            tags.append((int(sid), model))
-        except ValueError:
-            raise DataError(f"{source}: bad system id in {col!r}") from None
-    systems = tuple(dict.fromkeys(s for s, _ in tags))
-    models = tuple(dict.fromkeys(m for _, m in tags))
-    if tags != [(s, m) for s in systems for m in models]:
-        raise DataError(f"{source}: columns must be system-major blocks")
-    names = []
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if len(parts) != len(header):
+    if tuple(lines[0].split("\t")) != _TABLE_HEADER:
+        raise DataError(
+            f"{source}: header must be ensemble, then sid<system>_<model> "
+            f"for systems {TABLE_SYSTEMS} by models {TABLE_MODELS}, "
+            f"system-major")
+    specs = {}
+    for r, ln in enumerate(lines[1:]):
+        name, *fields = ln.split("\t")
+        if len(fields) != len(_TABLE_TAGS):
             raise DataError(
-                f"{source}: row {parts[0]!r} has {len(parts) - 1} entries, "
-                f"expected {len(header) - 1}")
-        if parts[0] in names:
-            raise DataError(f"{source}: row {parts[0]!r} appears twice")
-        names.append(parts[0])
+                f"{source}: row {name!r} has {len(fields)} entries, "
+                f"expected {len(_TABLE_TAGS)}")
+        if name in specs:
+            raise DataError(f"{source}: row {name!r} appears twice")
         try:
-            rows.append([float(p) for p in parts[1:]])
+            row = [float(f) for f in fields]
         except ValueError:
             raise DataError(
-                f"{source}: non-numeric weight in row {parts[0]!r}") from None
-    return WeightTable(row_names=tuple(names), systems=systems,
-                       models=models, values=np.array(rows))
+                f"{source}: non-numeric weight in row {name!r}") from None
+        if any(w < 0 for w in row):
+            raise DataError(f"{source}: row {name!r} has a negative weight")
+        try:
+            total = math.fsum(row)
+        except OverflowError:       # finite weights, a sum that is not
+            total = math.inf
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+            raise DataError(
+                f"{source}: row {name!r} sums to {total}, expected 1")
+        specs[name] = EnsembleSpec(
+            members=tuple(Member(system=s, model=m, weight=w)
+                          for (s, m), w in zip(_TABLE_TAGS, row)),
+            strategy=STRATEGIES[2 * r >= len(lines) - 1])
+    return specs
 
 
 def read_weight_table(path):
-    """Parse a tab-delimited weight table written by write_weight_table."""
+    """{row name: EnsembleSpec} from a table written by
+    write_weight_table."""
     return _parse_weight_table(_read_text(path), str(path))
 
 
 def bundled_weight_table():
-    """The packaged published coefficient table (four ensembles)."""
+    """{row name: EnsembleSpec} of the packaged published coefficient
+    table (four ensembles)."""
     text = (importlib.resources.files("xmrt") / "data" /
             "ensemble_weights.tsv").read_text(encoding="utf-8")
     return _parse_weight_table(text, "bundled weight table")
-
-
-def load_coefficients(table):
-    """Validate a published-style table into one EnsembleSpec per row.
-
-    The table must cover exactly systems 2-5 by models passt/eat/beats,
-    all entries nonnegative, each row summing to 1 within 1e-6.  The
-    first half of the rows is tagged system-first, the second half
-    model-first, mirroring how the four published ensembles were built.
-    """
-    if table.systems != TABLE_SYSTEMS or table.models != TABLE_MODELS:
-        raise DataError(
-            f"coefficient table must cover systems {TABLE_SYSTEMS} by "
-            f"models {TABLE_MODELS}, got {table.systems} by {table.models}")
-    specs = {}
-    half = len(table.row_names) / 2
-    for r, name in enumerate(table.row_names):
-        row = table.values[r]
-        if np.any(row < 0):
-            raise DataError(f"row {name!r} has a negative weight")
-        total = math.fsum(row)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise DataError(
-                f"row {name!r} sums to {total}, expected 1")
-        strategy = "system-first" if r < half else "model-first"
-        members = tuple(Member(system=s, model=m, weight=float(w))
-                        for (s, m), w in zip(table.column_tags(), row))
-        specs[name] = EnsembleSpec(members=members, strategy=strategy)
-    return specs
 
 
 @dataclass(frozen=True)
@@ -306,8 +261,8 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
     size = _grid_size(cfg.divisions, n)
     if size > cfg.max_grid_points:
         raise ConfigError(
-            f"grid of {size} points exceeds budget {cfg.max_grid_points}; "
-            f"use a coarser step than {cfg.step}")
+            f"the grid at step {cfg.step} over {n} members exceeds the "
+            f"budget of {cfg.max_grid_points} points; use a coarser step")
     tags = tuple(((i, f"m{i}") for i in range(n)) if tags is None else tags)
     if len(tags) != n:
         raise ContractError(f"{len(tags)} tags for {n} matrices")

@@ -14,8 +14,9 @@ verifies magic, version, rank, byte length, and checksum, each failure
 carrying its own stable error code.
 
 Every artifact file the package writes goes through `atomic_open`, so a
-write that fails partway leaves the old file byte-for-byte in place; every
-data text file it reads (all but the run config) goes through `_read_text`,
+write that fails partway leaves the old file byte-for-byte in place, and
+every text table it writes goes through `_write_rows`; every data text
+file it reads (all but the run config) goes through `_read_text`,
 so bytes that are not UTF-8 are a DataError naming the file.
 """
 
@@ -48,6 +49,22 @@ def atomic_open(path, mode="w"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _write_rows(path, rows):
+    """Write rows of str fields as tab-separated lines via atomic_open,
+    joining one row at a time (rows may be a generator).  A field holding
+    "\\t", "\\n" or "\\r", which readers split on, raises DataError naming
+    path and field before any file is written."""
+    lines = []
+    for row in rows:
+        line = "\t".join(row)
+        if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
+            field = next(f for f in row if {"\t", "\n", "\r"} & set(f))
+            raise DataError(f"{path}: field {field!r} holds a tab or newline")
+        lines.append(line)
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _read_text(path):

@@ -2,7 +2,8 @@
 
 A stage's name alone picks its loss terms: pretrain is contrastive only,
 finetune adds distillation from frozen teachers, refinetune adds cluster
-classification.  The LossConfig weights only scale those terms.
+classification.  The LossConfig weights only scale those terms; pair
+mixing is a dataset transform the caller applies before a finetune.
 
 The optimizer is AdamW with decoupled weight decay, updating in place
 one float64 vector of every parameter that a stage's model views, so one
@@ -125,19 +126,6 @@ def lr_at_step(schedule, step):
 
 
 @dataclass(frozen=True)
-class AugmentationConfig:
-    """Synthetic pair mixing: mix_count averaged pairs join the training set."""
-
-    mix_count: int = 0
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        for name in ("mix_count", "rng_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be a non-negative integer")
-
-
-@dataclass(frozen=True)
 class PairedDataset:
     """Matched audio/caption feature rows, one pair per row, with optional
     caption ids.
@@ -168,10 +156,14 @@ class PairedDataset:
         return self.audio_features.shape[0]
 
 
-def expand_with_mixes(dataset, mix_count, rng_seed):
-    """Append mix_count synthetic averaged pairs drawn from the dataset."""
-    if mix_count < 0:
-        raise ConfigError(f"mix_count must be >= 0, got {mix_count}")
+def expand_with_mixes(dataset, *, mix_count=0, rng_seed=0):
+    """The dataset plus mix_count synthetic pairs, each the average of
+    two distinct rows drawn by rng_seed's generator.  Only finetune data
+    is mixed: an averaged row carries no curated cluster label."""
+    for name, value in (("mix_count", mix_count), ("rng_seed", rng_seed)):
+        if value < 0:
+            raise ConfigError(
+                f"{name} must be a non-negative integer, got {value}")
     if mix_count == 0:
         return dataset
     n = len(dataset)
@@ -223,11 +215,10 @@ class StageConfig:
     """One training stage: its name picks the objective, epochs and batch
     size set its length.
 
-    pretrain is contrastive only, finetune adds teacher distillation (and
-    synthetic pair mixing when an AugmentationConfig is given), refinetune
-    adds the cluster classification heads.  run_stage checks that the
-    inputs match the name, so a misconfigured run fails immediately
-    instead of training the wrong objective.
+    pretrain is contrastive only, finetune adds teacher distillation,
+    refinetune adds the cluster classification heads.  run_stage checks
+    that the inputs match the name, so a misconfigured run fails
+    immediately instead of training the wrong objective.
     """
 
     name: str
@@ -260,8 +251,7 @@ class StepRecord:
 
 def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
               loss_cfg=None, peak_lr=2e-5, floor_lr=1e-7,
-              warmup_fraction=0.1, weight_decay=0.01, augmentation=None,
-              seed=0):
+              warmup_fraction=0.1, weight_decay=0.01, seed=0):
     """Train one stage to completion; returns (params, records).
 
     `dataset` is a PairedDataset; each step slices its batch rows as
@@ -273,9 +263,8 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     classification heads, rejected elsewhere); a batch passes its rows'
     labels on, and both heads classify them since rows are matched
     pairs.  `loss_cfg` only weights the terms, so a weight of 0 turns its
-    term off.  `augmentation` mixes synthetic pairs into the dataset and
-    is accepted only in finetune.  The stage trains views of a private
-    copy of `params` in place and never writes `params` or `teachers`.
+    term off.  The stage trains views of a private copy of `params` in
+    place and never writes `params` or `teachers`.
     A step whose teacher targets, loss or parameters are not finite
     raises DataError naming the stage, step, epoch and lr, and the loss
     terms once known.
@@ -297,10 +286,6 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
             raise ConfigError("refinetune requires classification heads")
     elif pseudo_labels is not None:
         raise ConfigError(f"stage {stage.name} does not accept labels")
-    if augmentation is not None and stage.name != "finetune":
-        # Synthetic averaged rows carry no curated cluster label.
-        raise ConfigError(
-            f"stage {stage.name} does not accept an augmentation config")
 
     labels_all = None
     if pseudo_labels is not None:
@@ -312,10 +297,6 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
         if labels_all.size and (labels_all.min() < 0
                                 or labels_all.max() >= k):
             raise DataError(f"cluster label outside [0, {k})")
-
-    if augmentation is not None:
-        dataset = expand_with_mixes(dataset, augmentation.mix_count,
-                                    augmentation.rng_seed)
 
     theta = np.concatenate(
         [t.ravel() for t in params.named_tensors().values()])

@@ -4,7 +4,15 @@ closed-form references that the objective's terms are checked against."""
 import numpy as np
 import pytest
 
-from xmrt import LinearEncoder, ModelParams, PairedDataset, init_params
+from xmrt import (LinearEncoder, ModelParams, PairedDataset, init_heads,
+                  init_params)
+
+
+def headed_params(d_audio, d_text, d_emb, n_clusters, seed):
+    """init_params with init_heads joined, as the CLI builds a refinetune
+    model: both drawn from seed."""
+    return init_params(d_audio, d_text, d_emb, seed=seed).with_heads(
+        *init_heads(d_emb, n_clusters, seed=seed))
 
 
 def random_batch(n, d_audio, d_text, seed):
@@ -25,7 +33,7 @@ def small_params():
 
 @pytest.fixture
 def head_params():
-    return init_params(6, 5, 4, n_clusters=3, seed=0)
+    return headed_params(6, 5, 4, 3, seed=0)
 
 
 def identity_batch(audio_rows, text_rows, heads=(None, None)):

@@ -31,7 +31,6 @@ from xmrt import (
     generate_fixtures,
     grid_search,
     init_params,
-    load_coefficients,
     loss_and_gradients,
     lr_at_step,
     run_stage,
@@ -48,7 +47,7 @@ from xmrt.datasets import (
 from xmrt.evaluation import METRIC_KEYS
 from xmrt.fixtures import MANIFEST_FILE, relevance_file
 
-from conftest import identity_batch, random_batch
+from conftest import headed_params, identity_batch, random_batch
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +110,7 @@ def test_01_gradient_fidelity():
     cfg = LossConfig(tau=0.05, lambda1=1.0, lambda2=0.05)
     worst = 0.0
     for seed in (0, 1, 2):
-        params = init_params(5, 4, 3, n_clusters=3, seed=seed)
+        params = headed_params(5, 4, 3, 3, seed=seed)
         batch = random_batch(4, 5, 4, seed=seed + 10)
         teacher = init_params(5, 4, 3, seed=seed + 20)
         targets = targets_from_teacher_sims(
@@ -295,7 +294,7 @@ def test_05_metric_oracle_equivalence():
 
 
 def test_06_bundled_coefficient_table():
-    specs = load_coefficients(bundled_weight_table())
+    specs = bundled_weight_table()
     assert sorted(specs) == ["E1", "E2", "E3", "E4"]
     worst_sum = max(
         abs(math.fsum(m.weight for m in spec.members) - 1.0)

@@ -21,7 +21,7 @@ from xmrt.datasets import (
     write_relevance,
 )
 from xmrt.encoders import LinearEncoder, ModelParams
-from xmrt.ensemble import bundled_weight_table, load_coefficients
+from xmrt.ensemble import bundled_weight_table, write_weight_table
 from xmrt.evaluation import METRIC_KEYS
 
 
@@ -465,15 +465,18 @@ def test_pretrain_rerun_is_bit_identical(tmp_path):
 
 def test_mixing_seed_follows_the_seed_flag(tmp_path):
     # pair mixing draws from the resolved seed, so --seed 3 and a config
-    # seed of 3 train the same finetune
-    for out_dir, seed, flag in (("flag", 0, ["--seed", "3"]),
-                                ("conf", 3, [])):
+    # seed of 3 train the same finetune; augmentation.rng_seed overrides it
+    for out_dir, seed, flag, mix_seed in (("flag", 0, ["--seed", "3"], {}),
+                                          ("conf", 3, [], {}),
+                                          ("key", 3, [], {"rng_seed": 4})):
         payload = _read_json(_pipeline_config(tmp_path, out_dir, seed))
-        payload["augmentation"] = {"mix_count": 8}
+        payload["augmentation"] = {"mix_count": 8, **mix_seed}
         cfg = _write_config(tmp_path, payload, name=f"{out_dir}.json")
         assert main(["pretrain", "--config", cfg, *flag]) == 0
         assert main(["finetune", "--config", cfg, *flag]) == 0
     _assert_same_checkpoints(tmp_path, "flag", "conf", "finetune")
+    with pytest.raises(AssertionError):
+        _assert_same_checkpoints(tmp_path, "conf", "key", "finetune")
 
 
 def test_refinetune_rejects_a_label_outside_the_cluster_count(
@@ -596,8 +599,7 @@ def test_ensemble_search_cli(tmp_path, capsys):
 def test_ensemble_apply_bundled_row(tmp_path):
     base = str(tmp_path)
     rng = np.random.default_rng(4)
-    table = bundled_weight_table()
-    spec = load_coefficients(table)["E1"]
+    spec = bundled_weight_table()["E1"]
     mats = {}
     entries = []
     for member in spec.members:
@@ -619,10 +621,45 @@ def test_ensemble_apply_bundled_row(tmp_path):
     assert np.allclose(fused, expected, atol=1e-12)
 
 
+def test_ensemble_apply_reads_only_the_published_grid(tmp_path, capsys):
+    # the first row is the default; the bundled table written back out
+    # fuses the same bytes, and a table over another grid exits 1
+    base = str(tmp_path)
+    rng = np.random.default_rng(4)
+    entries = []
+    for member in bundled_weight_table()["E1"].members:
+        name = f"s{member.system}_{member.model}.xmrt"
+        save_tensor(os.path.join(base, name), rng.standard_normal((6, 4)))
+        entries.append({"system": member.system, "model": member.model,
+                        "path": name})
+    write_weight_table(os.path.join(base, "written.tsv"),
+                       bundled_weight_table())
+    with open(os.path.join(base, "other.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("ensemble\tsid1_passt\tsid2_passt\nE1\t0.5\t0.5\n")
+    fused = []
+    for table in ("bundled", "written.tsv", "other.tsv"):
+        cfg = _write_config(tmp_path, {
+            "out_dir": table[:5],
+            "ensemble": {"matrices": entries, "weight_table": table},
+        }, name=f"{table[:5]}.json")
+        capsys.readouterr()
+        code = main(["ensemble-apply", "--config", cfg])
+        if table == "other.tsv":
+            assert code == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: {os.path.join(base, table)}: header must be")
+        else:
+            assert code == 0
+            with open(os.path.join(base, table[:5], "fused_E1.xmrt"),
+                      "rb") as fh:
+                fused.append(fh.read())
+    assert fused[0] == fused[1]
+
+
 def test_ensemble_apply_overflow_returns_1(tmp_path, capsys):
     base = str(tmp_path)
     entries = []
-    for member in load_coefficients(bundled_weight_table())["E1"].members:
+    for member in bundled_weight_table()["E1"].members:
         name = f"s{member.system}_{member.model}.xmrt"
         save_tensor(os.path.join(base, name),
                     np.full((3, 2), np.finfo(float).max))

@@ -269,8 +269,10 @@ class TestReassignOutliers:
         cfg = ClusterConfig(neighborhood_radius=1.0, min_cluster_size=4)
         assignment = density_cluster(points, cfg)
         assert assignment.n_outliers == 0
-        again = reassign_outliers(assignment, points)
+        again = reassign_outliers(assignment)
         np.testing.assert_array_equal(again.labels, assignment.labels)
+        assert again.probabilities.tobytes() \
+            == assignment.probabilities.tobytes()
 
     def test_outlier_joins_nearest_centroid(self):
         points, _ = _blobs([(0, 0), (10, 0)], per_blob=10, sigma=0.05)
@@ -279,7 +281,7 @@ class TestReassignOutliers:
         cfg = ClusterConfig(neighborhood_radius=1.0, min_cluster_size=5)
         assignment = density_cluster(points, cfg)
         assert assignment.labels[-1] == OUTLIER
-        fixed = reassign_outliers(assignment, points)
+        fixed = reassign_outliers(assignment)
         assert fixed.labels[-1] == assignment.labels[0]
         assert fixed.n_outliers == 0
 
@@ -288,23 +290,14 @@ class TestReassignOutliers:
         centroids = np.array([[-1.0, 0.0], [1.0, 0.0]])
         probs = np.array([[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]])
         assignment = ClusterAssignment(labels, probs, 2, centroids)
-        fixed = reassign_outliers(assignment,
-                                  np.array([[-1.0, 0.0], [1.0, 0.0],
-                                            [0.0, 5.0]]))
+        fixed = reassign_outliers(assignment)
         assert fixed.labels[-1] == 0
 
     def test_zero_clusters_is_an_error_with_advice(self):
         assignment = ClusterAssignment(
             np.full(4, OUTLIER), np.zeros((4, 0)), 0, np.zeros((0, 2)))
         with pytest.raises(DataError, match="neighborhood_radius"):
-            reassign_outliers(assignment, np.zeros((4, 2)))
-
-    def test_point_count_mismatch(self):
-        points, _ = _blobs([(0, 0)], per_blob=8)
-        cfg = ClusterConfig(neighborhood_radius=1.0, min_cluster_size=4)
-        assignment = density_cluster(points, cfg)
-        with pytest.raises(ContractError):
-            reassign_outliers(assignment, points[:-1])
+            reassign_outliers(assignment)
 
 
 class TestBuildPseudoLabels:

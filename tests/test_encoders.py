@@ -8,6 +8,8 @@ from xmrt import (ClassificationHead, ConfigError, ContractError, DataError,
                   init_params)
 from xmrt.encoders import HEAD_WIDTH_FACTOR, _head_forward
 
+from conftest import headed_params
+
 
 class TestLinearEncoder:
     def test_shape_agreement_enforced(self):
@@ -118,9 +120,10 @@ class TestInitParams:
         assert not p.audio_encoder.bias.any()
         assert not p.text_encoder.bias.any()
 
-    def test_heads_only_when_requested(self):
-        assert not init_params(5, 4, 3).has_heads
-        p = init_params(5, 4, 3, n_clusters=6)
+    def test_heads_join_only_through_with_heads(self):
+        p = init_params(5, 4, 3)
+        assert not p.has_heads
+        p = p.with_heads(*init_heads(3, 6))
         assert p.has_heads and p.n_clusters == 6
         assert p.audio_head.w1.shape == (HEAD_WIDTH_FACTOR * 3, 3)
 
@@ -130,7 +133,7 @@ class TestInitParams:
         with pytest.raises(ConfigError):
             init_params(5, 4, 1)
         with pytest.raises(ConfigError):
-            init_params(5, 4, 3, n_clusters=0)
+            init_heads(3, 0)
 
 
 class TestInitHeads:
@@ -157,7 +160,7 @@ class TestModelParams:
             "text_encoder.weight", "text_encoder.bias"]
 
     def test_named_tensor_order_with_heads(self):
-        p = init_params(5, 4, 3, n_clusters=2, seed=0)
+        p = headed_params(5, 4, 3, 2, seed=0)
         names = list(p.named_tensors())
         assert names[:4] == ["audio_encoder.weight", "audio_encoder.bias",
                              "text_encoder.weight", "text_encoder.bias"]
@@ -167,7 +170,7 @@ class TestModelParams:
                              "text_head.w2", "text_head.b2"]
 
     def test_with_tensors_round_trip(self):
-        p = init_params(5, 4, 3, n_clusters=2, seed=0)
+        p = headed_params(5, 4, 3, 2, seed=0)
         rebuilt = p.with_tensors(
             {k: v.copy() for k, v in p.named_tensors().items()})
         for name, tensor in p.named_tensors().items():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 from xmrt import (ConfigError, ContractError, DataError, EnsembleSpec,
-                  GridSearchConfig, Member, RelevanceMap, WeightTable,
+                  GridSearchConfig, Member, RelevanceMap,
                   bundled_weight_table, evaluate, fuse, grid_search,
-                  hierarchical_grid_search, load_coefficients,
-                  read_weight_table, write_weight_table)
+                  hierarchical_grid_search, read_weight_table,
+                  write_weight_table)
 from xmrt import ensemble, evaluation
 from xmrt.ensemble import _compositions, _grid_size
 
@@ -89,57 +90,96 @@ class TestFuse:
             fuse([big, big, big], _spec([0.1, 0.5, 0.4]))
 
 
+def _table_text(*rows, header=None):
+    """A weight table's text: the one header (or `header`), then each row
+    as a name and its weight fields."""
+    if header is None:
+        header = ["ensemble"] + [f"sid{s}_{m}" for s in ensemble.TABLE_SYSTEMS
+                                 for m in ensemble.TABLE_MODELS]
+    return "".join("\t".join(map(str, line)) + "\n"
+                   for line in [header, *rows])
+
+
+def _uniform_row(name):
+    return [name] + [1 / 12] * 12
+
+
 class TestWeightTable:
     def test_round_trip(self, tmp_path):
-        table = WeightTable(
-            row_names=("E1", "E2"),
-            systems=(2, 3),
-            models=("passt", "eat"),
-            values=np.array([[0.1, 0.2, 0.3, 0.4],
-                             [0.25, 0.25, 0.25, 0.25]]))
         path = tmp_path / "weights.tsv"
-        write_weight_table(path, table)
-        back = read_weight_table(path)
-        assert back.row_names == table.row_names
-        assert back.systems == table.systems
-        assert back.models == table.models
-        np.testing.assert_array_equal(back.values, table.values)
+        specs = bundled_weight_table()
+        write_weight_table(path, specs)
+        assert read_weight_table(path) == specs
 
-    def test_column_tags_are_system_major(self):
-        table = WeightTable(("E1",), (2, 3), ("passt", "eat"),
-                            np.full((1, 4), 0.25))
-        assert table.column_tags() == ((2, "passt"), (2, "eat"),
-                                       (3, "passt"), (3, "eat"))
+    def test_names_keep_characters_that_are_not_newlines(self, tmp_path):
+        # the reader splits on "\n" alone, as the other text readers do
+        path = tmp_path / "weights.tsv"
+        e1 = bundled_weight_table()["E1"]
+        names = ["E\x0b1", "E\x0c\x1c\x1d\x1e2", "E\x85\u2028\u20293"]
+        specs = {name: e1 for name in names[:2]}
+        specs[names[2]] = EnsembleSpec(e1.members, "model-first")
+        write_weight_table(path, specs)
+        assert read_weight_table(path) == specs
 
-    def test_bad_header_rejected(self, tmp_path):
+    def test_writer_needs_the_table_columns_in_order(self, tmp_path):
+        members = bundled_weight_table()["E1"].members
+        for bad in (members[::-1], members[:-1]):
+            spec = EnsembleSpec(bad + tuple(
+                Member(9, "x", 0.0) for _ in range(12 - len(bad))))
+            with pytest.raises(ContractError, match="in that order"):
+                write_weight_table(tmp_path / "w.tsv", {"E1": spec})
+        assert not any(tmp_path.iterdir())
+
+    def test_strategy_follows_the_row_position(self, tmp_path):
+        path = tmp_path / "weights.tsv"
+        path.write_text(_table_text(*map(_uniform_row, "ABC")))
+        assert [spec.strategy for spec in read_weight_table(path).values()] \
+            == ["system-first", "system-first", "model-first"]
+
+    @pytest.mark.parametrize("header", [
+        ["name"] + [f"sid{s}_{m}" for s in (2, 3, 4, 5)
+                    for m in ("passt", "eat", "beats")],
+        ["ensemble", "sid1_passt", "sid2_passt"],
+        ["ensemble"] + [f"sid{s}_{m}" for m in ("passt", "eat", "beats")
+                        for s in (2, 3, 4, 5)],
+    ], ids=["first-column", "other-grid", "model-major"])
+    def test_only_the_published_grid_is_read(self, tmp_path, header):
         path = tmp_path / "bad.tsv"
-        path.write_text("name\tsid2_passt\nE1\t1.0\n")
-        with pytest.raises(DataError, match="ensemble"):
+        path.write_text(_table_text(_uniform_row("E1"), header=header))
+        with pytest.raises(DataError, match=r"header must be ensemble, "
+                                            r"then .* systems \(2, 3, 4, 5\)"):
             read_weight_table(path)
 
-    def test_non_numeric_weight_rejected(self, tmp_path):
+    @pytest.mark.parametrize("row, match", [
+        (_uniform_row("E1")[:-1] + ["half"], "non-numeric weight in row 'E1'"),
+        (_uniform_row("E1")[:-1], "row 'E1' has 11 entries, expected 12"),
+        (["E1", -0.5, 1.5] + [0] * 10, "row 'E1' has a negative weight"),
+        (["E1", 0.5, 0.5 + 1e-5] + [0] * 10, "row 'E1' sums to 1.00001"),
+        (["E1", "nan"] + [0] * 11, "row 'E1' sums to nan"),
+        (["E1", 1.7e308, 1.7e308] + [0] * 10, "row 'E1' sums to inf"),
+    ], ids=["non-numeric", "ragged", "negative", "sum", "nan", "overflow"])
+    def test_bad_rows_rejected(self, tmp_path, row, match):
         path = tmp_path / "bad.tsv"
-        path.write_text("ensemble\tsid2_passt\tsid2_eat\nE1\t0.5\thalf\n")
-        with pytest.raises(DataError, match="non-numeric"):
-            read_weight_table(path)
-
-    def test_ragged_row_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("ensemble\tsid2_passt\tsid2_eat\nE1\t1.0\n")
-        with pytest.raises(DataError, match="entries"):
+        path.write_text(_table_text(_uniform_row("E0"), row))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {match}")):
             read_weight_table(path)
 
     def test_repeated_row_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("ensemble\tsid2_passt\tsid2_eat\nE1\t1.0\t0.0\n"
-                        "E2\t0.5\t0.5\nE1\t0.0\t1.0\n")
+        path.write_text(_table_text(*map(_uniform_row, ["E1", "E2", "E1"])))
         with pytest.raises(DataError, match="row 'E1' appears twice"):
+            read_weight_table(path)
+
+    def test_a_table_needs_a_row(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text(_table_text())
+        with pytest.raises(DataError, match="at least one row"):
             read_weight_table(path)
 
 
 class TestBundledCoefficients:
     def test_four_rows_load_and_sum_to_one(self):
-        specs = load_coefficients(bundled_weight_table())
+        specs = bundled_weight_table()
         assert list(specs) == ["E1", "E2", "E3", "E4"]
         for spec in specs.values():
             total = math.fsum(m.weight for m in spec.members)
@@ -147,41 +187,16 @@ class TestBundledCoefficients:
             assert len(spec.members) == 12
 
     def test_known_slot_value(self):
-        specs = load_coefficients(bundled_weight_table())
         by_tag = {(m.system, m.model): m.weight
-                  for m in specs["E4"].members}
+                  for m in bundled_weight_table()["E4"].members}
         assert by_tag[(5, "passt")] == 0.15
 
     def test_strategies_split_half_and_half(self):
-        specs = load_coefficients(bundled_weight_table())
+        specs = bundled_weight_table()
         assert specs["E1"].strategy == "system-first"
         assert specs["E2"].strategy == "system-first"
         assert specs["E3"].strategy == "model-first"
         assert specs["E4"].strategy == "model-first"
-
-    def test_negative_weight_rejected(self):
-        table = bundled_weight_table()
-        bad = np.array(table.values, copy=True)
-        bad[0, 0] = -bad[0, 0]
-        bad[0, 1] += 2 * table.values[0, 0]  # keep the sum at 1
-        broken = WeightTable(table.row_names, table.systems, table.models,
-                             bad)
-        with pytest.raises(DataError, match="negative"):
-            load_coefficients(broken)
-
-    def test_bad_row_sum_rejected(self):
-        table = bundled_weight_table()
-        bad = np.array(table.values, copy=True)
-        bad[2, 0] += 0.5
-        broken = WeightTable(table.row_names, table.systems, table.models,
-                             bad)
-        with pytest.raises(DataError, match="sums to"):
-            load_coefficients(broken)
-
-    def test_wrong_grid_rejected(self):
-        table = WeightTable(("E1",), (1, 2), ("passt",), np.full((1, 2), 0.5))
-        with pytest.raises(DataError, match="systems"):
-            load_coefficients(table)
 
 
 class TestCompositions:
@@ -281,6 +296,16 @@ class TestGridSearch:
         mats = [np.eye(4)] * 5
         with pytest.raises(ConfigError, match="coarser"):
             grid_search(mats, self._relevance(4))
+
+    @pytest.mark.parametrize("members", [2, 12])
+    def test_budget_message_names_the_step_not_the_size(self, members):
+        # at this step the point count alone runs to thousands of digits
+        with pytest.raises(ConfigError, match=r"^the grid at step 2\.5e-308 "
+                                              r"over \d+ members exceeds the "
+                                              r"budget of 200000 points") as err:
+            grid_search([np.eye(4)] * members, self._relevance(4),
+                        GridSearchConfig(step=2.5e-308))
+        assert len(str(err.value)) < 200
 
     def test_refine_never_hurts(self):
         rng = np.random.default_rng(6)

@@ -9,10 +9,12 @@ ensemble.py calls `evaluate` only for the final replay of
 `hierarchical_grid_search`, and datasets.py reads tensor files only in
 `_gather_rows`, the one gather of a split load.  Every function, class
 and public method in `src/xmrt` is used by `src/`, `demos/` or
-`perfbench/`, not by tests alone.  Plain `ast` passes, so the checks need
-no linter install."""
+`perfbench/`, not by tests alone, and so is every defaulted parameter of
+one.  Plain `ast` passes, so the checks need no linter install."""
 
 import ast
+import math
+from collections import defaultdict
 from pathlib import Path
 
 import xmrt
@@ -252,4 +254,69 @@ def test_src_defines_nothing_only_tests_use():
             used = method in attrs if owner else name in names | attrs
             if not used and name not in TEST_ONLY_ALLOWED:
                 unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position) of each parameter with a default
+    in every function and method of tree.  The position counts the
+    arguments a call passes before it, self or cls excluded; it is None
+    for a keyword-only parameter."""
+    methods = {id(item) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, ast.FunctionDef) and not any(
+                   isinstance(d, ast.Name) and d.id == "staticmethod"
+                   for d in item.decorator_list)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for at, arg in enumerate(positional[first:], first):
+            yield node.name, arg.arg, at - (id(node) in methods)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _unpassed(trees, defining):
+    """name(parameter) of each defaulted parameter in `defining` that no
+    call in trees passes, callees matched by name.  A starred argument
+    passes every position, and ** every keyword."""
+    passed = defaultdict(lambda: [0, set()])    # name -> [positions, keywords]
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):   # f(...) or x.f(...), by name f
+            entry = passed[getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))]
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            entry[0] = max(entry[0], math.inf if starred else len(node.args))
+            entry[1].update(k.arg for k in node.keywords)   # None for **
+    return [f"{name}({param})"
+            for name, param, at in _defaulted_parameters(defining)
+            if not ({param, None} & passed[name][1]
+                    or at is not None and passed[name][0] > at)]
+
+
+def test_default_detector():
+    tree = ast.parse("def f(a, b=1, /, c=2, *, d=3, e=4):\n    pass\n"
+                     "class K:\n    def m(self, x=0, y=1):\n        pass\n"
+                     "    @staticmethod\n    def s(z=0):\n        pass\n"
+                     "def g(h=1):\n    pass\n"
+                     "f(0, 1, e=5)\nK().m(2)\nK.s(*zs)\ng(**kw)\n")
+    assert list(_defaulted_parameters(tree)) == [
+        ("f", "b", 1), ("f", "c", 2), ("f", "d", None), ("f", "e", None),
+        ("g", "h", 0), ("m", "x", 0), ("m", "y", 1), ("s", "z", 0)]
+    assert _unpassed([tree], tree) == ["f(c)", "f(d)", "m(y)"]
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "demos", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             if "tests" not in path.relative_to(ROOT).parts]
+    unused = []
+    for path in sorted((ROOT / "src/xmrt").glob("*.py")):
+        unused += [f"{path.name}: {name}" for name in _unpassed(
+            trees, ast.parse(path.read_text(encoding="utf-8")))]
     assert unused == []

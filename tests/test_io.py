@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from xmrt import (
-    AugmentationConfig,
     ClusterConfig,
     ConfigError,
     ContractError,
@@ -23,12 +22,15 @@ from xmrt import (
     LossConfig,
     StageConfig,
     TensorFileError,
+    bundled_weight_table,
+    expand_with_mixes,
     generate_fixtures,
     init_params,
     load_tensor,
     read_weight_table,
     run_stage,
     save_tensor,
+    write_weight_table,
 )
 from xmrt.checkpoints import (
     META_FILE,
@@ -58,7 +60,7 @@ from xmrt.datasets import (
 )
 from xmrt.fixtures import MANIFEST_FILE, relevance_file, split_sizes
 
-from conftest import relevance_entries
+from conftest import headed_params, relevance_entries
 
 
 # ---------------------------------------------------------------- tensorfile
@@ -802,6 +804,35 @@ def test_read_labels_errors(tmp_path):
             "id 'i1' listed twice")
 
 
+def _write_with_field(writer, path, field):
+    """Call writer with `field` as one id or row name of what it writes."""
+    if writer is write_manifest:
+        write_manifest(path, Manifest(
+            [ManifestItem(field, "c0", "a.xmrt:0", "t.xmrt:0", "train")],
+            2, 2))
+    elif writer is write_relevance:
+        write_relevance(path, [("q0", ("g0", field))])
+    elif writer is write_labels:
+        write_labels(path, ["i0", field], [0, 1], np.full((2, 2), 0.5))
+    else:
+        write_weight_table(path, {field: bundled_weight_table()["E1"]})
+
+
+@pytest.mark.parametrize("separator", ["\t", "\n", "\r"],
+                         ids=["tab", "newline", "return"])
+@pytest.mark.parametrize("writer", [write_manifest, write_relevance,
+                                    write_labels, write_weight_table],
+                         ids=lambda writer: writer.__name__)
+def test_text_writers_reject_fields_their_readers_would_split(
+        tmp_path, writer, separator):
+    path = os.path.join(str(tmp_path), "out.tsv")
+    field = f"x{separator}1"
+    with pytest.raises(DataError,
+                       match=re.escape(f"{path}: field {field!r} holds")):
+        _write_with_field(writer, path, field)
+    assert os.listdir(str(tmp_path)) == []
+
+
 @pytest.mark.parametrize("reader", [read_manifest, read_relevance,
                                     read_labels, read_weight_table],
                          ids=lambda reader: reader.__name__)
@@ -926,7 +957,7 @@ def test_checkpoint_round_trip_plain(tmp_path):
 
 
 def test_checkpoint_round_trip_with_heads(tmp_path):
-    params = init_params(6, 5, 4, n_clusters=3, seed=2)
+    params = headed_params(6, 5, 4, 3, seed=2)
     directory = os.path.join(str(tmp_path), "ckpt")
     save_checkpoint(directory, params)
     back = load_checkpoint(directory)
@@ -939,7 +970,8 @@ def test_checkpoint_round_trip_with_heads(tmp_path):
 def test_checkpoint_loads_the_older_meta_layout(tmp_path, n_clusters):
     # Older checkpoints also stored has_heads, n_clusters, rng_seed and a
     # free-form run record in meta.json; the loader ignores them.
-    params = init_params(6, 5, 4, n_clusters=n_clusters, seed=2)
+    params = (init_params(6, 5, 4, seed=2) if n_clusters is None
+              else headed_params(6, 5, 4, n_clusters, seed=2))
     directory = os.path.join(str(tmp_path), "ckpt")
     save_checkpoint(directory, params)
     older = {"format": 1, "tensors": sorted(params.named_tensors()),
@@ -952,7 +984,7 @@ def test_checkpoint_loads_the_older_meta_layout(tmp_path, n_clusters):
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
-    params = init_params(6, 5, 4, n_clusters=3, seed=2)
+    params = headed_params(6, 5, 4, 3, seed=2)
     d1 = os.path.join(str(tmp_path), "one")
     d2 = os.path.join(str(tmp_path), "two")
     save_checkpoint(d1, params)
@@ -1074,7 +1106,7 @@ def _rewrite_meta(directory, **changes):
 def test_checkpoint_rejects_partial_head_set(tmp_path):
     # Any listed head tensor means heads; every missing one is named.
     headed = os.path.join(str(tmp_path), "headed")
-    params = init_params(6, 5, 4, n_clusters=3, seed=0)
+    params = headed_params(6, 5, 4, 3, seed=0)
     save_checkpoint(headed, params)
     _rewrite_meta(headed, tensors=[
         name for name in params.named_tensors()
@@ -1204,14 +1236,9 @@ def test_config_section_builders(tmp_path):
     grid = _from_section(GridSearchConfig, cfg, "ensemble")
     assert grid.step == 0.05
     assert grid.max_grid_points == 200_000
-    aug = _from_section(AugmentationConfig, cfg, "augmentation",
-                        rng_seed=cfg.seed)
-    assert aug.rng_seed == 5
     # a section key overrides the value given at the call site
-    cfg = load_config(_write_config(tmp_path, {
-        "augmentation": {"rng_seed": 11}}, name="aug.json"))
-    assert _from_section(AugmentationConfig, cfg, "augmentation",
-                         rng_seed=5).rng_seed == 11
+    assert _from_section(StageConfig, cfg, "stages", "finetune",
+                         name="finetune", epochs=7).epochs == 2
 
 
 @pytest.mark.parametrize("payload, key", [
@@ -1247,7 +1274,6 @@ def test_config_int_loads_as_float(tmp_path):
 def test_schema_matches_engine_signatures():
     # A renamed dataclass field or keyword fails here, not at run time.
     sections = [(_SCHEMA["loss"], LossConfig),
-                (_SCHEMA["augmentation"], AugmentationConfig),
                 (_SCHEMA["clustering"], ClusterConfig),
                 (_SCHEMA["ensemble"], GridSearchConfig)]
     sections += [(_SCHEMA["stages"][name], StageConfig)
@@ -1260,6 +1286,7 @@ def test_schema_matches_engine_signatures():
             assert schema.get(field.name) is hints[field.name], (
                 cls.__name__, field.name)
     for schema, func in ((_SCHEMA["schedule"], run_stage),
+                         (_SCHEMA["augmentation"], expand_with_mixes),
                          (_SCHEMA["fixtures"], generate_fixtures)):
         params = inspect.signature(func).parameters
         for key, kind in schema.items():

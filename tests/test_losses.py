@@ -14,8 +14,8 @@ from xmrt import (Axis, ClassificationHead, ConfigError, ContractError,
 from xmrt.encoders import _head_forward, encode
 from xmrt.losses import TeacherTargets, ensemble_average
 
-from conftest import (distillation_ce, identity_batch, label_ce,
-                      random_batch, supervised_ce)
+from conftest import (distillation_ce, headed_params, identity_batch,
+                      label_ce, random_batch, supervised_ce)
 
 
 def _terms(audio_rows, text_rows, cfg, targets=None, labels=None,
@@ -320,7 +320,7 @@ class TestClassificationLoss:
 
 class TestWeightedTotal:
     def test_weighted_sum(self):
-        params = init_params(6, 5, 4, n_clusters=3, seed=1)
+        params = headed_params(6, 5, 4, 3, seed=1)
         batch = random_batch(4, 6, 5, seed=2)
         cfg = LossConfig(tau=0.05, lambda1=0.7, lambda2=0.3)
         targets = targets_from_teacher_sims(
@@ -403,7 +403,7 @@ class TestGradients:
             assert _worst_relative_error(grads[name], fd) < 1e-4, name
 
     def test_full_objective_matches_finite_differences(self):
-        params = init_params(6, 5, 4, n_clusters=3, seed=1)
+        params = headed_params(6, 5, 4, 3, seed=1)
         batch = random_batch(4, 6, 5, seed=2)
         cfg = LossConfig(tau=0.05, lambda1=1.0, lambda2=0.05)
         teacher = init_params(6, 5, 4, seed=9)
@@ -429,7 +429,7 @@ class TestGradients:
             np.testing.assert_allclose(g1[name], g2[name], atol=1e-12)
 
     def test_gradients_are_views_of_one_vector(self):
-        params = init_params(6, 5, 4, n_clusters=3, seed=1)
+        params = headed_params(6, 5, 4, 3, seed=1)
         batch = random_batch(4, 6, 5, seed=2)
         _, grads = loss_and_gradients(params, batch, LossConfig(),
                                       labels=np.array([0, 1, 2, 0]))
@@ -439,7 +439,7 @@ class TestGradients:
             base, np.concatenate([g.ravel() for g in grads.values()]))
 
     def test_breakdown_terms_match_standalone_ops(self):
-        params = init_params(6, 5, 4, n_clusters=3, seed=1)
+        params = headed_params(6, 5, 4, 3, seed=1)
         batch = random_batch(4, 6, 5, seed=2)
         cfg = LossConfig(tau=0.05, lambda1=1.0, lambda2=0.05)
         targets = targets_from_teacher_sims(
@@ -463,7 +463,7 @@ class TestGradients:
         assert breakdown.total == expected_total
 
     def test_gradient_keys_follow_named_tensors(self):
-        params = init_params(6, 5, 4, n_clusters=3, seed=0)
+        params = headed_params(6, 5, 4, 3, seed=0)
         batch = random_batch(4, 6, 5, seed=0)
         cfg = LossConfig(lambda1=0.0, lambda2=0.0)
         _, grads = loss_and_gradients(params, batch, cfg)
@@ -472,7 +472,7 @@ class TestGradients:
             assert grads[name].shape == tensor.shape
 
     def test_head_gradients_zero_when_path_off(self):
-        params = init_params(6, 5, 4, n_clusters=3, seed=0)
+        params = headed_params(6, 5, 4, 3, seed=0)
         batch = random_batch(4, 6, 5, seed=0)
         _, grads = loss_and_gradients(params, batch,
                                       LossConfig(lambda1=0.0, lambda2=0.0))
@@ -514,7 +514,7 @@ class TestPathGating:
             np.testing.assert_array_equal(zero_grads[name], grad)
 
     def test_classification_runs_iff_labels_given(self):
-        params = init_params(6, 5, 4, n_clusters=3, seed=0)
+        params = headed_params(6, 5, 4, 3, seed=0)
         batch = random_batch(4, 6, 5, seed=0)
         labels = np.array([0, 1, 2, 0])
         plain, plain_grads = loss_and_gradients(params, batch,
@@ -548,7 +548,7 @@ class TestPathGating:
                                         np.zeros(3, dtype=int)],
                              ids=["2-D", "short"])
     def test_labels_need_one_per_row(self, labels):
-        params = init_params(6, 5, 4, n_clusters=3, seed=0)
+        params = headed_params(6, 5, 4, 3, seed=0)
         batch = random_batch(4, 6, 5, seed=0)
         with pytest.raises(ContractError, match="one label per row"):
             loss_and_gradients(params, batch, LossConfig(), labels=labels)
@@ -557,7 +557,7 @@ class TestPathGating:
                                         np.array([0, -1, 1, 0])],
                              ids=["too-big", "negative"])
     def test_out_of_range_cluster_label(self, labels):
-        params = init_params(6, 5, 4, n_clusters=2, seed=0)
+        params = headed_params(6, 5, 4, 2, seed=0)
         batch = random_batch(4, 6, 5, seed=0)
         with pytest.raises(DataError, match="label"):
             loss_and_gradients(params, batch, LossConfig(lambda1=0.0),

@@ -7,12 +7,14 @@ import itertools
 import numpy as np
 import pytest
 
-from xmrt import (AugmentationConfig, ConfigError, ContractError, DataError,
-                  LossConfig, ModelParams, PairedDataset, ScheduleConfig,
-                  StageConfig, adamw_step, expand_with_mixes, init_optimizer,
-                  init_params, loss_and_gradients, lr_at_step, make_batches,
-                  run_stage, student_similarity, targets_from_teacher_sims)
+from xmrt import (ConfigError, ContractError, DataError, LossConfig,
+                  ModelParams, PairedDataset, ScheduleConfig, StageConfig,
+                  adamw_step, expand_with_mixes, init_optimizer, init_params,
+                  loss_and_gradients, lr_at_step, make_batches, run_stage,
+                  student_similarity, targets_from_teacher_sims)
 from xmrt.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, STAGES
+
+from conftest import headed_params
 
 
 class TestAdamW:
@@ -216,14 +218,14 @@ class TestMixPairs:
         row_a, row_t = [1.0, 2.0], [3.0]
         dataset = PairedDataset(np.array([row_a, row_a]),
                                 np.array([row_t, row_t]))
-        mixed = expand_with_mixes(dataset, 1, rng_seed=0)
+        mixed = expand_with_mixes(dataset, mix_count=1, rng_seed=0)
         np.testing.assert_array_equal(mixed.audio_features[2], row_a)
         np.testing.assert_array_equal(mixed.text_features[2], row_t)
 
     def test_feature_arithmetic(self):
         dataset = PairedDataset(np.array([[0.0, 2.0], [2.0, 0.0]]),
                                 np.array([[0.0], [4.0]]))
-        mixed = expand_with_mixes(dataset, 1, rng_seed=0)
+        mixed = expand_with_mixes(dataset, mix_count=1, rng_seed=0)
         np.testing.assert_array_equal(mixed.audio_features[2], [1.0, 1.0])
         np.testing.assert_array_equal(mixed.text_features[2], [2.0])
 
@@ -231,7 +233,7 @@ class TestMixPairs:
         # synthetic rows carry mix ids; the source rows keep their own
         dataset = PairedDataset(np.eye(2), np.eye(2),
                                 caption_ids=("c0", "c1"))
-        mixed = expand_with_mixes(dataset, 2, rng_seed=0)
+        mixed = expand_with_mixes(dataset, mix_count=2, rng_seed=0)
         assert mixed.caption_ids == ("c0", "c1", "mix0000", "mix0001")
 
 
@@ -244,11 +246,11 @@ class TestExpandWithMixes:
 
     def test_zero_count_returns_dataset_unchanged(self):
         dataset = self._dataset()
-        assert expand_with_mixes(dataset, 0, rng_seed=1) is dataset
+        assert expand_with_mixes(dataset, mix_count=0, rng_seed=1) is dataset
 
     def test_appends_requested_rows(self):
         dataset = self._dataset()
-        grown = expand_with_mixes(dataset, 3, rng_seed=1)
+        grown = expand_with_mixes(dataset, mix_count=3, rng_seed=1)
         assert len(grown) == 9
         np.testing.assert_array_equal(grown.audio_features[:6],
                                       dataset.audio_features)
@@ -256,7 +258,7 @@ class TestExpandWithMixes:
 
     def test_rows_are_midpoints_of_source_rows(self):
         dataset = self._dataset()
-        grown = expand_with_mixes(dataset, 5, rng_seed=2)
+        grown = expand_with_mixes(dataset, mix_count=5, rng_seed=2)
         for row in grown.audio_features[6:]:
             # each synthetic row must be the average of two source rows
             diffs = dataset.audio_features[:, None, :] \
@@ -265,20 +267,23 @@ class TestExpandWithMixes:
             assert match.any()
 
     def test_deterministic_per_seed(self):
-        a = expand_with_mixes(self._dataset(), 4, rng_seed=7)
-        b = expand_with_mixes(self._dataset(), 4, rng_seed=7)
+        a = expand_with_mixes(self._dataset(), mix_count=4, rng_seed=7)
+        b = expand_with_mixes(self._dataset(), mix_count=4, rng_seed=7)
         np.testing.assert_array_equal(a.audio_features, b.audio_features)
-        c = expand_with_mixes(self._dataset(), 4, rng_seed=8)
+        c = expand_with_mixes(self._dataset(), mix_count=4, rng_seed=8)
         assert not np.array_equal(a.audio_features, c.audio_features)
 
     def test_needs_two_items(self):
         tiny = PairedDataset(np.ones((1, 2)), np.ones((1, 2)))
         with pytest.raises(ContractError, match="2"):
-            expand_with_mixes(tiny, 1, rng_seed=0)
+            expand_with_mixes(tiny, mix_count=1, rng_seed=0)
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(ConfigError, match="mix_count must be >= 0"):
-            expand_with_mixes(self._dataset(), -1, 0)
+    @pytest.mark.parametrize("name", ["mix_count", "rng_seed"])
+    def test_negative_values_rejected(self, name):
+        # checked before a zero mix_count returns the dataset unchanged
+        with pytest.raises(ConfigError,
+                           match=f"{name} must be a non-negative integer"):
+            expand_with_mixes(self._dataset(), **{name: -1})
 
 
 class TestStageConfig:
@@ -294,20 +299,12 @@ class TestStageConfig:
                 == ["name", "epochs", "batch_size"])
 
     def test_clusters_only_in_refinetune(self):
-        params = init_params(8, 6, 4, n_clusters=2, seed=0)
+        params = headed_params(8, 6, 4, 2, seed=0)
         with pytest.raises(ConfigError, match="finetune does not accept "
                                               "labels"):
             run_stage(StageConfig("finetune", epochs=1, batch_size=8),
                       params, _toy_dataset(), teachers=[params],
                       pseudo_labels=np.zeros(32, dtype=int))
-
-    def test_clusters_exclude_augmentation(self):
-        params = init_params(8, 6, 4, n_clusters=2, seed=0)
-        with pytest.raises(ConfigError, match="augmentation"):
-            run_stage(StageConfig("refinetune", epochs=1, batch_size=8),
-                      params, _toy_dataset(),
-                      pseudo_labels=np.zeros(32, dtype=int),
-                      augmentation=AugmentationConfig())
 
     def test_zero_epochs_allowed(self):
         assert StageConfig("pretrain", epochs=0).epochs == 0
@@ -329,7 +326,7 @@ def _stage_inputs(name):
     """A student and the inputs its stage requires, for _toy_dataset()."""
     if name == "refinetune":
         labels = np.random.default_rng(0).integers(0, 3, size=32)
-        return (init_params(8, 6, 4, n_clusters=3, seed=0),
+        return (headed_params(8, 6, 4, 3, seed=0),
                 {"pseudo_labels": labels})
     inputs = {}
     if name == "finetune":
@@ -516,19 +513,12 @@ class TestRunStage:
             run_stage(stage, params, _toy_dataset(), teachers=[teacher])
 
     def test_out_of_range_label_rejected_before_training(self):
-        params = init_params(8, 6, 4, seed=0, n_clusters=3)
+        params = headed_params(8, 6, 4, 3, seed=0)
         labels = np.zeros(32, dtype=int)
         labels[5] = 3
         with pytest.raises(DataError, match=r"^cluster label outside"):
             run_stage(StageConfig("refinetune", epochs=1, batch_size=8),
                       params, _toy_dataset(), pseudo_labels=labels)
-
-    def test_augmentation_config_rejected_when_flag_off(self):
-        params = init_params(8, 6, 4, seed=0)
-        with pytest.raises(ConfigError, match="augmentation"):
-            run_stage(StageConfig("pretrain", epochs=1, batch_size=8),
-                      params, _toy_dataset(),
-                      augmentation=AugmentationConfig())
 
     def test_self_teacher_first_step_distills_at_target_entropy(self):
         # before any update the student equals its teacher, so the first
@@ -554,14 +544,13 @@ class TestRunStage:
         params = init_params(8, 6, 4, seed=0)
         teacher = init_params(8, 6, 4, seed=9)
         stage = StageConfig("finetune", epochs=1, batch_size=8)
-        aug = AugmentationConfig(mix_count=8, rng_seed=1)
-        _, log = run_stage(stage, params, _toy_dataset(32),
-                           teachers=[teacher], augmentation=aug,
+        mixed = expand_with_mixes(_toy_dataset(32), mix_count=8, rng_seed=1)
+        _, log = run_stage(stage, params, mixed, teachers=[teacher],
                            peak_lr=1e-3)
         assert len(log) == (32 + 8) // 8
 
     def test_refinetune_trains_heads(self):
-        params = init_params(8, 6, 4, n_clusters=3, seed=0)
+        params = headed_params(8, 6, 4, 3, seed=0)
         labels = np.random.default_rng(0).integers(0, 3, size=32)
         stage = StageConfig("refinetune", epochs=2, batch_size=8)
         out, log = run_stage(stage, params, _toy_dataset(32),
@@ -597,7 +586,7 @@ class TestRunStage:
         assert self._param_bytes(tuned) == self._param_bytes(plain)
 
     def test_refinetune_with_zero_lambda2_trains_as_pretrain(self):
-        params = init_params(8, 6, 4, n_clusters=3, seed=0)
+        params = headed_params(8, 6, 4, 3, seed=0)
         labels = np.random.default_rng(0).integers(0, 3, size=32)
         kwargs = dict(peak_lr=1e-2, seed=4)
         tuned, log = run_stage(
@@ -640,13 +629,10 @@ class _DictAdamW:
 
 
 def _reference_stage(stage, params, dataset, teachers=(), labels=None, *,
-                     augmentation=None, peak_lr, seed, weight_decay=0.01):
+                     peak_lr, seed, weight_decay=0.01):
     """run_stage spelled out with the default loss weights, schedule ends
     and warmup fraction: loss_and_gradients -> _DictAdamW -> with_tensors."""
     cfg = LossConfig()
-    if augmentation is not None:
-        dataset = expand_with_mixes(dataset, augmentation.mix_count,
-                                    augmentation.rng_seed)
     total = len(dataset) // stage.batch_size * stage.epochs
     schedule = ScheduleConfig(peak_lr, 1e-7, total,
                               min(total - 1, round(0.1 * total)))
@@ -677,13 +663,14 @@ class TestRunStageMatchesDictAdamW:
     def _bytes(params):
         return {name: t.tobytes() for name, t in params.named_tensors().items()}
 
-    def _assert_same_bits(self, stage_name, params, **inputs):
+    def _assert_same_bits(self, stage_name, params, dataset=None, **inputs):
         stage = StageConfig(stage_name, epochs=2, batch_size=8)
-        trained, _ = run_stage(stage, params, _toy_dataset(),
+        dataset = _toy_dataset() if dataset is None else dataset
+        trained, _ = run_stage(stage, params, dataset,
                                peak_lr=1e-2, seed=4, **inputs)
         teachers = inputs.pop("teachers", ())
         labels = inputs.pop("pseudo_labels", None)
-        reference = _reference_stage(stage, params, _toy_dataset(), teachers,
+        reference = _reference_stage(stage, params, dataset, teachers,
                                      labels, peak_lr=1e-2, seed=4, **inputs)
         assert self._bytes(trained) == self._bytes(reference)
         assert self._bytes(trained) != self._bytes(params)
@@ -691,18 +678,18 @@ class TestRunStageMatchesDictAdamW:
 
     def test_pretrain_with_idle_heads(self):
         # The heads get zero gradients and only weight decay moves them.
-        params = init_params(8, 6, 4, n_clusters=3, seed=0)
+        params = headed_params(8, 6, 4, 3, seed=0)
         trained = self._assert_same_bits("pretrain", params)
         assert not np.array_equal(trained.text_head.w2, params.text_head.w2)
 
     def test_finetune_with_two_teachers_and_mixes(self):
         self._assert_same_bits(
             "finetune", init_params(8, 6, 4, seed=0),
-            teachers=[init_params(8, 6, 4, seed=s) for s in (7, 9)],
-            augmentation=AugmentationConfig(mix_count=8, rng_seed=1))
+            expand_with_mixes(_toy_dataset(), mix_count=8, rng_seed=1),
+            teachers=[init_params(8, 6, 4, seed=s) for s in (7, 9)])
 
     def test_refinetune(self):
         labels = np.random.default_rng(0).integers(0, 3, size=32)
         self._assert_same_bits("refinetune",
-                               init_params(8, 6, 4, n_clusters=3, seed=0),
+                               headed_params(8, 6, 4, 3, seed=0),
                                pseudo_labels=labels)
