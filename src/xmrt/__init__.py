@@ -29,9 +29,8 @@ from .losses import (LossBreakdown, LossConfig, TeacherTargets,
                      student_similarity, targets_from_teacher_sims,
                      teacher_soft_targets)
 from .tensorfile import load_tensor, save_tensor
-from .training import (OptimizerState, PairedDataset, ScheduleConfig,
-                       StageConfig, StepRecord, adamw_step, expand_with_mixes,
-                       init_optimizer, lr_at_step, make_batches, run_stage)
+from .training import (PairedDataset, StageConfig, StepRecord, adamw_step,
+                       expand_with_mixes, make_batches, run_stage)
 
 __version__ = "0.1.0"
 
@@ -42,8 +41,7 @@ __all__ = [
     "LossConfig", "LossBreakdown", "TeacherTargets", "ensemble_average",
     "teacher_soft_targets", "targets_from_teacher_sims",
     "loss_and_gradients", "student_similarity",
-    "OptimizerState", "init_optimizer", "adamw_step",
-    "ScheduleConfig", "lr_at_step", "StageConfig", "StepRecord",
+    "adamw_step", "StageConfig", "StepRecord",
     "expand_with_mixes", "PairedDataset",
     "make_batches", "run_stage",
     "OUTLIER", "ClusterConfig", "ClusterAssignment",

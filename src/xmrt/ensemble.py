@@ -49,10 +49,10 @@ class Member:
     weight: float
 
     def __post_init__(self):
-        if self.weight < 0:
+        if not 0 <= self.weight < math.inf:
             raise ContractError(
-                f"member ({self.system}, {self.model}) has negative "
-                f"weight {self.weight}")
+                f"member ({self.system}, {self.model}) weight must be "
+                f"finite and nonnegative, got {self.weight}")
 
 
 def _check_strategy(strategy):
@@ -73,8 +73,11 @@ class EnsembleSpec:
         if not members:
             raise ContractError("an ensemble needs at least one member")
         _check_strategy(self.strategy)
-        total = math.fsum(m.weight for m in members)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        try:
+            total = math.fsum(m.weight for m in members)
+        except OverflowError:       # finite weights, a sum that is not
+            total = math.inf
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ContractError(
                 f"member weights sum to {total}, expected 1")
         object.__setattr__(self, "members", members)

@@ -54,14 +54,17 @@ def atomic_open(path, mode="w"):
 def _write_rows(path, rows):
     """Write rows of str fields as tab-separated lines via atomic_open,
     joining one row at a time (rows may be a generator).  A field holding
-    "\\t", "\\n" or "\\r", which readers split on, raises DataError naming
-    path and field before any file is written."""
+    "\\t", "\\n" or "\\r", which readers split on, or a row that is only
+    whitespace, which readers skip as blank, raises DataError naming path
+    and field or row before any file is written."""
     lines = []
     for row in rows:
         line = "\t".join(row)
         if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
             field = next(f for f in row if {"\t", "\n", "\r"} & set(f))
             raise DataError(f"{path}: field {field!r} holds a tab or newline")
+        if not line.strip():
+            raise DataError(f"{path}: row {row!r} is only whitespace")
         lines.append(line)
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -7,10 +7,12 @@ mixing is a dataset transform the caller applies before a finetune.
 
 The optimizer is AdamW with decoupled weight decay, updating in place
 one float64 vector of every parameter that a stage's model views, so one
-step function serves encoders and heads alike.  The learning-rate
-schedule is a linear warmup into a cosine decay between a peak and a
-floor.  Batch order and synthetic pair mixing both draw from explicitly
-seeded generators, which makes every stage bit-reproducible.
+step function serves encoders and heads alike.  The learning rate
+warms up linearly to a peak, then follows a cosine toward a floor that
+it would reach one step after the stage's last, so the last step's rate
+lies just above the floor.  Batch order and synthetic pair mixing both
+draw from explicitly seeded generators, which makes every stage
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -34,95 +36,59 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
-class OptimizerState:
-    """AdamW moment vectors, step counter, and weight decay."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be finite and "
-                              f"nonnegative, got {self.weight_decay}")
-        if self.step < 0:
-            raise ContractError("step must be >= 0")
-
-
-def init_optimizer(theta, weight_decay=0.0):
-    """Zeroed moments shaped like the parameter vector theta."""
-    return OptimizerState(m=np.zeros_like(theta), v=np.zeros_like(theta),
-                          step=0, weight_decay=weight_decay)
-
-
-def adamw_step(state, theta, grad, lr):
-    """One decoupled-weight-decay Adam update; returns the new theta.
+def adamw_step(theta, grad, m, v, step, lr, weight_decay):
+    """One decoupled-weight-decay Adam update of theta and its moments m
+    and v, all three in place; step counts from 1.
 
     Decay is applied directly to the parameter, scaled by lr but not by
     the adaptive moments.  Bias vectors decay too; at desk scale the
     distinction is not worth a carve-out.
     """
-    if not grad.shape == theta.shape == state.m.shape:
+    if not grad.shape == theta.shape == m.shape == v.shape:
         raise ContractError(
             f"gradient has shape {grad.shape}, parameters {theta.shape}, "
-            f"moments {state.m.shape}")
+            f"moments {m.shape} and {v.shape}")
     if not 0 <= lr < math.inf:
         raise ConfigError(
             f"learning rate lr must be finite and nonnegative, got {lr}")
-    state.step += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.step
-    bc2 = 1.0 - ADAM_BETA2 ** state.step
+    if not 0 <= weight_decay < math.inf:
+        raise ConfigError(f"weight_decay must be finite and nonnegative, "
+                          f"got {weight_decay}")
+    if step < 1:
+        raise ContractError(f"step must be >= 1, got {step}")
+    bc1 = 1.0 - ADAM_BETA1 ** step
+    bc2 = 1.0 - ADAM_BETA2 ** step
     # A divergent step overflows here; run_stage reports the non-finite
     # parameters it leaves, so numpy's warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-        state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat, v_hat = state.m / bc1, state.v / bc2
-        return (theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                - lr * state.weight_decay * theta)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        decay = lr * weight_decay * theta     # of theta before the update
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        theta -= decay
 
 
-@dataclass(frozen=True)
-class ScheduleConfig:
-    """Linear warmup then cosine decay from peak_lr down to floor_lr."""
-
-    peak_lr: float
-    floor_lr: float
-    total_steps: int
-    warmup_steps: int
-
-    def __post_init__(self):
-        if not 0 <= self.peak_lr < math.inf:
-            raise ConfigError(f"peak_lr must be finite and nonnegative, "
-                              f"got {self.peak_lr}")
-        if not 0 <= self.floor_lr <= self.peak_lr:
-            raise ConfigError("need 0 <= floor_lr <= peak_lr")
-        if self.total_steps < 1:
-            raise ConfigError("total_steps must be >= 1")
-        if not 0 <= self.warmup_steps < self.total_steps:
-            raise ConfigError("need 0 <= warmup_steps < total_steps")
-
-
-def lr_at_step(schedule, step):
-    """Learning rate at a given step, 0-indexed over [0, total_steps].
+def _learning_rates(peak_lr, floor_lr, total_steps, warmup_steps):
+    """The rate of each step 0 .. total_steps - 1.
 
     Warmup rises linearly from zero and hits peak_lr exactly at step
-    warmup_steps; the cosine then lands exactly on floor_lr at
-    total_steps.  Step total_steps itself is legal to query so the final
-    value is observable.  The cosine is evaluated as a convex blend
-    peak*w + floor*(1-w) so both endpoints are exact in floating point.
+    warmup_steps.  The cosine then decays toward floor_lr, which it would
+    reach at step total_steps, one past the last step a stage runs, so
+    the last rate lies above the floor.  The cosine is evaluated as a
+    convex blend peak*w + floor*(1-w), so each of its rates lies in
+    [floor_lr, peak_lr] and the peak is exact.
     """
-    if not 0 <= step <= schedule.total_steps:
-        raise ContractError(
-            f"step {step} outside [0, {schedule.total_steps}]")
-    if schedule.warmup_steps > 0 and step < schedule.warmup_steps:
-        return schedule.peak_lr * (step / schedule.warmup_steps)
-    span = schedule.total_steps - schedule.warmup_steps
-    progress = (step - schedule.warmup_steps) / span
-    w = 0.5 * (1.0 + np.cos(np.pi * progress))
-    return float(schedule.peak_lr * w + schedule.floor_lr * (1.0 - w))
+    span = total_steps - warmup_steps
+    rates = []
+    for step in range(total_steps):
+        if step < warmup_steps:
+            rates.append(peak_lr * (step / warmup_steps))
+        else:
+            w = 0.5 * (1.0 + np.cos(np.pi * ((step - warmup_steps) / span)))
+            rates.append(float(peak_lr * w + floor_lr * (1.0 - w)))
+    return rates
 
 
 @dataclass(frozen=True)
@@ -270,9 +236,17 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     terms once known.
     """
     cfg = loss_cfg if loss_cfg is not None else LossConfig()
+    for name, value in (("peak_lr", peak_lr), ("weight_decay", weight_decay)):
+        if not 0 <= value < math.inf:
+            raise ConfigError(
+                f"{name} must be finite and nonnegative, got {value}")
+    if not 0 <= floor_lr <= peak_lr:
+        raise ConfigError(f"floor_lr must lie in [0, peak_lr], got {floor_lr}")
     if not 0 <= warmup_fraction <= 1:
         raise ConfigError(
             f"warmup_fraction must lie in [0, 1], got {warmup_fraction}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     distills = stage.name == "finetune"
     clusters = stage.name == "refinetune"
     if distills and not teachers:
@@ -298,12 +272,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                                 or labels_all.max() >= k):
             raise DataError(f"cluster label outside [0, {k})")
 
-    theta = np.concatenate(
-        [t.ravel() for t in params.named_tensors().values()])
-    state = init_optimizer(theta, weight_decay=weight_decay)
     if stage.epochs == 0:
-        # No step runs, but peak_lr and floor_lr are checked all the same.
-        ScheduleConfig(peak_lr, floor_lr, total_steps=1, warmup_steps=0)
         return params, []
 
     steps_per_epoch = len(dataset) // stage.batch_size
@@ -313,9 +282,11 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
             f"{stage.batch_size}")
     total_steps = steps_per_epoch * stage.epochs
     warmup = min(total_steps - 1, round(warmup_fraction * total_steps))
-    schedule = ScheduleConfig(peak_lr=peak_lr, floor_lr=floor_lr,
-                              total_steps=total_steps, warmup_steps=warmup)
+    rates = _learning_rates(peak_lr, floor_lr, total_steps, warmup)
 
+    theta = np.concatenate(
+        [t.ravel() for t in params.named_tensors().values()])
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     params = params.with_tensors(_flat_views(params, theta))
     records = []
     step = 0
@@ -326,7 +297,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                                   dataset.text_features[batch_idx])
             labels = labels_all[batch_idx] if clusters else None
 
-            lr = lr_at_step(schedule, step)
+            lr = rates[step]
             breakdown = None
             try:
                 targets = None
@@ -336,7 +307,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                 breakdown, grads = loss_and_gradients(
                     params, batch, cfg, targets=targets, labels=labels)
                 grad = next(iter(grads.values())).base  # the whole vector
-                theta[...] = adamw_step(state, theta, grad, lr)
+                adamw_step(theta, grad, m, v, step + 1, lr, weight_decay)
                 _check_finite("model", theta)
             except DataError as exc:
                 terms = "" if breakdown is None else "; " + ", ".join(

@@ -1,11 +1,13 @@
 """Shared test helpers: small batch and parameter builders, and the
-closed-form references that the objective's terms are checked against."""
+references that the objective's terms, the optimizer step and the
+learning-rate schedule are checked against."""
 
 import numpy as np
 import pytest
 
 from xmrt import (LinearEncoder, ModelParams, PairedDataset, init_heads,
                   init_params)
+from xmrt.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def headed_params(d_audio, d_text, d_emb, n_clusters, seed):
@@ -88,3 +90,28 @@ def label_ce(logits, labels):
     """The classification term: mean row cross-entropy against labels."""
     logq = log_softmax(logits, 1)
     return float(-logq[np.arange(len(labels)), labels].mean())
+
+
+# Out-of-place references for the training step.  They make the same
+# floating-point operations in the same order as adamw_step and
+# run_stage's schedule, so the engine must agree to the last bit.
+
+def adamw_reference(theta, grad, m, v, step, lr, weight_decay):
+    """(theta, m, v) after one AdamW step, all three new arrays."""
+    bc1 = 1.0 - ADAM_BETA1 ** step
+    bc2 = 1.0 - ADAM_BETA2 ** step
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat, v_hat = m / bc1, v / bc2
+    return (theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            - lr * weight_decay * theta), m, v
+
+
+def lr_reference(peak_lr, floor_lr, total_steps, warmup_steps, step):
+    """The rate at one step of a linear warmup from zero to peak_lr at
+    warmup_steps, then a cosine that reaches floor_lr at total_steps."""
+    if warmup_steps > 0 and step < warmup_steps:
+        return peak_lr * (step / warmup_steps)
+    progress = (step - warmup_steps) / (total_steps - warmup_steps)
+    w = 0.5 * (1.0 + np.cos(np.pi * progress))
+    return float(peak_lr * w + floor_lr * (1.0 - w))

@@ -19,7 +19,6 @@ from xmrt import (
     LossConfig,
     Member,
     RelevanceMap,
-    ScheduleConfig,
     StageConfig,
     bundled_weight_table,
     cluster_pipeline,
@@ -32,7 +31,6 @@ from xmrt import (
     grid_search,
     init_params,
     loss_and_gradients,
-    lr_at_step,
     run_stage,
     student_similarity,
     targets_from_teacher_sims,
@@ -378,18 +376,25 @@ def test_08_planted_blob_clustering():
           f"reassignment; pipeline is deterministic per seed")
 
 
-# 9. the schedule hits its endpoints exactly
+# 9. the schedule peaks exactly and then only decays toward the floor
 
 
-def test_09_schedule_endpoints():
-    schedule = ScheduleConfig(peak_lr=2e-5, floor_lr=1e-7,
-                              total_steps=1000, warmup_steps=100)
-    at_peak = lr_at_step(schedule, 100)
-    at_end = lr_at_step(schedule, 1000)
-    assert at_peak == 2e-5
-    assert at_end == 1e-7
-    print(f"PASS  9/10 schedule endpoints: lr({100}) == 2e-5 and "
-          f"lr({1000}) == 1e-7 exactly")
+def test_09_schedule_peak_and_decay():
+    # 10 steps per epoch for 10 epochs: warmup ends at step 10
+    peak, floor = 2e-5, 1e-7
+    _, records = run_stage(StageConfig("pretrain", epochs=10, batch_size=4),
+                           init_params(6, 5, 4, seed=0),
+                           random_batch(40, 6, 5, seed=9),
+                           peak_lr=peak, floor_lr=floor, seed=3)
+    rates = [r.lr for r in records]
+    assert len(rates) == 100
+    assert rates[10] == peak
+    assert all(0 <= r < peak for r in rates[:10])
+    assert all(floor <= r <= peak for r in rates[10:])
+    assert all(a >= b for a, b in zip(rates[10:], rates[11:]))
+    print(f"PASS  9/10 schedule: lr(10) == {peak} exactly over 100 steps "
+          f"run; after warmup every lr lies in [{floor}, {peak}] and none "
+          f"rises (last {rates[-1]:.4g})")
 
 
 # 10. identical seeds give bit-identical checkpoints and reports

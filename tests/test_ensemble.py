@@ -31,9 +31,15 @@ class TestEnsembleSpec:
         with pytest.raises(ContractError, match="sum"):
             _spec([0.5, 0.6])
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ContractError, match="negative"):
-            Member(2, "passt", -0.1)
+    @pytest.mark.parametrize("weight", [-0.1, float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_weight_outside_zero_to_inf_rejected(self, weight):
+        with pytest.raises(ContractError, match="finite and nonnegative"):
+            Member(2, "passt", weight)
+
+    def test_sum_that_overflows_rejected(self):
+        with pytest.raises(ContractError, match="sum to inf"):
+            _spec([1.7e308, 1.7e308])
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):

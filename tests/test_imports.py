@@ -10,7 +10,9 @@ ensemble.py calls `evaluate` only for the final replay of
 `_gather_rows`, the one gather of a split load.  Every function, class
 and public method in `src/xmrt` is used by `src/`, `demos/` or
 `perfbench/`, not by tests alone, and so is every defaulted parameter of
-one.  Plain `ast` passes, so the checks need no linter install."""
+one.  No statement in `src/xmrt` builds an instance of a class defined
+there only to drop it.  Plain `ast` passes, so the checks need no linter
+install."""
 
 import ast
 import math
@@ -320,3 +322,32 @@ def test_every_defaulted_parameter_is_passed_outside_tests():
         unused += [f"{path.name}: {name}" for name in _unpassed(
             trees, ast.parse(path.read_text(encoding="utf-8")))]
     assert unused == []
+
+
+def _discarded_constructions(tree, classes):
+    """(line, class) of each statement that only calls one of `classes`,
+    by name or attribute, and drops the instance: a construction kept
+    for its checks alone."""
+    return [(node.lineno, name) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+            for name in [getattr(node.value.func, "id",
+                                 getattr(node.value.func, "attr", None))]
+            if name in classes]
+
+
+def test_discarded_construction_detector():
+    tree = ast.parse("class A:\n    pass\n"
+                     "A(1)\nx = A(2)\nf(A(3))\nm.A(4)\n"
+                     "def g():\n    A()\n    return A()\nB()\nf()\n")
+    assert _discarded_constructions(tree, {"A"}) == [(3, "A"), (6, "A"),
+                                                     (8, "A")]
+
+
+def test_src_builds_no_instance_only_to_drop_it():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src/xmrt").glob("*.py"))}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    found = [f"{name}:{line} ({cls})" for name, tree in trees.items()
+             for line, cls in _discarded_constructions(tree, classes)]
+    assert found == []

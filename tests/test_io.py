@@ -833,6 +833,17 @@ def test_text_writers_reject_fields_their_readers_would_split(
     assert os.listdir(str(tmp_path)) == []
 
 
+@pytest.mark.parametrize("blank", [" ", "\x0c", "\u2028"],
+                         ids=["space", "form-feed", "line-separator"])
+def test_text_writers_reject_a_row_their_readers_would_skip(tmp_path, blank):
+    path = os.path.join(str(tmp_path), "out.tsv")
+    with pytest.raises(DataError,
+                       match=re.escape(f"{path}: row ") + ".* is only "
+                       "whitespace"):
+        write_relevance(path, [("a", ("g",)), (blank, (blank,))])
+    assert os.listdir(str(tmp_path)) == []
+
+
 @pytest.mark.parametrize("reader", [read_manifest, read_relevance,
                                     read_labels, read_weight_table],
                          ids=lambda reader: reader.__name__)

@@ -8,61 +8,79 @@ import numpy as np
 import pytest
 
 from xmrt import (ConfigError, ContractError, DataError, LossConfig,
-                  ModelParams, PairedDataset, ScheduleConfig, StageConfig,
-                  adamw_step, expand_with_mixes, init_optimizer, init_params,
-                  loss_and_gradients, lr_at_step, make_batches, run_stage,
-                  student_similarity, targets_from_teacher_sims)
-from xmrt.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, STAGES
+                  ModelParams, PairedDataset, StageConfig, adamw_step,
+                  expand_with_mixes, init_params, loss_and_gradients,
+                  make_batches, run_stage, student_similarity,
+                  targets_from_teacher_sims)
+from xmrt.training import STAGES, _learning_rates
 
-from conftest import headed_params
+from conftest import adamw_reference, headed_params, lr_reference
+
+
+def _adamw(theta, grads, lr, weight_decay=0.0):
+    """A copy of theta after one adamw_step per gradient, from zeroed
+    moments; returns (theta, m, v)."""
+    theta = np.array(theta, dtype=np.float64)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    for step, g in enumerate(grads, 1):
+        adamw_step(theta, np.asarray(g, dtype=np.float64), m, v, step, lr,
+                   weight_decay)
+    return theta, m, v
 
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
         theta = np.array([0.7, -1.5, 3.0])
-        out = adamw_step(init_optimizer(theta), theta, np.zeros(3), lr=1e-3)
+        out, _, _ = _adamw(theta, [np.zeros(3)], lr=1e-3)
         assert out.tobytes() == theta.tobytes()
 
     def test_first_step_closed_form(self):
         # bias-corrected m_hat = g and v_hat = g*g, so each element steps
         # -lr*g/(|g|+eps): lr against the gradient's sign, whatever its size
         g = np.array([1.0, -2.0, 0.5])
-        theta = np.zeros(3)
-        out = adamw_step(init_optimizer(theta), theta, g, lr=1e-3)
+        out, _, _ = _adamw(np.zeros(3), [g], lr=1e-3)
         assert abs(out[0] - (-9.99999994e-4)) < 1e-11
         np.testing.assert_allclose(out, -1e-3 * np.sign(g), rtol=1e-7)
 
     def test_decay_only(self):
-        theta = np.ones(3)
-        state = init_optimizer(theta, weight_decay=0.01)
-        out = adamw_step(state, theta, np.zeros(3), lr=0.1)
+        out, _, _ = _adamw(np.ones(3), [np.zeros(3)], lr=0.1,
+                           weight_decay=0.01)
         assert (out == 0.999).all()
 
     def test_decay_is_decoupled_from_moments(self):
         # same gradient, with and without decay: the difference must be
         # exactly lr*wd*theta, untouched by the adaptive scaling
         theta, g, lr = np.array([2.0, -1.0]), np.array([0.5, 3.0]), 1e-2
-        plain = adamw_step(init_optimizer(theta), theta, g, lr)
-        decayed = adamw_step(init_optimizer(theta, weight_decay=0.1),
-                             theta, g, lr)
+        plain, _, _ = _adamw(theta, [g], lr)
+        decayed, _, _ = _adamw(theta, [g], lr, weight_decay=0.1)
         np.testing.assert_allclose(plain - decayed, lr * 0.1 * theta,
                                    rtol=1e-12)
 
-    def test_step_counter_and_moments_advance(self):
-        theta = np.zeros(2)
-        state = init_optimizer(theta)
-        adamw_step(state, theta, np.array([1.0, -2.0]), lr=1e-3)
-        assert state.step == 1
-        np.testing.assert_allclose(state.m, [0.1, -0.2], rtol=1e-12)
-        np.testing.assert_allclose(state.v, [0.001, 0.004], rtol=1e-12)
+    def test_moments_advance_in_place(self):
+        theta, m, v = np.zeros(2), np.zeros(2), np.zeros(2)
+        assert adamw_step(theta, np.array([1.0, -2.0]), m, v, 1, 1e-3,
+                          0.0) is None
+        np.testing.assert_allclose(theta, [-1e-3, 1e-3], rtol=1e-7)
+        np.testing.assert_allclose(m, [0.1, -0.2], rtol=1e-12)
+        np.testing.assert_allclose(v, [0.001, 0.004], rtol=1e-12)
+
+    def test_steps_with_decay_match_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        theta = rng.standard_normal(7)
+        grads = rng.standard_normal((5, 7))
+        out, m_out, v_out = _adamw(theta, grads, lr=0.03, weight_decay=0.1)
+        m, v = np.zeros(7), np.zeros(7)
+        for step, g in enumerate(grads, 1):
+            theta, m, v = adamw_reference(theta, g, m, v, step, 0.03, 0.1)
+        for got, want in ((out, theta), (m_out, m), (v_out, v)):
+            assert got.tobytes() == want.tobytes()
 
     def test_descends_a_quadratic(self):
         # minimize |theta - c|^2; gradient 2(theta - c)
         c = np.array([3.0, -1.0, 0.5])
-        theta = np.zeros(3)
-        state = init_optimizer(theta)
-        for _ in range(400):
-            theta = adamw_step(state, theta, 2.0 * (theta - c), lr=0.05)
+        theta, m, v = np.zeros(3), np.zeros(3), np.zeros(3)
+        for step in range(1, 401):
+            adamw_step(theta, 2.0 * (theta - c), m, v, step, 0.05, 0.0)
         np.testing.assert_allclose(theta, c, atol=1e-2)
 
     def test_elements_update_independently(self):
@@ -71,85 +89,85 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         theta = rng.standard_normal(5)
         grads = rng.standard_normal((3, 5))
-        whole = theta
-        state = init_optimizer(whole, weight_decay=0.01)
-        for g in grads:
-            whole = adamw_step(state, whole, g, lr=0.1)
+        whole, _, _ = _adamw(theta, grads, lr=0.1, weight_decay=0.01)
         for i in range(5):
-            part = theta[i:i + 1]
-            state = init_optimizer(part, weight_decay=0.01)
-            for g in grads:
-                part = adamw_step(state, part, g[i:i + 1], lr=0.1)
+            part, _, _ = _adamw(theta[i:i + 1], grads[:, i:i + 1], lr=0.1,
+                                weight_decay=0.01)
             assert part.tobytes() == whole[i:i + 1].tobytes()
 
     def test_shape_mismatch(self):
         theta = np.zeros(4)
         with pytest.raises(ContractError, match="shape"):
-            adamw_step(init_optimizer(theta), theta, np.zeros(3), lr=1e-3)
+            adamw_step(theta, np.zeros(3), np.zeros(4), np.zeros(4), 1,
+                       1e-3, 0.0)
         with pytest.raises(ContractError, match="moments"):
-            adamw_step(init_optimizer(np.zeros(3)), theta, np.zeros(4),
-                       lr=1e-3)
+            adamw_step(theta, np.zeros(4), np.zeros(4), np.zeros(3), 1,
+                       1e-3, 0.0)
 
     def test_negative_lr(self):
-        theta = np.zeros(1)
         with pytest.raises(ConfigError, match="learning rate"):
-            adamw_step(init_optimizer(theta), theta, np.ones(1), lr=-1e-3)
+            _adamw(np.zeros(1), [np.ones(1)], lr=-1e-3)
 
     def test_bad_hyperparameters_rejected(self):
-        with pytest.raises(ConfigError):
-            init_optimizer(np.zeros(1), weight_decay=-0.1)
+        with pytest.raises(ConfigError, match="weight_decay"):
+            _adamw(np.zeros(1), [np.ones(1)], lr=1e-3, weight_decay=-0.1)
+        with pytest.raises(ContractError, match="step must be >= 1"):
+            adamw_step(np.zeros(1), np.ones(1), np.zeros(1), np.zeros(1), 0,
+                       1e-3, 0.0)
 
 
 class TestSchedule:
-    def _schedule(self):
-        return ScheduleConfig(peak_lr=2e-5, floor_lr=1e-7,
-                              total_steps=30, warmup_steps=10)
+    def _rates(self):
+        return _learning_rates(2e-5, 1e-7, total_steps=30, warmup_steps=10)
+
+    def test_one_rate_per_step_run(self):
+        assert len(self._rates()) == 30
 
     def test_warmup_end_hits_peak_exactly(self):
-        assert lr_at_step(self._schedule(), 10) == 2e-5
+        assert self._rates()[10] == 2e-5
 
-    def test_final_step_hits_floor_exactly(self):
-        assert lr_at_step(self._schedule(), 30) == 1e-7
+    def test_last_step_lies_above_the_floor(self):
+        # the cosine would reach the floor at step 30, which no stage runs
+        last = self._rates()[-1]
+        assert 2.2e-7 < last < 2.3e-7
 
     def test_starts_at_zero(self):
-        assert lr_at_step(self._schedule(), 0) == 0.0
+        assert self._rates()[0] == 0.0
 
     def test_warmup_is_linear(self):
-        sched = self._schedule()
-        np.testing.assert_allclose(lr_at_step(sched, 5), 1e-5, rtol=1e-12)
-        np.testing.assert_allclose(lr_at_step(sched, 1), 2e-6, rtol=1e-12)
+        rates = self._rates()
+        np.testing.assert_allclose(rates[5], 1e-5, rtol=1e-12)
+        np.testing.assert_allclose(rates[1], 2e-6, rtol=1e-12)
 
     def test_cosine_midpoint_is_the_mean(self):
-        sched = self._schedule()
-        mid = lr_at_step(sched, 20)  # halfway through the cosine span
+        mid = self._rates()[20]  # halfway through the cosine span
         assert abs(mid - (2e-5 + 1e-7) / 2.0) < 1e-12
 
     def test_monotone_after_warmup(self):
-        sched = self._schedule()
-        values = [lr_at_step(sched, s) for s in range(10, 31)]
+        values = self._rates()[10:]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_no_warmup_starts_at_peak(self):
-        sched = ScheduleConfig(2e-5, 1e-7, total_steps=10, warmup_steps=0)
-        assert lr_at_step(sched, 0) == 2e-5
-
-    def test_step_out_of_range(self):
-        sched = self._schedule()
-        for step in (-1, 31):
-            with pytest.raises(ContractError, match="outside"):
-                lr_at_step(sched, step)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            ScheduleConfig(-1e-5, 1e-7, 10, 2)
-        with pytest.raises(ConfigError):
-            ScheduleConfig(2e-5, 3e-5, 10, 2)  # floor above peak
-        with pytest.raises(ConfigError):
-            ScheduleConfig(2e-5, 1e-7, 10, 10)  # warmup must end early
+        assert _learning_rates(2e-5, 1e-7, 10, 0)[0] == 2e-5
 
     def test_zero_peak_allowed(self):
-        sched = ScheduleConfig(0.0, 0.0, total_steps=5, warmup_steps=1)
-        assert lr_at_step(sched, 3) == 0.0
+        assert _learning_rates(0.0, 0.0, 5, 1)[3] == 0.0
+
+    @pytest.mark.parametrize("total, warmup", [
+        (1, 0), (2, 0), (30, 0), (8, 1), (30, 10), (7, 6)])
+    def test_every_rate_matches_the_reference(self, total, warmup):
+        rates = _learning_rates(2e-5, 1e-7, total, warmup)
+        assert rates == [lr_reference(2e-5, 1e-7, total, warmup, step)
+                         for step in range(total)]
+
+    def test_a_full_warmup_fraction_peaks_at_the_last_step(self):
+        # warmup ends one step early, so the last step runs at the peak
+        _, records = run_stage(StageConfig("pretrain", epochs=2,
+                                           batch_size=8),
+                               init_params(8, 6, 4, seed=0), _toy_dataset(),
+                               peak_lr=1e-3, warmup_fraction=1.0)
+        assert [r.lr for r in records] == _learning_rates(1e-3, 1e-7, 8, 7)
+        assert records[-1].lr == 1e-3
 
 
 class TestMakeBatches:
@@ -416,20 +434,24 @@ class TestRunStage:
                       params, _toy_dataset(),
                       pseudo_labels=np.zeros(32, dtype=int))
 
-    # A stage of 0 epochs takes no step, yet rejects the same values.
+    # A stage of 0 epochs takes no step, yet rejects the same values;
+    # the cases without epochs go to adamw_step.
     @pytest.mark.parametrize("name, value, epochs", [
         (name, value, epochs) for name, value in [
             ("warmup_fraction", float("nan")), ("warmup_fraction", 3.0),
             ("warmup_fraction", -0.1), ("weight_decay", float("nan")),
             ("weight_decay", float("inf")), ("peak_lr", float("inf")),
-            ("peak_lr", float("nan"))] for epochs in (1, 0)] + [
-        ("lr", float("inf"), None), ("lr", float("nan"), None)])
+            ("peak_lr", float("nan")), ("peak_lr", -1e-5),
+            ("floor_lr", float("nan")),
+            ("floor_lr", 2 * 2e-5), ("seed", -1)] for epochs in (1, 0)] + [
+        ("lr", float("inf"), None), ("lr", float("nan"), None),
+        ("weight_decay", -0.1, None), ("weight_decay", float("nan"), None)])
     def test_bad_schedule_argument_is_a_config_error_naming_it(self, name,
                                                                value, epochs):
-        if name == "lr":
-            theta = np.zeros(2)
-            call = functools.partial(adamw_step, init_optimizer(theta),
-                                     theta, np.ones(2), value)
+        if epochs is None:
+            args = dict(theta=np.zeros(2), grad=np.ones(2), m=np.zeros(2),
+                        v=np.zeros(2), step=1, lr=1e-3, weight_decay=0.0)
+            call = functools.partial(adamw_step, **{**args, name: value})
         else:
             call = functools.partial(
                 run_stage,
@@ -612,19 +634,12 @@ class _DictAdamW:
     def __call__(self, tensors, grads, lr):
         assert list(grads) == list(tensors)
         self.step += 1
-        bc1 = 1.0 - ADAM_BETA1 ** self.step
-        bc2 = 1.0 - ADAM_BETA2 ** self.step
         out = {}
         for name, theta in tensors.items():
-            g = grads[name]
-            assert g.shape == theta.shape
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = (ADAM_BETA2 * self.v[name]
-                            + (1.0 - ADAM_BETA2) * g * g)
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            out[name] = (theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                         - lr * self.weight_decay * theta)
+            assert grads[name].shape == theta.shape
+            out[name], self.m[name], self.v[name] = adamw_reference(
+                theta, grads[name], self.m[name], self.v[name], self.step,
+                lr, self.weight_decay)
         return out
 
 
@@ -634,8 +649,7 @@ def _reference_stage(stage, params, dataset, teachers=(), labels=None, *,
     and warmup fraction: loss_and_gradients -> _DictAdamW -> with_tensors."""
     cfg = LossConfig()
     total = len(dataset) // stage.batch_size * stage.epochs
-    schedule = ScheduleConfig(peak_lr, 1e-7, total,
-                              min(total - 1, round(0.1 * total)))
+    warmup = min(total - 1, round(0.1 * total))
     tensors = params.named_tensors()
     adamw = _DictAdamW(tensors, weight_decay)
     step = 0
@@ -650,7 +664,8 @@ def _reference_stage(stage, params, dataset, teachers=(), labels=None, *,
             _, grads = loss_and_gradients(
                 params, batch, cfg, targets,
                 None if labels is None else labels[idx])
-            tensors = adamw(tensors, grads, lr_at_step(schedule, step))
+            tensors = adamw(tensors, grads,
+                            lr_reference(peak_lr, 1e-7, total, warmup, step))
             params = params.with_tensors(tensors)
             step += 1
     return params
