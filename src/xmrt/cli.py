@@ -134,10 +134,9 @@ def _run_training_stage(args, stage_name):
     teachers = None
     pseudo = None
     if stage_name == "pretrain":
-        d_emb = cfg.get("model", "d_emb", default=16)
         params = init_params(dataset.audio_features.shape[1],
-                             dataset.text_features.shape[1],
-                             d_emb, seed=seed)
+                             dataset.text_features.shape[1], seed=seed,
+                             **cfg.get("model", default={}))
     else:
         prev = STAGES[STAGES.index(stage_name) - 1]
         params = load_checkpoint(_input_path(
@@ -316,8 +315,7 @@ def cmd_ensemble_search(args):
 def cmd_ensemble_apply(args):
     cfg = load_config(args.config)
     out_dir = _resolve_out(args, cfg)
-    table_key = cfg.get("ensemble", "weight_table")
-    if table_key is None or table_key == "bundled":
+    if cfg.get("ensemble", "weight_table", default="bundled") == "bundled":
         specs = bundled_weight_table()
     else:
         specs = read_weight_table(cfg.resolve_input("ensemble",
@@ -400,7 +398,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="override the run seed")
         p.set_defaults(func=func)
-        return p
 
     add("gen-fixtures", cmd_gen_fixtures, needs_config=False,
         needs_out_flag=True)
@@ -423,10 +420,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except XmrtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (XmrtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

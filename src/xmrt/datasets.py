@@ -10,6 +10,7 @@ label per item with its topic probabilities.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -20,13 +21,13 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .evaluation import RelevanceMap
-from .tensorfile import _read_text, _write_rows, load_tensor
+from .tensorfile import _read_rows, _write_rows, load_tensor
 from .training import PairedDataset
 
 SPLITS = ("train", "val", "test")
 MANIFEST_HEADER = ("audio_id", "caption_id", "audio_ref", "caption_ref",
                    "split")
-_MAX_ROW = np.iinfo(np.int64).max
+_INT64_MAX = np.iinfo(np.int64).max
 _RPARTITION = methodcaller("rpartition", ":")
 
 
@@ -113,7 +114,7 @@ def parse_ref(ref):
         row = int(row)
     except ValueError:
         raise DataError(f"bad row index in tensor ref {ref!r}") from None
-    if not path or not 0 <= row <= _MAX_ROW:
+    if not path or not 0 <= row <= _INT64_MAX:
         raise DataError(f"bad tensor ref {ref!r}")
     return path, row
 
@@ -143,12 +144,12 @@ def write_manifest(path, manifest):
 
 
 def read_manifest(path):
-    """Parse a manifest TSV written by write_manifest: one str.split per
-    line, handed to `Manifest`, which keeps the rows as columns."""
-    lines = list(filter(str.strip, _read_text(path).split("\n")))
-    if len(lines) < 3:
+    """Parse a manifest TSV written by write_manifest: its `_read_rows`,
+    handed to `Manifest`, which keeps the rows as columns."""
+    rows = list(_read_rows(path))
+    if len(rows) < 3:
         raise DataError(f"{path}: manifest needs pragma, header, and rows")
-    pragma = lines[0].split("\t")
+    pragma = rows[0]
     if pragma[0] != "#xmrt-manifest" or len(pragma) != 3:
         raise DataError(f"{path}: first line must be the dims pragma")
     dims = {}
@@ -160,9 +161,9 @@ def read_manifest(path):
             raise DataError(f"{path}: bad pragma entry {part!r}") from None
     if set(dims) != {"d_audio", "d_text"}:
         raise DataError(f"{path}: pragma must set d_audio and d_text")
-    if lines[1].split("\t") != list(MANIFEST_HEADER):
+    if rows[1] != list(MANIFEST_HEADER):
         raise DataError(f"{path}: bad manifest header")
-    rows = [ln.split("\t") for ln in lines[2:]]
+    del rows[:2]
     if set(map(len, rows)) != {len(MANIFEST_HEADER)}:
         width = next(len(r) for r in rows if len(r) != len(MANIFEST_HEADER))
         raise DataError(f"{path}: row has {width} columns, expected "
@@ -267,8 +268,7 @@ def write_relevance(path, entries):
 
 def read_relevance(path):
     """Parse a relevance file into [(query_id, (id, ...)), ...]."""
-    rows = [ln.split("\t") for ln in _read_text(path).split("\n")
-            if ln.strip()]
+    rows = list(_read_rows(path))
     if not rows:
         raise DataError(f"{path}: relevance file is empty")
     if min(map(len, rows)) < 2:
@@ -318,16 +318,21 @@ def align_relevance(entries, caption_ids, gallery_ids):
 
 
 def relevance_as_indices(entries):
-    """Interpret relevance ids as integer gallery indices, in file order."""
-    rows = []
-    for query_id, ids in entries:
-        try:
-            rows.append(tuple(int(i) for i in ids))
-        except ValueError:
-            raise DataError(
-                f"query {query_id!r} lists a non-integer gallery index"
-            ) from None
-    return RelevanceMap(entries=tuple(rows))
+    """Interpret relevance ids as int64 gallery indices, in file order;
+    only if `RelevanceMap` cannot parse them all is each query parsed."""
+    try:
+        return RelevanceMap(entries=[ids for _, ids in entries])
+    except (ValueError, OverflowError):
+        for query_id, ids in entries:
+            try:
+                np.fromiter(map(int, ids), np.int64, len(ids))
+            except ValueError:
+                raise DataError(f"query {query_id!r} lists a non-integer "
+                                f"gallery index") from None
+            except OverflowError:
+                raise DataError(f"query {query_id!r} lists a gallery index "
+                                f"outside int64") from None
+        raise
 
 
 def write_labels(path, ids, labels, probabilities):
@@ -342,20 +347,13 @@ def write_labels(path, ids, labels, probabilities):
 
 
 def read_labels(path):
-    """Parse a label file into (ids, labels, probabilities)."""
-    ids = []
-    labels = []
-    probs = []
-    width = None
-    for ln in _read_text(path).split("\n"):
-        if not ln.strip():
-            continue
-        parts = ln.split("\t")
+    """Parse a label file into (ids, labels, probabilities): each label an
+    int64 and each probability finite."""
+    ids, labels, probs = [], [], []
+    for parts in _read_rows(path):   # row by row: no fields outlive their row
         if len(parts) < 2:
-            raise DataError(f"{path}: bad label row {ln!r}")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
+            raise DataError(f"{path}: bad label row {parts[0]!r}")
+        if probs and len(parts) != 2 + len(probs[0]):
             raise DataError(f"{path}: ragged label rows")
         ids.append(parts[0])
         try:
@@ -364,6 +362,11 @@ def read_labels(path):
         except ValueError:
             raise DataError(
                 f"{path}: non-numeric label row for {parts[0]!r}") from None
+        if not -_INT64_MAX - 1 <= labels[-1] <= _INT64_MAX:
+            raise DataError(f"{path}: label of {parts[0]!r} is outside int64")
+        if not all(map(math.isfinite, probs[-1])):
+            raise DataError(f"{path}: id {parts[0]!r} has a non-finite "
+                            f"probability")
     if not ids:
         raise DataError(f"{path}: label file is empty")
     if len(set(ids)) < len(ids):

@@ -217,11 +217,10 @@ def init_heads(d_emb, n_clusters, seed=0):
     return tuple(heads)
 
 
-def init_params(d_in_audio, d_in_text, d_emb, seed=0):
+def init_params(d_in_audio, d_in_text, d_emb=16, seed=0):
     """Seed-deterministic fan-in uniform encoders without heads; biases
     start at zero."""
-    for name, dim in (("d_in_audio", d_in_audio), ("d_in_text", d_in_text),
-                      ("d_emb", d_emb)):
+    for name, dim in (("d_in_audio", d_in_audio), ("d_in_text", d_in_text)):
         if dim < 1:
             raise ConfigError(f"{name} must be >= 1, got {dim}")
     if d_emb < 2:

@@ -26,7 +26,7 @@ from .core import _as_equal_shape_matrices
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import (METRIC_KEYS, _candidates_per_block, _mean_metrics,
                          _relevance_arrays, evaluate)
-from .tensorfile import _read_text, _write_rows
+from .tensorfile import _read_rows, _write_rows
 
 STRATEGIES = ("system-first", "model-first")
 TABLE_SYSTEMS = (2, 3, 4, 5)
@@ -127,73 +127,68 @@ def fuse(matrices, spec):
     return out[0]
 
 
+def _row_strategy(r, n_rows):
+    """Row r of a weight table of n_rows: the first half system-first,
+    the second model-first, as the four published ensembles were built."""
+    return STRATEGIES[2 * r >= n_rows]
+
+
 def write_weight_table(path, specs):
     """Write {row name: EnsembleSpec} under the one table header; each
-    spec's members must be the table columns in order.  No strategy is
-    stored: reading gives the first half of the rows system-first."""
+    spec's members must be the table columns in order, and its strategy
+    the one its row position reads back as (`_row_strategy`)."""
     rows = [_TABLE_HEADER]
-    for name, spec in specs.items():
+    for r, (name, spec) in enumerate(specs.items()):
         if tuple((m.system, m.model) for m in spec.members) != _TABLE_TAGS:
             raise ContractError(
                 f"row {name!r} must weight {_TABLE_TAGS} in that order")
+        if spec.strategy != _row_strategy(r, len(specs)):
+            raise ContractError(
+                f"row {name!r} is {spec.strategy}, but row {r + 1} of "
+                f"{len(specs)} reads back {_row_strategy(r, len(specs))}")
         rows.append([name, *(repr(float(m.weight)) for m in spec.members)])
     _write_rows(path, rows)
 
 
-def _parse_weight_table(text, source):
-    """{row name: EnsembleSpec} in file order: nonnegative weights summing
-    to 1, the first half of the rows system-first and the second half
-    model-first, as the four published ensembles were built."""
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if len(lines) < 2:
-        raise DataError(f"{source}: need a header row and at least one row")
-    if tuple(lines[0].split("\t")) != _TABLE_HEADER:
+def read_weight_table(path):
+    """{row name: EnsembleSpec} in file order from a table written by
+    write_weight_table, each row's strategy that of its position.  Weights
+    that `Member` or `EnsembleSpec` reject are a DataError naming the row."""
+    rows = list(_read_rows(path))
+    if len(rows) < 2:
+        raise DataError(f"{path}: need a header row and at least one row")
+    if tuple(rows[0]) != _TABLE_HEADER:
         raise DataError(
-            f"{source}: header must be ensemble, then sid<system>_<model> "
+            f"{path}: header must be ensemble, then sid<system>_<model> "
             f"for systems {TABLE_SYSTEMS} by models {TABLE_MODELS}, "
             f"system-major")
     specs = {}
-    for r, ln in enumerate(lines[1:]):
-        name, *fields = ln.split("\t")
+    for r, (name, *fields) in enumerate(rows[1:]):
         if len(fields) != len(_TABLE_TAGS):
             raise DataError(
-                f"{source}: row {name!r} has {len(fields)} entries, "
+                f"{path}: row {name!r} has {len(fields)} entries, "
                 f"expected {len(_TABLE_TAGS)}")
         if name in specs:
-            raise DataError(f"{source}: row {name!r} appears twice")
+            raise DataError(f"{path}: row {name!r} appears twice")
         try:
-            row = [float(f) for f in fields]
+            weights = zip(_TABLE_TAGS, list(map(float, fields)))
+            specs[name] = EnsembleSpec(
+                tuple(Member(s, m, w) for (s, m), w in weights),
+                _row_strategy(r, len(rows) - 1))
         except ValueError:
             raise DataError(
-                f"{source}: non-numeric weight in row {name!r}") from None
-        if any(w < 0 for w in row):
-            raise DataError(f"{source}: row {name!r} has a negative weight")
-        try:
-            total = math.fsum(row)
-        except OverflowError:       # finite weights, a sum that is not
-            total = math.inf
-        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-            raise DataError(
-                f"{source}: row {name!r} sums to {total}, expected 1")
-        specs[name] = EnsembleSpec(
-            members=tuple(Member(system=s, model=m, weight=w)
-                          for (s, m), w in zip(_TABLE_TAGS, row)),
-            strategy=STRATEGIES[2 * r >= len(lines) - 1])
+                f"{path}: non-numeric weight in row {name!r}") from None
+        except ContractError as exc:
+            raise DataError(f"{path}: row {name!r}: {exc}") from None
     return specs
-
-
-def read_weight_table(path):
-    """{row name: EnsembleSpec} from a table written by
-    write_weight_table."""
-    return _parse_weight_table(_read_text(path), str(path))
 
 
 def bundled_weight_table():
     """{row name: EnsembleSpec} of the packaged published coefficient
     table (four ensembles)."""
-    text = (importlib.resources.files("xmrt") / "data" /
-            "ensemble_weights.tsv").read_text(encoding="utf-8")
-    return _parse_weight_table(text, "bundled weight table")
+    table = importlib.resources.files("xmrt") / "data" / "ensemble_weights.tsv"
+    with importlib.resources.as_file(table) as path:
+        return read_weight_table(path)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ carrying its own stable error code.
 
 Every artifact file the package writes goes through `atomic_open`, so a
 write that fails partway leaves the old file byte-for-byte in place, and
-every text table it writes goes through `_write_rows`; every data text
-file it reads (all but the run config) goes through `_read_text`,
-so bytes that are not UTF-8 are a DataError naming the file.
+every text table it writes and reads goes through `_write_rows` and
+`_read_rows`.  Tables and JSON artifacts (not the run config) are read
+through `_read_text`, so bytes that are not UTF-8 are a DataError.
 """
 
 from __future__ import annotations
@@ -77,6 +77,14 @@ def _read_text(path):
             return fh.read()
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _read_rows(path):
+    """An iterator over the rows of the text table at path, each a list of
+    str fields: its `_read_text` cut on "\n" (read at once), whitespace-only
+    lines skipped, each other split on "\t"."""
+    return (ln.split("\t")
+            for ln in filter(str.strip, _read_text(path).split("\n")))
 
 
 def save_tensor(path, array):

@@ -738,6 +738,17 @@ def test_input_that_is_not_utf8_returns_1(tmp_path, capsys, command, name):
     assert "Traceback" not in err
 
 
+def test_ensemble_search_index_past_int64_returns_1(tmp_path, capsys):
+    cfg = _search_config(tmp_path)
+    write_relevance(os.path.join(str(tmp_path), "rel.tsv"),
+                    [("q0", ("0",)), ("q1", ("99999999999999999999",))])
+    assert main(["ensemble-search", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: query 'q1' lists a gallery index outside "
+                          "int64")
+    assert "Traceback" not in err
+
+
 def test_ensemble_search_requires_matrices(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"out_dir": "run", "ensemble": {}})
     assert main(["ensemble-search", "--config", cfg]) == 1

@@ -114,8 +114,22 @@ class TestWeightTable:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "weights.tsv"
         specs = bundled_weight_table()
+        assert [spec.strategy for spec in specs.values()] \
+            == ["system-first"] * 2 + ["model-first"] * 2
         write_weight_table(path, specs)
         assert read_weight_table(path) == specs
+
+    def test_writer_rejects_a_strategy_the_row_would_not_read_back(
+            self, tmp_path):
+        # of three rows only the last reads back model-first
+        specs = bundled_weight_table()
+        with pytest.raises(ContractError, match=re.escape(
+                "row 'E3' is model-first, but row 2 of 3 reads back "
+                "system-first")):
+            write_weight_table(tmp_path / "w.tsv",
+                               {name: specs[name] for name in
+                                ("E1", "E3", "E4")})
+        assert not any(tmp_path.iterdir())
 
     def test_names_keep_characters_that_are_not_newlines(self, tmp_path):
         # the reader splits on "\n" alone, as the other text readers do
@@ -159,10 +173,15 @@ class TestWeightTable:
     @pytest.mark.parametrize("row, match", [
         (_uniform_row("E1")[:-1] + ["half"], "non-numeric weight in row 'E1'"),
         (_uniform_row("E1")[:-1], "row 'E1' has 11 entries, expected 12"),
-        (["E1", -0.5, 1.5] + [0] * 10, "row 'E1' has a negative weight"),
-        (["E1", 0.5, 0.5 + 1e-5] + [0] * 10, "row 'E1' sums to 1.00001"),
-        (["E1", "nan"] + [0] * 11, "row 'E1' sums to nan"),
-        (["E1", 1.7e308, 1.7e308] + [0] * 10, "row 'E1' sums to inf"),
+        (["E1", -0.5, 1.5] + [0] * 10, "row 'E1': member (2, passt) weight "
+                                       "must be finite and nonnegative, "
+                                       "got -0.5"),
+        (["E1", 0.5, 0.5 + 1e-5] + [0] * 10,
+         "row 'E1': member weights sum to 1.00001"),
+        (["E1", "nan"] + [0] * 11, "row 'E1': member (2, passt) weight must "
+                                   "be finite and nonnegative, got nan"),
+        (["E1", 1.7e308, 1.7e308] + [0] * 10,
+         "row 'E1': member weights sum to inf"),
     ], ids=["non-numeric", "ragged", "negative", "sum", "nan", "overflow"])
     def test_bad_rows_rejected(self, tmp_path, row, match):
         path = tmp_path / "bad.tsv"

@@ -1,7 +1,9 @@
 """Every module uses each name it imports; package __init__ re-exports are
 exempt, and `xmrt.__all__` lists exactly those re-exports.  JSON files are
 read and written only by `checkpoints.read_json` / `write_json`, files are
-opened for writing only by `tensorfile.atomic_open`, in cli.py only
+opened for writing only by `tensorfile.atomic_open`, text is cut into
+lines only in tensorfile.py, where `_read_rows` reads every text table
+(outside it only `read_json` calls `_read_text`), in cli.py only
 `_input_path` and `cmd_report` ask whether a path exists, every grid point
 of the weight search is scored by the block scorer `_grid_scores` (its one
 call of the ranking driver `_mean_metrics`, which `evaluate` shares), and
@@ -186,6 +188,57 @@ def test_weight_search_scores_points_through_the_block_scorer():
     for kernel in ("_relevant_ranks", "_query_metrics"):
         assert _functions_around(source, _calls(kernel)) == ["_mean_metrics"]
     assert _functions_around(source, _calls("_mean_metrics")) == ["evaluate"]
+
+
+def _splits_lines(node):
+    """A .split("\\n") or .splitlines() call: text cut into lines."""
+    if not (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)):
+        return False
+    first = node.args[0] if node.args else None
+    return node.func.attr == "splitlines" or (
+        node.func.attr == "split" and isinstance(first, ast.Constant)
+        and first.value == "\n")
+
+
+def _reads_text(node):
+    """A call of _read_text, by name or attribute."""
+    return isinstance(node, ast.Call) and "_read_text" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _text_readers(source, name):
+    """The functions of module `name` that cut text into lines or call
+    `_read_text`, each once in source order, but for tensorfile.py, which
+    owns both, and `read_json` in checkpoints.py."""
+    if name == "tensorfile.py":
+        return []
+    where = _functions_around(source, _splits_lines) \
+        + _functions_around(source, _reads_text)
+    return [f for f in dict.fromkeys(where)
+            if (name, f) != ("checkpoints.py", "read_json")]
+
+
+def test_text_reader_detector():
+    source = ('def read(p):\n    return _read_text(p).split("\\n")\n'
+              'def fields(s):\n    return s.split("\\t") + s.split()\n'
+              'def lines(s):\n    return s.splitlines()\n'
+              'def load(p):\n    return tensorfile._read_text(p)\n'
+              'def read_json(p):\n    return _read_text(p)\n')
+    assert _text_readers(source, "datasets.py") \
+        == ["read", "lines", "load", "read_json"]
+    assert _text_readers(source, "checkpoints.py") \
+        == ["read", "lines", "load"]
+    assert _text_readers(source, "tensorfile.py") == []
+
+
+def test_text_tables_are_read_only_through_read_rows():
+    found = {}
+    for path in sorted((ROOT / "src/xmrt").glob("*.py")):
+        where = _text_readers(path.read_text(encoding="utf-8"), path.name)
+        if where:
+            found[path.name] = where
+    assert found == {}
 
 
 def test_a_split_load_reads_tensors_only_in_the_gather():

@@ -743,6 +743,11 @@ def test_relevance_files_name_a_later_offender(tmp_path):
     with pytest.raises(DataError, match="query 1 lists a negative"):
         relevance_as_indices([("q0", ("0",)), ("q1", ("1", "-2")),
                               ("q2", ("3", "3"))])
+    for big in ("99999999999999999999", "-9223372036854775809"):
+        with pytest.raises(DataError, match=re.escape(
+                "query 'q1' lists a gallery index outside int64")):
+            relevance_as_indices([("q0", ("0",)), ("q1", ("1", big)),
+                                  ("q2", ("x",))])
 
 
 def test_relevance_as_indices():
@@ -799,6 +804,11 @@ def test_read_labels_errors(tmp_path):
     attempt("i0\n", "bad label row")
     attempt("i0\t1\t0.5\ni1\t0\n", "ragged label rows")
     attempt("i0\tx\t0.5\n", "non-numeric label row")
+    attempt("c0\t0\t1.0\nc1\t99999999999999999999\t1.0\n",
+            "label of 'c1' is outside int64")
+    for value in ("nan", "inf", "-inf", "1e999"):
+        attempt(f"c0\t0\t1.0\t0.0\nc1\t0\t0.5\t{value}\n",
+                "id 'c1' has a non-finite probability")
     attempt("\n", "label file is empty")
     attempt("i0\t1\t0.5\ni1\t0\t0.5\ni2\t0\t0.5\ni1\t1\t0.5\ni0\t0\t0.5\n",
             "id 'i1' listed twice")
