@@ -119,9 +119,9 @@ def _soft_probabilities(points, centroids):
     """Softmax over negative euclidean distances to each centroid."""
     if centroids.shape[0] == 0:
         return np.zeros((points.shape[0], 0))
-    dists = np.linalg.norm(
+    logits = -np.linalg.norm(
         points[:, None, :] - centroids[None, :, :], axis=2)
-    return _softmax_forward(-dists, Axis.ROWS)[1]
+    return _softmax_forward(logits, Axis.ROWS, logits, logits)[2]
 
 
 def _screen_bound(r, scale):

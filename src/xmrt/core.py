@@ -93,22 +93,27 @@ def cosine_similarity_matrix(audio_emb, text_emb):
     return np.clip(sim, -1.0, 1.0, out=sim)
 
 
-def _softmax_forward(z, axis):
-    """(log q, q) of softmax(z) along `axis` from one max-shift and one exp.
+def _softmax_forward(z, axis, shifted=None, out=None):
+    """(shifted, log s, q) of softmax(z) along `axis` from one max-shift
+    and one exp: q = exp(shifted) / s and log q = shifted - log s.
 
     The single softmax forward of the package: every loss and its
     gradient read their probabilities and log-probabilities from here,
-    and the soft cluster memberships their probabilities.
+    and the soft cluster memberships their probabilities.  `shifted` and
+    `out` receive the shifted logits and q if given; one array, even z,
+    as both keeps q alone.
     """
     np_axis = axis.np_axis
-    shifted = z - z.max(axis=np_axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e.sum(axis=np_axis, keepdims=True)
-    return shifted - np.log(s), e / s
+    shifted = np.subtract(z, z.max(axis=np_axis, keepdims=True), out=shifted)
+    q = np.exp(shifted, out=out)
+    s = q.sum(axis=np_axis, keepdims=True)
+    q /= s
+    return shifted, np.log(s), q
 
 
 def softmax_with_temperature(logits, tau, axis):
     """Temperature softmax along the chosen axis, max-shifted for stability."""
     if not 0 < tau < np.inf:   # nan fails both comparisons
         raise ConfigError(f"temperature must be finite and > 0, got {tau}")
-    return _softmax_forward(as_matrix(logits, "logits") / tau, axis)[1]
+    z = as_matrix(logits, "logits") / tau
+    return _softmax_forward(z, axis, z, z)[2]

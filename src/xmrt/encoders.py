@@ -177,12 +177,10 @@ def _params_from_tensors(tensors, has_heads):
     return ModelParams(audio_enc, text_enc, audio_head, text_head)
 
 
-def _flat_views(params, flat=None):
-    """Name -> view of `flat` (default: a fresh zeroed vector) in
-    named_tensors() order and shapes; the one owner of the flat layout."""
+def _flat_views(params, flat):
+    """Name -> view of the vector `flat` in named_tensors() order and
+    shapes; the one owner of the flat layout."""
     tensors = params.named_tensors()
-    if flat is None:
-        flat = np.zeros(sum(t.size for t in tensors.values()))
     views, start = {}, 0
     for name, tensor in tensors.items():
         views[name] = flat[start:start + tensor.size].reshape(tensor.shape)

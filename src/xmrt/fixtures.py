@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 
 from .core import _rng
-from .datasets import Manifest, ManifestItem, write_manifest, write_relevance
+from .datasets import SPLITS, Manifest, write_manifest, write_relevance
 from .errors import ConfigError
 from .tensorfile import save_tensor
 
@@ -63,23 +63,18 @@ def generate_fixtures(out_dir, *, n_items=256, d_latent=8, d_audio=32,
     save_tensor(os.path.join(out_dir, AUDIO_FILE), audio)
     save_tensor(os.path.join(out_dir, TEXT_FILE), text)
 
-    n_train, n_val, _ = split_sizes(n_items)
-    items = []
-    by_split = {"train": [], "val": [], "test": []}
-    for i in range(n_items):
-        split = ("train" if i < n_train
-                 else "val" if i < n_train + n_val else "test")
-        audio_id = f"a{i:04d}"
-        caption_id = f"c{i:04d}"
-        items.append(ManifestItem(
-            audio_id=audio_id, caption_id=caption_id,
-            audio_ref=f"{AUDIO_FILE}:{i}", caption_ref=f"{TEXT_FILE}:{i}",
-            split=split))
-        by_split[split].append((caption_id, (audio_id,)))
-
-    manifest = Manifest(items=tuple(items), d_audio=d_audio, d_text=d_text)
+    audio_ids = [f"a{i:04d}" for i in range(n_items)]
+    caption_ids = [f"c{i:04d}" for i in range(n_items)]
+    splits = [split for split, size in zip(SPLITS, split_sizes(n_items))
+              for _ in range(size)]
+    manifest = Manifest(
+        zip(audio_ids, caption_ids,
+            [f"{AUDIO_FILE}:{i}" for i in range(n_items)],
+            [f"{TEXT_FILE}:{i}" for i in range(n_items)], splits),
+        d_audio=d_audio, d_text=d_text)
     write_manifest(os.path.join(out_dir, MANIFEST_FILE), manifest)
-    for split, entries in by_split.items():
-        write_relevance(os.path.join(out_dir, relevance_file(split)),
-                        entries)
+    for split in SPLITS:
+        write_relevance(os.path.join(out_dir, relevance_file(split)), [
+            (c, (a,)) for a, c, s in zip(audio_ids, caption_ids, splits)
+            if s == split])
     return manifest

@@ -26,6 +26,8 @@ from .core import (Axis, _as_equal_shape_matrices, _softmax_forward,
 from .encoders import _embed, _flat_views, _head_forward
 from .errors import ConfigError, ContractError, DataError
 
+_WORKSPACE_BYTES = 1 << 29    # one training step's n x n buffers and gradient
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -75,18 +77,6 @@ class TeacherTargets:
         return self.p_hat_audio.shape
 
 
-def _bidirectional_ce(p_audio, p_text, logq_audio, logq_text):
-    """Column (over audios) plus row (over captions) mean cross-entropy.
-
-    Each direction is -sum(p * log q) divided by its number of
-    distributions: columns for the audio direction, rows for the caption
-    direction.
-    """
-    n_rows, n_cols = logq_audio.shape
-    return (float(-(p_audio * logq_audio).sum() / n_cols)
-            + float(-(p_text * logq_text).sum() / n_rows))
-
-
 def ensemble_average(similarities):
     """Elementwise mean of teacher similarity matrices.
 
@@ -129,7 +119,7 @@ def targets_from_teacher_sims(similarities, cfg):
 
 
 def _forward_embeddings(params, batch):
-    """Raw and unit-normalized embeddings plus the cosine similarity."""
+    """Raw and unit-normalized embeddings, and the norms between them."""
     # Huge weights overflow here; _unit_rows reports it, so numpy's
     # warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -137,12 +127,13 @@ def _forward_embeddings(params, batch):
         raw_c = _embed(params.text_encoder, batch.text_features)
     unit_a, norm_a = _unit_rows(raw_a, "audio")
     unit_c, norm_c = _unit_rows(raw_c, "text")
-    return raw_a, raw_c, norm_a, norm_c, unit_a, unit_c, unit_a @ unit_c.T
+    return raw_a, raw_c, norm_a, norm_c, unit_a, unit_c
 
 
 def student_similarity(params, batch):
     """Similarity matrix of one model on a batch (no gradients)."""
-    return _forward_embeddings(params, batch)[-1]
+    unit_a, unit_c = _forward_embeddings(params, batch)[-2:]
+    return unit_a @ unit_c.T
 
 
 def _unit_norm_backward(grad_unit, unit, norm):
@@ -154,9 +145,9 @@ def _unit_norm_backward(grad_unit, unit, norm):
 def _head_forward_backward(head, raw_emb, labels, n):
     """Loss, parameter grads, and embedding grad for one head (unweighted)."""
     pre, hidden, logits = _head_forward(head, raw_emb)
-    logq, probs = _softmax_forward(logits, Axis.ROWS)
+    shifted, log_s, probs = _softmax_forward(logits, Axis.ROWS, logits)
     rows = np.arange(n)
-    loss = float(-logq[rows, labels].mean())
+    loss = float(-(shifted[rows, labels] - log_s[:, 0]).mean())
     probs[rows, labels] -= 1.0
     d_logits = probs / n
     d_w2 = d_logits.T @ hidden
@@ -170,7 +161,27 @@ def _head_forward_backward(head, raw_emb, labels, n):
     return loss, grads, d_emb
 
 
-def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
+class _Workspace:
+    """Every n x n array of a loss_and_gradients call at batch size n, and
+    the gradient vector with its views in params' layout.  One whose bytes
+    would pass _WORKSPACE_BYTES is a ConfigError before any allocation.
+    """
+
+    def __init__(self, params, n):
+        size = sum(t.size for t in params.named_tensors().values())
+        nbytes = 8 * (5 * n * n + size)
+        if nbytes > _WORKSPACE_BYTES:
+            raise ConfigError(
+                f"batch_size {n} needs a {nbytes}-byte training workspace, "
+                f"over the {_WORKSPACE_BYTES}-byte limit")
+        self.z, self.shifted_r, self.q_r, self.shifted_c, self.q_c = (
+            np.empty((5, n, n)))
+        self.grad = np.zeros(size)
+        self.grads = _flat_views(params, self.grad)
+
+
+def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
+                       work=None):
     """Total loss and its exact gradient for every parameter.
 
     `batch` holds matched rows in `audio_features` and `text_features`
@@ -182,7 +193,10 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
     terms: a term with weight 0 is still computed and reported, but adds
     nothing to the total or the gradient.  Teacher targets are
     constants: no gradient flows into them.  Each gradient is a view whose
-    .base is one zeroed vector, in named_tensors() order; unused heads get 0.
+    .base is one zeroed vector, in named_tensors() order; unused heads
+    get 0.  It and every n x n array of the call live in `work`, the
+    _Workspace run_stage keeps per stage, so they last until its next
+    call; without `work` they are fresh arrays.
     """
     distill = targets is not None
     cluster = labels is not None
@@ -197,41 +211,59 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None):
         k = params.n_clusters
         if labels.min() < 0 or labels.max() >= k:
             raise DataError(f"cluster label outside [0, {k})")
+    if work is None:
+        work = _Workspace(params, n)
 
-    raw_a, raw_c, norm_a, norm_c, unit_a, unit_c, sim = _forward_embeddings(
+    raw_a, raw_c, norm_a, norm_c, unit_a, unit_c = _forward_embeddings(
         params, batch)
-    z = sim / cfg.tau
-    eye = np.eye(n)
+    z = np.matmul(unit_a, unit_c.T, out=work.z)
+    z /= cfg.tau
 
-    # One forward per direction serves both loss terms and the gradient.
-    logq_rows, q_rows = _softmax_forward(z, Axis.ROWS)     # captions | audio
-    logq_cols, q_cols = _softmax_forward(z, Axis.COLUMNS)  # audios | caption
-    l_sup = _bidirectional_ce(eye, eye, logq_cols, logq_rows)
-    grad_sim = (q_rows - eye) + (q_cols - eye)
+    # One forward per direction serves both loss terms and the gradient;
+    # log q = shifted - log s is read where needed, never formed.
+    shifted_r, log_s_r, q_r = _softmax_forward(       # captions | audio
+        z, Axis.ROWS, work.shifted_r, work.q_r)
+    shifted_c, log_s_c, q_c = _softmax_forward(       # audios | caption
+        z, Axis.COLUMNS, work.shifted_c, work.q_c)
+    log_s_r, log_s_c = log_s_r[:, 0], log_s_c[0]
+    # Per direction, the mean -log q at the matched pairs on the diagonal.
+    l_sup = (float((log_s_c - shifted_c.diagonal()).sum() / n)
+             + float((log_s_r - shifted_r.diagonal()).sum() / n))
+    grad_sim = np.add(q_r, q_c, out=z)
 
     l_dist = 0.0
     if distill:
-        if targets.shape != sim.shape:
+        if targets.shape != z.shape:
             raise ContractError(
                 f"teacher target shape {targets.shape} does not match "
-                f"batch similarity {sim.shape}")
+                f"batch similarity {z.shape}")
         p_hat_a = targets.p_hat_audio
         p_hat_c = targets.p_hat_text
-        l_dist = _bidirectional_ce(p_hat_a, p_hat_c, logq_cols, logq_rows)
+        # -sum(p * log q) is sum(p) . log s - sum(p * shifted), with sum(p)
+        # along the softmax axis.  einsum's order, unlike BLAS vdot's,
+        # does not depend on the BLAS thread count.
+        l_dist = (float((p_hat_a.sum(axis=0) @ log_s_c - np.einsum(
+                      "ij,ij->", p_hat_a, shifted_c)) / n)
+                  + float((p_hat_c.sum(axis=1) @ log_s_r - np.einsum(
+                      "ij,ij->", p_hat_c, shifted_r)) / n))
         # log q <= 0, so only a negative target entry makes a term < 0
         if l_dist < 0:
             raise ContractError(f"l_dist must be nonnegative, got {l_dist}")
-        grad_sim = grad_sim + cfg.lambda1 * ((q_rows - p_hat_c)
-                                             + (q_cols - p_hat_a))
-    grad_sim = grad_sim / (n * cfg.tau)
+        # lambda1 * ((q_r - p_hat_c) + (q_c - p_hat_a)), in a spent buffer
+        pull = np.add(p_hat_c, p_hat_a, out=shifted_r)
+        np.subtract(grad_sim, pull, out=pull)
+        pull *= cfg.lambda1
+        grad_sim += pull
+    grad_sim.flat[::n + 1] -= 2.0    # the one-hot targets, both directions
 
-    # Back through sim = unit_a @ unit_c.T, then the normalization.
-    grad_unit_a = grad_sim @ unit_c
-    grad_unit_c = grad_sim.T @ unit_a
+    # Back through the mean, z = unit_a @ unit_c.T / tau, the normalization.
+    grad_unit_a = grad_sim @ unit_c / (n * cfg.tau)
+    grad_unit_c = grad_sim.T @ unit_a / (n * cfg.tau)
     grad_raw_a = _unit_norm_backward(grad_unit_a, unit_a, norm_a)
     grad_raw_c = _unit_norm_backward(grad_unit_c, unit_c, norm_c)
 
-    grads = _flat_views(params)
+    grads = work.grads
+    work.grad.fill(0.0)
     l_cls_a = l_cls_c = 0.0
     if cluster:
         l_cls_a, head_grads_a, d_emb_a = _head_forward_backward(

@@ -7,7 +7,9 @@ mixing is a dataset transform the caller applies before a finetune.
 
 The optimizer is AdamW with decoupled weight decay, updating in place
 one float64 vector of every parameter that a stage's model views, so one
-step function serves encoders and heads alike.  The learning rate
+step function serves encoders and heads alike.  Its gradient vector, the
+batch rows and every n x n array of a step are allocated once per stage,
+in one batch PairedDataset and one losses._Workspace.  The learning rate
 warms up linearly to a peak, then follows a cosine toward a floor that
 it would reach one step after the stage's last, so the last step's rate
 lies just above the floor.  Batch order and synthetic pair mixing both
@@ -26,8 +28,8 @@ import numpy as np
 from .core import _rng, as_matrix
 from .encoders import _check_finite, _flat_views
 from .errors import ConfigError, ContractError, DataError
-from .losses import (LossConfig, loss_and_gradients, student_similarity,
-                     targets_from_teacher_sims)
+from .losses import (LossConfig, _Workspace, loss_and_gradients,
+                     student_similarity, targets_from_teacher_sims)
 
 STAGES = ("pretrain", "finetune", "refinetune")
 _MIX_STREAM = 104729      # distinguishes the mixing rng from batch shuffles
@@ -97,7 +99,7 @@ class PairedDataset:
     caption ids.
 
     The one matched-row type: a loaded split, a mixed training set and
-    each training batch run_stage hands to loss_and_gradients.  Features
+    the batch run_stage refills for loss_and_gradients.  Features
     must be finite 2-D arrays with equal row counts.
     """
 
@@ -220,8 +222,9 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
               warmup_fraction=0.1, weight_decay=0.01, seed=0):
     """Train one stage to completion; returns (params, records).
 
-    `dataset` is a PairedDataset; each step slices its batch rows as
-    another PairedDataset.  The stage name picks the loss terms.
+    `dataset` is a PairedDataset.  A batch_size whose workspace would
+    not fit losses._WORKSPACE_BYTES is a ConfigError before step 0.
+    The stage name picks the loss terms.
     finetune distills from `teachers`, a sequence of frozen ModelParams
     whose averaged similarities give the targets (required there,
     rejected elsewhere).  refinetune classifies `pseudo_labels`, a 1-D
@@ -280,6 +283,10 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
         raise ContractError(
             f"dataset of {len(dataset)} cannot fill a batch of "
             f"{stage.batch_size}")
+    work = _Workspace(params, stage.batch_size)
+    batch = PairedDataset(
+        np.zeros((stage.batch_size, dataset.audio_features.shape[1])),
+        np.zeros((stage.batch_size, dataset.text_features.shape[1])))
     total_steps = steps_per_epoch * stage.epochs
     warmup = min(total_steps - 1, round(warmup_fraction * total_steps))
     rates = _learning_rates(peak_lr, floor_lr, total_steps, warmup)
@@ -293,8 +300,10 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     for epoch in range(stage.epochs):
         for batch_idx in make_batches(len(dataset), stage.batch_size,
                                       seed, epoch):
-            batch = PairedDataset(dataset.audio_features[batch_idx],
-                                  dataset.text_features[batch_idx])
+            # in-range indices: "clip" only skips the copy "raise" makes
+            for rows, out in ((dataset.audio_features, batch.audio_features),
+                              (dataset.text_features, batch.text_features)):
+                np.take(rows, batch_idx, axis=0, out=out, mode="clip")
             labels = labels_all[batch_idx] if clusters else None
 
             lr = rates[step]
@@ -304,10 +313,11 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                 if distills:
                     sims = [student_similarity(t, batch) for t in teachers]
                     targets = targets_from_teacher_sims(sims, cfg)
-                breakdown, grads = loss_and_gradients(
-                    params, batch, cfg, targets=targets, labels=labels)
-                grad = next(iter(grads.values())).base  # the whole vector
-                adamw_step(theta, grad, m, v, step + 1, lr, weight_decay)
+                breakdown, _ = loss_and_gradients(
+                    params, batch, cfg, targets=targets, labels=labels,
+                    work=work)
+                adamw_step(theta, work.grad, m, v, step + 1, lr,
+                           weight_decay)
                 _check_finite("model", theta)
             except DataError as exc:
                 terms = "" if breakdown is None else "; " + ", ".join(

@@ -56,34 +56,55 @@ def relevance_entries(relevance):
                  zip(relevance.starts.tolist(), relevance.widths.tolist()))
 
 
-# Closed-form references for the terms of loss_and_gradients.  They make
-# the same floating-point operations in the same order, so each term must
-# agree with the engine's to the last bit.
+# Closed-form references for the terms of loss_and_gradients.  The first
+# three make the same floating-point operations in the same order, so each
+# term must agree with the engine's to the last bit; full_matrix_ce forms
+# the log-softmax matrices that the engine never does.
 
 def log_softmax(z, np_axis):
     shifted = z - z.max(axis=np_axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=np_axis, keepdims=True))
 
 
-def bidirectional_ce(p_audio, p_text, sim, tau):
-    """Mean cross-entropy of p_audio against the column softmax of
-    sim/tau (over audios) plus that of p_text against the row softmax
-    (over captions); each direction averages over its own distributions."""
+def _directions(sim, tau):
+    """(np_axis, shifted, log s) of the softmax of sim/tau over audios
+    (columns), then over captions (rows): log q = shifted - log s."""
+    z = sim / tau
+    for np_axis in (0, 1):
+        shifted = z - z.max(axis=np_axis, keepdims=True)
+        yield np_axis, shifted, np.log(np.exp(shifted).sum(axis=np_axis))
+
+
+def supervised_ce(sim, tau):
+    """The contrastive term: -log q = log s - shifted at the matched pairs
+    on the diagonal, averaged over each direction's n distributions."""
+    total = 0.0
+    for _, shifted, log_s in _directions(sim, tau):
+        total += float((log_s - shifted.diagonal()).sum() / len(sim))
+    return total
+
+
+def distillation_ce(targets, sim, tau):
+    """The distillation term: per direction, -sum(p * log q) as
+    sum(p) . log s - sum(p * shifted), with sum(p) along the softmax
+    axis, averaged over the n distributions."""
+    total = 0.0
+    for p, (np_axis, shifted, log_s) in zip(
+            (targets.p_hat_audio, targets.p_hat_text), _directions(sim, tau)):
+        total += float((p.sum(axis=np_axis) @ log_s
+                        - np.einsum("ij,ij->", p, shifted)) / len(sim))
+    return total
+
+
+def full_matrix_ce(p_audio, p_text, sim, tau):
+    """Mean cross-entropy of p_audio against the column log-softmax of
+    sim/tau (over audios) plus that of p_text against the row
+    log-softmax (over captions), each a full matrix; each direction
+    averages over its own distributions."""
     z = sim / tau
     n_rows, n_cols = z.shape
     return (float(-(p_audio * log_softmax(z, 0)).sum() / n_cols)
             + float(-(p_text * log_softmax(z, 1)).sum() / n_rows))
-
-
-def supervised_ce(sim, tau):
-    """The contrastive term: one-hot diagonal targets in both directions."""
-    eye = np.eye(sim.shape[0])
-    return bidirectional_ce(eye, eye, sim, tau)
-
-
-def distillation_ce(targets, sim, tau):
-    """The distillation term: the teacher soft targets in both directions."""
-    return bidirectional_ce(targets.p_hat_audio, targets.p_hat_text, sim, tau)
 
 
 def label_ce(logits, labels):

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from xmrt import generate_fixtures, init_params, load_tensor, save_tensor
+from xmrt import (generate_fixtures, init_params, load_tensor, losses,
+                  save_tensor)
 from xmrt.checkpoints import load_checkpoint, save_checkpoint
 from xmrt.cli import CHECKPOINT_ROOT, main
 from xmrt.datasets import (
@@ -386,6 +387,15 @@ def test_warmup_fraction_outside_the_unit_interval_returns_1(tmp_path,
     assert main(["pretrain", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: warmup_fraction must lie in [0, 1]")
+    assert not os.path.exists(os.path.join(str(tmp_path), "run"))
+
+
+def test_batch_past_the_workspace_budget_returns_1(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(losses, "_WORKSPACE_BYTES", 1024)
+    assert main(["pretrain", "--config", _pipeline_config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: batch_size 8 needs a ")
     assert not os.path.exists(os.path.join(str(tmp_path), "run"))
 
 

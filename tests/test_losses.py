@@ -1,7 +1,9 @@
 """Tests for the training objective and its analytic gradients."""
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from xmrt import (Axis, ClassificationHead, ConfigError, ContractError,
                   softmax_with_temperature, student_similarity,
                   targets_from_teacher_sims, teacher_soft_targets)
 from xmrt.encoders import _head_forward, encode
-from xmrt.losses import TeacherTargets, ensemble_average
+from xmrt.losses import TeacherTargets, _Workspace, ensemble_average
 
-from conftest import (distillation_ce, headed_params, identity_batch,
-                      label_ce, random_batch, supervised_ce)
+from conftest import (distillation_ce, full_matrix_ce, headed_params,
+                      identity_batch, label_ce, random_batch, supervised_ce)
 
 
 def _terms(audio_rows, text_rows, cfg, targets=None, labels=None,
@@ -451,6 +453,14 @@ class TestGradients:
         sim = student_similarity(params, batch)
         assert breakdown.l_sup == supervised_ce(sim, cfg.tau)
         assert breakdown.l_dist == distillation_ce(targets, sim, cfg.tau)
+        # the full log-softmax matrices, summed in another order
+        eye = np.eye(len(sim))
+        assert math.isclose(breakdown.l_sup,
+                            full_matrix_ce(eye, eye, sim, cfg.tau),
+                            rel_tol=1e-12)
+        assert math.isclose(breakdown.l_dist, full_matrix_ce(
+            targets.p_hat_audio, targets.p_hat_text, sim, cfg.tau),
+                            rel_tol=1e-12)
         raw_a = encode(params.audio_encoder, batch.audio_features)
         raw_c = encode(params.text_encoder, batch.text_features)
         assert breakdown.l_cls_audio == label_ce(
@@ -478,6 +488,41 @@ class TestGradients:
                                       LossConfig(lambda1=0.0, lambda2=0.0))
         assert not grads["audio_head.w1"].any()
         assert not grads["text_head.b2"].any()
+
+
+class TestWorkspace:
+    def test_gradients_without_a_workspace_outlive_a_later_call(self):
+        params = headed_params(6, 5, 4, 3, seed=1)
+        labels = np.array([0, 1, 2, 0])
+        _, first = loss_and_gradients(params, random_batch(4, 6, 5, seed=2),
+                                      LossConfig(), labels=labels)
+        kept = {name: g.copy() for name, g in first.items()}
+        loss_and_gradients(params, random_batch(4, 6, 5, seed=3),
+                           LossConfig(), labels=labels)
+        _assert_same_bits(first, kept)
+
+    def test_a_step_in_a_workspace_allocates_no_batch_square(self):
+        n = 256
+        params = headed_params(6, 5, 4, 3, seed=1)
+        batch = random_batch(n, 6, 5, seed=2)
+        cfg = LossConfig()
+        targets = targets_from_teacher_sims(
+            [student_similarity(init_params(6, 5, 4, seed=9), batch)], cfg)
+        labels = np.arange(n) % 3
+        work = _Workspace(params, n)
+        step = functools.partial(loss_and_gradients, params, batch, cfg,
+                                 targets, labels, work=work)
+        _, first = step()
+        kept = {name: g.copy() for name, g in first.items()}
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, second = step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < n * n * 8
+        _assert_same_bits(second, kept)
 
 
 def _assert_same_bits(grads_a, grads_b):

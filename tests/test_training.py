@@ -10,7 +10,7 @@ import pytest
 from xmrt import (ConfigError, ContractError, DataError, LossConfig,
                   ModelParams, PairedDataset, StageConfig, adamw_step,
                   expand_with_mixes, init_params, loss_and_gradients,
-                  make_batches, run_stage, student_similarity,
+                  losses, make_batches, run_stage, student_similarity,
                   targets_from_teacher_sims)
 from xmrt.training import STAGES, _learning_rates
 
@@ -533,6 +533,21 @@ class TestRunStage:
                            match=r"stage finetune diverged at step 0 "
                                  r"\(epoch 0, lr 2e-05\): an embedding norm"):
             run_stage(stage, params, _toy_dataset(), teachers=[teacher])
+
+    def test_workspace_past_its_budget_is_a_config_error(self,
+                                                         monkeypatch):
+        # The budget fits exactly the batch-8 workspace: five 8 x 8
+        # buffers and the gradient vector.
+        params = init_params(8, 6, 4, seed=0)
+        size = sum(t.size for t in params.named_tensors().values())
+        monkeypatch.setattr(losses, "_WORKSPACE_BYTES", 8 * (5 * 64 + size))
+        fits = StageConfig("pretrain", epochs=1, batch_size=8)
+        assert len(run_stage(fits, params, _toy_dataset())[1]) == 4
+        needed = 8 * (5 * 16 * 16 + size)
+        with pytest.raises(ConfigError, match=rf"^batch_size 16 needs a "
+                                              rf"{needed}-byte training"):
+            run_stage(StageConfig("pretrain", epochs=1, batch_size=16),
+                      params, _toy_dataset())
 
     def test_out_of_range_label_rejected_before_training(self):
         params = headed_params(8, 6, 4, 3, seed=0)
