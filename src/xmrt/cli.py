@@ -3,11 +3,14 @@ evaluation, ensembling, and reporting.
 
 Every subcommand reads a JSON run config (see config.py), writes its
 artifacts under the output directory, and is idempotent for a fixed
-config and seed.  Seed precedence: --seed flag, then the XMRT_SEED
-environment variable, then the config's seed entry; the resolved seed
-also seeds pair mixing unless augmentation.rng_seed is set.  Each
-config section goes straight into the engine object or function it
-configures, so an absent key keeps the engine's own default.
+config and seed; `main` loads the config and resolves the output
+directory once for all of them.  Only gen-fixtures and the three
+training stages draw random numbers, and only they take --seed.  Seed
+precedence: --seed flag, then the XMRT_SEED environment variable, then
+the config's seed entry; the resolved seed also seeds pair mixing
+unless augmentation.rng_seed is set.  Each config section goes straight
+into the engine object or function it configures, so an absent key
+keeps the engine's own default.
 
 Exit codes: 0 success, 1 module error (bad data, bad config values,
 failed contracts), 2 usage error (unknown flags, missing required
@@ -29,8 +32,9 @@ import numpy as np
 from . import fixtures
 from .checkpoints import (load_checkpoint, read_json, save_checkpoint,
                           write_json)
-from .clustering import ClusterConfig, build_pseudo_labels, cluster_pipeline
-from .config import load_config
+from .clustering import (ClusterConfig, build_pseudo_labels, density_cluster,
+                         reassign_outliers, reduce_dimensionality)
+from .config import RunConfig, load_config
 from .core import cosine_similarity_matrix
 from .datasets import (align_relevance, load_paired_dataset, read_labels,
                        read_relevance, relevance_as_indices, write_labels)
@@ -40,31 +44,31 @@ from .ensemble import (GridSearchConfig, bundled_weight_table, fuse,
                        read_weight_table)
 from .errors import ConfigError, DataError, XmrtError
 from .evaluation import METRIC_KEYS, evaluate
-from .losses import LossConfig
+from .losses import LossBreakdown, LossConfig
 from .tensorfile import atomic_open, load_tensor, save_tensor
 from .training import STAGES, StageConfig, expand_with_mixes, run_stage
 
 CHECKPOINT_ROOT = "checkpoints"
 
 
-def _resolve_seed(args, cfg):
+def _resolve_seed(flag, cfg):
     env = os.environ.get("XMRT_SEED")
-    if getattr(args, "seed", None) is not None:
-        source, value = "--seed", args.seed
+    if flag is not None:
+        source, value = "--seed", flag
     elif env is not None:
         source, value = "XMRT_SEED", env
     else:
-        source, value = "config key seed", cfg.seed if cfg is not None else 0
+        source, value = "config key seed", cfg.seed
     if not str(value).isdecimal():   # numpy seeds must be >= 0
         raise ConfigError(
             f"{source} must be a non-negative integer, got {value!r}")
     return int(value)
 
 
-def _resolve_out(args, cfg):
-    if getattr(args, "out", None):
-        return os.path.abspath(args.out)
-    if cfg is not None and cfg.get("out_dir") is not None:
+def _resolve_out(flag, cfg):
+    if flag:
+        return os.path.abspath(flag)
+    if cfg.get("out_dir") is not None:
         return cfg.resolve(cfg.get("out_dir"))
     raise ConfigError("no output directory: pass --out or set out_dir")
 
@@ -86,15 +90,9 @@ def _checkpoint_dir(out_dir, stage):
 def _stage_summary(records):
     if not records:
         return {"steps": 0}
-    return {
-        "steps": len(records),
-        "first_total": records[0].total,
-        "final_total": records[-1].total,
-        "final_l_sup": records[-1].l_sup,
-        "final_l_dist": records[-1].l_dist,
-        "final_l_cls_audio": records[-1].l_cls_audio,
-        "final_l_cls_text": records[-1].l_cls_text,
-    }
+    return {"steps": len(records), "first_total": records[0].total,
+            **{f"final_{field.name}": getattr(records[-1], field.name)
+               for field in dataclasses.fields(LossBreakdown)}}
 
 
 def _input_path(cfg, keys, default, what, hint):
@@ -115,20 +113,14 @@ def _load_split(cfg, name):
     return load_paired_dataset(cfg.resolve_input("data", "manifest"), name)
 
 
-def cmd_gen_fixtures(args):
-    cfg = load_config(args.config) if args.config else None
-    seed = _resolve_seed(args, cfg)
-    out_dir = os.path.abspath(args.out)
-    sec = cfg.get("fixtures", default={}) if cfg is not None else {}
-    manifest = fixtures.generate_fixtures(out_dir, seed=seed, **sec)
-    print(f"wrote {len(manifest.items)} items to {out_dir} (seed {seed})")
+def cmd_gen_fixtures(cfg, out_dir, seed):
+    manifest = fixtures.generate_fixtures(out_dir, seed=seed,
+                                          **cfg.get("fixtures", default={}))
+    print(f"wrote {len(manifest)} items to {out_dir} (seed {seed})")
     return 0
 
 
-def _run_training_stage(args, stage_name):
-    cfg = load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    out_dir = _resolve_out(args, cfg)
+def _run_training_stage(cfg, out_dir, seed, stage_name):
     dataset = _load_split(cfg, "train").dataset
 
     teachers = None
@@ -145,13 +137,8 @@ def _run_training_stage(args, stage_name):
             f"run {prev} first"))
 
     if stage_name == "finetune":
-        teacher_dirs = cfg.get("stages", "finetune", "teachers")
-        if not teacher_dirs or not all(isinstance(p, str)
-                                       for p in teacher_dirs):
-            raise ConfigError(
-                "finetune requires stages.finetune.teachers, a list of "
-                "checkpoint directories")
-        teachers = [load_checkpoint(cfg.resolve(p)) for p in teacher_dirs]
+        teachers = [load_checkpoint(cfg.resolve(path)) for path in
+                    cfg.require("stages", "finetune", "teachers")]
         dataset = expand_with_mixes(dataset, **{
             "rng_seed": seed, **cfg.get("augmentation", default={})})
 
@@ -167,7 +154,7 @@ def _run_training_stage(args, stage_name):
         except KeyError as exc:
             raise DataError(
                 f"label file lacks caption {exc.args[0]!r}") from None
-        k = probs.shape[1] if probs.size else int(labels.max()) + 1
+        k = probs.shape[1]
         if not params.has_heads:
             params = params.with_heads(*init_heads(params.d_emb, k,
                                                    seed=seed))
@@ -195,10 +182,7 @@ def _run_training_stage(args, stage_name):
     return 0
 
 
-def cmd_cluster(args):
-    cfg = load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    out_dir = _resolve_out(args, cfg)
+def cmd_cluster(cfg, out_dir):
     cfg.require("clustering", "neighborhood_radius")
     cluster_cfg = _from_section(ClusterConfig, cfg, "clustering")
     params = load_checkpoint(_input_path(
@@ -207,7 +191,9 @@ def cmd_cluster(args):
         "run finetune first"))
     split = _load_split(cfg, cfg.get("clustering", "split", default="train"))
     emb = encode(params.text_encoder, split.dataset.text_features)
-    assignment = cluster_pipeline(emb, cluster_cfg)
+    dense = density_cluster(reduce_dimensionality(
+        emb, cluster_cfg.reduced_dim), cluster_cfg)
+    assignment = reassign_outliers(dense)
 
     labels_path = os.path.join(out_dir, "labels.tsv")
     os.makedirs(out_dir, exist_ok=True)
@@ -218,14 +204,12 @@ def cmd_cluster(args):
                  *build_pseudo_labels(assignment, split.caption_to_audio))
     print(f"cluster: {assignment.k} clusters over "
           f"{len(assignment.labels)} captions "
-          f"({assignment.n_outliers} outliers before reassignment), "
+          f"({dense.n_outliers} outliers before reassignment), "
           f"labels at {labels_path}")
     return 0
 
 
-def cmd_evaluate(args):
-    cfg = load_config(args.config)
-    out_dir = _resolve_out(args, cfg)
+def cmd_evaluate(cfg, out_dir):
     ckpt_dir = _input_path(
         cfg, ("evaluate", "checkpoint"),
         [_checkpoint_dir(out_dir, stage) for stage in reversed(STAGES)],
@@ -260,20 +244,8 @@ def cmd_evaluate(args):
 def _ensemble_members(cfg):
     """The listed matrices as one {(system, model): matrix} map, in
     listed order."""
-    listed = cfg.get("ensemble", "matrices")
-    if not listed:
-        raise ConfigError(
-            "ensemble.matrices must list {system, model, path} entries")
     members = {}
-    for i, entry in enumerate(listed):
-        if not (isinstance(entry, dict)
-                and {"system", "model", "path"} <= set(entry)
-                and type(entry["system"]) in (int, str)
-                and isinstance(entry["model"], str)
-                and isinstance(entry["path"], str)):
-            raise ConfigError(
-                f"ensemble.matrices[{i}] needs system (an int or a "
-                f"string), model and path (strings)")
+    for i, entry in enumerate(cfg.require("ensemble", "matrices")):
         tag = (entry["system"], entry["model"])
         if tag in members:
             raise ConfigError(
@@ -282,9 +254,7 @@ def _ensemble_members(cfg):
     return members
 
 
-def cmd_ensemble_search(args):
-    cfg = load_config(args.config)
-    out_dir = _resolve_out(args, cfg)
+def cmd_ensemble_search(cfg, out_dir):
     members = _ensemble_members(cfg)
     relevance = relevance_as_indices(read_relevance(
         cfg.resolve_input("ensemble", "relevance")))
@@ -312,9 +282,7 @@ def cmd_ensemble_search(args):
     return 0
 
 
-def cmd_ensemble_apply(args):
-    cfg = load_config(args.config)
-    out_dir = _resolve_out(args, cfg)
+def cmd_ensemble_apply(cfg, out_dir):
     if cfg.get("ensemble", "weight_table", default="bundled") == "bundled":
         specs = bundled_weight_table()
     else:
@@ -342,9 +310,7 @@ def cmd_ensemble_apply(args):
     return 0
 
 
-def cmd_report(args):
-    cfg = load_config(args.config)
-    out_dir = _resolve_out(args, cfg)
+def cmd_report(cfg, out_dir):
     lines = []
 
     def emit(prefix, payload):
@@ -389,21 +355,23 @@ def build_parser():
         description="Desk-scale audio-text retrieval training engine.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, func, *, needs_config=True, needs_out_flag=False):
+    def add(name, func, *, seeded=False, needs_config=True,
+            needs_out_flag=False):
         p = sub.add_parser(name)
         p.add_argument("--config", required=needs_config,
                        help="path to a JSON run config")
         p.add_argument("--out", required=needs_out_flag,
                        help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the run seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the run seed")
         p.set_defaults(func=func)
 
-    add("gen-fixtures", cmd_gen_fixtures, needs_config=False,
+    add("gen-fixtures", cmd_gen_fixtures, seeded=True, needs_config=False,
         needs_out_flag=True)
     for stage in STAGES:
-        add(stage, functools.partial(_run_training_stage,
-                                     stage_name=stage))
+        add(stage, functools.partial(_run_training_stage, stage_name=stage),
+            seeded=True)
     add("cluster", cmd_cluster)
     add("evaluate", cmd_evaluate)
     add("ensemble-search", cmd_ensemble_search)
@@ -419,7 +387,11 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        cfg = (load_config(args.config) if args.config
+               else RunConfig(raw={}, base_dir=os.getcwd()))
+        seed = ([_resolve_seed(args.seed, cfg)] if "seed" in vars(args)
+                else [])
+        return args.func(cfg, _resolve_out(args.out, cfg), *seed)
     except (XmrtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

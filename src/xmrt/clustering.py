@@ -251,10 +251,5 @@ def build_pseudo_labels(assignment, caption_to_audio):
 
 def cluster_pipeline(embeddings, cfg):
     """Reduce, density-cluster, and reassign in one deterministic pass."""
-    reduced = reduce_dimensionality(embeddings, cfg.reduced_dim)
-    raw = density_cluster(reduced, cfg)
-    if raw.k < 1:
-        raise DataError(
-            "density step found no cluster; rerun with a larger "
-            "neighborhood_radius or smaller min_cluster_size")
-    return reassign_outliers(raw)
+    return reassign_outliers(density_cluster(
+        reduce_dimensionality(embeddings, cfg.reduced_dim), cfg))

@@ -2,12 +2,14 @@
 
 `load_config` checks every value once against its leaf's JSON type and
 rejects unknown keys, so typos and mistyped values (null included) fail
-with a ConfigError naming the dotted key.  A bool is never an int or a
-float; an int given for a float key loads as a float, and a float must
-be finite (JSON NaN and Infinity are rejected).  Absent keys keep
-the defaults of the engine object they feed; the run seed's 0 is the
-only default here.  Relative paths resolve against the config file's
-own directory, which keeps run directories relocatable.
+with a ConfigError naming the dotted key, list entries by index
+(`ensemble.matrices[0].path`); an entry object holds exactly its
+schema's keys.  A bool is never an int or a float; an int given for a
+float key loads as a float, and a float must be finite (JSON NaN and
+Infinity are rejected).  Absent keys keep the defaults of the engine
+object they feed; the run seed's 0 is the only default here.  Relative
+paths resolve against the config file's own directory, which keeps run
+directories relocatable.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ _SCHEMA = {
                  "warmup_fraction": float, "weight_decay": float},
     "stages": {
         "pretrain": _STAGE,
-        "finetune": {**_STAGE, "teachers": list, "init_from": str},
+        "finetune": {**_STAGE, "teachers": [str], "init_from": str},
         "refinetune": {**_STAGE, "labels": str, "init_from": str},
     },
     "augmentation": {"mix_count": int, "rng_seed": int},
@@ -42,39 +44,50 @@ _SCHEMA = {
     "evaluate": {"checkpoint": str, "split": str, "mode": str},
     "ensemble": {"step": float, "max_grid_points": int, "strategy": str,
                  "refine": bool, "mode": str, "hierarchical": bool,
-                 "matrices": list, "relevance": str, "weight_table": str,
-                 "row": str},
+                 "matrices": [{"system": (int, str), "model": str,
+                               "path": str}],
+                 "relevance": str, "weight_table": str, "row": str},
     "fixtures": {"n_items": int, "d_latent": int, "d_audio": int,
                  "d_text": int, "noise_sigma": float},
 }
 
 
-def _check_keys(raw, schema, where):
-    """Reject unknown keys and mistyped values; ints for floats become
-    floats in place."""
+def _check_keys(raw, schema, where, entry=False):
+    """Reject unknown keys in the object raw, and missing ones if it is a
+    list entry, then check each value."""
+    if entry and (missing := [key for key in schema if key not in raw]):
+        raise ConfigError(f"config key {where[:-1]} lacks {missing[0]!r}")
     for key, value in raw.items():
         if key not in schema:
-            raise ConfigError(
-                f"unknown config key {where}{key!r}")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(
-                    f"config key {where}{key!r} must be an object")
-            _check_keys(value, sub, f"{where}{key}.")
-        elif sub is float and type(value) is int:
-            try:
-                raw[key] = float(value)
-            except OverflowError:
-                raise ConfigError(f"config key {where}{key} must be a "
-                                  f"finite float") from None
-        elif type(value) is not sub:
-            raise ConfigError(
-                f"config key {where}{key} must be {sub.__name__}, "
-                f"got {json.dumps(value)}")
-        elif sub is float and not math.isfinite(value):
-            raise ConfigError(f"config key {where}{key} must be a finite "
-                              f"float, got {json.dumps(value)}")
+            raise ConfigError(f"unknown config key {where}{key!r}")
+        raw[key] = _checked(value, schema[key], f"{where}{key}", entry)
+
+
+def _checked(value, sub, key, entry=False):
+    """value checked against its schema node sub; an int for a float comes
+    back as a float.  A list schema [x] types each entry as x."""
+    kinds = sub if isinstance(sub, tuple) else (sub,)
+    if isinstance(sub, dict) and type(value) is dict:
+        _check_keys(value, sub, f"{key}.", entry)
+    elif isinstance(sub, list) and type(value) is list:
+        for i, item in enumerate(value):
+            value[i] = _checked(item, sub[0], f"{key}[{i}]", True)
+    elif sub is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"config key {key} must be a finite "
+                              f"float") from None
+    elif type(value) not in kinds:
+        kind = ("an object" if isinstance(sub, dict) else "a list"
+                if isinstance(sub, list) else " or ".join(
+                    k.__name__ for k in kinds))
+        raise ConfigError(f"config key {key} must be {kind}, "
+                          f"got {json.dumps(value)}")
+    elif sub is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be a finite float, "
+                          f"got {json.dumps(value)}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,11 @@ def _unit_rows(raw, modality):
     The one embedding normalizer: cosine similarity and the training
     forward both divide by it.  A norm that overflows to inf or nan, or
     that is zero, raises DataError naming the modality and the first bad
-    row; numpy's overflow warnings are silenced because that error
-    reports them.
+    row.  Callers enter np.errstate(over="ignore", invalid="ignore")
+    once around their whole forward, since that error reports what
+    numpy's overflow warnings would.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(raw, axis=1, keepdims=True)
+    norm = np.linalg.norm(raw, axis=1, keepdims=True)
     # Norms are >= 0 or nan, and nan fails `< inf` too.
     if not norm.max(initial=0.0) < np.inf:
         row = np.flatnonzero(~(norm[:, 0] < np.inf))[0]
@@ -89,7 +89,8 @@ def cosine_similarity_matrix(audio_emb, text_emb):
     if a.shape[1] != c.shape[1]:
         raise ContractError(f"embedding widths differ: audio {a.shape[1]} "
                             f"vs text {c.shape[1]}")
-    sim = _unit_rows(a, "audio")[0] @ _unit_rows(c, "text")[0].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        sim = _unit_rows(a, "audio")[0] @ _unit_rows(c, "text")[0].T
     return np.clip(sim, -1.0, 1.0, out=sim)
 
 

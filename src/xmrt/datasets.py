@@ -93,6 +93,9 @@ class Manifest:
     def items(self):
         return tuple(map(ManifestItem, *self._columns))
 
+    def __len__(self):
+        return len(self._split_codes)
+
     def __eq__(self, other):
         if not isinstance(other, Manifest):
             return NotImplemented
@@ -336,11 +339,15 @@ def relevance_as_indices(entries):
 
 
 def write_labels(path, ids, labels, probabilities):
-    """Write per-item cluster labels with their topic probabilities."""
+    """Write per-item cluster labels with their k >= 1 topic
+    probabilities."""
     lab = np.asarray(labels, dtype=np.int64)
     probs = np.asarray(probabilities, dtype=np.float64)
     if len(ids) != lab.shape[0] or probs.shape[0] != lab.shape[0]:
         raise ContractError("ids, labels, and probabilities disagree")
+    if probs.ndim != 2 or probs.shape[1] < 1:
+        raise ContractError(f"probabilities of shape {probs.shape} are not "
+                            f"k >= 1 columns per item")
     _write_rows(path, ([str(item_id), str(label), *map(repr, row)]
                        for item_id, label, row in zip(ids, lab.tolist(),
                                                       probs.tolist())))
@@ -348,13 +355,15 @@ def write_labels(path, ids, labels, probabilities):
 
 def read_labels(path):
     """Parse a label file into (ids, labels, probabilities): each label an
-    int64 and each probability finite."""
+    int64, and each row's k >= 1 probabilities (k the same for every row)
+    finite."""
     ids, labels, probs = [], [], []
     for parts in _read_rows(path):   # row by row: no fields outlive their row
-        if len(parts) < 2:
-            raise DataError(f"{path}: bad label row {parts[0]!r}")
         if probs and len(parts) != 2 + len(probs[0]):
             raise DataError(f"{path}: ragged label rows")
+        if len(parts) < 3:
+            raise DataError(f"{path}: bad label row {parts[0]!r}: it needs "
+                            f"a label and k >= 1 probabilities")
         ids.append(parts[0])
         try:
             labels.append(int(parts[1]))

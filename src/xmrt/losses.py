@@ -125,8 +125,8 @@ def _forward_embeddings(params, batch):
     with np.errstate(over="ignore", invalid="ignore"):
         raw_a = _embed(params.audio_encoder, batch.audio_features)
         raw_c = _embed(params.text_encoder, batch.text_features)
-    unit_a, norm_a = _unit_rows(raw_a, "audio")
-    unit_c, norm_c = _unit_rows(raw_c, "text")
+        unit_a, norm_a = _unit_rows(raw_a, "audio")
+        unit_c, norm_c = _unit_rows(raw_c, "text")
     return raw_a, raw_c, norm_a, norm_c, unit_a, unit_c
 
 

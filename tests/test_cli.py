@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from xmrt import (generate_fixtures, init_params, load_tensor, losses,
+from xmrt import (ClusterConfig, density_cluster, encode, generate_fixtures,
+                  init_params, load_tensor, losses, reduce_dimensionality,
                   save_tensor)
 from xmrt.checkpoints import load_checkpoint, save_checkpoint
 from xmrt.cli import CHECKPOINT_ROOT, main
@@ -59,6 +60,18 @@ def test_missing_required_flag_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["gen-fixtures"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["cluster", "evaluate",
+                                     "ensemble-search", "ensemble-apply",
+                                     "report"])
+def test_seed_is_a_usage_error_where_nothing_is_drawn(tmp_path, command):
+    # only gen-fixtures and the training stages draw random numbers
+    cfg = _write_config(tmp_path, {"out_dir": "run"})
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", cfg, "--seed", "3"])
+    assert err.value.code == 2
+    assert not os.path.exists(os.path.join(str(tmp_path), "run"))
 
 
 def test_module_error_returns_1(tmp_path, capsys):
@@ -440,6 +453,27 @@ def test_pipeline_end_to_end(tmp_path, capsys):
         assert fh.read() == text
 
 
+def test_cluster_prints_the_density_steps_outlier_count(tmp_path, capsys):
+    payload = _read_json(_pipeline_config(tmp_path))
+    payload["clustering"]["neighborhood_radius"] = 1.0
+    cfg = _write_config(tmp_path, payload)
+    assert main(["pretrain", "--config", cfg]) == 0
+    assert main(["finetune", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["cluster", "--config", cfg]) == 0
+    params = load_checkpoint(os.path.join(str(tmp_path), "run",
+                                          CHECKPOINT_ROOT, "finetune"))
+    texts = load_paired_dataset(os.path.join(
+        str(tmp_path), "corpus", "manifest.tsv"), "train").dataset
+    cluster_cfg = ClusterConfig(neighborhood_radius=1.0, reduced_dim=2,
+                                min_cluster_size=3)
+    dense = density_cluster(reduce_dimensionality(
+        encode(params.text_encoder, texts.text_features), 2), cluster_cfg)
+    assert dense.k >= 1 and dense.n_outliers > 0
+    assert (f"({dense.n_outliers} outliers before reassignment)"
+            in capsys.readouterr().out)
+
+
 def test_zero_loss_weights_are_valid(tmp_path, capsys):
     # a weight of 0 turns its term off; the stage still runs
     payload = _read_json(_pipeline_config(tmp_path))
@@ -725,6 +759,39 @@ def test_ensemble_member_tags_are_checked(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "ensemble.matrices[" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, section, entries, message", [
+    ("ensemble-search", "ensemble",
+     [{"system": 0, "model": "a", "path": "a.xmrt", "wieght": 0.9}],
+     "unknown config key ensemble.matrices[0].'wieght'"),
+    ("ensemble-apply", "ensemble",
+     [{"system": 0, "model": "a", "path": "a.xmrt"},
+      {"system": 1, "model": "b"}],
+     "config key ensemble.matrices[1] lacks 'path'"),
+    ("ensemble-search", "ensemble",
+     [{"system": True, "model": "a", "path": "a.xmrt"}],
+     "config key ensemble.matrices[0].system must be int or str, got true"),
+    ("ensemble-search", "ensemble",
+     [{"system": [1], "model": "a", "path": "a.xmrt"}],
+     "config key ensemble.matrices[0].system must be int or str, got [1]"),
+    ("ensemble-search", "ensemble", ["a.xmrt"],
+     'config key ensemble.matrices[0] must be an object, got "a.xmrt"'),
+    ("finetune", "teachers", ["run/checkpoints/pretrain", 3],
+     "config key stages.finetune.teachers[1] must be str, got 3"),
+], ids=["unknown-key", "missing-key", "bool-system", "list-system",
+        "not-an-object", "teacher-not-a-string"])
+def test_a_list_entry_is_typed_when_the_config_loads(
+        tmp_path, capsys, command, section, entries, message):
+    payload = _read_json(_search_config(tmp_path))
+    if section == "teachers":
+        payload["stages"] = {"finetune": {"teachers": entries}}
+    else:
+        payload["ensemble"]["matrices"] = entries
+    cfg = _write_config(tmp_path, payload)
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(os.path.join(str(tmp_path), "run"))
 
 
 def test_ensemble_search_subnormal_step_returns_1(tmp_path, capsys):

@@ -814,6 +814,20 @@ def test_read_labels_errors(tmp_path):
             "id 'i1' listed twice")
 
 
+def test_a_label_file_carries_probability_columns(tmp_path):
+    # refinetune reads k as the width of the probability rows
+    path = os.path.join(str(tmp_path), "l.tsv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("c0\t0\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: bad label row 'c0': it needs a label and k >= 1")):
+        read_labels(path)
+    with pytest.raises(ContractError, match="k >= 1 columns"):
+        write_labels(path, ("c0",), [0], np.zeros((1, 0)))
+    with pytest.raises(ContractError, match="k >= 1 columns"):
+        write_labels(path, ("c0",), [0], np.zeros(1))
+
+
 def _write_with_field(writer, path, field):
     """Call writer with `field` as one id or row name of what it writes."""
     if writer is write_manifest:
@@ -1313,6 +1327,21 @@ def test_schema_matches_engine_signatures():
         for key, kind in schema.items():
             assert params[key].kind is inspect.Parameter.KEYWORD_ONLY, key
             assert type(params[key].default) is kind, key
+
+
+def test_schema_types_every_list_entry():
+    # a bare `list` leaf would let any entry through to the CLI
+    def leaves(node):
+        if isinstance(node, dict):
+            return [leaf for sub in node.values() for leaf in leaves(sub)]
+        if isinstance(node, list):
+            assert len(node) == 1
+            return leaves(node[0])
+        return [node]
+    assert list not in leaves(_SCHEMA)
+    assert _SCHEMA["stages"]["finetune"]["teachers"] == [str]
+    assert _SCHEMA["ensemble"]["matrices"] == [
+        {"system": (int, str), "model": str, "path": str}]
 
 
 def test_config_rejects_removed_augmentation_keys(tmp_path):
