@@ -39,7 +39,9 @@ params, _ = run_stage(StageConfig("pretrain", epochs=5, batch_size=12),
                       params, dataset, peak_lr=0.05, floor_lr=1e-4, seed=1)
 
 # 3. cluster the caption embeddings; the neighborhood radius comes from
-#    the observed distance scale, not from tuning against the truth
+#    the observed distance scale, not from tuning against the truth.
+#    n_outliers counts the points the density step left sparse, which
+#    the pipeline then folds into their nearest clusters
 emb = encode(params.text_encoder, dataset.text_features)
 gaps = np.linalg.norm(emb[:, None, :] - emb[None, :, :], axis=-1)
 radius = float(np.percentile(gaps[gaps > 0], 10))

@@ -32,8 +32,7 @@ import numpy as np
 from . import fixtures
 from .checkpoints import (load_checkpoint, read_json, save_checkpoint,
                           write_json)
-from .clustering import (ClusterConfig, build_pseudo_labels, density_cluster,
-                         reassign_outliers, reduce_dimensionality)
+from .clustering import ClusterConfig, build_pseudo_labels, cluster_pipeline
 from .config import RunConfig, load_config
 from .core import cosine_similarity_matrix
 from .datasets import (align_relevance, load_paired_dataset, read_labels,
@@ -190,10 +189,8 @@ def cmd_cluster(cfg, out_dir):
         _checkpoint_dir(out_dir, "finetune"), "checkpoint",
         "run finetune first"))
     split = _load_split(cfg, cfg.get("clustering", "split", default="train"))
-    emb = encode(params.text_encoder, split.dataset.text_features)
-    dense = density_cluster(reduce_dimensionality(
-        emb, cluster_cfg.reduced_dim), cluster_cfg)
-    assignment = reassign_outliers(dense)
+    assignment = cluster_pipeline(
+        encode(params.text_encoder, split.dataset.text_features), cluster_cfg)
 
     labels_path = os.path.join(out_dir, "labels.tsv")
     os.makedirs(out_dir, exist_ok=True)
@@ -204,7 +201,7 @@ def cmd_cluster(cfg, out_dir):
                  *build_pseudo_labels(assignment, split.caption_to_audio))
     print(f"cluster: {assignment.k} clusters over "
           f"{len(assignment.labels)} captions "
-          f"({dense.n_outliers} outliers before reassignment), "
+          f"({assignment.n_outliers} outliers before reassignment), "
           f"labels at {labels_path}")
     return 0
 
@@ -311,33 +308,27 @@ def cmd_ensemble_apply(cfg, out_dir):
 
 
 def cmd_report(cfg, out_dir):
-    lines = []
-
-    def emit(prefix, payload):
-        for key in sorted(payload):
-            value = payload[key]
-            if isinstance(value, dict):
-                emit(f"{prefix}{key}.", value)
-            elif isinstance(value, list):
-                lines.append(f"{prefix}{key}: "
-                             f"{json.dumps(value, sort_keys=True)}")
-            else:
-                lines.append(f"{prefix}{key}: {value}")
-
+    sources = []
     summaries_dir = os.path.join(out_dir, "summaries")
     if os.path.isdir(summaries_dir):
-        for name in sorted(os.listdir(summaries_dir)):
-            if name.endswith(".json"):
-                emit(f"stage.{name[:-5]}.",
-                     read_json(os.path.join(summaries_dir, name)))
+        sources += [(f"stage.{name[:-5]}.", os.path.join(summaries_dir, name))
+                    for name in sorted(os.listdir(summaries_dir))
+                    if name.endswith(".json")]
     if os.path.isdir(out_dir):
-        for name in sorted(os.listdir(out_dir)):
-            if name.startswith("report_") and name.endswith(".json"):
-                emit(f"eval.{name[7:-5]}.",
-                     read_json(os.path.join(out_dir, name)))
+        sources += [(f"eval.{name[7:-5]}.", os.path.join(out_dir, name))
+                    for name in sorted(os.listdir(out_dir))
+                    if name.startswith("report_") and name.endswith(".json")]
     search_path = os.path.join(out_dir, "ensemble_search.json")
     if os.path.exists(search_path):
-        emit("ensemble.", read_json(search_path))
+        sources.append(("ensemble.", search_path))
+    lines = []
+    for prefix, path in sources:
+        payload = read_json(path)
+        for key in sorted(payload):
+            value = payload[key]
+            if isinstance(value, (dict, list)):
+                value = json.dumps(value, sort_keys=True)
+            lines.append(f"{prefix}{key}: {value}")
     if not lines:
         lines.append("nothing to report: no artifacts under "
                      + out_dir)

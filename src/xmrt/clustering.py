@@ -51,47 +51,51 @@ class ClusterConfig:
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Per-point labels with soft topic probabilities and centroids.
+    """Per-point labels with soft topic probabilities.
 
     labels holds a cluster id in [0, k) or OUTLIER per point.
     probabilities is n x k, each row a distribution over clusters
-    (softmax of negative centroid distances).  centroids is k x r in the
-    reduced space.  k may be zero straight out of the density step when
-    nothing was dense enough.
+    (softmax of negative centroid distances); its width is k, which may
+    be zero straight out of the density step when nothing was dense
+    enough.  n_outliers counts the points the density step left sparse:
+    they are the OUTLIER labels of a density result, and the points
+    reassign_outliers folded in after it, so no more labels than that
+    may be OUTLIER.
     """
 
     labels: np.ndarray
     probabilities: np.ndarray
-    k: int
-    centroids: np.ndarray
+    n_outliers: int
 
     def __post_init__(self):
         lab = np.asarray(self.labels, dtype=np.int64)
         probs = np.asarray(self.probabilities, dtype=np.float64)
-        cents = np.asarray(self.centroids, dtype=np.float64)
         if lab.ndim != 1:
             raise ContractError("labels must be 1-D")
-        if probs.shape != (lab.shape[0], self.k):
+        if probs.ndim != 2 or probs.shape[0] != lab.shape[0]:
             raise ContractError(
                 f"probabilities shape {probs.shape}, expected "
-                f"{(lab.shape[0], self.k)}")
-        if cents.ndim != 2 or cents.shape[0] != self.k:
-            raise ContractError(
-                f"centroids shape {cents.shape} does not match k={self.k}")
-        valid = (lab == OUTLIER) | ((lab >= 0) & (lab < self.k))
+                f"{lab.shape[0]} rows")
+        k = probs.shape[1]
+        valid = (lab == OUTLIER) | ((lab >= 0) & (lab < k))
         if not valid.all():
             raise ContractError("labels must lie in [0, k) or be OUTLIER")
-        if self.k > 0 and lab.size:
+        least = int(np.count_nonzero(lab == OUTLIER))
+        if not least <= self.n_outliers <= lab.size:
+            raise ContractError(
+                f"n_outliers {self.n_outliers} outside [{least}, "
+                f"{lab.size}]: the OUTLIER labels up to every point")
+        if k > 0 and lab.size:
             sums = probs.sum(axis=1)
             if np.abs(sums - 1.0).max() > 1e-6:
                 raise ContractError("probability rows must sum to 1")
         object.__setattr__(self, "labels", lab)
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "centroids", cents)
+        object.__setattr__(self, "n_outliers", int(self.n_outliers))
 
     @property
-    def n_outliers(self):
-        return int((self.labels == OUTLIER).sum())
+    def k(self):
+        return self.probabilities.shape[1]
 
 
 def reduce_dimensionality(embeddings, reduced_dim):
@@ -193,7 +197,7 @@ def density_cluster(points, cfg):
         centroids = np.zeros((0, x.shape[1]))
     return ClusterAssignment(labels=labels,
                              probabilities=_soft_probabilities(x, centroids),
-                             k=k, centroids=centroids)
+                             n_outliers=int((labels == OUTLIER).sum()))
 
 
 def reassign_outliers(assignment):
@@ -201,7 +205,8 @@ def reassign_outliers(assignment):
 
     Each outlier takes the argmax of its row of assignment.probabilities
     (density_cluster's softmax of negative centroid distances); ties break
-    toward the lowest cluster id.  No OUTLIER labels remain.
+    toward the lowest cluster id.  No OUTLIER labels remain, and
+    n_outliers carries over: it counts the points folded in.
     """
     if assignment.k < 1:
         raise DataError(
@@ -212,7 +217,7 @@ def reassign_outliers(assignment):
     labels[outliers] = assignment.probabilities[outliers].argmax(axis=1)
     return ClusterAssignment(labels=labels,
                              probabilities=assignment.probabilities,
-                             k=assignment.k, centroids=assignment.centroids)
+                             n_outliers=assignment.n_outliers)
 
 
 def build_pseudo_labels(assignment, caption_to_audio):

@@ -89,18 +89,8 @@ class Manifest:
         self._columns, self._split_codes, self._refs = (columns, split_codes,
                                                         refs)
 
-    @property
-    def items(self):
-        return tuple(map(ManifestItem, *self._columns))
-
     def __len__(self):
         return len(self._split_codes)
-
-    def __eq__(self, other):
-        if not isinstance(other, Manifest):
-            return NotImplemented
-        return ((self._columns, self.d_audio, self.d_text)
-                == (other._columns, other.d_audio, other.d_text))
 
     def _split_rows(self, split):
         if split not in SPLITS:

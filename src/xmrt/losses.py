@@ -94,8 +94,8 @@ def ensemble_average(similarities):
         return mats[0].copy()
     for r in range(m):
         for i in range(r % 2, m - 1, 2):
-            lo, hi = mats[i], mats[i + 1]
-            mats[i], mats[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+            mats[i], mats[i + 1] = (np.minimum(mats[i], mats[i + 1]),
+                                    np.maximum(mats[i], mats[i + 1]))
     total = np.zeros(mats[0].shape)
     with np.errstate(over="ignore"):
         for mat in mats:
@@ -164,16 +164,21 @@ def _head_forward_backward(head, raw_emb, labels, n):
 class _Workspace:
     """Every n x n array of a loss_and_gradients call at batch size n, and
     the gradient vector with its views in params' layout.  One whose bytes
-    would pass _WORKSPACE_BYTES is a ConfigError before any allocation.
+    would pass _WORKSPACE_BYTES is a ConfigError before any allocation;
+    the count includes the 2m + 2 n x n arrays at which the targets of
+    n_teachers = m > 0 teachers peak outside it (m similarities, their m
+    sorted copies in ensemble_average, and the two targets).
     """
 
-    def __init__(self, params, n):
+    def __init__(self, params, n, n_teachers):
         size = sum(t.size for t in params.named_tensors().values())
-        nbytes = 8 * (5 * n * n + size)
+        squares = 5 + (2 * n_teachers + 2 if n_teachers else 0)
+        nbytes = 8 * (squares * n * n + size)
         if nbytes > _WORKSPACE_BYTES:
+            teachers = f" with {n_teachers} teachers" if n_teachers else ""
             raise ConfigError(
-                f"batch_size {n} needs a {nbytes}-byte training workspace, "
-                f"over the {_WORKSPACE_BYTES}-byte limit")
+                f"batch_size {n} needs a {nbytes}-byte training workspace"
+                f"{teachers}, over the {_WORKSPACE_BYTES}-byte limit")
         self.z, self.shifted_r, self.q_r, self.shifted_c, self.q_c = (
             np.empty((5, n, n)))
         self.grad = np.zeros(size)
@@ -211,8 +216,8 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
         k = params.n_clusters
         if labels.min() < 0 or labels.max() >= k:
             raise DataError(f"cluster label outside [0, {k})")
-    if work is None:
-        work = _Workspace(params, n)
+    if work is None:   # targets, if given, are already the caller's
+        work = _Workspace(params, n, 0)
 
     raw_a, raw_c, norm_a, norm_c, unit_a, unit_c = _forward_embeddings(
         params, batch)

@@ -222,8 +222,9 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
               warmup_fraction=0.1, weight_decay=0.01, seed=0):
     """Train one stage to completion; returns (params, records).
 
-    `dataset` is a PairedDataset.  A batch_size whose workspace would
-    not fit losses._WORKSPACE_BYTES is a ConfigError before step 0.
+    `dataset` is a PairedDataset.  A batch_size whose workspace, with
+    finetune's teacher targets, would not fit losses._WORKSPACE_BYTES is
+    a ConfigError before step 0.
     The stage name picks the loss terms.
     finetune distills from `teachers`, a sequence of frozen ModelParams
     whose averaged similarities give the targets (required there,
@@ -283,7 +284,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
         raise ContractError(
             f"dataset of {len(dataset)} cannot fill a batch of "
             f"{stage.batch_size}")
-    work = _Workspace(params, stage.batch_size)
+    work = _Workspace(params, stage.batch_size, len(teachers or ()))
     batch = PairedDataset(
         np.zeros((stage.batch_size, dataset.audio_features.shape[1])),
         np.zeros((stage.batch_size, dataset.text_features.shape[1])))

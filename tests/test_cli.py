@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from xmrt import (ClusterConfig, density_cluster, encode, generate_fixtures,
+from xmrt import (ClusterConfig, GridSearchConfig, density_cluster, encode,
+                  generate_fixtures, hierarchical_grid_search, init_heads,
                   init_params, load_tensor, losses, reduce_dimensionality,
                   save_tensor)
 from xmrt.checkpoints import load_checkpoint, save_checkpoint
@@ -18,6 +19,8 @@ from xmrt.datasets import (
     Manifest,
     ManifestItem,
     load_paired_dataset,
+    read_relevance,
+    relevance_as_indices,
     write_labels,
     write_manifest,
     write_relevance,
@@ -542,6 +545,51 @@ def test_refinetune_rejects_a_label_outside_the_cluster_count(
     assert "cluster label outside [0, 2)" in capsys.readouterr().err
 
 
+def _refinetune_from_pretrain(tmp_path, k, drop_last=False):
+    """A config whose refinetune starts from the pretrain checkpoint and
+    reads labels.tsv: a label with a k-wide probability row for every
+    training caption, or for all but the last.  Runs pretrain."""
+    payload = _read_json(_pipeline_config(tmp_path))
+    payload["stages"]["refinetune"].update(
+        init_from="run/checkpoints/pretrain", labels="labels.tsv")
+    cfg = _write_config(tmp_path, payload)
+    assert main(["pretrain", "--config", cfg]) == 0
+    ids = load_paired_dataset(os.path.join(str(tmp_path), "corpus",
+                                           "manifest.tsv"),
+                              "train").dataset.caption_ids
+    ids = ids[:-1] if drop_last else ids
+    write_labels(os.path.join(str(tmp_path), "labels.tsv"), ids,
+                 np.arange(len(ids)) % k, np.full((len(ids), k), 1.0 / k))
+    return cfg
+
+
+def test_refinetune_rejects_a_label_file_missing_a_caption(tmp_path,
+                                                           capsys):
+    cfg = _refinetune_from_pretrain(tmp_path, 2, drop_last=True)
+    last = load_paired_dataset(os.path.join(str(tmp_path), "corpus",
+                                            "manifest.tsv"),
+                               "train").dataset.caption_ids[-1]
+    capsys.readouterr()
+    assert main(["refinetune", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"error: label file lacks caption {last!r}\n")
+
+
+def test_refinetune_rejects_heads_for_another_cluster_count(tmp_path,
+                                                            capsys):
+    cfg = _refinetune_from_pretrain(tmp_path, 2)
+    start = os.path.join(str(tmp_path), "run", CHECKPOINT_ROOT, "pretrain")
+    params = load_checkpoint(start)
+    save_checkpoint(start, params.with_heads(*init_heads(params.d_emb, 3,
+                                                         seed=0)))
+    capsys.readouterr()
+    assert main(["refinetune", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: checkpoint heads expect 3 clusters, label file has 2\n")
+    assert not os.path.exists(os.path.join(str(tmp_path), "run",
+                                           CHECKPOINT_ROOT, "refinetune"))
+
+
 def test_zero_epoch_stage_writes_the_starting_checkpoint(tmp_path, capsys):
     payload = _read_json(_pipeline_config(tmp_path))
     payload["stages"]["pretrain"]["epochs"] = 0
@@ -638,6 +686,73 @@ def test_ensemble_search_cli(tmp_path, capsys):
     weights = {(m["system"], m["model"]): m["weight"]
                for m in payload["members"]}
     assert weights == {(0, "a"): 1.0, (1, "b"): 0.0}
+
+
+def _grid_config(tmp_path, strategy):
+    """Four noisy 20 x 20 members on a 2 x 2 (system, model) grid, their
+    relevance rel.tsv, and a config searching them hierarchically."""
+    base = str(tmp_path)
+    rng = np.random.default_rng(21)
+    n = 20
+    entries = []
+    for i, (system, model) in enumerate([(0, "a"), (0, "b"), (1, "a"),
+                                         (1, "b")]):
+        path = f"m{i}.xmrt"
+        save_tensor(os.path.join(base, path),
+                    (i + 1) * np.eye(n) + rng.standard_normal((n, n)))
+        entries.append({"system": system, "model": model, "path": path})
+    write_relevance(os.path.join(base, "rel.tsv"),
+                    [(f"q{i}", (str(i), str((i + 1) % n)))
+                     for i in range(n)])
+    return _write_config(tmp_path, {
+        "out_dir": "run",
+        "ensemble": {"step": 0.25, "hierarchical": True,
+                     "strategy": strategy, "matrices": entries,
+                     "relevance": "rel.tsv"},
+    })
+
+
+@pytest.mark.parametrize("strategy", ["system-first", "model-first"])
+def test_hierarchical_search_cli_matches_the_engine(tmp_path, strategy):
+    base = str(tmp_path)
+    cfg = _grid_config(tmp_path, strategy)
+    assert main(["ensemble-search", "--config", cfg]) == 0
+    payload = _read_json(os.path.join(base, "run", "ensemble_search.json"))
+    members = {(entry["system"], entry["model"]):
+               load_tensor(os.path.join(base, entry["path"]))
+               for entry in _read_json(cfg)["ensemble"]["matrices"]}
+    result = hierarchical_grid_search(
+        members, relevance_as_indices(read_relevance(
+            os.path.join(base, "rel.tsv"))),
+        GridSearchConfig(step=0.25), strategy=strategy)
+    assert payload == {
+        "strategy": strategy,
+        "map_at_16": result.map_at_16,
+        "points_evaluated": result.points_evaluated,
+        "members": [{"system": m.system, "model": m.model,
+                     "weight": m.weight} for m in result.spec.members],
+    }
+    # three 2-member stages (two groups, then across them) of 5 points
+    assert result.points_evaluated == 15
+
+
+def test_report_lists_the_ensemble_search(tmp_path, capsys):
+    base = str(tmp_path)
+    cfg = _grid_config(tmp_path, "model-first")
+    assert main(["ensemble-search", "--config", cfg]) == 0
+    payload = _read_json(os.path.join(base, "run", "ensemble_search.json"))
+    capsys.readouterr()
+    assert main(["report", "--config", cfg]) == 0
+    text = capsys.readouterr().out
+    assert text == (
+        f"ensemble.map_at_16: {payload['map_at_16']}\n"
+        f"ensemble.members: "
+        f"{json.dumps(payload['members'], sort_keys=True)}\n"
+        f"ensemble.points_evaluated: 15\n"
+        f"ensemble.strategy: model-first\n")
+    with open(os.path.join(base, "run", "report.txt"),
+              encoding="utf-8") as fh:
+        assert fh.read() == text
 
 
 def test_ensemble_apply_bundled_row(tmp_path):

@@ -62,14 +62,14 @@ def _reference_density_cluster(points, cfg):
     else:
         centroids = np.zeros((0, x.shape[1]))
     return ClusterAssignment(
-        labels=labels, k=k, centroids=centroids,
+        labels=labels, n_outliers=int((labels == OUTLIER).sum()),
         probabilities=clustering._soft_probabilities(x, centroids))
 
 
 def _assert_same_assignment(got, expected):
     assert got.k == expected.k
+    assert got.n_outliers == expected.n_outliers
     assert got.labels.tobytes() == expected.labels.tobytes()
-    assert got.centroids.tobytes() == expected.centroids.tobytes()
     assert got.probabilities.tobytes() == expected.probabilities.tobytes()
 
 
@@ -199,7 +199,7 @@ class TestDensityCluster:
         assert whole.k >= 2 and whole.n_outliers >= 2
         assert blocked.k == whole.k
         assert blocked.labels.tobytes() == whole.labels.tobytes()
-        assert blocked.centroids.tobytes() == whole.centroids.tobytes()
+        assert blocked.n_outliers == whole.n_outliers
         assert (blocked.probabilities.tobytes()
                 == whole.probabilities.tobytes())
 
@@ -263,6 +263,29 @@ class TestDensityCluster:
             ClusterConfig(neighborhood_radius=1.0, min_cluster_size=1)
 
 
+class TestClusterAssignment:
+    def test_k_is_the_probability_width(self):
+        probs = np.full((3, 4), 0.25)
+        assignment = ClusterAssignment(np.array([0, 3, OUTLIER]), probs, 1)
+        assert assignment.k == 4
+        assert ClusterAssignment(np.full(2, OUTLIER), np.zeros((2, 0)),
+                                 2).k == 0
+
+    # at least the OUTLIER labels, at most every point
+    @pytest.mark.parametrize("n_outliers", [0, 1, 4])
+    def test_n_outliers_outside_its_range_rejected(self, n_outliers):
+        labels = np.array([OUTLIER, 0, OUTLIER])
+        with pytest.raises(ContractError, match=rf"^n_outliers {n_outliers} "
+                                                rf"outside \[2, 3\]"):
+            ClusterAssignment(labels, np.full((3, 2), 0.5), n_outliers)
+
+    def test_probabilities_need_one_row_per_label(self):
+        with pytest.raises(ContractError, match="probabilities shape"):
+            ClusterAssignment(np.array([0, 1]), np.full((3, 2), 0.5), 0)
+        with pytest.raises(ContractError, match="probabilities shape"):
+            ClusterAssignment(np.array([0, 1]), np.full(2, 0.5), 0)
+
+
 class TestReassignOutliers:
     def test_no_outliers_is_identity(self):
         points, _ = _blobs([(0, 0), (10, 0)], per_blob=10)
@@ -283,19 +306,19 @@ class TestReassignOutliers:
         assert assignment.labels[-1] == OUTLIER
         fixed = reassign_outliers(assignment)
         assert fixed.labels[-1] == assignment.labels[0]
-        assert fixed.n_outliers == 0
+        assert (fixed.labels != OUTLIER).all()
+        assert fixed.n_outliers == assignment.n_outliers == 1
 
     def test_equidistant_tie_takes_lowest_id(self):
         labels = np.array([0, 1, OUTLIER])
-        centroids = np.array([[-1.0, 0.0], [1.0, 0.0]])
         probs = np.array([[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]])
-        assignment = ClusterAssignment(labels, probs, 2, centroids)
+        assignment = ClusterAssignment(labels, probs, 1)
         fixed = reassign_outliers(assignment)
         assert fixed.labels[-1] == 0
 
     def test_zero_clusters_is_an_error_with_advice(self):
         assignment = ClusterAssignment(
-            np.full(4, OUTLIER), np.zeros((4, 0)), 0, np.zeros((0, 2)))
+            np.full(4, OUTLIER), np.zeros((4, 0)), 4)
         with pytest.raises(DataError, match="neighborhood_radius"):
             reassign_outliers(assignment)
 
@@ -305,7 +328,8 @@ class TestBuildPseudoLabels:
         labels = np.asarray(labels)
         n = labels.shape[0]
         probs = np.full((n, k), 1.0 / k)
-        return ClusterAssignment(labels, probs, k, np.zeros((k, 2)))
+        return ClusterAssignment(labels, probs,
+                                 int((labels == OUTLIER).sum()))
 
     def test_one_to_one_pairing_copies_labels(self):
         assignment = self._assignment([2, 0, 1, 2])
@@ -332,8 +356,7 @@ class TestBuildPseudoLabels:
         rng.shuffle(pairing)
         raw = rng.random((n_captions, k)) + 1e-3
         assignment = ClusterAssignment(
-            raw.argmax(axis=1), raw / raw.sum(axis=1, keepdims=True), k,
-            np.zeros((k, 2)))
+            raw.argmax(axis=1), raw / raw.sum(axis=1, keepdims=True), 0)
         labels, probs = build_pseudo_labels(assignment, pairing)
         expected = np.zeros((n_audio, k))
         votes = np.zeros((n_audio, k), dtype=np.int64)
@@ -383,6 +406,19 @@ class TestClusterPipeline:
             members = truth[assignment.labels == c]
             assert len(set(members.tolist())) == 1
 
+    def test_keeps_the_density_steps_outlier_count(self):
+        points, _ = _blobs([(0, 0), (10, 0)], per_blob=10, sigma=0.05)
+        points = np.vstack([points, [[1.5, 0.0], [5.0, 30.0]]])
+        cfg = ClusterConfig(neighborhood_radius=1.0, reduced_dim=2,
+                            min_cluster_size=5)
+        dense = density_cluster(reduce_dimensionality(points, 2), cfg)
+        assignment = cluster_pipeline(points, cfg)
+        assert dense.n_outliers == 2
+        assert assignment.n_outliers == dense.n_outliers
+        assert (assignment.labels != OUTLIER).all()
+        assert (assignment.labels[dense.labels != OUTLIER]
+                == dense.labels[dense.labels != OUTLIER]).all()
+
     def test_deterministic(self):
         points, _ = _blobs([(0, 0), (10, 0)], per_blob=20, sigma=0.2, seed=8)
         cfg = ClusterConfig(neighborhood_radius=1.0, reduced_dim=2,
@@ -391,7 +427,7 @@ class TestClusterPipeline:
         b = cluster_pipeline(points.copy(), cfg)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
-        np.testing.assert_array_equal(a.centroids, b.centroids)
+        assert a.n_outliers == b.n_outliers
 
     def test_hopeless_radius_gives_advice(self):
         rng = np.random.default_rng(9)

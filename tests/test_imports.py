@@ -190,6 +190,17 @@ def test_weight_search_scores_points_through_the_block_scorer():
     assert _functions_around(source, _calls("_mean_metrics")) == ["evaluate"]
 
 
+def test_only_the_pipeline_chains_the_cluster_steps():
+    for path in sorted((ROOT / "src/xmrt").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for step in ("reduce_dimensionality", "density_cluster",
+                     "reassign_outliers"):
+            expected = (["cluster_pipeline"] if path.name == "clustering.py"
+                        else [])
+            assert _functions_around(source, _calls(step)) == expected, (
+                path.name, step)
+
+
 def _splits_lines(node):
     """A .split("\\n") or .splitlines() call: text cut into lines."""
     if not (isinstance(node, ast.Call)

@@ -221,6 +221,14 @@ def _item(audio="a0", caption="c0", aref="audio.xmrt:0",
                         caption_ref=cref, split=split)
 
 
+def _manifest_rows(path):
+    """The ManifestItem of each row of a manifest file, read line by line
+    past its pragma and header lines."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()[2:]
+    return [ManifestItem(*line.split("\t")) for line in lines]
+
+
 def test_parse_ref():
     assert parse_ref("audio.xmrt:12") == ("audio.xmrt", 12)
     with pytest.raises(DataError, match="bad tensor ref"):
@@ -315,7 +323,7 @@ def test_manifest_rejects_inconsistent_audio_ref():
 def test_manifest_allows_shared_audio():
     items = (_item(), _item(caption="c1"))
     manifest = Manifest(items=items, d_audio=4, d_text=3)
-    assert len(manifest.items) == 2
+    assert len(manifest) == 2
 
 
 def test_manifest_round_trip(tmp_path):
@@ -327,7 +335,12 @@ def test_manifest_round_trip(tmp_path):
     path = os.path.join(str(tmp_path), "manifest.tsv")
     write_manifest(path, manifest)
     back = read_manifest(path)
-    assert back == manifest
+    assert (len(back), back.d_audio, back.d_text) == (4, 6, 5)
+    again = os.path.join(str(tmp_path), "again.tsv")
+    write_manifest(again, back)
+    with open(path, "rb") as first, open(again, "rb") as second:
+        assert second.read() == first.read()
+    assert _manifest_rows(path) == list(items)
 
 
 def test_read_manifest_pragma_errors(tmp_path):
@@ -543,8 +556,8 @@ def test_load_paired_dataset_names_a_later_out_of_range_ref(tmp_path):
 
 def _reference_load(manifest_path, split):
     """The row-by-row loader: one row view per ref, stacked at the end."""
-    manifest = read_manifest(manifest_path)
-    items = [item for item in manifest.items if item.split == split]
+    items = [item for item in _manifest_rows(manifest_path)
+             if item.split == split]
     base = os.path.dirname(os.path.abspath(manifest_path))
     loaded = {}
 
@@ -641,9 +654,9 @@ def test_load_paired_dataset_parses_each_ref_once(tmp_path, monkeypatch):
     # a split load checks the whole manifest but builds no ManifestItem
     # and parses each ref column once, never one ref at a time
     path = _write_mixed_corpus(tmp_path)
-    manifest = read_manifest(path)
-    want = sorted(item.audio_ref for item in manifest.items) + sorted(
-        item.caption_ref for item in manifest.items)
+    rows = _manifest_rows(path)
+    want = sorted(item.audio_ref for item in rows) + sorted(
+        item.caption_ref for item in rows)
     parsed = []
 
     def counting_parse(refs):
@@ -892,7 +905,7 @@ def test_generate_fixtures_layout(tmp_path):
     out = os.path.join(str(tmp_path), "corpus")
     manifest = generate_fixtures(out, n_items=24, d_latent=4, d_audio=10,
                                  d_text=8, seed=7)
-    assert len(manifest.items) == 24
+    assert len(manifest) == 24
     for name in ("audio.xmrt", "text.xmrt", MANIFEST_FILE,
                  relevance_file("train"), relevance_file("val"),
                  relevance_file("test")):

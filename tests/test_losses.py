@@ -13,6 +13,7 @@ from xmrt import (Axis, ClassificationHead, ConfigError, ContractError,
                   cosine_similarity_matrix, init_params, loss_and_gradients,
                   softmax_with_temperature, student_similarity,
                   targets_from_teacher_sims, teacher_soft_targets)
+from xmrt import losses
 from xmrt.encoders import _head_forward, encode
 from xmrt.losses import TeacherTargets, _Workspace, ensemble_average
 
@@ -509,7 +510,7 @@ class TestWorkspace:
         targets = targets_from_teacher_sims(
             [student_similarity(init_params(6, 5, 4, seed=9), batch)], cfg)
         labels = np.arange(n) % 3
-        work = _Workspace(params, n)
+        work = _Workspace(params, n, 1)
         step = functools.partial(loss_and_gradients, params, batch, cfg,
                                  targets, labels, work=work)
         _, first = step()
@@ -523,6 +524,41 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak - start < n * n * 8
         _assert_same_bits(second, kept)
+
+    @pytest.mark.parametrize("n_teachers", [1, 3])
+    def test_teacher_targets_peak_at_the_budgeted_squares(self, n_teachers):
+        # Outside its workspace a finetune step peaks at the 2m + 2 batch
+        # squares _Workspace counts for m teachers, plus per-row vectors
+        # and one finiteness mask (an eighth of a square).
+        n = 256
+        params = init_params(6, 5, 4, seed=1)
+        batch = random_batch(n, 6, 5, seed=2)
+        teachers = [init_params(6, 5, 4, seed=9 + i)
+                    for i in range(n_teachers)]
+        cfg = LossConfig()
+        work = _Workspace(params, n, n_teachers)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            targets = targets_from_teacher_sims(
+                [student_similarity(t, batch) for t in teachers], cfg)
+            loss_and_gradients(params, batch, cfg, targets, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        squares = (peak - start) / (8 * n * n)
+        assert 2 * n_teachers + 2 <= squares < 2 * n_teachers + 2.25
+
+    def test_teachers_count_toward_the_workspace_budget(self):
+        # batch 3,600 fits the budget alone but not with three teachers
+        params = init_params(6, 5, 4, seed=1)
+        size = sum(t.size for t in params.named_tensors().values())
+        assert 8 * (5 * 3600 ** 2 + size) <= losses._WORKSPACE_BYTES
+        needed = 8 * (13 * 3600 ** 2 + size)
+        with pytest.raises(ConfigError, match=(
+                rf"^batch_size 3600 needs a {needed}-byte training "
+                rf"workspace with 3 teachers, over the")):
+            _Workspace(params, 3600, 3)
 
 
 def _assert_same_bits(grads_a, grads_b):

@@ -12,6 +12,7 @@ from xmrt import (ConfigError, ContractError, DataError, LossConfig,
                   expand_with_mixes, init_params, loss_and_gradients,
                   losses, make_batches, run_stage, student_similarity,
                   targets_from_teacher_sims)
+from xmrt import training
 from xmrt.training import STAGES, _learning_rates
 
 from conftest import adamw_reference, headed_params, lr_reference
@@ -548,6 +549,41 @@ class TestRunStage:
                                               rf"{needed}-byte training"):
             run_stage(StageConfig("pretrain", epochs=1, batch_size=16),
                       params, _toy_dataset())
+
+    def test_teacher_targets_count_toward_the_budget(self, monkeypatch):
+        # The budget fits exactly the batch-8 finetune with one teacher:
+        # 5 + 4 squares and the gradient vector; three teachers need 13.
+        params = init_params(8, 6, 4, seed=0)
+        size = sum(t.size for t in params.named_tensors().values())
+        monkeypatch.setattr(losses, "_WORKSPACE_BYTES", 8 * (9 * 64 + size))
+        stage = StageConfig("finetune", epochs=1, batch_size=8)
+        teachers = [init_params(8, 6, 4, seed=s) for s in (1, 2, 3)]
+        assert len(run_stage(stage, params, _toy_dataset(),
+                             teachers=teachers[:1])[1]) == 4
+        needed = 8 * (13 * 64 + size)
+        with pytest.raises(ConfigError, match=rf"^batch_size 8 needs a "
+                                              rf"{needed}-byte training "
+                                              rf"workspace with 3 teachers"):
+            run_stage(stage, params, _toy_dataset(), teachers=teachers)
+
+    def test_pseudo_labels_need_one_per_row(self):
+        params = headed_params(8, 6, 4, 3, seed=0)
+        with pytest.raises(ContractError,
+                           match=r"^\(31,\) labels for 32 items$"):
+            run_stage(StageConfig("refinetune", epochs=1, batch_size=8),
+                      params, _toy_dataset(),
+                      pseudo_labels=np.zeros(31, dtype=int))
+
+    def test_dataset_short_of_a_batch_fails_before_the_workspace(
+            self, monkeypatch):
+        def no_workspace(*args):
+            raise AssertionError("built a workspace")
+
+        monkeypatch.setattr(training, "_Workspace", no_workspace)
+        with pytest.raises(ContractError, match=r"^dataset of 32 cannot "
+                                                r"fill a batch of 64$"):
+            run_stage(StageConfig("pretrain", epochs=1, batch_size=64),
+                      init_params(8, 6, 4, seed=0), _toy_dataset())
 
     def test_out_of_range_label_rejected_before_training(self):
         params = headed_params(8, 6, 4, 3, seed=0)
