@@ -18,8 +18,7 @@ from .encoders import (ClassificationHead, LinearEncoder, ModelParams,
                        encode, init_heads, init_params)
 from .ensemble import (EnsembleSpec, GridSearchConfig, Member, SearchResult,
                        bundled_weight_table, fuse, grid_search,
-                       hierarchical_grid_search, read_weight_table,
-                       write_weight_table)
+                       hierarchical_grid_search, read_weight_table)
 from .errors import (ConfigError, ContractError, DataError, TensorFileError,
                      XmrtError)
 from .evaluation import MetricsReport, RelevanceMap, evaluate, rank_gallery
@@ -51,7 +50,7 @@ __all__ = [
     "Member", "EnsembleSpec", "GridSearchConfig",
     "SearchResult", "fuse", "grid_search",
     "hierarchical_grid_search", "bundled_weight_table",
-    "read_weight_table", "write_weight_table",
+    "read_weight_table",
     "save_tensor", "load_tensor", "generate_fixtures",
     "XmrtError", "ConfigError", "ContractError", "DataError",
     "TensorFileError",

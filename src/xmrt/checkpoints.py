@@ -12,7 +12,8 @@ import os
 
 from .encoders import _ENCODER_TENSORS, _HEAD_TENSORS, _params_from_tensors
 from .errors import ContractError, DataError
-from .tensorfile import _read_text, atomic_open, load_tensor, save_tensor
+from .tensorfile import (_read_text, atomic_open, discard_file, load_tensor,
+                         save_tensor)
 
 META_FILE = "meta.json"
 FORMAT_VERSION = 1
@@ -43,8 +44,7 @@ def save_checkpoint(directory, params):
     # Old meta.json first, new one last: a write that fails partway
     # leaves no checkpoint, never a mix of old and new tensors.
     meta_path = os.path.join(directory, META_FILE)
-    if os.path.exists(meta_path):
-        os.remove(meta_path)
+    discard_file(meta_path)
     tensors = params.named_tensors()
     for name, tensor in tensors.items():
         save_tensor(os.path.join(directory, f"{name}.xmrt"), tensor)

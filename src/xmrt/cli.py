@@ -5,12 +5,12 @@ Every subcommand reads a JSON run config (see config.py), writes its
 artifacts under the output directory, and is idempotent for a fixed
 config and seed; `main` loads the config and resolves the output
 directory once for all of them.  Only gen-fixtures and the three
-training stages draw random numbers, and only they take --seed.  Seed
-precedence: --seed flag, then the XMRT_SEED environment variable, then
-the config's seed entry; the resolved seed also seeds pair mixing
-unless augmentation.rng_seed is set.  Each config section goes straight
-into the engine object or function it configures, so an absent key
-keeps the engine's own default.
+training stages draw random numbers, and only they take --seed.  The
+seed is the --seed flag, else the config's seed (0); no environment
+variable is read.  It also seeds pair mixing.  Each config section goes
+straight into the engine object or function it configures, so an
+absent key keeps the engine's own default.  A stage's summary and
+cluster's labels.tsv are dropped first and written last.
 
 Exit codes: 0 success, 1 module error (bad data, bad config values,
 failed contracts), 2 usage error (unknown flags, missing required
@@ -35,33 +35,29 @@ from .checkpoints import (load_checkpoint, read_json, save_checkpoint,
 from .clustering import ClusterConfig, build_pseudo_labels, cluster_pipeline
 from .config import RunConfig, load_config
 from .core import cosine_similarity_matrix
-from .datasets import (align_relevance, load_paired_dataset, read_labels,
-                       read_relevance, relevance_as_indices, write_labels)
+from .datasets import (SPLITS, align_relevance, load_paired_dataset,
+                       read_labels, read_relevance, relevance_as_indices,
+                       write_labels)
 from .encoders import encode, init_heads, init_params
 from .ensemble import (GridSearchConfig, bundled_weight_table, fuse,
                        grid_search, hierarchical_grid_search,
                        read_weight_table)
 from .errors import ConfigError, DataError, XmrtError
-from .evaluation import METRIC_KEYS, evaluate
+from .evaluation import METRIC_KEYS, MODES, evaluate
 from .losses import LossBreakdown, LossConfig
-from .tensorfile import atomic_open, load_tensor, save_tensor
+from .tensorfile import atomic_open, discard_file, load_tensor, save_tensor
 from .training import STAGES, StageConfig, expand_with_mixes, run_stage
 
 CHECKPOINT_ROOT = "checkpoints"
 
 
 def _resolve_seed(flag, cfg):
-    env = os.environ.get("XMRT_SEED")
-    if flag is not None:
-        source, value = "--seed", flag
-    elif env is not None:
-        source, value = "XMRT_SEED", env
-    else:
-        source, value = "config key seed", cfg.seed
-    if not str(value).isdecimal():   # numpy seeds must be >= 0
+    source, value = (("--seed", flag) if flag is not None
+                     else ("config key seed", cfg.get("seed", default=0)))
+    if value < 0:   # numpy seeds must be >= 0
         raise ConfigError(
-            f"{source} must be a non-negative integer, got {value!r}")
-    return int(value)
+            f"{source} must be a non-negative integer, got {value}")
+    return value
 
 
 def _resolve_out(flag, cfg):
@@ -108,6 +104,15 @@ def _input_path(cfg, keys, default, what, hint):
                       f"or set {'.'.join(keys)}")
 
 
+def _choice(cfg, keys, choices, default):
+    """The value at config key keys, else default; one of choices."""
+    value = cfg.get(*keys, default=default)
+    if value not in choices:
+        raise ConfigError(f"config key {'.'.join(keys)} must be one of "
+                          f"{choices}, got {value!r}")
+    return value
+
+
 def _load_split(cfg, name):
     return load_paired_dataset(cfg.resolve_input("data", "manifest"), name)
 
@@ -138,8 +143,8 @@ def _run_training_stage(cfg, out_dir, seed, stage_name):
     if stage_name == "finetune":
         teachers = [load_checkpoint(cfg.resolve(path)) for path in
                     cfg.require("stages", "finetune", "teachers")]
-        dataset = expand_with_mixes(dataset, **{
-            "rng_seed": seed, **cfg.get("augmentation", default={})})
+        dataset = expand_with_mixes(dataset, rng_seed=seed,
+                                    **cfg.get("augmentation", default={}))
 
     if stage_name == "refinetune":
         ids, labels, probs = read_labels(_input_path(
@@ -170,10 +175,11 @@ def _run_training_stage(cfg, out_dir, seed, stage_name):
         **cfg.get("schedule", default={}))
 
     ckpt_dir = _checkpoint_dir(out_dir, stage_name)
+    summary_path = os.path.join(out_dir, "summaries", f"{stage_name}.json")
     summary = _stage_summary(records)
+    discard_file(summary_path)
     save_checkpoint(ckpt_dir, params)
-    write_json(os.path.join(out_dir, "summaries", f"{stage_name}.json"),
-               {"stage": stage_name, "seed": seed, **summary})
+    write_json(summary_path, {"stage": stage_name, "seed": seed, **summary})
     losses = (f"loss {summary['first_total']:.4f} -> "
               f"{summary['final_total']:.4f}, " if records else "")
     print(f"{stage_name}: {summary['steps']} steps, {losses}"
@@ -188,17 +194,18 @@ def cmd_cluster(cfg, out_dir):
         cfg, ("clustering", "checkpoint"),
         _checkpoint_dir(out_dir, "finetune"), "checkpoint",
         "run finetune first"))
-    split = _load_split(cfg, cfg.get("clustering", "split", default="train"))
+    split = _load_split(cfg, "train")
     assignment = cluster_pipeline(
         encode(params.text_encoder, split.dataset.text_features), cluster_cfg)
 
     labels_path = os.path.join(out_dir, "labels.tsv")
     os.makedirs(out_dir, exist_ok=True)
-    write_labels(labels_path, split.dataset.caption_ids, assignment.labels,
-                 assignment.probabilities)
+    discard_file(labels_path)
     write_labels(os.path.join(out_dir, "audio_labels.tsv"),
                  split.gallery_ids,
                  *build_pseudo_labels(assignment, split.caption_to_audio))
+    write_labels(labels_path, split.dataset.caption_ids, assignment.labels,
+                 assignment.probabilities)
     print(f"cluster: {assignment.k} clusters over "
           f"{len(assignment.labels)} captions "
           f"({assignment.n_outliers} outliers before reassignment), "
@@ -207,14 +214,14 @@ def cmd_cluster(cfg, out_dir):
 
 
 def cmd_evaluate(cfg, out_dir):
+    split_name = _choice(cfg, ("evaluate", "split"), SPLITS, "test")
+    mode = _choice(cfg, ("evaluate", "mode"), MODES, inspect.signature(
+        evaluate).parameters["mode"].default)
     ckpt_dir = _input_path(
         cfg, ("evaluate", "checkpoint"),
         [_checkpoint_dir(out_dir, stage) for stage in reversed(STAGES)],
         "checkpoint", "train a stage first")
     params = load_checkpoint(ckpt_dir)
-    split_name = cfg.get("evaluate", "split", default="test")
-    mode = cfg.get("evaluate", "mode", default=inspect.signature(
-        evaluate).parameters["mode"].default)
     split = _load_split(cfg, split_name)
     sim = cosine_similarity_matrix(
         encode(params.audio_encoder, split.gallery_features),
@@ -252,13 +259,17 @@ def _ensemble_members(cfg):
 
 
 def cmd_ensemble_search(cfg, out_dir):
+    hierarchical = cfg.get("ensemble", "hierarchical")
+    options = {k: v for k, v in cfg.get("ensemble", default={}).items()
+               if k in ("strategy", "mode", "refine")}
+    if "strategy" in options and not hierarchical:
+        raise ConfigError("config key ensemble.strategy needs "
+                          "ensemble.hierarchical: true")
     members = _ensemble_members(cfg)
     relevance = relevance_as_indices(read_relevance(
         cfg.resolve_input("ensemble", "relevance")))
     grid_cfg = _from_section(GridSearchConfig, cfg, "ensemble")
-    options = {k: v for k, v in cfg.get("ensemble").items()
-               if k in ("strategy", "mode", "refine")}
-    if cfg.get("ensemble", "hierarchical"):
+    if hierarchical:
         result = hierarchical_grid_search(members, relevance, grid_cfg,
                                           **options)
     else:
@@ -285,10 +296,7 @@ def cmd_ensemble_apply(cfg, out_dir):
     else:
         specs = read_weight_table(cfg.resolve_input("ensemble",
                                                     "weight_table"))
-    row = cfg.get("ensemble", "row", default=next(iter(specs)))
-    if row not in specs:
-        raise ConfigError(
-            f"row {row!r} not in weight table rows {tuple(specs)}")
+    row = _choice(cfg, ("ensemble", "row"), tuple(specs), next(iter(specs)))
     spec = specs[row]
     members = _ensemble_members(cfg)
     ordered = []

@@ -7,7 +7,7 @@ with a ConfigError naming the dotted key, list entries by index
 schema's keys.  A bool is never an int or a float; an int given for a
 float key loads as a float, and a float must be finite (JSON NaN and
 Infinity are rejected).  Absent keys keep the defaults of the engine
-object they feed; the run seed's 0 is the only default here.  Relative
+object they feed; the config holds no defaults of its own.  Relative
 paths resolve against the config file's own directory, which keeps run
 directories relocatable.
 """
@@ -37,12 +37,11 @@ _SCHEMA = {
         "finetune": {**_STAGE, "teachers": [str], "init_from": str},
         "refinetune": {**_STAGE, "labels": str, "init_from": str},
     },
-    "augmentation": {"mix_count": int, "rng_seed": int},
+    "augmentation": {"mix_count": int},
     "clustering": {"reduced_dim": int, "min_cluster_size": int,
-                   "neighborhood_radius": float, "checkpoint": str,
-                   "split": str},
+                   "neighborhood_radius": float, "checkpoint": str},
     "evaluate": {"checkpoint": str, "split": str, "mode": str},
-    "ensemble": {"step": float, "max_grid_points": int, "strategy": str,
+    "ensemble": {"step": float, "strategy": str,
                  "refine": bool, "mode": str, "hierarchical": bool,
                  "matrices": [{"system": (int, str), "model": str,
                                "path": str}],
@@ -125,10 +124,6 @@ class RunConfig:
                 f"config key {'.'.join(keys)!r} points to a missing "
                 f"path {path}")
         return path
-
-    @property
-    def seed(self):
-        return self.get("seed", default=0)
 
 
 def load_config(path):

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 
+_ALLOC_BYTES = 1 << 29    # the most one config-sized allocation may take
+
 
 class Axis(enum.Enum):
     """Which slices of a matrix form probability distributions."""
@@ -45,6 +47,14 @@ def _as_equal_shape_matrices(values, name):
             raise ContractError(f"{name} {i} has shape {mat.shape}, "
                                 f"expected {mats[0].shape}")
     return mats
+
+
+def _check_alloc(nbytes, who, what):
+    """Raise ConfigError if the nbytes that setting `who` asks for its
+    `what` pass _ALLOC_BYTES, so that it fails before it allocates."""
+    if nbytes > _ALLOC_BYTES:
+        raise ConfigError(f"{who} needs a {nbytes}-byte {what}, over the "
+                          f"{_ALLOC_BYTES}-byte limit")
 
 
 def _rng(seed, *stream):

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _rng, as_matrix
+from .core import _check_alloc, _rng, as_matrix
 from .errors import ConfigError, ContractError, DataError
 
 MODALITIES = ("audio", "text")
@@ -217,12 +217,14 @@ def init_heads(d_emb, n_clusters, seed=0):
 
 def init_params(d_in_audio, d_in_text, d_emb=16, seed=0):
     """Seed-deterministic fan-in uniform encoders without heads; biases
-    start at zero."""
+    start at zero.  Encoders past core._ALLOC_BYTES are a ConfigError."""
     for name, dim in (("d_in_audio", d_in_audio), ("d_in_text", d_in_text)):
         if dim < 1:
             raise ConfigError(f"{name} must be >= 1, got {dim}")
     if d_emb < 2:
         raise ConfigError(f"d_emb must be >= 2, got {d_emb}")
+    _check_alloc(8 * d_emb * (d_in_audio + d_in_text + 2), f"d_emb {d_emb}",
+                 "model")
     rng = _rng(seed)
     audio_enc = LinearEncoder(_uniform_fanin(rng, (d_emb, d_in_audio), d_in_audio),
                               np.zeros(d_emb), "audio")

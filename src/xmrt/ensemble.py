@@ -26,7 +26,7 @@ from .core import _as_equal_shape_matrices
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import (METRIC_KEYS, _candidates_per_block, _mean_metrics,
                          _relevance_arrays, evaluate)
-from .tensorfile import _read_rows, _write_rows
+from .tensorfile import _read_rows
 
 STRATEGIES = ("system-first", "model-first")
 TABLE_SYSTEMS = (2, 3, 4, 5)
@@ -37,6 +37,7 @@ WEIGHT_SUM_TOL = 1e-6
 REFINE_STEP = 0.0025
 MAX_REFINE_SWEEPS = 100
 MAX_MEMBERS = 12
+MAX_GRID_POINTS = 200_000
 _MAP_AT_16 = METRIC_KEYS.index("map_at_16")
 
 
@@ -127,33 +128,12 @@ def fuse(matrices, spec):
     return out[0]
 
 
-def _row_strategy(r, n_rows):
-    """Row r of a weight table of n_rows: the first half system-first,
-    the second model-first, as the four published ensembles were built."""
-    return STRATEGIES[2 * r >= n_rows]
-
-
-def write_weight_table(path, specs):
-    """Write {row name: EnsembleSpec} under the one table header; each
-    spec's members must be the table columns in order, and its strategy
-    the one its row position reads back as (`_row_strategy`)."""
-    rows = [_TABLE_HEADER]
-    for r, (name, spec) in enumerate(specs.items()):
-        if tuple((m.system, m.model) for m in spec.members) != _TABLE_TAGS:
-            raise ContractError(
-                f"row {name!r} must weight {_TABLE_TAGS} in that order")
-        if spec.strategy != _row_strategy(r, len(specs)):
-            raise ContractError(
-                f"row {name!r} is {spec.strategy}, but row {r + 1} of "
-                f"{len(specs)} reads back {_row_strategy(r, len(specs))}")
-        rows.append([name, *(repr(float(m.weight)) for m in spec.members)])
-    _write_rows(path, rows)
-
-
 def read_weight_table(path):
-    """{row name: EnsembleSpec} in file order from a table written by
-    write_weight_table, each row's strategy that of its position.  Weights
-    that `Member` or `EnsembleSpec` reject are a DataError naming the row."""
+    """{row name: EnsembleSpec} in file order from a table of the bundled
+    table's layout.  The first half of the rows are system-first and the
+    second half model-first, as the four published ensembles were built.
+    Weights that `Member` or `EnsembleSpec` reject are a DataError naming
+    the row."""
     rows = list(_read_rows(path))
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one row")
@@ -174,7 +154,7 @@ def read_weight_table(path):
             weights = zip(_TABLE_TAGS, list(map(float, fields)))
             specs[name] = EnsembleSpec(
                 tuple(Member(s, m, w) for (s, m), w in weights),
-                _row_strategy(r, len(rows) - 1))
+                STRATEGIES[2 * r >= len(rows) - 1])
         except ValueError:
             raise DataError(
                 f"{path}: non-numeric weight in row {name!r}") from None
@@ -193,10 +173,9 @@ def bundled_weight_table():
 
 @dataclass(frozen=True)
 class GridSearchConfig:
-    """Simplex discretization and budget for the weight search."""
+    """Simplex discretization of the weight search."""
 
     step: float = 0.01
-    max_grid_points: int = 200_000
 
     def __post_init__(self):
         # nan fails every comparison; a subnormal step's 1/step is inf
@@ -206,8 +185,6 @@ class GridSearchConfig:
         if abs(self.divisions * self.step - 1.0) > 1e-9:
             raise ConfigError(
                 f"step {self.step} does not divide 1 exactly")
-        if self.max_grid_points < 1:
-            raise ConfigError("max_grid_points must be >= 1")
 
     @property
     def divisions(self):
@@ -239,7 +216,7 @@ class SearchResult:
 
 
 def grid_search(matrices, relevance, cfg=None, *, tags=None,
-                strategy="system-first", mode="multiple", refine=False):
+                mode="multiple", refine=False):
     """Exhaustive simplex search for the weights maximizing mAP@16.
 
     Weight vectors are enumerated at resolution step in ascending
@@ -248,7 +225,8 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
     a greedy pairwise mass-transfer pass at resolution 0.0025 runs from
     the coarse optimum (first-improvement sweeps until none helps); step
     must then be a whole multiple of 0.0025, or ConfigError is raised
-    before any point is scored.
+    before any point is scored, as for over MAX_MEMBERS members or
+    MAX_GRID_POINTS points.  The spec keeps the default strategy label.
     """
     cfg = cfg if cfg is not None else GridSearchConfig()
     n = len(matrices)
@@ -257,10 +235,10 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
     if n > MAX_MEMBERS:
         raise ConfigError(f"{n} members exceeds the limit of {MAX_MEMBERS}")
     size = _grid_size(cfg.divisions, n)
-    if size > cfg.max_grid_points:
+    if size > MAX_GRID_POINTS:
         raise ConfigError(
             f"the grid at step {cfg.step} over {n} members exceeds the "
-            f"budget of {cfg.max_grid_points} points; use a coarser step")
+            f"budget of {MAX_GRID_POINTS} points; use a coarser step")
     tags = tuple(((i, f"m{i}") for i in range(n)) if tags is None else tags)
     if len(tags) != n:
         raise ContractError(f"{len(tags)} tags for {n} matrices")
@@ -270,7 +248,6 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
         raise ConfigError(
             f"refine needs a step that is a whole multiple of {REFINE_STEP}, "
             f"got {cfg.step}")
-    _check_strategy(strategy)
     scores = _grid_scores(_as_equal_shape_matrices(matrices, "matrix"),
                           relevance, mode)
 
@@ -295,8 +272,7 @@ def grid_search(matrices, relevance, cfg=None, *, tags=None,
 
     members = tuple(Member(system=s, model=m, weight=u / units_total)
                     for (s, m), u in zip(tags, units))
-    spec = EnsembleSpec(members=members, strategy=strategy)
-    return SearchResult(spec=spec, map_at_16=best_value,
+    return SearchResult(spec=EnsembleSpec(members), map_at_16=best_value,
                         points_evaluated=evaluated)
 
 

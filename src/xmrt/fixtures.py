@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from .core import _rng
+from .core import _check_alloc, _rng
 from .datasets import SPLITS, Manifest, write_manifest, write_relevance
 from .errors import ConfigError
 from .tensorfile import save_tensor
@@ -39,7 +39,8 @@ def generate_fixtures(out_dir, *, n_items=256, d_latent=8, d_audio=32,
     Draw order from the seeded generator is fixed: view map A, view map
     B, latents, audio noise, text noise.  Items are paired one to one
     (caption i describes audio i) and each split gets a relevance file
-    whose single relevant id per caption is its own audio.
+    whose single relevant id per caption is its own audio.  Sizes whose
+    draws would pass core._ALLOC_BYTES are a ConfigError before any draw.
     """
     if n_items < 8:
         raise ConfigError(f"n_items must be >= 8, got {n_items}")
@@ -49,6 +50,9 @@ def generate_fixtures(out_dir, *, n_items=256, d_latent=8, d_audio=32,
             f"d_latent={d_latent}, d_audio={d_audio}, d_text={d_text}")
     if noise_sigma < 0:
         raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    _check_alloc(8 * (n_items + d_latent) * (d_latent + d_audio + d_text),
+                 f"n_items {n_items} at widths {d_latent, d_audio, d_text}",
+                 "draw")
 
     rng = _rng(seed)
     view_a = rng.standard_normal((d_audio, d_latent))

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Axis, _as_equal_shape_matrices, _softmax_forward,
-                   _unit_rows, as_matrix, softmax_with_temperature)
+from .core import (Axis, _as_equal_shape_matrices, _check_alloc,
+                   _softmax_forward, _unit_rows, as_matrix,
+                   softmax_with_temperature)
 from .encoders import _embed, _flat_views, _head_forward
 from .errors import ConfigError, ContractError, DataError
-
-_WORKSPACE_BYTES = 1 << 29    # one training step's n x n buffers and gradient
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def _head_forward_backward(head, raw_emb, labels, n):
 class _Workspace:
     """Every n x n array of a loss_and_gradients call at batch size n, and
     the gradient vector with its views in params' layout.  One whose bytes
-    would pass _WORKSPACE_BYTES is a ConfigError before any allocation;
+    would pass core._ALLOC_BYTES is a ConfigError before any allocation;
     the count includes the 2m + 2 n x n arrays at which the targets of
     n_teachers = m > 0 teachers peak outside it (m similarities, their m
     sorted copies in ensemble_average, and the two targets).
@@ -173,12 +172,9 @@ class _Workspace:
     def __init__(self, params, n, n_teachers):
         size = sum(t.size for t in params.named_tensors().values())
         squares = 5 + (2 * n_teachers + 2 if n_teachers else 0)
-        nbytes = 8 * (squares * n * n + size)
-        if nbytes > _WORKSPACE_BYTES:
-            teachers = f" with {n_teachers} teachers" if n_teachers else ""
-            raise ConfigError(
-                f"batch_size {n} needs a {nbytes}-byte training workspace"
-                f"{teachers}, over the {_WORKSPACE_BYTES}-byte limit")
+        teachers = f" with {n_teachers} teachers" if n_teachers else ""
+        _check_alloc(8 * (squares * n * n + size), f"batch_size {n}",
+                     f"training workspace{teachers}")
         self.z, self.shifted_r, self.q_r, self.shifted_c, self.q_c = (
             np.empty((5, n, n)))
         self.grad = np.zeros(size)

@@ -14,8 +14,9 @@ verifies magic, version, rank, byte length, and checksum, each failure
 carrying its own stable error code.
 
 Every artifact file the package writes goes through `atomic_open`, so a
-write that fails partway leaves the old file byte-for-byte in place, and
-every text table it writes and reads goes through `_write_rows` and
+write that fails partway leaves the old file byte-for-byte in place; a
+set of files drops the one that completes it (`discard_file`) first and
+writes it last.  Every text table goes through `_write_rows` and
 `_read_rows`.  Tables and JSON artifacts (not the run config) are read
 through `_read_text`, so bytes that are not UTF-8 are a DataError.
 """
@@ -46,9 +47,14 @@ def atomic_open(path, mode="w"):
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        discard_file(tmp)
         raise
+
+
+def discard_file(path):
+    """Remove the file at path if there is one."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
 
 
 def _write_rows(path, rows):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _rng, as_matrix
+from .core import _check_alloc, _rng, as_matrix
 from .encoders import _check_finite, _flat_views
 from .errors import ConfigError, ContractError, DataError
 from .losses import (LossConfig, _Workspace, loss_and_gradients,
@@ -127,7 +127,8 @@ class PairedDataset:
 def expand_with_mixes(dataset, *, mix_count=0, rng_seed=0):
     """The dataset plus mix_count synthetic pairs, each the average of
     two distinct rows drawn by rng_seed's generator.  Only finetune data
-    is mixed: an averaged row carries no curated cluster label."""
+    is mixed: an averaged row carries no curated cluster label.  A result
+    past core._ALLOC_BYTES is a ConfigError before any row is drawn."""
     for name, value in (("mix_count", mix_count), ("rng_seed", rng_seed)):
         if value < 0:
             raise ConfigError(
@@ -137,9 +138,11 @@ def expand_with_mixes(dataset, *, mix_count=0, rng_seed=0):
     n = len(dataset)
     if n < 2:
         raise ContractError("mixing needs at least 2 items")
+    widths = (dataset.audio_features.shape[1], dataset.text_features.shape[1])
+    _check_alloc(8 * (n + 2 * mix_count) * sum(widths),
+                 f"mix_count {mix_count}", "mixed dataset")
     rng = _rng(rng_seed, _MIX_STREAM)
-    extra_a = np.empty((mix_count, dataset.audio_features.shape[1]))
-    extra_t = np.empty((mix_count, dataset.text_features.shape[1]))
+    extra_a, extra_t = (np.empty((mix_count, d)) for d in widths)
     for j in range(mix_count):
         i1, i2 = rng.choice(n, size=2, replace=False)
         extra_a[j] = 0.5 * (dataset.audio_features[i1]
@@ -223,7 +226,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     """Train one stage to completion; returns (params, records).
 
     `dataset` is a PairedDataset.  A batch_size whose workspace, with
-    finetune's teacher targets, would not fit losses._WORKSPACE_BYTES is
+    finetune's teacher targets, would not fit core._ALLOC_BYTES is
     a ConfigError before step 0.
     The stage name picks the loss terms.
     finetune distills from `teachers`, a sequence of frozen ModelParams

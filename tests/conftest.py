@@ -1,12 +1,14 @@
-"""Shared test helpers: small batch and parameter builders, and the
-references that the objective's terms, the optimizer step and the
-learning-rate schedule are checked against."""
+"""Shared test helpers: small batch and parameter builders, a weight
+table writer, and the references that the objective's terms, the
+optimizer step and the learning-rate schedule are checked against."""
 
 import numpy as np
 import pytest
 
 from xmrt import (LinearEncoder, ModelParams, PairedDataset, init_heads,
                   init_params)
+from xmrt.ensemble import _TABLE_HEADER
+from xmrt.tensorfile import _write_rows
 from xmrt.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -47,6 +49,15 @@ def identity_batch(audio_rows, text_rows, heads=(None, None)):
     encoders = (LinearEncoder(np.eye(width), np.zeros(width), modality)
                 for modality in ("audio", "text"))
     return ModelParams(*encoders, *heads), batch
+
+
+def write_weight_rows(path, specs):
+    """Write {row name: EnsembleSpec} as a weight table file laid out as
+    the bundled one: its header, then each row's name and member weights
+    in float repr, in the members' order."""
+    _write_rows(path, [_TABLE_HEADER, *(
+        [name, *(repr(m.weight) for m in spec.members)]
+        for name, spec in specs.items())])
 
 
 def relevance_entries(relevance):

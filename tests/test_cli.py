@@ -3,17 +3,19 @@
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from xmrt import (ClusterConfig, GridSearchConfig, density_cluster, encode,
-                  generate_fixtures, hierarchical_grid_search, init_heads,
-                  init_params, load_tensor, losses, reduce_dimensionality,
-                  save_tensor)
+from xmrt import (ClusterConfig, GridSearchConfig, core, density_cluster,
+                  encode, generate_fixtures, hierarchical_grid_search,
+                  init_heads, init_params, load_tensor,
+                  reduce_dimensionality, save_tensor, tensorfile)
 from xmrt.checkpoints import load_checkpoint, save_checkpoint
+from xmrt import cli
 from xmrt.cli import CHECKPOINT_ROOT, main
 from xmrt.datasets import (
     Manifest,
@@ -26,8 +28,10 @@ from xmrt.datasets import (
     write_relevance,
 )
 from xmrt.encoders import LinearEncoder, ModelParams
-from xmrt.ensemble import bundled_weight_table, write_weight_table
+from xmrt.ensemble import bundled_weight_table
 from xmrt.evaluation import METRIC_KEYS
+
+from conftest import write_weight_rows
 
 
 def _write_config(base, payload, name="run.json"):
@@ -84,6 +88,13 @@ def test_module_error_returns_1(tmp_path, capsys):
     })
     assert main(["pretrain", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_no_output_directory_returns_1(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"seed": 1})
+    assert main(["report", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: no output directory: pass --out or set out_dir\n")
 
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -185,25 +196,14 @@ def test_seed_precedence(tmp_path, monkeypatch):
         with open(os.path.join(out, "audio.xmrt"), "rb") as fh:
             return fh.read()
 
-    # flag beats env beats config
+    # the flag beats the config; a stray XMRT_SEED is ignored
     monkeypatch.setenv("XMRT_SEED", "2")
     flag = run_bytes("via_flag", ["gen-fixtures", "--config", cfg,
                                   "--seed", "3"])
-    env = run_bytes("via_env", ["gen-fixtures", "--config", cfg])
-    monkeypatch.delenv("XMRT_SEED")
     conf = run_bytes("via_config", ["gen-fixtures", "--config", cfg])
 
     assert flag == _fixture_bytes(tmp_path, "ref3", 3)
-    assert env == _fixture_bytes(tmp_path, "ref2", 2)
     assert conf == _fixture_bytes(tmp_path, "ref1", 1)
-    assert len({flag, env, conf}) == 3
-
-
-def test_bad_env_seed_returns_1(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("XMRT_SEED", "lots")
-    out = os.path.join(str(tmp_path), "corpus")
-    assert main(["gen-fixtures", "--out", out]) == 1
-    assert "XMRT_SEED" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- evaluate
@@ -311,6 +311,24 @@ def test_evaluate_rejects_a_malformed_meta_json(tmp_path, capsys, meta):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value, choices", [
+    ("split", "dev", "('train', 'val', 'test')"),
+    ("mode", "both", "('multiple', 'single')")])
+def test_evaluate_checks_split_and_mode_before_any_load(
+        tmp_path, capsys, monkeypatch, key, value, choices):
+    def no_load(*args):
+        raise AssertionError("loaded an input")
+    for name in ("load_checkpoint", "load_paired_dataset"):
+        monkeypatch.setattr(cli, name, no_load)
+    payload = _read_json(_identity_workspace(tmp_path))
+    payload["evaluate"][key] = value
+    cfg = _write_config(tmp_path, payload)
+    assert main(["evaluate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key evaluate.{key} must be one of {choices}, "
+        f"got {value!r}\n")
+
+
 # ----------------------------------------------------------- full pipeline
 
 
@@ -408,11 +426,51 @@ def test_warmup_fraction_outside_the_unit_interval_returns_1(tmp_path,
 
 def test_batch_past_the_workspace_budget_returns_1(tmp_path, capsys,
                                                    monkeypatch):
-    monkeypatch.setattr(losses, "_WORKSPACE_BYTES", 1024)
-    assert main(["pretrain", "--config", _pipeline_config(tmp_path)]) == 1
+    cfg = _pipeline_config(tmp_path)
+    monkeypatch.setattr(core, "_ALLOC_BYTES", 1024)
+    assert main(["pretrain", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: batch_size 8 needs a ")
     assert not os.path.exists(os.path.join(str(tmp_path), "run"))
+
+
+def test_a_batch_of_one_returns_1(tmp_path, capsys):
+    payload = _read_json(_pipeline_config(tmp_path))
+    payload["stages"]["pretrain"]["batch_size"] = 1
+    cfg = _write_config(tmp_path, payload)
+    assert main(["pretrain", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: batch_size must be >= 2\n"
+    assert not os.path.exists(os.path.join(str(tmp_path), "run"))
+
+
+@pytest.mark.parametrize("command, section, key, value, who", [
+    ("gen-fixtures", "fixtures", "n_items", 4096,
+     "n_items 4096 at widths (8, 32, 24)"),
+    ("gen-fixtures", "fixtures", "d_audio", 4096,
+     "n_items 256 at widths (8, 4096, 24)"),
+    ("pretrain", "model", "d_emb", 10_000, "d_emb 10000"),
+    ("finetune", "augmentation", "mix_count", 100_000, "mix_count 100000"),
+], ids=["n_items", "d_audio", "d_emb", "mix_count"])
+def test_a_config_size_past_the_allocation_limit_returns_1(
+        tmp_path, capsys, monkeypatch, command, section, key, value, who):
+    # at 1 MiB the pipeline fits and each size fails before it allocates
+    payload = _read_json(_pipeline_config(tmp_path))
+    monkeypatch.setattr(core, "_ALLOC_BYTES", 1 << 20)
+    if command == "finetune":
+        assert main(["pretrain", "--config", _write_config(
+            tmp_path, payload)]) == 0
+    payload.setdefault(section, {})[key] = value
+    cfg = _write_config(tmp_path, payload)
+    out = os.path.join(str(tmp_path), "fixtures")
+    argv = ["--out", out] if command == "gen-fixtures" else []
+    capsys.readouterr()
+    assert main([command, "--config", cfg, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {who} needs a ")
+    assert err.endswith("-byte limit\n")
+    assert not os.path.exists(out)
+    assert not os.path.exists(os.path.join(str(tmp_path), "run",
+                                           CHECKPOINT_ROOT, command))
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):
@@ -454,6 +512,92 @@ def test_pipeline_end_to_end(tmp_path, capsys):
                    for line in text.splitlines())
     with open(os.path.join(run, "report.txt"), encoding="utf-8") as fh:
         assert fh.read() == text
+
+
+def _files(root, names):
+    """{name: bytes} of each file under root at one of the relative paths
+    or directories `names`."""
+    found = {}
+    for name in names:
+        path = os.path.join(root, name)
+        paths = ([os.path.join(path, f) for f in sorted(os.listdir(path))]
+                 if os.path.isdir(path) else [path] * os.path.exists(path))
+        for each in paths:
+            with open(each, "rb") as fh:
+                found[os.path.relpath(each, root)] = fh.read()
+    return found
+
+
+def _failing_replace(k, calls):
+    """os.replace that fails at its k-th call, counting calls."""
+    real = os.replace
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == k:
+            raise OSError(f"injected failure of replace {k}")
+        return real(src, dst)
+    return replace
+
+
+OP_OUTPUTS = {"pretrain": ("checkpoints/pretrain", "summaries/pretrain.json"),
+              "cluster": ("labels.tsv", "audio_labels.tsv")}
+
+
+@pytest.mark.parametrize("command", sorted(OP_OUTPUTS))
+def test_an_op_that_fails_partway_leaves_no_mixed_outputs(
+        tmp_path, monkeypatch, capsys, command):
+    # run/ holds a previous run's outputs (seed 9, 1 cluster); the op then
+    # runs with seed 10 and 3 clusters, its k-th os.replace failing
+    base = str(tmp_path)
+    configs = {}
+    for name, out_dir, seed, radius in (("old", "run", 9, 50.0),
+                                        ("new", "run", 10, 1.0),
+                                        ("ref", "ref", 10, 1.0)):
+        payload = _read_json(_pipeline_config(tmp_path, out_dir, seed))
+        payload["clustering"].update(
+            neighborhood_radius=radius,
+            checkpoint=f"{out_dir}/checkpoints/pretrain")
+        configs[name] = _write_config(tmp_path, payload, f"{name}.json")
+    for name in ("old", "ref"):
+        for op in ("pretrain", "cluster"):
+            assert main([op, "--config", configs[name]]) == 0
+    if command == "cluster":    # the checkpoint the new labels come from
+        assert main(["pretrain", "--config", configs["new"]]) == 0
+    run, ref = os.path.join(base, "run"), os.path.join(base, "ref")
+    previous = os.path.join(base, "previous")
+    shutil.copytree(run, previous)
+    expected = _files(ref, OP_OUTPUTS[command])
+    old = _files(run, OP_OUTPUTS[command])
+    assert [name for name in expected if old[name] == expected[name]] \
+        in ([], ["checkpoints/pretrain/meta.json"])
+
+    k = 0
+    while True:
+        k += 1
+        shutil.rmtree(run)
+        shutil.copytree(previous, run)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(tensorfile.os, "replace", _failing_replace(k, calls))
+            code = main([command, "--config", configs["new"]])
+        if len(calls) < k:
+            break
+        assert code == 1
+        assert "injected failure" in capsys.readouterr().err
+        left = _files(run, OP_OUTPUTS[command])
+        if command == "cluster":
+            # labels.tsv, which refinetune reads, only beside its own
+            # audio labels
+            assert "labels.tsv" not in left or all(
+                left[name] == expected[name] for name in expected)
+        elif "summaries/pretrain.json" in left:
+            # a summary only beside the checkpoint it describes
+            assert left == expected
+        assert main([command, "--config", configs["new"]]) == 0
+        assert _files(run, OP_OUTPUTS[command]) == expected
+    assert code == 0
+    assert k - 1 == {"pretrain": 6, "cluster": 2}[command]
 
 
 def test_cluster_prints_the_density_steps_outlier_count(tmp_path, capsys):
@@ -512,18 +656,15 @@ def test_pretrain_rerun_is_bit_identical(tmp_path):
 
 def test_mixing_seed_follows_the_seed_flag(tmp_path):
     # pair mixing draws from the resolved seed, so --seed 3 and a config
-    # seed of 3 train the same finetune; augmentation.rng_seed overrides it
-    for out_dir, seed, flag, mix_seed in (("flag", 0, ["--seed", "3"], {}),
-                                          ("conf", 3, [], {}),
-                                          ("key", 3, [], {"rng_seed": 4})):
+    # seed of 3 train the same finetune
+    for out_dir, seed, flag in (("flag", 0, ["--seed", "3"]),
+                                ("conf", 3, [])):
         payload = _read_json(_pipeline_config(tmp_path, out_dir, seed))
-        payload["augmentation"] = {"mix_count": 8, **mix_seed}
+        payload["augmentation"] = {"mix_count": 8}
         cfg = _write_config(tmp_path, payload, name=f"{out_dir}.json")
         assert main(["pretrain", "--config", cfg, *flag]) == 0
         assert main(["finetune", "--config", cfg, *flag]) == 0
     _assert_same_checkpoints(tmp_path, "flag", "conf", "finetune")
-    with pytest.raises(AssertionError):
-        _assert_same_checkpoints(tmp_path, "conf", "key", "finetune")
 
 
 def test_refinetune_rejects_a_label_outside_the_cluster_count(
@@ -608,23 +749,15 @@ def test_zero_epoch_stage_writes_the_starting_checkpoint(tmp_path, capsys):
     assert "stage.pretrain.steps: 0\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command, flag, env, config, source", [
-    ("pretrain", ["--seed", "-1"], None, {}, "--seed"),
-    ("pretrain", [], "-2", {}, "XMRT_SEED"),
-    ("pretrain", [], None, {"seed": -5}, "config key seed"),
-    ("gen-fixtures", ["--seed", "-1"], None, {}, "--seed"),
-    ("finetune", [], None, {"augmentation": {"rng_seed": -1}}, "rng_seed"),
-], ids=["flag", "env", "config", "gen-fixtures", "augmentation"])
-def test_a_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch,
-                                           command, flag, env, config,
-                                           source):
-    monkeypatch.delenv("XMRT_SEED", raising=False)
+@pytest.mark.parametrize("command, flag, config, source", [
+    ("pretrain", ["--seed", "-1"], {}, "--seed"),
+    ("pretrain", [], {"seed": -5}, "config key seed"),
+    ("gen-fixtures", ["--seed", "-1"], {}, "--seed"),
+], ids=["flag", "config", "gen-fixtures"])
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, command, flag,
+                                           config, source):
     payload = _read_json(_pipeline_config(tmp_path))
     cfg = _write_config(tmp_path, {**payload, **config})
-    if command == "finetune":
-        assert main(["pretrain", "--config", cfg]) == 0
-    if env is not None:
-        monkeypatch.setenv("XMRT_SEED", env)
     argv = (["--out", os.path.join(str(tmp_path), "fixtures")]
             if command == "gen-fixtures" else ["--config", cfg])
     capsys.readouterr()
@@ -791,8 +924,8 @@ def test_ensemble_apply_reads_only_the_published_grid(tmp_path, capsys):
         save_tensor(os.path.join(base, name), rng.standard_normal((6, 4)))
         entries.append({"system": member.system, "model": member.model,
                         "path": name})
-    write_weight_table(os.path.join(base, "written.tsv"),
-                       bundled_weight_table())
+    write_weight_rows(os.path.join(base, "written.tsv"),
+                      bundled_weight_table())
     with open(os.path.join(base, "other.tsv"), "w", encoding="utf-8") as fh:
         fh.write("ensemble\tsid1_passt\tsid2_passt\nE1\t0.5\t0.5\n")
     fused = []
@@ -842,7 +975,24 @@ def test_ensemble_apply_unknown_row_returns_1(tmp_path, capsys):
     })
     save_tensor(os.path.join(str(tmp_path), "a.xmrt"), np.eye(2))
     assert main(["ensemble-apply", "--config", cfg]) == 1
-    assert "not in weight table rows" in capsys.readouterr().err
+    assert ("config key ensemble.row must be one of ('E1', 'E2', 'E3', "
+            "'E4'), got 'E9'") in capsys.readouterr().err
+
+
+def test_ensemble_apply_without_a_table_member_returns_1(tmp_path, capsys):
+    base = str(tmp_path)
+    entries = []
+    for member in bundled_weight_table()["E1"].members[:-1]:
+        name = f"s{member.system}_{member.model}.xmrt"
+        save_tensor(os.path.join(base, name), np.eye(2))
+        entries.append({"system": member.system, "model": member.model,
+                        "path": name})
+    cfg = _write_config(tmp_path, {"out_dir": "run",
+                                   "ensemble": {"matrices": entries}})
+    assert main(["ensemble-apply", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: ensemble.matrices lacks an entry for (5, 'beats')\n")
+    assert not os.path.exists(os.path.join(base, "run"))
 
 
 @pytest.mark.parametrize("command, options", [
@@ -945,6 +1095,35 @@ def test_ensemble_search_requires_matrices(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"out_dir": "run", "ensemble": {}})
     assert main(["ensemble-search", "--config", cfg]) == 1
     assert "ensemble.matrices" in capsys.readouterr().err
+
+
+def test_ensemble_search_past_the_member_limit_returns_1(tmp_path, capsys):
+    payload = _read_json(_search_config(tmp_path))
+    payload["ensemble"]["matrices"] = [
+        {"system": i, "model": "a", "path": "a.xmrt"} for i in range(13)]
+    cfg = _write_config(tmp_path, payload)
+    assert main(["ensemble-search", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: 13 members exceeds the limit of 12\n")
+
+
+@pytest.mark.parametrize("hierarchical", [None, False])
+def test_a_flat_search_rejects_a_strategy_before_loading(
+        tmp_path, capsys, monkeypatch, hierarchical):
+    # a flat search combines no axis first, so a strategy would be a label
+    def no_load(*args):
+        raise AssertionError("loaded a matrix")
+    monkeypatch.setattr(cli, "load_tensor", no_load)
+    payload = _read_json(_search_config(tmp_path))
+    payload["ensemble"]["strategy"] = "model-first"
+    if hierarchical is not None:
+        payload["ensemble"]["hierarchical"] = hierarchical
+    cfg = _write_config(tmp_path, payload)
+    assert main(["ensemble-search", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: config key ensemble.strategy needs "
+        "ensemble.hierarchical: true\n")
+    assert not os.path.exists(os.path.join(str(tmp_path), "run"))
 
 
 # ------------------------------------------------------------------- report

@@ -9,10 +9,11 @@ of the weight search is scored by the block scorer `_grid_scores` (its one
 call of the ranking driver `_mean_metrics`, which `evaluate` shares), and
 ensemble.py calls `evaluate` only for the final replay of
 `hierarchical_grid_search`, and datasets.py reads tensor files only in
-`_gather_rows`, the one gather of a split load.  Every function, class
-and public method in `src/xmrt` is used by `src/`, `demos/` or
-`perfbench/`, not by tests alone, and so is every defaulted parameter of
-one.  No statement in `src/xmrt` builds an instance of a class defined
+`_gather_rows`, the one gather of a split load.  No module in `src/xmrt`
+reads the environment, so the config and the flags are the only run
+inputs.  Every function, class and public method in `src/xmrt` is used
+by `src/`, `demos/` or `perfbench/`, not by tests alone, and so is every
+defaulted parameter of one.  No statement in `src/xmrt` builds an instance of a class defined
 there only to drop it.  Plain `ast` passes, so the checks need no linter
 install."""
 
@@ -252,6 +253,38 @@ def test_text_tables_are_read_only_through_read_rows():
     assert found == {}
 
 
+def _reads_the_environment(source):
+    """"os.<name>" for each read of os.environ, os.environb or os.getenv,
+    as an attribute of os or a name imported from it, sorted."""
+    names = {"environ", "environb", "getenv"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            found.append(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{a.name}" for a in node.names if a.name in names]
+    return sorted(found)
+
+
+def test_environment_detector():
+    source = ("import os\nos.environ.get('X')\nos.getenv('Y', '0')\n"
+              "from os import environb, path\nos.path.join(a)\n"
+              "settings.environ\nos.environ_like\n")
+    assert _reads_the_environment(source) \
+        == ["os.environ", "os.environb", "os.getenv"]
+
+
+def test_no_module_reads_the_environment():
+    found = {}
+    for path in sorted((ROOT / "src/xmrt").glob("*.py")):
+        reads = _reads_the_environment(path.read_text(encoding="utf-8"))
+        if reads:
+            found[path.name] = reads
+    assert found == {}
+
+
 def test_a_split_load_reads_tensors_only_in_the_gather():
     source = (ROOT / "src/xmrt/datasets.py").read_text(encoding="utf-8")
     assert _functions_around(source, _calls("load_tensor")) \
@@ -262,7 +295,6 @@ def test_a_split_load_reads_tensors_only_in_the_gather():
 TEST_ONLY_ALLOWED = {
     "rank_gallery": "perfbench/tracing.py wraps it; the metric tests rank "
                     "with it",
-    "write_weight_table": "it writes the table format ensemble-apply reads",
 }
 
 

@@ -22,7 +22,6 @@ from xmrt import (
     LossConfig,
     StageConfig,
     TensorFileError,
-    bundled_weight_table,
     expand_with_mixes,
     generate_fixtures,
     init_params,
@@ -30,7 +29,6 @@ from xmrt import (
     read_weight_table,
     run_stage,
     save_tensor,
-    write_weight_table,
 )
 from xmrt.checkpoints import (
     META_FILE,
@@ -849,16 +847,14 @@ def _write_with_field(writer, path, field):
             2, 2))
     elif writer is write_relevance:
         write_relevance(path, [("q0", ("g0", field))])
-    elif writer is write_labels:
-        write_labels(path, ["i0", field], [0, 1], np.full((2, 2), 0.5))
     else:
-        write_weight_table(path, {field: bundled_weight_table()["E1"]})
+        write_labels(path, ["i0", field], [0, 1], np.full((2, 2), 0.5))
 
 
 @pytest.mark.parametrize("separator", ["\t", "\n", "\r"],
                          ids=["tab", "newline", "return"])
 @pytest.mark.parametrize("writer", [write_manifest, write_relevance,
-                                    write_labels, write_weight_table],
+                                    write_labels],
                          ids=lambda writer: writer.__name__)
 def test_text_writers_reject_fields_their_readers_would_split(
         tmp_path, writer, separator):
@@ -1199,7 +1195,7 @@ def test_config_basic_access(tmp_path):
         "loss": {"tau": 0.1},
     })
     cfg = load_config(path)
-    assert cfg.seed == 7
+    assert cfg.get("seed") == 7
     assert cfg.get("loss", "tau") == 0.1
     assert cfg.get("loss", "lambda9", default=3) == 3
     assert cfg.require("data", "manifest") == "corpus/manifest.tsv"
@@ -1283,7 +1279,6 @@ def test_config_section_builders(tmp_path):
     assert cluster.neighborhood_radius == 1.5
     grid = _from_section(GridSearchConfig, cfg, "ensemble")
     assert grid.step == 0.05
-    assert grid.max_grid_points == 200_000
     # a section key overrides the value given at the call site
     assert _from_section(StageConfig, cfg, "stages", "finetune",
                          name="finetune", epochs=7).epochs == 2
@@ -1357,14 +1352,20 @@ def test_schema_types_every_list_entry():
         {"system": (int, str), "model": str, "path": str}]
 
 
-def test_config_rejects_removed_augmentation_keys(tmp_path):
-    # caption word edits were removed; stale configs must fail loudly
-    for key, value in (("word_edit_probability", 0.8),
-                       ("synonym_table", {"dog": ["hound"]})):
-        path = _write_config(tmp_path, {"augmentation": {key: value}},
+def test_config_rejects_removed_keys(tmp_path):
+    # caption word edits, the mixing seed (the run seed seeds the mixes),
+    # the cluster split (refinetune reads train labels) and the grid
+    # budget (a constant) were removed; stale configs must fail loudly
+    for section, key, value in (
+            ("augmentation", "word_edit_probability", 0.8),
+            ("augmentation", "synonym_table", {"dog": ["hound"]}),
+            ("augmentation", "rng_seed", 4),
+            ("clustering", "split", "val"),
+            ("ensemble", "max_grid_points", 10)):
+        path = _write_config(tmp_path, {section: {key: value}},
                              name=f"{key}.json")
-        with pytest.raises(ConfigError,
-                           match=rf"unknown config key augmentation\.'{key}'"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown config key {section}.'{key}'")):
             load_config(path)
 
 

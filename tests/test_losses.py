@@ -13,7 +13,7 @@ from xmrt import (Axis, ClassificationHead, ConfigError, ContractError,
                   cosine_similarity_matrix, init_params, loss_and_gradients,
                   softmax_with_temperature, student_similarity,
                   targets_from_teacher_sims, teacher_soft_targets)
-from xmrt import losses
+from xmrt import core
 from xmrt.encoders import _head_forward, encode
 from xmrt.losses import TeacherTargets, _Workspace, ensemble_average
 
@@ -553,7 +553,7 @@ class TestWorkspace:
         # batch 3,600 fits the budget alone but not with three teachers
         params = init_params(6, 5, 4, seed=1)
         size = sum(t.size for t in params.named_tensors().values())
-        assert 8 * (5 * 3600 ** 2 + size) <= losses._WORKSPACE_BYTES
+        assert 8 * (5 * 3600 ** 2 + size) <= core._ALLOC_BYTES
         needed = 8 * (13 * 3600 ** 2 + size)
         with pytest.raises(ConfigError, match=(
                 rf"^batch_size 3600 needs a {needed}-byte training "

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from xmrt import (ConfigError, ContractError, DataError, LossConfig,
-                  ModelParams, PairedDataset, StageConfig, adamw_step,
+                  ModelParams, PairedDataset, StageConfig, adamw_step, core,
                   expand_with_mixes, init_params, loss_and_gradients,
-                  losses, make_batches, run_stage, student_similarity,
+                  make_batches, run_stage, student_similarity,
                   targets_from_teacher_sims)
 from xmrt import training
 from xmrt.training import STAGES, _learning_rates
@@ -541,7 +541,7 @@ class TestRunStage:
         # buffers and the gradient vector.
         params = init_params(8, 6, 4, seed=0)
         size = sum(t.size for t in params.named_tensors().values())
-        monkeypatch.setattr(losses, "_WORKSPACE_BYTES", 8 * (5 * 64 + size))
+        monkeypatch.setattr(core, "_ALLOC_BYTES", 8 * (5 * 64 + size))
         fits = StageConfig("pretrain", epochs=1, batch_size=8)
         assert len(run_stage(fits, params, _toy_dataset())[1]) == 4
         needed = 8 * (5 * 16 * 16 + size)
@@ -555,7 +555,7 @@ class TestRunStage:
         # 5 + 4 squares and the gradient vector; three teachers need 13.
         params = init_params(8, 6, 4, seed=0)
         size = sum(t.size for t in params.named_tensors().values())
-        monkeypatch.setattr(losses, "_WORKSPACE_BYTES", 8 * (9 * 64 + size))
+        monkeypatch.setattr(core, "_ALLOC_BYTES", 8 * (9 * 64 + size))
         stage = StageConfig("finetune", epochs=1, batch_size=8)
         teachers = [init_params(8, 6, 4, seed=s) for s in (1, 2, 3)]
         assert len(run_stage(stage, params, _toy_dataset(),
