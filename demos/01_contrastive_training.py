@@ -12,7 +12,7 @@ from chance to near perfect.
 import os
 import tempfile
 
-from xmrt import (StageConfig, cosine_similarity_matrix, encode, evaluate,
+from xmrt import (cosine_similarity_matrix, encode, evaluate,
                   generate_fixtures, init_params, run_stage)
 from xmrt.datasets import (align_relevance, load_paired_dataset,
                            read_relevance)
@@ -47,9 +47,9 @@ print(f"\nuntrained: mAP@10 {before.map_at_10:.4f}, "
       f"R@1 {before.r_at_1:.4f}, R@5 {before.r_at_5:.4f}")
 
 # 3. twenty epochs of the supervised contrastive stage
-stage = StageConfig("pretrain", epochs=20, batch_size=16)
-params, log = run_stage(stage, params, train.dataset, peak_lr=0.05,
-                        floor_lr=1e-4, weight_decay=0.01, seed=5)
+params, log = run_stage("pretrain", params, train.dataset, epochs=20,
+                        batch_size=16, peak_lr=0.05, floor_lr=1e-4,
+                        weight_decay=0.01, seed=5)
 print(f"\ntrained {len(log)} steps; objective "
       f"{log[0].total:.3f} -> {log[-1].total:.3f}")
 print(f"lr warmup peaked at {max(r.lr for r in log):.4f}, "

@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from xmrt import (LossConfig, StageConfig, cosine_similarity_matrix, encode,
+from xmrt import (LossConfig, cosine_similarity_matrix, encode,
                   ensemble_average, evaluate, generate_fixtures, init_params,
                   run_stage)
 from xmrt.datasets import (align_relevance, load_paired_dataset,
@@ -46,8 +46,8 @@ def map_at_16(sim):
 teachers = []
 for seed in (1, 2, 3):
     t = init_params(32, 24, 16, seed=seed)
-    t, _ = run_stage(StageConfig("pretrain", epochs=6, batch_size=16), t,
-                     train.dataset, peak_lr=0.05, floor_lr=1e-4, seed=seed)
+    t, _ = run_stage("pretrain", t, train.dataset, epochs=6, batch_size=16,
+                     peak_lr=0.05, floor_lr=1e-4, seed=seed)
     teachers.append(t)
     print(f"teacher seed {seed}: test mAP@16 "
           f"{map_at_16(test_similarity(t)):.4f}")
@@ -58,14 +58,13 @@ print(f"averaged teachers: test mAP@16 {map_at_16(averaged):.4f}")
 
 # 4. student: a short supervised warmup, then the distillation stage
 student = init_params(32, 24, 16, seed=9)
-student, _ = run_stage(StageConfig("pretrain", epochs=2, batch_size=16),
-                       student, train.dataset, peak_lr=0.05, floor_lr=1e-4,
-                       seed=9)
+student, _ = run_stage("pretrain", student, train.dataset, epochs=2,
+                       batch_size=16, peak_lr=0.05, floor_lr=1e-4, seed=9)
 warm = map_at_16(test_similarity(student))
 print(f"\nstudent after warmup: test mAP@16 {warm:.4f}")
 
-stage = StageConfig("finetune", epochs=12, batch_size=16)
-student, log = run_stage(stage, student, train.dataset, teachers=teachers,
+student, log = run_stage("finetune", student, train.dataset,
+                         teachers=teachers, epochs=12, batch_size=16,
                          loss_cfg=LossConfig(tau=0.05, lambda1=1.0),
                          peak_lr=0.05, floor_lr=1e-4, seed=9)
 # the distillation term is a cross entropy against soft targets, so it

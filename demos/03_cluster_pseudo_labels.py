@@ -13,9 +13,9 @@ topic structure while the contrastive term keeps the alignment.
 
 import numpy as np
 
-from xmrt import (ClusterConfig, PairedDataset, StageConfig,
-                  build_pseudo_labels, cluster_pipeline, encode, init_heads,
-                  init_params, run_stage)
+from xmrt import (ClusterConfig, PairedDataset, build_pseudo_labels,
+                  cluster_pipeline, encode, init_heads, init_params,
+                  run_stage)
 
 # 1. a paired dataset whose latents come from three separated topics
 rng = np.random.default_rng(0)
@@ -35,8 +35,8 @@ print(f"{len(dataset)} pairs drawn from 3 planted topics")
 
 # 2. contrastive warmup so the embeddings mean something
 params = init_params(14, 12, 8, seed=1)
-params, _ = run_stage(StageConfig("pretrain", epochs=5, batch_size=12),
-                      params, dataset, peak_lr=0.05, floor_lr=1e-4, seed=1)
+params, _ = run_stage("pretrain", params, dataset, epochs=5, batch_size=12,
+                      peak_lr=0.05, floor_lr=1e-4, seed=1)
 
 # 3. cluster the caption embeddings; the neighborhood radius comes from
 #    the observed distance scale, not from tuning against the truth.
@@ -69,10 +69,9 @@ assert np.allclose(audio_probs, assignment.probabilities)
 # 5. refinetune: attach classification heads and train with the
 #    auxiliary term on top of the contrastive one
 params = params.with_heads(*init_heads(params.d_emb, assignment.k, seed=1))
-stage = StageConfig("refinetune", epochs=8, batch_size=12)
-params, log = run_stage(stage, params, dataset,
-                        pseudo_labels=assignment.labels, peak_lr=0.01,
-                        floor_lr=1e-4, seed=1)
+params, log = run_stage("refinetune", params, dataset,
+                        pseudo_labels=assignment.labels, epochs=8,
+                        batch_size=12, peak_lr=0.01, floor_lr=1e-4, seed=1)
 first = log[0].l_cls_audio + log[0].l_cls_text
 last = log[-1].l_cls_audio + log[-1].l_cls_text
 print(f"classification terms {first:.4f} -> {last:.4f} "

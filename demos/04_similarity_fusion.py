@@ -17,10 +17,9 @@ import tempfile
 
 import numpy as np
 
-from xmrt import (EnsembleSpec, GridSearchConfig, Member, StageConfig,
-                  bundled_weight_table, cosine_similarity_matrix, encode,
-                  evaluate, fuse, generate_fixtures, grid_search,
-                  init_params, run_stage)
+from xmrt import (EnsembleSpec, Member, bundled_weight_table,
+                  cosine_similarity_matrix, encode, evaluate, fuse,
+                  generate_fixtures, grid_search, init_params, run_stage)
 from xmrt.datasets import (align_relevance, load_paired_dataset,
                            read_relevance)
 from xmrt.fixtures import MANIFEST_FILE, relevance_file
@@ -39,9 +38,9 @@ relevance = align_relevance(entries, val.dataset.caption_ids,
 members = []
 for seed, d_emb in ((1, 8), (2, 12), (3, 16)):
     params = init_params(32, 24, d_emb, seed=seed)
-    params, _ = run_stage(StageConfig("pretrain", epochs=6, batch_size=16),
-                          params, train.dataset, peak_lr=0.05,
-                          floor_lr=1e-4, seed=seed)
+    params, _ = run_stage("pretrain", params, train.dataset, epochs=6,
+                          batch_size=16, peak_lr=0.05, floor_lr=1e-4,
+                          seed=seed)
     sim = cosine_similarity_matrix(
         encode(params.audio_encoder, val.gallery_features),
         encode(params.text_encoder, val.dataset.text_features))
@@ -51,8 +50,7 @@ for seed, d_emb in ((1, 8), (2, 12), (3, 16)):
 
 # 3. coarse grid search over the weight simplex, then a refinement
 #    pass on a 4x finer lattice around the coarse optimum
-result = grid_search(members, relevance,
-                     GridSearchConfig(step=0.02), refine=True)
+result = grid_search(members, relevance, step=0.02, refine=True)
 weights = [m.weight for m in result.spec.members]
 print(f"\nsearched {result.points_evaluated} grid points")
 print("best weights: " + ", ".join(f"{w:.4f}" for w in weights))

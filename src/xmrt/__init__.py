@@ -16,7 +16,7 @@ from .clustering import (OUTLIER, ClusterAssignment, ClusterConfig,
 from .core import Axis, cosine_similarity_matrix, softmax_with_temperature
 from .encoders import (ClassificationHead, LinearEncoder, ModelParams,
                        encode, init_heads, init_params)
-from .ensemble import (EnsembleSpec, GridSearchConfig, Member, SearchResult,
+from .ensemble import (EnsembleSpec, Member, SearchResult,
                        bundled_weight_table, fuse, grid_search,
                        hierarchical_grid_search, read_weight_table)
 from .errors import (ConfigError, ContractError, DataError, TensorFileError,
@@ -28,7 +28,7 @@ from .losses import (LossBreakdown, LossConfig, TeacherTargets,
                      student_similarity, targets_from_teacher_sims,
                      teacher_soft_targets)
 from .tensorfile import load_tensor, save_tensor
-from .training import (PairedDataset, StageConfig, StepRecord, adamw_step,
+from .training import (PairedDataset, StepRecord, adamw_step,
                        expand_with_mixes, make_batches, run_stage)
 
 __version__ = "0.1.0"
@@ -40,14 +40,14 @@ __all__ = [
     "LossConfig", "LossBreakdown", "TeacherTargets", "ensemble_average",
     "teacher_soft_targets", "targets_from_teacher_sims",
     "loss_and_gradients", "student_similarity",
-    "adamw_step", "StageConfig", "StepRecord",
+    "adamw_step", "StepRecord",
     "expand_with_mixes", "PairedDataset",
     "make_batches", "run_stage",
     "OUTLIER", "ClusterConfig", "ClusterAssignment",
     "reduce_dimensionality", "density_cluster", "reassign_outliers",
     "build_pseudo_labels", "cluster_pipeline",
     "RelevanceMap", "MetricsReport", "rank_gallery", "evaluate",
-    "Member", "EnsembleSpec", "GridSearchConfig",
+    "Member", "EnsembleSpec",
     "SearchResult", "fuse", "grid_search",
     "hierarchical_grid_search", "bundled_weight_table",
     "read_weight_table",

@@ -8,9 +8,10 @@ directory once for all of them.  Only gen-fixtures and the three
 training stages draw random numbers, and only they take --seed.  The
 seed is the --seed flag, else the config's seed (0); no environment
 variable is read.  It also seeds pair mixing.  Each config section goes
-straight into the engine object or function it configures, so an
-absent key keeps the engine's own default.  A stage's summary and
-cluster's labels.tsv are dropped first and written last.
+straight into the engine function it configures as keywords (`loss`
+and `clustering` as a LossConfig and a ClusterConfig), so an absent key
+keeps the engine's own default.  A stage's summary, cluster's labels.tsv
+and gen-fixtures' manifest are dropped first and written last.
 
 Exit codes: 0 success, 1 module error (bad data, bad config values,
 failed contracts), 2 usage error (unknown flags, missing required
@@ -39,14 +40,13 @@ from .datasets import (SPLITS, align_relevance, load_paired_dataset,
                        read_labels, read_relevance, relevance_as_indices,
                        write_labels)
 from .encoders import encode, init_heads, init_params
-from .ensemble import (GridSearchConfig, bundled_weight_table, fuse,
-                       grid_search, hierarchical_grid_search,
-                       read_weight_table)
+from .ensemble import (bundled_weight_table, fuse, grid_search,
+                       hierarchical_grid_search, read_weight_table)
 from .errors import ConfigError, DataError, XmrtError
 from .evaluation import METRIC_KEYS, MODES, evaluate
 from .losses import LossBreakdown, LossConfig
 from .tensorfile import atomic_open, discard_file, load_tensor, save_tensor
-from .training import STAGES, StageConfig, expand_with_mixes, run_stage
+from .training import STAGES, expand_with_mixes, run_stage
 
 CHECKPOINT_ROOT = "checkpoints"
 
@@ -68,14 +68,17 @@ def _resolve_out(flag, cfg):
     raise ConfigError("no output directory: pass --out or set out_dir")
 
 
-def _from_section(cls, cfg, *keys, **given):
-    """A cls dataclass from the config section at keys.  A section key
-    naming a field overrides the value given here; a field set by
-    neither keeps cls's own default."""
-    section = cfg.get(*keys, default={})
-    names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{**given, **{k: v for k, v in section.items()
-                               if k in names}})
+def _keywords(cfg, keys, names):
+    """The entries of the config section at keys whose key is in names;
+    a name the section does not set keeps the callee's own default."""
+    return {k: v for k, v in cfg.get(*keys, default={}).items()
+            if k in names}
+
+
+def _from_section(cls, cfg, *keys):
+    """A cls dataclass from its fields in the config section at keys."""
+    return cls(**_keywords(cfg, keys,
+                           {f.name for f in dataclasses.fields(cls)}))
 
 
 def _checkpoint_dir(out_dir, stage):
@@ -168,10 +171,9 @@ def _run_training_stage(cfg, out_dir, seed, stage_name):
                 f"label file has {k}")
 
     params, records = run_stage(
-        _from_section(StageConfig, cfg, "stages", stage_name,
-                      name=stage_name),
-        params, dataset, teachers=teachers, pseudo_labels=pseudo,
+        stage_name, params, dataset, teachers=teachers, pseudo_labels=pseudo,
         loss_cfg=_from_section(LossConfig, cfg, "loss"), seed=seed,
+        **_keywords(cfg, ("stages", stage_name), ("epochs", "batch_size")),
         **cfg.get("schedule", default={}))
 
     ckpt_dir = _checkpoint_dir(out_dir, stage_name)
@@ -260,20 +262,18 @@ def _ensemble_members(cfg):
 
 def cmd_ensemble_search(cfg, out_dir):
     hierarchical = cfg.get("ensemble", "hierarchical")
-    options = {k: v for k, v in cfg.get("ensemble", default={}).items()
-               if k in ("strategy", "mode", "refine")}
+    options = _keywords(cfg, ("ensemble",),
+                        ("step", "strategy", "mode", "refine"))
     if "strategy" in options and not hierarchical:
         raise ConfigError("config key ensemble.strategy needs "
                           "ensemble.hierarchical: true")
     members = _ensemble_members(cfg)
     relevance = relevance_as_indices(read_relevance(
         cfg.resolve_input("ensemble", "relevance")))
-    grid_cfg = _from_section(GridSearchConfig, cfg, "ensemble")
     if hierarchical:
-        result = hierarchical_grid_search(members, relevance, grid_cfg,
-                                          **options)
+        result = hierarchical_grid_search(members, relevance, **options)
     else:
-        result = grid_search(list(members.values()), relevance, grid_cfg,
+        result = grid_search(list(members.values()), relevance,
                              tags=list(members), **options)
     payload = {
         "strategy": result.spec.strategy,

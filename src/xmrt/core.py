@@ -124,7 +124,8 @@ def _softmax_forward(z, axis, shifted=None, out=None):
 
 def softmax_with_temperature(logits, tau, axis):
     """Temperature softmax along the chosen axis, max-shifted for stability."""
-    if not 0 < tau < np.inf:   # nan fails both comparisons
-        raise ConfigError(f"temperature must be finite and > 0, got {tau}")
+    if not (0 < tau < np.inf and 1.0 / tau < np.inf):   # and not nan
+        raise ConfigError(f"temperature must be finite and > 0 with a "
+                          f"finite 1/temperature, got {tau}")
     z = as_matrix(logits, "logits") / tau
     return _softmax_forward(z, axis, z, z)[2]

@@ -6,10 +6,10 @@ strategies differ only in which axis is combined first; both collapse to
 a flat weighted sum with product weights.  A weight table file reads
 into named EnsembleSpecs over the one published grid (systems 2-5 by
 passt/eat/beats).  Weights are found by exhaustive search over the
-discretized simplex, maximizing mAP@16 on validation relevance, with an
-optional finer greedy refinement pass.  Each query ranks only the items
-that could move a relevant item's rank (`_kept_sets`), so a point costs
-a fraction of an `evaluate`, bit-equal.
+simplex discretized at a `step` keyword, maximizing mAP@16 on
+validation relevance, with an optional finer greedy refinement pass.
+Each query ranks only the items that could move a relevant item's rank
+(`_kept_sets`), so a point costs a fraction of an `evaluate`, bit-equal.
 """
 
 from __future__ import annotations
@@ -171,26 +171,6 @@ def bundled_weight_table():
         return read_weight_table(path)
 
 
-@dataclass(frozen=True)
-class GridSearchConfig:
-    """Simplex discretization of the weight search."""
-
-    step: float = 0.01
-
-    def __post_init__(self):
-        # nan fails every comparison; a subnormal step's 1/step is inf
-        if not (0 < self.step <= 1 and 1.0 / self.step < math.inf):
-            raise ConfigError(f"step must be in (0, 1] with a finite 1/step, "
-                              f"got {self.step}")
-        if abs(self.divisions * self.step - 1.0) > 1e-9:
-            raise ConfigError(
-                f"step {self.step} does not divide 1 exactly")
-
-    @property
-    def divisions(self):
-        return round(1.0 / self.step)
-
-
 def _compositions(total, parts):
     """All nonnegative integer vectors of the given length summing to
     total, in ascending lexicographic order."""
@@ -215,43 +195,50 @@ class SearchResult:
     points_evaluated: int
 
 
-def grid_search(matrices, relevance, cfg=None, *, tags=None,
+def grid_search(matrices, relevance, *, step=0.01, tags=None,
                 mode="multiple", refine=False):
     """Exhaustive simplex search for the weights maximizing mAP@16.
 
-    Weight vectors are enumerated at resolution step in ascending
-    lexicographic order and only strict improvements are kept, so ties
-    resolve to the lexicographically smallest vector.  With refine=True
-    a greedy pairwise mass-transfer pass at resolution 0.0025 runs from
-    the coarse optimum (first-improvement sweeps until none helps); step
-    must then be a whole multiple of 0.0025, or ConfigError is raised
-    before any point is scored, as for over MAX_MEMBERS members or
-    MAX_GRID_POINTS points.  The spec keeps the default strategy label.
+    Weight vectors are enumerated at resolution `step`, which must lie
+    in (0, 1] and divide 1 exactly, in ascending lexicographic order and
+    only strict improvements are kept, so ties resolve to the
+    lexicographically smallest vector.  With refine=True a greedy
+    pairwise mass-transfer pass at resolution 0.0025 runs from the
+    coarse optimum (first-improvement sweeps until none helps); step must
+    then be a whole multiple of 0.0025.  A step that breaks either rule
+    is a ConfigError before any point is scored, as are over MAX_MEMBERS
+    members or MAX_GRID_POINTS points.  The spec keeps the default
+    strategy label.
     """
-    cfg = cfg if cfg is not None else GridSearchConfig()
+    # nan fails every comparison; a subnormal step's 1/step is inf
+    if not (0 < step <= 1 and 1.0 / step < math.inf):
+        raise ConfigError(f"step must be in (0, 1] with a finite 1/step, "
+                          f"got {step}")
+    divisions = round(1.0 / step)
+    if abs(divisions * step - 1.0) > 1e-9:
+        raise ConfigError(f"step {step} does not divide 1 exactly")
     n = len(matrices)
     if n < 2:
         raise ContractError(f"grid search needs >= 2 members, got {n}")
     if n > MAX_MEMBERS:
         raise ConfigError(f"{n} members exceeds the limit of {MAX_MEMBERS}")
-    size = _grid_size(cfg.divisions, n)
+    size = _grid_size(divisions, n)
     if size > MAX_GRID_POINTS:
         raise ConfigError(
-            f"the grid at step {cfg.step} over {n} members exceeds the "
+            f"the grid at step {step} over {n} members exceeds the "
             f"budget of {MAX_GRID_POINTS} points; use a coarser step")
     tags = tuple(((i, f"m{i}") for i in range(n)) if tags is None else tags)
     if len(tags) != n:
         raise ContractError(f"{len(tags)} tags for {n} matrices")
-    refine_units = round(cfg.step / REFINE_STEP)
+    refine_units = round(step / REFINE_STEP)
     if refine and (refine_units < 1
-                   or abs(refine_units * REFINE_STEP - cfg.step) > 1e-9):
+                   or abs(refine_units * REFINE_STEP - step) > 1e-9):
         raise ConfigError(
             f"refine needs a step that is a whole multiple of {REFINE_STEP}, "
-            f"got {cfg.step}")
+            f"got {step}")
     scores = _grid_scores(_as_equal_shape_matrices(matrices, "matrix"),
                           relevance, mode)
 
-    divisions = cfg.divisions
     best_counts = None
     best_value = -1.0
     grid, weights = itertools.tee(_compositions(divisions, n))
@@ -406,17 +393,17 @@ def _grid_scores(mats, relevance, mode):
     return scores
 
 
-def hierarchical_grid_search(matrices, relevance, cfg=None, *,
+def hierarchical_grid_search(matrices, relevance, *, step=0.01,
                              strategy="system-first", mode="multiple",
                              refine=False):
     """Factored weight search mirroring the two published strategies.
 
     Stage 1 searches each within-group simplex on its own (for
     system-first, across systems inside each model); stage 2 searches
-    across the stage-1 fused group matrices.  The grid must be full and
+    across the stage-1 fused group matrices; every search takes `step`,
+    `mode` and `refine` as grid_search does.  The grid must be full and
     at least 2 by 2.  Returns a flat spec of the stage-product weights.
     """
-    cfg = cfg if cfg is not None else GridSearchConfig()
     _check_strategy(strategy)
     systems = tuple(dict.fromkeys(s for s, _ in matrices))
     models = tuple(dict.fromkeys(m for _, m in matrices))
@@ -436,13 +423,15 @@ def hierarchical_grid_search(matrices, relevance, cfg=None, *,
     evaluated = 0
     for group in groups:
         mats = [matrices[tag] for tag in group]
-        result = grid_search(mats, relevance, cfg, mode=mode, refine=refine)
+        result = grid_search(mats, relevance, step=step, mode=mode,
+                             refine=refine)
         stage1.update((tag, m.weight)
                       for tag, m in zip(group, result.spec.members))
         fused_groups.append(fuse(mats, result.spec))
         evaluated += result.points_evaluated
 
-    top = grid_search(fused_groups, relevance, cfg, mode=mode, refine=refine)
+    top = grid_search(fused_groups, relevance, step=step, mode=mode,
+                      refine=refine)
     evaluated += top.points_evaluated
     stage2 = {tag: m.weight for group, m in zip(groups, top.spec.members)
               for tag in group}

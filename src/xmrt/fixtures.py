@@ -14,7 +14,7 @@ import os
 from .core import _check_alloc, _rng
 from .datasets import SPLITS, Manifest, write_manifest, write_relevance
 from .errors import ConfigError
-from .tensorfile import save_tensor
+from .tensorfile import discard_file, save_tensor
 
 AUDIO_FILE = "audio.xmrt"
 TEXT_FILE = "text.xmrt"
@@ -41,6 +41,8 @@ def generate_fixtures(out_dir, *, n_items=256, d_latent=8, d_audio=32,
     (caption i describes audio i) and each split gets a relevance file
     whose single relevant id per caption is its own audio.  Sizes whose
     draws would pass core._ALLOC_BYTES are a ConfigError before any draw.
+    The manifest is removed first and written last, so a run cut short
+    leaves no corpus that loads with old and new files mixed.
     """
     if n_items < 8:
         raise ConfigError(f"n_items must be >= 8, got {n_items}")
@@ -63,7 +65,9 @@ def generate_fixtures(out_dir, *, n_items=256, d_latent=8, d_audio=32,
     text = latents @ view_b.T + noise_sigma * rng.standard_normal(
         (n_items, d_text))
 
+    manifest_path = os.path.join(out_dir, MANIFEST_FILE)
     os.makedirs(out_dir, exist_ok=True)
+    discard_file(manifest_path)
     save_tensor(os.path.join(out_dir, AUDIO_FILE), audio)
     save_tensor(os.path.join(out_dir, TEXT_FILE), text)
 
@@ -76,9 +80,9 @@ def generate_fixtures(out_dir, *, n_items=256, d_latent=8, d_audio=32,
             [f"{AUDIO_FILE}:{i}" for i in range(n_items)],
             [f"{TEXT_FILE}:{i}" for i in range(n_items)], splits),
         d_audio=d_audio, d_text=d_text)
-    write_manifest(os.path.join(out_dir, MANIFEST_FILE), manifest)
     for split in SPLITS:
         write_relevance(os.path.join(out_dir, relevance_file(split)), [
             (c, (a,)) for a, c, s in zip(audio_ids, caption_ids, splits)
             if s == split])
+    write_manifest(manifest_path, manifest)
     return manifest

@@ -37,9 +37,10 @@ class LossConfig:
     lambda2: float = 0.05      # classification weight
 
     def __post_init__(self):
-        # nan fails every comparison, so it is rejected too.
-        if not 0 < self.tau < np.inf:
-            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
+        # nan fails every comparison; a subnormal tau's 1/tau is inf
+        if not (0 < self.tau < np.inf and 1.0 / self.tau < np.inf):
+            raise ConfigError(f"tau must be finite and > 0 with a finite "
+                              f"1/tau, got {self.tau}")
         if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
             raise ConfigError("lambda1 and lambda2 must be finite and >= 0, "
                               f"got {self.lambda1}, {self.lambda2}")

@@ -73,7 +73,8 @@ def adamw_step(theta, grad, m, v, step, lr, weight_decay):
 
 
 def _learning_rates(peak_lr, floor_lr, total_steps, warmup_steps):
-    """The rate of each step 0 .. total_steps - 1.
+    """Yield the rate of each step 0 .. total_steps - 1, one per step as
+    it runs, so no list of every rate is held.
 
     Warmup rises linearly from zero and hits peak_lr exactly at step
     warmup_steps.  The cosine then decays toward floor_lr, which it would
@@ -83,14 +84,12 @@ def _learning_rates(peak_lr, floor_lr, total_steps, warmup_steps):
     [floor_lr, peak_lr] and the peak is exact.
     """
     span = total_steps - warmup_steps
-    rates = []
     for step in range(total_steps):
         if step < warmup_steps:
-            rates.append(peak_lr * (step / warmup_steps))
+            yield peak_lr * (step / warmup_steps)
         else:
             w = 0.5 * (1.0 + np.cos(np.pi * ((step - warmup_steps) / span)))
-            rates.append(float(peak_lr * w + floor_lr * (1.0 - w)))
-    return rates
+            yield float(peak_lr * w + floor_lr * (1.0 - w))
 
 
 @dataclass(frozen=True)
@@ -182,31 +181,6 @@ def make_batches(n_items, batch_size, seed, epoch):
 
 
 @dataclass(frozen=True)
-class StageConfig:
-    """One training stage: its name picks the objective, epochs and batch
-    size set its length.
-
-    pretrain is contrastive only, finetune adds teacher distillation,
-    refinetune adds the cluster classification heads.  run_stage checks
-    that the inputs match the name, so a misconfigured run fails
-    immediately instead of training the wrong objective.
-    """
-
-    name: str
-    epochs: int = 20
-    batch_size: int = 16
-
-    def __post_init__(self):
-        if self.name not in STAGES:
-            raise ConfigError(
-                f"unknown stage {self.name!r}, expected one of {STAGES}")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2")
-
-
-@dataclass(frozen=True)
 class StepRecord:
     """One optimizer step's diagnostics."""
 
@@ -221,13 +195,14 @@ class StepRecord:
 
 
 def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
-              loss_cfg=None, peak_lr=2e-5, floor_lr=1e-7,
-              warmup_fraction=0.1, weight_decay=0.01, seed=0):
+              epochs=20, batch_size=16, loss_cfg=None, peak_lr=2e-5,
+              floor_lr=1e-7, warmup_fraction=0.1, weight_decay=0.01, seed=0):
     """Train one stage to completion; returns (params, records).
 
-    `dataset` is a PairedDataset.  A batch_size whose workspace, with
-    finetune's teacher targets, would not fit core._ALLOC_BYTES is
-    a ConfigError before step 0.
+    `stage` is a name from STAGES, and `dataset` a PairedDataset that
+    the stage passes over `epochs` times in batches of `batch_size`.  A
+    batch_size whose workspace, with finetune's teacher targets, would
+    not fit core._ALLOC_BYTES is a ConfigError before step 0.
     The stage name picks the loss terms.
     finetune distills from `teachers`, a sequence of frozen ModelParams
     whose averaged similarities give the targets (required there,
@@ -242,6 +217,13 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     raises DataError naming the stage, step, epoch and lr, and the loss
     terms once known.
     """
+    if stage not in STAGES:
+        raise ConfigError(
+            f"unknown stage {stage!r}, expected one of {STAGES}")
+    if epochs < 0:
+        raise ConfigError("epochs must be >= 0")
+    if batch_size < 2:
+        raise ConfigError("batch_size must be >= 2")
     cfg = loss_cfg if loss_cfg is not None else LossConfig()
     for name, value in (("peak_lr", peak_lr), ("weight_decay", weight_decay)):
         if not 0 <= value < math.inf:
@@ -254,19 +236,19 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
             f"warmup_fraction must lie in [0, 1], got {warmup_fraction}")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    distills = stage.name == "finetune"
-    clusters = stage.name == "refinetune"
+    distills = stage == "finetune"
+    clusters = stage == "refinetune"
     if distills and not teachers:
-        raise ConfigError(f"stage {stage.name} needs teacher models")
+        raise ConfigError(f"stage {stage} needs teacher models")
     if teachers and not distills:
-        raise ConfigError(f"stage {stage.name} does not accept teachers")
+        raise ConfigError(f"stage {stage} does not accept teachers")
     if clusters:
         if pseudo_labels is None:
-            raise ConfigError(f"stage {stage.name} needs pseudo labels")
+            raise ConfigError(f"stage {stage} needs pseudo labels")
         if not params.has_heads:
             raise ConfigError("refinetune requires classification heads")
     elif pseudo_labels is not None:
-        raise ConfigError(f"stage {stage.name} does not accept labels")
+        raise ConfigError(f"stage {stage} does not accept labels")
 
     labels_all = None
     if pseudo_labels is not None:
@@ -279,19 +261,19 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                                 or labels_all.max() >= k):
             raise DataError(f"cluster label outside [0, {k})")
 
-    if stage.epochs == 0:
+    if epochs == 0:
         return params, []
 
-    steps_per_epoch = len(dataset) // stage.batch_size
+    steps_per_epoch = len(dataset) // batch_size
     if steps_per_epoch == 0:
         raise ContractError(
             f"dataset of {len(dataset)} cannot fill a batch of "
-            f"{stage.batch_size}")
-    work = _Workspace(params, stage.batch_size, len(teachers or ()))
+            f"{batch_size}")
+    work = _Workspace(params, batch_size, len(teachers or ()))
     batch = PairedDataset(
-        np.zeros((stage.batch_size, dataset.audio_features.shape[1])),
-        np.zeros((stage.batch_size, dataset.text_features.shape[1])))
-    total_steps = steps_per_epoch * stage.epochs
+        np.zeros((batch_size, dataset.audio_features.shape[1])),
+        np.zeros((batch_size, dataset.text_features.shape[1])))
+    total_steps = steps_per_epoch * epochs
     warmup = min(total_steps - 1, round(warmup_fraction * total_steps))
     rates = _learning_rates(peak_lr, floor_lr, total_steps, warmup)
 
@@ -301,8 +283,8 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     params = params.with_tensors(_flat_views(params, theta))
     records = []
     step = 0
-    for epoch in range(stage.epochs):
-        for batch_idx in make_batches(len(dataset), stage.batch_size,
+    for epoch in range(epochs):
+        for batch_idx in make_batches(len(dataset), batch_size,
                                       seed, epoch):
             # in-range indices: "clip" only skips the copy "raise" makes
             for rows, out in ((dataset.audio_features, batch.audio_features),
@@ -310,7 +292,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                 np.take(rows, batch_idx, axis=0, out=out, mode="clip")
             labels = labels_all[batch_idx] if clusters else None
 
-            lr = rates[step]
+            lr = next(rates)
             breakdown = None
             try:
                 targets = None
@@ -328,7 +310,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                     f"{name}={value:.6g}"
                     for name, value in vars(breakdown).items())
                 raise DataError(
-                    f"stage {stage.name} diverged at step {step} (epoch "
+                    f"stage {stage} diverged at step {step} (epoch "
                     f"{epoch}, lr {lr:.6g}{terms}): {exc}") from exc
             records.append(StepRecord(step=step, epoch=epoch, lr=lr,
                                       **vars(breakdown)))

@@ -15,11 +15,9 @@ import pytest
 from xmrt import (
     ClusterConfig,
     EnsembleSpec,
-    GridSearchConfig,
     LossConfig,
     Member,
     RelevanceMap,
-    StageConfig,
     bundled_weight_table,
     cluster_pipeline,
     cosine_similarity_matrix,
@@ -181,9 +179,9 @@ def test_03_planted_alignment_recovery(corpus_256):
                                 "train")
     params = init_params(32, 24, 16, seed=5)
     before = _retrieval_report(params, corpus_256, "test").map_at_10
-    stage = StageConfig("pretrain", epochs=20, batch_size=16)
-    trained, _ = run_stage(stage, params, train.dataset, peak_lr=0.05,
-                           floor_lr=1e-4, weight_decay=0.01, seed=5)
+    trained, _ = run_stage("pretrain", params, train.dataset, epochs=20,
+                           batch_size=16, peak_lr=0.05, floor_lr=1e-4,
+                           weight_decay=0.01, seed=5)
     after = _retrieval_report(trained, corpus_256, "test").map_at_10
     elapsed = time.perf_counter() - start
     assert before <= 0.15
@@ -203,14 +201,13 @@ def test_04_distillation_pipeline_integrity(corpus_64):
     teachers = []
     for seed in (1, 2, 3):
         t = init_params(12, 10, 6, seed=seed)
-        t, _ = run_stage(StageConfig("pretrain", epochs=2, batch_size=8),
-                         t, train, peak_lr=0.01, seed=seed)
+        t, _ = run_stage("pretrain", t, train, epochs=2, batch_size=8,
+                         peak_lr=0.01, seed=seed)
         teachers.append(t)
 
     student = init_params(12, 10, 6, seed=7)
-    stage = StageConfig("finetune", epochs=2, batch_size=8)
-    tuned, log = run_stage(stage, student, train, teachers=teachers,
-                           peak_lr=0.01, seed=7)
+    tuned, log = run_stage("finetune", student, train, teachers=teachers,
+                           epochs=2, batch_size=8, peak_lr=0.01, seed=7)
     steps = (len(train) // 8) * 2
     assert len(log) == steps
     assert all(r.l_dist > 0.0 for r in log)
@@ -323,7 +320,7 @@ def test_07_grid_search_planted_optimum():
     mats = [relevant, distract]
     rel = RelevanceMap(((0,),))
 
-    result = grid_search(mats, rel, GridSearchConfig(step=0.01))
+    result = grid_search(mats, rel, step=0.01)
     coarse_w = result.spec.members[0].weight
 
     fine_best, fine_w = -1.0, None
@@ -382,10 +379,9 @@ def test_08_planted_blob_clustering():
 def test_09_schedule_peak_and_decay():
     # 10 steps per epoch for 10 epochs: warmup ends at step 10
     peak, floor = 2e-5, 1e-7
-    _, records = run_stage(StageConfig("pretrain", epochs=10, batch_size=4),
-                           init_params(6, 5, 4, seed=0),
-                           random_batch(40, 6, 5, seed=9),
-                           peak_lr=peak, floor_lr=floor, seed=3)
+    _, records = run_stage("pretrain", init_params(6, 5, 4, seed=0),
+                           random_batch(40, 6, 5, seed=9), epochs=10,
+                           batch_size=4, peak_lr=peak, floor_lr=floor, seed=3)
     rates = [r.lr for r in records]
     assert len(rates) == 100
     assert rates[10] == peak
@@ -407,7 +403,7 @@ def test_10_stage_determinism(corpus_64, tmp_path):
     def one_run(tag):
         params = init_params(12, 10, 6, seed=17)
         params, _ = run_stage(
-            StageConfig("pretrain", epochs=3, batch_size=8), params, train,
+            "pretrain", params, train, epochs=3, batch_size=8,
             peak_lr=0.01, floor_lr=1e-5, weight_decay=0.01, seed=17)
         ckpt = os.path.join(str(tmp_path), tag)
         save_checkpoint(ckpt, params)

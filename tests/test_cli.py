@@ -10,10 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from xmrt import (ClusterConfig, GridSearchConfig, core, density_cluster,
-                  encode, generate_fixtures, hierarchical_grid_search,
-                  init_heads, init_params, load_tensor,
-                  reduce_dimensionality, save_tensor, tensorfile)
+from xmrt import (ClusterConfig, core, density_cluster, encode,
+                  generate_fixtures, hierarchical_grid_search, init_heads,
+                  init_params, load_tensor, reduce_dimensionality,
+                  save_tensor, tensorfile)
 from xmrt.checkpoints import load_checkpoint, save_checkpoint
 from xmrt import cli
 from xmrt.cli import CHECKPOINT_ROOT, main
@@ -30,6 +30,7 @@ from xmrt.datasets import (
 from xmrt.encoders import LinearEncoder, ModelParams
 from xmrt.ensemble import bundled_weight_table
 from xmrt.evaluation import METRIC_KEYS
+from xmrt.fixtures import relevance_file
 
 from conftest import write_weight_rows
 
@@ -434,6 +435,17 @@ def test_batch_past_the_workspace_budget_returns_1(tmp_path, capsys,
     assert not os.path.exists(os.path.join(str(tmp_path), "run"))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_tau_whose_reciprocal_overflows_returns_1(tmp_path, capsys):
+    payload = _read_json(_pipeline_config(tmp_path))
+    payload["loss"] = {"tau": 1e-310}
+    cfg = _write_config(tmp_path, payload)
+    assert main(["pretrain", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: tau must be finite and > 0 with a finite 1/tau, got 1e-310\n")
+    assert not os.path.exists(os.path.join(str(tmp_path), "run"))
+
+
 def test_a_batch_of_one_returns_1(tmp_path, capsys):
     payload = _read_json(_pipeline_config(tmp_path))
     payload["stages"]["pretrain"]["batch_size"] = 1
@@ -541,36 +553,48 @@ def _failing_replace(k, calls):
 
 
 OP_OUTPUTS = {"pretrain": ("checkpoints/pretrain", "summaries/pretrain.json"),
-              "cluster": ("labels.tsv", "audio_labels.tsv")}
+              "cluster": ("labels.tsv", "audio_labels.tsv"),
+              "gen-fixtures": ("audio.xmrt", "text.xmrt", "manifest.tsv",
+                               *map(relevance_file, ("train", "val", "test")))}
 
 
 @pytest.mark.parametrize("command", sorted(OP_OUTPUTS))
 def test_an_op_that_fails_partway_leaves_no_mixed_outputs(
         tmp_path, monkeypatch, capsys, command):
-    # run/ holds a previous run's outputs (seed 9, 1 cluster); the op then
-    # runs with seed 10 and 3 clusters, its k-th os.replace failing
+    # run/ holds a previous run's outputs (seed 9, 1 cluster, a seed-1
+    # corpus); the op then runs with seed 10 and 3 clusters (a seed-2
+    # corpus), its k-th os.replace failing
     base = str(tmp_path)
-    configs = {}
-    for name, out_dir, seed, radius in (("old", "run", 9, 50.0),
-                                        ("new", "run", 10, 1.0),
-                                        ("ref", "ref", 10, 1.0)):
-        payload = _read_json(_pipeline_config(tmp_path, out_dir, seed))
-        payload["clustering"].update(
-            neighborhood_radius=radius,
-            checkpoint=f"{out_dir}/checkpoints/pretrain")
-        configs[name] = _write_config(tmp_path, payload, f"{name}.json")
-    for name in ("old", "ref"):
-        for op in ("pretrain", "cluster"):
-            assert main([op, "--config", configs[name]]) == 0
-    if command == "cluster":    # the checkpoint the new labels come from
-        assert main(["pretrain", "--config", configs["new"]]) == 0
     run, ref = os.path.join(base, "run"), os.path.join(base, "ref")
+    if command == "gen-fixtures":
+        for out_dir, seed in ((run, 1), (ref, 2)):
+            assert main([command, "--out", out_dir, "--seed", str(seed)]) == 0
+        new = [command, "--out", run, "--seed", "2"]
+    else:
+        configs = {}
+        for name, out_dir, seed, radius in (("old", "run", 9, 50.0),
+                                            ("new", "run", 10, 1.0),
+                                            ("ref", "ref", 10, 1.0)):
+            payload = _read_json(_pipeline_config(tmp_path, out_dir, seed))
+            payload["clustering"].update(
+                neighborhood_radius=radius,
+                checkpoint=f"{out_dir}/checkpoints/pretrain")
+            configs[name] = _write_config(tmp_path, payload, f"{name}.json")
+        for name in ("old", "ref"):
+            for op in ("pretrain", "cluster"):
+                assert main([op, "--config", configs[name]]) == 0
+        new = [command, "--config", configs["new"]]
+        if command == "cluster":    # the checkpoint the new labels come from
+            assert main(["pretrain", "--config", configs["new"]]) == 0
     previous = os.path.join(base, "previous")
     shutil.copytree(run, previous)
     expected = _files(ref, OP_OUTPUTS[command])
     old = _files(run, OP_OUTPUTS[command])
+    # only the fixture manifest and relevance, which no seed changes, and
+    # perhaps a checkpoint's meta.json read the same
     assert [name for name in expected if old[name] == expected[name]] \
-        in ([], ["checkpoints/pretrain/meta.json"])
+        in ([], ["checkpoints/pretrain/meta.json"],
+            list(OP_OUTPUTS["gen-fixtures"][2:]))
 
     k = 0
     while True:
@@ -580,7 +604,7 @@ def test_an_op_that_fails_partway_leaves_no_mixed_outputs(
         calls = []
         with monkeypatch.context() as patch:
             patch.setattr(tensorfile.os, "replace", _failing_replace(k, calls))
-            code = main([command, "--config", configs["new"]])
+            code = main(new)
         if len(calls) < k:
             break
         assert code == 1
@@ -594,10 +618,13 @@ def test_an_op_that_fails_partway_leaves_no_mixed_outputs(
         elif "summaries/pretrain.json" in left:
             # a summary only beside the checkpoint it describes
             assert left == expected
-        assert main([command, "--config", configs["new"]]) == 0
+        elif "manifest.tsv" in left:
+            # a corpus that loads only when every file is new
+            assert left == expected
+        assert main(new) == 0
         assert _files(run, OP_OUTPUTS[command]) == expected
     assert code == 0
-    assert k - 1 == {"pretrain": 6, "cluster": 2}[command]
+    assert k - 1 == {"pretrain": 6, "cluster": 2, "gen-fixtures": 6}[command]
 
 
 def test_cluster_prints_the_density_steps_outlier_count(tmp_path, capsys):
@@ -857,7 +884,7 @@ def test_hierarchical_search_cli_matches_the_engine(tmp_path, strategy):
     result = hierarchical_grid_search(
         members, relevance_as_indices(read_relevance(
             os.path.join(base, "rel.tsv"))),
-        GridSearchConfig(step=0.25), strategy=strategy)
+        step=0.25, strategy=strategy)
     assert payload == {
         "strategy": strategy,
         "map_at_16": result.map_at_16,

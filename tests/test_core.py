@@ -147,8 +147,10 @@ class TestSoftmax:
         b = softmax_with_temperature(z + 100.0, 0.3, Axis.ROWS)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0,
+                                     1e-310, 5e-324])
     def test_tau_must_be_finite_and_positive(self, tau):
+        # a subnormal tau's 1/tau overflows, and every logit with it
         with pytest.raises(ConfigError, match="temperature must be finite"):
             softmax_with_temperature(np.eye(2), tau, Axis.ROWS)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from xmrt import (ConfigError, ContractError, DataError, EnsembleSpec,
-                  GridSearchConfig, Member, RelevanceMap,
+                  Member, RelevanceMap,
                   bundled_weight_table, evaluate, fuse, grid_search,
                   hierarchical_grid_search, read_weight_table)
 from xmrt import ensemble, evaluation
@@ -274,14 +274,14 @@ class TestGridSearch:
         "search", ["flat", "refine", "system-first", "model-first"])
     def test_objective_matches_independent_reevaluation(self, search, seed):
         mats, rel = self._tie_heavy(seed)
-        cfg = GridSearchConfig(step=0.05)
         if search in ("flat", "refine"):
             ordered = mats[:3]
-            result = grid_search(ordered, rel, cfg, refine=search == "refine")
+            result = grid_search(ordered, rel, step=0.05,
+                                 refine=search == "refine")
         else:
             grid = dict(zip([(2, "passt"), (2, "eat"), (3, "passt"),
                              (3, "eat")], mats))
-            result = hierarchical_grid_search(grid, rel, cfg,
+            result = hierarchical_grid_search(grid, rel, step=0.05,
                                               strategy=search)
             ordered = [grid[(m.system, m.model)]
                        for m in result.spec.members]
@@ -291,8 +291,7 @@ class TestGridSearch:
     def test_points_evaluated_counts_the_whole_simplex(self):
         rng = np.random.default_rng(5)
         mats = [rng.standard_normal((6, 6)) for _ in range(3)]
-        cfg = GridSearchConfig(step=0.25)
-        result = grid_search(mats, self._relevance(6), cfg)
+        result = grid_search(mats, self._relevance(6), step=0.25)
         assert result.points_evaluated == _grid_size(4, 3)
 
     def test_budget_exceeded_suggests_coarser_step(self):
@@ -307,16 +306,15 @@ class TestGridSearch:
                                               r"over \d+ members exceeds the "
                                               r"budget of 200000 points") as err:
             grid_search([np.eye(4)] * members, self._relevance(4),
-                        GridSearchConfig(step=2.5e-308))
+                        step=2.5e-308)
         assert len(str(err.value)) < 200
 
     def test_refine_never_hurts(self):
         rng = np.random.default_rng(6)
         mats = [rng.standard_normal((10, 10)) for _ in range(2)]
         rel = self._relevance(10)
-        cfg = GridSearchConfig(step=0.1)
-        coarse = grid_search(mats, rel, cfg)
-        refined = grid_search(mats, rel, cfg, refine=True)
+        coarse = grid_search(mats, rel, step=0.1)
+        refined = grid_search(mats, rel, step=0.1, refine=True)
         assert refined.map_at_16 >= coarse.map_at_16
         total = math.fsum(m.weight for m in refined.spec.members)
         assert abs(total - 1.0) < 1e-9
@@ -333,25 +331,41 @@ class TestGridSearch:
         assert [(m.system, m.model) for m in result.spec.members] == \
             [(2, "passt"), (3, "eat")]
 
-    def test_step_must_divide_one(self):
-        with pytest.raises(ConfigError, match="divide"):
-            GridSearchConfig(step=0.03)
+    def _search_unscored(self, monkeypatch, hierarchical, step):
+        """Either search over a 2 x 2 grid of members, failing if any
+        point is scored."""
+        def score(*args, **kwargs):
+            raise AssertionError("a grid point was scored")
+        monkeypatch.setattr(ensemble, "_mean_metrics", score)
+        mats = {(s, m): np.eye(4) for s in (2, 3) for m in ("passt", "eat")}
+        rel = self._relevance(4)
+        if hierarchical:
+            return hierarchical_grid_search(mats, rel, step=step)
+        return grid_search(list(mats.values()), rel, step=step)
 
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_step_must_divide_one(self, monkeypatch, hierarchical):
+        with pytest.raises(ConfigError,
+                           match=r"^step 0\.03 does not divide 1 exactly$"):
+            self._search_unscored(monkeypatch, hierarchical, 0.03)
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
     @pytest.mark.parametrize("step", [0.0, -0.5, 1.5, math.nan,
                                       1e-310, 5e-324])
-    def test_step_out_of_range_is_a_config_error(self, step):
+    def test_step_out_of_range_is_a_config_error(self, monkeypatch,
+                                                 hierarchical, step):
         # a subnormal step's 1/step overflows to inf
-        with pytest.raises(ConfigError, match=r"step must be in \(0, 1\]"):
-            GridSearchConfig(step=step)
+        with pytest.raises(ConfigError, match=r"^step must be in \(0, 1\] "
+                                              r"with a finite 1/step, got "):
+            self._search_unscored(monkeypatch, hierarchical, step)
 
     def test_refine_rejects_a_step_off_the_refine_lattice(self):
         # 0.004 / 0.0025 = 1.6 would round to a 0.002 lattice
         mats = [np.eye(4), np.eye(4)[::-1]]
-        cfg = GridSearchConfig(step=0.004)
         with pytest.raises(ConfigError, match="whole multiple of 0.0025"):
-            grid_search(mats, self._relevance(4), cfg, refine=True)
-        assert grid_search(mats, self._relevance(4), cfg).points_evaluated \
-            == 251
+            grid_search(mats, self._relevance(4), step=0.004, refine=True)
+        assert grid_search(mats, self._relevance(4),
+                           step=0.004).points_evaluated == 251
 
     def test_empty_members_fail_before_any_point_is_scored(
             self, monkeypatch):
@@ -370,7 +384,7 @@ class TestGridSearch:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="non-finite"):
                 grid_search([top] * 3, self._relevance(4),
-                            GridSearchConfig(step=0.1))
+                            step=0.1)
 
     def test_an_overflowing_vector_fails_only_when_its_value_is_read(self):
         top = np.full((4, 4), np.finfo(np.float64).max)
@@ -413,7 +427,7 @@ class TestGridSearch:
                 [[161 / 400, 160 / 400, 79 / 400]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = grid_search(mats, rel, GridSearchConfig(step=0.2),
+            got = grid_search(mats, rel, step=0.2,
                               refine=True)
         assert [m.weight for m in got.spec.members] == [0.4075, 0.3925, 0.2]
         assert (got.map_at_16, got.points_evaluated) \
@@ -424,7 +438,7 @@ class TestGridSearch:
         rng = np.random.default_rng(6)
         mats = [rng.standard_normal((10, 10)) for _ in range(2)]
         result = grid_search(mats, self._relevance(10),
-                             GridSearchConfig(step=step), refine=True)
+                             step=step, refine=True)
         for member in result.spec.members:
             units = member.weight / 0.0025
             assert abs(units - round(units)) < 1e-9
@@ -443,9 +457,8 @@ class TestHierarchicalGridSearch:
         # the returned flat product weights must reproduce the reported
         # objective when fused and evaluated independently
         mats, rel = self._instance()
-        cfg = GridSearchConfig(step=0.25)
         for strategy in ("system-first", "model-first"):
-            result = hierarchical_grid_search(mats, rel, cfg,
+            result = hierarchical_grid_search(mats, rel, step=0.25,
                                               strategy=strategy)
             ordered = [mats[(m.system, m.model)]
                        for m in result.spec.members]
@@ -457,7 +470,7 @@ class TestHierarchicalGridSearch:
     def test_members_cover_the_grid_in_system_major_order(self):
         mats, rel = self._instance(seed=1)
         result = hierarchical_grid_search(mats, rel,
-                                          GridSearchConfig(step=0.5))
+                                          step=0.5)
         tags = [(m.system, m.model) for m in result.spec.members]
         assert tags == [(2, "passt"), (2, "eat"), (3, "passt"), (3, "eat")]
 
@@ -469,7 +482,7 @@ class TestHierarchicalGridSearch:
                 (3, "passt"): bad, (3, "eat"): bad}
         rel = RelevanceMap(tuple((q,) for q in range(n)))
         result = hierarchical_grid_search(mats, rel,
-                                          GridSearchConfig(step=0.05))
+                                          step=0.05)
         weights = {(m.system, m.model): m.weight
                    for m in result.spec.members}
         assert result.map_at_16 == 1.0
@@ -479,12 +492,12 @@ class TestHierarchicalGridSearch:
         mats, rel = self._instance(seed=6)
         del mats[(3, "eat")]
         with pytest.raises(ContractError, match="grid"):
-            hierarchical_grid_search(mats, rel, GridSearchConfig(step=0.5))
+            hierarchical_grid_search(mats, rel, step=0.5)
 
     def test_unknown_strategy(self):
         mats, rel = self._instance()
         with pytest.raises(ConfigError, match="strategy"):
-            hierarchical_grid_search(mats, rel, GridSearchConfig(step=0.5),
+            hierarchical_grid_search(mats, rel, step=0.5,
                                      strategy="flat")
 
     @pytest.mark.parametrize("strategy", ["system-first", "model-first"])
@@ -499,7 +512,7 @@ class TestHierarchicalGridSearch:
         mats = {tag: np.eye(4) for tag in tags}
         with pytest.raises(ContractError, match=f">= 2 {axis}, got 1"):
             hierarchical_grid_search(mats, self._instance()[1],
-                                     GridSearchConfig(step=0.5),
+                                     step=0.5,
                                      strategy=strategy)
 
 
@@ -572,14 +585,14 @@ class TestSearchMatchesReference:
     def test_result_bits_match_the_reference(self, search, seed):
         mats, rel = TestGridSearch._tie_heavy(seed)
         step = 0.05
-        cfg = GridSearchConfig(step=step)
         if search in ("flat", "refine"):
             refine = search == "refine"
-            got = grid_search(mats[:3], rel, cfg, refine=refine)
+            got = grid_search(mats[:3], rel, step=step, refine=refine)
             want = _reference_search(mats[:3], rel, step, refine)
         else:
             grid = dict(zip(self.TAGS, mats))
-            got = hierarchical_grid_search(grid, rel, cfg, strategy=search)
+            got = hierarchical_grid_search(grid, rel, step=step,
+                                           strategy=search)
             stage1, fused, evaluated = {}, [], 0
             for group in self.GROUPS[search]:
                 ws, _, count = _reference_search(
@@ -656,8 +669,7 @@ class TestBlockScoresEqualEvaluate:
         # 1 byte: one point and one query per block; 2**62: the whole
         # grid and every query in one block
         mats, rel = TestGridSearch._tie_heavy(2)
-        cfg = GridSearchConfig(step=0.25)
-        want = grid_search(mats[:3], rel, cfg, refine=True)
+        want = grid_search(mats[:3], rel, step=0.25, refine=True)
         blocks = []
 
         def mean_metrics(score_rows, arrays, kept, n_candidates,
@@ -673,7 +685,7 @@ class TestBlockScoresEqualEvaluate:
         for mode in ("multiple", "single"):
             self._assert_bits(mats[:3], rel, mode, _grid(3, 4))
         assert max(blocks) == (points, queries)
-        assert grid_search(mats[:3], rel, cfg, refine=True) == want
+        assert grid_search(mats[:3], rel, step=0.25, refine=True) == want
 
     def test_search_peak_stays_within_the_budget(self):
         # three 2000 x 400 members are 6.4 MB each: the search gathers
@@ -686,7 +698,7 @@ class TestBlockScoresEqualEvaluate:
             for _ in range(400)))
         tracemalloc.start()
         try:
-            grid_search(mats, rel, GridSearchConfig(step=0.5))
+            grid_search(mats, rel, step=0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -801,7 +813,7 @@ class TestKeptSets:
         assert ensemble._kept_sets(mats, arrays)[1].mean() > 1000
         tracemalloc.start()
         try:
-            grid_search(mats, rel, GridSearchConfig(step=0.5), refine=True)
+            grid_search(mats, rel, step=0.5, refine=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -18,12 +18,12 @@ from xmrt import (
     ConfigError,
     ContractError,
     DataError,
-    GridSearchConfig,
     LossConfig,
-    StageConfig,
     TensorFileError,
     expand_with_mixes,
     generate_fixtures,
+    grid_search,
+    hierarchical_grid_search,
     init_params,
     load_tensor,
     read_weight_table,
@@ -57,6 +57,7 @@ from xmrt.datasets import (
     write_relevance,
 )
 from xmrt.fixtures import MANIFEST_FILE, relevance_file, split_sizes
+from xmrt.training import STAGES
 
 from conftest import headed_params, relevance_entries
 
@@ -1264,24 +1265,26 @@ def test_config_section_builders(tmp_path):
     cfg = load_config(path)
     loss = _from_section(LossConfig, cfg, "loss")
     assert (loss.tau, loss.lambda1, loss.lambda2) == (0.07, 0.5, 0.05)
-    sched = inspect.signature(run_stage).bind(None, None, None,
-                                              **cfg.get("schedule"))
-    sched.apply_defaults()
-    assert sched.arguments["peak_lr"] == 0.01
-    assert sched.arguments["floor_lr"] == 1e-7
-    stage = _from_section(StageConfig, cfg, "stages", "finetune",
-                          name="finetune")
-    assert stage == StageConfig("finetune", epochs=2, batch_size=4)
-    assert _from_section(StageConfig, cfg, "stages", "refinetune",
-                         name="refinetune") == StageConfig(
-        "refinetune", epochs=20, batch_size=16)
+    stage = inspect.signature(run_stage).bind(
+        "finetune", None, None, **cfg.get("schedule"),
+        **cfg.get("stages", "finetune"))
+    stage.apply_defaults()
+    assert stage.arguments["peak_lr"] == 0.01
+    assert stage.arguments["floor_lr"] == 1e-7
+    assert (stage.arguments["epochs"], stage.arguments["batch_size"]) == (2, 4)
+    refinetune = inspect.signature(run_stage).bind(
+        "refinetune", None, None, **cfg.get("stages", "refinetune",
+                                            default={}))
+    refinetune.apply_defaults()
+    assert (refinetune.arguments["epochs"],
+            refinetune.arguments["batch_size"]) == (20, 16)
     cluster = _from_section(ClusterConfig, cfg, "clustering")
     assert cluster.neighborhood_radius == 1.5
-    grid = _from_section(GridSearchConfig, cfg, "ensemble")
-    assert grid.step == 0.05
-    # a section key overrides the value given at the call site
-    assert _from_section(StageConfig, cfg, "stages", "finetune",
-                         name="finetune", epochs=7).epochs == 2
+    search = inspect.signature(grid_search).bind(None, None,
+                                                 **cfg.get("ensemble"))
+    search.apply_defaults()
+    assert (search.arguments["step"], search.arguments["refine"]) == (
+        0.05, False)
 
 
 @pytest.mark.parametrize("payload, key", [
@@ -1316,25 +1319,34 @@ def test_config_int_loads_as_float(tmp_path):
 
 def test_schema_matches_engine_signatures():
     # A renamed dataclass field or keyword fails here, not at run time.
-    sections = [(_SCHEMA["loss"], LossConfig),
-                (_SCHEMA["clustering"], ClusterConfig),
-                (_SCHEMA["ensemble"], GridSearchConfig)]
-    sections += [(_SCHEMA["stages"][name], StageConfig)
-                 for name in ("pretrain", "finetune", "refinetune")]
-    for schema, cls in sections:
+    for schema, cls in ((_SCHEMA["loss"], LossConfig),
+                        (_SCHEMA["clustering"], ClusterConfig)):
         hints = typing.get_type_hints(cls)
         for field in dataclasses.fields(cls):
-            if cls is StageConfig and field.name == "name":
-                continue    # the stage key supplies it
             assert schema.get(field.name) is hints[field.name], (
                 cls.__name__, field.name)
-    for schema, func in ((_SCHEMA["schedule"], run_stage),
-                         (_SCHEMA["augmentation"], expand_with_mixes),
-                         (_SCHEMA["fixtures"], generate_fixtures)):
+    # Every other key the CLI passes to the engine as a keyword, with
+    # the function it reaches; None stands for the whole section.
+    search = ("step", "mode", "refine")
+    passed = [(_SCHEMA["schedule"], run_stage, None),
+              *((_SCHEMA["stages"][name], run_stage, ("epochs", "batch_size"))
+                for name in STAGES),
+              (_SCHEMA["augmentation"], expand_with_mixes, None),
+              (_SCHEMA["fixtures"], generate_fixtures, None),
+              (_SCHEMA["model"], init_params, None),
+              (_SCHEMA["ensemble"], grid_search, search),
+              (_SCHEMA["ensemble"], hierarchical_grid_search,
+               search + ("strategy",))]
+    for schema, func, keys in passed:
         params = inspect.signature(func).parameters
-        for key, kind in schema.items():
-            assert params[key].kind is inspect.Parameter.KEYWORD_ONLY, key
-            assert type(params[key].default) is kind, key
+        # init_params takes its widths by position, so d_emb is not
+        # keyword-only, but it is passed by name all the same
+        kind = (inspect.Parameter.POSITIONAL_OR_KEYWORD
+                if func is init_params else inspect.Parameter.KEYWORD_ONLY)
+        for key in schema if keys is None else keys:
+            assert params[key].kind is kind, (func.__name__, key)
+            assert type(params[key].default) is schema[key], (
+                func.__name__, key)
 
 
 def test_schema_types_every_list_entry():

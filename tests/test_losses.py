@@ -53,6 +53,12 @@ class TestLossConfig:
         with pytest.raises(ConfigError, match=field):
             LossConfig(**{field: value})
 
+    @pytest.mark.parametrize("tau", [1e-310, 5e-324])
+    def test_rejects_a_tau_whose_reciprocal_overflows(self, tau):
+        with pytest.raises(ConfigError, match=r"^tau must be finite and > 0 "
+                                              r"with a finite 1/tau, got "):
+            LossConfig(tau=tau)
+
 
 class TestSupervisedLoss:
     def test_all_equal_matrix_is_uniform(self):

@@ -1,14 +1,14 @@
 """Tests for the optimizer, schedule, batching, pair mixing, and stages."""
 
-import dataclasses
 import functools
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
 from xmrt import (ConfigError, ContractError, DataError, LossConfig,
-                  ModelParams, PairedDataset, StageConfig, adamw_step, core,
+                  ModelParams, PairedDataset, adamw_step, core,
                   expand_with_mixes, init_params, loss_and_gradients,
                   make_batches, run_stage, student_similarity,
                   targets_from_teacher_sims)
@@ -119,7 +119,8 @@ class TestAdamW:
 
 class TestSchedule:
     def _rates(self):
-        return _learning_rates(2e-5, 1e-7, total_steps=30, warmup_steps=10)
+        return list(_learning_rates(2e-5, 1e-7, total_steps=30,
+                                    warmup_steps=10))
 
     def test_one_rate_per_step_run(self):
         assert len(self._rates()) == 30
@@ -149,25 +150,31 @@ class TestSchedule:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_no_warmup_starts_at_peak(self):
-        assert _learning_rates(2e-5, 1e-7, 10, 0)[0] == 2e-5
+        assert next(_learning_rates(2e-5, 1e-7, 10, 0)) == 2e-5
+
+    def test_rates_are_made_as_their_steps_run(self):
+        # a list of 10**15 rates would not fit; the first ones come at once
+        rates = _learning_rates(2e-5, 1e-7, 10**15, 10)
+        assert list(itertools.islice(rates, 12)) == [
+            lr_reference(2e-5, 1e-7, 10**15, 10, step) for step in range(12)]
 
     def test_zero_peak_allowed(self):
-        assert _learning_rates(0.0, 0.0, 5, 1)[3] == 0.0
+        assert list(_learning_rates(0.0, 0.0, 5, 1))[3] == 0.0
 
     @pytest.mark.parametrize("total, warmup", [
         (1, 0), (2, 0), (30, 0), (8, 1), (30, 10), (7, 6)])
     def test_every_rate_matches_the_reference(self, total, warmup):
-        rates = _learning_rates(2e-5, 1e-7, total, warmup)
+        rates = list(_learning_rates(2e-5, 1e-7, total, warmup))
         assert rates == [lr_reference(2e-5, 1e-7, total, warmup, step)
                          for step in range(total)]
 
     def test_a_full_warmup_fraction_peaks_at_the_last_step(self):
         # warmup ends one step early, so the last step runs at the peak
-        _, records = run_stage(StageConfig("pretrain", epochs=2,
-                                           batch_size=8),
-                               init_params(8, 6, 4, seed=0), _toy_dataset(),
+        _, records = run_stage("pretrain", init_params(8, 6, 4, seed=0),
+                               _toy_dataset(), epochs=2, batch_size=8,
                                peak_lr=1e-3, warmup_fraction=1.0)
-        assert [r.lr for r in records] == _learning_rates(1e-3, 1e-7, 8, 7)
+        assert [r.lr for r in records] == list(
+            _learning_rates(1e-3, 1e-7, 8, 7))
         assert records[-1].lr == 1e-3
 
 
@@ -305,32 +312,35 @@ class TestExpandWithMixes:
             expand_with_mixes(self._dataset(), **{name: -1})
 
 
-class TestStageConfig:
-    def test_stage_names_validated(self):
-        with pytest.raises(ConfigError, match="unknown stage"):
-            StageConfig("warmup")
+class TestStageArguments:
+    @pytest.mark.parametrize("stage, epochs, batch_size, message", [
+        ("warmup", 1, 8, r"^unknown stage 'warmup', expected one of "
+                         r"\('pretrain', 'finetune', 'refinetune'\)$"),
+        ("pretrain", -1, 8, r"^epochs must be >= 0$"),
+        ("pretrain", 0, 1, r"^batch_size must be >= 2$")])
+    def test_bad_stage_argument_is_a_config_error(self, stage, epochs,
+                                                  batch_size, message):
+        with pytest.raises(ConfigError, match=message):
+            run_stage(stage, init_params(8, 6, 4, seed=0), _toy_dataset(),
+                      epochs=epochs, batch_size=batch_size)
 
     # The name is the only switch: the rules below follow from it alone.
     def test_pretrain_cannot_distill(self):
-        # no field can switch a term on; that run_stage rejects a
+        # no keyword can switch a term on; that run_stage rejects a
         # pretrain's teachers is test_teachers_rejected_when_distillation_off
-        assert ([f.name for f in dataclasses.fields(StageConfig)]
-                == ["name", "epochs", "batch_size"])
+        keywords = [p.name for p in inspect.signature(
+            run_stage).parameters.values() if p.kind is p.KEYWORD_ONLY]
+        assert keywords == ["epochs", "batch_size", "loss_cfg", "peak_lr",
+                            "floor_lr", "warmup_fraction", "weight_decay",
+                            "seed"]
 
     def test_clusters_only_in_refinetune(self):
         params = headed_params(8, 6, 4, 2, seed=0)
         with pytest.raises(ConfigError, match="finetune does not accept "
                                               "labels"):
-            run_stage(StageConfig("finetune", epochs=1, batch_size=8),
-                      params, _toy_dataset(), teachers=[params],
-                      pseudo_labels=np.zeros(32, dtype=int))
-
-    def test_zero_epochs_allowed(self):
-        assert StageConfig("pretrain", epochs=0).epochs == 0
-
-    def test_negative_epochs_rejected(self):
-        with pytest.raises(ConfigError):
-            StageConfig("pretrain", epochs=-1)
+            run_stage("finetune", params, _toy_dataset(), teachers=[params],
+                      pseudo_labels=np.zeros(32, dtype=int), epochs=1,
+                      batch_size=8)
 
 
 def _toy_dataset(n=32, d_audio=8, d_text=6, seed=0):
@@ -356,15 +366,14 @@ def _stage_inputs(name):
 class TestRunStage:
     def test_zero_epochs_is_identity(self):
         params = init_params(8, 6, 4, seed=0)
-        out, log = run_stage(StageConfig("pretrain", epochs=0), params,
-                             _toy_dataset())
+        out, log = run_stage("pretrain", params, _toy_dataset(), epochs=0)
         assert out is params and log == []
 
     def test_zero_lr_leaves_params_bit_identical(self):
         params = init_params(8, 6, 4, seed=0)
-        out, log = run_stage(StageConfig("pretrain", epochs=2, batch_size=8),
-                             params, _toy_dataset(), peak_lr=0.0,
-                             floor_lr=0.0, weight_decay=0.0)
+        out, log = run_stage("pretrain", params, _toy_dataset(), epochs=2,
+                             batch_size=8, peak_lr=0.0, floor_lr=0.0,
+                             weight_decay=0.0)
         assert len(log) == 8
         for name, tensor in params.named_tensors().items():
             np.testing.assert_array_equal(tensor,
@@ -373,9 +382,8 @@ class TestRunStage:
     def test_supervised_loss_descends(self):
         # separable planted data: mean supervised loss must drop
         params = init_params(8, 6, 4, seed=0)
-        stage = StageConfig("pretrain", epochs=20, batch_size=8)
-        _, log = run_stage(stage, params, _toy_dataset(64), peak_lr=0.05,
-                           floor_lr=1e-4, seed=0)
+        _, log = run_stage("pretrain", params, _toy_dataset(64), epochs=20,
+                           batch_size=8, peak_lr=0.05, floor_lr=1e-4, seed=0)
         per_epoch = {}
         for record in log:
             per_epoch.setdefault(record.epoch, []).append(record.l_sup)
@@ -386,8 +394,8 @@ class TestRunStage:
     def test_deterministic_per_seed(self):
         def train():
             params = init_params(8, 6, 4, seed=1)
-            return run_stage(StageConfig("pretrain", epochs=3, batch_size=8),
-                             params, _toy_dataset(), peak_lr=1e-3, seed=5)
+            return run_stage("pretrain", params, _toy_dataset(), epochs=3,
+                             batch_size=8, peak_lr=1e-3, seed=5)
 
         out_a, log_a = train()
         out_b, log_b = train()
@@ -398,9 +406,8 @@ class TestRunStage:
 
     def test_log_carries_schedule_and_steps(self):
         params = init_params(8, 6, 4, seed=0)
-        _, log = run_stage(StageConfig("pretrain", epochs=2, batch_size=8),
-                           params, _toy_dataset(), peak_lr=2e-5,
-                           floor_lr=1e-7)
+        _, log = run_stage("pretrain", params, _toy_dataset(), epochs=2,
+                           batch_size=8, peak_lr=2e-5, floor_lr=1e-7)
         assert [r.step for r in log] == list(range(8))
         assert log[0].lr == 0.0  # warmup starts at zero
         assert all(np.isfinite(r.total) for r in log)
@@ -408,32 +415,32 @@ class TestRunStage:
 
     def test_distillation_stage_needs_teachers(self):
         params = init_params(8, 6, 4, seed=0)
-        stage = StageConfig("finetune", epochs=1, batch_size=8)
         with pytest.raises(ConfigError, match="teacher"):
-            run_stage(stage, params, _toy_dataset())
+            run_stage("finetune", params, _toy_dataset(), epochs=1,
+                      batch_size=8)
 
     def test_teachers_rejected_when_distillation_off(self):
         params = init_params(8, 6, 4, seed=0)
         teacher = init_params(8, 6, 4, seed=9)
         with pytest.raises(ConfigError, match="teachers"):
-            run_stage(StageConfig("pretrain", epochs=1, batch_size=8),
-                      params, _toy_dataset(), teachers=[teacher])
+            run_stage("pretrain", params, _toy_dataset(), teachers=[teacher],
+                      epochs=1, batch_size=8)
 
     def test_cluster_stage_needs_labels_and_heads(self):
-        stage = StageConfig("refinetune", epochs=1, batch_size=8)
+        stage = dict(epochs=1, batch_size=8)
         headless = init_params(8, 6, 4, seed=0)
         with pytest.raises(ConfigError, match="labels"):
-            run_stage(stage, headless, _toy_dataset())
+            run_stage("refinetune", headless, _toy_dataset(), **stage)
         with pytest.raises(ConfigError, match="heads"):
-            run_stage(stage, headless, _toy_dataset(),
-                      pseudo_labels=np.zeros(32, dtype=int))
+            run_stage("refinetune", headless, _toy_dataset(),
+                      pseudo_labels=np.zeros(32, dtype=int), **stage)
 
     def test_labels_rejected_when_clusters_off(self):
         params = init_params(8, 6, 4, seed=0)
         with pytest.raises(ConfigError, match="labels"):
-            run_stage(StageConfig("pretrain", epochs=1, batch_size=8),
-                      params, _toy_dataset(),
-                      pseudo_labels=np.zeros(32, dtype=int))
+            run_stage("pretrain", params, _toy_dataset(),
+                      pseudo_labels=np.zeros(32, dtype=int), epochs=1,
+                      batch_size=8)
 
     # A stage of 0 epochs takes no step, yet rejects the same values;
     # the cases without epochs go to adamw_step.
@@ -455,9 +462,8 @@ class TestRunStage:
             call = functools.partial(adamw_step, **{**args, name: value})
         else:
             call = functools.partial(
-                run_stage,
-                StageConfig("pretrain", epochs=epochs, batch_size=8),
-                init_params(8, 6, 4, seed=0), _toy_dataset(),
+                run_stage, "pretrain", init_params(8, 6, 4, seed=0),
+                _toy_dataset(), epochs=epochs, batch_size=8,
                 **{name: value})
         with pytest.raises(ConfigError, match=rf"\b{name} must"):
             call()
@@ -467,11 +473,10 @@ class TestRunStage:
     def test_divergence_names_stage_step_and_loss_terms(self, name):
         # Warmup reaches lr 2.5e307 at step 1, which overflows AdamW.
         params, inputs = _stage_inputs(name)
-        stage = StageConfig(name, epochs=2, batch_size=8)
         with pytest.raises(DataError,
                            match=f"stage {name} diverged at step 1 ") as err:
-            run_stage(stage, params, _toy_dataset(), peak_lr=1e308,
-                      warmup_fraction=0.5, **inputs)
+            run_stage(name, params, _toy_dataset(), epochs=2, batch_size=8,
+                      peak_lr=1e308, warmup_fraction=0.5, **inputs)
         message = str(err.value)
         cls = "" if name == "refinetune" else "0"
         for part in ("epoch 0", "lr 2.5e+307", "l_sup=", "l_dist=",
@@ -485,9 +490,8 @@ class TestRunStage:
         params, inputs = _stage_inputs(name)
         given = [params, *inputs.get("teachers", [])]
         before = [self._param_bytes(p) for p in given]
-        trained, _ = run_stage(StageConfig(name, epochs=2, batch_size=8),
-                               params, _toy_dataset(), peak_lr=1e-2,
-                               **inputs)
+        trained, _ = run_stage(name, params, _toy_dataset(), epochs=2,
+                               batch_size=8, peak_lr=1e-2, **inputs)
         assert [self._param_bytes(p) for p in given] == before
         for out in trained.named_tensors().values():
             for p in given:
@@ -503,8 +507,8 @@ class TestRunStage:
             return rebuild(params, tensors)
 
         monkeypatch.setattr(ModelParams, "with_tensors", counting)
-        _, log = run_stage(StageConfig("pretrain", epochs=2, batch_size=8),
-                           init_params(8, 6, 4, seed=0), _toy_dataset())
+        _, log = run_stage("pretrain", init_params(8, 6, 4, seed=0),
+                           _toy_dataset(), epochs=2, batch_size=8)
         assert len(log) == 8
         assert len(calls) == 1
 
@@ -519,21 +523,21 @@ class TestRunStage:
         # Unit embeddings of an overflowed norm would all be 0 and train
         # at a constant loss instead of failing.
         params = self._scaled(init_params(8, 6, 4, seed=0), 1e160)
-        stage = StageConfig("pretrain", epochs=1, batch_size=8)
         with pytest.raises(DataError,
                            match="stage pretrain diverged at step 0 ") as err:
-            run_stage(stage, params, _toy_dataset())
+            run_stage("pretrain", params, _toy_dataset(), epochs=1,
+                      batch_size=8)
         assert "norm overflowed" in str(err.value)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_teacher_forward_names_the_step(self):
         params = init_params(8, 6, 4, seed=0)
         teacher = self._scaled(init_params(8, 6, 4, seed=9), 1e160)
-        stage = StageConfig("finetune", epochs=1, batch_size=8)
         with pytest.raises(DataError,
                            match=r"stage finetune diverged at step 0 "
                                  r"\(epoch 0, lr 2e-05\): an embedding norm"):
-            run_stage(stage, params, _toy_dataset(), teachers=[teacher])
+            run_stage("finetune", params, _toy_dataset(), teachers=[teacher],
+                      epochs=1, batch_size=8)
 
     def test_workspace_past_its_budget_is_a_config_error(self,
                                                          monkeypatch):
@@ -542,13 +546,13 @@ class TestRunStage:
         params = init_params(8, 6, 4, seed=0)
         size = sum(t.size for t in params.named_tensors().values())
         monkeypatch.setattr(core, "_ALLOC_BYTES", 8 * (5 * 64 + size))
-        fits = StageConfig("pretrain", epochs=1, batch_size=8)
-        assert len(run_stage(fits, params, _toy_dataset())[1]) == 4
+        assert len(run_stage("pretrain", params, _toy_dataset(), epochs=1,
+                             batch_size=8)[1]) == 4
         needed = 8 * (5 * 16 * 16 + size)
         with pytest.raises(ConfigError, match=rf"^batch_size 16 needs a "
                                               rf"{needed}-byte training"):
-            run_stage(StageConfig("pretrain", epochs=1, batch_size=16),
-                      params, _toy_dataset())
+            run_stage("pretrain", params, _toy_dataset(), epochs=1,
+                      batch_size=16)
 
     def test_teacher_targets_count_toward_the_budget(self, monkeypatch):
         # The budget fits exactly the batch-8 finetune with one teacher:
@@ -556,23 +560,24 @@ class TestRunStage:
         params = init_params(8, 6, 4, seed=0)
         size = sum(t.size for t in params.named_tensors().values())
         monkeypatch.setattr(core, "_ALLOC_BYTES", 8 * (9 * 64 + size))
-        stage = StageConfig("finetune", epochs=1, batch_size=8)
+        stage = dict(epochs=1, batch_size=8)
         teachers = [init_params(8, 6, 4, seed=s) for s in (1, 2, 3)]
-        assert len(run_stage(stage, params, _toy_dataset(),
-                             teachers=teachers[:1])[1]) == 4
+        assert len(run_stage("finetune", params, _toy_dataset(),
+                             teachers=teachers[:1], **stage)[1]) == 4
         needed = 8 * (13 * 64 + size)
         with pytest.raises(ConfigError, match=rf"^batch_size 8 needs a "
                                               rf"{needed}-byte training "
                                               rf"workspace with 3 teachers"):
-            run_stage(stage, params, _toy_dataset(), teachers=teachers)
+            run_stage("finetune", params, _toy_dataset(), teachers=teachers,
+                      **stage)
 
     def test_pseudo_labels_need_one_per_row(self):
         params = headed_params(8, 6, 4, 3, seed=0)
         with pytest.raises(ContractError,
                            match=r"^\(31,\) labels for 32 items$"):
-            run_stage(StageConfig("refinetune", epochs=1, batch_size=8),
-                      params, _toy_dataset(),
-                      pseudo_labels=np.zeros(31, dtype=int))
+            run_stage("refinetune", params, _toy_dataset(),
+                      pseudo_labels=np.zeros(31, dtype=int), epochs=1,
+                      batch_size=8)
 
     def test_dataset_short_of_a_batch_fails_before_the_workspace(
             self, monkeypatch):
@@ -582,26 +587,26 @@ class TestRunStage:
         monkeypatch.setattr(training, "_Workspace", no_workspace)
         with pytest.raises(ContractError, match=r"^dataset of 32 cannot "
                                                 r"fill a batch of 64$"):
-            run_stage(StageConfig("pretrain", epochs=1, batch_size=64),
-                      init_params(8, 6, 4, seed=0), _toy_dataset())
+            run_stage("pretrain", init_params(8, 6, 4, seed=0),
+                      _toy_dataset(), epochs=1, batch_size=64)
 
     def test_out_of_range_label_rejected_before_training(self):
         params = headed_params(8, 6, 4, 3, seed=0)
         labels = np.zeros(32, dtype=int)
         labels[5] = 3
         with pytest.raises(DataError, match=r"^cluster label outside"):
-            run_stage(StageConfig("refinetune", epochs=1, batch_size=8),
-                      params, _toy_dataset(), pseudo_labels=labels)
+            run_stage("refinetune", params, _toy_dataset(),
+                      pseudo_labels=labels, epochs=1, batch_size=8)
 
     def test_self_teacher_first_step_distills_at_target_entropy(self):
         # before any update the student equals its teacher, so the first
         # recorded distillation loss is the targets' own entropy
         params = init_params(8, 6, 4, seed=2)
         dataset = _toy_dataset(32)
-        stage = StageConfig("finetune", epochs=1, batch_size=8)
         cfg = LossConfig(lambda2=0.0)
-        _, log = run_stage(stage, params, dataset, teachers=[params],
-                           loss_cfg=cfg, peak_lr=1e-3, seed=3)
+        _, log = run_stage("finetune", params, dataset, teachers=[params],
+                           epochs=1, batch_size=8, loss_cfg=cfg, peak_lr=1e-3,
+                           seed=3)
         first_idx = make_batches(32, 8, seed=3, epoch=0)[0]
         batch = PairedDataset(dataset.audio_features[first_idx],
                               dataset.text_features[first_idx])
@@ -616,18 +621,17 @@ class TestRunStage:
     def test_finetune_with_mixes_grows_the_epoch(self):
         params = init_params(8, 6, 4, seed=0)
         teacher = init_params(8, 6, 4, seed=9)
-        stage = StageConfig("finetune", epochs=1, batch_size=8)
         mixed = expand_with_mixes(_toy_dataset(32), mix_count=8, rng_seed=1)
-        _, log = run_stage(stage, params, mixed, teachers=[teacher],
-                           peak_lr=1e-3)
+        _, log = run_stage("finetune", params, mixed, teachers=[teacher],
+                           epochs=1, batch_size=8, peak_lr=1e-3)
         assert len(log) == (32 + 8) // 8
 
     def test_refinetune_trains_heads(self):
         params = headed_params(8, 6, 4, 3, seed=0)
         labels = np.random.default_rng(0).integers(0, 3, size=32)
-        stage = StageConfig("refinetune", epochs=2, batch_size=8)
-        out, log = run_stage(stage, params, _toy_dataset(32),
-                             pseudo_labels=labels, peak_lr=1e-3)
+        out, log = run_stage("refinetune", params, _toy_dataset(32),
+                             pseudo_labels=labels, epochs=2, batch_size=8,
+                             peak_lr=1e-3)
         assert any(r.l_cls_audio > 0 for r in log)
         assert not np.array_equal(out.audio_head.w2, params.audio_head.w2)
 
@@ -638,10 +642,9 @@ class TestRunStage:
     def test_finetune_is_exactly_invariant_to_teacher_order(self):
         params = init_params(8, 6, 4, seed=0)
         teachers = [init_params(8, 6, 4, seed=s) for s in (7, 8, 9)]
-        stage = StageConfig("finetune", epochs=2, batch_size=8)
         tuned = [self._param_bytes(run_stage(
-                     stage, params, _toy_dataset(), teachers=list(order),
-                     peak_lr=1e-2, seed=4)[0])
+                     "finetune", params, _toy_dataset(), teachers=list(order),
+                     epochs=2, batch_size=8, peak_lr=1e-2, seed=4)[0])
                  for order in itertools.permutations(teachers)]
         assert len(tuned) == 6
         assert all(t == tuned[0] for t in tuned)
@@ -649,25 +652,22 @@ class TestRunStage:
     def test_finetune_with_zero_lambda1_trains_as_pretrain(self):
         params = init_params(8, 6, 4, seed=0)
         teacher = init_params(8, 6, 4, seed=9)
-        kwargs = dict(peak_lr=1e-2, seed=4)
-        tuned, log = run_stage(StageConfig("finetune", epochs=2, batch_size=8),
-                               params, _toy_dataset(), teachers=[teacher],
+        kwargs = dict(epochs=2, batch_size=8, peak_lr=1e-2, seed=4)
+        tuned, log = run_stage("finetune", params, _toy_dataset(),
+                               teachers=[teacher],
                                loss_cfg=LossConfig(lambda1=0.0), **kwargs)
-        plain, _ = run_stage(StageConfig("pretrain", epochs=2, batch_size=8),
-                             params, _toy_dataset(), **kwargs)
+        plain, _ = run_stage("pretrain", params, _toy_dataset(), **kwargs)
         assert all(r.l_dist > 0 for r in log)   # reported, weighted by 0
         assert self._param_bytes(tuned) == self._param_bytes(plain)
 
     def test_refinetune_with_zero_lambda2_trains_as_pretrain(self):
         params = headed_params(8, 6, 4, 3, seed=0)
         labels = np.random.default_rng(0).integers(0, 3, size=32)
-        kwargs = dict(peak_lr=1e-2, seed=4)
-        tuned, log = run_stage(
-            StageConfig("refinetune", epochs=2, batch_size=8), params,
-            _toy_dataset(), pseudo_labels=labels,
-            loss_cfg=LossConfig(lambda2=0.0), **kwargs)
-        plain, _ = run_stage(StageConfig("pretrain", epochs=2, batch_size=8),
-                             params, _toy_dataset(), **kwargs)
+        kwargs = dict(epochs=2, batch_size=8, peak_lr=1e-2, seed=4)
+        tuned, log = run_stage("refinetune", params, _toy_dataset(),
+                               pseudo_labels=labels,
+                               loss_cfg=LossConfig(lambda2=0.0), **kwargs)
+        plain, _ = run_stage("pretrain", params, _toy_dataset(), **kwargs)
         assert all(r.l_cls_audio > 0 for r in log)
         assert self._param_bytes(tuned) == self._param_bytes(plain)
 
@@ -694,18 +694,18 @@ class _DictAdamW:
         return out
 
 
-def _reference_stage(stage, params, dataset, teachers=(), labels=None, *,
-                     peak_lr, seed, weight_decay=0.01):
+def _reference_stage(params, dataset, teachers=(), labels=None, *, epochs,
+                     batch_size, peak_lr, seed, weight_decay=0.01):
     """run_stage spelled out with the default loss weights, schedule ends
     and warmup fraction: loss_and_gradients -> _DictAdamW -> with_tensors."""
     cfg = LossConfig()
-    total = len(dataset) // stage.batch_size * stage.epochs
+    total = len(dataset) // batch_size * epochs
     warmup = min(total - 1, round(0.1 * total))
     tensors = params.named_tensors()
     adamw = _DictAdamW(tensors, weight_decay)
     step = 0
-    for epoch in range(stage.epochs):
-        for idx in make_batches(len(dataset), stage.batch_size, seed, epoch):
+    for epoch in range(epochs):
+        for idx in make_batches(len(dataset), batch_size, seed, epoch):
             batch = PairedDataset(dataset.audio_features[idx],
                                   dataset.text_features[idx])
             targets = None
@@ -730,14 +730,14 @@ class TestRunStageMatchesDictAdamW:
         return {name: t.tobytes() for name, t in params.named_tensors().items()}
 
     def _assert_same_bits(self, stage_name, params, dataset=None, **inputs):
-        stage = StageConfig(stage_name, epochs=2, batch_size=8)
+        stage = dict(epochs=2, batch_size=8)
         dataset = _toy_dataset() if dataset is None else dataset
-        trained, _ = run_stage(stage, params, dataset,
-                               peak_lr=1e-2, seed=4, **inputs)
+        trained, _ = run_stage(stage_name, params, dataset,
+                               peak_lr=1e-2, seed=4, **stage, **inputs)
         teachers = inputs.pop("teachers", ())
         labels = inputs.pop("pseudo_labels", None)
-        reference = _reference_stage(stage, params, dataset, teachers,
-                                     labels, peak_lr=1e-2, seed=4, **inputs)
+        reference = _reference_stage(params, dataset, teachers, labels,
+                                     peak_lr=1e-2, seed=4, **stage, **inputs)
         assert self._bytes(trained) == self._bytes(reference)
         assert self._bytes(trained) != self._bytes(params)
         return trained
