@@ -348,14 +348,17 @@ def cmd_report(cfg, out_dir):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The `xmrt` parser, built once per process.  It names the command
+    and `main` looks its handler up when it runs, so a cmd_* patched in
+    later is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="xmrt",
         description="Desk-scale audio-text retrieval training engine.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, func, *, seeded=False, needs_config=True,
-            needs_out_flag=False):
+    def add(name, *, seeded=False, needs_config=True, needs_out_flag=False):
         p = sub.add_parser(name)
         p.add_argument("--config", required=needs_config,
                        help="path to a JSON run config")
@@ -364,19 +367,25 @@ def build_parser():
         if seeded:
             p.add_argument("--seed", type=int, default=None,
                            help="override the run seed")
-        p.set_defaults(func=func)
 
-    add("gen-fixtures", cmd_gen_fixtures, seeded=True, needs_config=False,
-        needs_out_flag=True)
+    add("gen-fixtures", seeded=True, needs_config=False, needs_out_flag=True)
     for stage in STAGES:
-        add(stage, functools.partial(_run_training_stage, stage_name=stage),
-            seeded=True)
-    add("cluster", cmd_cluster)
-    add("evaluate", cmd_evaluate)
-    add("ensemble-search", cmd_ensemble_search)
-    add("ensemble-apply", cmd_ensemble_apply)
-    add("report", cmd_report)
+        add(stage, seeded=True)
+    for name in ("cluster", "evaluate", "ensemble-search", "ensemble-apply",
+                 "report"):
+        add(name)
     return parser
+
+
+def _handler(command):
+    """The function that runs `command`, read from the module's names at
+    each call."""
+    if command in STAGES:
+        return functools.partial(_run_training_stage, stage_name=command)
+    return {"gen-fixtures": cmd_gen_fixtures, "cluster": cmd_cluster,
+            "evaluate": cmd_evaluate, "ensemble-search": cmd_ensemble_search,
+            "ensemble-apply": cmd_ensemble_apply,
+            "report": cmd_report}[command]
 
 
 def main(argv=None):
@@ -390,7 +399,8 @@ def main(argv=None):
                else RunConfig(raw={}, base_dir=os.getcwd()))
         seed = ([_resolve_seed(args.seed, cfg)] if "seed" in vars(args)
                 else [])
-        return args.func(cfg, _resolve_out(args.out, cfg), *seed)
+        return _handler(args.command)(cfg, _resolve_out(args.out, cfg),
+                                      *seed)
     except (XmrtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,8 @@ class Axis(enum.Enum):
 
     @property
     def np_axis(self):
-        return 1 if self is Axis.ROWS else 0
+        """Counted from the end, so a stack of matrices works too."""
+        return -1 if self is Axis.ROWS else -2
 
 
 def as_matrix(values, name="matrix"):
@@ -64,26 +65,37 @@ def _rng(seed, *stream):
     return np.random.default_rng([seed, *stream])
 
 
-def _unit_rows(raw, modality):
-    """(raw / norm, norm) with norm the (n, 1) column of row norms.
+def _unit_rows(raw, *modalities):
+    """(raw / norm, norm) with norm the (..., n, 1) row norms of raw, an
+    (n, d) matrix or an (m, n, d) stack of m, one modality name each.
 
     The one embedding normalizer: cosine similarity and the training
-    forward both divide by it.  A norm that overflows to inf or nan, or
-    that is zero, raises DataError naming the modality and the first bad
-    row.  Callers enter np.errstate(over="ignore", invalid="ignore")
-    once around their whole forward, since that error reports what
-    numpy's overflow warnings would.
+    forward both divide by it, the forward once for both towers.  A norm
+    that overflows to inf or nan, or that is zero, raises DataError
+    naming the modality and the first bad row, blocks in order and the
+    overflow before the zero within one.  Callers enter
+    np.errstate(over="ignore", invalid="ignore") once around their whole
+    forward, since that error reports what numpy's overflow warnings
+    would.
     """
-    norm = np.linalg.norm(raw, axis=1, keepdims=True)
+    # np.linalg.norm's own sum of squares, without its Python wrapper
+    norm = np.add.reduce(raw * raw, axis=-1, keepdims=True)
+    np.sqrt(norm, out=norm)
     # Norms are >= 0 or nan, and nan fails `< inf` too.
-    if not norm.max(initial=0.0) < np.inf:
-        row = np.flatnonzero(~(norm[:, 0] < np.inf))[0]
-        raise DataError("an embedding norm overflowed to a non-finite "
-                        f"value at {modality} row {row}")
-    if norm.min(initial=np.inf) == 0.0:
-        row = np.flatnonzero(norm[:, 0] == 0.0)[0]
-        raise DataError(f"an embedding collapsed to zero norm at {modality} "
-                        f"row {row}; cosine similarity is undefined")
+    if not (norm.max(initial=0.0) < np.inf
+            and norm.min(initial=np.inf) > 0.0):
+        for modality, rows in zip(modalities,
+                                  norm.reshape(len(modalities), -1)):
+            bad = np.flatnonzero(~(rows < np.inf))
+            if bad.size:
+                raise DataError("an embedding norm overflowed to a "
+                                f"non-finite value at {modality} row "
+                                f"{bad[0]}")
+            bad = np.flatnonzero(rows == 0.0)
+            if bad.size:
+                raise DataError(f"an embedding collapsed to zero norm at "
+                                f"{modality} row {bad[0]}; cosine "
+                                f"similarity is undefined")
     return raw / norm, norm
 
 
@@ -124,7 +136,9 @@ def _softmax_forward(z, axis, shifted=None, out=None):
 
 def softmax_with_temperature(logits, tau, axis):
     """Temperature softmax along the chosen axis, max-shifted for stability."""
-    if not (0 < tau < np.inf and 1.0 / tau < np.inf):   # and not nan
+    # nan fails every comparison; 1/tau of a float, even of a numpy
+    # scalar, overflows to inf without a warning
+    if not (0 < tau < np.inf and 1.0 / float(tau) < np.inf):
         raise ConfigError(f"temperature must be finite and > 0 with a "
                           f"finite 1/temperature, got {tau}")
     z = as_matrix(logits, "logits") / tau

@@ -26,7 +26,7 @@ _HEAD_TENSORS = tuple(f"{m}_head.{p}" for m in MODALITIES
 
 def _check_finite(name, *arrays):
     for arr in arrays:
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DataError(f"{name} contains non-finite parameters")
 
 
@@ -99,6 +99,10 @@ class ClassificationHead:
     def n_clusters(self):
         return self.w2.shape[0]
 
+    def named_tensors(self):
+        """Ordered name -> array of the four layers' tensors."""
+        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -136,14 +140,15 @@ class ModelParams:
         return self.audio_head.n_clusters if self.has_heads else None
 
     def named_tensors(self):
-        """Ordered name -> array view of every parameter."""
+        """Ordered name -> array view of every parameter: the encoders,
+        then the audio head's and the text head's equal-sized blocks."""
         names = _ENCODER_TENSORS
         arrays = [self.audio_encoder.weight, self.audio_encoder.bias,
                   self.text_encoder.weight, self.text_encoder.bias]
         if self.has_heads:
             names += _HEAD_TENSORS
             for head in (self.audio_head, self.text_head):
-                arrays += [head.w1, head.b1, head.w2, head.b2]
+                arrays += head.named_tensors().values()
         return dict(zip(names, arrays))
 
     def with_tensors(self, tensors):
@@ -177,15 +182,28 @@ def _params_from_tensors(tensors, has_heads):
     return ModelParams(audio_enc, text_enc, audio_head, text_head)
 
 
-def _flat_views(params, flat):
-    """Name -> view of the vector `flat` in named_tensors() order and
-    shapes; the one owner of the flat layout."""
-    tensors = params.named_tensors()
+def _flat_views(tensors, flat):
+    """Name -> view of the last axis of `flat`, laid out in the order and
+    shapes of the name -> array mapping `tensors`, behind flat's leading
+    axes; the one owner of the flat layout.
+
+    A model's gradient vector takes params.named_tensors(); its two
+    heads' blocks, last and equal-sized, reshaped to (2, block) take one
+    head's named_tensors() and give (2, ...) views, audio then text.
+    """
     views, start = {}, 0
     for name, tensor in tensors.items():
-        views[name] = flat[start:start + tensor.size].reshape(tensor.shape)
+        views[name] = flat[..., start:start + tensor.size].reshape(
+            flat.shape[:-1] + tensor.shape)
         start += tensor.size
     return views
+
+
+def _stack_heads(heads):
+    """Name -> (m, ...) copy of each head tensor of the m `heads`, stacked
+    in order: the parameters of one stacked _head_forward."""
+    tensors = [head.named_tensors() for head in heads]
+    return {name: np.array([t[name] for t in tensors]) for name in tensors[0]}
 
 
 def _uniform_fanin(rng, shape, fan_in):
@@ -233,16 +251,20 @@ def init_params(d_in_audio, d_in_text, d_emb=16, seed=0):
     return ModelParams(audio_enc, text_enc)
 
 
-def _embed(encoder, x):
-    """x @ W.T + b for a float64 feature matrix x of the encoder's width.
+def _embed(encoder, x, out=None):
+    """x @ W.T + b for a float64 feature matrix x of the encoder's width,
+    written into `out` if given.
 
-    The one affine map: `encode` and the training forward both call it.
+    The one affine map: `encode` and the training forward both call it,
+    the forward into its half of one (2, n, d_emb) array of both towers.
     """
     if x.shape[1] != encoder.d_in:
         raise ContractError(
             f"{encoder.modality} encoder expects width {encoder.d_in}, "
             f"got {x.shape[1]}")
-    return x @ encoder.weight.T + encoder.bias
+    out = np.matmul(x, encoder.weight.T, out=out)
+    out += encoder.bias
+    return out
 
 
 def encode(encoder, feats):
@@ -250,16 +272,22 @@ def encode(encoder, feats):
     return _embed(encoder, as_matrix(feats, "features"))
 
 
-def _head_forward(head, emb):
-    """(pre, hidden, logits) of W2 relu(W1 e + b1) + b2 for embeddings emb.
+def _head_forward(heads, emb):
+    """(pre, hidden, logits) of W2 relu(W1 e + b1) + b2, each (m, n, .),
+    for the m stacked heads `heads` (from _stack_heads) on the (m, n, d)
+    embeddings emb, head i on emb[i].
 
-    The one head forward; the training loss calls it.
+    The one head forward: the training loss runs both towers' heads in
+    it as one stacked pass.
     """
-    if emb.shape[1] != head.d_emb:
+    w1 = heads["w1"]
+    if emb.shape[-1] != w1.shape[-1]:
         raise ContractError(
-            f"classification head expects width {head.d_emb}, "
-            f"got {emb.shape[1]}")
-    pre = emb @ head.w1.T + head.b1
+            f"classification head expects width {w1.shape[-1]}, "
+            f"got {emb.shape[-1]}")
+    pre = np.matmul(emb, w1.transpose(0, 2, 1))
+    pre += heads["b1"][:, None]
     hidden = np.maximum(pre, 0.0)
-    return pre, hidden, hidden @ head.w2.T + head.b2
-
+    logits = np.matmul(hidden, heads["w2"].transpose(0, 2, 1))
+    logits += heads["b2"][:, None]
+    return pre, hidden, logits

@@ -210,8 +210,9 @@ def grid_search(matrices, relevance, *, step=0.01, tags=None,
     members or MAX_GRID_POINTS points.  The spec keeps the default
     strategy label.
     """
-    # nan fails every comparison; a subnormal step's 1/step is inf
-    if not (0 < step <= 1 and 1.0 / step < math.inf):
+    # nan fails every comparison; a subnormal step's 1/step is inf, and
+    # float() keeps a numpy scalar's overflow from warning
+    if not (0 < step <= 1 and 1.0 / float(step) < math.inf):
         raise ConfigError(f"step must be in (0, 1] with a finite 1/step, "
                           f"got {step}")
     divisions = round(1.0 / step)

@@ -6,6 +6,10 @@ lambda1 times soft-target distillation against an averaged teacher
 ensemble, plus lambda2 times cluster classification on both encoders.
 It reports each term and backpropagates the total through the cosine
 normalization, the temperature softmax, and the classification heads.
+Both towers, and both heads, run as one stacked pass on (2, n, .)
+arrays, audio then text: they share the embedding width, the row
+count and, for the heads, the labels, so each per-tower operation is
+one numpy call with the bits of the two it replaces.
 
 Convention throughout: similarity matrices have audio items on rows and
 captions on columns, matched pairs on the diagonal.  Cross-entropies are
@@ -24,7 +28,8 @@ import numpy as np
 from .core import (Axis, _as_equal_shape_matrices, _check_alloc,
                    _softmax_forward, _unit_rows, as_matrix,
                    softmax_with_temperature)
-from .encoders import _embed, _flat_views, _head_forward
+from .encoders import (MODALITIES, _embed, _flat_views, _head_forward,
+                       _stack_heads)
 from .errors import ConfigError, ContractError, DataError
 
 
@@ -37,8 +42,9 @@ class LossConfig:
     lambda2: float = 0.05      # classification weight
 
     def __post_init__(self):
-        # nan fails every comparison; a subnormal tau's 1/tau is inf
-        if not (0 < self.tau < np.inf and 1.0 / self.tau < np.inf):
+        # nan fails every comparison; a subnormal tau's 1/tau is inf, and
+        # float() keeps a numpy scalar's overflow from warning
+        if not (0 < self.tau < np.inf and 1.0 / float(self.tau) < np.inf):
             raise ConfigError(f"tau must be finite and > 0 with a finite "
                               f"1/tau, got {self.tau}")
         if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
@@ -119,51 +125,61 @@ def targets_from_teacher_sims(similarities, cfg):
 
 
 def _forward_embeddings(params, batch):
-    """Raw and unit-normalized embeddings, and the norms between them."""
+    """(raw, unit, norm): both towers' raw embeddings, stacked as one
+    (2, n, d_emb) array, audio then text, their unit rows, and the
+    (2, n, 1) norms between them."""
+    raw = np.empty((2, len(batch), params.d_emb))
     # Huge weights overflow here; _unit_rows reports it, so numpy's
     # warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        raw_a = _embed(params.audio_encoder, batch.audio_features)
-        raw_c = _embed(params.text_encoder, batch.text_features)
-        unit_a, norm_a = _unit_rows(raw_a, "audio")
-        unit_c, norm_c = _unit_rows(raw_c, "text")
-    return raw_a, raw_c, norm_a, norm_c, unit_a, unit_c
+        _embed(params.audio_encoder, batch.audio_features, out=raw[0])
+        _embed(params.text_encoder, batch.text_features, out=raw[1])
+        unit, norm = _unit_rows(raw, *MODALITIES)
+    return raw, unit, norm
 
 
 def student_similarity(params, batch):
     """Similarity matrix of one model on a batch (no gradients)."""
-    unit_a, unit_c = _forward_embeddings(params, batch)[-2:]
-    return unit_a @ unit_c.T
+    unit = _forward_embeddings(params, batch)[1]
+    return unit[0] @ unit[1].T
 
 
 def _unit_norm_backward(grad_unit, unit, norm):
     # d/d(raw) of f(raw/||raw||): project out the radial component.
-    radial = (grad_unit * unit).sum(axis=1, keepdims=True)
+    radial = (grad_unit * unit).sum(axis=-1, keepdims=True)
     return (grad_unit - radial * unit) / norm
 
 
-def _head_forward_backward(head, raw_emb, labels, n):
-    """Loss, parameter grads, and embedding grad for one head (unweighted)."""
-    pre, hidden, logits = _head_forward(head, raw_emb)
+def _head_forward_backward(params, raw, labels, head_grads):
+    """Both heads' unweighted losses (audio, text) on the stacked raw
+    embeddings and shared labels, as one stacked pass; writes their
+    parameter gradients into the (2, ...) views head_grads and returns
+    the (2, n, d_emb) gradient of the embeddings."""
+    heads = _stack_heads((params.audio_head, params.text_head))
+    pre, hidden, logits = _head_forward(heads, raw)
     shifted, log_s, probs = _softmax_forward(logits, Axis.ROWS, logits)
+    n = len(labels)
     rows = np.arange(n)
-    loss = float(-(shifted[rows, labels] - log_s[:, 0]).mean())
-    probs[rows, labels] -= 1.0
-    d_logits = probs / n
-    d_w2 = d_logits.T @ hidden
-    d_b2 = d_logits.sum(axis=0)
-    d_hidden = d_logits @ head.w2
-    d_pre = d_hidden * (pre > 0.0)
-    d_w1 = d_pre.T @ raw_emb
-    d_b1 = d_pre.sum(axis=0)
-    d_emb = d_pre @ head.w1
-    grads = {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
-    return loss, grads, d_emb
+    # the mean -log q of each row's label
+    losses = np.add.reduce(log_s[..., 0] - shifted[:, rows, labels],
+                           axis=1) / n
+    probs[:, rows, labels] -= 1.0
+    d_logits = probs
+    d_logits /= n
+    np.matmul(d_logits.transpose(0, 2, 1), hidden, out=head_grads["w2"])
+    np.add.reduce(d_logits, axis=1, out=head_grads["b2"])
+    d_pre = np.matmul(d_logits, heads["w2"])
+    d_pre *= pre > 0.0
+    np.matmul(d_pre.transpose(0, 2, 1), raw, out=head_grads["w1"])
+    np.add.reduce(d_pre, axis=1, out=head_grads["b1"])
+    return losses, np.matmul(d_pre, heads["w1"])
 
 
 class _Workspace:
-    """Every n x n array of a loss_and_gradients call at batch size n, and
-    the gradient vector with its views in params' layout.  One whose bytes
+    """Every n x n array of a loss_and_gradients call at batch size n, the
+    gradient vector with its views in params' layout (and a (2, ...)
+    view of each head tensor, audio then text, when params has heads),
+    and the two scratch vectors of training.adamw_step.  One whose bytes
     would pass core._ALLOC_BYTES is a ConfigError before any allocation;
     the count includes the 2m + 2 n x n arrays at which the targets of
     n_teachers = m > 0 teachers peak outside it (m similarities, their m
@@ -171,15 +187,22 @@ class _Workspace:
     """
 
     def __init__(self, params, n, n_teachers):
-        size = sum(t.size for t in params.named_tensors().values())
+        tensors = params.named_tensors()
+        size = sum(t.size for t in tensors.values())
         squares = 5 + (2 * n_teachers + 2 if n_teachers else 0)
         teachers = f" with {n_teachers} teachers" if n_teachers else ""
-        _check_alloc(8 * (squares * n * n + size), f"batch_size {n}",
+        _check_alloc(8 * (squares * n * n + 3 * size), f"batch_size {n}",
                      f"training workspace{teachers}")
         self.z, self.shifted_r, self.q_r, self.shifted_c, self.q_c = (
             np.empty((5, n, n)))
         self.grad = np.zeros(size)
-        self.grads = _flat_views(params, self.grad)
+        self.grads = _flat_views(tensors, self.grad)
+        self.scratch = np.empty((2, size))
+        if params.has_heads:
+            head = params.audio_head.named_tensors()
+            block = sum(t.size for t in head.values())
+            self.head_block = self.grad[size - 2 * block:].reshape(2, block)
+            self.head_grads = _flat_views(head, self.head_block)
 
 
 def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
@@ -216,9 +239,8 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
     if work is None:   # targets, if given, are already the caller's
         work = _Workspace(params, n, 0)
 
-    raw_a, raw_c, norm_a, norm_c, unit_a, unit_c = _forward_embeddings(
-        params, batch)
-    z = np.matmul(unit_a, unit_c.T, out=work.z)
+    raw, unit, norm = _forward_embeddings(params, batch)
+    z = np.matmul(unit[0], unit[1].T, out=work.z)
     z /= cfg.tau
 
     # One forward per direction serves both loss terms and the gradient;
@@ -258,31 +280,29 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
         grad_sim += pull
     grad_sim.flat[::n + 1] -= 2.0    # the one-hot targets, both directions
 
-    # Back through the mean, z = unit_a @ unit_c.T / tau, the normalization.
-    grad_unit_a = grad_sim @ unit_c / (n * cfg.tau)
-    grad_unit_c = grad_sim.T @ unit_a / (n * cfg.tau)
-    grad_raw_a = _unit_norm_backward(grad_unit_a, unit_a, norm_a)
-    grad_raw_c = _unit_norm_backward(grad_unit_c, unit_c, norm_c)
+    # Back through the mean, z = unit[0] @ unit[1].T / tau, and the
+    # normalization, both towers at once from here on.
+    grad_unit = np.empty_like(unit)
+    np.matmul(grad_sim, unit[1], out=grad_unit[0])
+    np.matmul(grad_sim.T, unit[0], out=grad_unit[1])
+    grad_unit /= n * cfg.tau
+    grad_raw = _unit_norm_backward(grad_unit, unit, norm)
 
     grads = work.grads
     work.grad.fill(0.0)
     l_cls_a = l_cls_c = 0.0
     if cluster:
-        l_cls_a, head_grads_a, d_emb_a = _head_forward_backward(
-            params.audio_head, raw_a, labels, n)
-        l_cls_c, head_grads_c, d_emb_c = _head_forward_backward(
-            params.text_head, raw_c, labels, n)
-        grad_raw_a = grad_raw_a + cfg.lambda2 * d_emb_a
-        grad_raw_c = grad_raw_c + cfg.lambda2 * d_emb_c
-        for prefix, head_grads in (("audio_head", head_grads_a),
-                                   ("text_head", head_grads_c)):
-            for name, g in head_grads.items():
-                grads[f"{prefix}.{name}"][...] = cfg.lambda2 * g
+        losses, d_raw = _head_forward_backward(params, raw, labels,
+                                               work.head_grads)
+        l_cls_a, l_cls_c = losses.tolist()
+        d_raw *= cfg.lambda2
+        grad_raw += d_raw
+        work.head_block *= cfg.lambda2
 
-    grads["audio_encoder.weight"][...] = grad_raw_a.T @ batch.audio_features
-    grads["audio_encoder.bias"][...] = grad_raw_a.sum(axis=0)
-    grads["text_encoder.weight"][...] = grad_raw_c.T @ batch.text_features
-    grads["text_encoder.bias"][...] = grad_raw_c.sum(axis=0)
+    for modality, g, x in zip(MODALITIES, grad_raw, (batch.audio_features,
+                                                      batch.text_features)):
+        np.matmul(g.T, x, out=grads[f"{modality}_encoder.weight"])
+        np.add.reduce(g, axis=0, out=grads[f"{modality}_encoder.bias"])
 
     total = l_sup + cfg.lambda1 * l_dist + cfg.lambda2 * (l_cls_a + l_cls_c)
     return LossBreakdown(l_sup=l_sup, l_dist=l_dist, l_cls_audio=l_cls_a,

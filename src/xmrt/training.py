@@ -7,14 +7,14 @@ mixing is a dataset transform the caller applies before a finetune.
 
 The optimizer is AdamW with decoupled weight decay, updating in place
 one float64 vector of every parameter that a stage's model views, so one
-step function serves encoders and heads alike.  Its gradient vector, the
-batch rows and every n x n array of a step are allocated once per stage,
-in one batch PairedDataset and one losses._Workspace.  The learning rate
-warms up linearly to a peak, then follows a cosine toward a floor that
-it would reach one step after the stage's last, so the last step's rate
-lies just above the floor.  Batch order and synthetic pair mixing both
-draw from explicitly seeded generators, which makes every stage
-bit-reproducible.
+step function serves encoders and heads alike.  Its gradient vector, its
+two scratch vectors, the batch rows and every n x n array of a step are
+allocated once per stage, in one batch PairedDataset and one
+losses._Workspace.  The learning rate warms up linearly to a peak, then
+follows a cosine toward a floor that it would reach one step after the
+stage's last, so the last step's rate lies just above the floor.  Batch
+order and synthetic pair mixing both draw from explicitly seeded
+generators, which makes every stage bit-reproducible.
 """
 
 from __future__ import annotations
@@ -38,18 +38,24 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def adamw_step(theta, grad, m, v, step, lr, weight_decay):
+def adamw_step(theta, grad, m, v, step, lr, weight_decay, scratch=None):
     """One decoupled-weight-decay Adam update of theta and its moments m
     and v, all three in place; step counts from 1.
 
     Decay is applied directly to the parameter, scaled by lr but not by
     the adaptive moments.  Bias vectors decay too; at desk scale the
-    distinction is not worth a carve-out.
+    distinction is not worth a carve-out.  `scratch` is a (2, size)
+    array that every intermediate is written into, so a step allocates
+    nothing model-sized (run_stage passes its _Workspace's); without it
+    the step makes one.
     """
-    if not grad.shape == theta.shape == m.shape == v.shape:
+    if scratch is None:
+        scratch = np.empty((2,) + theta.shape)
+    if not (grad.shape == theta.shape == m.shape == v.shape
+            == scratch.shape[1:]):
         raise ContractError(
             f"gradient has shape {grad.shape}, parameters {theta.shape}, "
-            f"moments {m.shape} and {v.shape}")
+            f"moments {m.shape} and {v.shape}, scratch {scratch.shape}")
     if not 0 <= lr < math.inf:
         raise ConfigError(
             f"learning rate lr must be finite and nonnegative, got {lr}")
@@ -60,15 +66,24 @@ def adamw_step(theta, grad, m, v, step, lr, weight_decay):
         raise ContractError(f"step must be >= 1, got {step}")
     bc1 = 1.0 - ADAM_BETA1 ** step
     bc2 = 1.0 - ADAM_BETA2 ** step
+    update, denom = scratch
     # A divergent step overflows here; run_stage reports the non-finite
     # parameters it leaves, so numpy's warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=update)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        decay = lr * weight_decay * theta     # of theta before the update
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=update)
+        update *= grad
+        v += update
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=update)
+        update *= lr
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += ADAM_EPS
+        update /= denom
+        decay = np.multiply(theta, lr * weight_decay, out=denom)  # old theta
+        theta -= update
         theta -= decay
 
 
@@ -280,7 +295,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     theta = np.concatenate(
         [t.ravel() for t in params.named_tensors().values()])
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    params = params.with_tensors(_flat_views(params, theta))
+    params = params.with_tensors(_flat_views(params.named_tensors(), theta))
     records = []
     step = 0
     for epoch in range(epochs):
@@ -303,7 +318,7 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                     params, batch, cfg, targets=targets, labels=labels,
                     work=work)
                 adamw_step(theta, work.grad, m, v, step + 1, lr,
-                           weight_decay)
+                           weight_decay, work.scratch)
                 _check_finite("model", theta)
             except DataError as exc:
                 terms = "" if breakdown is None else "; " + ", ".join(

@@ -31,6 +31,7 @@ from xmrt.encoders import LinearEncoder, ModelParams
 from xmrt.ensemble import bundled_weight_table
 from xmrt.evaluation import METRIC_KEYS
 from xmrt.fixtures import relevance_file
+from xmrt.training import STAGES
 
 from conftest import write_weight_rows
 
@@ -121,6 +122,20 @@ def _run_module(module, argv):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env)
+
+
+def test_the_parser_is_built_once_and_a_patched_command_runs(
+        tmp_path, monkeypatch):
+    parser = cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_gen_fixtures",
+                        lambda cfg, out_dir, seed: calls.append(
+                            (out_dir, seed)) or 0)
+    out = os.path.join(str(tmp_path), "corpus")
+    assert main(["gen-fixtures", "--out", out, "--seed", "4"]) == 0
+    assert calls == [(out, 4)]
+    assert not os.path.exists(out)
+    assert cli.build_parser() is parser
 
 
 def test_console_script_entry_point(tmp_path):
@@ -552,7 +567,8 @@ def _failing_replace(k, calls):
     return replace
 
 
-OP_OUTPUTS = {"pretrain": ("checkpoints/pretrain", "summaries/pretrain.json"),
+OP_OUTPUTS = {**{stage: (f"checkpoints/{stage}", f"summaries/{stage}.json")
+                 for stage in STAGES},
               "cluster": ("labels.tsv", "audio_labels.tsv"),
               "gen-fixtures": ("audio.xmrt", "text.xmrt", "manifest.tsv",
                                *map(relevance_file, ("train", "val", "test")))}
@@ -563,7 +579,7 @@ def test_an_op_that_fails_partway_leaves_no_mixed_outputs(
         tmp_path, monkeypatch, capsys, command):
     # run/ holds a previous run's outputs (seed 9, 1 cluster, a seed-1
     # corpus); the op then runs with seed 10 and 3 clusters (a seed-2
-    # corpus), its k-th os.replace failing
+    # corpus) on inputs from seed 10, its k-th os.replace failing
     base = str(tmp_path)
     run, ref = os.path.join(base, "run"), os.path.join(base, "ref")
     if command == "gen-fixtures":
@@ -580,12 +596,13 @@ def test_an_op_that_fails_partway_leaves_no_mixed_outputs(
                 neighborhood_radius=radius,
                 checkpoint=f"{out_dir}/checkpoints/pretrain")
             configs[name] = _write_config(tmp_path, payload, f"{name}.json")
+        chain = ("pretrain", "cluster", "finetune", "refinetune")
         for name in ("old", "ref"):
-            for op in ("pretrain", "cluster"):
+            for op in chain:
                 assert main([op, "--config", configs[name]]) == 0
+        for op in chain[:chain.index(command)]:   # what the new op reads
+            assert main([op, "--config", configs["new"]]) == 0
         new = [command, "--config", configs["new"]]
-        if command == "cluster":    # the checkpoint the new labels come from
-            assert main(["pretrain", "--config", configs["new"]]) == 0
     previous = os.path.join(base, "previous")
     shutil.copytree(run, previous)
     expected = _files(ref, OP_OUTPUTS[command])
@@ -593,7 +610,7 @@ def test_an_op_that_fails_partway_leaves_no_mixed_outputs(
     # only the fixture manifest and relevance, which no seed changes, and
     # perhaps a checkpoint's meta.json read the same
     assert [name for name in expected if old[name] == expected[name]] \
-        in ([], ["checkpoints/pretrain/meta.json"],
+        in ([], [f"checkpoints/{command}/meta.json"],
             list(OP_OUTPUTS["gen-fixtures"][2:]))
 
     k = 0
@@ -615,7 +632,7 @@ def test_an_op_that_fails_partway_leaves_no_mixed_outputs(
             # audio labels
             assert "labels.tsv" not in left or all(
                 left[name] == expected[name] for name in expected)
-        elif "summaries/pretrain.json" in left:
+        elif f"summaries/{command}.json" in left:
             # a summary only beside the checkpoint it describes
             assert left == expected
         elif "manifest.tsv" in left:
@@ -624,7 +641,8 @@ def test_an_op_that_fails_partway_leaves_no_mixed_outputs(
         assert main(new) == 0
         assert _files(run, OP_OUTPUTS[command]) == expected
     assert code == 0
-    assert k - 1 == {"pretrain": 6, "cluster": 2, "gen-fixtures": 6}[command]
+    assert k - 1 == {"pretrain": 6, "finetune": 6, "refinetune": 14,
+                     "cluster": 2, "gen-fixtures": 6}[command]
 
 
 def test_cluster_prints_the_density_steps_outlier_count(tmp_path, capsys):
@@ -679,6 +697,67 @@ def test_pretrain_rerun_is_bit_identical(tmp_path):
     assert main(["pretrain", "--config", cfg1]) == 0
     assert main(["pretrain", "--config", cfg2]) == 0
     _assert_same_checkpoints(tmp_path, "run1", "run2", "pretrain")
+
+
+# Runs its arguments as xmrt commands in order, stopping at a failure.
+_CHAIN_SCRIPT = """
+import sys
+from xmrt.cli import main
+for op in sys.argv[1:]:
+    if main(op.split()) != 0:
+        sys.exit(1)
+"""
+
+
+def test_every_output_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    # Batch 128 at d_emb 32 makes each batch-square product 128 * 128 * 32
+    # = 524,288 multiply-adds, past the 4 * 65,536 at which OpenBLAS's
+    # gemm starts to split a product over its threads by default.
+    config = {
+        "fixtures": {"n_items": 512, "d_audio": 64, "d_text": 48},
+        "data": {"manifest": "corpus/manifest.tsv"},
+        "model": {"d_emb": 32},
+        "schedule": {"peak_lr": 0.01},
+        "stages": {
+            "pretrain": {"epochs": 2, "batch_size": 128},
+            "finetune": {"epochs": 2, "batch_size": 128, "teachers": [
+                "t1/checkpoints/pretrain", "t2/checkpoints/pretrain"]},
+            "refinetune": {"epochs": 2, "batch_size": 128},
+        },
+        "clustering": {"neighborhood_radius": 3.0, "reduced_dim": 2,
+                       "min_cluster_size": 3},
+    }
+    ops = ["gen-fixtures --config run.json --out corpus --seed 3",
+           *(f"pretrain --config run.json --out t{s} --seed {s}"
+             for s in (1, 2)),
+           *(f"{op} --config run.json --out run"
+             for op in ("pretrain", "finetune", "cluster", "refinetune",
+                        "evaluate"))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(REPO_ROOT, "src"),
+                      os.environ.get("PYTHONPATH")])))
+    runs = {}
+    for threads in ("1", "2"):
+        cwd = os.path.join(str(tmp_path), f"blas{threads}")
+        os.makedirs(cwd)
+        _write_config(cwd, config, "run.json")
+        runs[cwd] = subprocess.Popen(
+            [sys.executable, "-c", _CHAIN_SCRIPT, *ops], cwd=cwd,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=dict(env, OPENBLAS_NUM_THREADS=threads,
+                     OMP_NUM_THREADS=threads))
+    outputs = []
+    for cwd, proc in runs.items():
+        assert proc.wait() == 0, proc.stderr.read()
+        proc.stderr.close()
+        paths = sorted(os.path.relpath(os.path.join(d, f), cwd)
+                       for d, _, files in os.walk(cwd) for f in files)
+        outputs.append(_files(cwd, paths))
+    assert "run/report_test_multiple.json" in outputs[0]
+    assert "run/checkpoints/refinetune/audio_head.w1.xmrt" in outputs[0]
+    assert sorted(outputs[0]) == sorted(outputs[1])
+    assert [name for name in outputs[0]
+            if outputs[0][name] != outputs[1][name]] == []
 
 
 def test_mixing_seed_follows_the_seed_flag(tmp_path):

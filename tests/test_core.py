@@ -154,6 +154,15 @@ class TestSoftmax:
         with pytest.raises(ConfigError, match="temperature must be finite"):
             softmax_with_temperature(np.eye(2), tau, Axis.ROWS)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_numpy_scalar_tau_whose_reciprocal_overflows_does_not_warn(
+            self):
+        with pytest.raises(ConfigError, match=r"^temperature must be finite "
+                                              r"and > 0 with a finite "
+                                              r"1/temperature, got 1e-310$"):
+            softmax_with_temperature(np.eye(2), np.float64(1e-310),
+                                     Axis.ROWS)
+
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((5, 5))

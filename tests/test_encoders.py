@@ -6,7 +6,7 @@ import pytest
 from xmrt import (ClassificationHead, ConfigError, ContractError, DataError,
                   LinearEncoder, ModelParams, encode, init_heads,
                   init_params)
-from xmrt.encoders import HEAD_WIDTH_FACTOR, _head_forward
+from xmrt.encoders import HEAD_WIDTH_FACTOR, _head_forward, _stack_heads
 
 from conftest import headed_params
 
@@ -52,6 +52,11 @@ class TestEncode:
             encode(enc, np.ones((4, 5)))
 
 
+def _logits(head, emb):
+    """One head's logits on emb through the stacked head forward."""
+    return _head_forward(_stack_heads([head]), emb[None])[2][0]
+
+
 class TestClassificationHead:
     def test_hidden_width_rule(self):
         # hidden layer must be exactly HEAD_WIDTH_FACTOR times the input
@@ -65,7 +70,7 @@ class TestClassificationHead:
                                   np.zeros(3),
                                   np.array([[1.0, 1.0, 1.0]]),
                                   np.zeros(1))
-        logits = _head_forward(head, np.array([[2.0]]))[2]
+        logits = _logits(head, np.array([[2.0]]))
         np.testing.assert_allclose(logits, [[2.0]], atol=1e-14)
 
     def test_hand_forward_pass_wide(self):
@@ -75,26 +80,26 @@ class TestClassificationHead:
         head = ClassificationHead(w1, np.zeros(6),
                                   np.array([[1.0, 1.0, 1.0, 0, 0, 0]]),
                                   np.zeros(1))
-        logits = _head_forward(head, np.array([[2.0, 7.0]]))[2]
+        logits = _logits(head, np.array([[2.0, 7.0]]))
         np.testing.assert_allclose(logits, [[2.0]], atol=1e-14)
 
     def test_all_zero_weights_yield_b2(self):
         head = ClassificationHead(np.zeros((6, 2)), np.zeros(6),
                                   np.zeros((2, 6)), np.array([1.0, 2.0]))
-        logits = _head_forward(head, np.ones((3, 2)))[2]
+        logits = _logits(head, np.ones((3, 2)))
         np.testing.assert_array_equal(logits, np.tile([1.0, 2.0], (3, 1)))
 
     def test_relu_blocks_negative_hidden(self):
         head = ClassificationHead(-np.ones((6, 2)), np.zeros(6),
                                   np.ones((1, 6)), np.zeros(1))
-        logits = _head_forward(head, np.ones((1, 2)))[2]
+        logits = _logits(head, np.ones((1, 2)))
         assert logits[0, 0] == 0.0
 
     def test_classify_width_mismatch(self):
         head = ClassificationHead(np.zeros((6, 2)), np.zeros(6),
                                   np.zeros((2, 6)), np.zeros(2))
         with pytest.raises(ContractError, match="width"):
-            _head_forward(head, np.ones((1, 3)))[2]
+            _logits(head, np.ones((1, 3)))
 
 
 class TestInitParams:

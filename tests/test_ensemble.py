@@ -359,6 +359,16 @@ class TestGridSearch:
                                               r"with a finite 1/step, got "):
             self._search_unscored(monkeypatch, hierarchical, step)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_a_numpy_scalar_step_whose_reciprocal_overflows_does_not_warn(
+            self, monkeypatch, hierarchical):
+        with pytest.raises(ConfigError, match=r"^step must be in \(0, 1\] "
+                                              r"with a finite 1/step, got "
+                                              r"1e-310$"):
+            self._search_unscored(monkeypatch, hierarchical,
+                                  np.float64(1e-310))
+
     def test_refine_rejects_a_step_off_the_refine_lattice(self):
         # 0.004 / 0.0025 = 1.6 would round to a 0.002 lattice
         mats = [np.eye(4), np.eye(4)[::-1]]

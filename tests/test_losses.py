@@ -14,7 +14,7 @@ from xmrt import (Axis, ClassificationHead, ConfigError, ContractError,
                   softmax_with_temperature, student_similarity,
                   targets_from_teacher_sims, teacher_soft_targets)
 from xmrt import core
-from xmrt.encoders import _head_forward, encode
+from xmrt.encoders import _head_forward, _stack_heads, encode
 from xmrt.losses import TeacherTargets, _Workspace, ensemble_average
 
 from conftest import (distillation_ce, full_matrix_ce, headed_params,
@@ -58,6 +58,14 @@ class TestLossConfig:
         with pytest.raises(ConfigError, match=r"^tau must be finite and > 0 "
                                               r"with a finite 1/tau, got "):
             LossConfig(tau=tau)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_numpy_scalar_tau_whose_reciprocal_overflows_does_not_warn(
+            self):
+        with pytest.raises(ConfigError, match=r"^tau must be finite and > 0 "
+                                              r"with a finite 1/tau, got "
+                                              r"1e-310$"):
+            LossConfig(tau=np.float64(1e-310))
 
 
 class TestSupervisedLoss:
@@ -375,6 +383,29 @@ class TestStudentSimilarity:
                 audio_features=audio, text_features=batch.text_features))
 
 
+    # (audio rows, text rows) set to 0 (zero norm) or 1e160 (a norm that
+    # overflows), and the error: blocks in order, within one the overflow
+    # first, as when each tower was normalized alone
+    @pytest.mark.parametrize("audio, text, error", [
+        ({}, {3: 0.0}, "collapsed to zero norm at text row 3"),
+        ({}, {1: 0.0, 2: 1e160}, "overflowed to a non-finite value at text "
+                                 "row 2"),
+        ({3: 0.0}, {0: 1e160}, "collapsed to zero norm at audio row 3"),
+        ({2: 1e160, 1: 0.0}, {0: 0.0}, "overflowed to a non-finite value "
+                                       "at audio row 2")])
+    @pytest.mark.filterwarnings("error")
+    def test_the_stacked_forward_names_the_first_bad_row(self, audio, text,
+                                                         error):
+        params, batch = identity_batch(np.ones((4, 3)), np.ones((4, 3)))
+        for rows, values in ((batch.audio_features, audio),
+                             (batch.text_features, text)):
+            for row, value in values.items():
+                rows[row] *= value
+        with pytest.raises(DataError, match=rf"^an embedding (norm )?"
+                                            rf"{error}"):
+            loss_and_gradients(params, batch, LossConfig())
+
+
 def _fd_gradient(params, batch, cfg, targets, labels, name, h=1e-5):
     """Central finite differences of the total loss for one tensor."""
     tensors = {k: v.copy() for k, v in params.named_tensors().items()}
@@ -470,10 +501,11 @@ class TestGradients:
                             rel_tol=1e-12)
         raw_a = encode(params.audio_encoder, batch.audio_features)
         raw_c = encode(params.text_encoder, batch.text_features)
-        assert breakdown.l_cls_audio == label_ce(
-            _head_forward(params.audio_head, raw_a)[2], labels)
-        assert breakdown.l_cls_text == label_ce(
-            _head_forward(params.text_head, raw_c)[2], labels)
+        logits = _head_forward(
+            _stack_heads((params.audio_head, params.text_head)),
+            np.stack((raw_a, raw_c)))[2]
+        assert breakdown.l_cls_audio == label_ce(logits[0], labels)
+        assert breakdown.l_cls_text == label_ce(logits[1], labels)
         expected_total = (breakdown.l_sup + cfg.lambda1 * breakdown.l_dist
                           + cfg.lambda2 * (breakdown.l_cls_audio
                                            + breakdown.l_cls_text))
@@ -559,8 +591,8 @@ class TestWorkspace:
         # batch 3,600 fits the budget alone but not with three teachers
         params = init_params(6, 5, 4, seed=1)
         size = sum(t.size for t in params.named_tensors().values())
-        assert 8 * (5 * 3600 ** 2 + size) <= core._ALLOC_BYTES
-        needed = 8 * (13 * 3600 ** 2 + size)
+        assert 8 * (5 * 3600 ** 2 + 3 * size) <= core._ALLOC_BYTES
+        needed = 8 * (13 * 3600 ** 2 + 3 * size)
         with pytest.raises(ConfigError, match=(
                 rf"^batch_size 3600 needs a {needed}-byte training "
                 rf"workspace with 3 teachers, over the")):

@@ -542,13 +542,13 @@ class TestRunStage:
     def test_workspace_past_its_budget_is_a_config_error(self,
                                                          monkeypatch):
         # The budget fits exactly the batch-8 workspace: five 8 x 8
-        # buffers and the gradient vector.
+        # buffers, the gradient vector and AdamW's two scratch vectors.
         params = init_params(8, 6, 4, seed=0)
         size = sum(t.size for t in params.named_tensors().values())
-        monkeypatch.setattr(core, "_ALLOC_BYTES", 8 * (5 * 64 + size))
+        monkeypatch.setattr(core, "_ALLOC_BYTES", 8 * (5 * 64 + 3 * size))
         assert len(run_stage("pretrain", params, _toy_dataset(), epochs=1,
                              batch_size=8)[1]) == 4
-        needed = 8 * (5 * 16 * 16 + size)
+        needed = 8 * (5 * 16 * 16 + 3 * size)
         with pytest.raises(ConfigError, match=rf"^batch_size 16 needs a "
                                               rf"{needed}-byte training"):
             run_stage("pretrain", params, _toy_dataset(), epochs=1,
@@ -556,15 +556,16 @@ class TestRunStage:
 
     def test_teacher_targets_count_toward_the_budget(self, monkeypatch):
         # The budget fits exactly the batch-8 finetune with one teacher:
-        # 5 + 4 squares and the gradient vector; three teachers need 13.
+        # 5 + 4 squares and three model-sized vectors (the gradient and
+        # AdamW's scratch); three teachers need 13 squares.
         params = init_params(8, 6, 4, seed=0)
         size = sum(t.size for t in params.named_tensors().values())
-        monkeypatch.setattr(core, "_ALLOC_BYTES", 8 * (9 * 64 + size))
+        monkeypatch.setattr(core, "_ALLOC_BYTES", 8 * (9 * 64 + 3 * size))
         stage = dict(epochs=1, batch_size=8)
         teachers = [init_params(8, 6, 4, seed=s) for s in (1, 2, 3)]
         assert len(run_stage("finetune", params, _toy_dataset(),
                              teachers=teachers[:1], **stage)[1]) == 4
-        needed = 8 * (13 * 64 + size)
+        needed = 8 * (13 * 64 + 3 * size)
         with pytest.raises(ConfigError, match=rf"^batch_size 8 needs a "
                                               rf"{needed}-byte training "
                                               rf"workspace with 3 teachers"):
