@@ -68,7 +68,7 @@ assert np.allclose(audio_probs, assignment.probabilities)
 
 # 5. refinetune: attach classification heads and train with the
 #    auxiliary term on top of the contrastive one
-params = params.with_heads(*init_heads(params.d_emb, assignment.k, seed=1))
+params = params.with_heads(init_heads(params.d_emb, assignment.k, seed=1))
 params, log = run_stage("refinetune", params, dataset,
                         pseudo_labels=assignment.labels, epochs=8,
                         batch_size=12, peak_lr=0.01, floor_lr=1e-4, seed=1)

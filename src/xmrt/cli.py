@@ -163,8 +163,8 @@ def _run_training_stage(cfg, out_dir, seed, stage_name):
                 f"label file lacks caption {exc.args[0]!r}") from None
         k = probs.shape[1]
         if not params.has_heads:
-            params = params.with_heads(*init_heads(params.d_emb, k,
-                                                   seed=seed))
+            params = params.with_heads(init_heads(params.d_emb, k,
+                                                  seed=seed))
         elif params.n_clusters != k:
             raise ConfigError(
                 f"checkpoint heads expect {params.n_clusters} clusters, "

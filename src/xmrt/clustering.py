@@ -120,11 +120,21 @@ def reduce_dimensionality(embeddings, reduced_dim):
 
 
 def _soft_probabilities(points, centroids):
-    """Softmax over negative euclidean distances to each centroid."""
+    """Softmax over negative euclidean distances to each centroid: the
+    np.linalg.norm bits, filled a row block at a time through one buffer
+    of differences, squared in place, within _NEIGHBORHOOD_BLOCK_BYTES."""
+    logits = np.empty((points.shape[0], centroids.shape[0]))
     if centroids.shape[0] == 0:
-        return np.zeros((points.shape[0], 0))
-    logits = -np.linalg.norm(
-        points[:, None, :] - centroids[None, :, :], axis=2)
+        return logits
+    rows = max(1, _NEIGHBORHOOD_BLOCK_BYTES // centroids.nbytes)
+    buffer = np.empty((min(rows, len(points)),) + centroids.shape)
+    for at in range(0, len(points), rows):
+        block = logits[at:at + rows]
+        squares = np.subtract(points[at:at + rows, None, :], centroids,
+                              out=buffer[:len(block)])
+        squares *= squares
+        np.sqrt(np.add.reduce(squares, axis=2, out=block), out=block)
+    np.negative(logits, out=logits)
     return _softmax_forward(logits, Axis.ROWS, logits, logits)[2]
 
 

@@ -4,6 +4,8 @@ Each encoder is a single affine map from precomputed modality features to
 the shared embedding space (embeddings are normalized later, inside cosine
 similarity).  Classification heads are two linear layers with a ReLU in
 between; the hidden width is structurally three times the embedding width.
+A model holds its audio and text heads as one stacked pair, each tensor
+with a leading modality axis, because the loss runs them as one pass.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ MODALITIES = ("audio", "text")
 HEAD_WIDTH_FACTOR = 3
 _ENCODER_TENSORS = tuple(f"{m}_encoder.{p}" for m in MODALITIES
                          for p in ("weight", "bias"))
-_HEAD_TENSORS = tuple(f"{m}_head.{p}" for m in MODALITIES
-                      for p in ("w1", "b1", "w2", "b2"))
+_HEAD_LAYERS = ("w1", "b1", "w2", "b2")
+_HEAD_TENSORS = tuple(f"heads.{p}" for p in _HEAD_LAYERS)
 
 
 def _check_finite(name, *arrays):
@@ -63,45 +65,42 @@ class LinearEncoder:
 
 @dataclass(frozen=True)
 class ClassificationHead:
-    """Two linear layers with a ReLU, projecting embeddings to K cluster logits."""
+    """The audio and text heads, each two linear layers with a ReLU to K
+    cluster logits, stacked on a leading modality axis: audio at index 0
+    of every tensor, text at 1."""
 
-    w1: np.ndarray           # (3*d_emb, d_emb)
-    b1: np.ndarray           # (3*d_emb,)
-    w2: np.ndarray           # (K, 3*d_emb)
-    b2: np.ndarray           # (K,)
+    w1: np.ndarray           # (2, 3*d_emb, d_emb)
+    b1: np.ndarray           # (2, 3*d_emb)
+    w2: np.ndarray           # (2, K, 3*d_emb)
+    b2: np.ndarray           # (2, K)
 
     def __post_init__(self):
-        w1 = np.asarray(self.w1, dtype=np.float64)
-        b1 = np.asarray(self.b1, dtype=np.float64)
-        w2 = np.asarray(self.w2, dtype=np.float64)
-        b2 = np.asarray(self.b2, dtype=np.float64)
-        if w1.ndim != 2 or w2.ndim != 2 or b1.ndim != 1 or b2.ndim != 1:
+        w1, b1, w2, b2 = (np.asarray(getattr(self, p), dtype=np.float64)
+                          for p in _HEAD_LAYERS)
+        if (w1.ndim, b1.ndim, w2.ndim, b2.ndim) != (3, 2, 3, 2):
             raise ContractError("head parameters have wrong ranks")
-        d_emb = w1.shape[1]
-        hidden = w1.shape[0]
+        (pair, hidden, d_emb), k = w1.shape, w2.shape[1]
+        if pair != len(MODALITIES):
+            raise ContractError(f"head tensors need a leading axis of "
+                                f"{len(MODALITIES)}, one per modality")
         if hidden != HEAD_WIDTH_FACTOR * d_emb:
             raise ContractError(
                 f"head hidden width must be exactly {HEAD_WIDTH_FACTOR}x the "
                 f"embedding width; got {hidden} for width {d_emb}")
-        if b1.shape[0] != hidden or w2.shape[1] != hidden:
-            raise ContractError("head layer widths disagree")
-        if b2.shape[0] != w2.shape[0]:
-            raise ContractError("head output widths disagree")
+        if (b1.shape, w2.shape, b2.shape) != (
+                (pair, hidden), (pair, k, hidden), (pair, k)):
+            raise ContractError("head layer shapes disagree")
         _check_finite("head", w1, b1, w2, b2)
-        for name, arr in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
+        for name, arr in zip(_HEAD_LAYERS, (w1, b1, w2, b2)):
             object.__setattr__(self, name, arr)
 
     @property
     def d_emb(self):
-        return self.w1.shape[1]
+        return self.w1.shape[2]
 
     @property
     def n_clusters(self):
-        return self.w2.shape[0]
-
-    def named_tensors(self):
-        """Ordered name -> array of the four layers' tensors."""
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        return self.w2.shape[1]
 
 
 @dataclass(frozen=True)
@@ -110,22 +109,13 @@ class ModelParams:
 
     audio_encoder: LinearEncoder
     text_encoder: LinearEncoder
-    audio_head: Optional[ClassificationHead] = None
-    text_head: Optional[ClassificationHead] = None
+    heads: Optional[ClassificationHead] = None
 
     def __post_init__(self):
         if self.audio_encoder.d_out != self.text_encoder.d_out:
             raise ContractError("encoders must share the embedding width")
-        if (self.audio_head is None) != (self.text_head is None):
-            raise ContractError("heads must be present for both modalities "
-                                "or neither")
-        if self.audio_head is not None:
-            d_emb = self.audio_encoder.d_out
-            for head in (self.audio_head, self.text_head):
-                if head.d_emb != d_emb:
-                    raise ContractError("head width does not match encoders")
-            if self.audio_head.n_clusters != self.text_head.n_clusters:
-                raise ContractError("heads must share the cluster count")
+        if self.has_heads and self.heads.d_emb != self.d_emb:
+            raise ContractError("head width does not match encoders")
 
     @property
     def d_emb(self):
@@ -133,30 +123,29 @@ class ModelParams:
 
     @property
     def has_heads(self):
-        return self.audio_head is not None
+        return self.heads is not None
 
     @property
     def n_clusters(self):
-        return self.audio_head.n_clusters if self.has_heads else None
+        return self.heads.n_clusters if self.has_heads else None
 
     def named_tensors(self):
         """Ordered name -> array view of every parameter: the encoders,
-        then the audio head's and the text head's equal-sized blocks."""
-        names = _ENCODER_TENSORS
-        arrays = [self.audio_encoder.weight, self.audio_encoder.bias,
-                  self.text_encoder.weight, self.text_encoder.bias]
+        then the head pair's (2, ...) tensors w1, b1, w2, b2."""
+        tensors = dict(zip(_ENCODER_TENSORS, (
+            self.audio_encoder.weight, self.audio_encoder.bias,
+            self.text_encoder.weight, self.text_encoder.bias)))
         if self.has_heads:
-            names += _HEAD_TENSORS
-            for head in (self.audio_head, self.text_head):
-                arrays += head.named_tensors().values()
-        return dict(zip(names, arrays))
+            tensors.update(zip(_HEAD_TENSORS, (getattr(self.heads, p)
+                                               for p in _HEAD_LAYERS)))
+        return tensors
 
     def with_tensors(self, tensors):
         """Rebuild ModelParams from a name -> array mapping."""
         return _params_from_tensors(tensors, self.has_heads)
 
-    def with_heads(self, audio_head, text_head):
-        return replace(self, audio_head=audio_head, text_head=text_head)
+    def with_heads(self, heads):
+        return replace(self, heads=heads)
 
 
 def _params_from_tensors(tensors, has_heads):
@@ -173,37 +162,20 @@ def _params_from_tensors(tensors, has_heads):
     audio_enc, text_enc = (
         LinearEncoder(tensors[f"{m}_encoder.weight"],
                       tensors[f"{m}_encoder.bias"], m) for m in MODALITIES)
-    audio_head = text_head = None
-    if has_heads:
-        audio_head, text_head = (
-            ClassificationHead(tensors[f"{m}_head.w1"], tensors[f"{m}_head.b1"],
-                               tensors[f"{m}_head.w2"], tensors[f"{m}_head.b2"])
-            for m in MODALITIES)
-    return ModelParams(audio_enc, text_enc, audio_head, text_head)
+    heads = (ClassificationHead(*(tensors[name] for name in _HEAD_TENSORS))
+             if has_heads else None)
+    return ModelParams(audio_enc, text_enc, heads)
 
 
 def _flat_views(tensors, flat):
-    """Name -> view of the last axis of `flat`, laid out in the order and
-    shapes of the name -> array mapping `tensors`, behind flat's leading
-    axes; the one owner of the flat layout.
-
-    A model's gradient vector takes params.named_tensors(); its two
-    heads' blocks, last and equal-sized, reshaped to (2, block) take one
-    head's named_tensors() and give (2, ...) views, audio then text.
-    """
+    """Name -> view of the 1-D `flat`, laid out in the order and shapes of
+    the name -> array mapping `tensors` (a model's named_tensors(), whose
+    head pair gives (2, ...) views); the one owner of the flat layout."""
     views, start = {}, 0
     for name, tensor in tensors.items():
-        views[name] = flat[..., start:start + tensor.size].reshape(
-            flat.shape[:-1] + tensor.shape)
+        views[name] = flat[start:start + tensor.size].reshape(tensor.shape)
         start += tensor.size
     return views
-
-
-def _stack_heads(heads):
-    """Name -> (m, ...) copy of each head tensor of the m `heads`, stacked
-    in order: the parameters of one stacked _head_forward."""
-    tensors = [head.named_tensors() for head in heads]
-    return {name: np.array([t[name] for t in tensors]) for name in tensors[0]}
 
 
 def _uniform_fanin(rng, shape, fan_in):
@@ -212,25 +184,29 @@ def _uniform_fanin(rng, shape, fan_in):
 
 
 def init_heads(d_emb, n_clusters, seed=0):
-    """Fresh classification heads (audio, text) with fan-in uniform init.
+    """A fresh classification head pair with fan-in uniform init.
 
-    The one head constructor: heads join a model through
-    ModelParams.with_heads.  Draw order is audio head then text head,
-    w1 before w2; biases start at zero.
+    The one head constructor: the pair joins a model through
+    ModelParams.with_heads.  Draw order is the audio head then the text
+    head, w1 before w2; biases start at zero.  A pair past
+    core._ALLOC_BYTES is a ConfigError before any draw.
     """
     if d_emb < 2:
         raise ConfigError(f"d_emb must be >= 2, got {d_emb}")
     if n_clusters < 1:
         raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
-    rng = _rng(seed)
     hidden = HEAD_WIDTH_FACTOR * d_emb
-    heads = []
-    for _ in MODALITIES:
-        w1 = _uniform_fanin(rng, (hidden, d_emb), d_emb)
-        w2 = _uniform_fanin(rng, (n_clusters, hidden), hidden)
-        heads.append(ClassificationHead(w1, np.zeros(hidden),
-                                        w2, np.zeros(n_clusters)))
-    return tuple(heads)
+    pair = len(MODALITIES)
+    _check_alloc(8 * pair * (hidden * (d_emb + 1 + n_clusters) + n_clusters),
+                 f"n_clusters {n_clusters}", "classification head pair")
+    rng = _rng(seed)
+    w1 = np.empty((pair, hidden, d_emb))
+    w2 = np.empty((pair, n_clusters, hidden))
+    for i in range(pair):
+        w1[i] = _uniform_fanin(rng, (hidden, d_emb), d_emb)
+        w2[i] = _uniform_fanin(rng, (n_clusters, hidden), hidden)
+    return ClassificationHead(w1, np.zeros((pair, hidden)),
+                              w2, np.zeros((pair, n_clusters)))
 
 
 def init_params(d_in_audio, d_in_text, d_emb=16, seed=0):
@@ -273,21 +249,17 @@ def encode(encoder, feats):
 
 
 def _head_forward(heads, emb):
-    """(pre, hidden, logits) of W2 relu(W1 e + b1) + b2, each (m, n, .),
-    for the m stacked heads `heads` (from _stack_heads) on the (m, n, d)
-    embeddings emb, head i on emb[i].
-
-    The one head forward: the training loss runs both towers' heads in
-    it as one stacked pass.
-    """
-    w1 = heads["w1"]
-    if emb.shape[-1] != w1.shape[-1]:
+    """(pre, hidden, logits) of W2 relu(W1 e + b1) + b2, each (2, n, .),
+    for the ClassificationHead pair `heads` on the (2, n, d) embeddings
+    emb, audio head on emb[0] and text head on emb[1]: the one head
+    forward, which the training loss runs as one stacked pass."""
+    if emb.shape[-1] != heads.d_emb:
         raise ContractError(
-            f"classification head expects width {w1.shape[-1]}, "
+            f"classification head expects width {heads.d_emb}, "
             f"got {emb.shape[-1]}")
-    pre = np.matmul(emb, w1.transpose(0, 2, 1))
-    pre += heads["b1"][:, None]
+    pre = np.matmul(emb, heads.w1.transpose(0, 2, 1))
+    pre += heads.b1[:, None]
     hidden = np.maximum(pre, 0.0)
-    logits = np.matmul(hidden, heads["w2"].transpose(0, 2, 1))
-    logits += heads["b2"][:, None]
+    logits = np.matmul(hidden, heads.w2.transpose(0, 2, 1))
+    logits += heads.b2[:, None]
     return pre, hidden, logits

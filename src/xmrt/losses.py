@@ -9,7 +9,9 @@ normalization, the temperature softmax, and the classification heads.
 Both towers, and both heads, run as one stacked pass on (2, n, .)
 arrays, audio then text: they share the embedding width, the row
 count and, for the heads, the labels, so each per-tower operation is
-one numpy call with the bits of the two it replaces.
+one numpy call with the bits of the two it replaces.  The heads are
+stored stacked (encoders.ClassificationHead), so the pass reads them,
+and writes their gradients, in place.
 
 Convention throughout: similarity matrices have audio items on rows and
 captions on columns, matched pairs on the diagonal.  Cross-entropies are
@@ -28,8 +30,8 @@ import numpy as np
 from .core import (Axis, _as_equal_shape_matrices, _check_alloc,
                    _softmax_forward, _unit_rows, as_matrix,
                    softmax_with_temperature)
-from .encoders import (MODALITIES, _embed, _flat_views, _head_forward,
-                       _stack_heads)
+from .encoders import (_HEAD_TENSORS, MODALITIES, _embed, _flat_views,
+                       _head_forward)
 from .errors import ConfigError, ContractError, DataError
 
 
@@ -150,12 +152,11 @@ def _unit_norm_backward(grad_unit, unit, norm):
     return (grad_unit - radial * unit) / norm
 
 
-def _head_forward_backward(params, raw, labels, head_grads):
-    """Both heads' unweighted losses (audio, text) on the stacked raw
+def _head_forward_backward(heads, raw, labels, grads):
+    """The head pair's unweighted losses (audio, text) on the stacked raw
     embeddings and shared labels, as one stacked pass; writes their
-    parameter gradients into the (2, ...) views head_grads and returns
-    the (2, n, d_emb) gradient of the embeddings."""
-    heads = _stack_heads((params.audio_head, params.text_head))
+    parameter gradients into the (2, ...) views grads["heads.*"] and
+    returns the (2, n, d_emb) gradient of the embeddings."""
     pre, hidden, logits = _head_forward(heads, raw)
     shifted, log_s, probs = _softmax_forward(logits, Axis.ROWS, logits)
     n = len(labels)
@@ -166,24 +167,24 @@ def _head_forward_backward(params, raw, labels, head_grads):
     probs[:, rows, labels] -= 1.0
     d_logits = probs
     d_logits /= n
-    np.matmul(d_logits.transpose(0, 2, 1), hidden, out=head_grads["w2"])
-    np.add.reduce(d_logits, axis=1, out=head_grads["b2"])
-    d_pre = np.matmul(d_logits, heads["w2"])
+    np.matmul(d_logits.transpose(0, 2, 1), hidden, out=grads["heads.w2"])
+    np.add.reduce(d_logits, axis=1, out=grads["heads.b2"])
+    d_pre = np.matmul(d_logits, heads.w2)
     d_pre *= pre > 0.0
-    np.matmul(d_pre.transpose(0, 2, 1), raw, out=head_grads["w1"])
-    np.add.reduce(d_pre, axis=1, out=head_grads["b1"])
-    return losses, np.matmul(d_pre, heads["w1"])
+    np.matmul(d_pre.transpose(0, 2, 1), raw, out=grads["heads.w1"])
+    np.add.reduce(d_pre, axis=1, out=grads["heads.b1"])
+    return losses, np.matmul(d_pre, heads.w1)
 
 
 class _Workspace:
     """Every n x n array of a loss_and_gradients call at batch size n, the
-    gradient vector with its views in params' layout (and a (2, ...)
-    view of each head tensor, audio then text, when params has heads),
-    and the two scratch vectors of training.adamw_step.  One whose bytes
-    would pass core._ALLOC_BYTES is a ConfigError before any allocation;
-    the count includes the 2m + 2 n x n arrays at which the targets of
-    n_teachers = m > 0 teachers peak outside it (m similarities, their m
-    sorted copies in ensemble_average, and the two targets).
+    gradient vector with its views in params' layout (the head pair's
+    are (2, ...), audio then text), and the two scratch vectors of
+    training.adamw_step.  One whose bytes would pass core._ALLOC_BYTES
+    is a ConfigError before any allocation; the count includes the
+    2m + 2 n x n arrays at which the targets of n_teachers = m > 0
+    teachers peak outside it (m similarities, their m sorted copies in
+    ensemble_average, and the two targets).
     """
 
     def __init__(self, params, n, n_teachers):
@@ -198,11 +199,6 @@ class _Workspace:
         self.grad = np.zeros(size)
         self.grads = _flat_views(tensors, self.grad)
         self.scratch = np.empty((2, size))
-        if params.has_heads:
-            head = params.audio_head.named_tensors()
-            block = sum(t.size for t in head.values())
-            self.head_block = self.grad[size - 2 * block:].reshape(2, block)
-            self.head_grads = _flat_views(head, self.head_block)
 
 
 def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
@@ -213,15 +209,16 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
     (a training.PairedDataset); only those and len(batch) are read.  The
     distillation term runs iff teacher `targets` are given, and the
     classification term iff cluster `labels` are given: a 1-D int array
-    with one label per row, which both heads classify (so it needs
-    classification heads).  cfg.lambda1 and cfg.lambda2 only weight the
+    with one label per row, which both heads of params.heads classify
+    (so it needs them).  cfg.lambda1 and cfg.lambda2 only weight the
     terms: a term with weight 0 is still computed and reported, but adds
     nothing to the total or the gradient.  Teacher targets are
     constants: no gradient flows into them.  Each gradient is a view whose
-    .base is one zeroed vector, in named_tensors() order; unused heads
-    get 0.  It and every n x n array of the call live in `work`, the
-    _Workspace run_stage keeps per stage, so they last until its next
-    call; without `work` they are fresh arrays.
+    .base is one zeroed vector, in named_tensors() order (the head
+    pair's are (2, ...)); unused heads get 0.  It and every n x n array
+    of the call live in `work`, the _Workspace run_stage keeps per
+    stage, so they last until its next call; without `work` they are
+    fresh arrays.
     """
     distill = targets is not None
     cluster = labels is not None
@@ -292,12 +289,13 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
     work.grad.fill(0.0)
     l_cls_a = l_cls_c = 0.0
     if cluster:
-        losses, d_raw = _head_forward_backward(params, raw, labels,
-                                               work.head_grads)
+        losses, d_raw = _head_forward_backward(params.heads, raw, labels,
+                                               grads)
         l_cls_a, l_cls_c = losses.tolist()
         d_raw *= cfg.lambda2
         grad_raw += d_raw
-        work.head_block *= cfg.lambda2
+        for name in _HEAD_TENSORS:
+            grads[name] *= cfg.lambda2
 
     for modality, g, x in zip(MODALITIES, grad_raw, (batch.audio_features,
                                                       batch.text_features)):

@@ -5,8 +5,8 @@ optimizer step and the learning-rate schedule are checked against."""
 import numpy as np
 import pytest
 
-from xmrt import (LinearEncoder, ModelParams, PairedDataset, init_heads,
-                  init_params)
+from xmrt import (ClassificationHead, LinearEncoder, ModelParams,
+                  PairedDataset, init_heads, init_params)
 from xmrt.ensemble import _TABLE_HEADER
 from xmrt.tensorfile import _write_rows
 from xmrt.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -16,7 +16,13 @@ def headed_params(d_audio, d_text, d_emb, n_clusters, seed):
     """init_params with init_heads joined, as the CLI builds a refinetune
     model: both drawn from seed."""
     return init_params(d_audio, d_text, d_emb, seed=seed).with_heads(
-        *init_heads(d_emb, n_clusters, seed=seed))
+        init_heads(d_emb, n_clusters, seed=seed))
+
+
+def head_pair(w1, b1, w2, b2):
+    """A ClassificationHead pair whose audio and text heads are both the
+    one head with these layers."""
+    return ClassificationHead(*(np.stack((t, t)) for t in (w1, b1, w2, b2)))
 
 
 def random_batch(n, d_audio, d_text, seed):
@@ -40,15 +46,15 @@ def head_params():
     return headed_params(6, 5, 4, 3, seed=0)
 
 
-def identity_batch(audio_rows, text_rows, heads=(None, None)):
+def identity_batch(audio_rows, text_rows, heads=None):
     """(params, batch) for loss_and_gradients where both encoders are the
     identity, so the rows are the raw embeddings and the batch similarity
-    is their cosine; `heads` is an (audio, text) head pair or none."""
+    is their cosine; `heads` is a ClassificationHead pair or None."""
     batch = PairedDataset(audio_rows, text_rows)
     width = batch.audio_features.shape[1]
     encoders = (LinearEncoder(np.eye(width), np.zeros(width), modality)
                 for modality in ("audio", "text"))
-    return ModelParams(*encoders, *heads), batch
+    return ModelParams(*encoders, heads), batch
 
 
 def write_weight_rows(path, specs):

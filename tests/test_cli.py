@@ -827,8 +827,8 @@ def test_refinetune_rejects_heads_for_another_cluster_count(tmp_path,
     cfg = _refinetune_from_pretrain(tmp_path, 2)
     start = os.path.join(str(tmp_path), "run", CHECKPOINT_ROOT, "pretrain")
     params = load_checkpoint(start)
-    save_checkpoint(start, params.with_heads(*init_heads(params.d_emb, 3,
-                                                         seed=0)))
+    save_checkpoint(start, params.with_heads(init_heads(params.d_emb, 3,
+                                                        seed=0)))
     capsys.readouterr()
     assert main(["refinetune", "--config", cfg]) == 1
     assert capsys.readouterr().err == (

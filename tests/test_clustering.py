@@ -12,6 +12,7 @@ from xmrt import (ClusterAssignment, ClusterConfig, ConfigError,
                   cluster_pipeline, density_cluster, reassign_outliers,
                   reduce_dimensionality)
 from xmrt import clustering
+from xmrt.core import Axis, _softmax_forward
 
 
 def _blobs(centers, per_blob=30, sigma=0.1, seed=0, dim=2):
@@ -261,6 +262,44 @@ class TestDensityCluster:
             ClusterConfig(neighborhood_radius=1.0, reduced_dim=0)
         with pytest.raises(ConfigError):
             ClusterConfig(neighborhood_radius=1.0, min_cluster_size=1)
+
+
+class TestSoftProbabilities:
+    @staticmethod
+    def _points(n, k, dim):
+        rng = np.random.default_rng(dim)
+        return (100.0 * rng.standard_normal((n, dim)),
+                rng.standard_normal((k, dim)))
+
+    @pytest.mark.parametrize("dim", [3, 8, 9, 20])   # pairwise sums from 8
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_row_blocks_give_the_unblocked_bytes(self, monkeypatch, dim,
+                                                 rows):
+        points, centroids = self._points(50, 4, dim)
+        logits = -np.linalg.norm(
+            points[:, None, :] - centroids[None, :, :], axis=2)
+        whole = _softmax_forward(logits, Axis.ROWS, logits, logits)[2]
+        if rows is not None:   # 50 rows in 7s end on a one-row block
+            monkeypatch.setattr(clustering, "_NEIGHBORHOOD_BLOCK_BYTES",
+                                rows * centroids.nbytes)
+        got = clustering._soft_probabilities(points, centroids)
+        assert got.tobytes() == whole.tobytes()
+
+    def test_peak_stays_within_one_block_beside_the_result(self,
+                                                           monkeypatch):
+        # the unblocked differences and their squares would take
+        # 2 * 4000 * 100 * 16 * 8 bytes, about 98 MiB
+        budget = 1 << 20
+        monkeypatch.setattr(clustering, "_NEIGHBORHOOD_BLOCK_BYTES", budget)
+        points, centroids = self._points(4000, 100, 16)
+        tracemalloc.start()
+        try:
+            probs = clustering._soft_probabilities(points, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (4000, 100)
+        assert peak <= probs.nbytes + 2 * budget
 
 
 class TestClusterAssignment:

@@ -6,14 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xmrt import (Axis, ClassificationHead, ConfigError, ContractError,
-                  DataError, LossConfig, TeacherTargets,
-                  cosine_similarity_matrix, generate_fixtures, init_heads,
-                  init_params, loss_and_gradients, make_batches,
+from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
+                  TeacherTargets, cosine_similarity_matrix, generate_fixtures,
+                  init_heads, init_params, loss_and_gradients, make_batches,
                   softmax_with_temperature)
 from xmrt.core import _as_equal_shape_matrices, _softmax_forward, as_matrix
 
-from conftest import identity_batch
+from conftest import head_pair, identity_batch
 
 
 class TestAsMatrix:
@@ -182,10 +181,10 @@ class TestCrossEntropy:
 
     def test_one_hot_vs_uniform_is_log4(self):
         # all-zero heads give uniform logits over 4 clusters
-        head = ClassificationHead(np.zeros((6, 2)), np.zeros(6),
-                                  np.zeros((4, 6)), np.zeros(4))
+        head = head_pair(np.zeros((6, 2)), np.zeros(6),
+                         np.zeros((4, 6)), np.zeros(4))
         terms = loss_and_gradients(
-            *identity_batch(np.eye(2), np.eye(2), (head, head)),
+            *identity_batch(np.eye(2), np.eye(2), head),
             LossConfig(), labels=np.array([0, 3]))[0]
         np.testing.assert_allclose(terms.l_cls_audio, math.log(4.0),
                                    atol=1e-12)

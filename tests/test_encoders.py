@@ -6,9 +6,10 @@ import pytest
 from xmrt import (ClassificationHead, ConfigError, ContractError, DataError,
                   LinearEncoder, ModelParams, encode, init_heads,
                   init_params)
-from xmrt.encoders import HEAD_WIDTH_FACTOR, _head_forward, _stack_heads
+from xmrt.core import _ALLOC_BYTES
+from xmrt.encoders import HEAD_WIDTH_FACTOR, _head_forward
 
-from conftest import headed_params
+from conftest import head_pair, headed_params
 
 
 class TestLinearEncoder:
@@ -53,23 +54,36 @@ class TestEncode:
 
 
 def _logits(head, emb):
-    """One head's logits on emb through the stacked head forward."""
-    return _head_forward(_stack_heads([head]), emb[None])[2][0]
+    """The audio head's logits on emb through the stacked head forward."""
+    return _head_forward(head, np.stack((emb, emb)))[2][0]
 
 
 class TestClassificationHead:
     def test_hidden_width_rule(self):
         # hidden layer must be exactly HEAD_WIDTH_FACTOR times the input
         with pytest.raises(ContractError, match="hidden width"):
-            ClassificationHead(np.ones((5, 2)), np.zeros(5),
-                               np.ones((3, 5)), np.zeros(3))
+            head_pair(np.ones((5, 2)), np.zeros(5),
+                      np.ones((3, 5)), np.zeros(3))
+
+    @pytest.mark.parametrize("pair", [1, 3])
+    def test_leading_axis_must_be_one_per_modality(self, pair):
+        layers = (np.zeros((6, 2)), np.zeros(6), np.zeros((4, 6)), np.zeros(4))
+        with pytest.raises(ContractError, match="leading axis of 2"):
+            ClassificationHead(*(np.stack((t,) * pair) for t in layers))
+        # one layer off is enough
+        w1, b1, w2, b2 = (np.stack((t, t)) for t in layers)
+        with pytest.raises(ContractError, match="shapes disagree"):
+            ClassificationHead(w1, b1, np.stack((w2[0],) * pair), b2)
+
+    def test_unstacked_layers_rejected(self):
+        with pytest.raises(ContractError, match="ranks"):
+            ClassificationHead(np.zeros((6, 2)), np.zeros(6),
+                               np.zeros((4, 6)), np.zeros(4))
 
     def test_hand_forward_pass(self):
         # relu([2, -2, 0]) = [2, 0, 0], summed by w2 -> logit 2
-        head = ClassificationHead(np.array([[1.0], [-1.0], [0.0]]),
-                                  np.zeros(3),
-                                  np.array([[1.0, 1.0, 1.0]]),
-                                  np.zeros(1))
+        head = head_pair(np.array([[1.0], [-1.0], [0.0]]), np.zeros(3),
+                         np.array([[1.0, 1.0, 1.0]]), np.zeros(1))
         logits = _logits(head, np.array([[2.0]]))
         np.testing.assert_allclose(logits, [[2.0]], atol=1e-14)
 
@@ -77,27 +91,26 @@ class TestClassificationHead:
         # encoder width 2, second column inert: relu([2,-2,0]) -> [2,0,0]
         w1 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
         w1 = np.vstack([w1, np.zeros((3, 2))])  # pad to 3x width rule
-        head = ClassificationHead(w1, np.zeros(6),
-                                  np.array([[1.0, 1.0, 1.0, 0, 0, 0]]),
-                                  np.zeros(1))
+        head = head_pair(w1, np.zeros(6),
+                         np.array([[1.0, 1.0, 1.0, 0, 0, 0]]), np.zeros(1))
         logits = _logits(head, np.array([[2.0, 7.0]]))
         np.testing.assert_allclose(logits, [[2.0]], atol=1e-14)
 
     def test_all_zero_weights_yield_b2(self):
-        head = ClassificationHead(np.zeros((6, 2)), np.zeros(6),
-                                  np.zeros((2, 6)), np.array([1.0, 2.0]))
+        head = head_pair(np.zeros((6, 2)), np.zeros(6),
+                         np.zeros((2, 6)), np.array([1.0, 2.0]))
         logits = _logits(head, np.ones((3, 2)))
         np.testing.assert_array_equal(logits, np.tile([1.0, 2.0], (3, 1)))
 
     def test_relu_blocks_negative_hidden(self):
-        head = ClassificationHead(-np.ones((6, 2)), np.zeros(6),
-                                  np.ones((1, 6)), np.zeros(1))
+        head = head_pair(-np.ones((6, 2)), np.zeros(6),
+                         np.ones((1, 6)), np.zeros(1))
         logits = _logits(head, np.ones((1, 2)))
         assert logits[0, 0] == 0.0
 
     def test_classify_width_mismatch(self):
-        head = ClassificationHead(np.zeros((6, 2)), np.zeros(6),
-                                  np.zeros((2, 6)), np.zeros(2))
+        head = head_pair(np.zeros((6, 2)), np.zeros(6),
+                         np.zeros((2, 6)), np.zeros(2))
         with pytest.raises(ContractError, match="width"):
             _logits(head, np.ones((1, 3)))
 
@@ -128,9 +141,9 @@ class TestInitParams:
     def test_heads_join_only_through_with_heads(self):
         p = init_params(5, 4, 3)
         assert not p.has_heads
-        p = p.with_heads(*init_heads(3, 6))
+        p = p.with_heads(init_heads(3, 6))
         assert p.has_heads and p.n_clusters == 6
-        assert p.audio_head.w1.shape == (HEAD_WIDTH_FACTOR * 3, 3)
+        assert p.heads.w1.shape == (2, HEAD_WIDTH_FACTOR * 3, 3)
 
     def test_zero_dims_rejected(self):
         with pytest.raises(ConfigError):
@@ -143,18 +156,33 @@ class TestInitParams:
 
 class TestInitHeads:
     def test_deterministic_and_distinct_per_modality(self):
-        a1, t1 = init_heads(4, 3, seed=9)
-        a2, t2 = init_heads(4, 3, seed=9)
-        np.testing.assert_array_equal(a1.w1, a2.w1)
-        np.testing.assert_array_equal(t1.w2, t2.w2)
-        assert not np.array_equal(a1.w1, t1.w1)
+        one, two = init_heads(4, 3, seed=9), init_heads(4, 3, seed=9)
+        np.testing.assert_array_equal(one.w1, two.w1)
+        np.testing.assert_array_equal(one.w2, two.w2)
+        assert not np.array_equal(one.w1[0], one.w1[1])
+
+    def test_draws_audio_then_text_w1_before_w2(self):
+        rng = np.random.default_rng([5])
+        draws = [rng.uniform(-bound, bound, size=shape)
+                 for _ in range(2) for bound, shape in (
+                     (1 / np.sqrt(4), (12, 4)), (1 / np.sqrt(12), (3, 12)))]
+        heads = init_heads(4, 3, seed=5)
+        for i in range(2):
+            assert heads.w1[i].tobytes() == draws[2 * i].tobytes()
+            assert heads.w2[i].tobytes() == draws[2 * i + 1].tobytes()
 
     def test_shapes_and_zero_biases(self):
-        audio, text = init_heads(4, 5, seed=0)
-        for head in (audio, text):
-            assert head.w1.shape == (12, 4)
-            assert head.w2.shape == (5, 12)
-            assert not head.b1.any() and not head.b2.any()
+        heads = init_heads(4, 5, seed=0)
+        assert heads.w1.shape == (2, 12, 4)
+        assert heads.w2.shape == (2, 5, 12)
+        assert heads.b1.shape == (2, 12) and heads.b2.shape == (2, 5)
+        assert not heads.b1.any() and not heads.b2.any()
+
+    def test_pair_past_the_allocation_limit_is_a_config_error(self):
+        # w2 alone is 2 * 700,000 * 48 * 8 bytes, just past the limit
+        assert 2 * 700_000 * 48 * 8 > _ALLOC_BYTES
+        with pytest.raises(ConfigError, match="n_clusters 700000 needs"):
+            init_heads(16, 700_000)
 
 
 class TestModelParams:
@@ -169,10 +197,7 @@ class TestModelParams:
         names = list(p.named_tensors())
         assert names[:4] == ["audio_encoder.weight", "audio_encoder.bias",
                              "text_encoder.weight", "text_encoder.bias"]
-        assert names[4:] == ["audio_head.w1", "audio_head.b1",
-                             "audio_head.w2", "audio_head.b2",
-                             "text_head.w1", "text_head.b1",
-                             "text_head.w2", "text_head.b2"]
+        assert names[4:] == ["heads.w1", "heads.b1", "heads.w2", "heads.b2"]
 
     def test_with_tensors_round_trip(self):
         p = headed_params(5, 4, 3, 2, seed=0)
@@ -191,16 +216,14 @@ class TestModelParams:
 
     def test_with_heads_attaches_both(self):
         p = init_params(5, 4, 3, seed=0)
-        audio, text = init_heads(3, 4, seed=1)
-        q = p.with_heads(audio, text)
+        q = p.with_heads(init_heads(3, 4, seed=1))
         assert q.has_heads and q.n_clusters == 4
         assert not p.has_heads  # original untouched
 
-    def test_single_head_rejected(self):
+    def test_head_width_must_match_the_encoders(self):
         p = init_params(5, 4, 3, seed=0)
-        audio, _ = init_heads(3, 4)
-        with pytest.raises(ContractError, match="both"):
-            p.with_heads(audio, None)
+        with pytest.raises(ContractError, match="head width"):
+            p.with_heads(init_heads(4, 2))
 
     def test_embedding_width_mismatch_rejected(self):
         a = LinearEncoder(np.ones((3, 5)), np.zeros(3), "audio")

@@ -9,7 +9,9 @@ of the weight search is scored by the block scorer `_grid_scores` (its one
 call of the ranking driver `_mean_metrics`, which `evaluate` shares), and
 ensemble.py calls `evaluate` only for the final replay of
 `hierarchical_grid_search`, and datasets.py reads tensor files only in
-`_gather_rows`, the one gather of a split load.  No module in `src/xmrt`
+`_gather_rows`, the one gather of a split load.  The per-modality head
+file names appear only in checkpoints.py, and head tensors are stacked
+only by `init_heads` and `load_checkpoint`.  No module in `src/xmrt`
 reads the environment, so the config and the flags are the only run
 inputs.  Every function, class and public method in `src/xmrt` is used
 by `src/`, `demos/` or `perfbench/`, not by tests alone, and so is every
@@ -289,6 +291,57 @@ def test_a_split_load_reads_tensors_only_in_the_gather():
     source = (ROOT / "src/xmrt/datasets.py").read_text(encoding="utf-8")
     assert _functions_around(source, _calls("load_tensor")) \
         == ["_gather_rows"]
+
+
+def _head_file_names(source):
+    """Each string, or f-string piece, that names a per-modality head
+    file ("audio_head.", "text_head.", or "_head." after a modality)."""
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "_head." in node.value]
+
+
+def _stacks(node):
+    """An np.stack call, or an np.array call on a list or tuple display
+    or a comprehension: one new array built from several."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"):
+        return False
+    first = node.args[0] if node.args else None
+    return node.func.attr == "stack" or node.func.attr == "array" and (
+        isinstance(first, (ast.List, ast.Tuple, ast.ListComp,
+                           ast.GeneratorExp)))
+
+
+def test_head_detectors():
+    source = ('def f(m, p):\n    return f"{m}_head.{p}", "audio_head.w1"\n'
+              'def g(t):\n    return np.stack(t), np.array([t]), '
+              'np.array(t), np.array(x for x in t), np.hstack([t])\n')
+    assert sorted(_head_file_names(source)) == ["_head.", "audio_head.w1"]
+    assert _functions_around(source, _stacks) == ["g", "g", "g"]
+
+
+# Where src/xmrt builds one array from several; the two that are not head
+# tensors are named with what they stack.
+STACKS_ALLOWED = {
+    ("checkpoints.py", "load_checkpoint"),   # the per-modality head files
+    ("encoders.py", "init_heads"),
+    ("clustering.py", "density_cluster"),    # cluster centroids
+    ("cli.py", "_run_training_stage"),       # pseudo-labels by caption id
+}
+
+
+def test_only_checkpoints_knows_the_head_files_and_few_stack_heads():
+    stacks = set()
+    for path in sorted((ROOT / "src/xmrt").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if path.name != "checkpoints.py":
+            assert _head_file_names(source) == [], path.name
+        stacks |= {(path.name, f)
+                   for f in _functions_around(source, _stacks)}
+    assert ("checkpoints.py", "load_checkpoint") in stacks
+    assert stacks <= STACKS_ALLOWED
 
 
 # Kept although only tests and the tracer call them, each for its reason.

@@ -1011,6 +1011,34 @@ def test_checkpoint_round_trip_with_heads(tmp_path):
     _assert_same_tensors(params, back)
 
 
+def test_checkpoint_stores_the_head_pair_per_modality(tmp_path):
+    # one file per modality and layer, as before heads were stacked
+    params = headed_params(6, 5, 4, 3, seed=2)
+    directory = os.path.join(str(tmp_path), "ckpt")
+    save_checkpoint(directory, params)
+    assert read_json(os.path.join(directory, META_FILE))["tensors"] == [
+        "audio_encoder.bias", "audio_encoder.weight",
+        "audio_head.b1", "audio_head.b2", "audio_head.w1", "audio_head.w2",
+        "text_encoder.bias", "text_encoder.weight",
+        "text_head.b1", "text_head.b2", "text_head.w1", "text_head.w2"]
+    for i, modality in enumerate(("audio", "text")):
+        for layer in ("w1", "b1", "w2", "b2"):
+            stored = load_tensor(os.path.join(
+                directory, f"{modality}_head.{layer}.xmrt"))
+            pair = getattr(params.heads, layer)
+            assert stored.tobytes() == pair[i].tobytes()
+            assert stored.shape == pair.shape[1:]
+
+
+def test_checkpoint_rejects_heads_whose_modalities_disagree(tmp_path):
+    directory = os.path.join(str(tmp_path), "ckpt")
+    save_checkpoint(directory, headed_params(6, 5, 4, 3, seed=2))
+    save_tensor(os.path.join(directory, "text_head.w2.xmrt"),
+                np.zeros((2, 12)))
+    with pytest.raises(DataError, match="same shape"):
+        load_checkpoint(directory)
+
+
 @pytest.mark.parametrize("n_clusters", [None, 3])
 def test_checkpoint_loads_the_older_meta_layout(tmp_path, n_clusters):
     # Older checkpoints also stored has_heads, n_clusters, rng_seed and a
@@ -1019,7 +1047,9 @@ def test_checkpoint_loads_the_older_meta_layout(tmp_path, n_clusters):
               else headed_params(6, 5, 4, n_clusters, seed=2))
     directory = os.path.join(str(tmp_path), "ckpt")
     save_checkpoint(directory, params)
-    older = {"format": 1, "tensors": sorted(params.named_tensors()),
+    older = {"format": 1,
+             "tensors": read_json(os.path.join(directory, META_FILE))[
+                 "tensors"],
              "has_heads": params.has_heads, "n_clusters": n_clusters,
              "rng_seed": 2, "extra": {"stage": "pretrain", "steps": 9}}
     with open(os.path.join(directory, META_FILE), "w",
@@ -1154,7 +1184,7 @@ def test_checkpoint_rejects_partial_head_set(tmp_path):
     params = headed_params(6, 5, 4, 3, seed=0)
     save_checkpoint(headed, params)
     _rewrite_meta(headed, tensors=[
-        name for name in params.named_tensors()
+        name for name in read_json(os.path.join(headed, META_FILE))["tensors"]
         if name not in ("audio_head.w1", "text_head.b2")])
     with pytest.raises(DataError,
                        match=r"\['audio_head\.w1', 'text_head\.b2'\]"):

@@ -8,21 +8,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xmrt import (Axis, ClassificationHead, ConfigError, ContractError,
-                  DataError, LossConfig, PairedDataset,
-                  cosine_similarity_matrix, init_params, loss_and_gradients,
-                  softmax_with_temperature, student_similarity,
-                  targets_from_teacher_sims, teacher_soft_targets)
+from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
+                  PairedDataset, cosine_similarity_matrix, init_params,
+                  loss_and_gradients, softmax_with_temperature,
+                  student_similarity, targets_from_teacher_sims,
+                  teacher_soft_targets)
 from xmrt import core
-from xmrt.encoders import _head_forward, _stack_heads, encode
+from xmrt.encoders import _head_forward, encode
 from xmrt.losses import TeacherTargets, _Workspace, ensemble_average
 
-from conftest import (distillation_ce, full_matrix_ce, headed_params,
-                      identity_batch, label_ce, random_batch, supervised_ce)
+from conftest import (distillation_ce, full_matrix_ce, head_pair,
+                      headed_params, identity_batch, label_ce, random_batch,
+                      supervised_ce)
 
 
 def _terms(audio_rows, text_rows, cfg, targets=None, labels=None,
-           heads=(None, None)):
+           heads=None):
     """The LossBreakdown for rows embedded by identity encoders."""
     return loss_and_gradients(*identity_batch(audio_rows, text_rows, heads),
                               cfg, targets, labels)[0]
@@ -300,13 +301,13 @@ class TestDistillationLoss:
 
 
 def _first_unit_head(scale, k):
-    """A head on 2-wide embeddings e whose logits are
-    (scale * relu(e[0]), 0, ..., 0) over k clusters."""
+    """A head pair on 2-wide embeddings e whose logits are
+    (scale * relu(e[0]), 0, ..., 0) over k clusters for both heads."""
     w1 = np.zeros((6, 2))
     w1[0, 0] = 1.0
     w2 = np.zeros((k, 6))
     w2[0, 0] = scale
-    return ClassificationHead(w1, np.zeros(6), w2, np.zeros(k))
+    return head_pair(w1, np.zeros(6), w2, np.zeros(k))
 
 
 class TestClassificationLoss:
@@ -314,7 +315,7 @@ class TestClassificationLoss:
         head = _first_unit_head(0.0, 3)
         rows = np.random.default_rng(0).standard_normal((5, 2))
         terms = _terms(rows, rows, LossConfig(),
-                       labels=np.array([0, 1, 2, 0, 1]), heads=(head, head))
+                       labels=np.array([0, 1, 2, 0, 1]), heads=head)
         assert abs(terms.l_cls_audio - math.log(3.0)) < 1e-12
         assert abs(terms.l_cls_text - math.log(3.0)) < 1e-12
 
@@ -324,14 +325,14 @@ class TestClassificationLoss:
         head = _first_unit_head(100.0, 2)
         rows = np.array([[0.0, 1.0], [1.0, 0.0]])
         terms = _terms(rows, rows, LossConfig(), labels=np.array([0, 0]),
-                       heads=(head, head))
+                       heads=head)
         assert abs(terms.l_cls_audio - math.log(2.0) / 2.0) < 1e-15
 
     def test_perfect_prediction_is_free(self):
         head = _first_unit_head(200.0, 3)
         rows = np.array([[1.0, 0.0], [1.0, 0.0]])
         terms = _terms(rows, rows, LossConfig(), labels=np.array([0, 0]),
-                       heads=(head, head))
+                       heads=head)
         assert terms.l_cls_audio == 0.0 and terms.l_cls_text == 0.0
 
 
@@ -501,9 +502,7 @@ class TestGradients:
                             rel_tol=1e-12)
         raw_a = encode(params.audio_encoder, batch.audio_features)
         raw_c = encode(params.text_encoder, batch.text_features)
-        logits = _head_forward(
-            _stack_heads((params.audio_head, params.text_head)),
-            np.stack((raw_a, raw_c)))[2]
+        logits = _head_forward(params.heads, np.stack((raw_a, raw_c)))[2]
         assert breakdown.l_cls_audio == label_ce(logits[0], labels)
         assert breakdown.l_cls_text == label_ce(logits[1], labels)
         expected_total = (breakdown.l_sup + cfg.lambda1 * breakdown.l_dist
@@ -525,8 +524,8 @@ class TestGradients:
         batch = random_batch(4, 6, 5, seed=0)
         _, grads = loss_and_gradients(params, batch,
                                       LossConfig(lambda1=0.0, lambda2=0.0))
-        assert not grads["audio_head.w1"].any()
-        assert not grads["text_head.b2"].any()
+        assert not grads["heads.w1"].any()
+        assert not grads["heads.b2"].any()
 
 
 class TestWorkspace:
@@ -648,7 +647,7 @@ class TestPathGating:
             assert on.l_cls_audio > 0.0 and on.l_cls_text > 0.0
             assert on.total == on.l_sup + lambda2 * (on.l_cls_audio
                                                      + on.l_cls_text)
-            assert on_grads["audio_head.w2"].any() == (lambda2 > 0)
+            assert on_grads["heads.w2"].any() == (lambda2 > 0)
         zero, zero_grads = loss_and_gradients(
             params, batch, LossConfig(lambda2=0.0), labels=labels)
         assert zero.total == plain.total

@@ -12,7 +12,7 @@ from xmrt import (ConfigError, ContractError, DataError, LossConfig,
                   expand_with_mixes, init_params, loss_and_gradients,
                   make_batches, run_stage, student_similarity,
                   targets_from_teacher_sims)
-from xmrt import training
+from xmrt import losses, training
 from xmrt.training import STAGES, _learning_rates
 
 from conftest import adamw_reference, headed_params, lr_reference
@@ -634,7 +634,26 @@ class TestRunStage:
                              pseudo_labels=labels, epochs=2, batch_size=8,
                              peak_lr=1e-3)
         assert any(r.l_cls_audio > 0 for r in log)
-        assert not np.array_equal(out.audio_head.w2, params.audio_head.w2)
+        assert not np.array_equal(out.heads.w2[0], params.heads.w2[0])
+
+    def test_heads_reach_the_stacked_pass_in_place(self, monkeypatch):
+        # Each step's head forward reads the stage's own parameter views,
+        # not a per-step copy of the heads.
+        seen = []
+        forward = losses._head_forward
+
+        def spy(heads, emb):
+            seen.append(heads.w1)
+            return forward(heads, emb)
+
+        monkeypatch.setattr(losses, "_head_forward", spy)
+        labels = np.random.default_rng(0).integers(0, 3, size=16)
+        out, _ = run_stage("refinetune", headed_params(8, 6, 4, 3, seed=0),
+                           _toy_dataset(16), pseudo_labels=labels, epochs=1,
+                           batch_size=8)
+        assert len(seen) == 2
+        assert np.shares_memory(seen[0], seen[1])
+        assert np.shares_memory(seen[1], out.heads.w1)
 
     @staticmethod
     def _param_bytes(params):
@@ -747,7 +766,7 @@ class TestRunStageMatchesDictAdamW:
         # The heads get zero gradients and only weight decay moves them.
         params = headed_params(8, 6, 4, 3, seed=0)
         trained = self._assert_same_bits("pretrain", params)
-        assert not np.array_equal(trained.text_head.w2, params.text_head.w2)
+        assert not np.array_equal(trained.heads.w2[1], params.heads.w2[1])
 
     def test_finetune_with_two_teachers_and_mixes(self):
         self._assert_same_bits(
