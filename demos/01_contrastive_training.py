@@ -35,8 +35,7 @@ def test_metrics(params):
         encode(params.audio_encoder, test.gallery_features),
         encode(params.text_encoder, test.dataset.text_features))
     entries = read_relevance(os.path.join(work, relevance_file("test")))
-    relevance = align_relevance(entries, test.dataset.caption_ids,
-                                test.gallery_ids)
+    relevance = align_relevance(entries, test.caption_ids, test.gallery_ids)
     return evaluate(sim, relevance, "multiple")
 
 
@@ -51,7 +50,7 @@ params, log = run_stage("pretrain", params, train.dataset, epochs=20,
                         batch_size=16, peak_lr=0.05, floor_lr=1e-4,
                         weight_decay=0.01, seed=5)
 print(f"\ntrained {len(log)} steps; objective "
-      f"{log[0].total:.3f} -> {log[-1].total:.3f}")
+      f"{log[0].loss.total:.3f} -> {log[-1].loss.total:.3f}")
 print(f"lr warmup peaked at {max(r.lr for r in log):.4f}, "
       f"final lr {log[-1].lr:.2e}")
 

@@ -28,8 +28,7 @@ manifest = os.path.join(work, MANIFEST_FILE)
 train = load_paired_dataset(manifest, "train")
 test = load_paired_dataset(manifest, "test")
 entries = read_relevance(os.path.join(work, relevance_file("test")))
-relevance = align_relevance(entries, test.dataset.caption_ids,
-                            test.gallery_ids)
+relevance = align_relevance(entries, test.caption_ids, test.gallery_ids)
 
 
 def test_similarity(params):
@@ -69,9 +68,9 @@ student, log = run_stage("finetune", student, train.dataset,
                          peak_lr=0.05, floor_lr=1e-4, seed=9)
 # the distillation term is a cross entropy against soft targets, so it
 # bottoms out at the targets' own entropy rather than at zero
-print(f"supervised term {log[0].l_sup:.3f} -> {log[-1].l_sup:.3f} "
-      f"over {len(log)} steps; distillation term ends at "
-      f"{log[-1].l_dist:.3f}, near the teachers' entropy floor")
+print(f"supervised term {log[0].loss.l_sup:.3f} -> "
+      f"{log[-1].loss.l_sup:.3f} over {len(log)} steps; distillation term "
+      f"ends at {log[-1].loss.l_dist:.3f}, near the teachers' entropy floor")
 
 # 5. the student should sit at or above its own warmup point and close
 #    to the averaged ensemble it was distilled from

@@ -72,9 +72,9 @@ params = params.with_heads(init_heads(params.d_emb, assignment.k, seed=1))
 params, log = run_stage("refinetune", params, dataset,
                         pseudo_labels=assignment.labels, epochs=8,
                         batch_size=12, peak_lr=0.01, floor_lr=1e-4, seed=1)
-first = log[0].l_cls_audio + log[0].l_cls_text
-last = log[-1].l_cls_audio + log[-1].l_cls_text
+first = log[0].loss.l_cls_audio + log[0].loss.l_cls_text
+last = log[-1].loss.l_cls_audio + log[-1].loss.l_cls_text
 print(f"classification terms {first:.4f} -> {last:.4f} "
       f"over {len(log)} steps")
-print(f"contrastive term alongside: {log[0].l_sup:.4f} -> "
-      f"{log[-1].l_sup:.4f} (chance would be {2 * np.log(12):.2f})")
+print(f"contrastive term alongside: {log[0].loss.l_sup:.4f} -> "
+      f"{log[-1].loss.l_sup:.4f} (chance would be {2 * np.log(12):.2f})")

@@ -31,8 +31,7 @@ manifest = os.path.join(work, MANIFEST_FILE)
 train = load_paired_dataset(manifest, "train")
 val = load_paired_dataset(manifest, "val")
 entries = read_relevance(os.path.join(work, relevance_file("val")))
-relevance = align_relevance(entries, val.dataset.caption_ids,
-                            val.gallery_ids)
+relevance = align_relevance(entries, val.caption_ids, val.gallery_ids)
 
 # 2. three members: same recipe, different seeds and widths
 members = []

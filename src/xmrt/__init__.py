@@ -23,10 +23,9 @@ from .errors import (ConfigError, ContractError, DataError, TensorFileError,
                      XmrtError)
 from .evaluation import MetricsReport, RelevanceMap, evaluate, rank_gallery
 from .fixtures import generate_fixtures
-from .losses import (LossBreakdown, LossConfig, TeacherTargets,
-                     ensemble_average, loss_and_gradients,
-                     student_similarity, targets_from_teacher_sims,
-                     teacher_soft_targets)
+from .losses import (LossBreakdown, LossConfig, ensemble_average,
+                     loss_and_gradients, student_similarity,
+                     targets_from_teacher_sims, teacher_soft_targets)
 from .tensorfile import load_tensor, save_tensor
 from .training import (PairedDataset, StepRecord, adamw_step,
                        expand_with_mixes, make_batches, run_stage)
@@ -37,7 +36,7 @@ __all__ = [
     "Axis", "cosine_similarity_matrix", "softmax_with_temperature",
     "LinearEncoder", "ClassificationHead", "ModelParams",
     "init_params", "init_heads", "encode",
-    "LossConfig", "LossBreakdown", "TeacherTargets", "ensemble_average",
+    "LossConfig", "LossBreakdown", "ensemble_average",
     "teacher_soft_targets", "targets_from_teacher_sims",
     "loss_and_gradients", "student_similarity",
     "adamw_step", "StepRecord",

@@ -44,7 +44,7 @@ from .ensemble import (bundled_weight_table, fuse, grid_search,
                        hierarchical_grid_search, read_weight_table)
 from .errors import ConfigError, DataError, XmrtError
 from .evaluation import METRIC_KEYS, MODES, evaluate
-from .losses import LossBreakdown, LossConfig
+from .losses import LossConfig
 from .tensorfile import atomic_open, discard_file, load_tensor, save_tensor
 from .training import STAGES, expand_with_mixes, run_stage
 
@@ -88,9 +88,9 @@ def _checkpoint_dir(out_dir, stage):
 def _stage_summary(records):
     if not records:
         return {"steps": 0}
-    return {"steps": len(records), "first_total": records[0].total,
-            **{f"final_{field.name}": getattr(records[-1], field.name)
-               for field in dataclasses.fields(LossBreakdown)}}
+    return {"steps": len(records), "first_total": records[0].loss.total,
+            **{f"final_{name}": value
+               for name, value in vars(records[-1].loss).items()}}
 
 
 def _input_path(cfg, keys, default, what, hint):
@@ -128,7 +128,8 @@ def cmd_gen_fixtures(cfg, out_dir, seed):
 
 
 def _run_training_stage(cfg, out_dir, seed, stage_name):
-    dataset = _load_split(cfg, "train").dataset
+    split = _load_split(cfg, "train")
+    dataset = split.dataset
 
     teachers = None
     pseudo = None
@@ -156,7 +157,7 @@ def _run_training_stage(cfg, out_dir, seed, stage_name):
             "run cluster first"))
         by_id = dict(zip(ids, labels))
         try:
-            pseudo = np.array([by_id[c] for c in dataset.caption_ids],
+            pseudo = np.array([by_id[c] for c in split.caption_ids],
                               dtype=np.int64)
         except KeyError as exc:
             raise DataError(
@@ -206,7 +207,7 @@ def cmd_cluster(cfg, out_dir):
     write_labels(os.path.join(out_dir, "audio_labels.tsv"),
                  split.gallery_ids,
                  *build_pseudo_labels(assignment, split.caption_to_audio))
-    write_labels(labels_path, split.dataset.caption_ids, assignment.labels,
+    write_labels(labels_path, split.caption_ids, assignment.labels,
                  assignment.probabilities)
     print(f"cluster: {assignment.k} clusters over "
           f"{len(assignment.labels)} captions "
@@ -234,7 +235,7 @@ def cmd_evaluate(cfg, out_dir):
         os.path.join(manifest_dir, fixtures.relevance_file(split_name)),
         "relevance file", "put one next to the manifest")
     relevance = align_relevance(read_relevance(relevance_path),
-                                split.dataset.caption_ids, split.gallery_ids)
+                                split.caption_ids, split.gallery_ids)
     report = evaluate(sim, relevance, mode)
     payload = {"split": split_name, "mode": mode,
                "checkpoint": os.path.basename(ckpt_dir.rstrip(os.sep)),

@@ -5,7 +5,10 @@ item, tensor references, and split.  Tensor references have the form
 "file.xmrt:row", resolved relative to the manifest's directory.  A
 relevance file lists, per query, the ordered relevant gallery ids (first
 entry is the query's paired item).  A label file carries one cluster
-label per item with its topic probabilities.
+label per item with its topic probabilities.  A loaded split keeps its
+caption ids beside its feature rows (LoadedSplit.caption_ids), for the
+readers that match those rows to relevance and label files; the rows
+themselves, a PairedDataset, go to training without them.
 """
 
 from __future__ import annotations
@@ -207,12 +210,13 @@ class LoadedSplit:
     """One split materialized: training rows plus the retrieval gallery.
 
     `dataset` has one row per caption (audio features repeat when an
-    audio carries several captions).  The gallery holds each audio item
-    once, in first-appearance order; caption_to_audio indexes captions
-    into it.
+    audio carries several captions), and caption_ids names those rows in
+    order.  The gallery holds each audio item once, in first-appearance
+    order; caption_to_audio indexes captions into it.
     """
 
     dataset: PairedDataset
+    caption_ids: tuple
     gallery_features: np.ndarray
     gallery_ids: tuple
     caption_to_audio: np.ndarray
@@ -241,12 +245,11 @@ def load_paired_dataset(manifest_path, split):
                                    np.int64, len(audio_ids))
     # the first caption of each gallery item, in gallery order
     first = np.unique(caption_to_audio, return_index=True)[1]
-    dataset = PairedDataset(
-        audio_features=audio, text_features=text,
-        caption_ids=tuple(map(caption_ids.__getitem__, rows)))
-    return LoadedSplit(dataset=dataset, gallery_features=audio[first],
-                       gallery_ids=gallery_ids,
-                       caption_to_audio=caption_to_audio)
+    return LoadedSplit(
+        dataset=PairedDataset(audio_features=audio, text_features=text),
+        caption_ids=tuple(map(caption_ids.__getitem__, rows)),
+        gallery_features=audio[first], gallery_ids=gallery_ids,
+        caption_to_audio=caption_to_audio)
 
 
 def write_relevance(path, entries):

@@ -13,6 +13,14 @@ one numpy call with the bits of the two it replaces.  The heads are
 stored stacked (encoders.ClassificationHead), so the pass reads them,
 and writes their gradients, in place.
 
+Teacher targets are a plain pair of arrays (p_hat_audio, p_hat_text),
+each from one core.softmax_with_temperature call, which checks its
+input; loss_and_gradients checks their shapes, and a target that is not
+finite shows in the one scalar of its distillation term.  So the
+teacher path of a finetune step scans each teacher similarity (and, for
+several, their sum) in ensemble_average, then the average once per
+direction.
+
 Convention throughout: similarity matrices have audio items on rows and
 captions on columns, matched pairs on the diagonal.  Cross-entropies are
 mean-reduced over a batch's distributions, so loss magnitudes do not scale
@@ -23,13 +31,13 @@ match finite differences to full precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (Axis, _as_equal_shape_matrices, _check_alloc,
-                   _softmax_forward, _unit_rows, as_matrix,
-                   softmax_with_temperature)
+                   _softmax_forward, _unit_rows, softmax_with_temperature)
 from .encoders import (_HEAD_TENSORS, MODALITIES, _embed, _flat_views,
                        _head_forward)
 from .errors import ConfigError, ContractError, DataError
@@ -65,26 +73,6 @@ class LossBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class TeacherTargets:
-    """Soft correspondence targets from an averaged teacher ensemble."""
-
-    p_hat_audio: np.ndarray    # distributions over audios (columns sum to 1)
-    p_hat_text: np.ndarray     # distributions over captions (rows sum to 1)
-
-    def __post_init__(self):
-        p_a = as_matrix(self.p_hat_audio, "p_hat_audio")
-        p_c = as_matrix(self.p_hat_text, "p_hat_text")
-        if p_a.shape != p_c.shape:
-            raise ContractError("teacher target shapes disagree")
-        object.__setattr__(self, "p_hat_audio", p_a)
-        object.__setattr__(self, "p_hat_text", p_c)
-
-    @property
-    def shape(self):
-        return self.p_hat_audio.shape
-
-
 def ensemble_average(similarities):
     """Elementwise mean of teacher similarity matrices.
 
@@ -114,11 +102,11 @@ def ensemble_average(similarities):
 
 
 def teacher_soft_targets(avg_sim, cfg):
-    """Temperature-softmax the averaged teacher similarities, both directions."""
-    s = as_matrix(avg_sim, "averaged similarity")
-    return TeacherTargets(
-        p_hat_audio=softmax_with_temperature(s, cfg.tau, Axis.COLUMNS),
-        p_hat_text=softmax_with_temperature(s, cfg.tau, Axis.ROWS))
+    """Temperature-softmax the averaged teacher similarities, both
+    directions: the pair (p_hat_audio, p_hat_text) of distributions over
+    audios (columns sum to 1) and over captions (rows sum to 1)."""
+    return (softmax_with_temperature(avg_sim, cfg.tau, Axis.COLUMNS),
+            softmax_with_temperature(avg_sim, cfg.tau, Axis.ROWS))
 
 
 def targets_from_teacher_sims(similarities, cfg):
@@ -184,7 +172,7 @@ class _Workspace:
     is a ConfigError before any allocation; the count includes the
     2m + 2 n x n arrays at which the targets of n_teachers = m > 0
     teachers peak outside it (m similarities, their m sorted copies in
-    ensemble_average, and the two targets).
+    ensemble_average, and the target pair).
     """
 
     def __init__(self, params, n, n_teachers):
@@ -208,7 +196,12 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
     `batch` holds matched rows in `audio_features` and `text_features`
     (a training.PairedDataset); only those and len(batch) are read.  The
     distillation term runs iff teacher `targets` are given, and the
-    classification term iff cluster `labels` are given: a 1-D int array
+    classification term iff cluster `labels` are given.  `targets` is
+    the pair (p_hat_audio, p_hat_text) of teacher_soft_targets, each the
+    shape of the batch similarity (else ContractError).  A target entry
+    that is not finite is a DataError, and a negative distillation term,
+    which only a negative entry can cause, a ContractError; both are
+    raised before the gradient is touched.  `labels` is a 1-D int array
     with one label per row, which both heads of params.heads classify
     (so it needs them).  cfg.lambda1 and cfg.lambda2 only weight the
     terms: a term with weight 0 is still computed and reported, but adds
@@ -254,12 +247,11 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
 
     l_dist = 0.0
     if distill:
-        if targets.shape != z.shape:
+        p_hat_a, p_hat_c = map(np.asarray, targets)
+        if p_hat_a.shape != z.shape or p_hat_c.shape != z.shape:
             raise ContractError(
-                f"teacher target shape {targets.shape} does not match "
-                f"batch similarity {z.shape}")
-        p_hat_a = targets.p_hat_audio
-        p_hat_c = targets.p_hat_text
+                f"teacher target shapes {p_hat_a.shape} and {p_hat_c.shape} "
+                f"do not match batch similarity {z.shape}")
         # -sum(p * log q) is sum(p) . log s - sum(p * shifted), with sum(p)
         # along the softmax axis.  einsum's order, unlike BLAS vdot's,
         # does not depend on the BLAS thread count.
@@ -267,7 +259,12 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
                       "ij,ij->", p_hat_a, shifted_c)) / n)
                   + float((p_hat_c.sum(axis=1) @ log_s_r - np.einsum(
                       "ij,ij->", p_hat_c, shifted_r)) / n))
-        # log q <= 0, so only a negative target entry makes a term < 0
+        # A nan or infinite target entry makes l_dist nan or infinite, so
+        # this scalar is the targets' one finiteness check; and log q <= 0,
+        # so only a negative target entry makes a term < 0.
+        if not math.isfinite(l_dist):
+            raise DataError(f"teacher targets give a non-finite l_dist "
+                            f"({l_dist})")
         if l_dist < 0:
             raise ContractError(f"l_dist must be nonnegative, got {l_dist}")
         # lambda1 * ((q_r - p_hat_c) + (q_c - p_hat_a)), in a spent buffer

@@ -4,6 +4,9 @@ A stage's name alone picks its loss terms: pretrain is contrastive only,
 finetune adds distillation from frozen teachers, refinetune adds cluster
 classification.  The LossConfig weights only scale those terms; pair
 mixing is a dataset transform the caller applies before a finetune.
+A step reads only feature rows (a PairedDataset carries no ids), the
+teacher target pair and the batch's labels, and its StepRecord keeps
+the one LossBreakdown that loss_and_gradients returned.
 
 The optimizer is AdamW with decoupled weight decay, updating in place
 one float64 vector of every parameter that a stage's model views, so one
@@ -28,8 +31,9 @@ import numpy as np
 from .core import _check_alloc, _rng, as_matrix
 from .encoders import _check_finite, _flat_views
 from .errors import ConfigError, ContractError, DataError
-from .losses import (LossConfig, _Workspace, loss_and_gradients,
-                     student_similarity, targets_from_teacher_sims)
+from .losses import (LossBreakdown, LossConfig, _Workspace,
+                     loss_and_gradients, student_similarity,
+                     targets_from_teacher_sims)
 
 STAGES = ("pretrain", "finetune", "refinetune")
 _MIX_STREAM = 104729      # distinguishes the mixing rng from batch shuffles
@@ -109,17 +113,17 @@ def _learning_rates(peak_lr, floor_lr, total_steps, warmup_steps):
 
 @dataclass(frozen=True)
 class PairedDataset:
-    """Matched audio/caption feature rows, one pair per row, with optional
-    caption ids.
+    """Matched audio/caption feature rows, one pair per row.
 
-    The one matched-row type: a loaded split, a mixed training set and
-    the batch run_stage refills for loss_and_gradients.  Features
-    must be finite 2-D arrays with equal row counts.
+    The one matched-row type: a loaded split's rows, a mixed training
+    set and the batch run_stage refills for loss_and_gradients.  It holds
+    only what a step reads; a loaded split keeps its caption ids beside
+    it (datasets.LoadedSplit).  Features must be finite 2-D arrays with
+    equal row counts.
     """
 
     audio_features: np.ndarray
     text_features: np.ndarray
-    caption_ids: tuple = ()
 
     def __post_init__(self):
         a = as_matrix(self.audio_features, "audio features")
@@ -129,10 +133,6 @@ class PairedDataset:
                 f"{a.shape[0]} audio rows vs {t.shape[0]} caption rows")
         object.__setattr__(self, "audio_features", a)
         object.__setattr__(self, "text_features", t)
-        object.__setattr__(self, "caption_ids", tuple(self.caption_ids))
-        if self.caption_ids and len(self.caption_ids) != a.shape[0]:
-            raise ContractError(
-                f"{len(self.caption_ids)} caption ids for {a.shape[0]} rows")
 
     def __len__(self):
         return self.audio_features.shape[0]
@@ -163,13 +163,9 @@ def expand_with_mixes(dataset, *, mix_count=0, rng_seed=0):
                             + dataset.audio_features[i2])
         extra_t[j] = 0.5 * (dataset.text_features[i1]
                             + dataset.text_features[i2])
-    caption_ids = dataset.caption_ids
-    if caption_ids:
-        caption_ids += tuple(f"mix{j:04d}" for j in range(mix_count))
     return PairedDataset(
         audio_features=np.vstack([dataset.audio_features, extra_a]),
-        text_features=np.vstack([dataset.text_features, extra_t]),
-        caption_ids=caption_ids)
+        text_features=np.vstack([dataset.text_features, extra_t]))
 
 
 def make_batches(n_items, batch_size, seed, epoch):
@@ -197,16 +193,12 @@ def make_batches(n_items, batch_size, seed, epoch):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One optimizer step's diagnostics."""
+    """One optimizer step's diagnostics: its loss terms are `loss`."""
 
     step: int
     epoch: int
     lr: float
-    l_sup: float
-    l_dist: float
-    l_cls_audio: float
-    l_cls_text: float
-    total: float
+    loss: LossBreakdown
 
 
 def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
@@ -328,6 +320,6 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
                     f"stage {stage} diverged at step {step} (epoch "
                     f"{epoch}, lr {lr:.6g}{terms}): {exc}") from exc
             records.append(StepRecord(step=step, epoch=epoch, lr=lr,
-                                      **vars(breakdown)))
+                                      loss=breakdown))
             step += 1
     return params, records

@@ -107,7 +107,7 @@ def distillation_ce(targets, sim, tau):
     axis, averaged over the n distributions."""
     total = 0.0
     for p, (np_axis, shifted, log_s) in zip(
-            (targets.p_hat_audio, targets.p_hat_text), _directions(sim, tau)):
+            targets, _directions(sim, tau)):
         total += float((p.sum(axis=np_axis) @ log_s
                         - np.einsum("ij,ij->", p, shifted)) / len(sim))
     return total

@@ -68,7 +68,7 @@ def _retrieval_report(params, corpus, split, mode="multiple"):
         encode(params.audio_encoder, loaded.gallery_features),
         encode(params.text_encoder, loaded.dataset.text_features))
     entries = read_relevance(os.path.join(corpus, relevance_file(split)))
-    relevance = align_relevance(entries, loaded.dataset.caption_ids,
+    relevance = align_relevance(entries, loaded.caption_ids,
                                 loaded.gallery_ids)
     return evaluate(sim, relevance, mode)
 
@@ -156,8 +156,7 @@ def test_02_loss_closed_forms():
     for tau in (0.05, 0.5):
         tau_cfg = LossConfig(tau=tau)
         targets = teacher_soft_targets(sim, tau_cfg)
-        pa = targets.p_hat_audio
-        pc = targets.p_hat_text
+        pa, pc = targets
         with np.errstate(divide="ignore", invalid="ignore"):
             ha = np.where(pa > 0, -pa * np.log(pa), 0.0).sum(axis=0).mean()
             hc = np.where(pc > 0, -pc * np.log(pc), 0.0).sum(axis=1).mean()
@@ -210,7 +209,7 @@ def test_04_distillation_pipeline_integrity(corpus_64):
                            epochs=2, batch_size=8, peak_lr=0.01, seed=7)
     steps = (len(train) // 8) * 2
     assert len(log) == steps
-    assert all(r.l_dist > 0.0 for r in log)
+    assert all(r.loss.l_dist > 0.0 for r in log)
     assert any(
         not np.array_equal(a, b)
         for a, b in zip(student.named_tensors().values(),

@@ -782,7 +782,7 @@ def test_refinetune_rejects_a_label_outside_the_cluster_count(
     assert main(["pretrain", "--config", cfg]) == 0
     ids = load_paired_dataset(os.path.join(str(tmp_path), "corpus",
                                            "manifest.tsv"),
-                              "train").dataset.caption_ids
+                              "train").caption_ids
     labels = np.arange(len(ids)) % 2
     labels[-1] = 2                  # k is 2: the probability rows' width
     write_labels(os.path.join(str(tmp_path), "labels.tsv"), ids, labels,
@@ -803,7 +803,7 @@ def _refinetune_from_pretrain(tmp_path, k, drop_last=False):
     assert main(["pretrain", "--config", cfg]) == 0
     ids = load_paired_dataset(os.path.join(str(tmp_path), "corpus",
                                            "manifest.tsv"),
-                              "train").dataset.caption_ids
+                              "train").caption_ids
     ids = ids[:-1] if drop_last else ids
     write_labels(os.path.join(str(tmp_path), "labels.tsv"), ids,
                  np.arange(len(ids)) % k, np.full((len(ids), k), 1.0 / k))
@@ -815,7 +815,7 @@ def test_refinetune_rejects_a_label_file_missing_a_caption(tmp_path,
     cfg = _refinetune_from_pretrain(tmp_path, 2, drop_last=True)
     last = load_paired_dataset(os.path.join(str(tmp_path), "corpus",
                                             "manifest.tsv"),
-                               "train").dataset.caption_ids[-1]
+                               "train").caption_ids[-1]
     capsys.readouterr()
     assert main(["refinetune", "--config", cfg]) == 1
     assert capsys.readouterr().err == (

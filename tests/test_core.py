@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
-                  TeacherTargets, cosine_similarity_matrix, generate_fixtures,
-                  init_heads, init_params, loss_and_gradients, make_batches,
+                  cosine_similarity_matrix, generate_fixtures, init_heads,
+                  init_params, loss_and_gradients, make_batches,
                   softmax_with_temperature)
 from xmrt.core import _as_equal_shape_matrices, _softmax_forward, as_matrix
 
@@ -195,10 +195,12 @@ class TestCrossEntropy:
         u = np.full((2, 2), 0.5)
         terms = loss_and_gradients(
             *identity_batch([[1.0, 0.0]] * 2, [[0.0, 1.0]] * 2),
-            LossConfig(tau=1.0), TeacherTargets(u, u))[0]
+            LossConfig(tau=1.0), (u, u))[0]
         np.testing.assert_allclose(terms.l_dist, 2.0 * math.log(2.0),
                                    atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError, match="shape"):
-            TeacherTargets(np.full((1, 2), 0.5), np.full((1, 3), 1 / 3))
+            loss_and_gradients(
+                *identity_batch(np.eye(2), np.eye(2)), LossConfig(),
+                (np.full((2, 2), 0.5), np.full((2, 3), 1 / 3)))

@@ -454,7 +454,7 @@ def test_load_paired_dataset_basic(tmp_path):
                                  "train")
     assert loaded.dataset.audio_features.tolist() == audio.tolist()
     assert loaded.dataset.text_features.tolist() == text.tolist()
-    assert loaded.dataset.caption_ids == ("c0", "c1", "c2")
+    assert loaded.caption_ids == ("c0", "c1", "c2")
     assert loaded.gallery_ids == ("a0", "a1", "a2")
     assert loaded.caption_to_audio.tolist() == [0, 1, 2]
 
@@ -473,7 +473,7 @@ def test_load_paired_dataset_dedups_gallery(tmp_path):
     ]
     loaded = load_paired_dataset(_write_corpus(tmp_path, audio, text, items),
                                  "train")
-    assert len(loaded.dataset.caption_ids) == 3
+    assert len(loaded.caption_ids) == 3
     assert loaded.gallery_ids == ("a0", "a1")
     assert loaded.gallery_features.shape == (2, 4)
     assert loaded.caption_to_audio.tolist() == [0, 1, 0]
@@ -624,7 +624,7 @@ def test_load_paired_dataset_matches_the_row_by_row_loader(tmp_path, split):
            "text_features": loaded.dataset.text_features,
            "gallery_features": loaded.gallery_features,
            "gallery_ids": loaded.gallery_ids,
-           "caption_ids": loaded.dataset.caption_ids,
+           "caption_ids": loaded.caption_ids,
            "caption_to_audio": loaded.caption_to_audio}
     for key, expected in _reference_load(path, split).items():
         if isinstance(expected, tuple):
@@ -920,12 +920,12 @@ def test_generate_fixtures_is_loadable(tmp_path):
     for split, expect in (("train", n_train), ("val", n_val),
                           ("test", n_test)):
         loaded = load_paired_dataset(manifest_path, split)
-        assert len(loaded.dataset.caption_ids) == expect
+        assert len(loaded.caption_ids) == expect
         assert loaded.gallery_features.shape == (expect, 10)
         # one caption per audio: gallery order matches caption order
         assert loaded.caption_to_audio.tolist() == list(range(expect))
         entries = read_relevance(os.path.join(out, relevance_file(split)))
-        rel = align_relevance(entries, loaded.dataset.caption_ids,
+        rel = align_relevance(entries, loaded.caption_ids,
                               loaded.gallery_ids)
         assert relevance_entries(rel) == tuple((i,) for i in range(expect))
 

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
                   teacher_soft_targets)
 from xmrt import core
 from xmrt.encoders import _head_forward, encode
-from xmrt.losses import TeacherTargets, _Workspace, ensemble_average
+from xmrt.losses import _Workspace, ensemble_average
 
 from conftest import (distillation_ce, full_matrix_ce, head_pair,
                       headed_params, identity_batch, label_ce, random_batch,
@@ -225,36 +226,67 @@ class TestEnsembleAverageSortedSum:
 
 
 class TestTeacherTargets:
+    """Teacher targets are the plain pair (p_hat_audio, p_hat_text)."""
+
     def test_identity_softens_to_near_one_hot(self):
-        targets = teacher_soft_targets(np.eye(2), LossConfig(tau=0.05))
-        np.testing.assert_allclose(targets.p_hat_audio, np.eye(2),
-                                   atol=1e-8)
-        np.testing.assert_allclose(targets.p_hat_text, np.eye(2),
-                                   atol=1e-8)
+        p_audio, p_text = teacher_soft_targets(np.eye(2),
+                                               LossConfig(tau=0.05))
+        np.testing.assert_allclose(p_audio, np.eye(2), atol=1e-8)
+        np.testing.assert_allclose(p_text, np.eye(2), atol=1e-8)
 
     def test_row_direction_hand_case(self):
         avg = np.array([[1.0, 0.0], [0.0, 1.0]])
-        targets = teacher_soft_targets(avg, LossConfig(tau=1.0))
-        np.testing.assert_allclose(targets.p_hat_text[0],
-                                   [0.7311, 0.2689], atol=1e-4)
+        _, p_text = teacher_soft_targets(avg, LossConfig(tau=1.0))
+        np.testing.assert_allclose(p_text[0], [0.7311, 0.2689], atol=1e-4)
 
     def test_axes_are_fixed(self):
         # audio targets normalize over columns, caption targets over rows
         avg = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 4))
-        targets = teacher_soft_targets(avg, LossConfig(tau=0.5))
-        np.testing.assert_allclose(targets.p_hat_audio.sum(axis=0), 1.0,
-                                   atol=1e-12)
-        np.testing.assert_allclose(targets.p_hat_text.sum(axis=1), 1.0,
-                                   atol=1e-12)
-        assert not np.allclose(targets.p_hat_audio.sum(axis=1), 1.0)
+        p_audio, p_text = teacher_soft_targets(avg, LossConfig(tau=0.5))
+        np.testing.assert_allclose(p_audio.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(p_text.sum(axis=1), 1.0, atol=1e-12)
+        assert not np.allclose(p_audio.sum(axis=1), 1.0)
 
     def test_from_sims_counts_teachers(self):
         # the sum of three teachers is divided by three before softening
         sims = [3.0 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]
         targets = targets_from_teacher_sims(sims, LossConfig())
         expected = teacher_soft_targets(np.eye(2), LossConfig())
-        assert targets.p_hat_audio.tobytes() == expected.p_hat_audio.tobytes()
-        assert targets.p_hat_text.tobytes() == expected.p_hat_text.tobytes()
+        assert len(targets) == 2
+        for got, want in zip(targets, expected):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_average_is_a_data_error(self, bad):
+        avg = np.eye(2)
+        avg[0, 1] = bad
+        with pytest.raises(DataError, match="^logits contains non-finite"):
+            teacher_soft_targets(avg, LossConfig())
+
+    @pytest.mark.parametrize("n_teachers", [1, 3])
+    def test_a_finetune_step_checks_each_matrix_once(self, monkeypatch,
+                                                     n_teachers):
+        # m similarities in ensemble_average, then the average once per
+        # softmax direction; the loss reads the targets unchecked
+        params = init_params(6, 5, 4, seed=1)
+        batch = random_batch(8, 6, 5, seed=2)
+        teachers = [init_params(6, 5, 4, seed=9 + i)
+                    for i in range(n_teachers)]
+        cfg = LossConfig()
+        real, calls = core.as_matrix, []
+
+        def counting(values, name="matrix"):
+            calls.append(name)
+            return real(values, name)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("xmrt.")
+                    and getattr(module, "as_matrix", None) is real):
+                monkeypatch.setattr(module, "as_matrix", counting)
+        targets = targets_from_teacher_sims(
+            [student_similarity(t, batch) for t in teachers], cfg)
+        loss_and_gradients(params, batch, cfg, targets)
+        assert len(calls) == n_teachers + 2, calls
 
 
 class TestDistillationLoss:
@@ -267,9 +299,10 @@ class TestDistillationLoss:
 
     def test_one_hot_teacher_identity_student(self):
         # exactly one-hot targets reduce distillation to the supervised
-        # case, so an identity student costs only the e^-20 tail
-        targets = TeacherTargets(np.eye(2), np.eye(2))
-        terms = _terms(np.eye(2), np.eye(2), LossConfig(tau=0.05), targets)
+        # case, so an identity student costs only the e^-20 tail; either
+        # target may be any array-like, here a nested list
+        terms = _terms(np.eye(2), np.eye(2), LossConfig(tau=0.05),
+                       (np.eye(2), np.eye(2).tolist()))
         assert 0.0 < terms.l_dist <= 1e-8
         np.testing.assert_allclose(terms.l_dist, terms.l_sup, rtol=1e-12)
 
@@ -280,24 +313,61 @@ class TestDistillationLoss:
                                        rng.standard_normal((5, 3)))
         cfg = LossConfig(tau=0.5)
         targets = teacher_soft_targets(student_similarity(params, batch), cfg)
-        pa = targets.p_hat_audio
-        pc = targets.p_hat_text
+        pa, pc = targets
         entropy = (-(pa * np.log(pa)).sum(axis=0).mean()
                    - (pc * np.log(pc)).sum(axis=1).mean())
         loss = loss_and_gradients(params, batch, cfg, targets)[0].l_dist
         assert abs(loss - entropy) < 1e-6
 
-    def test_shape_mismatch(self):
-        targets = teacher_soft_targets(np.eye(3), LossConfig())
-        with pytest.raises(ContractError, match="shape"):
-            _terms(np.eye(2), np.eye(2), LossConfig(), targets)
+    @pytest.mark.parametrize("shapes", [((3, 3), (3, 3)), ((2, 2), (2, 3)),
+                                        ((2, 3), (2, 2)), ((1, 2), (1, 3)),
+                                        ((2, 2, 1), (2, 2))])
+    def test_shape_mismatch(self, shapes):
+        # the two targets differ from each other, or from the 2 x 2 batch
+        pair = tuple(np.full(shape, 0.5) for shape in shapes)
+        with pytest.raises(ContractError, match=r"^teacher target shapes "
+                                                r".* do not match batch "
+                                                r"similarity \(2, 2\)$"):
+            _terms(np.eye(2), np.eye(2), LossConfig(), pair)
 
-    def test_negative_target_entry_rejected(self):
-        # log q <= 0, so only a negative target can make the term negative
-        negative = np.full((2, 2), -0.5)
-        with pytest.raises(ContractError, match="nonnegative"):
-            _terms(np.eye(2), np.eye(2), LossConfig(),
-                   TeacherTargets(negative, negative))
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("at", [(1, 1), (0, 2)])
+    def test_negative_target_entry_rejected(self, side, at):
+        # log q <= 0, so only a negative target can make the term negative;
+        # with every other entry 0 it is that entry times -log q > 0
+        rng = np.random.default_rng(5)
+        params, batch = identity_batch(rng.standard_normal((3, 4)),
+                                       rng.standard_normal((3, 4)))
+        pair = [np.zeros((3, 3)), np.zeros((3, 3))]
+        pair[side][at] = -0.5
+        work = _Workspace(params, 3, 1)
+        work.grad[:] = 7.0
+        with pytest.raises(ContractError, match="^l_dist must be "
+                                                "nonnegative, got -"):
+            loss_and_gradients(params, batch, LossConfig(), tuple(pair),
+                               work=work)
+        assert (work.grad == 7.0).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("at", [(1, 1), (0, 2), (2, 0)])
+    def test_a_non_finite_entry_is_a_data_error(self, bad, side, at):
+        # diagonal and off-diagonal entries of either target; the gradient
+        # is not touched
+        rng = np.random.default_rng(5)
+        params, batch = identity_batch(rng.standard_normal((3, 4)),
+                                       rng.standard_normal((3, 4)))
+        pair = list(teacher_soft_targets(student_similarity(params, batch),
+                                         LossConfig()))
+        pair[side][at] = bad
+        work = _Workspace(params, 3, 1)
+        work.grad[:] = 7.0
+        with pytest.raises(DataError, match="^teacher targets give a "
+                                            "non-finite l_dist"):
+            loss_and_gradients(params, batch, LossConfig(), tuple(pair),
+                               work=work)
+        assert (work.grad == 7.0).all()
 
 
 def _first_unit_head(scale, k):
@@ -498,7 +568,7 @@ class TestGradients:
                             full_matrix_ce(eye, eye, sim, cfg.tau),
                             rel_tol=1e-12)
         assert math.isclose(breakdown.l_dist, full_matrix_ce(
-            targets.p_hat_audio, targets.p_hat_text, sim, cfg.tau),
+            *targets, sim, cfg.tau),
                             rel_tol=1e-12)
         raw_a = encode(params.audio_encoder, batch.audio_features)
         raw_c = encode(params.text_encoder, batch.text_features)

@@ -1,5 +1,6 @@
 """Tests for the optimizer, schedule, batching, pair mixing, and stages."""
 
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -222,10 +223,10 @@ class TestPairedDataset:
         with pytest.raises(ContractError, match="3 audio rows vs 2 caption"):
             PairedDataset(np.ones((3, 2)), np.ones((2, 2)))
 
-    def test_caption_id_count_must_match(self):
-        with pytest.raises(ContractError, match="1 caption ids for 2 rows"):
-            PairedDataset(np.ones((2, 2)), np.ones((2, 2)),
-                          caption_ids=("c0",))
+    def test_holds_only_the_two_feature_matrices(self):
+        # ids stay with a loaded split (datasets.LoadedSplit)
+        assert [f.name for f in dataclasses.fields(PairedDataset)] == [
+            "audio_features", "text_features"]
 
     @pytest.mark.parametrize("side", ["audio", "text"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -255,20 +256,20 @@ class TestMixPairs:
         np.testing.assert_array_equal(mixed.audio_features[2], [1.0, 1.0])
         np.testing.assert_array_equal(mixed.text_features[2], [2.0])
 
-    def test_result_is_marked_synthetic(self):
-        # synthetic rows carry mix ids; the source rows keep their own
-        dataset = PairedDataset(np.eye(2), np.eye(2),
-                                caption_ids=("c0", "c1"))
+    def test_synthetic_rows_follow_the_source_rows(self):
+        dataset = PairedDataset(np.eye(2), 2.0 * np.eye(2))
         mixed = expand_with_mixes(dataset, mix_count=2, rng_seed=0)
-        assert mixed.caption_ids == ("c0", "c1", "mix0000", "mix0001")
+        assert type(mixed) is PairedDataset and len(mixed) == 4
+        np.testing.assert_array_equal(mixed.audio_features[:2], np.eye(2))
+        np.testing.assert_array_equal(mixed.text_features[:2],
+                                      2.0 * np.eye(2))
 
 
 class TestExpandWithMixes:
     def _dataset(self, n=6):
         rng = np.random.default_rng(0)
         return PairedDataset(rng.standard_normal((n, 4)),
-                             rng.standard_normal((n, 3)),
-                             caption_ids=tuple(f"c{i}" for i in range(n)))
+                             rng.standard_normal((n, 3)))
 
     def test_zero_count_returns_dataset_unchanged(self):
         dataset = self._dataset()
@@ -280,7 +281,8 @@ class TestExpandWithMixes:
         assert len(grown) == 9
         np.testing.assert_array_equal(grown.audio_features[:6],
                                       dataset.audio_features)
-        assert grown.caption_ids[6:] == ("mix0000", "mix0001", "mix0002")
+        np.testing.assert_array_equal(grown.text_features[:6],
+                                      dataset.text_features)
 
     def test_rows_are_midpoints_of_source_rows(self):
         dataset = self._dataset()
@@ -386,7 +388,7 @@ class TestRunStage:
                            batch_size=8, peak_lr=0.05, floor_lr=1e-4, seed=0)
         per_epoch = {}
         for record in log:
-            per_epoch.setdefault(record.epoch, []).append(record.l_sup)
+            per_epoch.setdefault(record.epoch, []).append(record.loss.l_sup)
         first = np.mean(per_epoch[0])
         last = np.mean(per_epoch[19])
         assert last < first
@@ -402,7 +404,7 @@ class TestRunStage:
         for name, tensor in out_a.named_tensors().items():
             np.testing.assert_array_equal(tensor,
                                           out_b.named_tensors()[name])
-        assert [r.total for r in log_a] == [r.total for r in log_b]
+        assert [r.loss.total for r in log_a] == [r.loss.total for r in log_b]
 
     def test_log_carries_schedule_and_steps(self):
         params = init_params(8, 6, 4, seed=0)
@@ -410,8 +412,8 @@ class TestRunStage:
                            batch_size=8, peak_lr=2e-5, floor_lr=1e-7)
         assert [r.step for r in log] == list(range(8))
         assert log[0].lr == 0.0  # warmup starts at zero
-        assert all(np.isfinite(r.total) for r in log)
-        assert all(r.l_dist == 0.0 for r in log)
+        assert all(np.isfinite(r.loss.total) for r in log)
+        assert all(r.loss.l_dist == 0.0 for r in log)
 
     def test_distillation_stage_needs_teachers(self):
         params = init_params(8, 6, 4, seed=0)
@@ -613,11 +615,10 @@ class TestRunStage:
                               dataset.text_features[first_idx])
         targets = targets_from_teacher_sims(
             [student_similarity(params, batch)], cfg)
-        pa = targets.p_hat_audio
-        pc = targets.p_hat_text
+        pa, pc = targets
         entropy = (-(pa * np.log(pa)).sum(axis=0).mean()
                    - (pc * np.log(pc)).sum(axis=1).mean())
-        assert abs(log[0].l_dist - entropy) < 1e-6
+        assert abs(log[0].loss.l_dist - entropy) < 1e-6
 
     def test_finetune_with_mixes_grows_the_epoch(self):
         params = init_params(8, 6, 4, seed=0)
@@ -633,7 +634,7 @@ class TestRunStage:
         out, log = run_stage("refinetune", params, _toy_dataset(32),
                              pseudo_labels=labels, epochs=2, batch_size=8,
                              peak_lr=1e-3)
-        assert any(r.l_cls_audio > 0 for r in log)
+        assert any(r.loss.l_cls_audio > 0 for r in log)
         assert not np.array_equal(out.heads.w2[0], params.heads.w2[0])
 
     def test_heads_reach_the_stacked_pass_in_place(self, monkeypatch):
@@ -677,7 +678,7 @@ class TestRunStage:
                                teachers=[teacher],
                                loss_cfg=LossConfig(lambda1=0.0), **kwargs)
         plain, _ = run_stage("pretrain", params, _toy_dataset(), **kwargs)
-        assert all(r.l_dist > 0 for r in log)   # reported, weighted by 0
+        assert all(r.loss.l_dist > 0 for r in log)   # reported, weighted by 0
         assert self._param_bytes(tuned) == self._param_bytes(plain)
 
     def test_refinetune_with_zero_lambda2_trains_as_pretrain(self):
@@ -688,7 +689,7 @@ class TestRunStage:
                                pseudo_labels=labels,
                                loss_cfg=LossConfig(lambda2=0.0), **kwargs)
         plain, _ = run_stage("pretrain", params, _toy_dataset(), **kwargs)
-        assert all(r.l_cls_audio > 0 for r in log)
+        assert all(r.loss.l_cls_audio > 0 for r in log)
         assert self._param_bytes(tuned) == self._param_bytes(plain)
 
 
