@@ -33,8 +33,9 @@ val = load_paired_dataset(manifest, "val")
 entries = read_relevance(os.path.join(work, relevance_file("val")))
 relevance = align_relevance(entries, val.caption_ids, val.gallery_ids)
 
-# 2. three members: same recipe, different seeds and widths
-members = []
+# 2. three members: same recipe, different seeds and widths, each
+#    tagged (system, model) -- here (seed, embedding width)
+members = {}
 for seed, d_emb in ((1, 8), (2, 12), (3, 16)):
     params = init_params(32, 24, d_emb, seed=seed)
     params, _ = run_stage("pretrain", params, train.dataset, epochs=6,
@@ -43,22 +44,23 @@ for seed, d_emb in ((1, 8), (2, 12), (3, 16)):
     sim = cosine_similarity_matrix(
         encode(params.audio_encoder, val.gallery_features),
         encode(params.text_encoder, val.dataset.text_features))
-    members.append(sim)
+    members[(seed, f"d{d_emb}")] = sim
     solo = evaluate(sim, relevance, "multiple").map_at_16
     print(f"member seed {seed} (d_emb {d_emb}): val mAP@16 {solo:.4f}")
 
 # 3. coarse grid search over the weight simplex, then a refinement
-#    pass on a 4x finer lattice around the coarse optimum
+#    pass on a 4x finer lattice around the coarse optimum; the winning
+#    spec carries the members' tags
 result = grid_search(members, relevance, step=0.02, refine=True)
-weights = [m.weight for m in result.spec.members]
 print(f"\nsearched {result.points_evaluated} grid points")
-print("best weights: " + ", ".join(f"{w:.4f}" for w in weights))
+print("best weights: " + ", ".join(f"{m.system}/{m.model} {m.weight:.4f}"
+                                   for m in result.spec.members))
 print(f"fused val mAP@16 {result.map_at_16:.4f}")
 
 # one-hot corners are grid points, so the fused result can never fall
 # below the best individual member on the split it was tuned on
 best_solo = max(evaluate(m, relevance, "multiple").map_at_16
-                for m in members)
+                for m in members.values())
 assert result.map_at_16 >= best_solo
 print(f"fused {result.map_at_16:.4f} >= best member {best_solo:.4f}")
 
@@ -71,11 +73,12 @@ for name, spec in bundled_weight_table().items():
     print(f"{name}: {spec.strategy:12s} {active:2d} active members, "
           f"weights sum to {total:.4f}")
 
-# 5. fusing with a one-hot row returns that member bit for bit
+# 5. fusing with a one-hot row returns that member bit for bit; fuse
+#    reads each spec member's matrix by its tag
 rng = np.random.default_rng(0)
-mats = [rng.standard_normal((6, 5)) for _ in range(12)]
+mats = {(i, f"m{i}"): rng.standard_normal((6, 5)) for i in range(12)}
 one_hot = EnsembleSpec(members=tuple(
-    Member(system=i, model=f"m{i}", weight=1.0 if i == 4 else 0.0)
-    for i in range(12)))
-assert fuse(mats, one_hot).tobytes() == mats[4].tobytes()
-print("\none-hot fusion reproduces member 4 exactly")
+    Member(system=s, model=m, weight=1.0 if s == 4 else 0.0)
+    for s, m in mats))
+assert fuse(mats, one_hot).tobytes() == mats[(4, "m4")].tobytes()
+print("\none-hot fusion reproduces member (4, m4) exactly")

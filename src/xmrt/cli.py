@@ -8,10 +8,12 @@ directory once for all of them.  Only gen-fixtures and the three
 training stages draw random numbers, and only they take --seed.  The
 seed is the --seed flag, else the config's seed (0); no environment
 variable is read.  It also seeds pair mixing.  Each config section goes
-straight into the engine function it configures as keywords (`loss`
-and `clustering` as a LossConfig and a ClusterConfig), so an absent key
-keeps the engine's own default.  A stage's summary, cluster's labels.tsv
-and gen-fixtures' manifest are dropped first and written last.
+straight into the engine function it configures as keywords (`loss` and
+`clustering` as a LossConfig and a ClusterConfig), so an absent key
+keeps the engine's own default; the ensemble commands pass the listed
+matrices on as one {(system, model): matrix} map.  A stage's summary,
+cluster's labels.tsv and gen-fixtures' manifest are dropped first and
+written last.
 
 Exit codes: 0 success, 1 module error (bad data, bad config values,
 failed contracts), 2 usage error (unknown flags, missing required
@@ -249,8 +251,7 @@ def cmd_evaluate(cfg, out_dir):
 
 
 def _ensemble_members(cfg):
-    """The listed matrices as one {(system, model): matrix} map, in
-    listed order."""
+    """The listed matrices as a {(system, model): matrix} map in order."""
     members = {}
     for i, entry in enumerate(cfg.require("ensemble", "matrices")):
         tag = (entry["system"], entry["model"])
@@ -274,8 +275,7 @@ def cmd_ensemble_search(cfg, out_dir):
     if hierarchical:
         result = hierarchical_grid_search(members, relevance, **options)
     else:
-        result = grid_search(list(members.values()), relevance,
-                             tags=list(members), **options)
+        result = grid_search(members, relevance, **options)
     payload = {
         "strategy": result.spec.strategy,
         "map_at_16": result.map_at_16,
@@ -298,20 +298,11 @@ def cmd_ensemble_apply(cfg, out_dir):
         specs = read_weight_table(cfg.resolve_input("ensemble",
                                                     "weight_table"))
     row = _choice(cfg, ("ensemble", "row"), tuple(specs), next(iter(specs)))
-    spec = specs[row]
-    members = _ensemble_members(cfg)
-    ordered = []
-    for member in spec.members:
-        tag = (member.system, member.model)
-        if tag not in members:
-            raise ConfigError(
-                f"ensemble.matrices lacks an entry for {tag}")
-        ordered.append(members[tag])
-    fused = fuse(ordered, spec)
+    fused = fuse(_ensemble_members(cfg), specs[row])
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, f"fused_{row}.xmrt")
     save_tensor(out_path, fused)
-    print(f"ensemble-apply: {row} over {len(ordered)} matrices -> "
+    print(f"ensemble-apply: {row} over {len(specs[row].members)} matrices -> "
           f"{out_path}")
     return 0
 

@@ -1,7 +1,7 @@
 """Similarity-matrix fusion, published weight tables, and weight search.
 
 An ensemble is a convex combination of member similarity matrices, each
-member tagged by (system id, audio model).  The two hierarchical
+found by its (system id, audio model) tag in a map.  The two hierarchical
 strategies differ only in which axis is combined first; both collapse to
 a flat weighted sum with product weights.  A weight table file reads
 into named EnsembleSpecs over the one published grid (systems 2-5 by
@@ -64,7 +64,7 @@ def _check_strategy(strategy):
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """A full fusion recipe: tagged members whose weights sum to one."""
+    """A fusion recipe: distinctly tagged members whose weights sum to 1."""
 
     members: tuple
     strategy: str = "system-first"
@@ -74,6 +74,9 @@ class EnsembleSpec:
         if not members:
             raise ContractError("an ensemble needs at least one member")
         _check_strategy(self.strategy)
+        tags = [(m.system, m.model) for m in members]
+        if repeated := [t for i, t in enumerate(tags) if t in tags[:i]]:
+            raise ContractError(f"member {repeated[0]} is listed twice")
         try:
             total = math.fsum(m.weight for m in members)
         except OverflowError:       # finite weights, a sum that is not
@@ -109,16 +112,18 @@ def _weighted_sums_into(out, tmp, mats, weight_vectors):
         del m  # a generator draws the next member only after this one goes
 
 
-def fuse(matrices, spec):
-    """Elementwise weighted sum of the member matrices.
+def fuse(members, spec):
+    """Elementwise weighted sum of the spec members' matrices, in spec order.
 
-    Zero-weight members are skipped entirely, so one-hot weights return
-    the selected member bit-for-bit.  An overflowing sum raises DataError.
+    Each spec member's matrix is `members[(system, model)]`; one missing,
+    even at weight 0, is a ContractError, and entries the spec does not
+    name are not read.  Zero-weight members are skipped, so one-hot weights
+    return the selected member bit-for-bit; overflow is a DataError.
     """
-    if len(matrices) != len(spec.members):
-        raise ContractError(
-            f"{len(matrices)} matrices for {len(spec.members)} members")
-    mats = _as_equal_shape_matrices(matrices, "matrix")
+    tags = [(m.system, m.model) for m in spec.members]
+    if missing := [tag for tag in tags if tag not in members]:
+        raise ContractError(f"no member matrix for {missing[0]}")
+    mats = _as_equal_shape_matrices([members[tag] for tag in tags], "matrix")
     out = np.empty((1,) + mats[0].shape)
     with np.errstate(over="ignore", invalid="ignore"):
         _weighted_sums_into(out, np.empty_like(out[0]), mats,
@@ -195,20 +200,27 @@ class SearchResult:
     points_evaluated: int
 
 
-def grid_search(matrices, relevance, *, step=0.01, tags=None,
-                mode="multiple", refine=False):
+def _check_pairs(members):
+    """ContractError unless every key of `members` is a 2-tuple."""
+    for tag in members:
+        if not (isinstance(tag, tuple) and len(tag) == 2):
+            raise ContractError(f"key {tag!r} is not a (system, model) pair")
+
+
+def grid_search(members, relevance, *, step=0.01, mode="multiple",
+                refine=False):
     """Exhaustive simplex search for the weights maximizing mAP@16.
 
-    Weight vectors are enumerated at resolution `step`, which must lie
-    in (0, 1] and divide 1 exactly, in ascending lexicographic order and
-    only strict improvements are kept, so ties resolve to the
-    lexicographically smallest vector.  With refine=True a greedy
-    pairwise mass-transfer pass at resolution 0.0025 runs from the
-    coarse optimum (first-improvement sweeps until none helps); step must
-    then be a whole multiple of 0.0025.  A step that breaks either rule
-    is a ConfigError before any point is scored, as are over MAX_MEMBERS
-    members or MAX_GRID_POINTS points.  The spec keeps the default
-    strategy label.
+    Weight vectors over the {(system, model): matrix} map `members`, in its
+    order, are enumerated at resolution `step`, which must lie in (0, 1]
+    and divide 1 exactly, in ascending lexicographic order and only strict
+    improvements are kept, so ties resolve to the lexicographically
+    smallest vector.  With refine=True a greedy pairwise mass-transfer pass
+    at resolution 0.0025 runs from the coarse optimum (first-improvement
+    sweeps until none helps); step must then be a whole multiple of 0.0025.
+    A step that breaks either rule is a ConfigError before any point is
+    scored, as are over MAX_MEMBERS members or MAX_GRID_POINTS points.  The
+    spec is tagged by the map's keys and keeps the default strategy label.
     """
     # nan fails every comparison; a subnormal step's 1/step is inf, and
     # float() keeps a numpy scalar's overflow from warning
@@ -218,7 +230,8 @@ def grid_search(matrices, relevance, *, step=0.01, tags=None,
     divisions = round(1.0 / step)
     if abs(divisions * step - 1.0) > 1e-9:
         raise ConfigError(f"step {step} does not divide 1 exactly")
-    n = len(matrices)
+    _check_pairs(members)
+    n = len(members)
     if n < 2:
         raise ContractError(f"grid search needs >= 2 members, got {n}")
     if n > MAX_MEMBERS:
@@ -228,16 +241,13 @@ def grid_search(matrices, relevance, *, step=0.01, tags=None,
         raise ConfigError(
             f"the grid at step {step} over {n} members exceeds the "
             f"budget of {MAX_GRID_POINTS} points; use a coarser step")
-    tags = tuple(((i, f"m{i}") for i in range(n)) if tags is None else tags)
-    if len(tags) != n:
-        raise ContractError(f"{len(tags)} tags for {n} matrices")
     refine_units = round(step / REFINE_STEP)
     if refine and (refine_units < 1
                    or abs(refine_units * REFINE_STEP - step) > 1e-9):
         raise ConfigError(
             f"refine needs a step that is a whole multiple of {REFINE_STEP}, "
             f"got {step}")
-    scores = _grid_scores(_as_equal_shape_matrices(matrices, "matrix"),
+    scores = _grid_scores(_as_equal_shape_matrices(members.values(), "matrix"),
                           relevance, mode)
 
     best_counts = None
@@ -258,9 +268,9 @@ def grid_search(matrices, relevance, *, step=0.01, tags=None,
             best_value)
         evaluated += extra
 
-    members = tuple(Member(system=s, model=m, weight=u / units_total)
-                    for (s, m), u in zip(tags, units))
-    return SearchResult(spec=EnsembleSpec(members), map_at_16=best_value,
+    spec = EnsembleSpec(tuple(Member(system=s, model=m, weight=u / units_total)
+                              for (s, m), u in zip(members, units)))
+    return SearchResult(spec=spec, map_at_16=best_value,
                         points_evaluated=evaluated)
 
 
@@ -350,8 +360,8 @@ def _kept_sets(mats, arrays):
 
 def _grid_scores(mats, relevance, mode):
     """scores(weight_vectors): a generator of the mAP@16 of each vector,
-    each equal bit for bit to
-    `evaluate(fuse(mats, spec), relevance, mode).map_at_16`.
+    each equal bit for bit to `evaluate(fuse(members, spec), relevance,
+    mode).map_at_16` for `members` that map the spec's tags to `mats`.
 
     The relevance is checked and the `_kept_sets` built here, before any
     point is scored.  Vectors are scored in blocks of
@@ -394,52 +404,49 @@ def _grid_scores(mats, relevance, mode):
     return scores
 
 
-def hierarchical_grid_search(matrices, relevance, *, step=0.01,
+def hierarchical_grid_search(members, relevance, *, step=0.01,
                              strategy="system-first", mode="multiple",
                              refine=False):
     """Factored weight search mirroring the two published strategies.
 
-    Stage 1 searches each within-group simplex on its own (for
+    Stage 1 searches each group's sub-map of `members` on its own (for
     system-first, across systems inside each model); stage 2 searches
     across the stage-1 fused group matrices; every search takes `step`,
     `mode` and `refine` as grid_search does.  The grid must be full and
     at least 2 by 2.  Returns a flat spec of the stage-product weights.
     """
     _check_strategy(strategy)
-    systems = tuple(dict.fromkeys(s for s, _ in matrices))
-    models = tuple(dict.fromkeys(m for _, m in matrices))
+    _check_pairs(members)
+    systems = tuple(dict.fromkeys(s for s, _ in members))
+    models = tuple(dict.fromkeys(m for _, m in members))
     tags = [(s, m) for s in systems for m in models]
-    if set(matrices) != set(tags):
-        raise ContractError(
-            "matrices must cover the full system-by-model grid")
+    if set(members) != set(tags):
+        raise ContractError("members must cover the full system-by-model grid")
     for axis, count in (("systems", len(systems)), ("models", len(models))):
         if count < 2:
             raise ContractError(f"the grid needs >= 2 {axis}, got {count}")
-    by_model = [[(s, m) for s in systems] for m in models]
-    by_system = [[(s, m) for m in models] for s in systems]
+    by_model = {(None, m): [(s, m) for s in systems] for m in models}
+    by_system = {(s, None): [(s, m) for m in models] for s in systems}
     groups = by_model if strategy == "system-first" else by_system
 
     stage1 = {}
-    fused_groups = []
+    fused_groups = {}
     evaluated = 0
-    for group in groups:
-        mats = [matrices[tag] for tag in group]
-        result = grid_search(mats, relevance, step=step, mode=mode,
-                             refine=refine)
-        stage1.update((tag, m.weight)
-                      for tag, m in zip(group, result.spec.members))
-        fused_groups.append(fuse(mats, result.spec))
+    for key, group in groups.items():
+        result = grid_search({tag: members[tag] for tag in group}, relevance,
+                             step=step, mode=mode, refine=refine)
+        stage1[key] = result.spec.members
+        fused_groups[key] = fuse(members, result.spec)
         evaluated += result.points_evaluated
 
     top = grid_search(fused_groups, relevance, step=step, mode=mode,
                       refine=refine)
     evaluated += top.points_evaluated
-    stage2 = {tag: m.weight for group, m in zip(groups, top.spec.members)
-              for tag in group}
+    weights = {(m.system, m.model): g.weight * m.weight
+               for g in top.spec.members for m in stage1[(g.system, g.model)]}
 
-    spec = EnsembleSpec(tuple(Member(s, m, stage2[(s, m)] * stage1[(s, m)])
-                              for s, m in tags), strategy=strategy)
-    flat = fuse([matrices[tag] for tag in tags], spec)
-    achieved = evaluate(flat, relevance, mode).map_at_16
+    spec = EnsembleSpec(tuple(Member(s, m, weights[(s, m)]) for s, m in tags),
+                        strategy=strategy)
+    achieved = evaluate(fuse(members, spec), relevance, mode).map_at_16
     return SearchResult(spec=spec, map_at_16=achieved,
                         points_evaluated=evaluated)

@@ -15,11 +15,11 @@ and writes their gradients, in place.
 
 Teacher targets are a plain pair of arrays (p_hat_audio, p_hat_text),
 each from one core.softmax_with_temperature call, which checks its
-input; loss_and_gradients checks their shapes, and a target that is not
-finite shows in the one scalar of its distillation term.  So the
-teacher path of a finetune step scans each teacher similarity (and, for
-several, their sum) in ensemble_average, then the average once per
-direction.
+input; loss_and_gradients checks their shapes, a target that is not
+finite shows in the one scalar of its distillation term, and a negative
+one in each target's minimum.  So the teacher path of a finetune step
+scans each teacher similarity (and, for several, their sum) in
+ensemble_average, then the average once per direction.
 
 Convention throughout: similarity matrices have audio items on rows and
 captions on columns, matched pairs on the diagonal.  Cross-entropies are
@@ -199,13 +199,12 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
     classification term iff cluster `labels` are given.  `targets` is
     the pair (p_hat_audio, p_hat_text) of teacher_soft_targets, each the
     shape of the batch similarity (else ContractError).  A target entry
-    that is not finite is a DataError, and a negative distillation term,
-    which only a negative entry can cause, a ContractError; both are
-    raised before the gradient is touched.  `labels` is a 1-D int array
-    with one label per row, which both heads of params.heads classify
-    (so it needs them).  cfg.lambda1 and cfg.lambda2 only weight the
-    terms: a term with weight 0 is still computed and reported, but adds
-    nothing to the total or the gradient.  Teacher targets are
+    that is not finite is a DataError, and a negative one a ContractError;
+    both are raised before the gradient is touched.  `labels` is a 1-D int
+    array with one label per row, which both heads of params.heads
+    classify (so it needs them).  cfg.lambda1 and cfg.lambda2 only weight
+    the terms: a term with weight 0 is still computed and reported, but
+    adds nothing to the total or the gradient.  Teacher targets are
     constants: no gradient flows into them.  Each gradient is a view whose
     .base is one zeroed vector, in named_tensors() order (the head
     pair's are (2, ...)); unused heads get 0.  It and every n x n array
@@ -260,13 +259,14 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
                   + float((p_hat_c.sum(axis=1) @ log_s_r - np.einsum(
                       "ij,ij->", p_hat_c, shifted_r)) / n))
         # A nan or infinite target entry makes l_dist nan or infinite, so
-        # this scalar is the targets' one finiteness check; and log q <= 0,
-        # so only a negative target entry makes a term < 0.
+        # this scalar is the targets' one finiteness check; the entries
+        # are then finite, and the targets' minima are their sign check.
         if not math.isfinite(l_dist):
             raise DataError(f"teacher targets give a non-finite l_dist "
                             f"({l_dist})")
-        if l_dist < 0:
-            raise ContractError(f"l_dist must be nonnegative, got {l_dist}")
+        if (low := min(p_hat_a.min(), p_hat_c.min())) < 0:
+            raise ContractError(f"teacher targets must be nonnegative, got "
+                                f"an entry {low}")
         # lambda1 * ((q_r - p_hat_c) + (q_c - p_hat_a)), in a spent buffer
         pull = np.add(p_hat_c, p_hat_a, out=shifted_r)
         np.subtract(grad_sim, pull, out=pull)

@@ -57,6 +57,12 @@ def identity_batch(audio_rows, text_rows, heads=None):
     return ModelParams(*encoders, heads), batch
 
 
+def named(mats):
+    """Member matrices as the {(system, model): matrix} map that fuse and
+    the weight searches take, tagged (i, f"m{i}") by position."""
+    return {(i, f"m{i}"): m for i, m in enumerate(mats)}
+
+
 def write_weight_rows(path, specs):
     """Write {row name: EnsembleSpec} as a weight table file laid out as
     the bundled one: its header, then each row's name and member weights

@@ -43,7 +43,7 @@ from xmrt.datasets import (
 from xmrt.evaluation import METRIC_KEYS
 from xmrt.fixtures import MANIFEST_FILE, relevance_file
 
-from conftest import headed_params, identity_batch, random_batch
+from conftest import headed_params, identity_batch, named, random_batch
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +304,7 @@ def test_06_bundled_coefficient_table():
             Member(system=i, model=f"m{i}",
                    weight=1.0 if i == chosen else 0.0)
             for i in range(12)))
-        assert fuse(mats, spec).tobytes() == mats[chosen].tobytes()
+        assert fuse(named(mats), spec).tobytes() == mats[chosen].tobytes()
     print(f"PASS  6/10 coefficient table: rows E1-E4 load, worst "
           f"|sum - 1| {worst_sum:.2e} <= 1e-6; one-hot fusion "
           f"reproduces the selected member bit-exactly")
@@ -319,7 +319,7 @@ def test_07_grid_search_planted_optimum():
     mats = [relevant, distract]
     rel = RelevanceMap(((0,),))
 
-    result = grid_search(mats, rel, step=0.01)
+    result = grid_search(named(mats), rel, step=0.01)
     coarse_w = result.spec.members[0].weight
 
     fine_best, fine_w = -1.0, None
@@ -331,7 +331,8 @@ def test_07_grid_search_planted_optimum():
             fine_best, fine_w = value, w
     assert abs(coarse_w - fine_w) <= 0.01 + 1e-12
 
-    replay = evaluate(fuse(mats, result.spec), rel, "multiple").map_at_16
+    replay = evaluate(fuse(named(mats), result.spec), rel,
+                      "multiple").map_at_16
     assert result.map_at_16 == replay
     assert result.map_at_16 == fine_best == 1.0
     print(f"PASS  7/10 grid search: coarse optimum w={coarse_w:.4f} "

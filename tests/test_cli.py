@@ -1097,7 +1097,7 @@ def test_ensemble_apply_without_a_table_member_returns_1(tmp_path, capsys):
                                    "ensemble": {"matrices": entries}})
     assert main(["ensemble-apply", "--config", cfg]) == 1
     assert capsys.readouterr().err == (
-        "error: ensemble.matrices lacks an entry for (5, 'beats')\n")
+        "error: no member matrix for (5, 'beats')\n")
     assert not os.path.exists(os.path.join(base, "run"))
 
 

@@ -16,7 +16,7 @@ from xmrt import (ConfigError, ContractError, DataError, EnsembleSpec,
 from xmrt import ensemble, evaluation
 from xmrt.ensemble import _compositions, _grid_size
 
-from conftest import relevance_entries, write_weight_rows
+from conftest import named, relevance_entries, write_weight_rows
 
 
 def _spec(weights, strategy="system-first"):
@@ -48,51 +48,81 @@ class TestEnsembleSpec:
         with pytest.raises(ConfigError, match="strategy"):
             _spec([1.0], strategy="middle-out")
 
+    def test_a_repeated_tag_is_rejected(self):
+        members = (Member(2, "passt", 0.5), Member(3, "eat", 0.0),
+                   Member(2, "passt", 0.5))
+        with pytest.raises(ContractError, match=r"^member \(2, 'passt'\) "
+                                                r"is listed twice$"):
+            EnsembleSpec(members)
+
 
 class TestFuse:
     def test_single_member_identity(self):
         m = np.random.default_rng(0).standard_normal((4, 4))
-        out = fuse([m], _spec([1.0]))
+        out = fuse(named([m]), _spec([1.0]))
         np.testing.assert_array_equal(out, m)
 
     def test_one_hot_weights_reproduce_member_bit_exactly(self):
         rng = np.random.default_rng(1)
         mats = [rng.standard_normal((5, 5)) for _ in range(3)]
-        out = fuse(mats, _spec([0.0, 1.0, 0.0]))
+        out = fuse(named(mats), _spec([0.0, 1.0, 0.0]))
         assert out.tobytes() == mats[1].tobytes()
 
     def test_identical_matrices_any_convex_weights(self):
         m = np.random.default_rng(2).standard_normal((3, 3))
-        out = fuse([m, m.copy()], _spec([0.3, 0.7]))
+        out = fuse(named([m, m.copy()]), _spec([0.3, 0.7]))
         np.testing.assert_allclose(out, m, atol=1e-15)
 
     def test_arithmetic(self):
-        out = fuse([np.array([[1.0]]), np.array([[0.0]])], _spec([0.5, 0.5]))
+        out = fuse(named([np.array([[1.0]]), np.array([[0.0]])]),
+                   _spec([0.5, 0.5]))
         np.testing.assert_array_equal(out, [[0.5]])
 
     def test_order_invariance(self):
         rng = np.random.default_rng(3)
         mats = [rng.standard_normal((6, 6)) for _ in range(4)]
         weights = [0.1, 0.2, 0.3, 0.4]
-        base = fuse(mats, _spec(weights))
+        base = fuse(named(mats), _spec(weights))
         perm = [2, 0, 3, 1]
-        swapped = fuse([mats[i] for i in perm],
+        swapped = fuse(named([mats[i] for i in perm]),
                        _spec([weights[i] for i in perm]))
         np.testing.assert_allclose(base, swapped, atol=1e-12)
 
-    def test_member_count_mismatch(self):
-        with pytest.raises(ContractError, match="matrices"):
-            fuse([np.eye(2)], _spec([0.5, 0.5]))
+    def test_members_are_read_by_tag_not_by_position(self):
+        # a map inserted in reverse still fuses in spec order, whose
+        # bits differ from the reverse order's for these matrices
+        rng = np.random.default_rng(4)
+        mats = [rng.standard_normal((6, 6)) for _ in range(3)]
+        spec = _spec([0.2, 0.3, 0.5])
+        backwards = dict(reversed(named(mats).items()))
+        want = 0.2 * mats[0] + 0.3 * mats[1] + 0.5 * mats[2]
+        assert fuse(backwards, spec).tobytes() == want.tobytes()
+        assert (0.5 * mats[2] + 0.3 * mats[1]
+                + 0.2 * mats[0]).tobytes() != want.tobytes()
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [1.0, 0.0]])
+    def test_a_missing_member_is_named_even_at_weight_zero(self, weights):
+        with pytest.raises(ContractError,
+                           match=r"^no member matrix for \(1, 'm1'\)$"):
+            fuse(named([np.eye(2)]), _spec(weights))
+
+    def test_entries_the_spec_does_not_name_are_not_read(self):
+        # the extra entry would fail the shape and finiteness checks
+        members = named([np.eye(3), 2 * np.eye(3)])
+        members[(7, "extra")] = np.full((2, 2), np.nan)
+        assert fuse(members, _spec([0.25, 0.75])).tobytes() \
+            == fuse(named([np.eye(3), 2 * np.eye(3)]),
+                    _spec([0.25, 0.75])).tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError, match="shape"):
-            fuse([np.eye(2), np.eye(3)], _spec([0.5, 0.5]))
+            fuse(named([np.eye(2), np.eye(3)]), _spec([0.5, 0.5]))
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_raises_data_error(self):
         big = np.full((2, 2), np.finfo(float).max)
         with pytest.raises(DataError, match="fusion overflowed"):
-            fuse([big, big, big], _spec([0.1, 0.5, 0.4]))
+            fuse(named([big, big, big]), _spec([0.1, 0.5, 0.4]))
 
 
 def _table_text(*rows, header=None):
@@ -227,14 +257,14 @@ class TestGridSearch:
         rel = self._relevance(n)
         assert evaluate(a, rel).map_at_16 == 1.0
         assert evaluate(b, rel).map_at_16 == 0.0
-        result = grid_search([a, b], rel)
+        result = grid_search(named([a, b]), rel)
         assert result.spec.members[0].weight == 1.0
         assert result.spec.members[1].weight == 0.0
         assert result.map_at_16 == 1.0
 
     def test_two_identical_members_tie_to_lex_smallest(self):
         sim = np.eye(6)
-        result = grid_search([sim, sim.copy()], self._relevance(6))
+        result = grid_search(named([sim, sim.copy()]), self._relevance(6))
         assert [m.weight for m in result.spec.members] == [0.0, 1.0]
 
     def test_planted_interior_optimum_matches_fine_brute_force(self):
@@ -244,7 +274,7 @@ class TestGridSearch:
         a = np.array([[0.9], [1.0], [0.0], [0.0], [0.0]])
         b = np.array([[0.9], [0.0], [1.0], [0.0], [0.0]])
         rel = RelevanceMap(((0,),))
-        result = grid_search([a, b], rel)
+        result = grid_search(named([a, b]), rel)
         assert result.map_at_16 == 1.0
 
         fine = None
@@ -275,29 +305,27 @@ class TestGridSearch:
     def test_objective_matches_independent_reevaluation(self, search, seed):
         mats, rel = self._tie_heavy(seed)
         if search in ("flat", "refine"):
-            ordered = mats[:3]
-            result = grid_search(ordered, rel, step=0.05,
+            members = named(mats[:3])
+            result = grid_search(members, rel, step=0.05,
                                  refine=search == "refine")
         else:
-            grid = dict(zip([(2, "passt"), (2, "eat"), (3, "passt"),
-                             (3, "eat")], mats))
-            result = hierarchical_grid_search(grid, rel, step=0.05,
+            members = dict(zip([(2, "passt"), (2, "eat"), (3, "passt"),
+                                (3, "eat")], mats))
+            result = hierarchical_grid_search(members, rel, step=0.05,
                                               strategy=search)
-            ordered = [grid[(m.system, m.model)]
-                       for m in result.spec.members]
-        replay = evaluate(fuse(ordered, result.spec), rel, "multiple")
+        replay = evaluate(fuse(members, result.spec), rel, "multiple")
         assert replay.map_at_16 == result.map_at_16
 
     def test_points_evaluated_counts_the_whole_simplex(self):
         rng = np.random.default_rng(5)
         mats = [rng.standard_normal((6, 6)) for _ in range(3)]
-        result = grid_search(mats, self._relevance(6), step=0.25)
+        result = grid_search(named(mats), self._relevance(6), step=0.25)
         assert result.points_evaluated == _grid_size(4, 3)
 
     def test_budget_exceeded_suggests_coarser_step(self):
         mats = [np.eye(4)] * 5
         with pytest.raises(ConfigError, match="coarser"):
-            grid_search(mats, self._relevance(4))
+            grid_search(named(mats), self._relevance(4))
 
     @pytest.mark.parametrize("members", [2, 12])
     def test_budget_message_names_the_step_not_the_size(self, members):
@@ -305,7 +333,7 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match=r"^the grid at step 2\.5e-308 "
                                               r"over \d+ members exceeds the "
                                               r"budget of 200000 points") as err:
-            grid_search([np.eye(4)] * members, self._relevance(4),
+            grid_search(named([np.eye(4)] * members), self._relevance(4),
                         step=2.5e-308)
         assert len(str(err.value)) < 200
 
@@ -313,23 +341,39 @@ class TestGridSearch:
         rng = np.random.default_rng(6)
         mats = [rng.standard_normal((10, 10)) for _ in range(2)]
         rel = self._relevance(10)
-        coarse = grid_search(mats, rel, step=0.1)
-        refined = grid_search(mats, rel, step=0.1, refine=True)
+        coarse = grid_search(named(mats), rel, step=0.1)
+        refined = grid_search(named(mats), rel, step=0.1, refine=True)
         assert refined.map_at_16 >= coarse.map_at_16
         total = math.fsum(m.weight for m in refined.spec.members)
         assert abs(total - 1.0) < 1e-9
 
     def test_needs_two_members(self):
         with pytest.raises(ContractError, match=">= 2"):
-            grid_search([np.eye(2)], self._relevance(2))
+            grid_search(named([np.eye(2)]), self._relevance(2))
 
-    def test_tags_attach_to_members(self):
+    def test_result_tags_are_the_map_keys_in_order(self):
         rng = np.random.default_rng(7)
-        mats = [rng.standard_normal((4, 4)) for _ in range(2)]
-        result = grid_search(mats, self._relevance(4),
-                             tags=[(2, "passt"), (3, "eat")])
-        assert [(m.system, m.model) for m in result.spec.members] == \
-            [(2, "passt"), (3, "eat")]
+        tags = [(3, "eat"), (2, "passt"), (2, "eat")]
+        members = {tag: rng.standard_normal((4, 4)) for tag in tags}
+        result = grid_search(members, self._relevance(4), step=0.5)
+        assert [(m.system, m.model) for m in result.spec.members] == tags
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("key", ["ab", (2,), (2, "passt", 0), 5],
+                             ids=["str", "1-tuple", "3-tuple", "int"])
+    def test_a_key_that_is_not_a_pair_is_rejected(self, monkeypatch,
+                                                  hierarchical, key):
+        # a 2-character string would unpack as a pair; it is still rejected
+        def score(*args, **kwargs):
+            raise AssertionError("a grid point was scored")
+        monkeypatch.setattr(ensemble, "_mean_metrics", score)
+        members = {(s, m): np.eye(4) for s in (2, 3) for m in ("passt", "eat")}
+        members[key] = np.eye(4)
+        search = hierarchical_grid_search if hierarchical else grid_search
+        with pytest.raises(ContractError, match=rf"^key {re.escape(repr(key))}"
+                                                r" is not a \(system, model\) "
+                                                r"pair$"):
+            search(members, self._relevance(4), step=0.5)
 
     def _search_unscored(self, monkeypatch, hierarchical, step):
         """Either search over a 2 x 2 grid of members, failing if any
@@ -341,7 +385,7 @@ class TestGridSearch:
         rel = self._relevance(4)
         if hierarchical:
             return hierarchical_grid_search(mats, rel, step=step)
-        return grid_search(list(mats.values()), rel, step=step)
+        return grid_search(mats, rel, step=step)
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_step_must_divide_one(self, monkeypatch, hierarchical):
@@ -373,8 +417,9 @@ class TestGridSearch:
         # 0.004 / 0.0025 = 1.6 would round to a 0.002 lattice
         mats = [np.eye(4), np.eye(4)[::-1]]
         with pytest.raises(ConfigError, match="whole multiple of 0.0025"):
-            grid_search(mats, self._relevance(4), step=0.004, refine=True)
-        assert grid_search(mats, self._relevance(4),
+            grid_search(named(mats), self._relevance(4), step=0.004,
+                        refine=True)
+        assert grid_search(named(mats), self._relevance(4),
                            step=0.004).points_evaluated == 251
 
     def test_empty_members_fail_before_any_point_is_scored(
@@ -384,7 +429,7 @@ class TestGridSearch:
         monkeypatch.setattr(ensemble, "_mean_metrics", score)
         with pytest.raises(ContractError,
                            match="needs gallery rows and query columns"):
-            grid_search([np.zeros((3, 0))] * 2, RelevanceMap(()))
+            grid_search(named([np.zeros((3, 0))] * 2), RelevanceMap(()))
 
     def test_overflowing_fusion_is_a_data_error(self):
         # 0.1, 0.5 and 0.4 of the largest float sum past it; the error
@@ -393,7 +438,7 @@ class TestGridSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="non-finite"):
-                grid_search([top] * 3, self._relevance(4),
+                grid_search(named([top] * 3), self._relevance(4),
                             step=0.1)
 
     def test_an_overflowing_vector_fails_only_when_its_value_is_read(self):
@@ -437,7 +482,7 @@ class TestGridSearch:
                 [[161 / 400, 160 / 400, 79 / 400]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = grid_search(mats, rel, step=0.2,
+            got = grid_search(named(mats), rel, step=0.2,
                               refine=True)
         assert [m.weight for m in got.spec.members] == [0.4075, 0.3925, 0.2]
         assert (got.map_at_16, got.points_evaluated) \
@@ -447,7 +492,7 @@ class TestGridSearch:
     def test_refined_weights_lie_on_the_refine_lattice(self, step):
         rng = np.random.default_rng(6)
         mats = [rng.standard_normal((10, 10)) for _ in range(2)]
-        result = grid_search(mats, self._relevance(10),
+        result = grid_search(named(mats), self._relevance(10),
                              step=step, refine=True)
         for member in result.spec.members:
             units = member.weight / 0.0025
@@ -470,9 +515,7 @@ class TestHierarchicalGridSearch:
         for strategy in ("system-first", "model-first"):
             result = hierarchical_grid_search(mats, rel, step=0.25,
                                               strategy=strategy)
-            ordered = [mats[(m.system, m.model)]
-                       for m in result.spec.members]
-            again = evaluate(fuse(ordered, result.spec), rel).map_at_16
+            again = evaluate(fuse(mats, result.spec), rel).map_at_16
             assert again == result.map_at_16
             total = math.fsum(m.weight for m in result.spec.members)
             assert abs(total - 1.0) < 1e-9
@@ -534,7 +577,7 @@ def _reference_search(mats, rel, step, refine=False):
     divisions = round(1 / step)
 
     def score(weights):
-        return evaluate(fuse(mats, _spec(weights)), rel).map_at_16
+        return evaluate(fuse(named(mats), _spec(weights)), rel).map_at_16
 
     best_value, evaluated = -1.0, 0
     for counts in itertools.product(range(divisions + 1), repeat=n):
@@ -597,7 +640,7 @@ class TestSearchMatchesReference:
         step = 0.05
         if search in ("flat", "refine"):
             refine = search == "refine"
-            got = grid_search(mats[:3], rel, step=step, refine=refine)
+            got = grid_search(named(mats[:3]), rel, step=step, refine=refine)
             want = _reference_search(mats[:3], rel, step, refine)
         else:
             grid = dict(zip(self.TAGS, mats))
@@ -608,13 +651,13 @@ class TestSearchMatchesReference:
                 ws, _, count = _reference_search(
                     [grid[t] for t in group], rel, step)
                 stage1.update(zip(group, ws))
-                fused.append(fuse([grid[t] for t in group], _spec(ws)))
+                fused.append(fuse(named([grid[t] for t in group]), _spec(ws)))
                 evaluated += count
             ws, _, count = _reference_search(fused, rel, step)
             stage2 = {t: w for group, w in zip(self.GROUPS[search], ws)
                       for t in group}
             product = [stage2[t] * stage1[t] for t in self.TAGS]
-            value = evaluate(fuse(mats, _spec(product)), rel).map_at_16
+            value = evaluate(fuse(named(mats), _spec(product)), rel).map_at_16
             want = product, value, evaluated + count
             assert [(m.system, m.model) for m in got.spec.members] \
                 == self.TAGS
@@ -635,7 +678,7 @@ class TestBlockScoresEqualEvaluate:
     @staticmethod
     def _assert_bits(mats, rel, mode, weights):
         got = list(ensemble._grid_scores(mats, rel, mode)(weights))
-        want = [evaluate(fuse(mats, _spec(w)), rel, mode).map_at_16
+        want = [evaluate(fuse(named(mats), _spec(w)), rel, mode).map_at_16
                 for w in weights]
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -679,7 +722,7 @@ class TestBlockScoresEqualEvaluate:
         # 1 byte: one point and one query per block; 2**62: the whole
         # grid and every query in one block
         mats, rel = TestGridSearch._tie_heavy(2)
-        want = grid_search(mats[:3], rel, step=0.25, refine=True)
+        want = grid_search(named(mats[:3]), rel, step=0.25, refine=True)
         blocks = []
 
         def mean_metrics(score_rows, arrays, kept, n_candidates,
@@ -695,7 +738,8 @@ class TestBlockScoresEqualEvaluate:
         for mode in ("multiple", "single"):
             self._assert_bits(mats[:3], rel, mode, _grid(3, 4))
         assert max(blocks) == (points, queries)
-        assert grid_search(mats[:3], rel, step=0.25, refine=True) == want
+        assert grid_search(named(mats[:3]), rel, step=0.25,
+                           refine=True) == want
 
     def test_search_peak_stays_within_the_budget(self):
         # three 2000 x 400 members are 6.4 MB each: the search gathers
@@ -708,7 +752,7 @@ class TestBlockScoresEqualEvaluate:
             for _ in range(400)))
         tracemalloc.start()
         try:
-            grid_search(mats, rel, step=0.5)
+            grid_search(named(mats), rel, step=0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -737,7 +781,7 @@ class TestKeptSets:
     def test_a_rounding_tie_needs_the_margin(self, monkeypatch):
         mats, rel = self._one_ulp_ties()
         weights = _grid(3, 10)
-        want = [evaluate(fuse(mats, _spec(w)), rel).map_at_16.hex()
+        want = [evaluate(fuse(named(mats), _spec(w)), rel).map_at_16.hex()
                 for w in weights]
 
         def search_bits():
@@ -803,9 +847,9 @@ class TestKeptSets:
             values = ensemble._grid_scores(mats, rel, "multiple")(
                 [[0.5, 0.5, 0.0], [0.1, 0.5, 0.4]])
             assert next(values) == evaluate(
-                fuse(mats, _spec([0.5, 0.5, 0.0])), rel).map_at_16
+                fuse(named(mats), _spec([0.5, 0.5, 0.0])), rel).map_at_16
             with pytest.raises(DataError, match="overflowed"):
-                fuse(mats, _spec([0.1, 0.5, 0.4]))
+                fuse(named(mats), _spec([0.1, 0.5, 0.4]))
             with pytest.raises(DataError, match="non-finite"):
                 next(values)
 
@@ -823,7 +867,7 @@ class TestKeptSets:
         assert ensemble._kept_sets(mats, arrays)[1].mean() > 1000
         tracemalloc.start()
         try:
-            grid_search(mats, rel, step=0.5, refine=True)
+            grid_search(named(mats), rel, step=0.5, refine=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -342,10 +342,28 @@ class TestDistillationLoss:
         pair[side][at] = -0.5
         work = _Workspace(params, 3, 1)
         work.grad[:] = 7.0
-        with pytest.raises(ContractError, match="^l_dist must be "
-                                                "nonnegative, got -"):
+        with pytest.raises(ContractError, match="^teacher targets must be "
+                                                "nonnegative, got an entry "
+                                                "-0.5$"):
             loss_and_gradients(params, batch, LossConfig(), tuple(pair),
                                work=work)
+        assert (work.grad == 7.0).all()
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_negative_entry_rejected_under_a_positive_l_dist(self, side):
+        # -log q on the diagonal of an identity student at tau 0.05 is
+        # ~2e-9, so -5 there barely lowers a term the 1/3 entries make
+        # large; the entry is still rejected, before the gradient is touched
+        params, batch = identity_batch(np.eye(3), np.eye(3))
+        pair = [np.full((3, 3), 1 / 3), np.full((3, 3), 1 / 3)]
+        pair[side][0, 0] = -5.0
+        work = _Workspace(params, 3, 1)
+        work.grad[:] = 7.0
+        with pytest.raises(ContractError, match="^teacher targets must be "
+                                                "nonnegative, got an entry "
+                                                "-5.0$"):
+            loss_and_gradients(params, batch, LossConfig(tau=0.05),
+                               tuple(pair), work=work)
         assert (work.grad == 7.0).all()
 
     @pytest.mark.filterwarnings("error")
