@@ -1,10 +1,9 @@
 """Model checkpoints, plus the one JSON reader and writer for run records.
 
-A checkpoint is one container file per named parameter tensor plus a
-meta.json of the format and the tensor names; the geometry (heads, cluster
-count) is read off the tensors.  The head pair is stored as one file per
-modality and layer (`audio_head.w1`, ..., `text_head.b2`), so older
-checkpoints still load.  Writing is deterministic.
+A checkpoint is its model's named tensors: one container file per
+`named_tensors()` entry (the head pair as its four stacked `heads.<layer>`
+tensors) plus a meta.json of the format and the tensor names; the geometry
+(heads, cluster count) is read off the tensors.  Writing is deterministic.
 """
 
 from __future__ import annotations
@@ -12,19 +11,13 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-
-from .encoders import (_ENCODER_TENSORS, _HEAD_LAYERS, _HEAD_TENSORS,
-                       MODALITIES, _params_from_tensors)
+from .encoders import _ENCODER_TENSORS, _HEAD_TENSORS, _params_from_tensors
 from .errors import ContractError, DataError
 from .tensorfile import (_read_text, atomic_open, discard_file, load_tensor,
                          save_tensor)
 
 META_FILE = "meta.json"
-FORMAT_VERSION = 1
-# file name -> (head pair tensor, modality index) of each head file
-_HEAD_FILES = {f"{m}_head.{p}": (name, i) for i, m in enumerate(MODALITIES)
-               for name, p in zip(_HEAD_TENSORS, _HEAD_LAYERS)}
+FORMAT_VERSION = 2
 
 
 def write_json(path, payload):
@@ -54,14 +47,10 @@ def save_checkpoint(directory, params):
     meta_path = os.path.join(directory, META_FILE)
     discard_file(meta_path)
     tensors = params.named_tensors()
-    files = {name: tensors[name] for name in _ENCODER_TENSORS}
-    if params.has_heads:
-        files.update((file, tensors[name][i])
-                     for file, (name, i) in _HEAD_FILES.items())
-    for name, tensor in files.items():
+    for name, tensor in tensors.items():
         save_tensor(os.path.join(directory, f"{name}.xmrt"), tensor)
     write_json(meta_path,
-               {"format": FORMAT_VERSION, "tensors": sorted(files)})
+               {"format": FORMAT_VERSION, "tensors": sorted(tensors)})
 
 
 def load_checkpoint(directory):
@@ -77,12 +66,12 @@ def load_checkpoint(directory):
     names = meta.get("tensors")
     # Checked before any file opens, so a listed name never becomes a path.
     if not (isinstance(names, list) and all(
-            name in _ENCODER_TENSORS + tuple(_HEAD_FILES) for name in names)):
+            name in _ENCODER_TENSORS + _HEAD_TENSORS for name in names)):
         raise DataError(
             f"{meta_path}: tensors must be a list of parameter names")
-    has_heads = any(name in _HEAD_FILES for name in names)
-    expected = set(_ENCODER_TENSORS).union(_HEAD_FILES if has_heads else ())
-    if set(names) != expected:   # a partial set names each missing file
+    has_heads = any(name in _HEAD_TENSORS for name in names)
+    expected = set(_ENCODER_TENSORS).union(_HEAD_TENSORS if has_heads else ())
+    if set(names) != expected:   # a partial set names each missing tensor
         raise DataError(f"{directory}: tensor names do not match: "
                         f"{sorted(expected.difference(names))}")
     tensors = {}
@@ -92,10 +81,6 @@ def load_checkpoint(directory):
             raise DataError(f"{directory}: missing tensor file {name}.xmrt")
         tensors[name] = load_tensor(path)
     try:
-        if has_heads:
-            for name, p in zip(_HEAD_TENSORS, _HEAD_LAYERS):
-                tensors[name] = np.stack(
-                    [tensors.pop(f"{m}_head.{p}") for m in MODALITIES])
         return _params_from_tensors(tensors, has_heads)
-    except (ContractError, ValueError) as exc:   # shapes that disagree
+    except ContractError as exc:   # shapes that disagree
         raise DataError(f"{directory}: {exc}") from None

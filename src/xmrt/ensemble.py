@@ -17,6 +17,7 @@ from __future__ import annotations
 import importlib.resources
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +75,15 @@ class EnsembleSpec:
         if not members:
             raise ContractError("an ensemble needs at least one member")
         _check_strategy(self.strategy)
-        tags = [(m.system, m.model) for m in members]
-        if repeated := [t for i, t in enumerate(tags) if t in tags[:i]]:
-            raise ContractError(f"member {repeated[0]} is listed twice")
+        tags = set()
+        for tag in ((m.system, m.model) for m in members):
+            try:
+                repeated = tag in tags
+            except TypeError:   # no members map could hold it
+                raise ContractError(f"member {tag} is unhashable") from None
+            if repeated:
+                raise ContractError(f"member {tag} is listed twice")
+            tags.add(tag)
         try:
             total = math.fsum(m.weight for m in members)
         except OverflowError:       # finite weights, a sum that is not
@@ -120,6 +127,7 @@ def fuse(members, spec):
     name are not read.  Zero-weight members are skipped, so one-hot weights
     return the selected member bit-for-bit; overflow is a DataError.
     """
+    _check_map(members)
     tags = [(m.system, m.model) for m in spec.members]
     if missing := [tag for tag in tags if tag not in members]:
         raise ContractError(f"no member matrix for {missing[0]}")
@@ -200,8 +208,14 @@ class SearchResult:
     points_evaluated: int
 
 
+def _check_map(members):
+    if not isinstance(members, Mapping):
+        raise ContractError("members must be a {(system, model): matrix} map")
+
+
 def _check_pairs(members):
-    """ContractError unless every key of `members` is a 2-tuple."""
+    """ContractError unless `members` is a map whose keys are 2-tuples."""
+    _check_map(members)
     for tag in members:
         if not (isinstance(tag, tuple) and len(tag) == 2):
             raise ContractError(f"key {tag!r} is not a (system, model) pair")

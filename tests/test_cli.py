@@ -311,7 +311,7 @@ def test_evaluate_rejects_an_overflowing_embedding(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("meta", [
-    "torn", b"\xff\xfe{}", b'{"format": 1}', b"[1]"],
+    "torn", b"\xff\xfe{}", b'{"format": 2}', b"[1]"],
     ids=["torn", "not-utf8", "keyless", "list"])
 def test_evaluate_rejects_a_malformed_meta_json(tmp_path, capsys, meta):
     cfg = _identity_workspace(tmp_path)
@@ -641,7 +641,7 @@ def test_an_op_that_fails_partway_leaves_no_mixed_outputs(
         assert main(new) == 0
         assert _files(run, OP_OUTPUTS[command]) == expected
     assert code == 0
-    assert k - 1 == {"pretrain": 6, "finetune": 6, "refinetune": 14,
+    assert k - 1 == {"pretrain": 6, "finetune": 6, "refinetune": 10,
                      "cluster": 2, "gen-fixtures": 6}[command]
 
 
@@ -754,7 +754,7 @@ def test_every_output_is_the_same_at_one_and_two_blas_threads(tmp_path):
                        for d, _, files in os.walk(cwd) for f in files)
         outputs.append(_files(cwd, paths))
     assert "run/report_test_multiple.json" in outputs[0]
-    assert "run/checkpoints/refinetune/audio_head.w1.xmrt" in outputs[0]
+    assert "run/checkpoints/refinetune/heads.w1.xmrt" in outputs[0]
     assert sorted(outputs[0]) == sorted(outputs[1])
     assert [name for name in outputs[0]
             if outputs[0][name] != outputs[1][name]] == []

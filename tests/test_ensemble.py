@@ -55,6 +55,11 @@ class TestEnsembleSpec:
                                                 r"is listed twice$"):
             EnsembleSpec(members)
 
+    def test_a_tag_that_cannot_be_a_map_key_is_rejected(self):
+        with pytest.raises(ContractError, match=r"^member \(\[1\], 'a'\) "
+                                                r"is unhashable$"):
+            EnsembleSpec((Member([1], "a", 1.0),))
+
 
 class TestFuse:
     def test_single_member_identity(self):
@@ -113,6 +118,12 @@ class TestFuse:
         assert fuse(members, _spec([0.25, 0.75])).tobytes() \
             == fuse(named([np.eye(3), 2 * np.eye(3)]),
                     _spec([0.25, 0.75])).tobytes()
+
+    def test_a_list_of_matrices_is_rejected(self):
+        with pytest.raises(ContractError, match=r"^members must be a "
+                                                r"\{\(system, model\): "
+                                                r"matrix\} map$"):
+            fuse([np.eye(2), np.eye(2)], _spec([0.5, 0.5]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError, match="shape"):
@@ -357,6 +368,14 @@ class TestGridSearch:
         members = {tag: rng.standard_normal((4, 4)) for tag in tags}
         result = grid_search(members, self._relevance(4), step=0.5)
         assert [(m.system, m.model) for m in result.spec.members] == tags
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_a_list_of_members_is_rejected(self, hierarchical):
+        search = hierarchical_grid_search if hierarchical else grid_search
+        with pytest.raises(ContractError, match=r"^members must be a "
+                                                r"\{\(system, model\): "
+                                                r"matrix\} map$"):
+            search([np.eye(4)] * 4, self._relevance(4), step=0.5)
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     @pytest.mark.parametrize("key", ["ab", (2,), (2, "passt", 0), 5],

@@ -322,21 +322,19 @@ def test_head_detectors():
     assert _functions_around(source, _stacks) == ["g", "g", "g"]
 
 
-# Where src/xmrt builds one array from several; the two that are not head
-# tensors are named with what they stack.
+# Where src/xmrt builds one array from several, each named with what it
+# stacks; none is a head tensor.
 STACKS_ALLOWED = {
-    ("checkpoints.py", "load_checkpoint"),   # the per-modality head files
     ("clustering.py", "density_cluster"),    # cluster centroids
     ("cli.py", "_run_training_stage"),       # pseudo-labels by caption id
 }
 
 
-def test_only_checkpoints_knows_the_head_files_and_few_stack_heads():
+def test_no_module_names_a_head_file_or_stacks_heads():
     stacks = set()
     for path in sorted((ROOT / "src/xmrt").glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        if path.name != "checkpoints.py":
-            assert _head_file_names(source) == [], path.name
+        assert _head_file_names(source) == [], path.name
         stacks |= {(path.name, f)
                    for f in _functions_around(source, _stacks)}
     assert stacks == STACKS_ALLOWED    # so no allowance outlives its use

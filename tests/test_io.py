@@ -998,7 +998,7 @@ def test_checkpoint_round_trip_plain(tmp_path):
     assert not back.has_heads
     _assert_same_tensors(params, back)
     assert read_json(os.path.join(directory, META_FILE)) == {
-        "format": 1, "tensors": sorted(params.named_tensors())}
+        "format": 2, "tensors": sorted(params.named_tensors())}
 
 
 def test_checkpoint_round_trip_with_heads(tmp_path):
@@ -1011,51 +1011,50 @@ def test_checkpoint_round_trip_with_heads(tmp_path):
     _assert_same_tensors(params, back)
 
 
-def test_checkpoint_stores_the_head_pair_per_modality(tmp_path):
-    # one file per modality and layer, as before heads were stacked
+def test_checkpoint_is_its_named_tensors(tmp_path):
+    # one file per named_tensors() entry: the head pair as its four
+    # stacked heads.<layer> tensors, byte for byte
     params = headed_params(6, 5, 4, 3, seed=2)
     directory = os.path.join(str(tmp_path), "ckpt")
     save_checkpoint(directory, params)
-    assert read_json(os.path.join(directory, META_FILE))["tensors"] == [
-        "audio_encoder.bias", "audio_encoder.weight",
-        "audio_head.b1", "audio_head.b2", "audio_head.w1", "audio_head.w2",
-        "text_encoder.bias", "text_encoder.weight",
-        "text_head.b1", "text_head.b2", "text_head.w1", "text_head.w2"]
-    for i, modality in enumerate(("audio", "text")):
-        for layer in ("w1", "b1", "w2", "b2"):
-            stored = load_tensor(os.path.join(
-                directory, f"{modality}_head.{layer}.xmrt"))
-            pair = getattr(params.heads, layer)
-            assert stored.tobytes() == pair[i].tobytes()
-            assert stored.shape == pair.shape[1:]
+    assert sorted(os.listdir(directory)) == sorted(
+        [META_FILE] + [f"{name}.xmrt" for name in params.named_tensors()])
+    for layer in ("w1", "b1", "w2", "b2"):
+        alone = os.path.join(str(tmp_path), f"{layer}.xmrt")
+        save_tensor(alone, getattr(params.heads, layer))
+        with open(alone, "rb") as want, open(os.path.join(
+                directory, f"heads.{layer}.xmrt"), "rb") as got:
+            assert got.read() == want.read(), layer
 
 
 def test_checkpoint_rejects_heads_whose_modalities_disagree(tmp_path):
+    # a head tensor must hold one layer per modality
     directory = os.path.join(str(tmp_path), "ckpt")
-    save_checkpoint(directory, headed_params(6, 5, 4, 3, seed=2))
-    save_tensor(os.path.join(directory, "text_head.w2.xmrt"),
-                np.zeros((2, 12)))
-    with pytest.raises(DataError, match="same shape"):
+    params = headed_params(6, 5, 4, 3, seed=2)
+    save_checkpoint(directory, params)
+    w1 = params.heads.w1
+    save_tensor(os.path.join(directory, "heads.w1.xmrt"),
+                np.concatenate([w1, w1[:1]]))
+    with pytest.raises(DataError, match="leading axis of 2"):
         load_checkpoint(directory)
 
 
-@pytest.mark.parametrize("n_clusters", [None, 3])
-def test_checkpoint_loads_the_older_meta_layout(tmp_path, n_clusters):
-    # Older checkpoints also stored has_heads, n_clusters, rng_seed and a
-    # free-form run record in meta.json; the loader ignores them.
-    params = (init_params(6, 5, 4, seed=2) if n_clusters is None
-              else headed_params(6, 5, 4, n_clusters, seed=2))
+def test_checkpoint_of_format_1_names_both_versions(tmp_path):
+    # format 1 stored the head pair as one file per modality and layer
+    params = headed_params(6, 5, 4, 3, seed=2)
+    tensors = params.with_heads(None).named_tensors()
+    for i, modality in enumerate(("audio", "text")):
+        for layer in ("w1", "b1", "w2", "b2"):
+            tensors[f"{modality}_head.{layer}"] = getattr(params.heads,
+                                                          layer)[i]
     directory = os.path.join(str(tmp_path), "ckpt")
-    save_checkpoint(directory, params)
-    older = {"format": 1,
-             "tensors": read_json(os.path.join(directory, META_FILE))[
-                 "tensors"],
-             "has_heads": params.has_heads, "n_clusters": n_clusters,
-             "rng_seed": 2, "extra": {"stage": "pretrain", "steps": 9}}
-    with open(os.path.join(directory, META_FILE), "w",
-              encoding="utf-8") as fh:
-        json.dump(older, fh, indent=2, sort_keys=True)
-    _assert_same_tensors(params, load_checkpoint(directory))
+    os.makedirs(directory)
+    for name, tensor in tensors.items():
+        save_tensor(os.path.join(directory, f"{name}.xmrt"), tensor)
+    write_json(os.path.join(directory, META_FILE),
+               {"format": 1, "tensors": sorted(tensors)})
+    with pytest.raises(DataError, match="checkpoint format 1, expected 2"):
+        load_checkpoint(directory)
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
@@ -1185,9 +1184,8 @@ def test_checkpoint_rejects_partial_head_set(tmp_path):
     save_checkpoint(headed, params)
     _rewrite_meta(headed, tensors=[
         name for name in read_json(os.path.join(headed, META_FILE))["tensors"]
-        if name not in ("audio_head.w1", "text_head.b2")])
-    with pytest.raises(DataError,
-                       match=r"\['audio_head\.w1', 'text_head\.b2'\]"):
+        if name not in ("heads.w1", "heads.b2")])
+    with pytest.raises(DataError, match=r"\['heads\.b2', 'heads\.w1'\]"):
         load_checkpoint(headed)
 
 
