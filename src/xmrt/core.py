@@ -65,18 +65,19 @@ def _rng(seed, *stream):
     return np.random.default_rng([seed, *stream])
 
 
-def _unit_rows(raw, *modalities):
+def _unit_rows(raw, *modalities, out=None):
     """(raw / norm, norm) with norm the (..., n, 1) row norms of raw, an
-    (n, d) matrix or an (m, n, d) stack of m, one modality name each.
+    (n, d) matrix or an (m, n, d) stack of m, one modality name each;
+    the unit rows are written into `out` if given, which may be raw.
 
-    The one embedding normalizer: cosine similarity and the training
-    forward both divide by it, the forward once for both towers.  A norm
-    that overflows to inf or nan, or that is zero, raises DataError
-    naming the modality and the first bad row, blocks in order and the
-    overflow before the zero within one.  Callers enter
-    np.errstate(over="ignore", invalid="ignore") once around their whole
-    forward, since that error reports what numpy's overflow warnings
-    would.
+    The one embedding normalizer: cosine similarity, the training
+    forward and a stage's teacher cache divide by it, the forward once
+    for both towers.  A norm that overflows to inf or nan, or that is
+    zero, raises DataError naming the modality and the first bad row,
+    blocks in order and the overflow before the zero within one.
+    Callers enter np.errstate(over="ignore", invalid="ignore") once
+    around their whole forward, since that error reports what numpy's
+    overflow warnings would.
     """
     # np.linalg.norm's own sum of squares, without its Python wrapper
     norm = np.add.reduce(raw * raw, axis=-1, keepdims=True)
@@ -96,7 +97,7 @@ def _unit_rows(raw, *modalities):
                 raise DataError(f"an embedding collapsed to zero norm at "
                                 f"{modality} row {bad[0]}; cosine "
                                 f"similarity is undefined")
-    return raw / norm, norm
+    return np.divide(raw, norm, out=out), norm
 
 
 def cosine_similarity_matrix(audio_emb, text_emb):

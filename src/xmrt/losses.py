@@ -13,13 +13,17 @@ one numpy call with the bits of the two it replaces.  The heads are
 stored stacked (encoders.ClassificationHead), so the pass reads them,
 and writes their gradients, in place.
 
-Teacher targets are a plain pair of arrays (p_hat_audio, p_hat_text),
-each from one core.softmax_with_temperature call, which checks its
-input; loss_and_gradients checks their shapes, a target that is not
-finite shows in the one scalar of its distillation term, and a negative
-one in each target's minimum.  So the teacher path of a finetune step
-scans each teacher similarity (and, for several, their sum) in
-ensemble_average, then the average once per direction.
+Teacher targets are a plain pair of arrays (p_hat_audio, p_hat_text).
+A finetune stage embeds each teacher once, before step 0, into unit rows
+that core._unit_rows has checked (every norm finite and nonzero); a
+step gathers its batch's rows from there and builds the targets in its
+_Workspace (_teacher_targets): one product per teacher, the sorted mean
+in place (_sorted_mean) and one softmax per direction (_target_pair),
+with no scan of its own.  ensemble_average and targets_from_teacher_sims
+run the same two kernels on checked copies.  loss_and_gradients checks
+the targets' shapes; a target that is not finite shows in the one
+scalar of its distillation term, and a negative one in each target's
+minimum.
 
 Convention throughout: similarity matrices have audio items on rows and
 captions on columns, matched pairs on the diagonal.  Cross-entropies are
@@ -73,32 +77,57 @@ class LossBreakdown:
     total: float
 
 
-def ensemble_average(similarities):
-    """Elementwise mean of teacher similarity matrices.
+def _sorted_mean(mats, spare):
+    """The elementwise mean of the list `mats` of m equal-shape arrays,
+    computed over them and the one extra buffer `spare`; returns the
+    buffer that holds it.
 
-    Each element's m values are sorted (m rounds of an odd-even min/max
-    network) and summed in that order from +0.0, whose sign no tied zero
-    can change; so the mean is exactly invariant to teacher order, but
-    not correctly rounded.  A single teacher comes back unchanged; a sum
-    that overflows raises OverflowError.
+    Each element's m values are sorted in place (m rounds of an odd-even
+    min/max network) and summed in that order from +0.0, whose sign no
+    tied zero can change, then divided by m; so the mean is exactly
+    invariant to teacher order, but not correctly rounded.  One array
+    comes back as it is.  A sum that overflows is left inf for the
+    caller to find.
+    """
+    m = len(mats)
+    if m == 1:
+        return mats[0]
+    for r in range(m):
+        for i in range(r % 2, m - 1, 2):
+            low = np.minimum(mats[i], mats[i + 1], out=spare)
+            np.maximum(mats[i], mats[i + 1], out=mats[i + 1])
+            mats[i], spare = low, mats[i]
+    spare.fill(0.0)
+    with np.errstate(over="ignore"):
+        for mat in mats:
+            spare += mat
+    spare /= m
+    return spare
+
+
+def _target_pair(z, out):
+    """The teacher targets of the scaled average similarity z, softmaxed
+    over audios (columns) into out[0] and over captions (rows) into
+    out[1]: the pair (p_hat_audio, p_hat_text)."""
+    for target, axis in zip(out, (Axis.COLUMNS, Axis.ROWS)):
+        _softmax_forward(z, axis, target, target)
+    return out[0], out[1]
+
+
+def ensemble_average(similarities):
+    """Elementwise mean of teacher similarity matrices: _sorted_mean of
+    checked copies, so exactly invariant to teacher order.  A single
+    teacher comes back unchanged; a sum that overflows raises
+    OverflowError.
     """
     if len(similarities) == 0:
         raise ContractError("need at least one similarity matrix")
-    mats = _as_equal_shape_matrices(similarities, "similarity")
-    m = len(mats)
-    if m == 1:
-        return mats[0].copy()
-    for r in range(m):
-        for i in range(r % 2, m - 1, 2):
-            mats[i], mats[i + 1] = (np.minimum(mats[i], mats[i + 1]),
-                                    np.maximum(mats[i], mats[i + 1]))
-    total = np.zeros(mats[0].shape)
-    with np.errstate(over="ignore"):
-        for mat in mats:
-            total += mat
-    if not np.isfinite(total).all():
+    mats = [mat.copy() for mat in
+            _as_equal_shape_matrices(similarities, "similarity")]
+    mean = _sorted_mean(mats, np.empty_like(mats[0]))
+    if not np.isfinite(mean).all():
         raise OverflowError("teacher similarity sum overflowed")
-    return total / m
+    return mean
 
 
 def teacher_soft_targets(avg_sim, cfg):
@@ -110,21 +139,44 @@ def teacher_soft_targets(avg_sim, cfg):
 
 
 def targets_from_teacher_sims(similarities, cfg):
-    """Average a list of teacher similarity matrices and soften them."""
-    return teacher_soft_targets(ensemble_average(similarities), cfg)
+    """Average a list of teacher similarity matrices and soften them:
+    the kernels of a finetune step's _teacher_targets, on fresh arrays."""
+    mean = ensemble_average(similarities)
+    mean /= cfg.tau
+    return _target_pair(mean, np.empty((2,) + mean.shape))
 
 
-def _forward_embeddings(params, batch):
+def _teacher_targets(work, units, idx, tau):
+    """The teacher target pair of the rows idx of a stage's dataset, in
+    the buffers of its _Workspace `work`.
+
+    `units` holds each teacher's (2, N, d_emb) unit rows of the whole
+    dataset, audio then text (training's teacher cache); their widths
+    may differ.  Each teacher's batch rows are gathered into the
+    workspace and multiplied into its similarity, and the sorted mean of
+    those, divided by tau, is softened both ways into work.targets.
+    """
+    for unit, rows, sim in zip(units, work.teacher_rows, work.teacher_sims):
+        # in-range indices: "clip" only skips the copy "raise" makes
+        np.take(unit, idx, axis=1, out=rows, mode="clip")
+        np.matmul(rows[0], rows[1].T, out=sim)
+    mean = _sorted_mean(list(work.teacher_sims), work.teacher_mean)
+    mean /= tau
+    return _target_pair(mean, work.targets)
+
+
+def _forward_embeddings(params, batch, out=None):
     """(raw, unit, norm): both towers' raw embeddings, stacked as one
     (2, n, d_emb) array, audio then text, their unit rows, and the
-    (2, n, 1) norms between them."""
-    raw = np.empty((2, len(batch), params.d_emb))
+    (2, n, 1) norms between them.  Given `out`, the unit rows overwrite
+    the raw ones there, so raw is unit."""
+    raw = np.empty((2, len(batch), params.d_emb)) if out is None else out
     # Huge weights overflow here; _unit_rows reports it, so numpy's
     # warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         _embed(params.audio_encoder, batch.audio_features, out=raw[0])
         _embed(params.text_encoder, batch.text_features, out=raw[1])
-        unit, norm = _unit_rows(raw, *MODALITIES)
+        unit, norm = _unit_rows(raw, *MODALITIES, out=out)
     return raw, unit, norm
 
 
@@ -165,25 +217,32 @@ def _head_forward_backward(heads, raw, labels, grads):
 
 
 class _Workspace:
-    """Every n x n array of a loss_and_gradients call at batch size n, the
-    gradient vector with its views in params' layout (the head pair's
-    are (2, ...), audio then text), and the two scratch vectors of
-    training.adamw_step.  One whose bytes would pass core._ALLOC_BYTES
-    is a ConfigError before any allocation; the count includes the
-    2m + 2 n x n arrays at which the targets of n_teachers = m > 0
-    teachers peak outside it (m similarities, their m sorted copies in
-    ensemble_average, and the target pair).
+    """Every n x n array of a step at batch size n, the gradient vector
+    with its views in params' layout (the head pair's are (2, ...), audio
+    then text), and the two scratch vectors of training.adamw_step.
+
+    The squares are the five of loss_and_gradients and, for m > 0
+    `teachers`, the m + 3 of _teacher_targets: m similarities, the
+    scaled average and the target pair; beside them lie each teacher's
+    (2, n, d_emb) gathered rows.  A workspace whose bytes would pass
+    core._ALLOC_BYTES is a ConfigError before any allocation.
     """
 
-    def __init__(self, params, n, n_teachers):
+    def __init__(self, params, n, teachers):
         tensors = params.named_tensors()
         size = sum(t.size for t in tensors.values())
-        squares = 5 + (2 * n_teachers + 2 if n_teachers else 0)
-        teachers = f" with {n_teachers} teachers" if n_teachers else ""
-        _check_alloc(8 * (squares * n * n + 3 * size), f"batch_size {n}",
-                     f"training workspace{teachers}")
-        self.z, self.shifted_r, self.q_r, self.shifted_c, self.q_c = (
-            np.empty((5, n, n)))
+        m = len(teachers)
+        squares = 5 + (m + 3 if m else 0)
+        rows = 2 * n * sum(t.d_emb for t in teachers)
+        with_teachers = f" with {m} teachers" if m else ""
+        _check_alloc(8 * (squares * n * n + rows + 3 * size),
+                     f"batch_size {n}", f"training workspace{with_teachers}")
+        block = np.empty((squares, n, n))
+        self.z, self.shifted_r, self.q_r, self.shifted_c, self.q_c = block[:5]
+        self.teacher_sims = block[5:5 + m]
+        self.teacher_mean = block[5 + m] if m else None
+        self.targets = block[6 + m:]
+        self.teacher_rows = [np.empty((2, n, t.d_emb)) for t in teachers]
         self.grad = np.zeros(size)
         self.grads = _flat_views(tensors, self.grad)
         self.scratch = np.empty((2, size))
@@ -226,7 +285,7 @@ def loss_and_gradients(params, batch, cfg, targets=None, labels=None,
         if labels.min() < 0 or labels.max() >= k:
             raise DataError(f"cluster label outside [0, {k})")
     if work is None:   # targets, if given, are already the caller's
-        work = _Workspace(params, n, 0)
+        work = _Workspace(params, n, ())
 
     raw, unit, norm = _forward_embeddings(params, batch)
     z = np.matmul(unit[0], unit[1].T, out=work.z)

@@ -6,18 +6,21 @@ classification.  The LossConfig weights only scale those terms; pair
 mixing is a dataset transform the caller applies before a finetune.
 A step reads only feature rows (a PairedDataset carries no ids), the
 teacher target pair and the batch's labels, and its StepRecord keeps
-the one LossBreakdown that loss_and_gradients returned.
+the one LossBreakdown that loss_and_gradients returned.  A finetune
+stage embeds each frozen teacher once, before step 0, over its whole
+dataset (the teacher cache); a step gathers its batch's teacher rows
+from there.
 
 The optimizer is AdamW with decoupled weight decay, updating in place
 one float64 vector of every parameter that a stage's model views, so one
 step function serves encoders and heads alike.  Its gradient vector, its
-two scratch vectors, the batch rows and every n x n array of a step are
-allocated once per stage, in one batch PairedDataset and one
-losses._Workspace.  The learning rate warms up linearly to a peak, then
-follows a cosine toward a floor that it would reach one step after the
-stage's last, so the last step's rate lies just above the floor.  Batch
-order and synthetic pair mixing both draw from explicitly seeded
-generators, which makes every stage bit-reproducible.
+two scratch vectors, the batch rows, the gathered teacher rows and every
+n x n array of a step are allocated once per stage, in one batch
+PairedDataset and one losses._Workspace.  The learning rate warms up
+linearly to a peak, then follows a cosine toward a floor that it would
+reach one step after the stage's last, so the last step's rate lies just
+above the floor.  Batch order and synthetic pair mixing both draw from
+explicitly seeded generators, which makes every stage bit-reproducible.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ import numpy as np
 from .core import _check_alloc, _rng, as_matrix
 from .encoders import _check_finite, _flat_views
 from .errors import ConfigError, ContractError, DataError
-from .losses import (LossBreakdown, LossConfig, _Workspace,
-                     loss_and_gradients, student_similarity,
-                     targets_from_teacher_sims)
+from .losses import (LossBreakdown, LossConfig, _forward_embeddings,
+                     _teacher_targets, _Workspace, loss_and_gradients)
 
 STAGES = ("pretrain", "finetune", "refinetune")
 _MIX_STREAM = 104729      # distinguishes the mixing rng from batch shuffles
@@ -191,6 +193,24 @@ def make_batches(n_items, batch_size, seed, epoch):
             for i in range(n_full)]
 
 
+def _embed_teachers(stage, teachers, dataset):
+    """Each teacher's (2, n, d_emb) unit rows of every dataset row, audio
+    then text: a finetune stage's teacher cache, embedded once before
+    step 0 through the one embedding forward.  A teacher whose input
+    width is wrong is a ContractError, and one whose embedding overflows
+    or collapses on any row a DataError, each naming the stage and the
+    teacher."""
+    units = []
+    for i, teacher in enumerate(teachers):
+        unit = np.empty((2, len(dataset), teacher.d_emb))
+        try:
+            _forward_embeddings(teacher, dataset, out=unit)
+        except (ContractError, DataError) as exc:
+            raise type(exc)(f"stage {stage}: teacher {i}: {exc}") from exc
+        units.append(unit)
+    return units
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """One optimizer step's diagnostics: its loss terms are `loss`."""
@@ -209,20 +229,25 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
     `stage` is a name from STAGES, and `dataset` a PairedDataset that
     the stage passes over `epochs` times in batches of `batch_size`.  A
     batch_size whose workspace, with finetune's teacher targets, would
-    not fit core._ALLOC_BYTES is a ConfigError before step 0.
+    not fit core._ALLOC_BYTES is a ConfigError before step 0, as is a
+    teacher cache that would not.
     The stage name picks the loss terms.
-    finetune distills from `teachers`, a sequence of frozen ModelParams
-    whose averaged similarities give the targets (required there,
-    rejected elsewhere).  refinetune classifies `pseudo_labels`, a 1-D
-    int array with one label per dataset row (required there along with
-    classification heads, rejected elsewhere); a batch passes its rows'
-    labels on, and both heads classify them since rows are matched
-    pairs.  `loss_cfg` only weights the terms, so a weight of 0 turns its
-    term off.  The stage trains views of a private copy of `params` in
-    place and never writes `params` or `teachers`.
-    A step whose teacher targets, loss or parameters are not finite
-    raises DataError naming the stage, step, epoch and lr, and the loss
-    terms once known.
+    finetune distills from `teachers`, a sequence of frozen ModelParams,
+    of any embedding widths, whose averaged similarities give the
+    targets (required there, rejected elsewhere).  Each teacher is
+    embedded once over the whole dataset before step 0, so a teacher
+    whose input width is wrong, or whose embedding of any row overflows
+    or collapses to zero, fails there naming the stage and the teacher;
+    each step gathers its rows from that cache.  refinetune classifies
+    `pseudo_labels`, a 1-D int array with one label per dataset row
+    (required there along with classification heads, rejected
+    elsewhere); a batch passes its rows' labels on, and both heads
+    classify them since rows are matched pairs.  `loss_cfg` only weights
+    the terms, so a weight of 0 turns its term off.  The stage trains
+    views of a private copy of `params` in place and never writes
+    `params` or `teachers`.
+    A step whose loss or parameters are not finite raises DataError
+    naming the stage, step, epoch and lr, and the loss terms once known.
     """
     if stage not in STAGES:
         raise ConfigError(
@@ -276,7 +301,12 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
         raise ContractError(
             f"dataset of {len(dataset)} cannot fill a batch of "
             f"{batch_size}")
-    work = _Workspace(params, batch_size, len(teachers or ()))
+    teachers = teachers or ()
+    n_rows = len(dataset)
+    _check_alloc(8 * 2 * n_rows * sum(t.d_emb for t in teachers),
+                 f"a dataset of {n_rows} rows", "teacher embedding cache")
+    work = _Workspace(params, batch_size, teachers)
+    units = _embed_teachers(stage, teachers, dataset)
     batch = PairedDataset(
         np.zeros((batch_size, dataset.audio_features.shape[1])),
         np.zeros((batch_size, dataset.text_features.shape[1])))
@@ -302,10 +332,8 @@ def run_stage(stage, params, dataset, teachers=None, pseudo_labels=None, *,
             lr = next(rates)
             breakdown = None
             try:
-                targets = None
-                if distills:
-                    sims = [student_similarity(t, batch) for t in teachers]
-                    targets = targets_from_teacher_sims(sims, cfg)
+                targets = (_teacher_targets(work, units, batch_idx, cfg.tau)
+                           if distills else None)
                 breakdown, _ = loss_and_gradients(
                     params, batch, cfg, targets=targets, labels=labels,
                     work=work)

@@ -344,6 +344,13 @@ def test_no_module_names_a_head_file_or_stacks_heads():
 TEST_ONLY_ALLOWED = {
     "rank_gallery": "perfbench/tracing.py wraps it; the metric tests rank "
                     "with it",
+    "student_similarity": "perfbench/tracing.py wraps it; the loss tests "
+                          "build reference teacher targets with it",
+    "targets_from_teacher_sims": "perfbench/tracing.py wraps it; the loss "
+                                 "and stage tests check the cached teacher "
+                                 "targets against it",
+    "teacher_soft_targets": "perfbench/tracing.py wraps it; the target "
+                            "tests soften a given average with it",
 }
 
 

@@ -16,7 +16,8 @@ from xmrt import (Axis, ConfigError, ContractError, DataError, LossConfig,
                   teacher_soft_targets)
 from xmrt import core
 from xmrt.encoders import _head_forward, encode
-from xmrt.losses import _Workspace, ensemble_average
+from xmrt.losses import (_forward_embeddings, _teacher_targets, _Workspace,
+                         ensemble_average)
 
 from conftest import (distillation_ce, full_matrix_ce, head_pair,
                       headed_params, identity_batch, label_ce, random_batch,
@@ -264,14 +265,18 @@ class TestTeacherTargets:
             teacher_soft_targets(avg, LossConfig())
 
     @pytest.mark.parametrize("n_teachers", [1, 3])
-    def test_a_finetune_step_checks_each_matrix_once(self, monkeypatch,
-                                                     n_teachers):
-        # m similarities in ensemble_average, then the average once per
-        # softmax direction; the loss reads the targets unchecked
+    def test_a_finetune_step_scans_no_matrix(self, monkeypatch, n_teachers):
+        # _unit_rows checked the cached teacher rows once, so a step reads
+        # its targets unchecked; the loss's l_dist scalar is their guard
         params = init_params(6, 5, 4, seed=1)
-        batch = random_batch(8, 6, 5, seed=2)
+        dataset = random_batch(16, 6, 5, seed=2)
+        idx = np.arange(3, 11)
+        batch = PairedDataset(dataset.audio_features[idx],
+                              dataset.text_features[idx])
         teachers = [init_params(6, 5, 4, seed=9 + i)
                     for i in range(n_teachers)]
+        units = [_forward_embeddings(t, dataset)[1] for t in teachers]
+        work = _Workspace(params, 8, teachers)
         cfg = LossConfig()
         real, calls = core.as_matrix, []
 
@@ -283,10 +288,12 @@ class TestTeacherTargets:
             if (getattr(module, "__name__", "").startswith("xmrt.")
                     and getattr(module, "as_matrix", None) is real):
                 monkeypatch.setattr(module, "as_matrix", counting)
-        targets = targets_from_teacher_sims(
-            [student_similarity(t, batch) for t in teachers], cfg)
-        loss_and_gradients(params, batch, cfg, targets)
-        assert len(calls) == n_teachers + 2, calls
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x: calls.append(
+            "isfinite") or isfinite(x))
+        targets = _teacher_targets(work, units, idx, cfg.tau)
+        loss_and_gradients(params, batch, cfg, targets, work=work)
+        assert calls == []
 
 
 class TestDistillationLoss:
@@ -340,7 +347,7 @@ class TestDistillationLoss:
                                        rng.standard_normal((3, 4)))
         pair = [np.zeros((3, 3)), np.zeros((3, 3))]
         pair[side][at] = -0.5
-        work = _Workspace(params, 3, 1)
+        work = _Workspace(params, 3, [params])
         work.grad[:] = 7.0
         with pytest.raises(ContractError, match="^teacher targets must be "
                                                 "nonnegative, got an entry "
@@ -357,7 +364,7 @@ class TestDistillationLoss:
         params, batch = identity_batch(np.eye(3), np.eye(3))
         pair = [np.full((3, 3), 1 / 3), np.full((3, 3), 1 / 3)]
         pair[side][0, 0] = -5.0
-        work = _Workspace(params, 3, 1)
+        work = _Workspace(params, 3, [params])
         work.grad[:] = 7.0
         with pytest.raises(ContractError, match="^teacher targets must be "
                                                 "nonnegative, got an entry "
@@ -379,7 +386,7 @@ class TestDistillationLoss:
         pair = list(teacher_soft_targets(student_similarity(params, batch),
                                          LossConfig()))
         pair[side][at] = bad
-        work = _Workspace(params, 3, 1)
+        work = _Workspace(params, 3, [params])
         work.grad[:] = 7.0
         with pytest.raises(DataError, match="^teacher targets give a "
                                             "non-finite l_dist"):
@@ -632,10 +639,11 @@ class TestWorkspace:
         params = headed_params(6, 5, 4, 3, seed=1)
         batch = random_batch(n, 6, 5, seed=2)
         cfg = LossConfig()
+        teacher = init_params(6, 5, 4, seed=9)
         targets = targets_from_teacher_sims(
-            [student_similarity(init_params(6, 5, 4, seed=9), batch)], cfg)
+            [student_similarity(teacher, batch)], cfg)
         labels = np.arange(n) % 3
-        work = _Workspace(params, n, 1)
+        work = _Workspace(params, n, [teacher])
         step = functools.partial(loss_and_gradients, params, batch, cfg,
                                  targets, labels, work=work)
         _, first = step()
@@ -650,40 +658,61 @@ class TestWorkspace:
         assert peak - start < n * n * 8
         _assert_same_bits(second, kept)
 
-    @pytest.mark.parametrize("n_teachers", [1, 3])
-    def test_teacher_targets_peak_at_the_budgeted_squares(self, n_teachers):
-        # Outside its workspace a finetune step peaks at the 2m + 2 batch
-        # squares _Workspace counts for m teachers, plus per-row vectors
-        # and one finiteness mask (an eighth of a square).
-        n = 256
-        params = init_params(6, 5, 4, seed=1)
-        batch = random_batch(n, 6, 5, seed=2)
-        teachers = [init_params(6, 5, 4, seed=9 + i)
-                    for i in range(n_teachers)]
-        cfg = LossConfig()
-        work = _Workspace(params, n, n_teachers)
+    @staticmethod
+    def _peak_bytes(call):
+        """The bytes call() allocates at its peak, as tracemalloc sees
+        them."""
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            targets = targets_from_teacher_sims(
-                [student_similarity(t, batch) for t in teachers], cfg)
-            loss_and_gradients(params, batch, cfg, targets, work=work)
-            peak = tracemalloc.get_traced_memory()[1]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        squares = (peak - start) / (8 * n * n)
-        assert 2 * n_teachers + 2 <= squares < 2 * n_teachers + 2.25
+
+    @pytest.mark.parametrize("n_teachers", [1, 3])
+    def test_teacher_targets_peak_at_the_budgeted_squares(self, n_teachers):
+        # A finetune workspace holds the 5 + m + 3 batch squares it counts
+        # for m teachers (the loss's five, m similarities, the scaled
+        # average and the target pair) beside m gathered (2, n, 4) row
+        # blocks; after warm-up a whole step allocates no square outside.
+        n = 256
+        params = init_params(6, 5, 4, seed=1)
+        dataset = random_batch(2 * n, 6, 5, seed=2)
+        idx = np.arange(1, 2 * n, 2)
+        batch = PairedDataset(dataset.audio_features[idx],
+                              dataset.text_features[idx])
+        teachers = [init_params(6, 5, 4, seed=9 + i)
+                    for i in range(n_teachers)]
+        units = [_forward_embeddings(t, dataset)[1] for t in teachers]
+        cfg = LossConfig()
+        built = []
+        squares = self._peak_bytes(lambda: built.append(
+            _Workspace(params, n, teachers))) / (8 * n * n)
+        assert 5 + n_teachers + 3 <= squares < 5 + n_teachers + 3.25
+        work = built[0]
+        assert [rows.shape for rows in work.teacher_rows] \
+            == [(2, n, 4)] * n_teachers
+
+        def step():
+            targets = _teacher_targets(work, units, idx, cfg.tau)
+            loss_and_gradients(params, batch, cfg, targets, work=work)
+
+        step()
+        assert self._peak_bytes(step) < 0.25 * 8 * n * n
 
     def test_teachers_count_toward_the_workspace_budget(self):
-        # batch 3,600 fits the budget alone but not with three teachers
+        # batch 3,600 fits the budget alone but not with three teachers:
+        # 5 + 3 + 3 squares and three (2, n, 4) gathered row blocks
         params = init_params(6, 5, 4, seed=1)
+        teachers = [init_params(6, 5, 4, seed=9 + i) for i in range(3)]
         size = sum(t.size for t in params.named_tensors().values())
         assert 8 * (5 * 3600 ** 2 + 3 * size) <= core._ALLOC_BYTES
-        needed = 8 * (13 * 3600 ** 2 + 3 * size)
+        needed = 8 * (11 * 3600 ** 2 + 3 * 2 * 3600 * 4 + 3 * size)
         with pytest.raises(ConfigError, match=(
                 rf"^batch_size 3600 needs a {needed}-byte training "
                 rf"workspace with 3 teachers, over the")):
-            _Workspace(params, 3600, 3)
+            _Workspace(params, 3600, teachers)
 
 
 def _assert_same_bits(grads_a, grads_b):

@@ -533,12 +533,35 @@ class TestRunStage:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_teacher_forward_names_the_step(self):
+        # The teacher cache is embedded before step 0, so the error names
+        # the stage and the teacher, and the dataset row.
         params = init_params(8, 6, 4, seed=0)
         teacher = self._scaled(init_params(8, 6, 4, seed=9), 1e160)
         with pytest.raises(DataError,
-                           match=r"stage finetune diverged at step 0 "
-                                 r"\(epoch 0, lr 2e-05\): an embedding norm"):
-            run_stage("finetune", params, _toy_dataset(), teachers=[teacher],
+                           match=r"^stage finetune: teacher 1: an embedding "
+                                 r"norm overflowed to a non-finite value at "
+                                 r"audio row 0$"):
+            run_stage("finetune", params, _toy_dataset(),
+                      teachers=[params, teacher], epochs=1, batch_size=8)
+
+    def test_collapsed_teacher_row_names_the_teacher(self):
+        params = init_params(8, 6, 4, seed=0)
+        dataset = _toy_dataset()
+        dataset.text_features[5] = 0.0
+        teacher = init_params(8, 6, 4, seed=9)   # zero biases
+        with pytest.raises(DataError, match=r"^stage finetune: teacher 0: an "
+                                            r"embedding collapsed to zero "
+                                            r"norm at text row 5;"):
+            run_stage("finetune", params, dataset, teachers=[teacher],
+                      epochs=1, batch_size=8)
+
+    def test_teacher_of_the_wrong_width_names_the_teacher(self):
+        params = init_params(8, 6, 4, seed=0)
+        teachers = [init_params(8, 6, 4, seed=9), init_params(8, 5, 4, seed=9)]
+        with pytest.raises(ContractError, match=r"^stage finetune: teacher 1: "
+                                                r"text encoder expects width "
+                                                r"5, got 6$"):
+            run_stage("finetune", params, _toy_dataset(), teachers=teachers,
                       epochs=1, batch_size=8)
 
     def test_workspace_past_its_budget_is_a_config_error(self,
@@ -558,21 +581,40 @@ class TestRunStage:
 
     def test_teacher_targets_count_toward_the_budget(self, monkeypatch):
         # The budget fits exactly the batch-8 finetune with one teacher:
-        # 5 + 4 squares and three model-sized vectors (the gradient and
-        # AdamW's scratch); three teachers need 13 squares.
+        # 5 + 1 + 3 squares, its (2, 8, 4) gathered rows and three
+        # model-sized vectors (the gradient and AdamW's scratch); three
+        # teachers need 11 squares and three row blocks.
         params = init_params(8, 6, 4, seed=0)
         size = sum(t.size for t in params.named_tensors().values())
-        monkeypatch.setattr(core, "_ALLOC_BYTES", 8 * (9 * 64 + 3 * size))
+        monkeypatch.setattr(core, "_ALLOC_BYTES",
+                            8 * (9 * 64 + 64 + 3 * size))
         stage = dict(epochs=1, batch_size=8)
         teachers = [init_params(8, 6, 4, seed=s) for s in (1, 2, 3)]
         assert len(run_stage("finetune", params, _toy_dataset(),
                              teachers=teachers[:1], **stage)[1]) == 4
-        needed = 8 * (13 * 64 + 3 * size)
+        needed = 8 * (11 * 64 + 3 * 64 + 3 * size)
         with pytest.raises(ConfigError, match=rf"^batch_size 8 needs a "
                                               rf"{needed}-byte training "
                                               rf"workspace with 3 teachers"):
             run_stage("finetune", params, _toy_dataset(), teachers=teachers,
                       **stage)
+
+    def test_teacher_cache_past_its_budget_fails_before_the_workspace(
+            self, monkeypatch):
+        # Two 6-wide teachers cache 2 x 32 rows of each: 6,144 bytes.
+        def no_workspace(*args):
+            raise AssertionError("built a workspace")
+
+        monkeypatch.setattr(training, "_Workspace", no_workspace)
+        monkeypatch.setattr(core, "_ALLOC_BYTES", 6143)
+        teachers = [init_params(8, 6, 6, seed=s) for s in (1, 2)]
+        with pytest.raises(ConfigError, match=r"^a dataset of 32 rows needs "
+                                              r"a 6144-byte teacher "
+                                              r"embedding cache, over the "
+                                              r"6143-byte limit$"):
+            run_stage("finetune", init_params(8, 6, 4, seed=0),
+                      _toy_dataset(), teachers=teachers, epochs=1,
+                      batch_size=8)
 
     def test_pseudo_labels_need_one_per_row(self):
         params = headed_params(8, 6, 4, 3, seed=0)
@@ -669,6 +711,36 @@ class TestRunStage:
                  for order in itertools.permutations(teachers)]
         assert len(tuned) == 6
         assert all(t == tuned[0] for t in tuned)
+
+    @pytest.mark.parametrize("widths", [(4,), (4, 4, 4), (4, 6)],
+                             ids=["one", "three", "mixed_widths"])
+    def test_cached_targets_match_the_public_path(self, monkeypatch, widths):
+        # Each step gathers its teacher rows from the stage's cache; its
+        # targets are the public path's on the same batch, up to the last
+        # bits a product of gathered rows may round differently.
+        teachers = [init_params(8, 6, d, seed=7 + i)
+                    for i, d in enumerate(widths)]
+        steps = []
+
+        def spy(params, batch, cfg, targets, labels, work):
+            steps.append((PairedDataset(batch.audio_features.copy(),
+                                        batch.text_features.copy()),
+                          [t.copy() for t in targets]))
+            return loss_and_gradients(params, batch, cfg, targets, labels,
+                                      work)
+
+        monkeypatch.setattr(training, "loss_and_gradients", spy)
+        cfg = LossConfig()
+        tuned, _ = run_stage("finetune", init_params(8, 6, 4, seed=0),
+                             _toy_dataset(), teachers=teachers, epochs=2,
+                             batch_size=8, loss_cfg=cfg, peak_lr=1e-2)
+        assert len(steps) == 8
+        for batch, targets in steps:
+            public = targets_from_teacher_sims(
+                [student_similarity(t, batch) for t in teachers], cfg)
+            for got, want in zip(targets, public):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert tuned.d_emb == 4
 
     def test_finetune_with_zero_lambda1_trains_as_pretrain(self):
         params = init_params(8, 6, 4, seed=0)
